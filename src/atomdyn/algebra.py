@@ -10,14 +10,19 @@ case f(x) = e^{iax}.
 Bounded functions are identified by a textual tag: normal-form merging
 compares tags, never function extensionality.  Functions are only ever
 evaluated at the finitely many atom frequencies of the argument vector.
+Constants, waves and interval indicators also carry their defining data
+through shifts and conjugation, so expectations of them have closed forms
+and they evaluate on whole arrays at once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Tuple
+
+import numpy as np
 
 from .atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from .trig import TrigPolynomial, make_polynomial
@@ -83,6 +88,10 @@ class BoundedFunction:
     def __call__(self, x: float) -> complex:
         return complex(self.fn(x))
 
+    def at(self, ys: np.ndarray) -> np.ndarray:
+        """f on every point of ys, as a complex array."""
+        return np.array([complex(self.fn(float(y))) for y in ys], dtype=complex)
+
     def shifted(self, h: float) -> "BoundedFunction":
         """x -> f(x + h)."""
         if h == 0 or self.tag == "one":
@@ -109,12 +118,32 @@ class BoundedFunction:
         )
 
 
-ONE = BoundedFunction("one", lambda x: 1.0 + 0j, 1.0)
+@dataclass(frozen=True)
+class Constant(BoundedFunction):
+    """The constant function x -> value; stays constant through shifts."""
+
+    value: complex = 0j
+
+    def shifted(self, h: float) -> "Constant":
+        g = super().shifted(h)
+        return g if g is self else replace(self, tag=g.tag, fn=g.fn)
+
+    def conjugate(self) -> "Constant":
+        g = super().conjugate()
+        return g if g is self else replace(
+            self, tag=g.tag, fn=g.fn, value=self.value.conjugate()
+        )
+
+    def at(self, ys: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(ys), self.value, dtype=complex)
 
 
-def constant(value: complex) -> BoundedFunction:
+ONE = Constant("one", lambda x: 1.0 + 0j, 1.0, 1.0 + 0j)
+
+
+def constant(value: complex) -> Constant:
     value = complex(value)
-    return BoundedFunction(f"const({value!r})", lambda x, _v=value: _v, abs(value))
+    return Constant(f"const({value!r})", lambda x, _v=value: _v, abs(value), value)
 
 
 @dataclass(frozen=True)
@@ -130,6 +159,10 @@ class Indicator(BoundedFunction):
     def conjugate(self) -> "Indicator":
         return self
 
+    def at(self, ys: np.ndarray) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float)
+        return np.where((self.lo <= ys) & (ys <= self.hi), 1.0 + 0j, 0j)
+
 
 def indicator(lo: float, hi: float) -> Indicator:
     if not (lo <= hi):
@@ -143,9 +176,30 @@ def indicator(lo: float, hi: float) -> Indicator:
     )
 
 
-def wave(a: float) -> BoundedFunction:
+@dataclass(frozen=True)
+class Wave(BoundedFunction):
+    """x -> e^{ia(x+s)}: a wave of frequency a, shifted by the offset s."""
+
+    a: float = 0.0
+    s: float = 0.0
+
+    def shifted(self, h: float) -> "Wave":
+        g = super().shifted(h)
+        return g if g is self else replace(self, tag=g.tag, fn=g.fn, s=self.s + h)
+
+    def conjugate(self) -> "Wave":
+        g = super().conjugate()
+        return replace(self, tag=g.tag, fn=g.fn, a=-self.a)
+
+    def at(self, ys: np.ndarray) -> np.ndarray:
+        return np.exp(1j * self.a * (np.asarray(ys, dtype=float) + self.s))
+
+
+def wave(a: float) -> Wave:
     """x -> e^{iax}, the multiplier realizing M_a."""
-    return BoundedFunction(f"wave({a!r})", lambda x, _a=a: cmath.exp(1j * _a * x), 1.0)
+    return Wave(
+        f"wave({a!r})", lambda x, _a=a: cmath.exp(1j * _a * x), 1.0, float(a), 0.0
+    )
 
 
 # ---------------------------------------------------------------------------

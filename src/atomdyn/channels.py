@@ -21,19 +21,21 @@ One-parameter convolution families turn both into semigroups.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from .algebra import (
     AlgebraElement,
     AtomicMeasure,
     BoundedFunction,
+    Constant,
     Indicator,
+    Wave,
     apply_element,
     apply_shift,
     constant,
@@ -44,6 +46,9 @@ _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
 _EIG_CUT = 1e-14
+# Gauss rule orders; "analytic" accepts the higher one only when both agree
+GAUSS_ORDERS = (64, 128)
+_RULE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +179,10 @@ class McEstimate(NamedTuple):
     samples: int
 
 
+class QuadratureError(ArithmeticError):
+    """Two Gauss rule orders disagree: the expectation is not resolved."""
+
+
 def expect_function(
     d: Distribution,
     f: BoundedFunction,
@@ -184,21 +193,42 @@ def expect_function(
 ):
     """E f(xi - x) for xi ~ d.
 
-    ``analytic`` uses closed forms (constants exactly, indicators via the
-    cdf, discrete parts by finite summation) and falls through to
-    quadrature for a continuous part without a usable closed form.
-    ``quadrature`` integrates f against the density.  ``mc`` returns an
+    ``analytic`` takes one of three paths and never returns a silent
+    approximation:
+
+    * closed form -- a :class:`Wave` e^{ia(y+s)} gives e^{ia(s-x)} chi(a)
+      under any law; otherwise the discrete part is a finite sum, and on
+      the continuous part an :class:`Indicator` is a cdf difference and a
+      :class:`Constant` is its value;
+    * Gauss rule -- any other multiplier is integrated against the
+      continuous part by the law's rule (Gauss-Hermite for Gaussian,
+      Gauss-Legendre for Uniform, Gauss-Legendre in theta for Cauchy with
+      y = gamma tan theta) at the two orders of ``GAUSS_ORDERS``; an
+      Indicator's rule covers its interval alone.  The higher order is
+      returned when the two agree within 1e-9;
+    * error -- :class:`QuadratureError` when they do not, and
+      NotImplementedError when the law has no rule.
+
+    ``quadrature`` sums the discrete part and applies the higher-order rule
+    to the continuous part with no closed forms, whatever its accuracy.
+    Its weights are positive and, for multipliers other than Indicators,
+    its nodes depend on the law alone: every expectation then comes from
+    one fixed discrete law, so values of positive operators stay
+    non-negative.  ``mc`` returns an
     :class:`McEstimate` with the standard error of the sample mean.
     """
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
-        xs = d.sample(gen, mc_samples)
-        vals = np.array([complex(f(float(s) - x)) for s in xs])
+        vals = f.at(d.sample(gen, mc_samples) - x)
         mean = complex(vals.mean())
         var = float(np.mean(np.abs(vals - mean) ** 2))
         stderr = math.sqrt(var / mc_samples)
         return McEstimate(mean, stderr, mc_samples)
+    if method not in ("analytic", "quadrature"):
+        raise ValueError(f"unknown expectation method: {method!r}")
+    if method == "analytic" and isinstance(f, Wave):
+        return cmath.exp(1j * f.a * (f.s - x)) * d.chi(f.a)
 
     total = 0j
     for loc, pr in d.discrete_atoms():
@@ -210,18 +240,27 @@ def expect_function(
 
 
 def _expect_continuous(d, f, x, method):
-    # closed form for interval indicators: P(lo <= xi - x <= hi)
-    if method == "analytic" and isinstance(f, Indicator):
-        try:
-            return complex(d.cdf(f.hi + x) - d.cdf(f.lo + x))
-        except NotImplementedError:
-            pass
-    if method == "analytic" and (f.tag == "one" or f.tag.startswith("const(")):
-        return complex(f(0.0))
-    lo, hi = d.density_range()
-    re = quad(lambda y: (complex(f(y - x)) * d.pdf(y)).real, lo, hi, limit=400)[0]
-    im = quad(lambda y: (complex(f(y - x)) * d.pdf(y)).imag, lo, hi, limit=400)[0]
-    return complex(re, im)
+    if method == "analytic":
+        # P(lo <= xi - x <= hi)
+        if isinstance(f, Indicator):
+            try:
+                return complex(d.cdf(f.hi + x) - d.cdf(f.lo + x))
+            except NotImplementedError:
+                pass
+        if isinstance(f, Constant):
+            return f.value
+    lo, hi = (f.lo + x, f.hi + x) if isinstance(f, Indicator) else (-math.inf, math.inf)
+    orders = GAUSS_ORDERS if method == "analytic" else GAUSS_ORDERS[-1:]
+    values = []
+    for n in orders:
+        ys, ws = d.gauss_rule(n, lo, hi)
+        values.append(complex(np.dot(ws, f.at(ys - x))))
+    if abs(values[-1] - values[0]) > _RULE_TOL:
+        raise QuadratureError(
+            f"E f(xi - x) for f = {f.tag}, x = {x!r} under {d!r} is unresolved: "
+            f"Gauss rules of orders {orders} give {values[0]!r} and {values[-1]!r}"
+        )
+    return values[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -481,24 +520,20 @@ def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
     The kernel is positive definite and has unit diagonal, so the output
     stays Hermitian, PSD, and trace one; off-diagonals shrink by |chi|.
     """
-    p = np.array(s.support)
-    k = len(p)
-    kernel = np.empty((k, k), dtype=complex)
-    for j in range(k):
-        for l in range(k):
-            kernel[j, l] = d.chi(float(p[j] - p[l]))
-    return NormalState(s.support, kernel * s.matrix)
+    return NormalState(s.support, dephasing_kernel(d, s.support) * s.matrix)
 
 
 def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:
-    """The Schur multiplier matrix chi(p_j - p_k) on a frequency support."""
-    p = list(support)
-    k = len(p)
-    out = np.empty((k, k), dtype=complex)
-    for j in range(k):
-        for l in range(k):
-            out[j, l] = d.chi(p[j] - p[l])
-    return out
+    """The Schur multiplier matrix chi(p_j - p_k) on a frequency support.
+
+    chi is called once per distinct difference: a support of m points drawn
+    from an evenly spaced grid of K points costs at most 2K - 1 calls, not
+    m^2.
+    """
+    p = np.array(support, dtype=float)
+    diffs, where = np.unique((p[:, None] - p[None, :]).ravel(), return_inverse=True)
+    values = np.array([d.chi(float(delta)) for delta in diffs], dtype=complex)
+    return values[where].reshape(len(p), len(p))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -63,9 +65,15 @@ class Distribution:
     def pdf(self, x: float) -> float:
         raise NotImplementedError(f"no density for {self!r}")
 
-    def density_range(self) -> Tuple[float, float]:
-        """Interval carrying essentially all continuous mass (quadrature support)."""
-        raise NotImplementedError
+    def gauss_rule(
+        self, n: int, lo: float = -math.inf, hi: float = math.inf
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """n-point Gauss rule (nodes, weights) for E g(xi) 1[lo <= xi <= hi].
+
+        The weights are positive and, on the whole line, sum to 1 up to
+        rounding.  Defined for the continuous laws only.
+        """
+        raise NotImplementedError(f"no Gauss rule for {self!r}")
 
     def discrete_atoms(self) -> Tuple[Tuple[float, float], ...]:
         """(location, probability) pairs of the discrete part."""
@@ -106,9 +114,14 @@ class Gaussian(Distribution):
     def pdf(self, x):
         return math.exp(-x * x / (2.0 * self.D)) / math.sqrt(2.0 * math.pi * self.D)
 
-    def density_range(self):
+    def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         s = math.sqrt(self.D)
-        return (-10.0 * s, 10.0 * s)
+        if lo == -math.inf and hi == math.inf:
+            t, w = _reference_rule("hermite_e", n)
+            return s * t, w
+        # beyond 12 standard deviations the mass is below 1e-32
+        y, w = _legendre(n, max(lo, -12.0 * s), min(hi, 12.0 * s))
+        return y, w * np.exp(-y * y / (2.0 * self.D)) / math.sqrt(2.0 * math.pi * self.D)
 
     def to_json(self):
         return {"kind": "gaussian", "D": self.D}
@@ -140,9 +153,11 @@ class Cauchy(Distribution):
     def pdf(self, x):
         return self.gamma / (math.pi * (x * x + self.gamma * self.gamma))
 
-    def density_range(self):
-        # heavy tails: wide window; quadrature callers should prefer the cdf
-        return (-1e6 * self.gamma, 1e6 * self.gamma)
+    def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
+        # y = gamma tan(theta) turns the density into the constant 1/pi on
+        # (-pi/2, pi/2), so the heavy tails need no cut-off window
+        th, w = _legendre(n, math.atan(lo / self.gamma), math.atan(hi / self.gamma))
+        return self.gamma * np.tan(th), w / math.pi
 
     def to_json(self):
         return {"kind": "cauchy", "gamma": self.gamma}
@@ -180,7 +195,8 @@ class Uniform(Distribution):
     def chi(self, x: float) -> complex:
         if x == 0:
             return 1.0 + 0j
-        return (np.exp(1j * x * self.b) - np.exp(1j * x * self.a)) / (
+        x = float(x)
+        return (cmath.exp(1j * x * self.b) - cmath.exp(1j * x * self.a)) / (
             1j * x * (self.b - self.a)
         )
 
@@ -196,8 +212,9 @@ class Uniform(Distribution):
     def pdf(self, x):
         return 1.0 / (self.b - self.a) if self.a <= x <= self.b else 0.0
 
-    def density_range(self):
-        return (self.a, self.b)
+    def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
+        y, w = _legendre(n, max(lo, self.a), min(hi, self.b))
+        return y, w / (self.b - self.a)
 
     def to_json(self):
         return {"kind": "uniform", "a": self.a, "b": self.b}
@@ -213,8 +230,6 @@ class PointMass(Distribution):
             raise ValueError(f"non-finite location: {self.a!r}")
 
     def chi(self, x: float) -> complex:
-        import cmath
-
         return cmath.exp(1j * self.a * x)
 
     def sample(self, gen, size):
@@ -291,6 +306,32 @@ class FiniteMixture(Distribution):
                 {"weight": w, "distribution": d.to_json()} for w, d in self.components
             ],
         }
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rule(kind: str, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [-1, 1], or Gauss-Hermite for the standard normal law."""
+    # numpy takes the nodes as eigenvalues of the symmetric tridiagonal Jacobi
+    # matrix (Golub & Welsch, Math. Comp. 23, 1969), refined by a Newton step
+    from numpy.polynomial import hermite_e, legendre
+
+    if kind == "legendre":
+        t, w = legendre.leggauss(n)
+    else:
+        t, w = hermite_e.hermegauss(n)
+        w = w / math.sqrt(2.0 * math.pi)
+    # cached and shared by every caller, so read-only
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _legendre(n: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights for the Lebesgue measure on [lo, hi]."""
+    if not lo < hi:
+        return np.empty(0), np.empty(0)
+    t, w = _reference_rule("legendre", n)
+    half = 0.5 * (hi - lo)
+    return half * t + 0.5 * (hi + lo), half * w
 
 
 def distribution_from_json(doc: dict) -> Distribution:

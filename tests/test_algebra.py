@@ -6,7 +6,12 @@ import pytest
 
 from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
+    ONE,
     AlgebraElement,
+    BoundedFunction,
+    Constant,
+    Indicator,
+    Wave,
     adjoint,
     apply_element,
     apply_mod,
@@ -16,6 +21,7 @@ from atomdyn.algebra import (
     generator_apply,
     indicator,
     point_measure,
+    wave,
     weyl_residual,
 )
 from atomdyn.trig import harmonic, make_polynomial
@@ -176,6 +182,43 @@ class TestAlgebraElement:
             u = random_vector(gen)
             diff = apply_element(A, u) + (-1.0) * apply_element(AA, u)
             assert norm(diff) <= 1e-12
+
+
+class TestMultiplierData:
+    def test_wave_carries_frequency_and_offset(self):
+        f = wave(1.5).shifted(0.25).shifted(-1.0).conjugate()
+        assert isinstance(f, Wave)
+        assert (f.a, f.s) == (-1.5, -0.75)
+        assert f.tag == "conj(((wave(1.5))@shift(0.25))@shift(-1.0))"
+        g = wave(2.0)
+        assert g.shifted(0.0) is g
+        for y in (-2.0, 0.3, 7.5):
+            assert f(y) == pytest.approx(cmath.exp(-1.5j * (y - 0.75)), abs=1e-14)
+
+    def test_constant_survives_shift_and_conjugate(self):
+        f = constant(2 + 1j).shifted(0.5).conjugate()
+        assert isinstance(f, Constant) and f.value == 2 - 1j
+        assert f.tag == "conj((const((2+1j)))@shift(0.5))"
+        assert ONE.shifted(3.0) is ONE and ONE.conjugate() is ONE
+
+    def test_at_matches_pointwise_calls(self):
+        ys = np.array([-3.0, -1.0, -0.2, 0.0, 0.5, 1.0, 2.25])
+        funcs = [
+            wave(0.7).shifted(1.25), wave(-2.0).conjugate(), indicator(-1.0, 1.0),
+            indicator(0.5, 0.5).shifted(-0.5), constant(0.5j), ONE,
+            wave(1.0) * indicator(-1.0, 1.0),
+        ]
+        for f in funcs:
+            got = f.at(ys)
+            assert got.dtype == complex and got.shape == ys.shape
+            assert np.allclose(got, [f(float(y)) for y in ys], rtol=0, atol=1e-14)
+        assert type(funcs[-1]) is BoundedFunction
+        assert isinstance(funcs[2], Indicator)
+
+    def test_merging_by_tag_unchanged(self):
+        A = AlgebraElement.of([(1.0, wave(1.0), 0.5), (2.0, wave(1.0), 0.5)])
+        [(c, f, a)] = A.terms
+        assert c == 3.0 and f.tag == "wave(1.0)" and a == 0.5
 
 
 class TestGenerator:

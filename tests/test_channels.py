@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
     AlgebraElement,
+    BoundedFunction,
+    Wave,
     adjoint,
     compose,
     constant,
     indicator,
     point_measure,
+    wave,
 )
 from atomdyn.rand import (
     Cauchy,
@@ -27,6 +31,7 @@ from atomdyn.channels import (
     MixedState,
     NormalState,
     PureState,
+    QuadratureError,
     StateDecomposition,
     averaged_Phi,
     averaged_T,
@@ -36,6 +41,7 @@ from atomdyn.channels import (
     eval_averaged_on_mult,
     eval_averaged_on_shift_convolution,
     evaluate,
+    expect_function,
     normality_witness,
     projector_value,
     semigroup_Phi,
@@ -238,6 +244,90 @@ class TestEvalAveragedOnMult:
         assert eval_averaged_on_mult(avg, f) == pytest.approx(0.5)
 
 
+def wave_expectation(d, a, x):
+    """E e^{ia(xi - x)} = e^{-iax} chi(a)."""
+    return cmath.exp(-1j * a * x) * d.chi(a)
+
+
+MIXTURE = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0))))
+
+
+class TestExpectFunction:
+    def test_cauchy_wave_closed_form(self):
+        val = expect_function(Cauchy(1.0), wave(1.0), 3.0)
+        assert abs(val - wave_expectation(Cauchy(1.0), 1.0, 3.0)) <= 1e-12
+        assert val.imag == pytest.approx(-0.0519, abs=1e-4)
+
+    @pytest.mark.parametrize("d", [Gaussian(0.7), Cauchy(0.5), Uniform(-1, 2), MIXTURE])
+    def test_composed_probe_is_a_shifted_wave(self, d):
+        h, b, x = 0.75, 1.3, -0.4
+        A = compose(AlgebraElement.shift(h), AlgebraElement.modulation(b))
+        [(c, f, a)] = A.terms
+        assert isinstance(f, Wave) and (f.a, f.s, a) == (b, h, h)
+        val = expect_function(d, f, x)
+        assert abs(val - wave_expectation(d, b, x - h)) <= 1e-12
+        # on the pair of atoms {0, h}, only p_j = 0 meets p_k - h = 0
+        u = make_vector([(0.0, 2 ** -0.5), (h, 2 ** -0.5)])
+        got = evaluate(averaged_T(d, PureState(u)), A)
+        assert abs(got - 0.5 * wave_expectation(d, b, -h)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [Gaussian(0.7), Cauchy(0.5), Uniform(-1, 2), MIXTURE])
+    def test_adjoint_wave(self, d):
+        b, x = 0.9, 2.5
+        [(c, f, a)] = adjoint(AlgebraElement.modulation(b)).terms
+        assert isinstance(f, Wave) and f.a == -b
+        assert abs(expect_function(d, f, x) - wave_expectation(d, -b, x)) <= 1e-12
+
+    def test_mixture_wave(self):
+        a, x = 1.7, 0.3
+        want = cmath.exp(-1j * a * x) * (0.5 * math.cos(a) + 0.5 * math.exp(-0.5 * a * a))
+        assert abs(expect_function(MIXTURE, wave(a), x) - want) <= 1e-12
+
+    @pytest.mark.parametrize("d,f,want", [
+        # E e^{-(xi - x)^2} for xi ~ N(0, D)
+        (Gaussian(0.8), BoundedFunction("bump", lambda y: math.exp(-y * y), 1.0),
+         math.exp(-0.36 / 2.6) / math.sqrt(2.6)),
+        # pi times the Cauchy(1) density, smoothed by Cauchy(gamma): Cauchy(gamma + 1)
+        (Cauchy(0.5), BoundedFunction("lorentz", lambda y: 1.0 / (1.0 + y * y), 1.0),
+         1.5 / (0.36 + 1.5 ** 2)),
+        # E (xi - x)^2 = variance + (mean - x)^2 on [-1, 2]
+        (Uniform(-1, 2), BoundedFunction("square", lambda y: y * y, 9.0),
+         0.75 + (0.5 - 0.6) ** 2),
+    ])
+    def test_gauss_rule_on_generic_multiplier(self, d, f, want):
+        assert abs(expect_function(d, f, 0.6) - want) <= 1e-12
+
+    @pytest.mark.parametrize("d", [Gaussian(0.7), Cauchy(0.5), Uniform(-1, 2)])
+    def test_indicator_rule_matches_cdf(self, d):
+        f = indicator(-0.5, 1.5)
+        a = expect_function(d, f, 0.3)
+        q = expect_function(d, f, 0.3, method="quadrature")
+        assert abs(a - q) <= 1e-12
+
+    def test_analytic_raises_when_unresolved(self):
+        # a product of indicators carries no endpoints: its jumps defeat the rule
+        f = indicator(-1.0, 1.0) * indicator(0.0, 2.0)
+        with pytest.raises(QuadratureError):
+            expect_function(Gaussian(1.0), f, 0.3)
+        q = expect_function(Gaussian(1.0), f, 0.3, method="quadrature")
+        assert 0.0 <= q.real <= 1.0
+
+    def test_mc_vectorized_matches_pointwise(self):
+        d, x = Gaussian(1.0), 0.4
+        for f in (wave(1.1).shifted(0.5), indicator(-1.0, 0.5), constant(0.5j),
+                  BoundedFunction("sq", lambda y: y * y, 1.0)):
+            est = expect_function(d, f, x, method="mc", mc_samples=2_000,
+                                  gen=SeededRng(3).stream(0))
+            xs = d.sample(SeededRng(3).stream(0), 2_000)
+            pointwise = np.mean([f(float(s) - x) for s in xs])
+            assert abs(est.value - pointwise) <= 1e-12
+            assert est.samples == 2_000
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            expect_function(Gaussian(1.0), wave(1.0), 0.0, method="simpson")
+
+
 class TestShiftConvolution:
     def test_identity_measure(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
@@ -354,6 +444,27 @@ class TestDephasing:
         ) / math.sqrt(n)
         expected = dephasing_kernel(d, rho.support)
         assert np.all(np.abs(mean - expected) <= 4.0 * stderr + 1e-12)
+
+    @pytest.mark.parametrize("d", [Gaussian(1.0), Cauchy(0.5), Uniform(-1, 2),
+                                   Rademacher(), MIXTURE])
+    def test_kernel_one_chi_call_per_difference(self, d):
+        calls = []
+
+        class Counted(type(d)):
+            def chi(self, x):
+                calls.append(x)
+                return super().chi(x)
+
+        counted = Counted(**{k: getattr(d, k) for k in d.__dataclass_fields__})
+        support = tuple(np.arange(-100, 100) / 4.0)  # m = 200 on a 200-point grid
+        rho = NormalState(support[:3], np.eye(3) / 3.0)
+        K = dephasing_kernel(counted, support)
+        assert len(calls) <= 2 * len(support) - 1
+        loop = np.array([[d.chi(pj - pk) for pk in support] for pj in support])
+        assert np.all(K == loop)
+        out = averaged_Phi(d, rho).matrix
+        assert np.all(out == np.array([[d.chi(pj - pk) for pk in rho.support]
+                                       for pj in rho.support]) * rho.matrix)
 
     def test_rank_one_matches_modulated_vector(self):
         # conjugating a rank-1 projector reproduces the modulated vector

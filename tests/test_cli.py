@@ -84,6 +84,34 @@ class TestWalkDecay:
         assert "discrete" in res.stderr.lower()
 
 
+class TestReportCells:
+    @pytest.mark.parametrize("command,cfg", [
+        ("chernoff", {"distribution": {"kind": "uniform", "a": -1.3, "b": 1.3},
+                      "n_list": [7, 14, 700]}),
+        ("walk-decay", {"distribution": {"kind": "uniform", "a": -0.8, "b": 0.8},
+                        "N_list": [100, 1000]}),
+    ])
+    def test_uniform_law_cells_are_plain_numbers(self, tmp_path, command, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.csv"
+        assert main([command, "--seed", "5", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        lines = [x for x in out.read_text().splitlines() if not x.startswith("#")]
+        for line in lines[1:]:
+            for cell in line.split(","):
+                if cell:
+                    float(cell)  # raises on np.float64(...) and other reprs
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, atomdyn.cli; sys.exit('scipy' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True)
+        assert res.returncode == 0, res.stderr or "importing atomdyn.cli loaded scipy"
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         res = run_cli(["frobnicate"])

@@ -78,6 +78,36 @@ class TestChi:
             FiniteMixture(((0.5, Gaussian(1.0)), (0.4, Rademacher())))
 
 
+    def test_values_are_python_complex(self):
+        # numpy scalars would print as np.float64(...) in csv reports
+        for d in ALL_LAWS:
+            assert type(d.chi(np.float64(1.3))) is complex
+            assert type(d.chi_pow(1.3, 150)) is complex
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("d", [Gaussian(2.5), Cauchy(0.7), Uniform(-1.0, 2.0)])
+    def test_weights_positive_and_restricted_mass_is_cdf(self, d):
+        for n in (64, 128):
+            ys, ws = d.gauss_rule(n)
+            assert len(ys) == len(ws) == n
+            assert np.all(ws > 0)
+            assert ws.sum() == pytest.approx(1.0, abs=1e-13)
+            for lo, hi in ((-0.5, 1.5), (0.25, 50.0), (-math.inf, 0.3)):
+                ys, ws = d.gauss_rule(n, lo, hi)
+                assert np.all((lo <= ys) & (ys <= hi))
+                assert ws.sum() == pytest.approx(d.cdf(hi) - d.cdf(lo), abs=1e-13)
+
+    def test_empty_window(self):
+        ys, ws = Uniform(-1.0, 2.0).gauss_rule(64, 3.0, 4.0)
+        assert len(ys) == len(ws) == 0
+
+    @pytest.mark.parametrize("d", [Rademacher(), PointMass(0.3), ALL_LAWS[-1]])
+    def test_laws_without_rule_raise(self, d):
+        with pytest.raises(NotImplementedError):
+            d.gauss_rule(64)
+
+
 class TestSampling:
     def test_pointmass_constant(self):
         gen = SeededRng(1).stream(0)
