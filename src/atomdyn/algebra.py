@@ -7,20 +7,25 @@ into this normal form with the exchange rule  S_a M_f = M_{f(.+a)} S_a,
 which is the commutation relation S_h M_a = e^{iah} M_a S_h in the special
 case f(x) = e^{iax}.
 
-Bounded functions are identified by a textual tag: normal-form merging
-compares tags, never function extensionality.  Functions are only ever
-evaluated at the finitely many atom frequencies of the argument vector.
-Constants, waves and interval indicators also carry their defining data
-through shifts and conjugation, so expectations of them have closed forms
-and they evaluate on whole arrays at once.
+The multipliers of the normal form are data: a :class:`Multiplier`
+(c, a, lo, hi) is y -> c e^{iay} on [lo, hi] and 0 elsewhere.  Constants,
+waves and interval indicators are instances, and the family is closed under
+shifts (c gains e^{iah}, the interval moves), conjugation and products
+(phases multiply, frequencies add, intervals intersect; an empty
+intersection is the zero multiplier).  The normal form keeps c = 1 in every
+multiplier, moving the constant into the term weight, and merges terms with
+equal (multiplier, shift) by value.  Only an opaque :class:`BoundedFunction`
+carries a textual tag, and terms with it merge when their tags are equal.
+Multipliers are evaluated at the finitely many atom frequencies of the
+argument vector, or on whole arrays with ``at``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,14 +38,20 @@ from .trig import TrigPolynomial, make_polynomial
 
 
 def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
-    """S_h: the atom at p moves to p - h, amplitude unchanged."""
+    """S_h: the atom at p moves to p - h, amplitude unchanged.
+
+    Subtraction is monotone, so the atoms stay sorted; it is not injective,
+    so neighbours can land on one frequency, and those are merged.
+    """
     if not math.isfinite(h):
         raise ValueError(f"non-finite shift: {h!r}")
-    return AtomicVector(
-        tuple(sorted(
-            (type(a)(a.p - h, a.c) for a in u), key=lambda a: a.p
-        ))
-    ) if h != 0 else u
+    if h == 0:
+        return u
+    atoms = tuple([type(a)(a.p - h, a.c) for a in u])
+    for x, y in zip(atoms, atoms[1:]):
+        if x.p == y.p:
+            return make_vector((a.p, a.c) for a in atoms)
+    return AtomicVector(atoms)
 
 
 def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
@@ -70,20 +81,95 @@ def generator_apply(h: float, u: TrigPolynomial) -> TrigPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Bounded multiplier functions
+# Multipliers
 
 
 @dataclass(frozen=True)
-class BoundedFunction:
-    """A multiplier x -> f(x) with a declared sup bound and identity tag.
+class Multiplier:
+    """y -> c e^{iay} on the closed interval [lo, hi], and 0 outside it.
 
-    Tags drive normal-form merging; two functions with equal tags are
-    treated as the same multiplier.  Callables must be pure.
+    lo = -inf and hi = inf is the whole line.  The family is closed under
+    shifts, conjugation and products, so the exchange rule is exact
+    arithmetic on (c, a, lo, hi), and equal data means the same function.
+    """
+
+    c: complex = 1 + 0j
+    a: float = 0.0
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    @property
+    def bound(self) -> float:
+        return abs(self.c)
+
+    def __call__(self, y: float) -> complex:
+        if self.lo <= y <= self.hi:
+            return self.c * cmath.exp(1j * self.a * y) if self.a else self.c
+        return 0j
+
+    def at(self, ys: np.ndarray) -> np.ndarray:
+        """f on every point of ys, as a complex array."""
+        ys = np.asarray(ys, dtype=float)
+        vals = self.c * np.exp(1j * self.a * ys) if self.a else np.full(ys.shape, self.c)
+        return np.where((self.lo <= ys) & (ys <= self.hi), vals, 0j)
+
+    def shifted(self, h: float) -> "Multiplier":
+        """y -> f(y + h): the wave gains the phase e^{iah}, the interval moves by -h."""
+        if h == 0:
+            return self
+        c = self.c * cmath.exp(1j * self.a * h) if self.a else self.c
+        return Multiplier(c, self.a, self.lo - h, self.hi - h)
+
+    def conjugate(self) -> "Multiplier":
+        return Multiplier(self.c.conjugate(), -self.a, self.lo, self.hi)
+
+    def __mul__(self, other):
+        if not isinstance(other, Multiplier):
+            return _opaque(self) * other
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo > hi:
+            return ZERO
+        return Multiplier(self.c * other.c, self.a + other.a, lo, hi)
+
+
+ONE = Multiplier()
+ZERO = Multiplier(0j)
+
+
+def constant(value: complex) -> Multiplier:
+    return Multiplier(complex(value))
+
+
+def wave(a: float) -> Multiplier:
+    """y -> e^{iay}, the multiplier realizing M_a."""
+    return Multiplier(a=float(a))
+
+
+def indicator(lo: float, hi: float) -> Multiplier:
+    """Indicator of the closed interval [lo, hi]."""
+    if not (lo <= hi):
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    return Multiplier(lo=float(lo), hi=float(hi))
+
+
+@dataclass(frozen=True, eq=False)
+class BoundedFunction:
+    """An opaque multiplier y -> fn(y) with a declared sup bound.
+
+    Compared and hashed by its tag alone: two functions with equal tags are
+    treated as the same multiplier.  Shifts, conjugates and products with
+    it stay opaque.  The callable must be pure.
     """
 
     tag: str
-    fn: Callable[[float], complex]
+    fn: Callable[[float], complex] = field(repr=False)
     bound: float
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BoundedFunction) and other.tag == self.tag
+
+    def __hash__(self) -> int:
+        return hash(self.tag)
 
     def __call__(self, x: float) -> complex:
         return complex(self.fn(x))
@@ -94,7 +180,7 @@ class BoundedFunction:
 
     def shifted(self, h: float) -> "BoundedFunction":
         """x -> f(x + h)."""
-        if h == 0 or self.tag == "one":
+        if h == 0:
             return self
         return BoundedFunction(
             f"({self.tag})@shift({h!r})", lambda x, _f=self.fn, _h=h: _f(x + _h),
@@ -102,15 +188,15 @@ class BoundedFunction:
         )
 
     def conjugate(self) -> "BoundedFunction":
-        if self.tag == "one":
-            return self
         return BoundedFunction(
             f"conj({self.tag})",
             lambda x, _f=self.fn: complex(_f(x)).conjugate(),
             self.bound,
         )
 
-    def __mul__(self, other: "BoundedFunction") -> "BoundedFunction":
+    def __mul__(self, other) -> "BoundedFunction":
+        if isinstance(other, Multiplier):
+            other = _opaque(other)
         return BoundedFunction(
             f"({self.tag})*({other.tag})",
             lambda x, _f=self.fn, _g=other.fn: complex(_f(x)) * complex(_g(x)),
@@ -118,88 +204,11 @@ class BoundedFunction:
         )
 
 
-@dataclass(frozen=True)
-class Constant(BoundedFunction):
-    """The constant function x -> value; stays constant through shifts."""
-
-    value: complex = 0j
-
-    def shifted(self, h: float) -> "Constant":
-        g = super().shifted(h)
-        return g if g is self else replace(self, tag=g.tag, fn=g.fn)
-
-    def conjugate(self) -> "Constant":
-        g = super().conjugate()
-        return g if g is self else replace(
-            self, tag=g.tag, fn=g.fn, value=self.value.conjugate()
-        )
-
-    def at(self, ys: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(ys), self.value, dtype=complex)
+def _opaque(f: Multiplier) -> BoundedFunction:
+    return BoundedFunction(repr(f), f, f.bound)
 
 
-ONE = Constant("one", lambda x: 1.0 + 0j, 1.0, 1.0 + 0j)
-
-
-def constant(value: complex) -> Constant:
-    value = complex(value)
-    return Constant(f"const({value!r})", lambda x, _v=value: _v, abs(value), value)
-
-
-@dataclass(frozen=True)
-class Indicator(BoundedFunction):
-    """Indicator of the closed interval [lo, hi]; keeps its interval through shifts."""
-
-    lo: float = 0.0
-    hi: float = 0.0
-
-    def shifted(self, h: float) -> "Indicator":
-        return indicator(self.lo - h, self.hi - h)
-
-    def conjugate(self) -> "Indicator":
-        return self
-
-    def at(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        return np.where((self.lo <= ys) & (ys <= self.hi), 1.0 + 0j, 0j)
-
-
-def indicator(lo: float, hi: float) -> Indicator:
-    if not (lo <= hi):
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    return Indicator(
-        tag=f"ind[{lo!r},{hi!r}]",
-        fn=lambda x: 1.0 + 0j if lo <= x <= hi else 0j,
-        bound=1.0,
-        lo=lo,
-        hi=hi,
-    )
-
-
-@dataclass(frozen=True)
-class Wave(BoundedFunction):
-    """x -> e^{ia(x+s)}: a wave of frequency a, shifted by the offset s."""
-
-    a: float = 0.0
-    s: float = 0.0
-
-    def shifted(self, h: float) -> "Wave":
-        g = super().shifted(h)
-        return g if g is self else replace(self, tag=g.tag, fn=g.fn, s=self.s + h)
-
-    def conjugate(self) -> "Wave":
-        g = super().conjugate()
-        return replace(self, tag=g.tag, fn=g.fn, a=-self.a)
-
-    def at(self, ys: np.ndarray) -> np.ndarray:
-        return np.exp(1j * self.a * (np.asarray(ys, dtype=float) + self.s))
-
-
-def wave(a: float) -> Wave:
-    """x -> e^{iax}, the multiplier realizing M_a."""
-    return Wave(
-        f"wave({a!r})", lambda x, _a=a: cmath.exp(1j * _a * x), 1.0, float(a), 0.0
-    )
+Function = Union[Multiplier, BoundedFunction]
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +244,26 @@ def point_measure(*atoms: Tuple[float, complex]) -> AtomicMeasure:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Normal form sum_j c_j M_{f_j} S_{a_j} with at most one term per (tag, a)."""
+    """Normal form sum_j c_j M_{f_j} S_{a_j} with at most one term per (f, a).
 
-    terms: Tuple[Tuple[complex, BoundedFunction, float], ...]
+    Every structured multiplier f_j has c = 1: its constant factor lives in
+    the term weight c_j.
+    """
+
+    terms: Tuple[Tuple[complex, Function, float], ...]
 
     @staticmethod
-    def of(terms: Iterable[Tuple[complex, BoundedFunction, float]]) -> "AlgebraElement":
-        merged: dict[Tuple[str, float], Tuple[complex, BoundedFunction, float]] = {}
+    def of(terms: Iterable[Tuple[complex, Function, float]]) -> "AlgebraElement":
+        merged: dict = {}
         for c, f, a in terms:
             c = complex(c)
-            a = float(a)
-            key = (f.tag, a)
-            if key in merged:
-                c0, f0, _ = merged[key]
-                merged[key] = (c0 + c, f0, a)
-            else:
-                merged[key] = (c, f, a)
-        kept = tuple(
-            (c, f, a) for (c, f, a) in merged.values() if c != 0
-        )
-        return AlgebraElement(kept)
+            if isinstance(f, Multiplier) and f.c != 1:
+                c, f = c * f.c, replace(f, c=1 + 0j)
+            if c == 0:
+                continue
+            key = (f, float(a))
+            merged[key] = merged[key] + c if key in merged else c
+        return AlgebraElement(tuple((c, f, a) for (f, a), c in merged.items() if c != 0))
 
     @staticmethod
     def identity() -> "AlgebraElement":
@@ -265,7 +274,7 @@ class AlgebraElement:
         return AlgebraElement.of([(1.0, ONE, float(h))])
 
     @staticmethod
-    def mult(f: BoundedFunction) -> "AlgebraElement":
+    def mult(f: Function) -> "AlgebraElement":
         return AlgebraElement.of([(1.0, f, 0.0)])
 
     @staticmethod
@@ -284,7 +293,7 @@ class AlgebraElement:
         return AlgebraElement.of([(alpha * c, f, a) for c, f, a in self.terms])
 
 
-def apply_mult(f: BoundedFunction, u: AtomicVector) -> AtomicVector:
+def apply_mult(f: Function, u: AtomicVector) -> AtomicVector:
     return make_vector([(a.p, f(a.p) * a.c) for a in u])
 
 
@@ -297,18 +306,11 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
 
 def compose(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     """Product A B in normal form: (M_f S_a)(M_g S_b) = M_{f * g(.+a)} S_{a+b}."""
-    terms = []
-    for c1, f1, a1 in A.terms:
-        for c2, f2, a2 in B.terms:
-            g = f2.shifted(a1)
-            if f1.tag == ONE.tag:
-                prod = g
-            elif g.tag == ONE.tag:
-                prod = f1
-            else:
-                prod = f1 * g
-            terms.append((c1 * c2, prod, a1 + a2))
-    return AlgebraElement.of(terms)
+    return AlgebraElement.of(
+        (c1 * c2, f1 * f2.shifted(a1), a1 + a2)
+        for c1, f1, a1 in A.terms
+        for c2, f2, a2 in B.terms
+    )
 
 
 def adjoint(A: AlgebraElement) -> AlgebraElement:

@@ -32,10 +32,8 @@ from .atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from .algebra import (
     AlgebraElement,
     AtomicMeasure,
-    BoundedFunction,
-    Constant,
-    Indicator,
-    Wave,
+    Function,
+    Multiplier,
     apply_element,
     apply_shift,
     constant,
@@ -185,7 +183,7 @@ class QuadratureError(ArithmeticError):
 
 def expect_function(
     d: Distribution,
-    f: BoundedFunction,
+    f: Function,
     x: float,
     method: str = "analytic",
     mc_samples: int = 100_000,
@@ -196,26 +194,27 @@ def expect_function(
     ``analytic`` takes one of three paths and never returns a silent
     approximation:
 
-    * closed form -- a :class:`Wave` e^{ia(y+s)} gives e^{ia(s-x)} chi(a)
-      under any law; otherwise the discrete part is a finite sum, and on
-      the continuous part an :class:`Indicator` is a cdf difference and a
-      :class:`Constant` is its value;
+    * closed form -- a :class:`Multiplier` c e^{iay} on the whole line gives
+      c e^{-iax} chi(a) under any law; otherwise the discrete part is a
+      finite sum, and on the continuous part a constant c on [lo, hi] is c
+      times a cdf difference;
     * Gauss rule -- any other multiplier is integrated against the
       continuous part by the law's rule (Gauss-Hermite for Gaussian,
       Gauss-Legendre for Uniform, Gauss-Legendre in theta for Cauchy with
-      y = gamma tan theta) at the two orders of ``GAUSS_ORDERS``; an
-      Indicator's rule covers its interval alone.  The higher order is
-      returned when the two agree within 1e-9;
+      y = gamma tan theta) at the two orders of ``GAUSS_ORDERS``, over the
+      multiplier's interval [lo + x, hi + x] (the whole line for an opaque
+      :class:`BoundedFunction`).  The higher order is returned when the two
+      agree within 1e-9;
     * error -- :class:`QuadratureError` when they do not, and
       NotImplementedError when the law has no rule.
 
     ``quadrature`` sums the discrete part and applies the higher-order rule
     to the continuous part with no closed forms, whatever its accuracy.
-    Its weights are positive and, for multipliers other than Indicators,
-    its nodes depend on the law alone: every expectation then comes from
-    one fixed discrete law, so values of positive operators stay
-    non-negative.  ``mc`` returns an
-    :class:`McEstimate` with the standard error of the sample mean.
+    Its weights are positive, but a multiplier with a finite interval gets
+    its own nodes, so values of positive operators are non-negative only up
+    to the rule's error; ``test_positivity`` checks that they stay so.
+    ``mc`` returns an :class:`McEstimate` with the standard error of the
+    sample mean.
     """
     if method == "mc":
         if gen is None:
@@ -227,8 +226,9 @@ def expect_function(
         return McEstimate(mean, stderr, mc_samples)
     if method not in ("analytic", "quadrature"):
         raise ValueError(f"unknown expectation method: {method!r}")
-    if method == "analytic" and isinstance(f, Wave):
-        return cmath.exp(1j * f.a * (f.s - x)) * d.chi(f.a)
+    if (method == "analytic" and isinstance(f, Multiplier)
+            and f.lo == -math.inf and f.hi == math.inf):
+        return f.c * cmath.exp(-1j * f.a * x) * d.chi(f.a) if f.a else f.c
 
     total = 0j
     for loc, pr in d.discrete_atoms():
@@ -240,16 +240,15 @@ def expect_function(
 
 
 def _expect_continuous(d, f, x, method):
-    if method == "analytic":
-        # P(lo <= xi - x <= hi)
-        if isinstance(f, Indicator):
+    lo, hi = -math.inf, math.inf
+    if isinstance(f, Multiplier):
+        lo, hi = f.lo + x, f.hi + x
+        if method == "analytic" and not f.a:
+            # c P(lo <= xi <= hi)
             try:
-                return complex(d.cdf(f.hi + x) - d.cdf(f.lo + x))
+                return f.c * complex(d.cdf(hi) - d.cdf(lo))
             except NotImplementedError:
                 pass
-        if isinstance(f, Constant):
-            return f.value
-    lo, hi = (f.lo + x, f.hi + x) if isinstance(f, Indicator) else (-math.inf, math.inf)
     orders = GAUSS_ORDERS if method == "analytic" else GAUSS_ORDERS[-1:]
     values = []
     for n in orders:
@@ -257,7 +256,7 @@ def _expect_continuous(d, f, x, method):
         values.append(complex(np.dot(ws, f.at(ys - x))))
     if abs(values[-1] - values[0]) > _RULE_TOL:
         raise QuadratureError(
-            f"E f(xi - x) for f = {f.tag}, x = {x!r} under {d!r} is unresolved: "
+            f"E f(xi - x) for f = {f!r}, x = {x!r} under {d!r} is unresolved: "
             f"Gauss rules of orders {orders} give {values[0]!r} and {values[-1]!r}"
         )
     return values[-1]
@@ -356,7 +355,7 @@ def averaged_T(d: Distribution, s: State) -> AveragedState:
 
 def eval_averaged_on_mult(
     avg: AveragedState,
-    f: BoundedFunction,
+    f: Function,
     method: str = "analytic",
     mc_samples: int = 100_000,
     gen: Optional[np.random.Generator] = None,

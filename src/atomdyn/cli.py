@@ -265,8 +265,6 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     check("dephase_trace", tr)
     check("dephase_psd", psd)
 
-    probe_sets = [AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(0.0, 1.0))]
-    rho = PureState(make_vector([(0.0, 2 ** -0.5), (1.0, 2 ** -0.5)]))
     res_t = 0.0
     res_phi = 0.0
     grid = [0.0, 0.1, 0.5, 1.0, 2.0]
@@ -274,18 +272,9 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
         fam = ConvolutionFamily(kind)
         for t in grid:
             for s_ in grid:
-                lhs = semigroup_T(fam, t, semigroup_T(fam, s_, rho))
-                rhs = semigroup_T(fam, t + s_, rho)
-                for A in probe_sets:
-                    res_t = max(res_t, abs(evaluate(lhs, A) - evaluate(rhs, A)))
-        rho_n = NormalState(
-            (0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        )
-        for t in grid:
-            for s_ in grid:
-                m1 = semigroup_Phi(fam, t, semigroup_Phi(fam, s_, rho_n)).matrix
-                m2 = semigroup_Phi(fam, t + s_, rho_n).matrix
-                res_phi = max(res_phi, float(np.max(np.abs(m1 - m2))))
+                r_t, r_phi = semigroup_residuals(fam, t, s_)
+                res_t = max(res_t, r_t)
+                res_phi = max(res_phi, r_phi)
     check("semigroup_T", res_t)
     check("semigroup_Phi", res_phi)
 
@@ -430,29 +419,33 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
 # semigroup
 
 
+# an equal-weight pair of atoms at 0 and 1, as a pure state and as a density
+# matrix, and the probes of T on it
+_PAIR = PureState(make_vector([(0.0, 2 ** -0.5), (1.0, 2 ** -0.5)]))
+_PAIR_DENSITY = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+_PAIR_PROBES = (AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(0.0, 1.0)))
+
+
+def semigroup_residuals(fam: ConvolutionFamily, t: float, s: float) -> Tuple[float, float]:
+    """Defects of T(t) T(s) = T(t + s) and Phi(t) Phi(s) = Phi(t + s) on the pair."""
+    lhs = semigroup_T(fam, t, semigroup_T(fam, s, _PAIR))
+    rhs = semigroup_T(fam, t + s, _PAIR)
+    res_t = max(abs(evaluate(lhs, A) - evaluate(rhs, A)) for A in _PAIR_PROBES)
+    m1 = semigroup_Phi(fam, t, semigroup_Phi(fam, s, _PAIR_DENSITY)).matrix
+    m2 = semigroup_Phi(fam, t + s, _PAIR_DENSITY).matrix
+    return res_t, float(np.max(np.abs(m1 - m2)))
+
+
 def run_semigroup(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     fam = _family(config)
     t_list = [float(t) for t in config.get("t_list", [0.0, 0.1, 0.5, 1.0, 2.0])]
     s_list = [float(t) for t in config.get("s_list", t_list)]
     workers = int(config.get("workers", 1))
-    rho = PureState(make_vector([(0.0, 2 ** -0.5), (1.0, 2 ** -0.5)]))
-    rho_n = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-    probes = {
-        "shift(1)": AlgebraElement.shift(1.0),
-        "ind[0,1]": AlgebraElement.mult(indicator(0.0, 1.0)),
-    }
     grid = [(t, s) for t in t_list for s in s_list]
 
     def point(i: int) -> dict:
         t, s = grid[i]
-        res_t = 0.0
-        for A in probes.values():
-            lhs = semigroup_T(fam, t, semigroup_T(fam, s, rho))
-            rhs = semigroup_T(fam, t + s, rho)
-            res_t = max(res_t, abs(evaluate(lhs, A) - evaluate(rhs, A)))
-        m1 = semigroup_Phi(fam, t, semigroup_Phi(fam, s, rho_n)).matrix
-        m2 = semigroup_Phi(fam, t + s, rho_n).matrix
-        res_phi = float(np.max(np.abs(m1 - m2)))
+        res_t, res_phi = semigroup_residuals(fam, t, s)
         return {"t": t, "s": s, "residual_T": res_t, "residual_Phi": res_phi}
 
     rows = _map_rows(point, len(grid), workers)

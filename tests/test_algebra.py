@@ -9,9 +9,7 @@ from atomdyn.algebra import (
     ONE,
     AlgebraElement,
     BoundedFunction,
-    Constant,
-    Indicator,
-    Wave,
+    Multiplier,
     adjoint,
     apply_element,
     apply_mod,
@@ -67,6 +65,12 @@ class TestShiftAndMod:
             n0 = norm(u)
             assert norm(apply_shift(h, u)) == pytest.approx(n0, rel=1e-14)
             assert norm(apply_mod(h, u)) == pytest.approx(n0, rel=1e-14)
+
+    def test_shift_merges_colliding_atoms(self):
+        # 0.0 - 1.0 and 1e-300 - 1.0 round to the same frequency
+        s = apply_shift(1.0, make_vector([(0.0, 0.6), (1e-300, 0.8j)]))
+        assert s == make_vector([(-1.0, 0.6 + 0.8j)])
+        assert abs(norm(s) ** 2 - inner(s, s).real) <= 1e-15
 
     def test_shift_strong_continuity_decay(self):
         # ||S_t u - u||^2 = sum |c|^2 |e^{ipt} - 1|^2 -> 0 like O(t)
@@ -160,6 +164,28 @@ class TestAlgebraElement:
             rhs = apply_element(compose(A, compose(B, C)), u)
             assert norm(lhs + (-1.0) * rhs) <= 1e-12 * max(1.0, norm(rhs))
 
+    def test_power_merges_terms_by_value(self):
+        gen = np.random.default_rng(31)
+        B = AlgebraElement.of([(0.5, wave(1.0), 0.25), (0.5, indicator(-1, 1), -0.5)])
+        P = B
+        for _ in range(7):
+            P = compose(P, B)
+        assert len(P.terms) < 2 ** 8
+        for _ in range(10):
+            u = random_vector(gen)
+            rhs = u
+            for _ in range(8):
+                rhs = apply_element(B, rhs)
+            lhs = apply_element(P, u)
+            assert norm(lhs + (-1.0) * rhs) <= 1e-12 * max(1.0, norm(rhs))
+
+    def test_empty_intersection_drops_term(self):
+        assert indicator(0, 1) * indicator(2, 3) == constant(0)
+        A = AlgebraElement.of([(1.0, indicator(0, 1), 0.0), (2.0, ONE, 0.5)])
+        B = AlgebraElement.mult(indicator(2, 3))
+        [(c, f, a)] = compose(A, B).terms
+        assert (c, f, a) == (2.0, indicator(1.5, 2.5), 0.5)
+
     def test_adjoint_of_shift(self):
         assert adjoint(AlgebraElement.shift(2.0)) == AlgebraElement.shift(-2.0)
 
@@ -187,9 +213,9 @@ class TestAlgebraElement:
 class TestMultiplierData:
     def test_wave_carries_frequency_and_offset(self):
         f = wave(1.5).shifted(0.25).shifted(-1.0).conjugate()
-        assert isinstance(f, Wave)
-        assert (f.a, f.s) == (-1.5, -0.75)
-        assert f.tag == "conj(((wave(1.5))@shift(0.25))@shift(-1.0))"
+        assert isinstance(f, Multiplier)
+        assert f.a == -1.5 and abs(f.c - cmath.exp(-1.5j * -0.75)) <= 1e-15
+        assert f == Multiplier(f.c, -1.5)
         g = wave(2.0)
         assert g.shifted(0.0) is g
         for y in (-2.0, 0.3, 7.5):
@@ -197,9 +223,9 @@ class TestMultiplierData:
 
     def test_constant_survives_shift_and_conjugate(self):
         f = constant(2 + 1j).shifted(0.5).conjugate()
-        assert isinstance(f, Constant) and f.value == 2 - 1j
-        assert f.tag == "conj((const((2+1j)))@shift(0.5))"
-        assert ONE.shifted(3.0) is ONE and ONE.conjugate() is ONE
+        assert isinstance(f, Multiplier) and f.c == 2 - 1j
+        assert f == constant(2 - 1j)
+        assert ONE.shifted(3.0) == ONE and ONE.conjugate() == ONE
 
     def test_at_matches_pointwise_calls(self):
         ys = np.array([-3.0, -1.0, -0.2, 0.0, 0.5, 1.0, 2.25])
@@ -212,13 +238,13 @@ class TestMultiplierData:
             got = f.at(ys)
             assert got.dtype == complex and got.shape == ys.shape
             assert np.allclose(got, [f(float(y)) for y in ys], rtol=0, atol=1e-14)
-        assert type(funcs[-1]) is BoundedFunction
-        assert isinstance(funcs[2], Indicator)
+        assert funcs[-1] == Multiplier(1, 1.0, -1.0, 1.0)
+        assert funcs[2] == Multiplier(lo=-1.0, hi=1.0)
 
     def test_merging_by_tag_unchanged(self):
         A = AlgebraElement.of([(1.0, wave(1.0), 0.5), (2.0, wave(1.0), 0.5)])
         [(c, f, a)] = A.terms
-        assert c == 3.0 and f.tag == "wave(1.0)" and a == 0.5
+        assert c == 3.0 and f == wave(1.0) and a == 0.5
 
 
 class TestGenerator:

@@ -8,7 +8,6 @@ from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
     AlgebraElement,
     BoundedFunction,
-    Wave,
     adjoint,
     compose,
     constant,
@@ -263,8 +262,8 @@ class TestExpectFunction:
         h, b, x = 0.75, 1.3, -0.4
         A = compose(AlgebraElement.shift(h), AlgebraElement.modulation(b))
         [(c, f, a)] = A.terms
-        assert isinstance(f, Wave) and (f.a, f.s, a) == (b, h, h)
-        val = expect_function(d, f, x)
+        assert (c, f, a) == (wave(b).shifted(h).c, wave(b), h)
+        val = c * expect_function(d, f, x)
         assert abs(val - wave_expectation(d, b, x - h)) <= 1e-12
         # on the pair of atoms {0, h}, only p_j = 0 meets p_k - h = 0
         u = make_vector([(0.0, 2 ** -0.5), (h, 2 ** -0.5)])
@@ -275,7 +274,7 @@ class TestExpectFunction:
     def test_adjoint_wave(self, d):
         b, x = 0.9, 2.5
         [(c, f, a)] = adjoint(AlgebraElement.modulation(b)).terms
-        assert isinstance(f, Wave) and f.a == -b
+        assert f == wave(-b)
         assert abs(expect_function(d, f, x) - wave_expectation(d, -b, x)) <= 1e-12
 
     def test_mixture_wave(self):
@@ -304,9 +303,34 @@ class TestExpectFunction:
         q = expect_function(d, f, 0.3, method="quadrature")
         assert abs(a - q) <= 1e-12
 
+    @pytest.mark.parametrize("d", [Gaussian(0.7), Cauchy(0.5), Uniform(-1, 2)])
+    def test_product_closed_forms(self, d):
+        x = 0.3
+        val = expect_function(d, wave(1.3) * wave(0.4), x)
+        assert abs(val - wave_expectation(d, 1.7, x)) <= 1e-12
+        val = expect_function(d, indicator(-1, 1) * indicator(0, 2), x)
+        assert abs(val - (d.cdf(1 + x) - d.cdf(x))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [Gaussian(0.7), Cauchy(0.5), Uniform(-1, 2)])
+    def test_wave_indicator_product(self, d):
+        x, lo, hi = 0.3, -0.5, 1.5
+        ys, ws = d.gauss_rule(512, lo + x, hi + x)
+        want = complex(np.dot(ws, np.exp(1.1j * (ys - x))))
+        assert abs(expect_function(d, wave(1.1) * indicator(lo, hi), x) - want) <= 1e-12
+
+    def test_opaque_products_use_the_gauss_rule(self):
+        d, x = Gaussian(0.8), 0.6
+        bump = BoundedFunction("bump", lambda y: math.exp(-y * y), 1.0)
+        want = 2.0 * math.exp(-0.36 / 2.6) / math.sqrt(2.6)
+        for f in (bump * constant(2.0), constant(2.0) * bump):
+            assert isinstance(f, BoundedFunction)
+            val = expect_function(d, f, x)
+            assert val == expect_function(d, f, x, method="quadrature")
+            assert abs(val - want) <= 1e-12
+
     def test_analytic_raises_when_unresolved(self):
-        # a product of indicators carries no endpoints: its jumps defeat the rule
-        f = indicator(-1.0, 1.0) * indicator(0.0, 2.0)
+        # an opaque function carries no endpoints: its jump defeats the rule
+        f = BoundedFunction("step", lambda y: 1.0 if 0.0 <= y <= 1.0 else 0.0, 1.0)
         with pytest.raises(QuadratureError):
             expect_function(Gaussian(1.0), f, 0.3)
         q = expect_function(Gaussian(1.0), f, 0.3, method="quadrature")
