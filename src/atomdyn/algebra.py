@@ -25,12 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, inner, make_vector, norm, unit_atom
-from .trig import TrigPolynomial, make_polynomial
+from .atoms import Atom, AtomicVector, inner, make_vector, norm
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,7 @@ def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
         raise ValueError(f"non-finite shift: {h!r}")
     if h == 0:
         return u
-    atoms = tuple([type(a)(a.p - h, a.c) for a in u])
+    atoms = tuple([Atom(a.p - h, a.c) for a in u])
     for x, y in zip(atoms, atoms[1:]):
         if x.p == y.p:
             return make_vector((a.p, a.c) for a in atoms)
@@ -61,8 +60,43 @@ def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
     if a == 0:
         return u
     return AtomicVector(
-        tuple(type(at)(at.p, cmath.exp(1j * a * at.p) * at.c) for at in u)
+        tuple(Atom(at.p, cmath.exp(1j * a * at.p) * at.c) for at in u)
     )
+
+
+def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
+    """(S_x u, v) for every x of xs, as a complex array.
+
+    The rule of ``inner(apply_shift(x, u), v)``, bit for bit: the atom of u
+    at p meets v where p - x is bit-equal to a frequency of v, and the
+    products conj(c_u) c_v add up in u's atom order.  Shifts at which two
+    atoms of u land on one frequency merge them first, so those few are
+    computed through ``apply_shift`` itself.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("non-finite shift")
+    out = np.zeros(xs.shape, dtype=complex)
+    if not len(u) or not len(v):
+        return out
+    vp = np.array(v.frequencies)
+    vc = [b.c for b in v]
+    merged = np.zeros(xs.shape, dtype=bool)
+    prev = None
+    for a in u:
+        q = a.p - xs
+        idx = np.minimum(np.searchsorted(vp, q), len(vp) - 1)
+        hit = vp[idx] == q
+        # products in Python complex arithmetic, as inner forms them (a
+        # numpy complex product may fuse its multiply-adds)
+        met, which = np.unique(idx[hit], return_inverse=True)
+        out[hit] += np.array([a.c.conjugate() * vc[k] for k in met], dtype=complex)[which]
+        if prev is not None:
+            merged |= prev == q
+        prev = q
+    for i in np.flatnonzero(merged):
+        out[i] = inner(apply_shift(float(xs[i]), u), v)
+    return out
 
 
 def weyl_residual(h: float, a: float, u: AtomicVector) -> float:
@@ -75,9 +109,9 @@ def weyl_residual(h: float, a: float, u: AtomicVector) -> float:
     return norm(lhs - rhs) / nu
 
 
-def generator_apply(h: float, u: TrigPolynomial) -> TrigPolynomial:
+def generator_apply(h: float, u: AtomicVector) -> AtomicVector:
     """Derivative of the shift group at t=0: the wave at p gains factor ihp."""
-    return make_polynomial([(t.p, 1j * h * t.p * t.c) for t in u])
+    return make_vector([(t.p, 1j * h * t.p * t.c) for t in u])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,12 @@ def _check_finite(p: float, c: complex) -> None:
         raise ValueError(f"non-finite amplitude: {c!r}")
 
 
-def make_vector(
-    pairs: Iterable[Tuple[float, complex]],
-    merge_tol: float | None = None,
-) -> AtomicVector:
+def make_vector(pairs: Iterable[Tuple[float, complex]]) -> AtomicVector:
     """Build a normalized vector from (frequency, amplitude) pairs.
 
-    Duplicate frequencies are merged by adding amplitudes; atoms whose
-    merged amplitude is exactly zero are dropped; the result is sorted by
-    frequency.  ``merge_tol`` optionally coalesces frequencies closer than
-    the tolerance (meant for ingesting external data; internal operator
-    math always uses bit-exact frequencies).
+    Duplicate frequencies (bit-equal floats) are merged by adding
+    amplitudes; atoms whose merged amplitude is exactly zero are dropped;
+    the result is sorted by frequency.
     """
     acc: dict[float, complex] = {}
     for p, c in pairs:
@@ -91,18 +86,6 @@ def make_vector(
         c = complex(c)
         _check_finite(p, c)
         acc[p] = acc.get(p, 0j) + c
-    if merge_tol is not None:
-        if merge_tol < 0:
-            raise ValueError("merge_tol must be non-negative")
-        merged: dict[float, complex] = {}
-        for p in sorted(acc):
-            for q in merged:
-                if abs(p - q) <= merge_tol:
-                    merged[q] += acc[p]
-                    break
-            else:
-                merged[p] = acc[p]
-        acc = merged
     atoms = tuple(Atom(p, acc[p]) for p in sorted(acc) if acc[p] != 0)
     return AtomicVector(atoms)
 
@@ -138,30 +121,44 @@ def scale(alpha: complex, u: AtomicVector) -> AtomicVector:
     return make_vector([(a.p, alpha * a.c) for a in u])
 
 
-def serialize(u: AtomicVector) -> str:
-    """JSON document: {"atoms":[{"p":...,"re":...,"im":...}, ...]}."""
-    doc = {
-        "atoms": [{"p": a.p, "re": a.c.real, "im": a.c.imag} for a in u]
-    }
-    return json.dumps(doc)
+def dump_document(u: AtomicVector, key: str) -> str:
+    """JSON document {key: [{"p":..., "re":..., "im":...}, ...]}."""
+    return json.dumps({key: [{"p": a.p, "re": a.c.real, "im": a.c.imag} for a in u]})
 
 
-def deserialize(text: str) -> AtomicVector:
-    """Parse a vector document; duplicate frequencies merge on load."""
+def load_document(text: str, key: str) -> AtomicVector:
+    """Parse and validate a document of :func:`dump_document`.
+
+    Duplicate frequencies merge on load.  Malformed JSON, a missing or
+    non-list ``key``, and entries without numeric p, re, im raise ValueError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(
-            f"malformed vector document at position {exc.pos}: {exc.msg}"
+            f"malformed {key!r} document at position {exc.pos}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict) or "atoms" not in doc:
-        raise ValueError("vector document must be an object with key 'atoms'")
-    entries = doc["atoms"]
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"document must be an object with key {key!r}")
+    entries = doc[key]
     if not isinstance(entries, list):
-        raise ValueError("'atoms' must be a list")
+        raise ValueError(f"{key!r} must be a list")
     pairs = []
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or not {"p", "re", "im"} <= set(e):
-            raise ValueError(f"atom #{i} must have keys p, re, im")
-        pairs.append((float(e["p"]), complex(float(e["re"]), float(e["im"]))))
+            raise ValueError(f"{key!r} entry #{i} must have keys p, re, im")
+        try:
+            pairs.append((float(e["p"]), complex(float(e["re"]), float(e["im"]))))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key!r} entry #{i} must hold numbers: {exc}") from exc
     return make_vector(pairs)
+
+
+def serialize(u: AtomicVector) -> str:
+    """JSON document: {"atoms":[{"p":...,"re":...,"im":...}, ...]}."""
+    return dump_document(u, "atoms")
+
+
+def deserialize(text: str) -> AtomicVector:
+    """Parse a vector document; duplicate frequencies merge on load."""
+    return load_document(text, "atoms")

@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, inner, make_vector, norm, unit_atom
+from .atoms import AtomicVector, inner, make_vector, norm
 from .algebra import (
     AlgebraElement,
     AtomicMeasure,
@@ -36,9 +36,9 @@ from .algebra import (
     Multiplier,
     apply_element,
     apply_shift,
-    constant,
+    shift_overlaps,
 )
-from .rand import Distribution, ConvolutionFamily, PointMass, convolve
+from .rand import Distribution, ConvolutionFamily, convolve
 
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -307,9 +307,9 @@ def _evaluate_averaged(s: AveragedState, A: AlgebraElement, method: str) -> comp
     for w, ps in _pure_components(s.base):
         u = ps.vector
         for c, f, a in A.terms:
-            shifted = apply_shift(a, u)
+            shifted = {b.p: b.c for b in apply_shift(a, u)}
             for atom_j in u:
-                ck = shifted.amplitude(atom_j.p)
+                ck = shifted.get(atom_j.p, 0j)
                 if ck != 0:
                     e = expect_function(s.smoothing, f, atom_j.p, method=method)
                     total += w * c * atom_j.c.conjugate() * ck * e
@@ -410,7 +410,9 @@ def projector_value(
     Exactly zero for continuous smoothing: a sampled shift never lands the
     (bit-exact) atom grid of u on that of v, almost surely -- the defining
     property of a singular state.  Discrete smoothing sums over the law's
-    atoms and may be positive.
+    atoms and may be positive.  Both methods take (S_x u, v) from
+    :func:`~atomdyn.algebra.shift_overlaps`: ``analytic`` at the law's atoms,
+    ``mc`` at ``mc_samples`` draws.
     """
     nv = norm(v)
     if abs(nv - 1.0) > _UNIT_TOL:
@@ -420,26 +422,37 @@ def projector_value(
             raise ValueError("mc evaluation needs a generator")
         total = 0.0
         for w, ps in _pure_components(avg.base):
-            # (S_x u, v) is nonzero only when x hits an atom-grid difference
-            # p_u - p_v bit-exactly; precompute the finitely many overlaps
-            diff_map: dict[float, complex] = {}
-            for au in ps.vector:
-                for av in v:
-                    dkey = au.p - av.p
-                    diff_map[dkey] = diff_map.get(dkey, 0j) + au.c.conjugate() * av.c
-            xs = avg.smoothing.sample(gen, mc_samples)
+            overlaps = shift_overlaps(ps.vector, v, avg.smoothing.sample(gen, mc_samples))
             acc = 0.0
-            hits = np.isin(xs, np.array(list(diff_map), dtype=float))
-            for x in xs[hits]:
-                acc += abs(diff_map.get(float(x), 0j)) ** 2
+            for ov in overlaps[overlaps != 0]:
+                acc += abs(complex(ov)) ** 2
             total += w * acc / mc_samples
         return total
+    atoms = avg.smoothing.discrete_atoms()
+    locs = np.array([loc for loc, _ in atoms], dtype=float)
     total = 0.0
     for w, ps in _pure_components(avg.base):
-        for loc, pr in avg.smoothing.discrete_atoms():
-            total += w * pr * abs(inner(apply_shift(loc, ps.vector), v)) ** 2
+        overlaps = shift_overlaps(ps.vector, v, locs)
+        for (_, pr), ov in zip(atoms, overlaps):
+            total += w * pr * abs(complex(ov)) ** 2
     # the continuous part contributes exactly zero
     return total
+
+
+def _discrete_shifts(s: AveragedState):
+    """(w pr, S_loc u) over the base components (w, u) and the law's atoms (loc, pr).
+
+    The discrete part of the smoothing as a finite mixture of shifted bases.
+    """
+    atoms = s.smoothing.discrete_atoms()
+    for w, ps in _pure_components(s.base):
+        for loc, pr in atoms:
+            yield w * pr, apply_shift(loc, ps.vector)
+
+
+def _mass(u: AtomicVector, fset: set) -> float:
+    """Squared norm of u on the frequencies of fset."""
+    return sum(abs(a.c) ** 2 for a in u if a.p in fset)
 
 
 def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
@@ -449,47 +462,18 @@ def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
     for averaged states with continuous smoothing; a convex split reports
     its normal weight when the family covers the normal support.
     """
-    fams = [tuple(fs) for fs in family]
+    fams = [set(fs) for fs in family]
     if not fams:
         raise ValueError("family of finite atom sets must be non-empty")
-    if isinstance(s, PureState):
-        return max(
-            sum(abs(a.c) ** 2 for a in s.vector if a.p in set(fs)) for fs in fams
-        )
     if isinstance(s, NormalState):
         return max(
             sum(
                 float(s.matrix[j, j].real)
                 for j, p in enumerate(s.support)
-                if p in set(fs)
+                if p in fset
             )
-            for fs in fams
+            for fset in fams
         )
-    if isinstance(s, MixedState):
-        return max(
-            sum(
-                w * sum(abs(a.c) ** 2 for a in ps.vector if a.p in set(fs))
-                for w, ps in s.components
-            )
-            for fs in fams
-        )
-    if isinstance(s, AveragedState):
-        atoms = s.smoothing.discrete_atoms()
-        if not atoms:
-            return 0.0
-        # discrete part: finite mixture of shifted bases
-        best = 0.0
-        for fs in fams:
-            fset = set(fs)
-            acc = 0.0
-            for w, ps in _pure_components(s.base):
-                for loc, pr in atoms:
-                    shifted = apply_shift(loc, ps.vector)
-                    acc += w * pr * sum(
-                        abs(a.c) ** 2 for a in shifted if a.p in fset
-                    )
-            best = max(best, acc)
-        return best
     if isinstance(s, StateDecomposition):
         p = s.normal_weight
         wn = sum(
@@ -499,7 +483,15 @@ def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
             w * normality_witness(st, family) for w, st in s.singular_components
         )
         return p * wn + (1.0 - p) * ws
-    raise TypeError(f"not a state: {s!r}")
+    if isinstance(s, PureState):
+        mix = [(1.0, s.vector)]
+    elif isinstance(s, MixedState):
+        mix = [(w, ps.vector) for w, ps in s.components]
+    elif isinstance(s, AveragedState):
+        mix = list(_discrete_shifts(s))
+    else:
+        raise TypeError(f"not a state: {s!r}")
+    return max(sum((w * _mass(u, fset) for w, u in mix), 0.0) for fset in fams)
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +574,8 @@ def yosida_hewitt_split(
         if isinstance(s, AveragedState) and s.is_singular:
             singular.append((w, s))
         elif isinstance(s, AveragedState):
-            # discrete smoothing: a finite mixture of shifted bases
-            mix = []
-            for bw, ps in _pure_components(s.base):
-                for loc, pr in s.smoothing.discrete_atoms():
-                    mix.append((bw * pr, PureState(apply_shift(loc, ps.vector))))
-            normal.append((w, MixedState(tuple(mix))))
+            mix = tuple((wp, PureState(u)) for wp, u in _discrete_shifts(s))
+            normal.append((w, MixedState(mix)))
         elif isinstance(s, (PureState, NormalState, MixedState)):
             normal.append((w, s))
         else:

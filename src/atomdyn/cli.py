@@ -8,10 +8,11 @@ Usage::
 Commands: verify, chernoff, cesaro, walk-decay, semigroup, dephase.
 
 Reports embed the effective config, the seed, and the package version, and
-are byte-identical for identical (config, seed) regardless of worker
-count: sweep points draw from pre-assigned Philox substreams indexed by
-row.  Wall-clock runtime goes to a ``<out>.meta.json`` sidecar (stderr
-when writing to stdout) so the report itself stays reproducible.
+are byte-identical for identical (config, seed): sweep points run one after
+another and draw from pre-assigned Philox substreams indexed by row.  A
+``workers`` key is accepted for old configs, has no effect and is left out
+of the report.  Wall-clock runtime goes to a ``<out>.meta.json`` sidecar
+(stderr when writing to stdout) so the report itself stays reproducible.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
 configuration.
@@ -25,8 +26,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,32 +46,26 @@ from .algebra import (
     AlgebraElement,
     apply_shift,
     indicator,
+    shift_overlaps,
     weyl_residual,
 )
 from .rand import (
-    Cauchy,
     ConvolutionFamily,
     Distribution,
     Gaussian,
-    Rademacher,
     SeededRng,
     chernoff_error,
     distribution_from_json,
 )
 from .channels import (
-    AveragedState,
-    MixedState,
     NormalState,
     PureState,
     averaged_Phi,
     averaged_T,
-    dephasing_kernel,
     evaluate,
-    normality_witness,
     projector_value,
     semigroup_Phi,
     semigroup_T,
-    yosida_hewitt_split,
 )
 
 SEED_ENV = "ATOMDYN_SEED"
@@ -124,8 +118,8 @@ def render_json(command: str, seed: int, config: dict, columns: Sequence[str],
 
 def write_report(out: Optional[str], fmt: str, command: str, seed: int,
                  config: dict, columns, rows, runtime_s: float) -> None:
-    # execution knobs must not leak into reports: the bytes are promised to
-    # be identical regardless of how the run was parallelised
+    # the ignored workers key of old configs stays out of the report, so
+    # its bytes do not depend on it
     config = {k: v for k, v in config.items() if k != "workers"}
     text = (render_csv if fmt == "csv" else render_json)(
         command, seed, config, columns, rows
@@ -141,22 +135,42 @@ def write_report(out: Optional[str], fmt: str, command: str, seed: int,
         print(f"runtime_s={runtime_s:.3f}", file=sys.stderr)
 
 
-def _map_rows(worker: Callable[[int], dict], count: int, workers: int) -> List[dict]:
-    """Evaluate sweep points, preserving row order for any worker count."""
-    if workers <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
+_DOMAINS = {
+    "finite": lambda x: True,
+    "positive": lambda x: x > 0,
+    "non-negative": lambda x: x >= 0,
+}
+
+
+def _number_list(config: dict, key: str, default: list, kind: type = float,
+                 domain: str = "finite") -> list:
+    """The list field ``key`` (``default`` when absent) as numbers of ``kind``.
+
+    Raises ConfigError for a non-list and for an entry that is not a
+    finite number, not integral when ``kind`` is int, or outside ``domain``
+    (a key of ``_DOMAINS``).
+    """
+    values = config.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    out = []
+    for x in values:
+        number = (isinstance(x, (int, float)) and not isinstance(x, bool)
+                  and math.isfinite(x) and (kind is float or x == int(x)))
+        if not (number and _DOMAINS[domain](x)):
+            raise ConfigError(f"{key} entries must be {domain} {kind.__name__}s, got {x!r}")
+        out.append(kind(x))
+    return out
 
 
 def _load_distribution(config: dict, default: dict) -> Distribution:
     doc = config.get("distribution", default)
-    if isinstance(doc, str):
-        with open(doc) as fh:
-            doc = json.load(fh)
     try:
+        if isinstance(doc, str):
+            with open(doc) as fh:
+                doc = json.load(fh)
         return distribution_from_json(doc)
-    except (KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad distribution document: {exc}") from exc
 
 
@@ -235,7 +249,7 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
         )
         v = make_polynomial(
             [(p, complex(c, s)) for p, c, s in
-             zip(list(gen.uniform(-5, 5, 2)) + [u.terms[0].p if u.terms else 0.0],
+             zip(list(gen.uniform(-5, 5, 2)) + [u.atoms[0].p if u.atoms else 0.0],
                  gen.normal(size=3), gen.normal(size=3))]
         )
         res = max(res, abs(cesaro_inner_analytic(u, v) - inner(fourier(u), fourier(v))))
@@ -323,17 +337,12 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
             f"positive variance; {d.to_json()} has variance {d.variance!r}"
         )
     t = float(config.get("t", 1.0))
-    probes = [float(x) for x in config.get("probes", [0.5, 1.0, 2.0, 3.0])]
-    n_list = [int(n) for n in config.get("n_list", [10, 100, 1000, 10000])]
+    probes = _number_list(config, "probes", [0.5, 1.0, 2.0, 3.0])
+    n_list = _number_list(config, "n_list", [10, 100, 1000, 10000], int, "positive")
     if not n_list or not probes:
         raise ConfigError("n_list and probes must be non-empty")
-    workers = int(config.get("workers", 1))
 
-    errors = _map_rows(
-        lambda i: {"err": chernoff_error(d, t, n_list[i], probes)},
-        len(n_list), workers,
-    )
-    err_by_n = {n: e["err"] for n, e in zip(n_list, errors)}
+    err_by_n = {n: chernoff_error(d, t, n, probes) for n in n_list}
     rows = []
     for n in n_list:
         rate = None
@@ -349,15 +358,13 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     dp = float(config.get("delta_p", 1.0))
-    x_list = [float(x) for x in config.get("X_list", [1e2, 1e3, 1e4])]
+    x_list = _number_list(config, "X_list", [1e2, 1e3, 1e4], float, "positive")
     gap_s = float(config.get("gap_s", 1.0))
-    workers = int(config.get("workers", 1))
     u = harmonic(0.0)
     v = harmonic(dp)
     kron = cesaro_inner_analytic(u, v)
 
-    def point(i: int) -> dict:
-        X = x_list[i]
+    def point(X: float) -> dict:
         cfg = auto_config(X, u, v)
         num = cesaro_inner_numeric(u, v, cfg)
         gap_cfg = CesaroQuadratureConfig(
@@ -366,7 +373,7 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
         gap = modulation_gap_numeric(gap_s, 0.0, gap_cfg)
         return {"X": X, "abs_error": abs(num - kron), "mod_gap": gap}
 
-    rows = _map_rows(point, len(x_list), workers)
+    rows = [point(X) for X in x_list]
     return ["X", "abs_error", "mod_gap"], rows, 0
 
 
@@ -382,20 +389,20 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
             "discrete part; running anyway",
             file=sys.stderr,
         )
-    n_list = [int(n) for n in config.get("N_list", [100, 1000, 10000])]
+    n_list = _number_list(config, "N_list", [100, 1000, 10000], int, "positive")
     probe_p = float(config.get("probe_p", 1.0))
     u_doc = config.get("u")
     v_doc = config.get("v")
-    u = deserialize(json.dumps(u_doc)) if u_doc else unit_atom(0.0)
-    v = deserialize(json.dumps(v_doc)) if v_doc else unit_atom(1.0)
-    workers = int(config.get("workers", 1))
+    try:
+        u = deserialize(json.dumps(u_doc)) if u_doc else unit_atom(0.0)
+        v = deserialize(json.dumps(v_doc)) if v_doc else unit_atom(1.0)
+    except ValueError as exc:
+        raise ConfigError(f"bad vector document: {exc}") from exc
     rng = SeededRng(seed)
 
-    def point(i: int) -> dict:
-        n = n_list[i]
-        gen = rng.stream(i)
-        xs = d.sample(gen, n)
-        overlaps = np.array([inner(apply_shift(float(x), u), v) for x in xs])
+    def point(i: int, n: int) -> dict:
+        xs = d.sample(rng.stream(i), n)
+        overlaps = shift_overlaps(u, v, xs)
         mean_overlap = complex(overlaps.mean())
         stderr = float(
             math.sqrt(np.mean(np.abs(overlaps - mean_overlap) ** 2) / n)
@@ -410,7 +417,7 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
             "clt_band": 4.0 / math.sqrt(n),
         }
 
-    rows = _map_rows(point, len(n_list), workers)
+    rows = [point(i, n) for i, n in enumerate(n_list)]
     cols = ["N", "shift_overlap_abs", "shift_stderr", "mod_mean_error", "clt_band"]
     return cols, rows, 0
 
@@ -438,17 +445,14 @@ def semigroup_residuals(fam: ConvolutionFamily, t: float, s: float) -> Tuple[flo
 
 def run_semigroup(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     fam = _family(config)
-    t_list = [float(t) for t in config.get("t_list", [0.0, 0.1, 0.5, 1.0, 2.0])]
-    s_list = [float(t) for t in config.get("s_list", t_list)]
-    workers = int(config.get("workers", 1))
-    grid = [(t, s) for t in t_list for s in s_list]
+    t_list = _number_list(config, "t_list", [0.0, 0.1, 0.5, 1.0, 2.0], float, "non-negative")
+    s_list = _number_list(config, "s_list", t_list, float, "non-negative")
 
-    def point(i: int) -> dict:
-        t, s = grid[i]
+    def point(t: float, s: float) -> dict:
         res_t, res_phi = semigroup_residuals(fam, t, s)
         return {"t": t, "s": s, "residual_T": res_t, "residual_Phi": res_phi}
 
-    rows = _map_rows(point, len(grid), workers)
+    rows = [point(t, s) for t in t_list for s in s_list]
     return ["t", "s", "residual_T", "residual_Phi"], rows, 0
 
 
@@ -459,12 +463,10 @@ def run_semigroup(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 def run_dephase(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     fam = _family(config)
     dp = float(config.get("delta_p", 1.0))
-    t_list = [float(t) for t in config.get("t_list", [0.0, 0.5, 1.0, 2.0, 4.0])]
-    workers = int(config.get("workers", 1))
+    t_list = _number_list(config, "t_list", [0.0, 0.5, 1.0, 2.0, 4.0], float, "non-negative")
     rho = NormalState((0.0, dp), np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
 
-    def point(i: int) -> dict:
-        t = t_list[i]
+    def point(t: float) -> dict:
         out = semigroup_Phi(fam, t, rho)
         off = abs(complex(out.matrix[0, 1]))
         analytic = 0.5 * abs(fam.at(t).chi(dp))
@@ -476,7 +478,7 @@ def run_dephase(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
             "abs_error": abs(off - analytic),
         }
 
-    rows = _map_rows(point, len(t_list), workers)
+    rows = [point(t) for t in t_list]
     return ["t", "delta_p", "offdiag_abs", "analytic", "abs_error"], rows, 0
 
 

@@ -1,63 +1,42 @@
 """Trigonometric polynomials and finite-window Cesaro averaging.
 
-Elements here are finite sums sum_k c_k e^{i p_k x}.  Their inner product
-under the window average (1/2X) int_{-X}^{X} conj(u) v dx tends, as
-X -> infinity, to the Kronecker rule: distinct frequencies are orthogonal,
-equal frequencies contribute conj(c_u) c_v.  The analytic routine applies
-the rule exactly; the numeric routine evaluates the finite-window average
-by composite trapezoid quadrature, which converges at rate O(1/X).
-
-Termwise exchange of e^{ipx} with a unit atom at frequency p identifies
-this space with the atomic vectors of :mod:`atomdyn.atoms`, preserving
-inner products exactly.
+A trigonometric polynomial sum_k c_k e^{i p_k x} is an atomic vector of
+:mod:`atomdyn.atoms` read as a function of x: the atom (p, c) is the wave
+c e^{ipx}.  Under the window average (1/2X) int_{-X}^{X} conj(u) v dx the
+inner product tends, as X -> infinity, to the Kronecker rule: distinct
+frequencies are orthogonal, equal frequencies contribute conj(c_u) c_v.
+That limit is the counting-measure inner product of the atoms, so the
+analytic routine is :func:`atomdyn.atoms.inner` and the Fourier
+identification is a relabeling.  The numeric routine evaluates the
+finite-window average by composite trapezoid quadrature, which converges
+at rate O(1/X).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, make_vector
+from .atoms import (
+    AtomicVector, dump_document, inner, load_document, make_vector, unit_atom,
+)
+
+TrigPolynomial = AtomicVector
+
+# the polynomial names of the vector operations
+make_polynomial = make_vector
+harmonic = unit_atom
+cesaro_inner_analytic = inner
 
 
-@dataclass(frozen=True)
-class TrigTerm:
-    p: float
-    c: complex
-
-
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Finite combination sum_k c_k e^{i p_k x}, distinct sorted frequencies."""
-
-    terms: Tuple[TrigTerm, ...] = ()
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise values on an array of sample points."""
-        out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-        for t in self.terms:
-            out = out + t.c * np.exp(1j * t.p * np.asarray(x, dtype=float))
-        return out
-
-
-def make_polynomial(pairs: Iterable[Tuple[float, complex]]) -> TrigPolynomial:
-    """Normalize (frequency, coefficient) pairs; same merge rule as vectors."""
-    v = make_vector(pairs)
-    return TrigPolynomial(tuple(TrigTerm(a.p, a.c) for a in v))
-
-
-def harmonic(p: float) -> TrigPolynomial:
-    """The single wave x -> e^{ipx}."""
-    return make_polynomial([(p, 1.0)])
+def pointwise(u: TrigPolynomial, x: np.ndarray) -> np.ndarray:
+    """Values of sum_k c_k e^{i p_k x} on an array of sample points."""
+    out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
+    for t in u:
+        out = out + t.c * np.exp(1j * t.p * np.asarray(x, dtype=float))
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,33 +64,22 @@ def auto_config(window: float, u: TrigPolynomial, v: TrigPolynomial) -> CesaroQu
     return CesaroQuadratureConfig(window, default_steps(window, max(max_gap, 1.0)))
 
 
-def cesaro_inner_analytic(u: TrigPolynomial, v: TrigPolynomial) -> complex:
-    """Exact limit inner product: Kronecker rule over shared frequencies."""
-    vmap = {t.p: t.c for t in v}
-    total = 0j
-    for t in u:
-        cv = vmap.get(t.p)
-        if cv is not None:
-            total += t.c.conjugate() * cv
-    return total
-
-
 def cesaro_inner_numeric(
     u: TrigPolynomial, v: TrigPolynomial, cfg: CesaroQuadratureConfig
 ) -> complex:
     """Finite-window average (1/2X) int_{-X}^{X} conj(u) v dx by trapezoid."""
     x = np.linspace(-cfg.window, cfg.window, cfg.steps)
-    integrand = np.conj(u.evaluate(x)) * v.evaluate(x)
+    integrand = np.conj(pointwise(u, x)) * pointwise(v, x)
     return complex(np.trapezoid(integrand, x) / (2.0 * cfg.window))
 
 
 def fourier(u: TrigPolynomial) -> AtomicVector:
-    """Termwise e^{ipx} -> unit atom at p; unitary between the two spaces."""
-    return make_vector([(t.p, t.c) for t in u])
+    """e^{ipx} -> unit atom at p: the same data, so u itself; unitary."""
+    return u
 
 
 def inverse_fourier(uhat: AtomicVector) -> TrigPolynomial:
-    return make_polynomial([(a.p, a.c) for a in uhat])
+    return uhat
 
 
 def modulation_gap_numeric(s: float, p: float, cfg: CesaroQuadratureConfig) -> float:
@@ -137,29 +105,8 @@ def modulation_gap_exact(s: float, window: float) -> float:
 
 def serialize(u: TrigPolynomial) -> str:
     """JSON document: {"terms":[{"p":...,"re":...,"im":...}, ...]}."""
-    import json
-
-    doc = {"terms": [{"p": t.p, "re": t.c.real, "im": t.c.imag} for t in u]}
-    return json.dumps(doc)
+    return dump_document(u, "terms")
 
 
 def deserialize(text: str) -> TrigPolynomial:
-    import json
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"malformed polynomial document at position {exc.pos}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or "terms" not in doc:
-        raise ValueError("polynomial document must be an object with key 'terms'")
-    entries = doc["terms"]
-    if not isinstance(entries, list):
-        raise ValueError("'terms' must be a list")
-    pairs = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict) or not {"p", "re", "im"} <= set(e):
-            raise ValueError(f"term #{i} must have keys p, re, im")
-        pairs.append((float(e["p"]), complex(float(e["re"]), float(e["im"]))))
-    return make_polynomial(pairs)
+    return load_document(text, "terms")

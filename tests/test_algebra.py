@@ -19,9 +19,11 @@ from atomdyn.algebra import (
     generator_apply,
     indicator,
     point_measure,
+    shift_overlaps,
     wave,
     weyl_residual,
 )
+from atomdyn.rand import Cauchy, Gaussian, Rademacher, SeededRng
 from atomdyn.trig import harmonic, make_polynomial
 
 
@@ -82,6 +84,48 @@ class TestShiftAndMod:
             if prev is not None:
                 assert gap < prev
             prev = gap
+
+
+class TestShiftOverlaps:
+    @staticmethod
+    def per_sample(u, v, xs):
+        return np.array([inner(apply_shift(float(x), u), v) for x in xs], dtype=complex)
+
+    def assert_bit_equal(self, u, v, xs):
+        got = shift_overlaps(u, v, xs)
+        assert np.array_equal(got.view(float), self.per_sample(u, v, xs).view(float))
+
+    @pytest.mark.parametrize("law", [Gaussian(1.0), Cauchy(0.5), Rademacher()],
+                             ids=["gaussian", "cauchy", "rademacher"])
+    @pytest.mark.parametrize("u,v", [
+        (unit_atom(0.0), unit_atom(1.0)),
+        (make_vector([(-1.0, 0.6), (0.0, 0.8j), (1.0, -0.5)]),
+         make_vector([(-2.0, 1.0), (0.0, 0.3 - 0.4j), (2.0, 0.5)])),
+        (make_vector([(-0.0, 1.0), (1.0, 1j), (1e16, 2.0)]),
+         make_vector([(0.0, 1.0), (-1.0, 0.5), (1e16, 1j)])),
+    ], ids=["one-atom", "three-atom", "signed-zero-and-1e16"])
+    def test_matches_per_sample_inner(self, law, u, v):
+        xs = law.sample(SeededRng(12).stream(0), 20_000)
+        self.assert_bit_equal(u, v, np.concatenate([xs, [1.0, -1.0, 0.0, -0.0]]))
+
+    def test_rounded_shift_lands_on_large_atom(self):
+        # 1e16 - 1.0 rounds to 1e16
+        u = unit_atom(1e16)
+        assert shift_overlaps(u, u, np.array([1.0]))[0] == 1.0
+        self.assert_bit_equal(u, make_vector([(1e16, 0.5j), (3.0, 1.0)]), np.array([1.0, 2.0]))
+
+    def test_colliding_atoms_merge_first(self):
+        # 0.0 and 1e-300 both land on -1.0 and merge there:
+        # conj(0.1 + 0.7) 0.3 = 0.23999999999999996, not 0.1 0.3 + 0.7 0.3 = 0.24
+        u = make_vector([(0.0, 0.1), (1e-300, 0.7), (2.0, 1j)])
+        v = make_vector([(-1.0, 0.3), (1.0, 1.0)])
+        assert shift_overlaps(u, v, np.array([1.0]))[0] == 0.23999999999999996 - 1j
+        self.assert_bit_equal(u, v, np.array([1.0, 0.5, 0.0]))
+
+    def test_empty_vectors(self):
+        xs = np.array([0.0, 1.0])
+        assert not shift_overlaps(AtomicVector(), unit_atom(0.0), xs).any()
+        assert not shift_overlaps(unit_atom(0.0), AtomicVector(), xs).any()
 
 
 class TestWeyl:

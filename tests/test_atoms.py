@@ -52,11 +52,6 @@ class TestMakeVector:
             again = make_vector([(a.p, a.c) for a in v])
             assert again == v
 
-    def test_epsilon_merge_mode(self):
-        v = make_vector([(0.0, 1.0), (1e-9, 1.0)], merge_tol=1e-6)
-        assert len(v) == 1
-        assert v.amplitude(0.0) == 2.0 + 0j
-
 
 class TestInner:
     def test_unit_atoms_orthonormal(self):

@@ -192,6 +192,12 @@ class TestAveragedT:
             d = laws[i % len(laws)]
             A = AlgebraElement.shift(a)
             assert evaluate(averaged_T(d, s), A) == evaluate(s, A)
+        # a 2000-atom base on the grid (1/4) Z, where the shift pairs most atoms
+        u = make_vector(zip(np.arange(2000) / 4.0,
+                            gen.normal(size=2000) + 1j * gen.normal(size=2000)))
+        s = PureState((1.0 / norm(u)) * u)
+        A = AlgebraElement.shift(0.5)
+        assert evaluate(averaged_T(Gaussian(1.0), s), A) == evaluate(s, A)
 
     def test_gaussian_indicator_value(self):
         # P(xi in [0,1]) for standard normal smoothing of the atom at 0
@@ -401,6 +407,14 @@ class TestSingularity:
     def test_point_mass_lands_on_target(self):
         avg = averaged_T(PointMass(2.0), PureState(unit_atom(0.0)))
         assert projector_value(avg, unit_atom(-2.0)) == 1.0
+
+    def test_mc_follows_the_shift_rule(self):
+        # 1e16 - 1.0 rounds to 1e16, so S_1 maps the atom at 1e16 onto itself
+        u = unit_atom(1e16)
+        avg = averaged_T(PointMass(1.0), PureState(u))
+        assert projector_value(avg, u) == 1.0
+        assert projector_value(avg, u, method="mc", mc_samples=100,
+                               gen=SeededRng(3).stream(0)) == 1.0
 
     def test_requires_unit_direction(self):
         avg = averaged_T(Gaussian(1.0), PureState(unit_atom(0.0)))

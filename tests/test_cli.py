@@ -106,10 +106,12 @@ class TestReportCells:
 
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
-        code = "import sys, atomdyn.cli; sys.exit('scipy' in sys.modules)"
+        # neither scipy nor a thread pool (concurrent.futures) is loaded
+        code = ("import sys, atomdyn.cli; "
+                "sys.exit(' '.join(m for m in ('scipy', 'concurrent.futures') if m in sys.modules) or None)")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True)
-        assert res.returncode == 0, res.stderr or "importing atomdyn.cli loaded scipy"
+        assert res.returncode == 0, f"importing atomdyn.cli loaded: {res.stderr}"
 
 
 class TestExitCodes:
@@ -122,6 +124,25 @@ class TestExitCodes:
         cfg.write_text("{not json")
         res = run_cli(["verify", "--config", str(cfg)])
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("chernoff", {"distribution": {"kind": "mixture", "components": [
+            [0.5, {"kind": "rademacher"}], [0.5, {"kind": "gaussian", "D": 1.0}]]}}),
+        ("chernoff", {"distribution": [1, 2]}),
+        ("chernoff", {"n_list": "abc"}),
+        ("cesaro", {"X_list": [0.0]}),
+        ("walk-decay", {"N_list": [0]}),
+        ("walk-decay", {"u": {"atoms": [{"p": "x", "re": 1.0, "im": 0.0}]}}),
+    ], ids=["mixture-as-lists", "distribution-list", "n_list-string", "X-zero", "N-zero",
+            "u-frequency-string"])
+    def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = run_cli([command, "--config", str(cfg_path)])
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
     def test_env_seed_used(self, tmp_path):
         out1 = tmp_path / "a.csv"

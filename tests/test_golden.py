@@ -1,0 +1,59 @@
+"""Committed reports, regenerated through ``cli.main`` and compared byte for byte.
+
+The files under ``tests/golden/`` pin this toolchain (numpy 2.4.6): a
+change of numpy can move the last digit of a float, so a toolchain change
+regenerates them on purpose, with a note in ``CHANGES.md``.  Regenerate
+with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from atomdyn.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name -> (command, seed, config)
+CASES = {
+    "verify": ("verify", 7, {}),
+    "cesaro": ("cesaro", 2, {"X_list": [10.0, 50.0]}),
+    "walk-decay-gaussian": ("walk-decay", 3, {}),
+    "walk-decay-rademacher": ("walk-decay", 5, {
+        "distribution": {"kind": "rademacher"},
+        "N_list": [100, 1000],
+        "u": {"atoms": [{"p": 0.0, "re": 0.6, "im": 0.0},
+                        {"p": 1.0, "re": 0.0, "im": 0.8}]},
+        "v": {"atoms": [{"p": 0.0, "re": 0.8, "im": 0.0},
+                        {"p": 2.0, "re": 0.6, "im": 0.0}]},
+    }),
+}
+
+
+def _report(tmp, name, fmt, workers):
+    command, seed, cfg = CASES[name]
+    cfg_path = tmp / f"{name}.config.json"
+    cfg_path.write_text(json.dumps(dict(cfg, workers=workers)))
+    out = tmp / f"{name}.{fmt}"
+    main([command, "--seed", str(seed), "--config", str(cfg_path),
+          "--out", str(out), "--format", fmt])
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(tmp_path, name, fmt, workers):
+    assert _report(tmp_path, name, fmt, workers) == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            for fmt in ("csv", "json"):
+                (GOLDEN / f"{name}.{fmt}").write_bytes(
+                    _report(pathlib.Path(tmp), name, fmt, 1))
