@@ -4,7 +4,8 @@ States are positive unital functionals on the normal-form operator algebra
 of :mod:`atomdyn.algebra`.  Four representations are executable:
 
 * pure       -- a unit atomic vector u, acting by (u, A u);
-* normal     -- a finite density matrix over a frequency support;
+* normal     -- a finite density matrix rho over a frequency support,
+                acting by tr(rho A);
 * mixed      -- a finite convex combination of pure states;
 * averaged   -- a base state smoothed by a random shift: the functional
                 A -> E <T_xi base, A>, kept *intensionally* as the pair
@@ -65,7 +66,13 @@ class PureState:
 
 @dataclass(frozen=True)
 class NormalState:
-    """Density matrix over a finite frequency support."""
+    """Density matrix over a finite frequency support.
+
+    Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|.  ``evaluate``
+    reads the matrix directly as tr(rho A); the eigen-decomposition of
+    :meth:`spectral_mixture` is needed only to average the state under
+    ``averaged_T``.
+    """
 
     support: Tuple[float, ...]
     matrix: np.ndarray
@@ -74,6 +81,8 @@ class NormalState:
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         k = len(self.support)
+        if not all(math.isfinite(p) for p in self.support):
+            raise ValueError("support frequencies must be finite")
         if len(set(self.support)) != k:
             raise ValueError("support frequencies must be distinct")
         if m.shape != (k, k):
@@ -86,7 +95,12 @@ class NormalState:
             raise ValueError("density matrix must be positive semidefinite")
 
     def spectral_mixture(self) -> "MixedState":
-        """Eigen-decomposition as a convex combination of pure states."""
+        """Eigen-decomposition as a convex combination of pure states.
+
+        Runs ``eigh``, drops eigenvalues <= 1e-14 and renormalizes the rest.
+        Only ``averaged_T`` of a normal state calls it, since an averaged
+        state keeps a pure or mixed base.
+        """
         w, vecs = np.linalg.eigh(self.matrix)
         comps = []
         for i in range(len(w)):
@@ -273,11 +287,20 @@ def _pure_components(base: Union[PureState, MixedState]):
 
 
 def evaluate(s, A: AlgebraElement, method: str = "analytic") -> complex:
-    """Value of the functional s on the normal-form operator A."""
+    """Value of the functional s on the normal-form operator A.
+
+    A pure state gives (u, A u) and a mixed state the weighted sum over its
+    components.  A normal state gives tr(rho A) from its matrix, with no
+    eigen-decomposition: each term of A pairs support atoms by bit-equal
+    frequencies, as ``apply_shift`` does, so the value agrees with that of
+    the spectral mixture up to rounding.  Averaged states take expectations
+    over the smoothing law by ``method`` (see :func:`expect_function`); the
+    other kinds are exact and ignore it.
+    """
     if isinstance(s, PureState):
         return inner(s.vector, apply_element(A, s.vector))
     if isinstance(s, NormalState):
-        return evaluate(s.spectral_mixture(), A, method)
+        return _evaluate_normal(s, A)
     if isinstance(s, MixedState):
         return sum(
             (w * evaluate(ps, A, method) for w, ps in s.components), 0j
@@ -293,6 +316,27 @@ def evaluate(s, A: AlgebraElement, method: str = "analytic") -> complex:
             total += (1.0 - p) * w * evaluate(st, A, method)
         return total
     raise TypeError(f"not a state: {s!r}")
+
+
+def _evaluate_normal(s: NormalState, A: AlgebraElement) -> complex:
+    """tr(rho A), term by term on the matrix.
+
+    A term c M_f S_a sends the support atom at p_k to q_k = p_k - a (the
+    subtraction of ``apply_shift``) and meets the atom j whose frequency is
+    bit-equal to q_k, contributing c rho[k, j] f(q_k).
+    """
+    p = np.array(s.support, dtype=float)
+    order = np.argsort(p)
+    sorted_p = p[order]
+    total = 0j
+    for c, f, a in A.terms:
+        if not math.isfinite(a):
+            raise ValueError(f"non-finite shift: {a!r}")
+        q = p - a
+        i = np.minimum(np.searchsorted(sorted_p, q), len(p) - 1)
+        k = np.flatnonzero(sorted_p[i] == q)
+        total += c * complex(np.dot(s.matrix[k, order[i[k]]], f.at(q[k])))
+    return total
 
 
 def _evaluate_averaged(s: AveragedState, A: AlgebraElement, method: str) -> complex:
@@ -468,9 +512,10 @@ def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
     if isinstance(s, NormalState):
         return max(
             sum(
-                float(s.matrix[j, j].real)
-                for j, p in enumerate(s.support)
-                if p in fset
+                (float(s.matrix[j, j].real)
+                 for j, p in enumerate(s.support)
+                 if p in fset),
+                0.0,
             )
             for fset in fams
         )

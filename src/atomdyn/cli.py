@@ -139,28 +139,38 @@ _DOMAINS = {
     "finite": lambda x: True,
     "positive": lambda x: x > 0,
     "non-negative": lambda x: x >= 0,
+    "non-zero": lambda x: x != 0,
 }
+
+
+def _number(x, name: str, kind: type = float, domain: str = "finite"):
+    """The config value ``x`` as a number of ``kind``.
+
+    Raises ConfigError when ``x`` is not a finite number, not integral when
+    ``kind`` is int, or outside ``domain`` (a key of ``_DOMAINS``).
+    """
+    try:
+        ok = (isinstance(x, (int, float)) and not isinstance(x, bool)
+              and math.isfinite(x) and (kind is float or x == int(x))
+              and _DOMAINS[domain](x))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a {domain} {kind.__name__}, got {x!r}")
+    return kind(x)
 
 
 def _number_list(config: dict, key: str, default: list, kind: type = float,
                  domain: str = "finite") -> list:
     """The list field ``key`` (``default`` when absent) as numbers of ``kind``.
 
-    Raises ConfigError for a non-list and for an entry that is not a
-    finite number, not integral when ``kind`` is int, or outside ``domain``
-    (a key of ``_DOMAINS``).
+    Raises ConfigError for a non-list and for an entry that :func:`_number`
+    rejects.
     """
     values = config.get(key, default)
     if not isinstance(values, list):
         raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    out = []
-    for x in values:
-        number = (isinstance(x, (int, float)) and not isinstance(x, bool)
-                  and math.isfinite(x) and (kind is float or x == int(x)))
-        if not (number and _DOMAINS[domain](x)):
-            raise ConfigError(f"{key} entries must be {domain} {kind.__name__}s, got {x!r}")
-        out.append(kind(x))
-    return out
+    return [_number(x, f"each {key} entry", kind, domain) for x in values]
 
 
 def _load_distribution(config: dict, default: dict) -> Distribution:
@@ -216,13 +226,16 @@ DEFAULT_TOLERANCES = {
 
 
 def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+    overrides = config.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"tolerances must be an object, got {overrides!r}")
     tols = dict(DEFAULT_TOLERANCES)
-    tols.update(config.get("tolerances", {}))
+    tols.update({k: _number(v, f"tolerance {k!r}") for k, v in overrides.items()})
     rng = SeededRng(seed)
     rows = []
 
     def check(name: str, residual: float):
-        tol = float(tols[name])
+        tol = tols[name]
         rows.append(
             {
                 "check": name,
@@ -336,7 +349,7 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
             "the product-formula hypotheses need a centered law with finite "
             f"positive variance; {d.to_json()} has variance {d.variance!r}"
         )
-    t = float(config.get("t", 1.0))
+    t = _number(config.get("t", 1.0), "t")
     probes = _number_list(config, "probes", [0.5, 1.0, 2.0, 3.0])
     n_list = _number_list(config, "n_list", [10, 100, 1000, 10000], int, "positive")
     if not n_list or not probes:
@@ -357,9 +370,9 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 
 def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
-    dp = float(config.get("delta_p", 1.0))
+    dp = _number(config.get("delta_p", 1.0), "delta_p")
     x_list = _number_list(config, "X_list", [1e2, 1e3, 1e4], float, "positive")
-    gap_s = float(config.get("gap_s", 1.0))
+    gap_s = _number(config.get("gap_s", 1.0), "gap_s")
     u = harmonic(0.0)
     v = harmonic(dp)
     kron = cesaro_inner_analytic(u, v)
@@ -390,7 +403,7 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
             file=sys.stderr,
         )
     n_list = _number_list(config, "N_list", [100, 1000, 10000], int, "positive")
-    probe_p = float(config.get("probe_p", 1.0))
+    probe_p = _number(config.get("probe_p", 1.0), "probe_p")
     u_doc = config.get("u")
     v_doc = config.get("v")
     try:
@@ -462,7 +475,8 @@ def run_semigroup(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 def run_dephase(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     fam = _family(config)
-    dp = float(config.get("delta_p", 1.0))
+    # the pair of atoms at 0 and delta_p needs delta_p != 0
+    dp = _number(config.get("delta_p", 1.0), "delta_p", domain="non-zero")
     t_list = _number_list(config, "t_list", [0.0, 0.5, 1.0, 2.0, 4.0], float, "non-negative")
     rho = NormalState((0.0, dp), np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
 

@@ -6,6 +6,7 @@ import pytest
 
 from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
+    ONE,
     AlgebraElement,
     BoundedFunction,
     adjoint,
@@ -141,6 +142,97 @@ class TestEvaluate:
     def test_pure_state_requires_unit_norm(self):
         with pytest.raises(ValueError):
             PureState(make_vector([(0.0, 2.0)]))
+
+
+class TestNormalEvaluate:
+    """evaluate(NormalState) is tr(rho A) on the matrix itself."""
+
+    @staticmethod
+    def probes(support):
+        p = sorted(support)
+        A = AlgebraElement.of([(0.7, indicator(-1.0, 2.0), p[1] - p[0]),
+                               (0.3j, wave(1.3), 0.0),
+                               (0.5, ONE, p[0] - p[-1])])
+        sine = BoundedFunction("sin", cmath.sin, 1.0)
+        return [
+            AlgebraElement.shift(p[-1] - p[0]),
+            AlgebraElement.mult(indicator(p[0], p[len(p) // 2])),
+            AlgebraElement.modulation(0.8),
+            compose(AlgebraElement.modulation(0.8), AlgebraElement.shift(p[1] - p[0])),
+            A,
+            compose(adjoint(A), A),
+            AlgebraElement.of([(1.0, sine, p[0] - p[1]), (0.5, sine, 0.0)]),
+        ]
+
+    @pytest.mark.parametrize("m", [2, 8, 64])
+    def test_matches_spectral_mixture(self, m):
+        gen = np.random.default_rng(40 + m)
+        for _ in range(3):
+            s = random_density(gen, m)
+            mix = s.spectral_mixture()
+            for A in self.probes(s.support):
+                assert abs(evaluate(s, A) - evaluate(mix, A)) <= 1e-12
+
+    def test_unsorted_support(self):
+        gen = np.random.default_rng(41)
+        s = random_density(gen, 6)
+        perm = gen.permutation(6)
+        shuffled = NormalState(tuple(s.support[j] for j in perm),
+                               s.matrix[np.ix_(perm, perm)])
+        for A in self.probes(s.support):
+            assert abs(evaluate(shuffled, A) - evaluate(s, A)) <= 1e-12
+
+    def test_atoms_colliding_under_the_shift(self):
+        # 0.0 - 1.0 and 1e-300 - 1.0 are both -1.0, which is on the support
+        gen = np.random.default_rng(42)
+        a = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        s = NormalState((1e-300, -1.0, 0.0), rho)
+        A = AlgebraElement.shift(1.0)
+        want = rho[0, 1] + rho[2, 1]
+        assert abs(evaluate(s, A) - want) <= 1e-15
+        assert abs(evaluate(s, A) - evaluate(s.spectral_mixture(), A)) <= 1e-12
+
+    def test_method_is_ignored(self):
+        s = random_density(np.random.default_rng(43), 8)
+        for A in self.probes(s.support):
+            assert evaluate(s, A, method="quadrature") == evaluate(s, A)
+
+    def test_unital(self):
+        gen = np.random.default_rng(44)
+        for m in (1, 2, 8, 64):
+            assert abs(evaluate(random_density(gen, m), IDENTITY) - 1.0) <= 1e-12
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        s = random_density(np.random.default_rng(45), 200)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh on the evaluation path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for A in self.probes(s.support):
+            evaluate(s, A)
+        assert abs(evaluate(s, IDENTITY) - 1.0) <= 1e-12
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            NormalState((0.0, math.inf), np.eye(2) / 2.0)
+        s = random_density(np.random.default_rng(46), 2)
+        with pytest.raises(ValueError):
+            evaluate(s, AlgebraElement.shift(math.inf))
+
+    @pytest.mark.parametrize("d", [Gaussian(1.0), Cauchy(0.5), Rademacher()],
+                             ids=["gaussian", "cauchy", "rademacher"])
+    def test_shift_invariance_under_averaging(self, d):
+        # the averaged state evaluates through the spectral mixture, the
+        # normal state through its matrix: equal up to rounding
+        gen = np.random.default_rng(47)
+        for m in (2, 8, 64):
+            s = random_density(gen, m)
+            for a in (0.0, s.support[1] - s.support[0], float(gen.uniform(-4, 4))):
+                A = AlgebraElement.shift(a)
+                assert abs(evaluate(averaged_T(d, s), A) - evaluate(s, A)) <= 1e-12
 
 
 class TestChannelT:
@@ -431,6 +523,14 @@ class TestSingularity:
         avg_d = averaged_T(Rademacher(), pure)
         assert normality_witness(avg_d, [[-1.0, 1.0]]) == pytest.approx(1.0)
         assert normality_witness(avg_d, [[-1.0]]) == pytest.approx(0.5)
+
+    def test_uncovered_witness_is_a_float(self):
+        gen = np.random.default_rng(3)
+        states = [PureState(unit_atom(0.0)), random_density(gen, 3),
+                  MixedState(((0.5, PureState(unit_atom(0.0))), (0.5, uniform_pair())))]
+        for s in states:
+            w = normality_witness(s, [[100.0]])
+            assert w == 0.0 and type(w) is float
 
 
 class TestDephasing:

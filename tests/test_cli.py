@@ -144,6 +144,24 @@ class TestExitCodes:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("chernoff", {"t": "abc"}),
+        ("chernoff", {"n_list": [10 ** 400]}),
+        ("verify", {"tolerances": {"weyl": "x"}}),
+        ("verify", {"tolerances": [1e-12]}),
+        ("cesaro", {"gap_s": None}),
+        ("walk-decay", {"probe_p": "1.0"}),
+        ("dephase", {"delta_p": [1]}),
+        ("dephase", {"delta_p": 0}),
+    ], ids=["t-string", "n-beyond-float", "tolerance-string", "tolerances-list",
+            "gap_s-null", "probe_p-string", "delta_p-list", "delta_p-zero"])
+    def test_bad_scalar_is_one_error_line(self, tmp_path, capsys, command, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
     def test_env_seed_used(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
