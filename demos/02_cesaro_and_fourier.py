@@ -12,19 +12,16 @@ import numpy as np
 
 from atomdyn import (
     auto_config,
-    cesaro_inner_analytic,
     cesaro_inner_numeric,
-    fourier,
-    harmonic,
     inner,
-    inverse_fourier,
     make_vector,
     modulation_gap_exact,
     modulation_gap_numeric,
+    unit_atom,
 )
 
-u = harmonic(0.0)       # the constant function 1
-v = harmonic(1.0)       # e^{ix}
+u = unit_atom(0.0)      # the constant function 1
+v = unit_atom(1.0)      # e^{ix}
 
 print("window averages of <1, e^{ix}> (exact limit is 0):")
 print(f"{'X':>10} {'numeric':>14} {'2/(dp*X) bound':>16}")
@@ -36,19 +33,20 @@ for X in (1e2, 1e3, 1e4):
 same = cesaro_inner_numeric(v, v, auto_config(1e3, v, v))
 print(f"\n<e^ix, e^ix> over X=1e3: {same.real:.6f} (limit 1)")
 
-# The pairing makes harmonics an orthonormal family, so identifying the
-# harmonic at p with the atom at p is an isometry.  The identification is
-# implemented as `fourier`, and the two inner products agree bit-for-bit.
+# The limit pairing is the Kronecker rule: the harmonic at p meets only the
+# harmonic at a bit-equal frequency.  So the harmonics form an orthonormal
+# family, and identifying the harmonic at p with the atom at p is an
+# isometry: `inner` on the atoms equals the rule written out term by term,
+# bit-for-bit.  Here z shares one frequency with w.
 gen = np.random.default_rng(11)
 k = 4
 w = make_vector(list(zip(gen.uniform(-3, 3, k),
                          gen.normal(size=k) + 1j * gen.normal(size=k))))
-z = make_vector(list(zip(gen.uniform(-3, 3, k),
+z = make_vector(list(zip(list(gen.uniform(-3, 3, k - 1)) + [w.atoms[0].p],
                          gen.normal(size=k) + 1j * gen.normal(size=k))))
-lhs = cesaro_inner_analytic(fourier(w), fourier(z))
-rhs = inner(w, z)
-print(f"\nisometry check: {lhs} == {rhs} -> {lhs == rhs}")
-print(f"round trip recovers the vector: {inverse_fourier(fourier(w)) == w}")
+lhs = inner(w, z)
+rhs = sum((a.c.conjugate() * z.amplitude(a.p) for a in w), 0j)
+print(f"\nisometry check: inner {lhs} == Kronecker rule {rhs} -> {lhs == rhs}")
 
 # A diagnostic about resonance: the window-averaged distance between a
 # harmonic and its modulation by e^{isx} approaches 2, with a sinc-shaped
@@ -56,7 +54,7 @@ print(f"round trip recovers the vector: {inverse_fourier(fourier(w)) == w}")
 s = 1.0
 print("\nmodulation gap ||f_p - e^{isx} f_p||^2 under the window average:")
 for X in (1e1, 1e2, 1e3):
-    cfg = auto_config(X, harmonic(0.0), harmonic(s))
+    cfg = auto_config(X, unit_atom(0.0), unit_atom(s))
     numeric = modulation_gap_numeric(s, 0.0, cfg)
     exact = modulation_gap_exact(s, X)
     print(f"  X = {X:>6.0e}: numeric {numeric:.6f}, antiderivative {exact:.6f}")

@@ -17,7 +17,6 @@ from atomdyn import (
     SeededRng,
     averaged_T,
     evaluate,
-    eval_averaged_on_mult,
     indicator,
     make_vector,
     normality_witness,
@@ -31,12 +30,11 @@ avg = averaged_T(Gaussian(1.0), rho)
 
 # Multiplication observables see the smoothed frequency distribution:
 # the atom at 0 blurred by a standard normal.
-f = indicator(0.0, 1.0)
-val = eval_averaged_on_mult(avg, f)
+M = AlgebraElement.mult(indicator(0.0, 1.0))
+val = evaluate(avg, M)
 print(f"P(smoothed frequency in [0,1]) = {val.real:.7f}   (Phi(1) - Phi(0) = 0.3413447)")
 
-est = eval_averaged_on_mult(avg, f, method="mc", mc_samples=50_000,
-                            gen=SeededRng(5).stream(0))
+est = evaluate(avg, M, method="mc", mc_samples=50_000, gen=SeededRng(5).stream(0))
 print(f"Monte Carlo, 50k samples:        {est.value.real:.7f} +/- {est.stderr:.5f}")
 
 # Shift observables are blind to the averaging.

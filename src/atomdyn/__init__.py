@@ -4,22 +4,15 @@ __version__ = "0.1.0"
 
 from .atoms import AtomicVector, make_vector, unit_atom, inner, norm, add, scale
 from .trig import (
-    TrigPolynomial,
     CesaroQuadratureConfig,
-    make_polynomial,
-    harmonic,
-    cesaro_inner_analytic,
     cesaro_inner_numeric,
     auto_config,
     default_steps,
-    fourier,
-    inverse_fourier,
     modulation_gap_numeric,
     modulation_gap_exact,
 )
 from .algebra import (
     AlgebraElement,
-    AtomicMeasure,
     BoundedFunction,
     Multiplier,
     apply_shift,
@@ -66,8 +59,6 @@ from .channels import (
     projector_value,
     normality_witness,
     yosida_hewitt_split,
-    eval_averaged_on_mult,
-    eval_averaged_on_shift_convolution,
     dephasing_kernel,
     McEstimate,
     QuadratureError,

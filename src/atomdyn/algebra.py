@@ -246,33 +246,6 @@ Function = Union[Multiplier, BoundedFunction]
 
 
 # ---------------------------------------------------------------------------
-# Atomic measures (convolution operators sum_j w_j S_{a_j})
-
-
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finite complex measure sum_j w_j delta_{a_j} with distinct locations."""
-
-    atoms: Tuple[Tuple[float, complex], ...]
-
-    def __post_init__(self):
-        locs = [a for a, _ in self.atoms]
-        if len(set(locs)) != len(locs):
-            raise ValueError("measure locations must be distinct")
-        for a, w in self.atoms:
-            if not (math.isfinite(a) and math.isfinite(abs(w))):
-                raise ValueError("non-finite measure atom")
-
-    @property
-    def total_variation(self) -> float:
-        return sum(abs(w) for _, w in self.atoms)
-
-
-def point_measure(*atoms: Tuple[float, complex]) -> AtomicMeasure:
-    return AtomicMeasure(tuple((float(a), complex(w)) for a, w in atoms))
-
-
-# ---------------------------------------------------------------------------
 # Normal-form algebra elements
 
 
@@ -281,7 +254,8 @@ class AlgebraElement:
     """Normal form sum_j c_j M_{f_j} S_{a_j} with at most one term per (f, a).
 
     Every structured multiplier f_j has c = 1: its constant factor lives in
-    the term weight c_j.
+    the term weight c_j.  A convolution sum_j w_j S_{a_j} is
+    ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
     """
 
     terms: Tuple[Tuple[complex, Function, float], ...]
@@ -314,11 +288,6 @@ class AlgebraElement:
     @staticmethod
     def modulation(a: float) -> "AlgebraElement":
         return AlgebraElement.of([(1.0, wave(a), 0.0)])
-
-    @staticmethod
-    def from_measure(m: AtomicMeasure) -> "AlgebraElement":
-        """Convolution operator sum_j w_j S_{a_j}."""
-        return AlgebraElement.of([(w, ONE, a) for a, w in m.atoms])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement.of(self.terms + other.terms)

@@ -32,7 +32,6 @@ import numpy as np
 from .atoms import AtomicVector, inner, make_vector, norm
 from .algebra import (
     AlgebraElement,
-    AtomicMeasure,
     Function,
     Multiplier,
     apply_element,
@@ -195,6 +194,13 @@ class QuadratureError(ArithmeticError):
     """Two Gauss rule orders disagree: the expectation is not resolved."""
 
 
+def _check_method(method: str, mc_samples: int) -> None:
+    if method not in ("analytic", "quadrature", "mc"):
+        raise ValueError(f"unknown expectation method: {method!r}")
+    if method == "mc" and mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples!r}")
+
+
 def expect_function(
     d: Distribution,
     f: Function,
@@ -230,6 +236,7 @@ def expect_function(
     ``mc`` returns an :class:`McEstimate` with the standard error of the
     sample mean.
     """
+    _check_method(method, mc_samples)
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
@@ -238,8 +245,6 @@ def expect_function(
         var = float(np.mean(np.abs(vals - mean) ** 2))
         stderr = math.sqrt(var / mc_samples)
         return McEstimate(mean, stderr, mc_samples)
-    if method not in ("analytic", "quadrature"):
-        raise ValueError(f"unknown expectation method: {method!r}")
     if (method == "analytic" and isinstance(f, Multiplier)
             and f.lo == -math.inf and f.hi == math.inf):
         return f.c * cmath.exp(-1j * f.a * x) * d.chi(f.a) if f.a else f.c
@@ -286,36 +291,69 @@ def _pure_components(base: Union[PureState, MixedState]):
     return base.components
 
 
-def evaluate(s, A: AlgebraElement, method: str = "analytic") -> complex:
+def evaluate(
+    s,
+    A: AlgebraElement,
+    method: str = "analytic",
+    mc_samples: int = 100_000,
+    gen: Optional[np.random.Generator] = None,
+):
     """Value of the functional s on the normal-form operator A.
 
     A pure state gives (u, A u) and a mixed state the weighted sum over its
     components.  A normal state gives tr(rho A) from its matrix, with no
     eigen-decomposition: each term of A pairs support atoms by bit-equal
     frequencies, as ``apply_shift`` does, so the value agrees with that of
-    the spectral mixture up to rounding.  Averaged states take expectations
-    over the smoothing law by ``method`` (see :func:`expect_function`); the
-    other kinds are exact and ignore it.
+    the spectral mixture up to rounding.  These kinds are exact and ignore
+    ``mc_samples`` and ``gen``.
+
+    Averaged states take expectations over the smoothing law by ``method``
+    (see :func:`expect_function`).  Under ``mc`` each expectation draws
+    ``mc_samples`` shifts from ``gen`` and the value is an
+    :class:`McEstimate`: the weighted values add, the variances add as
+    (|weight| stderr)^2, and ``samples`` is the per-expectation count.  A
+    :class:`StateDecomposition` combines its parts the same way, so it
+    returns an :class:`McEstimate` under ``mc`` when it has a singular part.
+    ``method`` must be ``analytic``, ``quadrature`` or ``mc`` for every kind.
     """
+    _check_method(method, mc_samples)
     if isinstance(s, PureState):
         return inner(s.vector, apply_element(A, s.vector))
     if isinstance(s, NormalState):
         return _evaluate_normal(s, A)
-    if isinstance(s, MixedState):
-        return sum(
-            (w * evaluate(ps, A, method) for w, ps in s.components), 0j
-        )
     if isinstance(s, AveragedState):
-        return _evaluate_averaged(s, A, method)
-    if isinstance(s, StateDecomposition):
+        return _weighted_sum(
+            _averaged_terms(s, A, method, mc_samples, gen), mc_samples, method == "mc"
+        )
+    if isinstance(s, MixedState):
+        parts = s.components
+    elif isinstance(s, StateDecomposition):
         p = s.normal_weight
-        total = 0j
-        for w, st in s.normal_components:
-            total += p * w * evaluate(st, A, method)
-        for w, st in s.singular_components:
-            total += (1.0 - p) * w * evaluate(st, A, method)
-        return total
-    raise TypeError(f"not a state: {s!r}")
+        parts = [(p * w, st) for w, st in s.normal_components]
+        parts += [((1.0 - p) * w, st) for w, st in s.singular_components]
+    else:
+        raise TypeError(f"not a state: {s!r}")
+    return _weighted_sum(
+        ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in parts), mc_samples
+    )
+
+
+def _weighted_sum(pairs, mc_samples: int, estimate: bool = False):
+    """Sum of weight * value over (weight, value) pairs.
+
+    An :class:`McEstimate` value adds its variance as (|weight| stderr)^2 and
+    makes the sum an :class:`McEstimate`; so does ``estimate``.
+    """
+    total = 0j
+    variance = 0.0
+    for weight, v in pairs:
+        if isinstance(v, McEstimate):
+            estimate = True
+            total += weight * v.value
+            variance += (abs(weight) * v.stderr) ** 2
+        else:
+            total += weight * v
+    return McEstimate(total, math.sqrt(variance), mc_samples) if estimate else total
 
 
 def _evaluate_normal(s: NormalState, A: AlgebraElement) -> complex:
@@ -339,15 +377,14 @@ def _evaluate_normal(s: NormalState, A: AlgebraElement) -> complex:
     return total
 
 
-def _evaluate_averaged(s: AveragedState, A: AlgebraElement, method: str) -> complex:
-    """E <T_xi base, A> term by term.
+def _averaged_terms(s: AveragedState, A: AlgebraElement, method, mc_samples, gen):
+    """(weight, E f(xi - p_j)) pairs whose weighted sum is E <T_xi base, A>.
 
     For a term c M_f S_a the pairs of base atoms with p_j = p_k - a
     contribute conj(c_j) c_k E f(xi - p_j); the random shift cancels for
     the pairing itself (shift-evaluation invariance) and survives only
     inside the multiplier argument.
     """
-    total = 0j
     for w, ps in _pure_components(s.base):
         u = ps.vector
         for c, f, a in A.terms:
@@ -355,9 +392,9 @@ def _evaluate_averaged(s: AveragedState, A: AlgebraElement, method: str) -> comp
             for atom_j in u:
                 ck = shifted.get(atom_j.p, 0j)
                 if ck != 0:
-                    e = expect_function(s.smoothing, f, atom_j.p, method=method)
-                    total += w * c * atom_j.c.conjugate() * ck * e
-    return total
+                    yield w * c * atom_j.c.conjugate() * ck, expect_function(
+                        s.smoothing, f, atom_j.p, method, mc_samples, gen
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,51 +434,6 @@ def averaged_T(d: Distribution, s: State) -> AveragedState:
     raise TypeError(f"not a state: {s!r}")
 
 
-def eval_averaged_on_mult(
-    avg: AveragedState,
-    f: Function,
-    method: str = "analytic",
-    mc_samples: int = 100_000,
-    gen: Optional[np.random.Generator] = None,
-):
-    """<E T_xi base, M_f> = sum_k |c_k|^2 E f(xi - p_k)."""
-    if method == "mc":
-        values = []
-        variances = 0.0
-        total = 0j
-        for w, ps in _pure_components(avg.base):
-            for atom in ps.vector:
-                est = expect_function(
-                    avg.smoothing, f, atom.p, "mc", mc_samples, gen
-                )
-                coef = w * abs(atom.c) ** 2
-                total += coef * est.value
-                variances += (coef * est.stderr) ** 2
-        return McEstimate(total, math.sqrt(variances), mc_samples)
-    total = 0j
-    for w, ps in _pure_components(avg.base):
-        for atom in ps.vector:
-            total += w * abs(atom.c) ** 2 * expect_function(
-                avg.smoothing, f, atom.p, method=method
-            )
-    return total
-
-
-def eval_averaged_on_shift_convolution(avg: AveragedState, m: AtomicMeasure) -> complex:
-    """<E T_xi base, sum_j w_j S_{a_j}> -- identical to the unaveraged value."""
-    total = 0j
-    for a, w in m.atoms:
-        total += w * evaluate_base_on_shift(avg.base, a)
-    return total
-
-
-def evaluate_base_on_shift(base: Union[PureState, MixedState], a: float) -> complex:
-    total = 0j
-    for w, ps in _pure_components(base):
-        total += w * inner(ps.vector, apply_shift(a, ps.vector))
-    return total
-
-
 def projector_value(
     avg: AveragedState,
     v: AtomicVector,
@@ -456,8 +448,9 @@ def projector_value(
     property of a singular state.  Discrete smoothing sums over the law's
     atoms and may be positive.  Both methods take (S_x u, v) from
     :func:`~atomdyn.algebra.shift_overlaps`: ``analytic`` at the law's atoms,
-    ``mc`` at ``mc_samples`` draws.
+    ``mc`` at ``mc_samples`` draws; ``quadrature`` is ``analytic``.
     """
+    _check_method(method, mc_samples)
     nv = norm(v)
     if abs(nv - 1.0) > _UNIT_TOL:
         raise ValueError(f"projector direction must be unit norm, got {nv!r}")

@@ -35,11 +35,7 @@ from .atoms import AtomicVector, deserialize, inner, make_vector, norm, unit_ato
 from .trig import (
     CesaroQuadratureConfig,
     auto_config,
-    cesaro_inner_analytic,
     cesaro_inner_numeric,
-    harmonic,
-    fourier,
-    make_polynomial,
     modulation_gap_numeric,
 )
 from .algebra import (
@@ -256,16 +252,18 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     gen = rng.stream(1)
     res = 0.0
     for _ in range(200):
-        u = make_polynomial(
+        u = make_vector(
             [(p, complex(c, s)) for p, c, s in
              zip(gen.uniform(-5, 5, 3), gen.normal(size=3), gen.normal(size=3))]
         )
-        v = make_polynomial(
+        v = make_vector(
             [(p, complex(c, s)) for p, c, s in
              zip(list(gen.uniform(-5, 5, 2)) + [u.atoms[0].p if u.atoms else 0.0],
                  gen.normal(size=3), gen.normal(size=3))]
         )
-        res = max(res, abs(cesaro_inner_analytic(u, v) - inner(fourier(u), fourier(v))))
+        # the Kronecker rule, written out from the amplitudes of v
+        kron = sum((a.c.conjugate() * v.amplitude(a.p) for a in u), 0j)
+        res = max(res, abs(inner(u, v) - kron))
     check("fourier_isometry", res)
 
     gen = rng.stream(2)
@@ -373,9 +371,9 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     dp = _number(config.get("delta_p", 1.0), "delta_p")
     x_list = _number_list(config, "X_list", [1e2, 1e3, 1e4], float, "positive")
     gap_s = _number(config.get("gap_s", 1.0), "gap_s")
-    u = harmonic(0.0)
-    v = harmonic(dp)
-    kron = cesaro_inner_analytic(u, v)
+    u = unit_atom(0.0)
+    v = unit_atom(dp)
+    kron = inner(u, v)
 
     def point(X: float) -> dict:
         cfg = auto_config(X, u, v)

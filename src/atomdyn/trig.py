@@ -19,19 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import (
-    AtomicVector, dump_document, inner, load_document, make_vector, unit_atom,
-)
-
-TrigPolynomial = AtomicVector
-
-# the polynomial names of the vector operations
-make_polynomial = make_vector
-harmonic = unit_atom
-cesaro_inner_analytic = inner
+from .atoms import AtomicVector, dump_document, load_document
 
 
-def pointwise(u: TrigPolynomial, x: np.ndarray) -> np.ndarray:
+def pointwise(u: AtomicVector, x: np.ndarray) -> np.ndarray:
     """Values of sum_k c_k e^{i p_k x} on an array of sample points."""
     out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
     for t in u:
@@ -58,28 +49,19 @@ def default_steps(window: float, max_gap: float) -> int:
     return max(64, math.ceil(40.0 * window * max_gap / (2.0 * math.pi)))
 
 
-def auto_config(window: float, u: TrigPolynomial, v: TrigPolynomial) -> CesaroQuadratureConfig:
+def auto_config(window: float, u: AtomicVector, v: AtomicVector) -> CesaroQuadratureConfig:
     freqs = [t.p for t in u] + [t.p for t in v]
     max_gap = max((abs(a - b) for a in freqs for b in freqs), default=1.0)
     return CesaroQuadratureConfig(window, default_steps(window, max(max_gap, 1.0)))
 
 
 def cesaro_inner_numeric(
-    u: TrigPolynomial, v: TrigPolynomial, cfg: CesaroQuadratureConfig
+    u: AtomicVector, v: AtomicVector, cfg: CesaroQuadratureConfig
 ) -> complex:
     """Finite-window average (1/2X) int_{-X}^{X} conj(u) v dx by trapezoid."""
     x = np.linspace(-cfg.window, cfg.window, cfg.steps)
     integrand = np.conj(pointwise(u, x)) * pointwise(v, x)
     return complex(np.trapezoid(integrand, x) / (2.0 * cfg.window))
-
-
-def fourier(u: TrigPolynomial) -> AtomicVector:
-    """e^{ipx} -> unit atom at p: the same data, so u itself; unitary."""
-    return u
-
-
-def inverse_fourier(uhat: AtomicVector) -> TrigPolynomial:
-    return uhat
 
 
 def modulation_gap_numeric(s: float, p: float, cfg: CesaroQuadratureConfig) -> float:
@@ -103,10 +85,10 @@ def modulation_gap_exact(s: float, window: float) -> float:
     return 2.0 - 2.0 * math.sin(s * window) / (s * window)
 
 
-def serialize(u: TrigPolynomial) -> str:
+def serialize(u: AtomicVector) -> str:
     """JSON document: {"terms":[{"p":...,"re":...,"im":...}, ...]}."""
     return dump_document(u, "terms")
 
 
-def deserialize(text: str) -> TrigPolynomial:
+def deserialize(text: str) -> AtomicVector:
     return load_document(text, "terms")

@@ -13,7 +13,6 @@ from atomdyn.algebra import (
     compose,
     constant,
     indicator,
-    point_measure,
     wave,
 )
 from atomdyn.rand import (
@@ -28,6 +27,7 @@ from atomdyn.rand import (
 )
 from atomdyn.channels import (
     AveragedState,
+    McEstimate,
     MixedState,
     NormalState,
     PureState,
@@ -38,8 +38,6 @@ from atomdyn.channels import (
     channel_Phi,
     channel_T,
     dephasing_kernel,
-    eval_averaged_on_mult,
-    eval_averaged_on_shift_convolution,
     evaluate,
     expect_function,
     normality_witness,
@@ -307,38 +305,130 @@ class TestAveragedT:
 
 
 class TestEvalAveragedOnMult:
+    """Averaged states on multiplication operators M_f through ``evaluate``."""
+
     def test_constant_is_unital(self):
         avg = averaged_T(Cauchy(1.0), uniform_pair())
-        assert eval_averaged_on_mult(avg, constant(1.0)) == pytest.approx(1.0)
+        assert evaluate(avg, AlgebraElement.mult(constant(1.0))) == pytest.approx(1.0)
 
     def test_single_atom_reduces_to_expectation(self):
         p0 = 0.7
         avg = averaged_T(Gaussian(1.0), PureState(unit_atom(p0)))
-        f = indicator(0.0, 2.0)
+        M = AlgebraElement.mult(indicator(0.0, 2.0))
         # E f(xi - p0) = P(p0 <= xi <= 2 + p0)
         expected = normal_cdf(2.0 + p0) - normal_cdf(p0)
-        assert eval_averaged_on_mult(avg, f) == pytest.approx(expected, abs=1e-12)
+        assert evaluate(avg, M) == pytest.approx(expected, abs=1e-12)
 
     def test_quadrature_matches_analytic(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        f = indicator(-0.5, 1.5)
-        a = eval_averaged_on_mult(avg, f, method="analytic")
-        q = eval_averaged_on_mult(avg, f, method="quadrature")
+        M = AlgebraElement.mult(indicator(-0.5, 1.5))
+        a = evaluate(avg, M, method="analytic")
+        q = evaluate(avg, M, method="quadrature")
         assert abs(a - q) <= 1e-8
 
     def test_mc_agrees_within_band(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        f = indicator(-0.5, 1.5)
-        a = eval_averaged_on_mult(avg, f)
-        est = eval_averaged_on_mult(
-            avg, f, method="mc", mc_samples=20_000, gen=SeededRng(31).stream(0)
+        M = AlgebraElement.mult(indicator(-0.5, 1.5))
+        a = evaluate(avg, M)
+        est = evaluate(
+            avg, M, method="mc", mc_samples=20_000, gen=SeededRng(31).stream(0)
         )
         assert abs(est.value - a) <= 4.0 * est.stderr
 
     def test_discrete_smoothing_exact_sum(self):
         avg = averaged_T(Rademacher(), PureState(unit_atom(0.0)))
-        f = indicator(0.5, 1.5)  # hit only by xi = +1
-        assert eval_averaged_on_mult(avg, f) == pytest.approx(0.5)
+        M = AlgebraElement.mult(indicator(0.5, 1.5))  # hit only by xi = +1
+        assert evaluate(avg, M) == pytest.approx(0.5)
+
+
+class TestEvaluateMonteCarlo:
+    M = AlgebraElement.mult(indicator(-0.5, 1.5))
+
+    @pytest.mark.parametrize("base", [
+        PureState(unit_atom(0.3)),
+        uniform_pair(),
+        MixedState(((0.4, PureState(unit_atom(0.0))), (0.6, uniform_pair()))),
+    ], ids=["one-atom", "two-atom", "mixed"])
+    def test_within_four_stderr(self, base):
+        avg = averaged_T(Gaussian(1.0), base)
+        est = evaluate(avg, self.M, "mc", mc_samples=20_000, gen=SeededRng(34).stream(0))
+        assert isinstance(est, McEstimate)
+        assert est.samples == 20_000
+        assert abs(est.value - evaluate(avg, self.M)) <= 4.0 * est.stderr
+
+    def test_multi_term_within_four_stderr(self):
+        avg = averaged_T(Gaussian(1.0), uniform_pair())
+        A = AlgebraElement.of([(1.0, indicator(-0.5, 1.5), 0.0), (0.5, wave(0.7), 1.0)])
+        est = evaluate(avg, A, "mc", mc_samples=20_000, gen=SeededRng(36).stream(0))
+        assert est.stderr > 0
+        assert abs(est.value - evaluate(avg, A)) <= 4.0 * est.stderr
+
+    def test_stderr_is_root_sum_of_squares(self):
+        base = MixedState(((0.25, PureState(unit_atom(0.0))), (0.75, uniform_pair())))
+        avg = averaged_T(Gaussian(1.0), base)
+        est = evaluate(avg, self.M, "mc", mc_samples=5_000, gen=SeededRng(32).stream(0))
+        # replay the per-expectation draws in the same order
+        replay = SeededRng(32).stream(0)
+        f = self.M.terms[0][1]
+        terms = [
+            (w * abs(a.c) ** 2,
+             expect_function(avg.smoothing, f, a.p, "mc", 5_000, replay))
+            for w, ps in base.components for a in ps.vector
+        ]
+        assert len(terms) == 3
+        assert est.value == pytest.approx(sum(w * e.value for w, e in terms), abs=1e-14)
+        assert est.stderr == pytest.approx(
+            math.sqrt(sum((w * e.stderr) ** 2 for w, e in terms)), rel=1e-12
+        )
+        assert est.samples == 5_000
+
+    def test_split_with_singular_part(self):
+        u = PureState(unit_atom(0.0))
+        avg = averaged_T(Gaussian(1.0), u)
+        split = yosida_hewitt_split([(0.3, u), (0.7, avg)])
+        est = evaluate(split, self.M, "mc", mc_samples=20_000, gen=SeededRng(33).stream(0))
+        assert isinstance(est, McEstimate)
+        assert abs(est.value - evaluate(split, self.M)) <= 4.0 * est.stderr
+        # the normal part is exact; only the singular part carries an error
+        alone = evaluate(avg, self.M, "mc", mc_samples=20_000, gen=SeededRng(33).stream(0))
+        assert est.stderr == pytest.approx(0.7 * alone.stderr, rel=1e-12)
+
+    def test_exact_kinds_ignore_mc(self):
+        rho = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
+        discrete = yosida_hewitt_split([(1.0, averaged_T(Rademacher(), uniform_pair()))])
+        for s in (uniform_pair(), rho, MixedState(((1.0, uniform_pair()),)), discrete):
+            assert evaluate(s, self.M, "mc") == evaluate(s, self.M)
+
+    def test_missing_generator_raises(self):
+        avg = averaged_T(Gaussian(1.0), uniform_pair())
+        split = yosida_hewitt_split([(0.5, uniform_pair()), (0.5, avg)])
+        for s in (avg, split):
+            with pytest.raises(ValueError, match="generator"):
+                evaluate(s, self.M, "mc")
+
+
+class TestMethodValidation:
+    def test_unknown_method_rejected_for_every_kind(self):
+        A = AlgebraElement.shift(1.0)
+        rho = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
+        avg = averaged_T(Gaussian(1.0), uniform_pair())
+        split = yosida_hewitt_split([(0.5, uniform_pair()), (0.5, avg)])
+        for s in (uniform_pair(), rho, MixedState(((1.0, uniform_pair()),)), avg, split):
+            with pytest.raises(ValueError, match="unknown expectation method"):
+                evaluate(s, A, "simpson")
+        with pytest.raises(ValueError, match="unknown expectation method"):
+            projector_value(avg, unit_atom(0.0), method="simpson")
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_mc_samples_below_one_rejected(self, n):
+        avg = averaged_T(Gaussian(1.0), uniform_pair())
+        gen = SeededRng(35).stream(0)
+        with pytest.raises(ValueError, match="mc_samples"):
+            expect_function(Gaussian(1.0), wave(1.0), 0.0, "mc", mc_samples=n, gen=gen)
+        with pytest.raises(ValueError, match="mc_samples"):
+            projector_value(avg, unit_atom(0.0), "mc", mc_samples=n, gen=gen)
+        with pytest.raises(ValueError, match="mc_samples"):
+            evaluate(avg, AlgebraElement.shift(1.0), "mc", mc_samples=n, gen=gen)
 
 
 def wave_expectation(d, a, x):
@@ -451,30 +541,30 @@ class TestExpectFunction:
 
 
 class TestShiftConvolution:
+    """Averaged states on convolutions sum_j w_j S_{a_j} through ``evaluate``."""
+
     def test_identity_measure(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        val = eval_averaged_on_shift_convolution(avg, point_measure((0.0, 1.0)))
+        val = evaluate(avg, AlgebraElement.of([(1.0, ONE, 0.0)]))
         assert val == pytest.approx(1.0, abs=1e-15)
 
     def test_half_overlap(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        val = eval_averaged_on_shift_convolution(avg, point_measure((1.0, 1.0)))
+        val = evaluate(avg, AlgebraElement.of([(1.0, ONE, 1.0)]))
         assert val == pytest.approx(0.5)
 
     def test_off_grid_measure_vanishes(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        val = eval_averaged_on_shift_convolution(avg, point_measure((0.37, 1.0)))
+        val = evaluate(avg, AlgebraElement.of([(1.0, ONE, 0.37)]))
         assert val == 0.0
 
     def test_matches_unaveraged_evaluation(self):
         gen = np.random.default_rng(6)
+        A = AlgebraElement.of([(0.3, ONE, 0.0), (0.5j, ONE, 1.0), (0.2, ONE, -2.0)])
         for _ in range(20):
             s = PureState(random_unit_vector(gen))
-            m = point_measure((0.0, 0.3), (1.0, 0.5j), (-2.0, 0.2))
             avg = averaged_T(Gaussian(1.0), s)
-            assert eval_averaged_on_shift_convolution(avg, m) == pytest.approx(
-                evaluate(s, AlgebraElement.from_measure(m)), abs=1e-13
-            )
+            assert evaluate(avg, A) == pytest.approx(evaluate(s, A), abs=1e-13)
 
 
 class TestSingularity:

@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from atomdyn.atoms import inner
+from atomdyn.atoms import inner, make_vector, unit_atom
 from atomdyn.trig import (
     CesaroQuadratureConfig,
     auto_config,
-    cesaro_inner_analytic,
     cesaro_inner_numeric,
     default_steps,
     deserialize,
-    fourier,
-    harmonic,
-    inverse_fourier,
-    make_polynomial,
     modulation_gap_exact,
     modulation_gap_numeric,
     serialize,
@@ -28,26 +23,31 @@ def window_oracle(dp: float, X: float) -> complex:
     return complex(math.sin(dp * X) / (dp * X))
 
 
+def kronecker(u, v) -> complex:
+    """The Kronecker rule sum_p conj(c_u(p)) c_v(p), written out from amplitudes."""
+    return sum((a.c.conjugate() * v.amplitude(a.p) for a in u), 0j)
+
+
 class TestAnalyticInner:
     def test_orthonormality(self):
-        assert cesaro_inner_analytic(harmonic(1), harmonic(1)) == 1
-        assert cesaro_inner_analytic(harmonic(1), harmonic(2)) == 0
+        assert inner(unit_atom(1), unit_atom(1)) == 1
+        assert inner(unit_atom(1), unit_atom(2)) == 0
 
     def test_linearity(self):
-        u = make_polynomial([(0, 2.0), (3, 1.0)])
-        assert cesaro_inner_analytic(u, harmonic(3)) == 1
+        u = make_vector([(0, 2.0), (3, 1.0)])
+        assert inner(u, unit_atom(3)) == 1
 
 
 class TestNumericInner:
     def test_equal_frequencies_any_window(self):
         for X in (1.0, 37.0, 1e3):
             cfg = CesaroQuadratureConfig(X, 256)
-            val = cesaro_inner_numeric(harmonic(1), harmonic(1), cfg)
+            val = cesaro_inner_numeric(unit_atom(1), unit_atom(1), cfg)
             assert abs(val - 1) <= 1e-13
 
     @pytest.mark.parametrize("X,bound,quad_tol", [(1e3, 2e-3, 1e-5), (1e4, 2e-4, 1e-6)])
     def test_distinct_frequencies_decay(self, X, bound, quad_tol):
-        u, v = harmonic(0), harmonic(1)
+        u, v = unit_atom(0), unit_atom(1)
         val = cesaro_inner_numeric(u, v, auto_config(X, u, v))
         assert abs(val) <= bound
         # agrees with the exact finite-window antiderivative up to the
@@ -59,7 +59,7 @@ class TestNumericInner:
         X = 500.0
         for _ in range(20):
             dp = float(gen.uniform(0.2, 4.0))
-            u, v = harmonic(0.0), harmonic(dp)
+            u, v = unit_atom(0.0), unit_atom(dp)
             val = cesaro_inner_numeric(u, v, auto_config(X, u, v))
             assert abs(val) <= 2.0 / (dp * X) + 1e-6
 
@@ -74,37 +74,25 @@ class TestNumericInner:
 
 
 class TestFourier:
-    def test_termwise_atom(self):
-        assert fourier(harmonic(2)) == __import__("atomdyn").unit_atom(2.0)
-
-    def test_round_trip(self):
-        gen = np.random.default_rng(5)
-        for _ in range(50):
-            u = make_polynomial(
-                [(p, complex(x, y)) for p, x, y in
-                 zip(gen.uniform(-5, 5, 4), gen.normal(size=4), gen.normal(size=4))]
-            )
-            assert inverse_fourier(fourier(u)) == u
-
     def test_isometry_exact(self):
         gen = np.random.default_rng(9)
         for _ in range(200):
             shared = float(gen.uniform(-5, 5))
-            u = make_polynomial(
+            u = make_vector(
                 [(shared, complex(*gen.normal(size=2))),
                  (float(gen.uniform(-5, 5)), complex(*gen.normal(size=2)))]
             )
-            v = make_polynomial(
+            v = make_vector(
                 [(shared, complex(*gen.normal(size=2))),
                  (float(gen.uniform(-5, 5)), complex(*gen.normal(size=2)))]
             )
-            assert cesaro_inner_analytic(u, v) == inner(fourier(u), fourier(v))
+            assert inner(u, v) == kronecker(u, v)
 
     def test_kronecker_both_sides(self):
-        u = make_polynomial([(0, 1.0), (1, 1.0)])
-        v = harmonic(1)
-        assert cesaro_inner_analytic(u, v) == 1
-        assert inner(fourier(u), fourier(v)) == 1
+        u = make_vector([(0, 1.0), (1, 1.0)])
+        v = unit_atom(1)
+        assert inner(u, v) == 1
+        assert kronecker(u, v) == 1
 
 
 class TestModulationGap:
@@ -135,7 +123,7 @@ class TestModulationGap:
 
 class TestSerialization:
     def test_round_trip(self):
-        u = make_polynomial([(0.5, 1 + 2j), (-1.0, 3.0)])
+        u = make_vector([(0.5, 1 + 2j), (-1.0, 3.0)])
         assert deserialize(serialize(u)) == u
 
     def test_malformed(self):
