@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Tuple, Union
 
 import numpy as np
 
-from .atoms import Atom, AtomicVector, inner, make_vector, norm
+from .atoms import AtomicVector, canonical, cmul, inner, merge, norm
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +46,10 @@ def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
         raise ValueError(f"non-finite shift: {h!r}")
     if h == 0:
         return u
-    atoms = tuple([Atom(a.p - h, a.c) for a in u])
-    for x, y in zip(atoms, atoms[1:]):
-        if x.p == y.p:
-            return make_vector((a.p, a.c) for a in atoms)
-    return AtomicVector(atoms)
+    q = u.freqs - h
+    if np.count_nonzero(q[1:] == q[:-1]):
+        return merge(q, u.amps)
+    return AtomicVector(q, u.amps)
 
 
 def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
@@ -59,9 +58,7 @@ def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
         raise ValueError(f"non-finite modulation: {a!r}")
     if a == 0:
         return u
-    return AtomicVector(
-        tuple(Atom(at.p, cmath.exp(1j * a * at.p) * at.c) for at in u)
-    )
+    return AtomicVector(u.freqs, cmul(np.exp(cmul(1j * a, u.freqs)), u.amps))
 
 
 def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
@@ -79,8 +76,8 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     out = np.zeros(xs.shape, dtype=complex)
     if not len(u) or not len(v):
         return out
-    vp = np.array(v.frequencies)
-    vc = [b.c for b in v]
+    vp = v.freqs
+    vc = v.amps.tolist()
     merged = np.zeros(xs.shape, dtype=bool)
     prev = None
     for a in u:
@@ -111,7 +108,7 @@ def weyl_residual(h: float, a: float, u: AtomicVector) -> float:
 
 def generator_apply(h: float, u: AtomicVector) -> AtomicVector:
     """Derivative of the shift group at t=0: the wave at p gains factor ihp."""
-    return make_vector([(t.p, 1j * h * t.p * t.c) for t in u])
+    return canonical(u.freqs, cmul(cmul(1j * h, u.freqs), u.amps))
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +293,38 @@ class AlgebraElement:
         return AlgebraElement.of([(alpha * c, f, a) for c, f, a in self.terms])
 
 
-def apply_mult(f: Function, u: AtomicVector) -> AtomicVector:
-    return make_vector([(a.p, f(a.p) * a.c) for a in u])
-
-
 def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
-    out = AtomicVector()
+    """sum_j c_j M_{f_j} S_{a_j} u, as the sum of the terms' vectors in term order.
+
+    The term vectors c_j f_j(q) c for the atoms (q, c) of S_{a_j} u are
+    concatenated and merged once, so each frequency's amplitude adds the
+    terms' values left to right, as ``out + c_j M_{f_j} S_{a_j} u`` term by
+    term does.  That fold keeps the frequency key of the term that brought
+    an atom in until its sum cancels exactly; only -0.0 and 0.0 are distinct
+    keys that compare equal, so the zero atom's key is set to match.
+
+    ``f.at(q)`` rounds c e^{iaq} by numpy's complex product, which may
+    differ from ``f(q)`` in the last bit; it cannot here, since a normal
+    form keeps c = 1 in every :class:`Multiplier`, and the signs of zero
+    parts it may flip vanish in the merge, which adds every amplitude to 0j.
+    """
+    if not A.terms:
+        return AtomicVector()
+    qs, ws = [], []
     for c, f, a in A.terms:
-        out = out + c * apply_mult(f, apply_shift(a, u))
-    return out
+        s = apply_shift(a, u)
+        qs.append(s.freqs)
+        ws.append(cmul(c, cmul(f.at(s.freqs), s.amps)))
+    q, w = np.concatenate(qs), np.concatenate(ws)
+    at_zero = q == 0
+    if np.count_nonzero(at_zero):
+        hits = at_zero & (w != 0)
+        total = 0j
+        for key, term in zip(q[hits], w[hits]):
+            if total == 0:
+                q[at_zero] = key
+            total += term
+    return merge(q, w)
 
 
 def compose(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:

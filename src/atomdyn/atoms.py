@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -23,35 +25,76 @@ class Atom:
     c: complex
 
 
-@dataclass(frozen=True)
 class AtomicVector:
-    """Immutable finite-support vector; atoms sorted by frequency.
+    """Immutable finite-support vector, stored as two arrays.
+
+    ``freqs`` holds the frequencies as sorted, pairwise distinct float64 and
+    ``amps`` the complex128 amplitudes in the same order, none of them zero.
+    Both are read-only and may be shared with other vectors.  Iteration and
+    ``atoms`` give the atoms as ``Atom(p, c)`` values with Python float and
+    complex fields.  Equality compares the atoms (-0.0 equals 0.0), and the
+    hash is that of the atom tuple.
 
     Construct through :func:`make_vector`, which merges duplicates and
-    drops zero amplitudes.  The empty vector is the zero vector.
+    drops zero amplitudes; the constructor trusts its arrays and makes them
+    read-only.  The empty vector is the zero vector.
     """
 
-    atoms: Tuple[Atom, ...] = ()
+    __slots__ = ("freqs", "amps")
+
+    def __init__(self, freqs=(), amps=()):
+        freqs = np.asarray(freqs, dtype=float)
+        amps = np.asarray(amps, dtype=complex)
+        freqs.setflags(write=False)
+        amps.setflags(write=False)
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "amps", amps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AtomicVector is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return AtomicVector, (self.freqs, self.amps)
 
     def __iter__(self):
-        return iter(self.atoms)
+        return map(Atom, self.freqs.tolist(), self.amps.tolist())
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.freqs)
+
+    @property
+    def atoms(self) -> Tuple[Atom, ...]:
+        return tuple(self)
 
     @property
     def frequencies(self) -> Tuple[float, ...]:
-        return tuple(a.p for a in self.atoms)
+        return tuple(self.freqs.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AtomicVector):
+            return NotImplemented
+        return (np.array_equal(self.freqs, other.freqs)
+                and np.array_equal(self.amps, other.amps))
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
+
+    def __repr__(self) -> str:
+        return f"AtomicVector(atoms={self.atoms!r})"
 
     def amplitude(self, p: float) -> complex:
         """Amplitude at frequency p (0 if no atom sits there)."""
-        for a in self.atoms:
-            if a.p == p:
-                return a.c
+        i = self.freqs.searchsorted(p)
+        if i < len(self.freqs) and self.freqs[i] == p:
+            return complex(self.amps[i])
         return 0j
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a.c) ** 2 for a in self.atoms))
+        """sqrt of sum |c|^2, the squares added in atom order."""
+        if not len(self.amps):
+            return 0.0
+        squares = np.float_power(np.hypot(self.amps.real, self.amps.imag), 2.0)
+        return math.sqrt(squares.cumsum()[-1])
 
     def __add__(self, other: "AtomicVector") -> "AtomicVector":
         return add(self, other)
@@ -66,6 +109,27 @@ class AtomicVector:
 ZERO = AtomicVector()
 
 
+# The array arithmetic below rounds as the Python scalar rules do, which are
+# the reference: numpy's complex product may fuse multiply-adds, so products
+# go through ``cmul``; ``np.sum`` adds pairwise, so sums are running sums;
+# ``abs`` of a complex is ``hypot`` and ``x ** 2`` is ``pow``.
+
+
+def cmul(x, y) -> np.ndarray:
+    """Elementwise x * y, rounded as Python's complex product is.
+
+    re = xr yr - xi yi and im = xr yi + xi yr, each product and sum rounded
+    on its own.  A real operand counts as complex with a zero imaginary
+    part, as in Python's mixed arithmetic.  One operand may be a scalar.
+    """
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    re = xr * yr - xi * yi
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = xr * yi + xi * yr
+    return out
+
+
 def _check_finite(p: float, c: complex) -> None:
     if not math.isfinite(p):
         raise ValueError(f"non-finite frequency: {p!r}")
@@ -74,20 +138,55 @@ def _check_finite(p: float, c: complex) -> None:
 
 
 def make_vector(pairs: Iterable[Tuple[float, complex]]) -> AtomicVector:
-    """Build a normalized vector from (frequency, amplitude) pairs.
+    """Build the merged normal form of (frequency, amplitude) pairs.
 
-    Duplicate frequencies (bit-equal floats) are merged by adding
-    amplitudes; atoms whose merged amplitude is exactly zero are dropped;
-    the result is sorted by frequency.
+    Duplicate frequencies (equal floats; -0.0 equals 0.0, and the frequency
+    seen first is kept) are merged by adding amplitudes in input order;
+    atoms whose merged amplitude is exactly zero are dropped; the result is
+    sorted by frequency.  The amplitudes are not rescaled to unit norm.
     """
-    acc: dict[float, complex] = {}
-    for p, c in pairs:
-        p = float(p)
-        c = complex(c)
-        _check_finite(p, c)
-        acc[p] = acc.get(p, 0j) + c
-    atoms = tuple(Atom(p, acc[p]) for p in sorted(acc) if acc[p] != 0)
-    return AtomicVector(atoms)
+    pairs = list(pairs)
+    ps = np.array([p for p, _ in pairs], dtype=float)
+    cs = np.array([c for _, c in pairs], dtype=complex)
+    finite = np.isfinite(ps) & np.isfinite(cs)
+    if np.count_nonzero(finite) < len(finite):
+        i = int(finite.argmin())
+        _check_finite(float(ps[i]), complex(cs[i]))
+    return merge(ps, cs)
+
+
+def merge(ps: np.ndarray, cs: np.ndarray) -> AtomicVector:
+    """:func:`make_vector` on finite arrays of frequencies and amplitudes.
+
+    Each merged amplitude is 0j plus its group's amplitudes in input order,
+    the sum a dict accumulating ``acc[p] = acc.get(p, 0j) + c`` forms.
+    """
+    if len(ps) < 2:
+        return canonical(ps, cs)
+    order = ps.argsort()
+    repeat = ps[order[1:]] == ps[order[:-1]]
+    repeats = np.count_nonzero(repeat)
+    if not repeats:
+        return canonical(ps[order], cs[order])
+    # a stable sort keeps equal frequencies in input order
+    order = ps.argsort(kind="stable")
+    first = np.concatenate([[True], ~repeat])
+    sums = np.zeros(len(ps) - repeats, dtype=complex)
+    np.add.at(sums, first.cumsum() - 1, cs[order])
+    return canonical(ps[order][first], sums)
+
+
+def canonical(ps: np.ndarray, cs: np.ndarray) -> AtomicVector:
+    """The vector with atoms (ps[i], 0j + cs[i]) for sorted, distinct ps.
+
+    Adding 0j turns a -0.0 part into 0.0, as a merge does; atoms whose
+    amplitude is zero are dropped.
+    """
+    cs = cs + 0.0
+    keep = cs != 0
+    if np.count_nonzero(keep) < len(cs):
+        ps, cs = ps[keep], cs[keep]
+    return AtomicVector(ps, cs)
 
 
 def unit_atom(p: float) -> AtomicVector:
@@ -99,14 +198,16 @@ def inner(u: AtomicVector, v: AtomicVector) -> complex:
     """Inner product, conjugate-linear in the first argument.
 
     Only bit-identical frequencies contribute: (1_x, 1_y) = delta_{x,y}.
+    The products conj(c_u) c_v are added in u's atom order, starting at 0j.
     """
-    vmap = {a.p: a.c for a in v}
-    total = 0j
-    for a in u:
-        cv = vmap.get(a.p)
-        if cv is not None:
-            total += a.c.conjugate() * cv
-    return total
+    if not len(u) or not len(v):
+        return 0j
+    i = v.freqs.searchsorted(u.freqs)
+    np.minimum(i, len(v) - 1, out=i)
+    hit = v.freqs[i] == u.freqs
+    if not np.count_nonzero(hit):
+        return 0j
+    return complex(cmul(u.amps[hit].conj(), v.amps[i[hit]]).cumsum()[-1]) + 0j
 
 
 def norm(u: AtomicVector) -> float:
@@ -114,11 +215,11 @@ def norm(u: AtomicVector) -> float:
 
 
 def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
-    return make_vector([(a.p, a.c) for a in u.atoms + v.atoms])
+    return merge(np.concatenate([u.freqs, v.freqs]), np.concatenate([u.amps, v.amps]))
 
 
 def scale(alpha: complex, u: AtomicVector) -> AtomicVector:
-    return make_vector([(a.p, alpha * a.c) for a in u])
+    return canonical(u.freqs, cmul(complex(alpha), u.amps))
 
 
 def dump_document(u: AtomicVector, key: str) -> str:

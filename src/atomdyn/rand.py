@@ -17,8 +17,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from atomdyn.atoms import inner, make_vector, norm, unit_atom
 from atomdyn.algebra import AlgebraElement, indicator, weyl_residual

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
@@ -314,3 +316,120 @@ class TestGenerator:
             assert norm(resid) <= bound
             errors.append(norm(resid))
         assert errors[0] > errors[1] > errors[2]
+
+
+# ---------------------------------------------------------------------------
+# Bit-equality with the dict-and-Python-complex rules
+#
+# Vectors are arrays; these references are the scalar rules the array code
+# must reproduce bit for bit: a dict merge in input order, Python complex
+# products, and apply_element as the fold out + c_j M_{f_j} S_{a_j} u.
+
+
+def ref_make(pairs):
+    acc = {}
+    for p, c in pairs:
+        p, c = float(p), complex(c)
+        acc[p] = acc.get(p, 0j) + c
+    return [(p, acc[p]) for p in sorted(acc) if acc[p] != 0]
+
+
+def ref_shift(h, atoms):
+    if h == 0:
+        return atoms
+    moved = [(p - h, c) for p, c in atoms]
+    if any(x[0] == y[0] for x, y in zip(moved, moved[1:])):
+        return ref_make(moved)
+    return moved
+
+
+def ref_mod(a, atoms):
+    if a == 0:
+        return atoms
+    return [(p, cmath.exp(1j * a * p) * c) for p, c in atoms]
+
+
+def ref_apply_element(terms, atoms):
+    out = []
+    for c, f, a in terms:
+        mult = ref_make([(p, f(p) * x) for p, x in ref_shift(a, atoms)])
+        out = ref_make(out + ref_make([(p, c * g) for p, g in mult]))
+    return out
+
+
+def atom_bits(atoms):
+    """Exact bits of (p, c) pairs, telling -0.0 from 0.0."""
+    return [(p.hex(), c.real.hex(), c.imag.hex()) for p, c in atoms]
+
+
+def vector_bits(v):
+    return atom_bits((a.p, a.c) for a in v)
+
+
+frequencies = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 1.0, -1.0, 0.5, 1e16, 1e16 + 2.0, 1e16 - 2.0]),
+    st.integers(-16, 16).map(lambda j: j / 8.0),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-1e3, 1e3, allow_nan=False))
+amplitudes = st.builds(complex, parts, parts)
+pair_lists = st.lists(st.tuples(frequencies, amplitudes), max_size=10)
+shifts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 1e16]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+multipliers = st.one_of(
+    st.just(ONE),
+    st.floats(-3, 3, allow_nan=False).map(wave),
+    st.tuples(frequencies, st.floats(0, 20)).map(lambda t: indicator(t[0], t[0] + t[1])),
+    st.builds(Multiplier, amplitudes, st.floats(-3, 3), st.just(-math.inf), st.just(math.inf)),
+    st.just(BoundedFunction("square", lambda y: y * y, 1e6)),
+)
+
+
+class TestArrayRules:
+    @settings(deadline=None)
+    @given(pair_lists, shifts)
+    def test_shift_mod_generator(self, pairs, h):
+        u, ref = make_vector(pairs), ref_make(pairs)
+        assert vector_bits(apply_shift(h, u)) == atom_bits(ref_shift(h, ref))
+        assert vector_bits(apply_mod(h, u)) == atom_bits(ref_mod(h, ref))
+        assert vector_bits(generator_apply(h, u)) == atom_bits(
+            ref_make([(p, 1j * h * p * c) for p, c in ref]))
+
+    def test_shift_collisions(self):
+        # 0.0 and 1e-300 both land on -1.0; 1e16 - 1 rounds to 1e16
+        pairs = [(0.0, 0.1), (1e-300, 0.7), (1e16, 1j), (1e16 + 2.0, 2.0), (3.0, 1.0)]
+        u = make_vector(pairs)
+        out = apply_shift(1.0, u)
+        assert vector_bits(out) == atom_bits(ref_shift(1.0, ref_make(pairs)))
+        assert out.frequencies == (-1.0, 2.0, 1e16)
+        assert out.amplitude(-1.0) == 0.7999999999999999 + 0j
+
+    @settings(deadline=None)
+    @given(pair_lists, st.lists(st.tuples(amplitudes, multipliers, shifts), min_size=3, max_size=3))
+    def test_apply_element(self, pairs, terms):
+        u, A = make_vector(pairs), AlgebraElement.of(terms)
+        assert vector_bits(apply_element(A, u)) == atom_bits(
+            ref_apply_element(A.terms, ref_make(pairs)))
+
+    @settings(deadline=None)
+    @given(pair_lists, amplitudes, shifts, st.tuples(amplitudes, multipliers, shifts))
+    def test_apply_element_with_exact_cancellation(self, pairs, c, a, third):
+        # the first two terms cancel on every atom, then the third adds in;
+        # a zero shift keeps a -0.0 key of u while the others bring 0.0
+        A = AlgebraElement.of([(c, ONE, a), (-c, indicator(-1e300, 1e300), a), third])
+        assume(len(A.terms) == 3)
+        u = make_vector(pairs)
+        assert vector_bits(apply_element(A, u)) == atom_bits(
+            ref_apply_element(A.terms, ref_make(pairs)))
+
+    def test_zero_key_follows_the_fold(self):
+        u = make_vector([(-0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
+        kept = AlgebraElement.of([(1.0, ONE, 0.0), (0.5, ONE, 2.0)])
+        restarted = AlgebraElement.of([(1.0, ONE, 0.0), (-1.0, ONE, 1.0), (0.5, ONE, 2.0)])
+        assert apply_element(kept, u).freqs[2].hex() == (-0.0).hex()
+        assert apply_element(restarted, u).freqs[2].hex() == (0.0).hex()
+        for A in (kept, restarted):
+            assert vector_bits(apply_element(A, u)) == atom_bits(
+                ref_apply_element(A.terms, ref_make([(a.p, a.c) for a in u])))

@@ -1,9 +1,14 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomdyn.atoms import (
+    Atom,
     AtomicVector,
     add,
     deserialize,
@@ -14,6 +19,7 @@ from atomdyn.atoms import (
     serialize,
     unit_atom,
 )
+from atomdyn.channels import PureState
 
 
 def random_vector(gen, max_atoms=8, grid=None):
@@ -132,3 +138,142 @@ class TestSerialization:
             deserialize("[1, 2]")
         with pytest.raises(ValueError):
             deserialize('{"atoms": [{"p": 0.0}]}')
+
+
+# ---------------------------------------------------------------------------
+# Bit-equality with the dict-and-Python-complex rules
+#
+# A vector is stored as arrays; the references below are the scalar rules it
+# must reproduce bit for bit: a dict merge in input order, Python complex
+# products, sums added left to right from 0j.
+
+
+def ref_make(pairs):
+    acc = {}
+    for p, c in pairs:
+        p, c = float(p), complex(c)
+        acc[p] = acc.get(p, 0j) + c
+    return [(p, acc[p]) for p in sorted(acc) if acc[p] != 0]
+
+
+def ref_inner(u, v):
+    vmap = dict(v)
+    total = 0j
+    for p, c in u:
+        cv = vmap.get(p)
+        if cv is not None:
+            total += c.conjugate() * cv
+    return total
+
+
+def ref_norm(u):
+    total = 0.0
+    for _, c in u:
+        total += abs(c) ** 2
+    return math.sqrt(total)
+
+
+def bits(x):
+    """Exact bits of a float or complex, telling -0.0 from 0.0."""
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    return float(x).hex()
+
+
+def vector_bits(atoms):
+    return [(bits(p), bits(c)) for p, c in atoms]
+
+
+SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 0.5, 1.0, -1.0, 1e16, 1e16 + 2.0]
+frequencies = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.integers(-16, 16).map(lambda j: j / 8.0),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.7]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+amplitudes = st.builds(complex, parts, parts)
+
+
+@st.composite
+def pair_lists(draw, max_size=12):
+    """Pairs with repeated frequencies, signed zeros and exact cancellations."""
+    pairs = draw(st.lists(st.tuples(frequencies, amplitudes), max_size=max_size))
+    for i in draw(st.lists(st.integers(0, max(len(pairs) - 1, 0)), max_size=4)):
+        if pairs:
+            p, c = pairs[i]
+            flip = draw(st.booleans())
+            pairs.append((-p if p == 0 and flip else p, -c if draw(st.booleans()) else c))
+    return pairs
+
+
+class TestArrayRules:
+    @settings(deadline=None)
+    @given(pair_lists())
+    def test_make_vector(self, pairs):
+        v = make_vector(pairs)
+        assert vector_bits((a.p, a.c) for a in v) == vector_bits(ref_make(pairs))
+        assert all(type(a.p) is float and type(a.c) is complex for a in v)
+
+    def test_make_vector_keeps_first_zero_key(self):
+        assert bits(make_vector([(-0.0, 1.0), (0.0, 2.0)]).freqs[0]) == bits(-0.0)
+        assert bits(make_vector([(0.0, 1.0), (-0.0, 2.0)]).freqs[0]) == bits(0.0)
+        assert make_vector([(-0.0, 1.0), (0.0, -1.0), (1.0, 2.0)]).frequencies == (1.0,)
+
+    @settings(deadline=None)
+    @given(pair_lists(), pair_lists())
+    def test_inner_norm_amplitude(self, pu, pv):
+        u, v = make_vector(pu), make_vector(pv)
+        ru, rv = ref_make(pu), ref_make(pv)
+        assert bits(inner(u, v)) == bits(ref_inner(ru, rv))
+        assert bits(inner(v, u)) == bits(ref_inner(rv, ru))
+        assert bits(norm(u)) == bits(ref_norm(ru))
+        for p in [p for p, _ in pu] + [0.0, 1e16]:
+            want = next((c for q, c in ru if q == p), 0j)
+            assert bits(u.amplitude(p)) == bits(want)
+
+    @settings(deadline=None)
+    @given(pair_lists(), pair_lists(), st.one_of(
+        st.sampled_from([-1, 2, 0.5, 1j, 0, -0.0]), amplitudes))
+    def test_add_and_scale(self, pu, pv, alpha):
+        u, v = make_vector(pu), make_vector(pv)
+        ru, rv = ref_make(pu), ref_make(pv)
+        assert vector_bits((a.p, a.c) for a in add(u, v)) == vector_bits(ref_make(ru + rv))
+        assert vector_bits((a.p, a.c) for a in scale(alpha, u)) == vector_bits(
+            ref_make([(p, alpha * c) for p, c in ru]))
+
+    @settings(deadline=None)
+    @given(pair_lists(), pair_lists())
+    def test_equality_and_hash(self, pu, pv):
+        u, v = make_vector(pu), make_vector(pv)
+        ru = tuple(Atom(p, c) for p, c in ref_make(pu))
+        rv = tuple(Atom(p, c) for p, c in ref_make(pv))
+        # the rules of a frozen dataclass over the atom tuple
+        assert (u == v) == (ru == rv)
+        assert hash(u) == hash((ru,))
+        assert u.atoms == ru
+        assert u == make_vector(reversed(ref_make(pu)))
+        if not len(u):
+            return
+        w = (1.0 / norm(u)) * u
+        if abs(norm(w) - 1.0) <= 1e-12:
+            s = PureState(w)
+            assert s == PureState(make_vector((a.p, a.c) for a in reversed(w.atoms)))
+            assert hash(s) == hash((w,))
+            assert {s: 1}[PureState(w)] == 1
+
+    def test_signed_zero_vectors_are_equal(self):
+        a, b = make_vector([(-0.0, 1.0)]), make_vector([(0.0, 1.0)])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "AtomicVector(atoms=(Atom(p=-0.0, c=(1+0j)),))"
+
+    def test_immutable(self):
+        v = make_vector([(1.0, 2.0)])
+        with pytest.raises(AttributeError):
+            v.freqs = np.array([0.0])
+        with pytest.raises(ValueError):
+            v.amps[0] = 0j
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert copy.deepcopy(v) == v

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
+from atomdyn.atoms import make_vector, norm, unit_atom
 from atomdyn.algebra import (
     ONE,
     AlgebraElement,
@@ -26,13 +26,11 @@ from atomdyn.rand import (
     Uniform,
 )
 from atomdyn.channels import (
-    AveragedState,
     McEstimate,
     MixedState,
     NormalState,
     PureState,
     QuadratureError,
-    StateDecomposition,
     averaged_Phi,
     averaged_T,
     channel_Phi,
