@@ -66,9 +66,10 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
 
     The rule of ``inner(apply_shift(x, u), v)``, bit for bit: the atom of u
     at p meets v where p - x is bit-equal to a frequency of v, and the
-    products conj(c_u) c_v add up in u's atom order.  Shifts at which two
-    atoms of u land on one frequency merge them first, so those few are
-    computed through ``apply_shift`` itself.
+    products conj(c_u) c_v, rounded by ``cmul`` as ``inner`` rounds them, add
+    up in u's atom order.  Shifts at which two atoms of u land on one
+    frequency merge them first, so those few are computed through
+    ``apply_shift`` itself.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -77,17 +78,13 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     if not len(u) or not len(v):
         return out
     vp = v.freqs
-    vc = v.amps.tolist()
     merged = np.zeros(xs.shape, dtype=bool)
     prev = None
     for a in u:
         q = a.p - xs
         idx = np.minimum(np.searchsorted(vp, q), len(vp) - 1)
         hit = vp[idx] == q
-        # products in Python complex arithmetic, as inner forms them (a
-        # numpy complex product may fuse its multiply-adds)
-        met, which = np.unique(idx[hit], return_inverse=True)
-        out[hit] += np.array([a.c.conjugate() * vc[k] for k in met], dtype=complex)[which]
+        out[hit] += cmul(a.c.conjugate(), v.amps[idx[hit]])
         if prev is not None:
             merged |= prev == q
         prev = q

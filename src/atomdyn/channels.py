@@ -7,11 +7,11 @@ of :mod:`atomdyn.algebra`.  Four representations are executable:
 * normal     -- a finite density matrix rho over a frequency support,
                 acting by tr(rho A);
 * mixed      -- a finite convex combination of pure states;
-* averaged   -- a base state smoothed by a random shift: the functional
-                A -> E <T_xi base, A>, kept *intensionally* as the pair
-                (base, law).  When the law is continuous this functional
-                vanishes on every finite-rank projector (it is singular),
-                so no matrix can represent it.
+* averaged   -- a pure, normal or mixed base state smoothed by a random
+                shift: the functional A -> E <T_xi base, A>, kept
+                *intensionally* as the pair (base, law).  When the law is
+                continuous this functional vanishes on every finite-rank
+                projector (it is singular), so no matrix can represent it.
 
 Channels: T_h conjugates by the shift S_h, Phi_h by the modulation M_h.
 Averaging Phi over a law multiplies density-matrix entries by
@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, inner, make_vector, norm
+from .atoms import AtomicVector, inner, norm, unit_atom
 from .algebra import (
     AlgebraElement,
     Function,
@@ -43,7 +43,6 @@ from .rand import Distribution, ConvolutionFamily, convolve
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
-_EIG_CUT = 1e-14
 # Gauss rule orders; "analytic" accepts the higher one only when both agree
 GAUSS_ORDERS = (64, 128)
 _RULE_TOL = 1e-9
@@ -67,10 +66,10 @@ class PureState:
 class NormalState:
     """Density matrix over a finite frequency support.
 
-    Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|.  ``evaluate``
-    reads the matrix directly as tr(rho A); the eigen-decomposition of
-    :meth:`spectral_mixture` is needed only to average the state under
-    ``averaged_T``.
+    Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|.  Every consumer
+    reads the matrix itself: ``evaluate`` as tr(rho A), and an averaged
+    state keeps rho as its base.  The only eigenvalue computation is the
+    positive-semidefiniteness check on construction.
     """
 
     support: Tuple[float, ...]
@@ -93,25 +92,6 @@ class NormalState:
         if k and np.linalg.eigvalsh(m).min() < -_PSD_TOL:
             raise ValueError("density matrix must be positive semidefinite")
 
-    def spectral_mixture(self) -> "MixedState":
-        """Eigen-decomposition as a convex combination of pure states.
-
-        Runs ``eigh``, drops eigenvalues <= 1e-14 and renormalizes the rest.
-        Only ``averaged_T`` of a normal state calls it, since an averaged
-        state keeps a pure or mixed base.
-        """
-        w, vecs = np.linalg.eigh(self.matrix)
-        comps = []
-        for i in range(len(w)):
-            if w[i] > _EIG_CUT:
-                v = make_vector(
-                    [(p, vecs[j, i]) for j, p in enumerate(self.support)]
-                )
-                v = (1.0 / norm(v)) * v
-                comps.append((float(w[i]), PureState(v)))
-        total = sum(c for c, _ in comps)
-        return MixedState(tuple((c / total, s) for c, s in comps))
-
 
 @dataclass(frozen=True)
 class MixedState:
@@ -127,9 +107,12 @@ class MixedState:
 
 @dataclass(frozen=True)
 class AveragedState:
-    """Lazy functional A -> E <T_xi base, A>; singular when smoothing is continuous."""
+    """Lazy functional A -> E <T_xi base, A>; singular when smoothing is continuous.
 
-    base: Union[PureState, MixedState]
+    The base is a pure, normal or mixed state, kept as given.
+    """
+
+    base: Union[PureState, NormalState, MixedState]
     smoothing: Distribution
 
     @property
@@ -285,12 +268,6 @@ def _expect_continuous(d, f, x, method):
 # Evaluation <state, A>
 
 
-def _pure_components(base: Union[PureState, MixedState]):
-    if isinstance(base, PureState):
-        return ((1.0, base),)
-    return base.components
-
-
 def evaluate(
     s,
     A: AlgebraElement,
@@ -302,13 +279,16 @@ def evaluate(
 
     A pure state gives (u, A u) and a mixed state the weighted sum over its
     components.  A normal state gives tr(rho A) from its matrix, with no
-    eigen-decomposition: each term of A pairs support atoms by bit-equal
-    frequencies, as ``apply_shift`` does, so the value agrees with that of
-    the spectral mixture up to rounding.  These kinds are exact and ignore
+    eigen-decomposition: each term c M_f S_a adds c np.dot(rho-pairs, f(q))
+    over the support atoms that the shift pairs by bit-equal frequencies,
+    as ``apply_shift`` does.  These kinds are exact and ignore
     ``mc_samples`` and ``gen``.
 
     Averaged states take expectations over the smoothing law by ``method``
-    (see :func:`expect_function`).  Under ``mc`` each expectation draws
+    (see :func:`expect_function`): a normal base takes the same dot with
+    E f(xi - q) in place of f(q), so a shift probe, where E f = 1, gives the
+    unaveraged value bit for bit; a mixed base is the mixture of its
+    components' averaged states.  Under ``mc`` each expectation draws
     ``mc_samples`` shifts from ``gen`` and the value is an
     :class:`McEstimate`: the weighted values add, the variances add as
     (|weight| stderr)^2, and ``samples`` is the per-expectation count.  A
@@ -320,22 +300,27 @@ def evaluate(
     if isinstance(s, PureState):
         return inner(s.vector, apply_element(A, s.vector))
     if isinstance(s, NormalState):
-        return _evaluate_normal(s, A)
+        return _weighted_sum(
+            ((c, complex(np.dot(r, f.at(q)))) for c, f, r, q in _pairings(s, A)), mc_samples
+        )
     if isinstance(s, AveragedState):
         return _weighted_sum(
             _averaged_terms(s, A, method, mc_samples, gen), mc_samples, method == "mc"
         )
-    if isinstance(s, MixedState):
-        parts = s.components
-    elif isinstance(s, StateDecomposition):
-        p = s.normal_weight
-        parts = [(p * w, st) for w, st in s.normal_components]
-        parts += [((1.0 - p) * w, st) for w, st in s.singular_components]
-    else:
-        raise TypeError(f"not a state: {s!r}")
     return _weighted_sum(
-        ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in parts), mc_samples
+        ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in _parts(s)), mc_samples
     )
+
+
+def _parts(s):
+    """(weight, state) pairs of a mixed state or a split, whose mixture is s."""
+    if isinstance(s, MixedState):
+        return s.components
+    if isinstance(s, StateDecomposition):
+        p = s.normal_weight
+        return ([(p * w, st) for w, st in s.normal_components]
+                + [((1.0 - p) * w, st) for w, st in s.singular_components])
+    raise TypeError(f"not a state: {s!r}")
 
 
 def _weighted_sum(pairs, mc_samples: int, estimate: bool = False):
@@ -356,44 +341,54 @@ def _weighted_sum(pairs, mc_samples: int, estimate: bool = False):
     return McEstimate(total, math.sqrt(variance), mc_samples) if estimate else total
 
 
-def _evaluate_normal(s: NormalState, A: AlgebraElement) -> complex:
-    """tr(rho A), term by term on the matrix.
+def _pairings(s: NormalState, A: AlgebraElement):
+    """(c, f, rho[k, j], q_k) for each term c M_f S_a of A.
 
-    A term c M_f S_a sends the support atom at p_k to q_k = p_k - a (the
+    The term sends the support atom at p_k to q_k = p_k - a (the
     subtraction of ``apply_shift``) and meets the atom j whose frequency is
-    bit-equal to q_k, contributing c rho[k, j] f(q_k).
+    bit-equal to q_k; tr(rho A) adds c rho[k, j] f(q_k) over those hits.
     """
     p = np.array(s.support, dtype=float)
     order = np.argsort(p)
     sorted_p = p[order]
-    total = 0j
     for c, f, a in A.terms:
         if not math.isfinite(a):
             raise ValueError(f"non-finite shift: {a!r}")
         q = p - a
         i = np.minimum(np.searchsorted(sorted_p, q), len(p) - 1)
         k = np.flatnonzero(sorted_p[i] == q)
-        total += c * complex(np.dot(s.matrix[k, order[i[k]]], f.at(q[k])))
-    return total
+        yield c, f, s.matrix[k, order[i[k]]], q[k]
 
 
 def _averaged_terms(s: AveragedState, A: AlgebraElement, method, mc_samples, gen):
-    """(weight, E f(xi - p_j)) pairs whose weighted sum is E <T_xi base, A>.
+    """(weight, value) pairs whose weighted sum is E <T_xi base, A>.
 
-    For a term c M_f S_a the pairs of base atoms with p_j = p_k - a
-    contribute conj(c_j) c_k E f(xi - p_j); the random shift cancels for
-    the pairing itself (shift-evaluation invariance) and survives only
-    inside the multiplier argument.
+    The random shift cancels in the pairing of atoms (shift-evaluation
+    invariance) and survives only inside the multiplier argument: a pure
+    base u pairs the atoms with p_j = p_k - a of a term c M_f S_a into
+    conj(c_j) c_k E f(xi - p_j), a normal base pairs its matrix.
     """
-    for w, ps in _pure_components(s.base):
-        u = ps.vector
+    d, base = s.smoothing, s.base
+    if isinstance(base, MixedState):
+        for w, st in base.components:
+            yield w, evaluate(AveragedState(st, d), A, method, mc_samples, gen)
+    elif isinstance(base, NormalState):
+        for c, f, r, q in _pairings(base, A):
+            es = [expect_function(d, f, x, method, mc_samples, gen) for x in q.tolist()]
+            if method == "mc":
+                stderr = math.sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in zip(r, es)))
+                es = [e.value for e in es]
+            value = complex(np.dot(r, np.array(es, dtype=complex)))
+            yield c, McEstimate(value, stderr, mc_samples) if method == "mc" else value
+    else:
+        u = base.vector
         for c, f, a in A.terms:
             shifted = {b.p: b.c for b in apply_shift(a, u)}
             for atom_j in u:
                 ck = shifted.get(atom_j.p, 0j)
                 if ck != 0:
-                    yield w * c * atom_j.c.conjugate() * ck, expect_function(
-                        s.smoothing, f, atom_j.p, method, mc_samples, gen
+                    yield c * atom_j.c.conjugate() * ck, expect_function(
+                        d, f, atom_j.p, method, mc_samples, gen
                     )
 
 
@@ -408,9 +403,7 @@ def channel_T(h: float, s: State) -> State:
     if isinstance(s, NormalState):
         return NormalState(tuple(p - h for p in s.support), s.matrix)
     if isinstance(s, MixedState):
-        return MixedState(
-            tuple((w, PureState(apply_shift(h, ps.vector))) for w, ps in s.components)
-        )
+        return MixedState(tuple((w, channel_T(h, ps)) for w, ps in s.components))
     if isinstance(s, AveragedState):
         raise TypeError(
             "shift channels compose with averaged states through semigroup_T"
@@ -421,15 +414,15 @@ def channel_T(h: float, s: State) -> State:
 def averaged_T(d: Distribution, s: State) -> AveragedState:
     """The channel average E T_xi as a lazy functional.
 
-    A discrete law is permitted; the result then evaluates as a finite
-    mixture and need not be singular.  Stacking on an existing averaged
-    state convolves the smoothing laws (used by the semigroup).
+    A pure, normal or mixed state becomes the base as it is; a normal state
+    keeps its density matrix, with no eigen-decomposition.  A discrete law
+    is permitted; the result then evaluates as a finite mixture and need not
+    be singular.  Stacking on an existing averaged state convolves the
+    smoothing laws (used by the semigroup).
     """
-    if isinstance(s, NormalState):
-        return AveragedState(s.spectral_mixture(), d)
     if isinstance(s, AveragedState):
         return AveragedState(s.base, convolve(s.smoothing, d))
-    if isinstance(s, (PureState, MixedState)):
+    if isinstance(s, (PureState, NormalState, MixedState)):
         return AveragedState(s, d)
     raise TypeError(f"not a state: {s!r}")
 
@@ -441,95 +434,90 @@ def projector_value(
     mc_samples: int = 10_000,
     gen: Optional[np.random.Generator] = None,
 ) -> float:
-    """<E T_xi base, P_v> = E |(S_xi u, v)|^2.
+    """<E T_xi base, P_v> = E g(xi), where g(x) = <T_x base, P_v>.
 
-    Exactly zero for continuous smoothing: a sampled shift never lands the
-    (bit-exact) atom grid of u on that of v, almost surely -- the defining
-    property of a singular state.  Discrete smoothing sums over the law's
-    atoms and may be positive.  Both methods take (S_x u, v) from
-    :func:`~atomdyn.algebra.shift_overlaps`: ``analytic`` at the law's atoms,
-    ``mc`` at ``mc_samples`` draws; ``quadrature`` is ``analytic``.
+    g is |(S_x u, v)|^2 for a pure base u, h* rho h with h_k = (S_x 1_{p_k}, v)
+    for a normal base, and the weighted sum of its components' g for a
+    mixed base; every overlap comes from
+    :func:`~atomdyn.algebra.shift_overlaps`.  Exactly zero for continuous
+    smoothing: a sampled shift never lands the (bit-exact) atom grid of the
+    base on that of v, almost surely -- the defining property of a singular
+    state.  Discrete smoothing may give a positive value.  ``analytic`` sums
+    g over the law's atoms, ``mc`` averages it over ``mc_samples`` draws;
+    ``quadrature`` is ``analytic``.
     """
     _check_method(method, mc_samples)
     nv = norm(v)
     if abs(nv - 1.0) > _UNIT_TOL:
         raise ValueError(f"projector direction must be unit norm, got {nv!r}")
+    total = 0.0
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
-        total = 0.0
-        for w, ps in _pure_components(avg.base):
-            overlaps = shift_overlaps(ps.vector, v, avg.smoothing.sample(gen, mc_samples))
-            acc = 0.0
-            for ov in overlaps[overlaps != 0]:
-                acc += abs(complex(ov)) ** 2
-            total += w * acc / mc_samples
-        return total
+        g = _projector_profile(avg.base, v, avg.smoothing.sample(gen, mc_samples))
+        for val in g[g != 0].tolist():
+            total += val
+        return total / mc_samples
     atoms = avg.smoothing.discrete_atoms()
-    locs = np.array([loc for loc, _ in atoms], dtype=float)
-    total = 0.0
-    for w, ps in _pure_components(avg.base):
-        overlaps = shift_overlaps(ps.vector, v, locs)
-        for (_, pr), ov in zip(atoms, overlaps):
-            total += w * pr * abs(complex(ov)) ** 2
+    g = _projector_profile(avg.base, v, np.array([loc for loc, _ in atoms], dtype=float))
+    for (_, pr), val in zip(atoms, g.tolist()):
+        total += pr * val
     # the continuous part contributes exactly zero
     return total
 
 
+def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
+    """g(x) = <T_x base, P_v> for every x of xs, as a float array."""
+    if isinstance(base, MixedState):
+        return sum(w * _projector_profile(st, v, xs) for w, st in base.components)
+    if isinstance(base, PureState):
+        ov = shift_overlaps(base.vector, v, xs)
+        hit = np.flatnonzero(ov)
+        g = np.zeros(len(ov))
+        g[hit] = [abs(z) ** 2 for z in ov[hit].tolist()]
+        return g
+    # a discrete law repeats its shifts: form h* rho h once per distinct one
+    xs, back = np.unique(xs, return_inverse=True)
+    h = np.array([shift_overlaps(unit_atom(p), v, xs) for p in base.support])
+    hit = np.flatnonzero(h.any(axis=0))
+    hh = h[:, hit]
+    g = np.zeros(len(xs))
+    g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
+    return g[back]
+
+
 def _discrete_shifts(s: AveragedState):
-    """(w pr, S_loc u) over the base components (w, u) and the law's atoms (loc, pr).
+    """(pr, T_loc base) over the atoms (loc, pr) of the smoothing law.
 
     The discrete part of the smoothing as a finite mixture of shifted bases.
     """
-    atoms = s.smoothing.discrete_atoms()
-    for w, ps in _pure_components(s.base):
-        for loc, pr in atoms:
-            yield w * pr, apply_shift(loc, ps.vector)
+    for loc, pr in s.smoothing.discrete_atoms():
+        yield pr, channel_T(loc, s.base)
 
 
-def _mass(u: AtomicVector, fset: set) -> float:
-    """Squared norm of u on the frequencies of fset."""
-    return sum(abs(a.c) ** 2 for a in u if a.p in fset)
+def _mass(s, fset: set) -> float:
+    """<s, P_F>: the mass of s on the atoms whose frequencies are in fset."""
+    if isinstance(s, PureState):
+        return sum((abs(a.c) ** 2 for a in s.vector if a.p in fset), 0.0)
+    if isinstance(s, NormalState):
+        return sum((float(s.matrix[j, j].real)
+                    for j, p in enumerate(s.support) if p in fset), 0.0)
+    parts = _discrete_shifts(s) if isinstance(s, AveragedState) else _parts(s)
+    return sum((w * _mass(st, fset) for w, st in parts), 0.0)
 
 
 def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
     """Best mass captured by projectors onto finite atom sets from ``family``.
 
-    Equals 1 for normal-kind states whose support the family covers, and 0
-    for averaged states with continuous smoothing; a convex split reports
-    its normal weight when the family covers the normal support.
+    The largest <s, P_F> over the sets F of the family.  Equals 1 for
+    normal-kind states whose support one set covers, and 0 for averaged
+    states with continuous smoothing; a convex split reports its normal
+    weight when one set covers the normal support.
     """
     fams = [set(fs) for fs in family]
     if not fams:
         raise ValueError("family of finite atom sets must be non-empty")
-    if isinstance(s, NormalState):
-        return max(
-            sum(
-                (float(s.matrix[j, j].real)
-                 for j, p in enumerate(s.support)
-                 if p in fset),
-                0.0,
-            )
-            for fset in fams
-        )
-    if isinstance(s, StateDecomposition):
-        p = s.normal_weight
-        wn = sum(
-            w * normality_witness(st, family) for w, st in s.normal_components
-        )
-        ws = sum(
-            w * normality_witness(st, family) for w, st in s.singular_components
-        )
-        return p * wn + (1.0 - p) * ws
-    if isinstance(s, PureState):
-        mix = [(1.0, s.vector)]
-    elif isinstance(s, MixedState):
-        mix = [(w, ps.vector) for w, ps in s.components]
-    elif isinstance(s, AveragedState):
-        mix = list(_discrete_shifts(s))
-    else:
-        raise TypeError(f"not a state: {s!r}")
-    return max(sum((w * _mass(u, fset) for w, u in mix), 0.0) for fset in fams)
+    return max(_mass(s, fset) for fset in fams)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +582,9 @@ def yosida_hewitt_split(
 ) -> StateDecomposition:
     """Split an explicit convex combination into normal and singular parts.
 
-    Averaged states with purely discrete smoothing evaluate as finite
-    mixtures and therefore land in the normal bucket.
+    An averaged state with purely discrete smoothing is the finite mixture
+    of its shifted bases, and those land in the normal part.  A smoothing
+    law with both a discrete and a continuous part raises ValueError.
     """
     comps = [(float(w), s) for w, s in components]
     if any(w < 0 for w, _ in comps):
@@ -612,8 +601,12 @@ def yosida_hewitt_split(
         if isinstance(s, AveragedState) and s.is_singular:
             singular.append((w, s))
         elif isinstance(s, AveragedState):
-            mix = tuple((wp, PureState(u)) for wp, u in _discrete_shifts(s))
-            normal.append((w, MixedState(mix)))
+            if s.smoothing.continuous_weight() > 0:
+                raise ValueError(
+                    f"cannot split an averaged state whose law {s.smoothing!r} has "
+                    "both a discrete and a continuous part"
+                )
+            normal += [(w * pr, st) for pr, st in _discrete_shifts(s)]
         elif isinstance(s, (PureState, NormalState, MixedState)):
             normal.append((w, s))
         else:

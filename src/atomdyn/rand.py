@@ -62,9 +62,6 @@ class Distribution:
     def cdf(self, x: float) -> float:
         raise NotImplementedError(f"no closed-form cdf for {self!r}")
 
-    def pdf(self, x: float) -> float:
-        raise NotImplementedError(f"no density for {self!r}")
-
     def gauss_rule(
         self, n: int, lo: float = -math.inf, hi: float = math.inf
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,9 +108,6 @@ class Gaussian(Distribution):
     def cdf(self, x):
         return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0 * self.D)))
 
-    def pdf(self, x):
-        return math.exp(-x * x / (2.0 * self.D)) / math.sqrt(2.0 * math.pi * self.D)
-
     def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         s = math.sqrt(self.D)
         if lo == -math.inf and hi == math.inf:
@@ -149,9 +143,6 @@ class Cauchy(Distribution):
 
     def cdf(self, x):
         return 0.5 + math.atan(x / self.gamma) / math.pi
-
-    def pdf(self, x):
-        return self.gamma / (math.pi * (x * x + self.gamma * self.gamma))
 
     def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         # y = gamma tan(theta) turns the density into the constant 1/pi on
@@ -208,9 +199,6 @@ class Uniform(Distribution):
 
     def cdf(self, x):
         return min(1.0, max(0.0, (x - self.a) / (self.b - self.a)))
-
-    def pdf(self, x):
-        return 1.0 / (self.b - self.a) if self.a <= x <= self.b else 0.0
 
     def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         y, w = _legendre(n, max(lo, self.a), min(hi, self.b))

@@ -71,6 +71,29 @@ def uniform_pair():
     return PureState(make_vector([(0.0, 2 ** -0.5), (1.0, 2 ** -0.5)]))
 
 
+PAIR_DENSITY = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def eigen_mixture(s):
+    """rho as the mixture of its eigenvectors' pure states (eigh, no cut).
+
+    A reference for tr(rho A) computed by a route other than the matrix
+    pairing of ``evaluate``.
+    """
+    w, vecs = np.linalg.eigh(s.matrix)
+    comps = []
+    for i in range(len(w)):
+        v = make_vector([(p, vecs[j, i]) for j, p in enumerate(s.support)])
+        comps.append((float(w[i]), PureState((1.0 / norm(v)) * v)))
+    return MixedState(tuple(comps))
+
+
+def rank_one(u):
+    """|u><u| as a normal state over the atoms of u."""
+    c = u.amps
+    return NormalState(u.frequencies, np.outer(c, c.conj()))
+
+
 class TestEvaluate:
     def test_unitality_all_kinds(self):
         gen = np.random.default_rng(1)
@@ -165,7 +188,7 @@ class TestNormalEvaluate:
         gen = np.random.default_rng(40 + m)
         for _ in range(3):
             s = random_density(gen, m)
-            mix = s.spectral_mixture()
+            mix = eigen_mixture(s)
             for A in self.probes(s.support):
                 assert abs(evaluate(s, A) - evaluate(mix, A)) <= 1e-12
 
@@ -188,7 +211,7 @@ class TestNormalEvaluate:
         A = AlgebraElement.shift(1.0)
         want = rho[0, 1] + rho[2, 1]
         assert abs(evaluate(s, A) - want) <= 1e-15
-        assert abs(evaluate(s, A) - evaluate(s.spectral_mixture(), A)) <= 1e-12
+        assert abs(evaluate(s, A) - evaluate(eigen_mixture(s), A)) <= 1e-12
 
     def test_method_is_ignored(self):
         s = random_density(np.random.default_rng(43), 8)
@@ -210,6 +233,16 @@ class TestNormalEvaluate:
         for A in self.probes(s.support):
             evaluate(s, A)
         assert abs(evaluate(s, IDENTITY) - 1.0) <= 1e-12
+        # nor on averaging the state, evaluating it, or probing its mass
+        for d in (Gaussian(1.0), Rademacher()):
+            avg = averaged_T(d, s)
+            A = AlgebraElement.shift(s.support[1] - s.support[0])
+            assert evaluate(avg, A) == evaluate(s, A)
+            assert abs(evaluate(avg, IDENTITY) - 1.0) <= 1e-12
+            v = unit_atom(s.support[0])
+            projector_value(avg, v)
+            projector_value(avg, v, "mc", mc_samples=100, gen=SeededRng(2).stream(0))
+            normality_witness(avg, [s.support])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -221,14 +254,32 @@ class TestNormalEvaluate:
     @pytest.mark.parametrize("d", [Gaussian(1.0), Cauchy(0.5), Rademacher()],
                              ids=["gaussian", "cauchy", "rademacher"])
     def test_shift_invariance_under_averaging(self, d):
-        # the averaged state evaluates through the spectral mixture, the
-        # normal state through its matrix: equal up to rounding
+        # the averaged state and the normal state both pair the matrix;
+        # the test below pins them bit for bit
         gen = np.random.default_rng(47)
         for m in (2, 8, 64):
             s = random_density(gen, m)
             for a in (0.0, s.support[1] - s.support[0], float(gen.uniform(-4, 4))):
                 A = AlgebraElement.shift(a)
                 assert abs(evaluate(averaged_T(d, s), A) - evaluate(s, A)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [Gaussian(1.0), Cauchy(0.5), Rademacher(),
+                                   FiniteMixture(((0.5, Gaussian(1.0)),
+                                                  (0.5, Rademacher())))],
+                             ids=["gaussian", "cauchy", "rademacher", "mixture"])
+    def test_shift_invariance_under_averaging_exact(self, d):
+        # E 1 = 1 exactly, and both paths take the same np.dot of the pairs
+        gen = np.random.default_rng(48)
+        for m in (2, 8, 64):
+            s = random_density(gen, m)
+            avg = averaged_T(d, s)
+            assert avg.base is s
+            for a in (0.0, s.support[1] - s.support[0], s.support[0] - s.support[-1],
+                      float(gen.uniform(-4, 4))):
+                A = AlgebraElement.shift(a)
+                assert evaluate(avg, A) == evaluate(s, A)
+            A = AlgebraElement.of([(0.3, ONE, 0.0), (0.5j, ONE, s.support[1] - s.support[0])])
+            assert evaluate(avg, A) == evaluate(s, A)
 
 
 class TestChannelT:
@@ -294,10 +345,11 @@ class TestAveragedT:
         assert val == pytest.approx(normal_cdf(1.0) - normal_cdf(0.0), abs=1e-9)
         assert val == pytest.approx(0.34134, abs=1e-5)
 
-    def test_normal_input_via_spectral_mixture(self):
+    def test_normal_input_keeps_its_matrix(self):
         rho = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
         avg = averaged_T(Gaussian(1.0), rho)
-        # rank one: the spectral mixture is the single pure state (1_0+1_1)/sqrt(2)
+        assert avg.base is rho
+        # S_1 pairs the atom at 1 with the atom at 0: rho[1, 0] = 0.5
         val = evaluate(avg, AlgebraElement.shift(1.0))
         assert val == pytest.approx(0.5, abs=1e-12)
 
@@ -346,7 +398,10 @@ class TestEvaluateMonteCarlo:
         PureState(unit_atom(0.3)),
         uniform_pair(),
         MixedState(((0.4, PureState(unit_atom(0.0))), (0.6, uniform_pair()))),
-    ], ids=["one-atom", "two-atom", "mixed"])
+        NormalState((0.0, 0.5, 1.0), np.array([[0.5, 0.1, 0.2j],
+                                               [0.1, 0.3, 0.0],
+                                               [-0.2j, 0.0, 0.2]])),
+    ], ids=["one-atom", "two-atom", "mixed", "normal"])
     def test_within_four_stderr(self, base):
         avg = averaged_T(Gaussian(1.0), base)
         est = evaluate(avg, self.M, "mc", mc_samples=20_000, gen=SeededRng(34).stream(0))
@@ -377,6 +432,29 @@ class TestEvaluateMonteCarlo:
         assert est.value == pytest.approx(sum(w * e.value for w, e in terms), abs=1e-14)
         assert est.stderr == pytest.approx(
             math.sqrt(sum((w * e.stderr) ** 2 for w, e in terms)), rel=1e-12
+        )
+        assert est.samples == 5_000
+
+    def test_normal_base_stderr_is_root_sum_of_squares(self):
+        gen = np.random.default_rng(37)
+        base = random_density(gen, 3)
+        p = base.support
+        A = AlgebraElement.of([(1.0, indicator(-0.5, 1.5), 0.0), (0.5j, wave(0.7), p[1] - p[0])])
+        avg = averaged_T(Gaussian(1.0), base)
+        est = evaluate(avg, A, "mc", mc_samples=5_000, gen=SeededRng(35).stream(0))
+        assert abs(est.value - evaluate(avg, A)) <= 4.0 * est.stderr
+        # replay: per term, one expectation per paired atom, in support order
+        replay = SeededRng(35).stream(0)
+        terms = []
+        for c, f, a in A.terms:
+            for k, pk in enumerate(p):
+                if pk - a in p:
+                    e = expect_function(avg.smoothing, f, pk - a, "mc", 5_000, replay)
+                    terms.append((c * base.matrix[k, p.index(pk - a)], e))
+        assert len(terms) == 4
+        assert est.value == pytest.approx(sum(w * e.value for w, e in terms), abs=1e-14)
+        assert est.stderr == pytest.approx(
+            math.sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in terms)), rel=1e-12
         )
         assert est.samples == 5_000
 
@@ -611,6 +689,44 @@ class TestSingularity:
         avg_d = averaged_T(Rademacher(), pure)
         assert normality_witness(avg_d, [[-1.0, 1.0]]) == pytest.approx(1.0)
         assert normality_witness(avg_d, [[-1.0]]) == pytest.approx(0.5)
+        # a normal base shifts its support, one copy per atom of the law
+        avg_n = averaged_T(Rademacher(), PAIR_DENSITY)
+        assert normality_witness(avg_n, [[-1.0, 0.0, 1.0, 2.0]]) == 1.0
+        assert normality_witness(avg_n, [[-1.0], [1.0, 2.0]]) == 0.5
+        assert normality_witness(averaged_T(Gaussian(1.0), PAIR_DENSITY), [[0.0, 1.0]]) == 0.0
+
+    @pytest.mark.parametrize("d", [Gaussian(1.0), Cauchy(0.5)], ids=["gaussian", "cauchy"])
+    def test_normal_base_vanishes(self, d):
+        gen = np.random.default_rng(9)
+        for m in (1, 3, 8):
+            s = averaged_T(d, random_density(gen, m))
+            v = random_unit_vector(gen)
+            assert projector_value(s, v) == 0.0
+            assert projector_value(s, v, method="mc", mc_samples=2_000,
+                                   gen=SeededRng(42).stream(0)) == 0.0
+
+    @pytest.mark.parametrize("d", [Rademacher(), PointMass(1.0), PointMass(-2.0)],
+                             ids=["rademacher", "point+1", "point-2"])
+    def test_normal_base_matches_pure(self, d):
+        # rho = |u><u| on an integer grid, where the law's shifts hit v
+        gen = np.random.default_rng(10)
+        grid = np.arange(-3.0, 4.0)
+        positive = 0
+        for _ in range(10):
+            u = make_vector(zip(gen.choice(grid, 4, replace=False),
+                                gen.normal(size=4) + 1j * gen.normal(size=4)))
+            u = (1.0 / norm(u)) * u
+            v = make_vector(zip(gen.choice(grid, 3, replace=False),
+                                gen.normal(size=3) + 1j * gen.normal(size=3)))
+            v = (1.0 / norm(v)) * v
+            pure, normal = averaged_T(d, PureState(u)), averaged_T(d, rank_one(u))
+            want = projector_value(pure, v)
+            positive += want > 0.0
+            assert abs(projector_value(normal, v) - want) <= 1e-15
+            mc = [projector_value(s, v, "mc", mc_samples=500, gen=SeededRng(43).stream(0))
+                  for s in (pure, normal)]
+            assert abs(mc[1] - mc[0]) <= 1e-15
+        assert positive >= 5
 
     def test_uncovered_witness_is_a_float(self):
         gen = np.random.default_rng(3)
@@ -799,6 +915,24 @@ class TestYosidaHewitt:
         avg = averaged_T(Rademacher(), PureState(unit_atom(0.0)))
         split = yosida_hewitt_split([(1.0, avg)])
         assert split.normal_weight == 1.0
+        # a normal base: its shifted copies join the normal part as they are
+        avg = averaged_T(Rademacher(), PAIR_DENSITY)
+        singular = averaged_T(Gaussian(1.0), PAIR_DENSITY)
+        split = yosida_hewitt_split([(0.4, avg), (0.6, singular)])
+        assert split.normal_weight == 0.4
+        # the shifted bases stay normal states: S_{-1} and S_{+1} of the pair
+        assert [(w, st.support) for w, st in split.normal_components] == [
+            (0.5, (1.0, 2.0)), (0.5, (-1.0, 0.0))]
+        assert normality_witness(split, [[-1.0, 0.0, 1.0, 2.0]]) == pytest.approx(0.4)
+        for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(-1, 1))):
+            direct = 0.4 * evaluate(avg, A) + 0.6 * evaluate(singular, A)
+            assert abs(evaluate(split, A) - direct) <= 1e-12
+
+    def test_mixed_law_raises(self):
+        law = FiniteMixture(((0.5, Gaussian(1.0)), (0.5, Rademacher())))
+        avg = averaged_T(law, PureState(unit_atom(0.0)))
+        with pytest.raises(ValueError, match="both a discrete and a continuous part"):
+            yosida_hewitt_split([(1.0, avg)])
 
     def test_evaluation_linearity(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
