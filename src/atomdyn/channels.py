@@ -69,13 +69,35 @@ class NormalState:
     Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|.  Every consumer
     reads the matrix itself: ``evaluate`` as tr(rho A), and an averaged
     state keeps rho as its base.  The only eigenvalue computation is the
-    positive-semidefiniteness check on construction.
+    positive-semidefiniteness check on construction.  The channels build
+    their outputs through ``_channel_output``, which skips that one check:
+    their matrices are PSD by construction.
     """
 
     support: Tuple[float, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
+        self._validate()
+        k = len(self.support)
+        if k and np.linalg.eigvalsh(self.matrix).min() < -_PSD_TOL:
+            raise ValueError("density matrix must be positive semidefinite")
+
+    @classmethod
+    def _channel_output(cls, support, matrix) -> "NormalState":
+        """A channel's output: every check of the constructor but the PSD one.
+
+        For ``channel_T`` and ``channel_Phi`` the matrix is unitarily similar
+        to a checked one, and for ``averaged_Phi`` it is the Schur product of
+        a checked one with the positive-definite kernel chi(p_j - p_k).
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "support", support)
+        object.__setattr__(s, "matrix", matrix)
+        s._validate()
+        return s
+
+    def _validate(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         k = len(self.support)
@@ -89,8 +111,6 @@ class NormalState:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > _UNIT_TOL:
             raise ValueError(f"density matrix trace must be 1, got {np.trace(m)!r}")
-        if k and np.linalg.eigvalsh(m).min() < -_PSD_TOL:
-            raise ValueError("density matrix must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -204,7 +224,8 @@ def expect_function(
     * Gauss rule -- any other multiplier is integrated against the
       continuous part by the law's rule (Gauss-Hermite for Gaussian,
       Gauss-Legendre for Uniform, Gauss-Legendre in theta for Cauchy with
-      y = gamma tan theta) at the two orders of ``GAUSS_ORDERS``, over the
+      y = gamma tan theta, and the weighted union of its components' rules
+      for a mixture) at the two orders of ``GAUSS_ORDERS``, over the
       multiplier's interval [lo + x, hi + x] (the whole line for an opaque
       :class:`BoundedFunction`).  The higher order is returned when the two
       agree within 1e-9;
@@ -217,15 +238,29 @@ def expect_function(
     its own nodes, so values of positive operators are non-negative only up
     to the rule's error; ``test_positivity`` checks that they stay so.
     ``mc`` returns an :class:`McEstimate` with the standard error of the
-    sample mean.
+    sample mean.  It gives the bits of the plain expressions ``vals =
+    f.at(d.sample(gen, n) - x)``, ``vals.mean()`` and
+    ``np.mean(np.abs(vals - mean) ** 2)`` with two arrays in place of five:
+    the draws, shifted in place and then reused for the squared deviations,
+    and the values of f, centred in place.
+
+    Only the continuous part of the law (``Distribution.continuous_part``,
+    of mass ``continuous_weight``) meets a cdf or a rule; its discrete
+    atoms are summed once, by the finite sum.
     """
     _check_method(method, mc_samples)
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
-        vals = f.at(d.sample(gen, mc_samples) - x)
+        # the draws are a fresh array owned here: shifted in place, then
+        # reused for |f - mean|^2 once f has been taken on them
+        ys = np.asarray(d.sample(gen, mc_samples), dtype=float)
+        ys -= x
+        vals = f.at(ys)
         mean = complex(vals.mean())
-        var = float(np.mean(np.abs(vals - mean) ** 2))
+        vals -= mean
+        sq = np.abs(vals, out=ys)
+        var = float(np.mean(np.square(sq, out=sq)))
         stderr = math.sqrt(var / mc_samples)
         return McEstimate(mean, stderr, mc_samples)
     if (method == "analytic" and isinstance(f, Multiplier)
@@ -237,7 +272,7 @@ def expect_function(
         total += pr * complex(f(loc - x))
     cw = d.continuous_weight()
     if cw > 0:
-        total += cw * _expect_continuous(d, f, x, method)
+        total += cw * _expect_continuous(d.continuous_part(), f, x, method)
     return total
 
 
@@ -401,7 +436,7 @@ def channel_T(h: float, s: State) -> State:
     if isinstance(s, PureState):
         return PureState(apply_shift(h, s.vector))
     if isinstance(s, NormalState):
-        return NormalState(tuple(p - h for p in s.support), s.matrix)
+        return NormalState._channel_output(tuple(p - h for p in s.support), s.matrix)
     if isinstance(s, MixedState):
         return MixedState(tuple((w, channel_T(h, ps)) for w, ps in s.components))
     if isinstance(s, AveragedState):
@@ -450,16 +485,17 @@ def projector_value(
     nv = norm(v)
     if abs(nv - 1.0) > _UNIT_TOL:
         raise ValueError(f"projector direction must be unit norm, got {nv!r}")
-    total = 0.0
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
         g = _projector_profile(avg.base, v, avg.smoothing.sample(gen, mc_samples))
-        for val in g[g != 0].tolist():
-            total += val
-        return total / mc_samples
+        # the running sum from 0.0 in draw order; adding 0.0 turns the -0.0
+        # that a leading -0.0 leaves in a sum of zeros into 0.0, as the
+        # loop from 0.0 has it
+        return (float(np.cumsum(g)[-1]) + 0.0) / mc_samples
     atoms = avg.smoothing.discrete_atoms()
     g = _projector_profile(avg.base, v, np.array([loc for loc, _ in atoms], dtype=float))
+    total = 0.0
     for (_, pr), val in zip(atoms, g.tolist()):
         total += pr * val
     # the continuous part contributes exactly zero
@@ -473,16 +509,33 @@ def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
     if isinstance(base, PureState):
         ov = shift_overlaps(base.vector, v, xs)
         hit = np.flatnonzero(ov)
+        z = ov[hit]
         g = np.zeros(len(ov))
-        g[hit] = [abs(z) ** 2 for z in ov[hit].tolist()]
+        # |z| ** 2 as Python rounds it: hypot, then pow
+        g[hit] = np.float_power(np.hypot(z.real, z.imag), 2.0)
         return g
-    # a discrete law repeats its shifts: form h* rho h once per distinct one
+    # a discrete law repeats its shifts: form h* rho h once per distinct one,
+    # and only at the shifts x where some h_k = (S_x 1_{p_k}, v) is non-zero
     xs, back = np.unique(xs, return_inverse=True)
-    h = np.array([shift_overlaps(unit_atom(p), v, xs) for p in base.support])
-    hit = np.flatnonzero(h.any(axis=0))
-    hh = h[:, hit]
-    g = np.zeros(len(xs))
-    g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("non-finite shift")
+    # p - x lands on the atom f of v iff x - p == -f (rounding is symmetric);
+    # x - p is sorted with x, so each atom of v marks one run of shifts
+    neg = -v.freqs[::-1]
+    starts, ends = [], []
+    for p in base.support:
+        dx = xs - p
+        starts.append(np.searchsorted(dx, neg, "left"))
+        ends.append(np.searchsorted(dx, neg, "right"))
+    n = len(xs)
+    runs = (np.bincount(np.concatenate(starts), minlength=n + 1)
+            - np.bincount(np.concatenate(ends), minlength=n + 1))
+    hit = np.cumsum(runs[:n]) > 0
+    g = np.zeros(n)
+    if hit.any():
+        hx = xs[hit]
+        hh = np.array([shift_overlaps(unit_atom(p), v, hx) for p in base.support])
+        g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
     return g[back]
 
 
@@ -528,7 +581,7 @@ def channel_Phi(h: float, s: NormalState) -> NormalState:
     """Conjugation by the modulation: entry (j, k) gains e^{ih(p_j - p_k)}."""
     p = np.array(s.support)
     phases = np.exp(1j * h * (p[:, None] - p[None, :]))
-    return NormalState(s.support, phases * s.matrix)
+    return NormalState._channel_output(s.support, phases * s.matrix)
 
 
 def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
@@ -537,7 +590,7 @@ def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
     The kernel is positive definite and has unit diagonal, so the output
     stays Hermitian, PSD, and trace one; off-diagonals shrink by |chi|.
     """
-    return NormalState(s.support, dephasing_kernel(d, s.support) * s.matrix)
+    return NormalState._channel_output(s.support, dephasing_kernel(d, s.support) * s.matrix)
 
 
 def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:

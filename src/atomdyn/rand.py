@@ -18,7 +18,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class Distribution:
         return self.chi(x) ** n
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws from ``gen``, as a fresh, writable array.
+
+        The array is the caller's: it shares no memory with the law or with
+        earlier draws, so the caller may overwrite it.
+        """
         raise NotImplementedError
 
     @property
@@ -79,6 +84,15 @@ class Distribution:
     def continuous_weight(self) -> float:
         """Probability mass of the continuous part."""
         return 0.0 if self.has_discrete_part else 1.0
+
+    def continuous_part(self) -> Optional["Distribution"]:
+        """The continuous part as a normalized law, or None when it has no mass.
+
+        The law is ``continuous_weight()`` times this part plus its
+        ``discrete_atoms()`` (the Lebesgue split of a law; Yosida & Hewitt,
+        Trans. AMS 72, 1952).
+        """
+        return None if self.has_discrete_part else self
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -277,6 +291,12 @@ class FiniteMixture(Distribution):
     def cdf(self, x):
         return sum(w * d.cdf(x) for w, d in self.components)
 
+    def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
+        # the weighted union of the components' rules
+        rules = [(w, d.gauss_rule(n, lo, hi)) for w, d in self.components if w > 0]
+        return (np.concatenate([ys for _, (ys, _) in rules]),
+                np.concatenate([w * ws for w, (_, ws) in rules]))
+
     def discrete_atoms(self):
         acc: dict[float, float] = {}
         for w, d in self.components:
@@ -286,6 +306,18 @@ class FiniteMixture(Distribution):
 
     def continuous_weight(self):
         return sum(w * d.continuous_weight() for w, d in self.components)
+
+    def continuous_part(self):
+        if not self.has_discrete_part:
+            return self
+        parts = [(w * d.continuous_weight(), d.continuous_part()) for w, d in self.components]
+        parts = [(w, d) for w, d in parts if w > 0]
+        if not parts:
+            return None
+        if len(parts) == 1:
+            return parts[0][1]
+        cw = sum(w for w, _ in parts)
+        return FiniteMixture(tuple((w / cw, d) for w, d in parts))
 
     def to_json(self):
         return {

@@ -433,3 +433,59 @@ class TestArrayRules:
         for A in (kept, restarted):
             assert vector_bits(apply_element(A, u)) == atom_bits(
                 ref_apply_element(A.terms, ref_make([(a.p, a.c) for a in u])))
+
+
+# ---------------------------------------------------------------------------
+# Multiplier.at against the plain numpy expression of its values
+
+
+def plain_at(f, ys):
+    """f on ys as one chain of numpy temporaries, each step a new array."""
+    ys = np.asarray(ys, dtype=float)
+    vals = f.c * np.exp(1j * f.a * ys) if f.a else np.full(ys.shape, f.c)
+    return np.where((f.lo <= ys) & (ys <= f.hi), vals, 0j)
+
+
+def assert_same_bits(new, old):
+    """Equal bytes, except that where a part of old is NaN, new has a NaN there."""
+    assert new.dtype == old.dtype and new.shape == old.shape
+    n, o = new.reshape(-1).view(float), old.reshape(-1).view(float)
+    nan = np.isnan(o)
+    assert np.array_equal(np.isnan(n), nan)
+    assert n[~nan].tobytes() == o[~nan].tobytes()
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e16, 1.0])
+at_parts = st.one_of(edge_floats, st.floats(-1e3, 1e3, allow_nan=False))
+at_points = st.one_of(edge_floats, st.sampled_from([math.inf, -math.inf, math.nan]),
+                      st.floats(-1e4, 1e4, allow_nan=False))
+at_frequencies = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300, -1e300]),
+                           st.floats(-50, 50, allow_nan=False))
+at_intervals = st.one_of(
+    st.just((-math.inf, math.inf)),
+    st.tuples(at_parts, st.floats(0, 1e3)).map(lambda t: (t[0], t[0] + t[1])),
+    st.tuples(st.just(-math.inf), at_parts),
+    st.tuples(at_parts, st.just(math.inf)),
+)
+
+
+class TestMultiplierAtBits:
+    # 16384 complex values are 256 KiB, where numpy starts to elide temporaries
+    @settings(deadline=None, max_examples=300)
+    @given(st.builds(complex, at_parts, at_parts), at_frequencies, at_intervals,
+           st.lists(at_points, min_size=1, max_size=24),
+           st.sampled_from([1, 2, 3, 17, 16383, 16384]))
+    def test_matches_plain_expression(self, c, a, interval, points, size):
+        f = Multiplier(c, a, *interval)
+        ys = np.resize(np.array(points), size)
+        before = ys.tobytes()
+        with np.errstate(all="ignore"):
+            assert_same_bits(f.at(ys), plain_at(f, ys))
+        assert ys.tobytes() == before
+
+    def test_sample_sized_arrays(self):
+        ys = SeededRng(4).stream(0).standard_cauchy(100_000)
+        ys[::997] = np.nan
+        for f in (wave(1.3).shifted(0.7), Multiplier(0.3 - 0.7j, -2.0),
+                  wave(0.9) * indicator(-1.0, 2.0), constant(0.5j), ONE):
+            assert_same_bits(f.at(ys), plain_at(f, ys))

@@ -13,6 +13,7 @@ from atomdyn.algebra import (
     compose,
     constant,
     indicator,
+    shift_overlaps,
     wave,
 )
 from atomdyn.rand import (
@@ -947,3 +948,196 @@ class TestYosidaHewitt:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             yosida_hewitt_split([(0.5, PureState(unit_atom(0.0)))])
+
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo layer against plain expressions of the same values
+
+
+def plain_at(f, ys):
+    """Multiplier values as one chain of numpy temporaries, each step a new array."""
+    vals = f.c * np.exp(1j * f.a * ys) if f.a else np.full(ys.shape, f.c)
+    return np.where((f.lo <= ys) & (ys <= f.hi), vals, 0j)
+
+
+def plain_mc(d, f, x, n, gen):
+    """(value, stderr) of the mc branch of expect_function, written out."""
+    vals = plain_at(f, d.sample(gen, n) - x)
+    mean = complex(vals.mean())
+    var = float(np.mean(np.abs(vals - mean) ** 2))
+    return mean, math.sqrt(var / n)
+
+
+def plain_profile(base, v, xs):
+    """g(x) = <T_x base, P_v> with Python abs(z) ** 2 and the full m x n overlaps."""
+    if isinstance(base, MixedState):
+        return sum(w * plain_profile(st, v, xs) for w, st in base.components)
+    if isinstance(base, PureState):
+        ov = shift_overlaps(base.vector, v, xs)
+        hit = np.flatnonzero(ov)
+        g = np.zeros(len(ov))
+        g[hit] = [abs(z) ** 2 for z in ov[hit].tolist()]
+        return g
+    xs, back = np.unique(xs, return_inverse=True)
+    h = np.array([shift_overlaps(unit_atom(p), v, xs) for p in base.support])
+    hit = np.flatnonzero(h.any(axis=0))
+    hh = h[:, hit]
+    g = np.zeros(len(xs))
+    g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
+    return g[back]
+
+
+def plain_projector(avg, v, method, mc_samples=0, gen=None):
+    """projector_value with the profile above and Python running sums."""
+    total = 0.0
+    if method == "mc":
+        g = plain_profile(avg.base, v, avg.smoothing.sample(gen, mc_samples))
+        for val in g[g != 0].tolist():
+            total += val
+        return total / mc_samples
+    atoms = avg.smoothing.discrete_atoms()
+    g = plain_profile(avg.base, v, np.array([loc for loc, _ in atoms], dtype=float))
+    for (_, pr), val in zip(atoms, g.tolist()):
+        total += pr * val
+    return total
+
+
+SIX_LAWS = [Gaussian(0.7), Cauchy(1.3), Uniform(-0.5, 2.0), Rademacher(), PointMass(0.25),
+            MIXTURE]
+SIX_IDS = ["gaussian", "cauchy", "uniform", "rademacher", "point", "mixture"]
+
+
+def hexes(*xs):
+    return [h for x in xs for h in (complex(x).real.hex(), complex(x).imag.hex())]
+
+
+class TestMonteCarloBits:
+    @pytest.mark.parametrize("d", SIX_LAWS, ids=SIX_IDS)
+    def test_expect_function_mc(self, d):
+        fs = [wave(1.3), wave(-0.4).shifted(0.7), indicator(-1.0, 0.5), constant(0.5j),
+              wave(1.1) * indicator(-2.0, 1.0)]
+        for j, f in enumerate(fs):
+            for n in (1, 2, 1_000, 16_384, 100_000):
+                for x in (0.0, -0.3):
+                    est = expect_function(d, f, x, "mc", mc_samples=n,
+                                          gen=SeededRng(61).stream(j))
+                    mean, stderr = plain_mc(d, f, x, n, SeededRng(61).stream(j))
+                    assert hexes(est.value, est.stderr) == hexes(mean, stderr)
+                    assert est.samples == n
+
+    @pytest.mark.parametrize("d", SIX_LAWS, ids=SIX_IDS)
+    def test_projector_value(self, d):
+        gen = np.random.default_rng(62)
+        grid = np.arange(-6, 7) / 4.0
+
+        def unit(k):
+            v = make_vector(zip(gen.choice(grid, k, replace=False),
+                                gen.normal(size=k) + 1j * gen.normal(size=k)))
+            return (1.0 / norm(v)) * v
+
+        positive = 0
+        for _ in range(4):
+            u, w, v = unit(4), unit(2), unit(3)
+            m = int(gen.integers(1, 9))
+            a = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
+            rho = a @ a.conj().T
+            normal = NormalState(tuple(gen.choice(grid, m, replace=False).tolist()),
+                                 rho / np.trace(rho).real)
+            mixed = MixedState(((0.3, PureState(u)), (0.7, PureState(w))))
+            for base in (PureState(u), mixed, normal):
+                avg = averaged_T(d, base)
+                value = projector_value(avg, v)
+                assert value.hex() == plain_projector(avg, v, "analytic").hex()
+                positive += value > 0.0
+                for n in (1, 2_000):
+                    got = projector_value(avg, v, "mc", mc_samples=n, gen=SeededRng(63).stream(0))
+                    want = plain_projector(avg, v, "mc", n, SeededRng(63).stream(0))
+                    assert got.hex() == want.hex()
+        assert positive > 0 if d.discrete_atoms() else positive == 0
+
+
+# the laws of the state-eval benchmark workload
+STATE_EVAL_LAWS = [Gaussian(1.3), Cauchy(0.8), Uniform(-1.5, 1.5), Rademacher(),
+                   FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(0.9))))]
+
+
+class TestChannelOutputs:
+    """channel_T, channel_Phi, averaged_Phi and semigroup_Phi skip the eigvalsh check."""
+
+    @pytest.mark.parametrize("m", [8, 64, 200])
+    def test_outputs_are_psd(self, m):
+        gen = np.random.default_rng(64 + m)
+        for rank in (1, 3, m):
+            a = gen.normal(size=(m, rank)) + 1j * gen.normal(size=(m, rank))
+            rho = a @ a.conj().T
+            support = np.sort(gen.choice(np.arange(-m, m + 1), m, replace=False) / 4.0)
+            s = NormalState(tuple(support.tolist()), rho / np.trace(rho).real)
+            t = float(gen.uniform(0.05, 2.0))
+            outs = [channel_T(0.75, s), channel_Phi(1.3, s),
+                    semigroup_Phi(ConvolutionFamily("gaussian"), t, s),
+                    semigroup_Phi(ConvolutionFamily("cauchy"), t, s)]
+            outs += [averaged_Phi(d, s) for d in STATE_EVAL_LAWS]
+            for out in outs:
+                assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
+
+    def test_no_eigvalsh(self, monkeypatch):
+        s = random_density(np.random.default_rng(65), 200)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh on a channel output")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        channel_T(0.5, s)
+        channel_Phi(0.5, s)
+        semigroup_Phi(ConvolutionFamily("cauchy"), 0.5, s)
+        for d in STATE_EVAL_LAWS:
+            averaged_Phi(d, s)
+        normality_witness(averaged_T(Rademacher(), s), [s.support])
+        # a state built by hand is still checked
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            NormalState(s.support, s.matrix)
+
+    def test_other_checks_stay(self):
+        # 0.0 - 1.0 and 1e-300 - 1.0 are both -1.0
+        s = NormalState((0.0, 1e-300), np.eye(2) / 2.0)
+        with pytest.raises(ValueError, match="distinct"):
+            channel_T(1.0, s)
+        with pytest.raises(ValueError, match="finite"):
+            channel_T(-math.inf, PAIR_DENSITY)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            NormalState((0.0, 1.0), np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+
+class TestMixtureLaws:
+    """A law with both parts: the atoms sum exactly, the rest meets a cdf or a rule."""
+
+    def test_indicator_is_atoms_plus_cdf(self):
+        # Yosida & Hewitt (Trans. AMS 72, 1952): the discrete part sums, and only
+        # the continuous part, of weight cw, meets the cdf
+        lo, hi = -0.7, 1.2
+        g = Gaussian(1.0)
+        for x in (-1.5, -0.2, 0.0, 0.3, 0.9):
+            want = sum(pr * (lo <= loc - x <= hi) for loc, pr in MIXTURE.discrete_atoms())
+            want += MIXTURE.continuous_weight() * (g.cdf(hi + x) - g.cdf(lo + x))
+            assert abs(expect_function(MIXTURE, indicator(lo, hi), x) - want) <= 1e-15
+            q = expect_function(MIXTURE, indicator(lo, hi), x, method="quadrature")
+            assert abs(q - want) <= 1e-12
+
+    def test_averaged_indicator(self):
+        u = make_vector([(0.0, 0.6), (0.5, 0.8j)])
+        lo, hi = -0.4, 1.1
+        avg = averaged_T(MIXTURE, PureState(u))
+        got = evaluate(avg, AlgebraElement.mult(indicator(lo, hi)))
+        g = Gaussian(1.0)
+        want = 0.0
+        for p, weight in ((0.0, 0.36), (0.5, 0.64)):
+            e = sum(pr * (lo <= loc - p <= hi) for loc, pr in MIXTURE.discrete_atoms())
+            want += weight * (e + 0.5 * (g.cdf(hi + p) - g.cdf(lo + p)))
+        assert abs(got - want) <= 1e-12
+
+    def test_continuous_part_takes_the_mixture_rule(self):
+        law = FiniteMixture(((0.2, Rademacher()), (0.4, Gaussian(1.0)), (0.4, Cauchy(0.5))))
+        f, x = wave(1.1) * indicator(-0.5, 1.5), 0.3
+        want = sum(w * expect_function(d, f, x) for w, d in law.components)
+        assert abs(expect_function(law, f, x) - want) <= 1e-12

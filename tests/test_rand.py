@@ -98,6 +98,15 @@ class TestGaussRule:
                 assert np.all((lo <= ys) & (ys <= hi))
                 assert ws.sum() == pytest.approx(d.cdf(hi) - d.cdf(lo), abs=1e-13)
 
+    def test_mixture_rule_is_the_weighted_union(self):
+        d = FiniteMixture(((0.3, Gaussian(2.5)), (0.7, Cauchy(0.7))))
+        for n in (64, 128):
+            for lo, hi in ((-math.inf, math.inf), (-0.5, 1.5), (0.25, 50.0)):
+                ys, ws = d.gauss_rule(n, lo, hi)
+                assert len(ys) == len(ws) == 2 * n
+                assert np.all(ws > 0) and np.all((lo <= ys) & (ys <= hi))
+                assert ws.sum() == pytest.approx(d.cdf(hi) - d.cdf(lo), abs=1e-13)
+
     def test_empty_window(self):
         ys, ws = Uniform(-1.0, 2.0).gauss_rule(64, 3.0, 4.0)
         assert len(ys) == len(ws) == 0
@@ -108,7 +117,30 @@ class TestGaussRule:
             d.gauss_rule(64)
 
 
+class TestLebesgueSplit:
+    def test_continuous_part(self):
+        g, c = Gaussian(1.0), Cauchy(0.5)
+        assert g.continuous_part() is g
+        assert Rademacher().continuous_part() is None
+        assert PointMass(0.3).continuous_part() is None
+        assert FiniteMixture(((0.5, Rademacher()), (0.5, g))).continuous_part() is g
+        law = FiniteMixture(((0.2, Rademacher()), (0.4, g), (0.4, c)))
+        assert law.continuous_weight() == pytest.approx(0.8)
+        assert law.continuous_part() == FiniteMixture(((0.5, g), (0.5, c)))
+        assert FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(1.0)))).continuous_part() is None
+        both = FiniteMixture(((0.5, g), (0.5, c)))
+        assert both.continuous_part() is both
+
+
 class TestSampling:
+    def test_draws_are_fresh_and_writable(self):
+        for d in ALL_LAWS:
+            a = d.sample(SeededRng(2).stream(0), 50)
+            b = d.sample(SeededRng(2).stream(0), 50)
+            assert a.flags.writeable and not np.shares_memory(a, b)
+            a[:] = 0.0
+            assert np.array_equal(b, d.sample(SeededRng(2).stream(0), 50))
+
     def test_pointmass_constant(self):
         gen = SeededRng(1).stream(0)
         assert np.all(PointMass(3.0).sample(gen, 100) == 3.0)
