@@ -138,19 +138,15 @@ class Multiplier:
     def at(self, ys: np.ndarray) -> np.ndarray:
         """f on every point of ys, as a new complex array; ys is not written.
 
-        The values are those of ``c * np.exp(1j * a * ys)`` bit for bit, with
-        the same ufuncs in the same order, but each step writes into the one
-        returned buffer (see ``_times`` for the product with c).  Points
-        outside [lo, hi] and NaN points give 0j; the mask that finds them is
-        built only when an end is finite or ys holds a NaN.
+        The values are ``c * np.exp(1j * a * ys)``.  Points outside [lo, hi]
+        and NaN points give 0j; the mask that finds them is built only when
+        an end is finite or ys holds a NaN, and it writes into the values.
         """
         ys = np.asarray(ys, dtype=float)
         if self.a:
-            out = np.multiply(1j * self.a, ys, out=np.empty(ys.shape, dtype=complex))
-            np.exp(out, out=out)
-            out = _times(self.c, out)
+            out = self.c * np.exp(1j * self.a * ys)
         else:
-            out = np.full(ys.shape, self.c)
+            out = np.full(ys.shape, self.c, dtype=complex)
         if self.lo > -math.inf or self.hi < math.inf or (ys.size and math.isnan(ys.min())):
             inside = self.lo <= ys
             inside &= ys <= self.hi
@@ -174,23 +170,6 @@ class Multiplier:
         if lo > hi:
             return ZERO
         return Multiplier(self.c * other.c, self.a + other.a, lo, hi)
-
-
-# numpy evaluates ``c * z`` for a temporary z of at least this many bytes in
-# place as ``np.multiply(z, c, out=z)`` (temporary elision); its vector loop
-# for complex products rounds differently with the operands swapped
-_ELIDE_BYTES = 256 * 1024
-
-
-def _times(c: complex, z: np.ndarray) -> np.ndarray:
-    """``c * z`` for a temporary z, bit for bit, written into z where that keeps the bits.
-
-    A one-element product in place would take numpy's scalar loop, which
-    rounds unlike the vector loop, so that one gets a new array.
-    """
-    if z.nbytes >= _ELIDE_BYTES:
-        return np.multiply(z, c, out=z)
-    return np.multiply(c, z, out=z if z.size > 1 else None)
 
 
 ONE = Multiplier()

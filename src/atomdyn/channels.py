@@ -514,28 +514,13 @@ def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
         # |z| ** 2 as Python rounds it: hypot, then pow
         g[hit] = np.float_power(np.hypot(z.real, z.imag), 2.0)
         return g
-    # a discrete law repeats its shifts: form h* rho h once per distinct one,
-    # and only at the shifts x where some h_k = (S_x 1_{p_k}, v) is non-zero
+    # a discrete law repeats its shifts: form h* rho h once per distinct one
     xs, back = np.unique(xs, return_inverse=True)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("non-finite shift")
-    # p - x lands on the atom f of v iff x - p == -f (rounding is symmetric);
-    # x - p is sorted with x, so each atom of v marks one run of shifts
-    neg = -v.freqs[::-1]
-    starts, ends = [], []
-    for p in base.support:
-        dx = xs - p
-        starts.append(np.searchsorted(dx, neg, "left"))
-        ends.append(np.searchsorted(dx, neg, "right"))
-    n = len(xs)
-    runs = (np.bincount(np.concatenate(starts), minlength=n + 1)
-            - np.bincount(np.concatenate(ends), minlength=n + 1))
-    hit = np.cumsum(runs[:n]) > 0
-    g = np.zeros(n)
-    if hit.any():
-        hx = xs[hit]
-        hh = np.array([shift_overlaps(unit_atom(p), v, hx) for p in base.support])
-        g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
+    h = np.array([shift_overlaps(unit_atom(p), v, xs) for p in base.support])
+    hit = np.flatnonzero(h.any(axis=0))
+    hh = h[:, hit]
+    g = np.zeros(len(xs))
+    g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
     return g[back]
 
 

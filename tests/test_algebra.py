@@ -472,7 +472,8 @@ at_intervals = st.one_of(
 class TestMultiplierAtBits:
     # 16384 complex values are 256 KiB, where numpy starts to elide temporaries
     @settings(deadline=None, max_examples=300)
-    @given(st.builds(complex, at_parts, at_parts), at_frequencies, at_intervals,
+    @given(st.one_of(st.builds(complex, at_parts, at_parts), at_parts), at_frequencies,
+           at_intervals,
            st.lists(at_points, min_size=1, max_size=24),
            st.sampled_from([1, 2, 3, 17, 16383, 16384]))
     def test_matches_plain_expression(self, c, a, interval, points, size):
@@ -487,5 +488,13 @@ class TestMultiplierAtBits:
         ys = SeededRng(4).stream(0).standard_cauchy(100_000)
         ys[::997] = np.nan
         for f in (wave(1.3).shifted(0.7), Multiplier(0.3 - 0.7j, -2.0),
-                  wave(0.9) * indicator(-1.0, 2.0), constant(0.5j), ONE):
+                  wave(0.9) * indicator(-1.0, 2.0), constant(0.5j), ONE,
+                  Multiplier(2.0), Multiplier(-0.5, 1.5), Multiplier(2.0, 0.0, -1.0, 1.0)):
             assert_same_bits(f.at(ys), plain_at(f, ys))
+
+    def test_real_factor_gives_complex_values(self):
+        # c = 2.0 is a float, and a = 0 takes no product with a complex array
+        for ys in (np.array([0.0, 1.0]), np.array([0.0, np.nan])):
+            vals = Multiplier(2.0).at(ys)
+            assert vals.dtype == complex
+            assert_same_bits(vals, plain_at(Multiplier(2.0), ys))

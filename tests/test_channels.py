@@ -9,6 +9,7 @@ from atomdyn.algebra import (
     ONE,
     AlgebraElement,
     BoundedFunction,
+    Multiplier,
     adjoint,
     compose,
     constant,
@@ -1016,7 +1017,7 @@ class TestMonteCarloBits:
     @pytest.mark.parametrize("d", SIX_LAWS, ids=SIX_IDS)
     def test_expect_function_mc(self, d):
         fs = [wave(1.3), wave(-0.4).shifted(0.7), indicator(-1.0, 0.5), constant(0.5j),
-              wave(1.1) * indicator(-2.0, 1.0)]
+              wave(1.1) * indicator(-2.0, 1.0), Multiplier(2.0), Multiplier(-0.5, 1.5)]
         for j, f in enumerate(fs):
             for n in (1, 2, 1_000, 16_384, 100_000):
                 for x in (0.0, -0.3):
