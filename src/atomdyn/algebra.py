@@ -138,13 +138,15 @@ class Multiplier:
     def at(self, ys: np.ndarray) -> np.ndarray:
         """f on every point of ys, as a new complex array; ys is not written.
 
-        The values are ``c * np.exp(1j * a * ys)``.  Points outside [lo, hi]
-        and NaN points give 0j; the mask that finds them is built only when
-        an end is finite or ys holds a NaN, and it writes into the values.
+        The values are those of ``c * np.exp(1j * a * ys)``; the exponential
+        is written into the product's array (see ``_exp_into``).  Points
+        outside [lo, hi] and NaN points give 0j; the mask that finds them is
+        built only when an end is finite or ys holds a NaN, and it writes
+        into the values.
         """
         ys = np.asarray(ys, dtype=float)
         if self.a:
-            out = self.c * np.exp(1j * self.a * ys)
+            out = self.c * _exp_into(1j * self.a * ys)
         else:
             out = np.full(ys.shape, self.c, dtype=complex)
         if self.lo > -math.inf or self.hi < math.inf or (ys.size and math.isnan(ys.min())):
@@ -170,6 +172,17 @@ class Multiplier:
         if lo > hi:
             return ZERO
         return Multiplier(self.c * other.c, self.a + other.a, lo, hi)
+
+
+def _exp_into(z: np.ndarray) -> np.ndarray:
+    """np.exp(z) written into z, which the caller hands over.
+
+    The result comes back as a temporary that no name holds, like the one
+    ``np.exp(z)`` returns, so numpy treats ``c * _exp_into(z)`` as it treats
+    ``c * np.exp(z)``: for large arrays it may reuse the temporary for the
+    product (temporary elision), and it picks the same loop either way.
+    """
+    return np.exp(z, out=z)
 
 
 ONE = Multiplier()

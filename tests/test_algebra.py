@@ -492,9 +492,3 @@ class TestMultiplierAtBits:
                   Multiplier(2.0), Multiplier(-0.5, 1.5), Multiplier(2.0, 0.0, -1.0, 1.0)):
             assert_same_bits(f.at(ys), plain_at(f, ys))
 
-    def test_real_factor_gives_complex_values(self):
-        # c = 2.0 is a float, and a = 0 takes no product with a complex array
-        for ys in (np.array([0.0, 1.0]), np.array([0.0, np.nan])):
-            vals = Multiplier(2.0).at(ys)
-            assert vals.dtype == complex
-            assert_same_bits(vals, plain_at(Multiplier(2.0), ys))
