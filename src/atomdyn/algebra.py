@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Tuple, Union
 
 import numpy as np
@@ -40,16 +40,31 @@ def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
     """S_h: the atom at p moves to p - h, amplitude unchanged.
 
     Subtraction is monotone, so the atoms stay sorted; it is not injective,
-    so neighbours can land on one frequency, and those are merged.
+    so neighbours can land on one frequency, and those are merged.  A shift
+    that carries an atom past the largest float raises ValueError.
     """
     if not math.isfinite(h):
         raise ValueError(f"non-finite shift: {h!r}")
     if h == 0:
         return u
+    _check_shifts(u, float(h), float(h))
     q = u.freqs - h
     if np.count_nonzero(q[1:] == q[:-1]):
         return merge(q, u.amps)
     return AtomicVector(q, u.amps)
+
+
+def _check_shifts(u: AtomicVector, low: float, high: float) -> None:
+    """Raise ValueError if a shift in [low, high] moves an atom of u to +-inf.
+
+    The atoms are sorted and subtraction is monotone, so the end atoms and
+    the end shifts decide; the test runs on Python floats, which overflow
+    without a warning.
+    """
+    f = u.freqs
+    if f.size and (math.isinf(f.item(-1) - low) or math.isinf(f.item(0) - high)):
+        h = low if math.isinf(f.item(-1) - low) else high
+        raise ValueError(f"shift {h!r} moves an atom of the vector out of the float range")
 
 
 def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
@@ -159,19 +174,13 @@ class Multiplier:
         """y -> f(y + h): the wave gains the phase e^{iah}, the interval moves by -h."""
         if h == 0:
             return self
-        c = self.c * cmath.exp(1j * self.a * h) if self.a else self.c
-        return Multiplier(c, self.a, self.lo - h, self.hi - h)
+        return _function(_product(None, _data(self), h))
 
     def conjugate(self) -> "Multiplier":
-        return Multiplier(self.c.conjugate(), -self.a, self.lo, self.hi)
+        return _function(_product(None, _data(self), conj=True))
 
     def __mul__(self, other):
-        if not isinstance(other, Multiplier):
-            return _opaque(self) * other
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return ZERO
-        return Multiplier(self.c * other.c, self.a + other.a, lo, hi)
+        return _function(_product(_data(self), _data(other)))
 
 
 def _exp_into(z: np.ndarray) -> np.ndarray:
@@ -264,6 +273,52 @@ def _opaque(f: Multiplier) -> BoundedFunction:
 Function = Union[Multiplier, BoundedFunction]
 
 
+# Multiplier data: a Multiplier as its tuple (c, a, lo, hi), a BoundedFunction
+# as itself.  Products of terms are formed on data, and a Multiplier object
+# is built once per term of a result.
+
+
+def _data(f):
+    return (f.c, f.a, f.lo, f.hi) if isinstance(f, Multiplier) else f
+
+
+def _function(d):
+    return Multiplier(*d) if type(d) is tuple else d
+
+
+def _product(f, g, h=0.0, conj=False):
+    """The data of y -> f(y) g(y + h), with conj g in place of g if conj.
+
+    f = None leaves the product out.  This is the exchange rule
+    S_h M_g = M_{g(.+h)} S_h on data: the wave of g gains the phase e^{iah}
+    and its interval moves by -h.  Then the product: constants multiply,
+    frequencies add, intervals intersect, and an empty intersection is the
+    zero multiplier.  An opaque factor makes the result opaque.
+    """
+    if type(g) is not tuple or not (f is None or type(f) is tuple):
+        g = _function(g)
+        g = (g.conjugate() if conj else g).shifted(h)
+        if f is None:
+            return g
+        f = _function(f)
+        return (_opaque(f) if isinstance(f, Multiplier) else f) * g
+    gc, ga, glo, ghi = g
+    if conj:
+        gc, ga = gc.conjugate(), -ga
+    if h:
+        if ga:
+            gc = gc * cmath.exp(1j * ga * h)
+        glo, ghi = glo - h, ghi - h
+    if f is None:
+        return gc, ga, glo, ghi
+    fc, fa, flo, fhi = f
+    # max(flo, glo) and min(fhi, ghi), ties to f
+    lo, hi = glo if glo > flo else flo, ghi if ghi < fhi else fhi
+    if lo > hi:
+        return _data(ZERO)
+    return fc * gc, fa + ga, lo, hi
+
+
 # ---------------------------------------------------------------------------
 # Normal-form algebra elements
 
@@ -281,16 +336,7 @@ class AlgebraElement:
 
     @staticmethod
     def of(terms: Iterable[Tuple[complex, Function, float]]) -> "AlgebraElement":
-        merged: dict = {}
-        for c, f, a in terms:
-            c = complex(c)
-            if isinstance(f, Multiplier) and f.c != 1:
-                c, f = c * f.c, replace(f, c=1 + 0j)
-            if c == 0:
-                continue
-            key = (f, float(a))
-            merged[key] = merged[key] + c if key in merged else c
-        return AlgebraElement(tuple((c, f, a) for (f, a), c in merged.items() if c != 0))
+        return _normal_form((c, _data(f), a) for c, f, a in terms)
 
     @staticmethod
     def identity() -> "AlgebraElement":
@@ -315,34 +361,94 @@ class AlgebraElement:
         return AlgebraElement.of([(alpha * c, f, a) for c, f, a in self.terms])
 
 
+def _normal_form(terms: Iterable[tuple]) -> AlgebraElement:
+    """The element of (c, f, a) triples with f as multiplier data.
+
+    A Multiplier's constant moves into the weight, zero weights drop out,
+    and terms with equal (f, a) merge by value in first-seen order.
+    """
+    merged: dict = {}
+    get = merged.get
+    for c, f, a in terms:
+        c = complex(c)
+        if type(f) is tuple and f[0] != 1:
+            c, f = c * f[0], (1 + 0j, *f[1:])
+        if c == 0:
+            continue
+        key = (f, float(a))
+        total = get(key)
+        merged[key] = c if total is None else total + c
+    return AlgebraElement(
+        tuple((c, _function(f), a) for (f, a), c in merged.items() if c != 0))
+
+
 def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     """sum_j c_j M_{f_j} S_{a_j} u, as the sum of the terms' vectors in term order.
 
-    The term vectors c_j f_j(q) c for the atoms (q, c) of S_{a_j} u are
-    concatenated and merged once, so each frequency's amplitude adds the
-    terms' values left to right, as ``out + c_j M_{f_j} S_{a_j} u`` term by
-    term does.  That fold keeps the frequency key of the term that brought
-    an atom in until its sum cancels exactly; only -0.0 and 0.0 are distinct
-    keys that compare equal, so the zero atom's key is set to match.
+    The terms form a table with one row per term and one column per atom of
+    u: row j holds the frequencies q = p - a_j of S_{a_j} u and the values
+    c_j f_j(q) c for its atoms (q, c).  The rows are flattened in term order
+    and merged once, so each frequency's amplitude adds the terms' values
+    left to right, as ``out + c_j M_{f_j} S_{a_j} u`` term by term does.
+    That fold keeps the frequency key of the term that brought an atom in
+    until its sum cancels exactly; only -0.0 and 0.0 are distinct keys that
+    compare equal, so the zero atom's key is set to match.
 
-    ``f.at(q)`` rounds c e^{iaq} by numpy's complex product, which may
-    differ from ``f(q)`` in the last bit; it cannot here, since a normal
-    form keeps c = 1 in every :class:`Multiplier`, and the signs of zero
-    parts it may flip vanish in the merge, which adds every amplitude to 0j.
+    A row where atoms of u land on one frequency takes the amplitudes of
+    ``apply_shift``, which merges them first, and keeps zeros for the rest
+    of each merged run.  A Multiplier's values c e^{iaq} are rounded as
+    Python's complex product rounds them, as ``f(q)`` does; a
+    BoundedFunction row comes from its own ``at``.  As in the scalar rule,
+    the exponential runs only on the rows with a wave, the interval test
+    only if some end is finite, and a row whose values are all 1 is not
+    multiplied.  A shift that carries an atom past the largest float raises
+    ValueError.
     """
-    if not A.terms:
+    if not A.terms or not len(u):
         return AtomicVector()
-    qs, ws = [], []
-    for c, f, a in A.terms:
-        s = apply_shift(a, u)
-        qs.append(s.freqs)
-        ws.append(cmul(c, cmul(f.at(s.freqs), s.amps)))
-    q, w = np.concatenate(qs), np.concatenate(ws)
+    n, k = len(A.terms), len(u)
+    # one row per term, an opaque one with c = 0 to mark it for its own
+    # ``at``; a shift by -0.0 leaves u as it is, as 0.0 does
+    w, c, ia, lo, hi, h = zip(*[
+        (w, f.c, 1j * f.a, f.lo, f.hi, s + 0.0) if isinstance(f, Multiplier)
+        else (w, *_data(ZERO), s + 0.0) for w, f, s in A.terms])
+    if any(h):
+        if not all(map(math.isfinite, h)):
+            raise ValueError(f"non-finite shift: {next(s for s in h if not math.isfinite(s))!r}")
+        _check_shifts(u, float(min(h)), float(max(h)))
+    wia = np.array(w + ia, dtype=complex)
+    q = u.freqs - np.array(h, dtype=float)[:, None]
+    x = u.amps[None, :].repeat(n, axis=0)
+    if any(h):
+        landed = q[:, 1:] == q[:, :-1]
+        if np.count_nonzero(landed):
+            for j in np.flatnonzero(landed.any(axis=1)):
+                s = apply_shift(h[j], u)
+                x[j] = 0j
+                x[j, q[j].searchsorted(s.freqs)] = s.amps
+    # the multipliers' values: e^{iaq} on the rows with a wave, f(q) on the
+    # rows outside the normal form, 1 on the others; then 0 outside [lo, hi]
+    odd = [j for j, cj in enumerate(c) if cj != 1] if c.count(1) < n else []
+    if all(ia) and not odd:
+        x = cmul(np.exp(wia[n:, None] * q).ravel(), x.ravel()).reshape(n, k)
+    elif any(ia):
+        rows = np.flatnonzero(wia[n:])
+        rows = np.setdiff1d(rows, odd) if odd else rows
+        x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
+                       x[rows].ravel()).reshape(-1, k)
+    for j in odd:
+        f = A.terms[j][1]
+        vals = cmul(f.c, np.exp(1j * f.a * q[j])) if isinstance(f, Multiplier) else f.at(q[j])
+        x[j] = cmul(vals, x[j])
+    if max(lo) > -math.inf or min(hi) < math.inf:
+        lo, hi = np.array((lo, hi), dtype=float)[:, :, None]
+        x[~((lo <= q) & (q <= hi))] = 0j
+    q, w = q.ravel(), cmul(wia[:n].repeat(k), x.ravel())
     at_zero = q == 0
     if np.count_nonzero(at_zero):
         hits = at_zero & (w != 0)
         total = 0j
-        for key, term in zip(q[hits], w[hits]):
+        for key, term in zip(q[hits].tolist(), w[hits].tolist()):
             if total == 0:
                 q[at_zero] = key
             total += term
@@ -351,15 +457,17 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
 
 def compose(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     """Product A B in normal form: (M_f S_a)(M_g S_b) = M_{f * g(.+a)} S_{a+b}."""
-    return AlgebraElement.of(
-        (c1 * c2, f1 * f2.shifted(a1), a1 + a2)
-        for c1, f1, a1 in A.terms
-        for c2, f2, a2 in B.terms
+    left = [(c, _data(f), a) for c, f, a in A.terms]
+    right = [(c, _data(f), a) for c, f, a in B.terms]
+    return _normal_form(
+        (c1 * c2, _product(f1, f2, a1), a1 + a2)
+        for c1, f1, a1 in left
+        for c2, f2, a2 in right
     )
 
 
 def adjoint(A: AlgebraElement) -> AlgebraElement:
     """(c M_f S_a)* = conj(c) M_{conj f (.-a)} S_{-a}."""
-    return AlgebraElement.of(
-        [(c.conjugate(), f.conjugate().shifted(-a), -a) for c, f, a in A.terms]
+    return _normal_form(
+        (c.conjugate(), _product(None, _data(f), -a, conj=True), -a) for c, f, a in A.terms
     )

@@ -160,8 +160,9 @@ def merge(ps: np.ndarray, cs: np.ndarray) -> AtomicVector:
 
     Each merged amplitude is 0j plus its group's amplitudes in input order,
     the sum a dict accumulating ``acc[p] = acc.get(p, 0j) + c`` forms.
+    Frequencies that are sorted and distinct already skip the sort.
     """
-    if len(ps) < 2:
+    if len(ps) < 2 or not np.count_nonzero(ps[1:] <= ps[:-1]):
         return canonical(ps, cs)
     order = ps.argsort()
     repeat = ps[order[1:]] == ps[order[:-1]]

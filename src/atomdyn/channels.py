@@ -434,7 +434,12 @@ def _averaged_terms(s: AveragedState, A: AlgebraElement, method, mc_samples, gen
 def channel_T(h: float, s: State) -> State:
     """Conjugation by the shift: rho -> S_h rho S_h*."""
     if isinstance(s, PureState):
-        return PureState(apply_shift(h, s.vector))
+        v = apply_shift(h, s.vector)
+        if len(v) < len(s.vector):
+            raise ValueError(
+                f"shift {h!r} merges atoms of the state in floating point: "
+                "their frequencies minus the shift round to one float")
+        return PureState(v)
     if isinstance(s, NormalState):
         return NormalState._channel_output(tuple(p - h for p in s.support), s.matrix)
     if isinstance(s, MixedState):

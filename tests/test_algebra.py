@@ -1,9 +1,12 @@
 import cmath
+import dataclasses
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
@@ -433,6 +436,194 @@ class TestArrayRules:
         for A in (kept, restarted):
             assert vector_bits(apply_element(A, u)) == atom_bits(
                 ref_apply_element(A.terms, ref_make([(a.p, a.c) for a in u])))
+
+
+# ---------------------------------------------------------------------------
+# The term table: apply_element, compose and adjoint against per-term rules
+#
+# The references build every product term as its own Multiplier, field by
+# field, with the exchange rule written out once more on the fields, and
+# merge the terms in a dict in first-seen order.
+
+
+def ref_shifted(f, h):
+    if isinstance(f, BoundedFunction):
+        return f.shifted(h)
+    if h == 0:
+        return f
+    c = f.c * cmath.exp(1j * f.a * h) if f.a else f.c
+    return Multiplier(c, f.a, f.lo - h, f.hi - h)
+
+
+def ref_conjugate(f):
+    if isinstance(f, BoundedFunction):
+        return f.conjugate()
+    return Multiplier(f.c.conjugate(), -f.a, f.lo, f.hi)
+
+
+def ref_mul(f, g):
+    if isinstance(f, BoundedFunction) or isinstance(g, BoundedFunction):
+        if isinstance(f, Multiplier):
+            f = BoundedFunction(repr(f), f, f.bound)
+        return f * g
+    lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
+    if lo > hi:
+        return Multiplier(0j)
+    return Multiplier(f.c * g.c, f.a + g.a, lo, hi)
+
+
+def ref_normal_form(terms):
+    merged = {}
+    for c, f, a in terms:
+        c = complex(c)
+        if isinstance(f, Multiplier) and f.c != 1:
+            c, f = c * f.c, Multiplier(1 + 0j, f.a, f.lo, f.hi)
+        if c == 0:
+            continue
+        key = (f, float(a))
+        merged[key] = merged[key] + c if key in merged else c
+    return [(c, f, a) for (f, a), c in merged.items() if c != 0]
+
+
+def ref_compose(left, right):
+    return ref_normal_form((c1 * c2, ref_mul(f1, ref_shifted(f2, a1)), a1 + a2)
+                           for c1, f1, a1 in left for c2, f2, a2 in right)
+
+
+def ref_adjoint(terms):
+    return ref_normal_form((c.conjugate(), ref_shifted(ref_conjugate(f), -a), -a)
+                           for c, f, a in terms)
+
+
+def term_bits(terms):
+    """Exact bits of (c, f, a) triples in order; a BoundedFunction by its tag."""
+    def function_bits(f):
+        if isinstance(f, BoundedFunction):
+            return f.tag
+        assert type(f) is Multiplier
+        return tuple(x.hex() for x in (f.c.real, f.c.imag, f.a, f.lo, f.hi))
+    return [(c.real.hex(), c.imag.hex(), function_bits(f), a.hex()) for c, f, a in terms]
+
+
+# multipliers as they come, constants other than 1 included; the normal
+# form moves those into the weight, AlgebraElement(...) keeps them
+table_multipliers = st.one_of(
+    multipliers,
+    st.builds(lambda c, a, lo, width: Multiplier(c, a, lo, lo + width),
+              amplitudes, st.floats(-3, 3), frequencies, st.floats(0, 20)),
+)
+term_lists = st.lists(st.tuples(amplitudes, table_multipliers, shifts), min_size=1, max_size=40)
+
+
+def as_element(terms, direct):
+    return AlgebraElement(tuple(terms)) if direct else AlgebraElement.of(terms)
+
+
+# the 2-term element of the sparse-large benchmark: unit phases of modulus 1/2,
+# shifts and interval ends on the grid Z/8, so that B^n stays exact
+phases = st.floats(0, 1).map(lambda x: 0.5 * cmath.exp(2j * math.pi * x))
+grid_shifts = st.integers(-8, 8).filter(bool).map(lambda j: j / 8.0)
+benchmark_elements = st.builds(
+    lambda c1, g1, b, c2, g2, ends: [(c1, wave(b), g1), (c2, indicator(*sorted(ends)), g2)],
+    phases, grid_shifts, st.floats(0.1, 2.0), phases, grid_shifts,
+    st.tuples(st.integers(-32, 32), st.integers(-32, 32)).map(lambda t: (t[0] / 8.0, t[1] / 8.0)),
+)
+eight_atoms = st.lists(st.integers(-32, 32), min_size=8, max_size=8, unique=True).map(
+    lambda js: [(j / 8.0, complex(1.0, j / 16.0)) for j in js])
+
+
+class TestTermTable:
+    @settings(deadline=None, max_examples=200)
+    @given(pair_lists, term_lists, st.booleans())
+    @example([(0.0, 0.1), (1e-300, 0.7), (1e16, 1j), (1e16 + 2.0, 2.0), (-0.0, 0.5)],
+             [(1.0, ONE, 1.0), (0.5j, Multiplier(0.3 - 0.7j, 1.1), -0.0),
+              (2.0, BoundedFunction("square", lambda y: y * y, 1e6), 1.0),
+              (-1.0, Multiplier(2.0, 0.0, -1.0, 1.0), 0.0)], True)
+    @example([(-0.0, 1.0), (1.0, 0.5)], [(1.0, ONE, -0.0), (0.5, wave(1.0), 1.0)], False)
+    def test_apply_element(self, pairs, terms, direct):
+        A, u = as_element(terms, direct), make_vector(pairs)
+        assert vector_bits(apply_element(A, u)) == atom_bits(
+            ref_apply_element(A.terms, ref_make(pairs)))
+
+    def test_rows_that_collide(self):
+        # by 1.0 the atoms 0.0 and 1e-300 merge, and so do 1e16 and 1e16 + 2;
+        # by 1e-300 nothing merges, and its 0.0 key comes before the -0.0 key
+        # that the zero shift brings
+        pairs = [(-0.0, 0.25), (1e-300, 0.7), (1e16, 1j), (1e16 + 2.0, 2.0), (3.0, 1.0)]
+        terms = [(1.0, ONE, 1.0), (0.5, wave(0.5), 1e-300), (1j, indicator(-2.0, 5.0), 1.0),
+                 (0.25, ONE, 0.0), (-0.5, BoundedFunction("cos", cmath.cos, 1.0), 1.0)]
+        A, u = AlgebraElement.of(terms), make_vector(pairs)
+        out = apply_element(A, u)
+        assert vector_bits(out) == atom_bits(ref_apply_element(A.terms, ref_make(pairs)))
+        assert out.freqs[out.freqs == 0][0].hex() == (0.0).hex()
+
+    def test_constant_other_than_one(self):
+        # AlgebraElement(...) keeps c != 1 in a multiplier; its values
+        # c e^{iaq} round as Python's complex product, as f(q) does
+        f = Multiplier(0.3 - 0.7j, 1.1, -2.0, 6.0)
+        pairs = [(p, 1.0 + 0.25j * p) for p in (-2.5, -1.0, 0.5, 1.25, 3.0, 5.75, 7.75)]
+        A = AlgebraElement(((1.0, f, 0.0), (0.5j, f, 0.375), (2.0, wave(0.5), 0.375)))
+        assert vector_bits(apply_element(A, make_vector(pairs))) == atom_bits(
+            ref_apply_element(A.terms, ref_make(pairs)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(term_lists.map(lambda t: t[:6]), term_lists.map(lambda t: t[:4]), st.booleans())
+    # max and min keep the first of two equal ends, -0.0 or 0.0
+    @example([(1.0, indicator(-0.0, 1.0), 0.0)], [(1.0, indicator(0.0, 2.0), 0.0)], False)
+    def test_compose_and_adjoint(self, left, right, direct):
+        A, B = as_element(left, direct), AlgebraElement.of(right)
+        if not direct:
+            assert term_bits(A.terms) == term_bits(ref_normal_form(left))
+        assert term_bits(compose(A, B).terms) == term_bits(ref_compose(A.terms, B.terms))
+        assert term_bits(compose(B, A).terms) == term_bits(ref_compose(B.terms, A.terms))
+        assert term_bits(adjoint(A).terms) == term_bits(ref_adjoint(A.terms))
+        assert term_bits(adjoint(compose(A, B)).terms) == term_bits(
+            ref_adjoint(ref_compose(A.terms, B.terms)))
+
+    @settings(deadline=None, max_examples=20)
+    @given(benchmark_elements, eight_atoms)
+    def test_powers_of_the_benchmark_element(self, terms, pairs):
+        B = AlgebraElement.of(terms)
+        P, ref = B, ref_normal_form(terms)
+        assert term_bits(B.terms) == term_bits(ref)
+        for _ in range(7):
+            P, ref = compose(P, B), ref_compose(ref, B.terms)
+            assert term_bits(P.terms) == term_bits(ref)
+        star, ref_star = adjoint(P), ref_adjoint(ref)
+        assert term_bits(star.terms) == term_bits(ref_star)
+        assert vector_bits(apply_element(star, make_vector(pairs))) == atom_bits(
+            ref_apply_element(ref_star, ref_make(pairs)))
+
+    def test_product_terms_are_plain_multipliers(self):
+        B = AlgebraElement.of([(0.5, wave(1.0), 0.25), (0.5j, indicator(-1, 1), -0.5)])
+        P = compose(compose(B, B), adjoint(B))
+        rebuilt = AlgebraElement(tuple(
+            (c, Multiplier(f.c, f.a, f.lo, f.hi), a) for c, f, a in P.terms))
+        for (_, f, _), (_, g, _) in zip(P.terms, rebuilt.terms):
+            assert type(f) is Multiplier and vars(f) == vars(g)
+            assert list(vars(f)) == ["c", "a", "lo", "hi"]
+        assert P == rebuilt and hash(P) == hash(rebuilt) and repr(P) == repr(rebuilt)
+        assert pickle.loads(pickle.dumps(P)) == P
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            P.terms[0][1].a = 2.0
+
+    def test_shift_past_the_float_range(self):
+        top, bottom = make_vector([(1e308, 1.0)]), make_vector([(-1e308, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: apply_shift(-1e308, top),
+                         lambda: weyl_residual(-1e308, 1.0, top),
+                         lambda: apply_element(AlgebraElement.of(
+                             [(1.0, ONE, 0.0), (1.0, wave(1.0), -1e308)]), top)):
+                with pytest.raises(ValueError, match="shift -1e[+]308"):
+                    call()
+            with pytest.raises(ValueError, match="shift 1e[+]308"):
+                apply_shift(1e308, bottom)
+            assert apply_shift(-1e308, make_vector([(7e307, 1.0)])).frequencies == (1.7e308,)
+            assert apply_shift(1e308, top).frequencies == (0.0,)
+            for h in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="non-finite shift"):
+                    apply_element(AlgebraElement.of([(1.0, ONE, 0.5), (1.0, ONE, h)]), top)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,23 @@ class TestChannelT:
         with pytest.raises(TypeError):
             channel_T(1.0, avg)
 
+    def test_shift_that_merges_atoms(self):
+        # 0.0 - 1.0 and 1e-300 - 1.0 are both -1.0: S_1 is not isometric there
+        s = PureState(make_vector([(0.0, 2 ** -0.5), (1e-300, 2 ** -0.5)]))
+        with pytest.raises(ValueError, match="merges atoms"):
+            channel_T(1.0, s)
+        # a Rademacher law shifts the base by -1.0, which merges them too
+        avg = averaged_T(Rademacher(), s)
+        with pytest.raises(ValueError, match="merges atoms"):
+            normality_witness(avg, [[-1.0, 1.0]])
+        with pytest.raises(ValueError, match="merges atoms"):
+            yosida_hewitt_split([(1.0, avg)])
+        assert channel_T(1e-300, s).vector.frequencies == (-1e-300, 0.0)
+
+    def test_shift_past_the_float_range(self):
+        with pytest.raises(ValueError, match="-1e[+]308"):
+            channel_T(-1e308, PureState(unit_atom(1e308)))
+
 
 class TestAveragedT:
     def test_unital(self):
