@@ -13,7 +13,6 @@ from .trig import (
 )
 from .algebra import (
     AlgebraElement,
-    BoundedFunction,
     Multiplier,
     apply_shift,
     apply_mod,

@@ -12,20 +12,19 @@ The multipliers of the normal form are data: a :class:`Multiplier`
 waves and interval indicators are instances, and the family is closed under
 shifts (c gains e^{iah}, the interval moves), conjugation and products
 (phases multiply, frequencies add, intervals intersect; an empty
-intersection is the zero multiplier).  The normal form keeps c = 1 in every
-multiplier, moving the constant into the term weight, and merges terms with
-equal (multiplier, shift) by value.  Only an opaque :class:`BoundedFunction`
-carries a textual tag, and terms with it merge when their tags are equal.
-Multipliers are evaluated at the finitely many atom frequencies of the
-argument vector, or on whole arrays with ``at``.
+intersection is the zero multiplier).  The algebra is closed: every element
+is in normal form, which keeps c = 1 in every multiplier, moving the
+constant into the term weight, and merges terms with equal (multiplier,
+shift) by value.  Multipliers are evaluated at the finitely many atom
+frequencies of the argument vector, or on whole arrays with ``at``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -84,11 +83,14 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     products conj(c_u) c_v, rounded by ``cmul`` as ``inner`` rounds them, add
     up in u's atom order.  Shifts at which two atoms of u land on one
     frequency merge them first, so those few are computed through
-    ``apply_shift`` itself.
+    ``apply_shift`` itself.  A shift that carries an atom of u past the
+    largest float raises ValueError, as it does there.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("non-finite shift")
+    if xs.size:
+        _check_shifts(u, float(xs.min()), float(xs.max()))
     out = np.zeros(xs.shape, dtype=complex)
     if not len(u) or not len(v):
         return out
@@ -141,10 +143,6 @@ class Multiplier:
     lo: float = -math.inf
     hi: float = math.inf
 
-    @property
-    def bound(self) -> float:
-        return abs(self.c)
-
     def __call__(self, y: float) -> complex:
         if self.lo <= y <= self.hi:
             return self.c * cmath.exp(1j * self.a * y) if self.a else self.c
@@ -174,13 +172,13 @@ class Multiplier:
         """y -> f(y + h): the wave gains the phase e^{iah}, the interval moves by -h."""
         if h == 0:
             return self
-        return _function(_product(None, _data(self), h))
+        return Multiplier(*_product(None, _data(self), h))
 
     def conjugate(self) -> "Multiplier":
-        return _function(_product(None, _data(self), conj=True))
+        return Multiplier(*_product(None, _data(self), conj=True))
 
     def __mul__(self, other):
-        return _function(_product(_data(self), _data(other)))
+        return Multiplier(*_product(_data(self), _data(other)))
 
 
 def _exp_into(z: np.ndarray) -> np.ndarray:
@@ -214,76 +212,13 @@ def indicator(lo: float, hi: float) -> Multiplier:
     return Multiplier(lo=float(lo), hi=float(hi))
 
 
-@dataclass(frozen=True, eq=False)
-class BoundedFunction:
-    """An opaque multiplier y -> fn(y) with a declared sup bound.
-
-    Compared and hashed by its tag alone: two functions with equal tags are
-    treated as the same multiplier.  Shifts, conjugates and products with
-    it stay opaque.  The callable must be pure.
-    """
-
-    tag: str
-    fn: Callable[[float], complex] = field(repr=False)
-    bound: float
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BoundedFunction) and other.tag == self.tag
-
-    def __hash__(self) -> int:
-        return hash(self.tag)
-
-    def __call__(self, x: float) -> complex:
-        return complex(self.fn(x))
-
-    def at(self, ys: np.ndarray) -> np.ndarray:
-        """f on every point of ys, as a complex array."""
-        return np.array([complex(self.fn(float(y))) for y in ys], dtype=complex)
-
-    def shifted(self, h: float) -> "BoundedFunction":
-        """x -> f(x + h)."""
-        if h == 0:
-            return self
-        return BoundedFunction(
-            f"({self.tag})@shift({h!r})", lambda x, _f=self.fn, _h=h: _f(x + _h),
-            self.bound,
-        )
-
-    def conjugate(self) -> "BoundedFunction":
-        return BoundedFunction(
-            f"conj({self.tag})",
-            lambda x, _f=self.fn: complex(_f(x)).conjugate(),
-            self.bound,
-        )
-
-    def __mul__(self, other) -> "BoundedFunction":
-        if isinstance(other, Multiplier):
-            other = _opaque(other)
-        return BoundedFunction(
-            f"({self.tag})*({other.tag})",
-            lambda x, _f=self.fn, _g=other.fn: complex(_f(x)) * complex(_g(x)),
-            self.bound * other.bound,
-        )
+# Multiplier data: a Multiplier as its tuple (c, a, lo, hi).  Products of
+# terms are formed on data, and a Multiplier object is built once per term
+# of a result.
 
 
-def _opaque(f: Multiplier) -> BoundedFunction:
-    return BoundedFunction(repr(f), f, f.bound)
-
-
-Function = Union[Multiplier, BoundedFunction]
-
-
-# Multiplier data: a Multiplier as its tuple (c, a, lo, hi), a BoundedFunction
-# as itself.  Products of terms are formed on data, and a Multiplier object
-# is built once per term of a result.
-
-
-def _data(f):
-    return (f.c, f.a, f.lo, f.hi) if isinstance(f, Multiplier) else f
-
-
-def _function(d):
-    return Multiplier(*d) if type(d) is tuple else d
+def _data(f: Multiplier) -> tuple:
+    return f.c, f.a, f.lo, f.hi
 
 
 def _product(f, g, h=0.0, conj=False):
@@ -293,15 +228,8 @@ def _product(f, g, h=0.0, conj=False):
     S_h M_g = M_{g(.+h)} S_h on data: the wave of g gains the phase e^{iah}
     and its interval moves by -h.  Then the product: constants multiply,
     frequencies add, intervals intersect, and an empty intersection is the
-    zero multiplier.  An opaque factor makes the result opaque.
+    zero multiplier.
     """
-    if type(g) is not tuple or not (f is None or type(f) is tuple):
-        g = _function(g)
-        g = (g.conjugate() if conj else g).shifted(h)
-        if f is None:
-            return g
-        f = _function(f)
-        return (_opaque(f) if isinstance(f, Multiplier) else f) * g
     gc, ga, glo, ghi = g
     if conj:
         gc, ga = gc.conjugate(), -ga
@@ -327,15 +255,23 @@ def _product(f, g, h=0.0, conj=False):
 class AlgebraElement:
     """Normal form sum_j c_j M_{f_j} S_{a_j} with at most one term per (f, a).
 
-    Every structured multiplier f_j has c = 1: its constant factor lives in
-    the term weight c_j.  A convolution sum_j w_j S_{a_j} is
-    ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
+    Every multiplier f_j is a :class:`Multiplier` with c = 1: its constant
+    factor lives in the term weight c_j.  The constructor rejects any other
+    multiplier; ``AlgebraElement.of`` puts terms into this form.  A
+    convolution sum_j w_j S_{a_j} is ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
     """
 
-    terms: Tuple[Tuple[complex, Function, float], ...]
+    terms: Tuple[Tuple[complex, Multiplier, float], ...]
+
+    def __post_init__(self):
+        for _, f, _ in self.terms:
+            if type(f) is not Multiplier or f.c != 1:
+                raise ValueError(
+                    f"term multiplier {f!r} is not in normal form, a Multiplier with "
+                    "c = 1; build the element with AlgebraElement.of")
 
     @staticmethod
-    def of(terms: Iterable[Tuple[complex, Function, float]]) -> "AlgebraElement":
+    def of(terms: Iterable[Tuple[complex, Multiplier, float]]) -> "AlgebraElement":
         return _normal_form((c, _data(f), a) for c, f, a in terms)
 
     @staticmethod
@@ -347,7 +283,7 @@ class AlgebraElement:
         return AlgebraElement.of([(1.0, ONE, float(h))])
 
     @staticmethod
-    def mult(f: Function) -> "AlgebraElement":
+    def mult(f: Multiplier) -> "AlgebraElement":
         return AlgebraElement.of([(1.0, f, 0.0)])
 
     @staticmethod
@@ -371,7 +307,7 @@ def _normal_form(terms: Iterable[tuple]) -> AlgebraElement:
     get = merged.get
     for c, f, a in terms:
         c = complex(c)
-        if type(f) is tuple and f[0] != 1:
+        if f[0] != 1:
             c, f = c * f[0], (1 + 0j, *f[1:])
         if c == 0:
             continue
@@ -379,7 +315,7 @@ def _normal_form(terms: Iterable[tuple]) -> AlgebraElement:
         total = get(key)
         merged[key] = c if total is None else total + c
     return AlgebraElement(
-        tuple((c, _function(f), a) for (f, a), c in merged.items() if c != 0))
+        tuple((c, Multiplier(*f), a) for (f, a), c in merged.items() if c != 0))
 
 
 def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
@@ -396,22 +332,18 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
 
     A row where atoms of u land on one frequency takes the amplitudes of
     ``apply_shift``, which merges them first, and keeps zeros for the rest
-    of each merged run.  A Multiplier's values c e^{iaq} are rounded as
-    Python's complex product rounds them, as ``f(q)`` does; a
-    BoundedFunction row comes from its own ``at``.  As in the scalar rule,
-    the exponential runs only on the rows with a wave, the interval test
-    only if some end is finite, and a row whose values are all 1 is not
-    multiplied.  A shift that carries an atom past the largest float raises
-    ValueError.
+    of each merged run.  Every multiplier has c = 1 (the normal form), so
+    its values are e^{iaq} on [lo, hi] and 0 outside.  As in the scalar
+    rule, the exponential runs only on the rows with a wave, the interval
+    test only if some end is finite, and a row whose values are all 1 is
+    not multiplied.  A shift that carries an atom past the largest float
+    raises ValueError.
     """
     if not A.terms or not len(u):
         return AtomicVector()
     n, k = len(A.terms), len(u)
-    # one row per term, an opaque one with c = 0 to mark it for its own
-    # ``at``; a shift by -0.0 leaves u as it is, as 0.0 does
-    w, c, ia, lo, hi, h = zip(*[
-        (w, f.c, 1j * f.a, f.lo, f.hi, s + 0.0) if isinstance(f, Multiplier)
-        else (w, *_data(ZERO), s + 0.0) for w, f, s in A.terms])
+    # a shift by -0.0 leaves u as it is, as 0.0 does
+    w, ia, lo, hi, h = zip(*[(w, 1j * f.a, f.lo, f.hi, s + 0.0) for w, f, s in A.terms])
     if any(h):
         if not all(map(math.isfinite, h)):
             raise ValueError(f"non-finite shift: {next(s for s in h if not math.isfinite(s))!r}")
@@ -426,20 +358,14 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
                 s = apply_shift(h[j], u)
                 x[j] = 0j
                 x[j, q[j].searchsorted(s.freqs)] = s.amps
-    # the multipliers' values: e^{iaq} on the rows with a wave, f(q) on the
-    # rows outside the normal form, 1 on the others; then 0 outside [lo, hi]
-    odd = [j for j, cj in enumerate(c) if cj != 1] if c.count(1) < n else []
-    if all(ia) and not odd:
+    # the multipliers' values: e^{iaq} on the rows with a wave, 1 on the
+    # others; then 0 outside [lo, hi]
+    if all(ia):
         x = cmul(np.exp(wia[n:, None] * q).ravel(), x.ravel()).reshape(n, k)
     elif any(ia):
         rows = np.flatnonzero(wia[n:])
-        rows = np.setdiff1d(rows, odd) if odd else rows
         x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
                        x[rows].ravel()).reshape(-1, k)
-    for j in odd:
-        f = A.terms[j][1]
-        vals = cmul(f.c, np.exp(1j * f.a * q[j])) if isinstance(f, Multiplier) else f.at(q[j])
-        x[j] = cmul(vals, x[j])
     if max(lo) > -math.inf or min(hi) < math.inf:
         lo, hi = np.array((lo, hi), dtype=float)[:, :, None]
         x[~((lo <= q) & (q <= hi))] = 0j

@@ -32,7 +32,6 @@ import numpy as np
 from .atoms import AtomicVector, inner, norm, unit_atom
 from .algebra import (
     AlgebraElement,
-    Function,
     Multiplier,
     apply_element,
     apply_shift,
@@ -43,7 +42,7 @@ from .rand import Distribution, ConvolutionFamily, convolve
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
-# Gauss rule orders; "analytic" accepts the higher one only when both agree
+# Gauss rule orders; the higher one is accepted only when both agree
 GAUSS_ORDERS = (64, 128)
 _RULE_TOL = 1e-9
 
@@ -198,7 +197,7 @@ class QuadratureError(ArithmeticError):
 
 
 def _check_method(method: str, mc_samples: int) -> None:
-    if method not in ("analytic", "quadrature", "mc"):
+    if method not in ("analytic", "mc"):
         raise ValueError(f"unknown expectation method: {method!r}")
     if method == "mc" and mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples!r}")
@@ -206,7 +205,7 @@ def _check_method(method: str, mc_samples: int) -> None:
 
 def expect_function(
     d: Distribution,
-    f: Function,
+    f: Multiplier,
     x: float,
     method: str = "analytic",
     mc_samples: int = 100_000,
@@ -217,26 +216,20 @@ def expect_function(
     ``analytic`` takes one of three paths and never returns a silent
     approximation:
 
-    * closed form -- a :class:`Multiplier` c e^{iay} on the whole line gives
+    * closed form -- a multiplier c e^{iay} on the whole line gives
       c e^{-iax} chi(a) under any law; otherwise the discrete part is a
       finite sum, and on the continuous part a constant c on [lo, hi] is c
       times a cdf difference;
-    * Gauss rule -- any other multiplier is integrated against the
-      continuous part by the law's rule (Gauss-Hermite for Gaussian,
-      Gauss-Legendre for Uniform, Gauss-Legendre in theta for Cauchy with
-      y = gamma tan theta, and the weighted union of its components' rules
-      for a mixture) at the two orders of ``GAUSS_ORDERS``, over the
-      multiplier's interval [lo + x, hi + x] (the whole line for an opaque
-      :class:`BoundedFunction`).  The higher order is returned when the two
-      agree within 1e-9;
+    * Gauss rule -- a wave on an interval, or a constant on one under a law
+      with no cdf, is integrated against the continuous part by the law's rule (Gauss-Legendre for Gaussian within
+      12 standard deviations and for Uniform, Gauss-Legendre in theta for
+      Cauchy with y = gamma tan theta, and the weighted union of its
+      components' rules for a mixture) at the two orders of
+      ``GAUSS_ORDERS``, over the interval [lo + x, hi + x].  The higher
+      order is returned when the two agree within 1e-9;
     * error -- :class:`QuadratureError` when they do not, and
       NotImplementedError when the law has no rule.
 
-    ``quadrature`` sums the discrete part and applies the higher-order rule
-    to the continuous part with no closed forms, whatever its accuracy.
-    Its weights are positive, but a multiplier with a finite interval gets
-    its own nodes, so values of positive operators are non-negative only up
-    to the rule's error; ``test_positivity`` checks that they stay so.
     ``mc`` returns an :class:`McEstimate` with the standard error of the
     sample mean.  It gives the bits of the plain expressions ``vals =
     f.at(d.sample(gen, n) - x)``, ``vals.mean()`` and
@@ -263,8 +256,7 @@ def expect_function(
         var = float(np.mean(np.square(sq, out=sq)))
         stderr = math.sqrt(var / mc_samples)
         return McEstimate(mean, stderr, mc_samples)
-    if (method == "analytic" and isinstance(f, Multiplier)
-            and f.lo == -math.inf and f.hi == math.inf):
+    if f.lo == -math.inf and f.hi == math.inf:
         return f.c * cmath.exp(-1j * f.a * x) * d.chi(f.a) if f.a else f.c
 
     total = 0j
@@ -272,29 +264,26 @@ def expect_function(
         total += pr * complex(f(loc - x))
     cw = d.continuous_weight()
     if cw > 0:
-        total += cw * _expect_continuous(d.continuous_part(), f, x, method)
+        total += cw * _expect_continuous(d.continuous_part(), f, x)
     return total
 
 
-def _expect_continuous(d, f, x, method):
-    lo, hi = -math.inf, math.inf
-    if isinstance(f, Multiplier):
-        lo, hi = f.lo + x, f.hi + x
-        if method == "analytic" and not f.a:
-            # c P(lo <= xi <= hi)
-            try:
-                return f.c * complex(d.cdf(hi) - d.cdf(lo))
-            except NotImplementedError:
-                pass
-    orders = GAUSS_ORDERS if method == "analytic" else GAUSS_ORDERS[-1:]
+def _expect_continuous(d, f, x):
+    lo, hi = f.lo + x, f.hi + x
+    if not f.a:
+        # c P(lo <= xi <= hi)
+        try:
+            return f.c * complex(d.cdf(hi) - d.cdf(lo))
+        except NotImplementedError:
+            pass
     values = []
-    for n in orders:
+    for n in GAUSS_ORDERS:
         ys, ws = d.gauss_rule(n, lo, hi)
         values.append(complex(np.dot(ws, f.at(ys - x))))
     if abs(values[-1] - values[0]) > _RULE_TOL:
         raise QuadratureError(
             f"E f(xi - x) for f = {f!r}, x = {x!r} under {d!r} is unresolved: "
-            f"Gauss rules of orders {orders} give {values[0]!r} and {values[-1]!r}"
+            f"Gauss rules of orders {GAUSS_ORDERS} give {values[0]!r} and {values[-1]!r}"
         )
     return values[-1]
 
@@ -329,7 +318,7 @@ def evaluate(
     (|weight| stderr)^2, and ``samples`` is the per-expectation count.  A
     :class:`StateDecomposition` combines its parts the same way, so it
     returns an :class:`McEstimate` under ``mc`` when it has a singular part.
-    ``method`` must be ``analytic``, ``quadrature`` or ``mc`` for every kind.
+    ``method`` must be ``analytic`` or ``mc`` for every kind.
     """
     _check_method(method, mc_samples)
     if isinstance(s, PureState):
@@ -441,7 +430,11 @@ def channel_T(h: float, s: State) -> State:
                 "their frequencies minus the shift round to one float")
         return PureState(v)
     if isinstance(s, NormalState):
-        return NormalState._channel_output(tuple(p - h for p in s.support), s.matrix)
+        # a shift can round support atoms onto one float or past the largest
+        try:
+            return NormalState._channel_output(tuple(p - h for p in s.support), s.matrix)
+        except ValueError as err:
+            raise ValueError(f"shift {h!r} breaks the support of the state: {err}") from None
     if isinstance(s, MixedState):
         return MixedState(tuple((w, channel_T(h, ps)) for w, ps in s.components))
     if isinstance(s, AveragedState):
@@ -483,8 +476,8 @@ def projector_value(
     smoothing: a sampled shift never lands the (bit-exact) atom grid of the
     base on that of v, almost surely -- the defining property of a singular
     state.  Discrete smoothing may give a positive value.  ``analytic`` sums
-    g over the law's atoms, ``mc`` averages it over ``mc_samples`` draws;
-    ``quadrature`` is ``analytic``.
+    g over the law's atoms, and returns 0.0 at once for a law with none;
+    ``mc`` averages g over ``mc_samples`` draws.
     """
     _check_method(method, mc_samples)
     nv = norm(v)
@@ -499,6 +492,8 @@ def projector_value(
         # loop from 0.0 has it
         return (float(np.cumsum(g)[-1]) + 0.0) / mc_samples
     atoms = avg.smoothing.discrete_atoms()
+    if not atoms:
+        return 0.0
     g = _projector_profile(avg.base, v, np.array([loc for loc, _ in atoms], dtype=float))
     total = 0.0
     for (_, pr), val in zip(atoms, g.tolist()):

@@ -70,10 +70,10 @@ class Distribution:
     def gauss_rule(
         self, n: int, lo: float = -math.inf, hi: float = math.inf
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """n-point Gauss rule (nodes, weights) for E g(xi) 1[lo <= xi <= hi].
+        """n-point Gauss-Legendre rule (nodes, weights) for E g(xi) 1[lo <= xi <= hi].
 
-        The weights are positive and, on the whole line, sum to 1 up to
-        rounding.  Defined for the continuous laws only.
+        The weights are positive and sum to P(lo <= xi <= hi) up to rounding.
+        Defined for the continuous laws only.
         """
         raise NotImplementedError(f"no Gauss rule for {self!r}")
 
@@ -124,9 +124,6 @@ class Gaussian(Distribution):
 
     def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         s = math.sqrt(self.D)
-        if lo == -math.inf and hi == math.inf:
-            t, w = _reference_rule("hermite_e", n)
-            return s * t, w
         # beyond 12 standard deviations the mass is below 1e-32
         y, w = _legendre(n, max(lo, -12.0 * s), min(hi, 12.0 * s))
         return y, w * np.exp(-y * y / (2.0 * self.D)) / math.sqrt(2.0 * math.pi * self.D)
@@ -329,17 +326,13 @@ class FiniteMixture(Distribution):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_rule(kind: str, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre on [-1, 1], or Gauss-Hermite for the standard normal law."""
+def _reference_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [-1, 1]."""
     # numpy takes the nodes as eigenvalues of the symmetric tridiagonal Jacobi
     # matrix (Golub & Welsch, Math. Comp. 23, 1969), refined by a Newton step
-    from numpy.polynomial import hermite_e, legendre
+    from numpy.polynomial import legendre
 
-    if kind == "legendre":
-        t, w = legendre.leggauss(n)
-    else:
-        t, w = hermite_e.hermegauss(n)
-        w = w / math.sqrt(2.0 * math.pi)
+    t, w = legendre.leggauss(n)
     # cached and shared by every caller, so read-only
     t.flags.writeable = w.flags.writeable = False
     return t, w
@@ -349,7 +342,7 @@ def _legendre(n: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights for the Lebesgue measure on [lo, hi]."""
     if not lo < hi:
         return np.empty(0), np.empty(0)
-    t, w = _reference_rule("legendre", n)
+    t, w = _reference_rule(n)
     half = 0.5 * (hi - lo)
     return half * t + 0.5 * (hi + lo), half * w
 
