@@ -14,8 +14,9 @@ shifts (c gains e^{iah}, the interval moves), conjugation and products
 (phases multiply, frequencies add, intervals intersect; an empty
 intersection is the zero multiplier).  The algebra is closed: every element
 is in normal form, which keeps c = 1 in every multiplier, moving the
-constant into the term weight, and merges terms with equal (multiplier,
-shift) by value.  Multipliers are evaluated at the finitely many atom
+constant into the term weight, merges terms with equal (multiplier, shift)
+by value, and holds finite weights, frequencies and shifts.  Elements keep
+their terms as data rows and build Multiplier objects only when asked.  Multipliers are evaluated at the finitely many atom
 frequencies of the argument vector, or on whole arrays with ``at``.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -212,9 +214,8 @@ def indicator(lo: float, hi: float) -> Multiplier:
     return Multiplier(lo=float(lo), hi=float(hi))
 
 
-# Multiplier data: a Multiplier as its tuple (c, a, lo, hi).  Products of
-# terms are formed on data, and a Multiplier object is built once per term
-# of a result.
+# Multiplier data: a Multiplier as its tuple (c, a, lo, hi).  Elements hold
+# their terms as rows (c, data, h), and products of terms are formed on data.
 
 
 def _data(f: Multiplier) -> tuple:
@@ -235,7 +236,10 @@ def _product(f, g, h=0.0, conj=False):
         gc, ga = gc.conjugate(), -ga
     if h:
         if ga:
-            gc = gc * cmath.exp(1j * ga * h)
+            try:
+                gc = gc * cmath.exp(1j * ga * h)
+            except ValueError:
+                raise ValueError(f"non-finite phase: frequency {ga!r} times shift {h!r}") from None
         glo, ghi = glo - h, ghi - h
     if f is None:
         return gc, ga, glo, ghi
@@ -251,28 +255,42 @@ def _product(f, g, h=0.0, conj=False):
 # Normal-form algebra elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class AlgebraElement:
     """Normal form sum_j c_j M_{f_j} S_{a_j} with at most one term per (f, a).
 
     Every multiplier f_j is a :class:`Multiplier` with c = 1: its constant
     factor lives in the term weight c_j.  The constructor rejects any other
-    multiplier; ``AlgebraElement.of`` puts terms into this form.  A
-    convolution sum_j w_j S_{a_j} is ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
+    multiplier, and any weight, frequency or shift that is not finite;
+    ``AlgebraElement.of`` puts terms into this form.  A convolution
+    sum_j w_j S_{a_j} is ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
+    The element stores ``rows`` (c_j, data of f_j, a_j), which compare and
+    hash as the ``terms`` do; ``terms`` is built when first read.
     """
 
-    terms: Tuple[Tuple[complex, Multiplier, float], ...]
+    rows: Tuple[Tuple[complex, tuple, float], ...]
 
-    def __post_init__(self):
-        for _, f, _ in self.terms:
+    def __init__(self, terms: Iterable[Tuple[complex, Multiplier, float]]):
+        terms = tuple(terms)
+        for _, f, _ in terms:
             if type(f) is not Multiplier or f.c != 1:
                 raise ValueError(
                     f"term multiplier {f!r} is not in normal form, a Multiplier with "
                     "c = 1; build the element with AlgebraElement.of")
+        rows = tuple((complex(c), _data(f), float(a)) for c, f, a in terms)
+        _check_finite(rows)
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def terms(self) -> Tuple[Tuple[complex, Multiplier, float], ...]:
+        return tuple((c, Multiplier(*f), a) for c, f, a in self.rows)
+
+    def __repr__(self) -> str:
+        return f"AlgebraElement(terms={self.terms!r})"
 
     @staticmethod
     def of(terms: Iterable[Tuple[complex, Multiplier, float]]) -> "AlgebraElement":
-        return _normal_form((c, _data(f), a) for c, f, a in terms)
+        return _normal_form((complex(c), _data(f), float(a)) for c, f, a in terms)
 
     @staticmethod
     def identity() -> "AlgebraElement":
@@ -280,7 +298,7 @@ class AlgebraElement:
 
     @staticmethod
     def shift(h: float) -> "AlgebraElement":
-        return AlgebraElement.of([(1.0, ONE, float(h))])
+        return AlgebraElement.of([(1.0, ONE, h)])
 
     @staticmethod
     def mult(f: Multiplier) -> "AlgebraElement":
@@ -291,31 +309,50 @@ class AlgebraElement:
         return AlgebraElement.of([(1.0, wave(a), 0.0)])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement.of(self.terms + other.terms)
+        return _normal_form(self.rows + other.rows)
 
     def __rmul__(self, alpha: complex) -> "AlgebraElement":
-        return AlgebraElement.of([(alpha * c, f, a) for c, f, a in self.terms])
+        return _normal_form([(complex(alpha * c), f, a) for c, f, a in self.rows])
 
 
-def _normal_form(terms: Iterable[tuple]) -> AlgebraElement:
-    """The element of (c, f, a) triples with f as multiplier data.
+def _normal_form(rows: Iterable[tuple]) -> AlgebraElement:
+    """The element of rows (c, f, a): a complex c, f as multiplier data, a float a.
 
-    A Multiplier's constant moves into the weight, zero weights drop out,
-    and terms with equal (f, a) merge by value in first-seen order.
+    A multiplier's constant moves into the weight, zero weights drop out,
+    and rows with equal (f, a) merge by value in first-seen order.  A
+    weight, frequency or shift of the result that is not finite raises
+    ValueError.
     """
     merged: dict = {}
     get = merged.get
-    for c, f, a in terms:
-        c = complex(c)
+    for c, f, a in rows:
         if f[0] != 1:
             c, f = c * f[0], (1 + 0j, *f[1:])
         if c == 0:
             continue
-        key = (f, float(a))
+        key = (f, a)
         total = get(key)
         merged[key] = c if total is None else total + c
-    return AlgebraElement(
-        tuple((c, Multiplier(*f), a) for (f, a), c in merged.items() if c != 0))
+    rows = tuple((c, f, a) for (f, a), c in merged.items() if c != 0)
+    _check_finite(rows)
+    A = object.__new__(AlgebraElement)
+    object.__setattr__(A, "rows", rows)
+    return A
+
+
+def _check_finite(rows: tuple) -> None:
+    """Raise ValueError naming the first weight, frequency or shift that is not finite.
+
+    Their sum is finite when each one is; x - x is NaN for an infinite or NaN x.
+    """
+    total = 0j
+    for c, f, a in rows:
+        total += c + f[1] + a
+    if total - total != 0:
+        for c, f, a in rows:
+            for name, x in (("weight", c), ("frequency", f[1]), ("shift", a)):
+                if x - x != 0:
+                    raise ValueError(f"non-finite {name}: {x!r}")
 
 
 def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
@@ -339,14 +376,12 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     not multiplied.  A shift that carries an atom past the largest float
     raises ValueError.
     """
-    if not A.terms or not len(u):
+    if not A.rows or not len(u):
         return AtomicVector()
-    n, k = len(A.terms), len(u)
+    n, k = len(A.rows), len(u)
     # a shift by -0.0 leaves u as it is, as 0.0 does
-    w, ia, lo, hi, h = zip(*[(w, 1j * f.a, f.lo, f.hi, s + 0.0) for w, f, s in A.terms])
+    w, ia, lo, hi, h = zip(*[(w, 1j * a, lo, hi, s + 0.0) for w, (_, a, lo, hi), s in A.rows])
     if any(h):
-        if not all(map(math.isfinite, h)):
-            raise ValueError(f"non-finite shift: {next(s for s in h if not math.isfinite(s))!r}")
         _check_shifts(u, float(min(h)), float(max(h)))
     wia = np.array(w + ia, dtype=complex)
     q = u.freqs - np.array(h, dtype=float)[:, None]
@@ -383,17 +418,15 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
 
 def compose(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     """Product A B in normal form: (M_f S_a)(M_g S_b) = M_{f * g(.+a)} S_{a+b}."""
-    left = [(c, _data(f), a) for c, f, a in A.terms]
-    right = [(c, _data(f), a) for c, f, a in B.terms]
     return _normal_form(
         (c1 * c2, _product(f1, f2, a1), a1 + a2)
-        for c1, f1, a1 in left
-        for c2, f2, a2 in right
+        for c1, f1, a1 in A.rows
+        for c2, f2, a2 in B.rows
     )
 
 
 def adjoint(A: AlgebraElement) -> AlgebraElement:
     """(c M_f S_a)* = conj(c) M_{conj f (.-a)} S_{-a}."""
     return _normal_form(
-        (c.conjugate(), _product(None, _data(f), -a, conj=True), -a) for c, f, a in A.terms
+        (c.conjugate(), _product(None, f, -a, conj=True), -a) for c, f, a in A.rows
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -90,11 +91,20 @@ class AtomicVector:
         return 0j
 
     def norm(self) -> float:
-        """sqrt of sum |c|^2, the squares added in atom order."""
+        """sqrt of sum |c|^2, the squares added in atom order.
+
+        A sum that underflows below the normal floats is taken again relative
+        to the largest |c|.
+        """
         if not len(self.amps):
             return 0.0
         squares = np.float_power(np.hypot(self.amps.real, self.amps.imag), 2.0)
-        return math.sqrt(squares.cumsum()[-1])
+        total = squares.cumsum()[-1]
+        if total < sys.float_info.min:
+            moduli = np.hypot(self.amps.real, self.amps.imag)
+            top = moduli.max()
+            return top * math.sqrt(np.float_power(moduli / top, 2.0).cumsum()[-1])
+        return math.sqrt(total)
 
     def __add__(self, other: "AtomicVector") -> "AtomicVector":
         return add(self, other)

@@ -376,8 +376,6 @@ def _pairings(s: NormalState, A: AlgebraElement):
     order = np.argsort(p)
     sorted_p = p[order]
     for c, f, a in A.terms:
-        if not math.isfinite(a):
-            raise ValueError(f"non-finite shift: {a!r}")
         q = p - a
         i = np.minimum(np.searchsorted(sorted_p, q), len(p) - 1)
         k = np.flatnonzero(sorted_p[i] == q)

@@ -621,6 +621,78 @@ class TestTermTable:
                     apply_element(AlgebraElement.of([(1.0, ONE, 0.5), (1.0, ONE, h)]), top)
 
 
+class TestRows:
+    """Elements hold rows (c, data, a); Multiplier objects only come with .terms."""
+
+    def test_non_finite_terms_fail_at_the_normal_form(self):
+        heavy = AlgebraElement.of([(1e308, ONE, 0.0)])
+        cases = [
+            (lambda: AlgebraElement.of([(math.nan, ONE, 0.0)]), r"weight: \(nan\+0j\)"),
+            (lambda: AlgebraElement.of([(1.0, ONE, 0.5), (complex(1, math.inf), ONE, 1.0)]),
+             r"weight: \(1\+infj\)"),
+            (lambda: AlgebraElement.mult(wave(math.inf)), "frequency: inf"),
+            (lambda: AlgebraElement.of([(1.0, Multiplier(2.0, math.nan), 0.0)]), "frequency: nan"),
+            (lambda: AlgebraElement.shift(-math.inf), "shift: -inf"),
+            (lambda: AlgebraElement(((1.0, ONE, math.nan),)), "shift: nan"),
+            (lambda: compose(heavy, heavy), r"weight: \(inf"),
+            (lambda: heavy + heavy, r"weight: \(inf"),
+            (lambda: math.inf * AlgebraElement.identity(), r"weight: \(inf"),
+            (lambda: compose(AlgebraElement.modulation(1e308), AlgebraElement.modulation(1e308)),
+             "frequency: inf"),
+            (lambda: compose(AlgebraElement.shift(-1e308), AlgebraElement.shift(-1e308)),
+             "shift: -inf"),
+            # e^{iah} with a h past the float range
+            (lambda: compose(AlgebraElement.shift(1e200), AlgebraElement.modulation(1e200)),
+             r"phase: frequency 1e\+200 times shift 1e\+200"),
+            (lambda: adjoint(AlgebraElement.of([(1.0, wave(1e200), 1e200)])),
+             r"phase: frequency -1e\+200 times shift -1e\+200"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, message in cases:
+                with pytest.raises(ValueError, match="non-finite " + message):
+                    call()
+            # sums that overflow only on the way are not errors
+            big = AlgebraElement.of([(1e308, ONE, 1e308), (1e308, wave(1e308), 0.0)])
+            assert big.rows == ((1e308 + 0j, (1 + 0j, 0.0, -math.inf, math.inf), 1e308),
+                                (1e308 + 0j, (1 + 0j, 1e308, -math.inf, math.inf), 0.0))
+            assert adjoint(adjoint(big)) == big
+
+    def test_chains_build_no_multiplier(self, monkeypatch):
+        B = AlgebraElement.of([(0.5, wave(1.0), 0.25), (0.5j, indicator(-2.0, 1.5), -0.5)])
+        pairs = [(j / 8.0, complex(1.0, j / 16.0)) for j in range(-3, 5)]
+        u = make_vector(pairs)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Multiplier was built")
+
+        monkeypatch.setattr(Multiplier, "__init__", refuse)
+        P = B
+        for _ in range(7):
+            P = compose(P, B)
+        star = adjoint(P)
+        out = apply_element(star, u)
+        with pytest.raises(AssertionError):
+            P.terms
+        monkeypatch.undo()
+        ref = ref_normal_form(B.terms)
+        for _ in range(7):
+            ref = ref_compose(ref, B.terms)
+        assert len(P.rows) > 40
+        assert term_bits(P.terms) == term_bits(ref)
+        assert term_bits(star.terms) == term_bits(ref_adjoint(ref))
+        assert vector_bits(out) == atom_bits(
+            ref_apply_element(ref_adjoint(ref), ref_make(pairs)))
+        for A in (P, star):
+            again = AlgebraElement(A.terms)
+            assert again == A and again.rows == A.rows
+            assert hash(again) == hash(A) == hash((A.terms,))
+            assert repr(again) == repr(A)
+            assert A.terms is A.terms
+            for copy in (pickle.loads(pickle.dumps(A)), pickle.loads(pickle.dumps(again))):
+                assert copy == A and term_bits(copy.terms) == term_bits(A.terms)
+
+
 # ---------------------------------------------------------------------------
 # Multiplier.at against the plain numpy expression of its values
 
