@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, canonical, cmul, inner, merge, norm
+from .atoms import AtomicVector, Record, canonical, cmul, inner, merge, norm
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +130,7 @@ def generator_apply(h: float, u: AtomicVector) -> AtomicVector:
 # Multipliers
 
 
-@dataclass(frozen=True)
-class Multiplier:
+class Multiplier(Record):
     """y -> c e^{iay} on the closed interval [lo, hi], and 0 outside it.
 
     lo = -inf and hi = inf is the whole line.  The family is closed under
@@ -140,10 +138,14 @@ class Multiplier:
     arithmetic on (c, a, lo, hi), and equal data means the same function.
     """
 
-    c: complex = 1 + 0j
-    a: float = 0.0
-    lo: float = -math.inf
-    hi: float = math.inf
+    _fields = ("c", "a", "lo", "hi")
+
+    def __init__(self, c: complex = 1 + 0j, a: float = 0.0,
+                 lo: float = -math.inf, hi: float = math.inf):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __call__(self, y: float) -> complex:
         if self.lo <= y <= self.hi:
@@ -255,20 +257,20 @@ def _product(f, g, h=0.0, conj=False):
 # Normal-form algebra elements
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class AlgebraElement:
+class AlgebraElement(Record):
     """Normal form sum_j c_j M_{f_j} S_{a_j} with at most one term per (f, a).
 
     Every multiplier f_j is a :class:`Multiplier` with c = 1: its constant
     factor lives in the term weight c_j.  The constructor rejects any other
-    multiplier, and any weight, frequency or shift that is not finite;
-    ``AlgebraElement.of`` puts terms into this form.  A convolution
+    multiplier, an empty interval, a NaN interval end, and any weight,
+    frequency or shift that is not finite; ``AlgebraElement.of`` puts terms
+    into this form, dropping empty intervals.  A convolution
     sum_j w_j S_{a_j} is ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
     The element stores ``rows`` (c_j, data of f_j, a_j), which compare and
     hash as the ``terms`` do; ``terms`` is built when first read.
     """
 
-    rows: Tuple[Tuple[complex, tuple, float], ...]
+    _fields = ("rows",)
 
     def __init__(self, terms: Iterable[Tuple[complex, Multiplier, float]]):
         terms = tuple(terms)
@@ -277,6 +279,11 @@ class AlgebraElement:
                 raise ValueError(
                     f"term multiplier {f!r} is not in normal form, a Multiplier with "
                     "c = 1; build the element with AlgebraElement.of")
+            if not f.lo <= f.hi:
+                _check_ends(_data(f))
+                raise ValueError(
+                    f"term multiplier {f!r} has an empty interval, so it is zero; "
+                    "AlgebraElement.of drops such terms")
         rows = tuple((complex(c), _data(f), float(a)) for c, f, a in terms)
         _check_finite(rows)
         object.__setattr__(self, "rows", rows)
@@ -318,14 +325,17 @@ class AlgebraElement:
 def _normal_form(rows: Iterable[tuple]) -> AlgebraElement:
     """The element of rows (c, f, a): a complex c, f as multiplier data, a float a.
 
-    A multiplier's constant moves into the weight, zero weights drop out,
-    and rows with equal (f, a) merge by value in first-seen order.  A
-    weight, frequency or shift of the result that is not finite raises
-    ValueError.
+    A multiplier's constant moves into the weight, zero weights and
+    multipliers with an empty interval drop out, and rows with equal (f, a)
+    merge by value in first-seen order.  A NaN interval end, and a weight,
+    frequency or shift of the result that is not finite, raise ValueError.
     """
     merged: dict = {}
     get = merged.get
     for c, f, a in rows:
+        if not f[2] <= f[3]:
+            _check_ends(f)
+            continue
         if f[0] != 1:
             c, f = c * f[0], (1 + 0j, *f[1:])
         if c == 0:
@@ -338,6 +348,13 @@ def _normal_form(rows: Iterable[tuple]) -> AlgebraElement:
     A = object.__new__(AlgebraElement)
     object.__setattr__(A, "rows", rows)
     return A
+
+
+def _check_ends(f: tuple) -> None:
+    """Raise ValueError naming a NaN end of the interval of multiplier data f."""
+    for name, x in (("lo", f[2]), ("hi", f[3])):
+        if x != x:
+            raise ValueError(f"NaN interval end {name} of multiplier data {f!r}")
 
 
 def _check_finite(rows: tuple) -> None:

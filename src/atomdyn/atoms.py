@@ -12,18 +12,71 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Atom:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields`` and sets them in its
+    ``__init__`` with ``object.__setattr__``.  Two records are equal when
+    they are of the same class with equal field tuples, the hash is that of
+    the field tuple, and the repr is ``Name(field=value, ...)``.  Setting or
+    deleting an attribute raises ``dataclasses.FrozenInstanceError``.  These
+    are the rules of a frozen dataclass, made without generating code.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # closures over a C attribute getter: the fastest == and hash that
+        # need no generated code
+        if len(cls._fields) == 1:
+            one = attrgetter(*cls._fields)
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return (one(self),) == (one(other),)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash((one(self),))
+        else:
+            key = attrgetter(*cls._fields) if cls._fields else lambda r: ()
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return key(self) == key(other)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash(key(self))
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Atom(Record):
     """A single frequency/amplitude pair."""
 
-    p: float
-    c: complex
+    _fields = ("p", "c")
+
+    def __init__(self, p: float, c: complex):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "c", c)
 
 
 class AtomicVector:
@@ -93,16 +146,22 @@ class AtomicVector:
     def norm(self) -> float:
         """sqrt of sum |c|^2, the squares added in atom order.
 
-        A sum that underflows below the normal floats is taken again relative
-        to the largest |c|.
+        A sum that underflows below the normal floats, or overflows to inf, is
+        taken again relative to the largest |c|.  Only moduli that could
+        overflow (n |c|^2 above about 1e306) take the sum with overflow
+        warnings off.
         """
         if not len(self.amps):
             return 0.0
-        squares = np.float_power(np.hypot(self.amps.real, self.amps.imag), 2.0)
-        total = squares.cumsum()[-1]
-        if total < sys.float_info.min:
-            moduli = np.hypot(self.amps.real, self.amps.imag)
-            top = moduli.max()
+        moduli = np.hypot(self.amps.real, self.amps.imag)
+        # argmax is a C method; max goes through a Python wrapper
+        top = moduli[moduli.argmax()]
+        if top > 1e153 / math.sqrt(len(moduli)):
+            with np.errstate(over="ignore"):
+                total = np.float_power(moduli, 2.0).cumsum()[-1]
+        else:
+            total = np.float_power(moduli, 2.0).cumsum()[-1]
+        if total < sys.float_info.min or total == math.inf:
             return top * math.sqrt(np.float_power(moduli / top, 2.0).cumsum()[-1])
         return math.sqrt(total)
 

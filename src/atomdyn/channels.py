@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, inner, norm, unit_atom
+from .atoms import AtomicVector, Record, inner, norm, unit_atom
 from .algebra import (
+    ONE,
     AlgebraElement,
     Multiplier,
     apply_element,
@@ -51,18 +51,17 @@ _RULE_TOL = 1e-9
 # State representations
 
 
-@dataclass(frozen=True)
-class PureState:
-    vector: AtomicVector
+class PureState(Record):
+    _fields = ("vector",)
 
-    def __post_init__(self):
-        n = norm(self.vector)
+    def __init__(self, vector: AtomicVector):
+        object.__setattr__(self, "vector", vector)
+        n = norm(vector)
         if abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"pure state vector must be unit norm, got {n!r}")
 
 
-@dataclass(frozen=True)
-class NormalState:
+class NormalState(Record):
     """Density matrix over a finite frequency support.
 
     Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|.  Every consumer
@@ -73,10 +72,11 @@ class NormalState:
     their matrices are PSD by construction.
     """
 
-    support: Tuple[float, ...]
-    matrix: np.ndarray
+    _fields = ("support", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, support: Tuple[float, ...], matrix: np.ndarray):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "matrix", matrix)
         self._validate()
         k = len(self.support)
         if k and np.linalg.eigvalsh(self.matrix).min() < -_PSD_TOL:
@@ -112,27 +112,30 @@ class NormalState:
             raise ValueError(f"density matrix trace must be 1, got {np.trace(m)!r}")
 
 
-@dataclass(frozen=True)
-class MixedState:
-    components: Tuple[Tuple[float, PureState], ...]
+class MixedState(Record):
+    _fields = ("components",)
 
-    def __post_init__(self):
-        ws = [w for w, _ in self.components]
+    def __init__(self, components: Tuple[Tuple[float, PureState], ...]):
+        object.__setattr__(self, "components", components)
+        ws = [w for w, _ in components]
         if any(w < 0 for w in ws):
             raise ValueError("mixture weights must be non-negative")
         if abs(sum(ws) - 1.0) > _UNIT_TOL:
             raise ValueError(f"mixture weights must sum to 1, got {sum(ws)!r}")
 
 
-@dataclass(frozen=True)
-class AveragedState:
+class AveragedState(Record):
     """Lazy functional A -> E <T_xi base, A>; singular when smoothing is continuous.
 
     The base is a pure, normal or mixed state, kept as given.
     """
 
-    base: Union[PureState, NormalState, MixedState]
-    smoothing: Distribution
+    _fields = ("base", "smoothing")
+
+    def __init__(self, base: Union[PureState, NormalState, MixedState],
+                 smoothing: Distribution):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "smoothing", smoothing)
 
     @property
     def is_singular(self) -> bool:
@@ -142,25 +145,27 @@ class AveragedState:
 State = Union[PureState, NormalState, MixedState, AveragedState]
 
 
-@dataclass(frozen=True)
-class StateDecomposition:
+class StateDecomposition(Record):
     """Convex split into a normal aggregate and a singular aggregate.
 
     ``normal_weight`` is the total mass p of the normal part; the parts are
     stored as internally normalized (weight, state) tuples.
     """
 
-    normal_weight: float
-    normal_components: Tuple[Tuple[float, State], ...]
-    singular_components: Tuple[Tuple[float, AveragedState], ...]
+    _fields = ("normal_weight", "normal_components", "singular_components")
 
-    def __post_init__(self):
-        p = self.normal_weight
+    def __init__(self, normal_weight: float,
+                 normal_components: Tuple[Tuple[float, State], ...],
+                 singular_components: Tuple[Tuple[float, AveragedState], ...]):
+        object.__setattr__(self, "normal_weight", normal_weight)
+        object.__setattr__(self, "normal_components", normal_components)
+        object.__setattr__(self, "singular_components", singular_components)
+        p = normal_weight
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"normal weight must lie in [0, 1]: {p!r}")
-        if p == 1.0 and self.singular_components:
+        if p == 1.0 and singular_components:
             raise ValueError("weight 1 admits no singular part")
-        if p == 0.0 and self.normal_components:
+        if p == 0.0 and normal_components:
             raise ValueError("weight 0 admits no normal part")
 
     @property
@@ -309,13 +314,16 @@ def evaluate(
     ``mc_samples`` and ``gen``.
 
     Averaged states take expectations over the smoothing law by ``method``
-    (see :func:`expect_function`): a normal base takes the same dot with
-    E f(xi - q) in place of f(q), so a shift probe, where E f = 1, gives the
-    unaveraged value bit for bit; a mixed base is the mixture of its
-    components' averaged states.  Under ``mc`` each expectation draws
-    ``mc_samples`` shifts from ``gen`` and the value is an
-    :class:`McEstimate`: the weighted values add, the variances add as
-    (|weight| stderr)^2, and ``samples`` is the per-expectation count.  A
+    (see :func:`expect_function`).  A convolution, whose multipliers are
+    all ``ONE``, has E f = 1 under every law, so it gives the value on the
+    base bit for bit (shift invariance), under ``mc`` as an
+    :class:`McEstimate` with stderr 0 that draws nothing from ``gen``.
+    Otherwise a normal base takes the same dot with E f(xi - q) in place of
+    f(q); a mixed base is the mixture of its components' averaged states.
+    Under ``mc`` each expectation draws ``mc_samples`` shifts from ``gen``
+    and the value is an :class:`McEstimate`: the weighted values add, the
+    variances add as (|weight| stderr)^2, and ``samples`` is the
+    per-expectation count.  A
     :class:`StateDecomposition` combines its parts the same way, so it
     returns an :class:`McEstimate` under ``mc`` when it has a singular part.
     ``method`` must be ``analytic`` or ``mc`` for every kind.
@@ -328,6 +336,9 @@ def evaluate(
             ((c, complex(np.dot(r, f.at(q)))) for c, f, r, q in _pairings(s, A)), mc_samples
         )
     if isinstance(s, AveragedState):
+        if all(f == ONE for _, f, _ in A.terms):
+            value = evaluate(s.base, A)
+            return McEstimate(value, 0.0, mc_samples) if method == "mc" else value
         return _weighted_sum(
             _averaged_terms(s, A, method, mc_samples, gen), mc_samples, method == "mc"
         )

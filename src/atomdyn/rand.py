@@ -17,12 +17,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, make_vector
+from .atoms import AtomicVector, Record, make_vector
 from .algebra import apply_mod
 
 _WEIGHT_TOL = 1e-12
@@ -32,7 +31,7 @@ _WEIGHT_TOL = 1e-12
 # Laws
 
 
-class Distribution:
+class Distribution(Record):
     """Base class for the supported laws.  Immutable."""
 
     has_discrete_part: bool = False
@@ -98,13 +97,13 @@ class Distribution:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Gaussian(Distribution):
-    D: float = 1.0
+    _fields = ("D",)
 
-    def __post_init__(self):
-        if not (self.D > 0 and math.isfinite(self.D)):
-            raise ValueError(f"variance must be positive: {self.D!r}")
+    def __init__(self, D: float = 1.0):
+        object.__setattr__(self, "D", D)
+        if not (D > 0 and math.isfinite(D)):
+            raise ValueError(f"variance must be positive: {D!r}")
 
     def chi(self, x: float) -> complex:
         return complex(math.exp(-0.5 * self.D * x * x))
@@ -132,13 +131,13 @@ class Gaussian(Distribution):
         return {"kind": "gaussian", "D": self.D}
 
 
-@dataclass(frozen=True)
 class Cauchy(Distribution):
-    gamma: float = 1.0
+    _fields = ("gamma",)
 
-    def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"scale must be positive: {self.gamma!r}")
+    def __init__(self, gamma: float = 1.0):
+        object.__setattr__(self, "gamma", gamma)
+        if not (gamma > 0 and math.isfinite(gamma)):
+            raise ValueError(f"scale must be positive: {gamma!r}")
 
     def chi(self, x: float) -> complex:
         return complex(math.exp(-self.gamma * abs(x)))
@@ -165,7 +164,6 @@ class Cauchy(Distribution):
         return {"kind": "cauchy", "gamma": self.gamma}
 
 
-@dataclass(frozen=True)
 class Rademacher(Distribution):
     has_discrete_part = True
 
@@ -185,14 +183,14 @@ class Rademacher(Distribution):
         return {"kind": "rademacher"}
 
 
-@dataclass(frozen=True)
 class Uniform(Distribution):
-    a: float = -1.0
-    b: float = 1.0
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if not (self.a < self.b and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"need a < b, got [{self.a!r}, {self.b!r}]")
+    def __init__(self, a: float = -1.0, b: float = 1.0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not (a < b and math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
 
     def chi(self, x: float) -> complex:
         if x == 0:
@@ -219,14 +217,14 @@ class Uniform(Distribution):
         return {"kind": "uniform", "a": self.a, "b": self.b}
 
 
-@dataclass(frozen=True)
 class PointMass(Distribution):
-    a: float = 0.0
+    _fields = ("a",)
     has_discrete_part = True
 
-    def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise ValueError(f"non-finite location: {self.a!r}")
+    def __init__(self, a: float = 0.0):
+        object.__setattr__(self, "a", a)
+        if not math.isfinite(a):
+            raise ValueError(f"non-finite location: {a!r}")
 
     def chi(self, x: float) -> complex:
         return cmath.exp(1j * self.a * x)
@@ -244,14 +242,14 @@ class PointMass(Distribution):
         return {"kind": "pointmass", "a": self.a}
 
 
-@dataclass(frozen=True)
 class FiniteMixture(Distribution):
-    components: Tuple[Tuple[float, Distribution], ...] = ()
+    _fields = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: Tuple[Tuple[float, Distribution], ...] = ()):
+        object.__setattr__(self, "components", components)
+        if not components:
             raise ValueError("mixture needs at least one component")
-        ws = [w for w, _ in self.components]
+        ws = [w for w, _ in components]
         if any(w < 0 for w in ws):
             raise ValueError("mixture weights must be non-negative")
         if abs(sum(ws) - 1.0) > _WEIGHT_TOL:
@@ -374,15 +372,15 @@ def distribution_from_json(doc: dict) -> Distribution:
 # Convolution families and reproducible streams
 
 
-@dataclass(frozen=True)
-class ConvolutionFamily:
+class ConvolutionFamily(Record):
     """One-parameter family with law(s) + law(t) distributed as law(s+t)."""
 
-    kind: str  # "gaussian" | "cauchy"
+    _fields = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "cauchy"):
-            raise ValueError(f"unknown family kind: {self.kind!r}")
+    def __init__(self, kind: str):  # "gaussian" | "cauchy"
+        object.__setattr__(self, "kind", kind)
+        if kind not in ("gaussian", "cauchy"):
+            raise ValueError(f"unknown family kind: {kind!r}")
 
     def at(self, t: float) -> Distribution:
         if t < 0:
@@ -407,15 +405,17 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     raise ValueError(f"no closed-form convolution for {d1!r} + {d2!r}")
 
 
-@dataclass(frozen=True)
-class SeededRng:
+class SeededRng(Record):
     """Counter-based randomness: (seed, stream index) -> independent stream.
 
     Streams use Philox with key (seed, index); equal seeds give identical
     draws, distinct indices give statistically independent substreams.
     """
 
-    seed: int
+    _fields = ("seed",)
+
+    def __init__(self, seed: int):
+        object.__setattr__(self, "seed", seed)
 
     def stream(self, index: int = 0) -> np.random.Generator:
         key = np.array(

@@ -15,11 +15,10 @@ at rate O(1/X).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomicVector, dump_document, load_document
+from .atoms import AtomicVector, Record, dump_document, load_document
 
 
 def pointwise(u: AtomicVector, x: np.ndarray) -> np.ndarray:
@@ -30,18 +29,18 @@ def pointwise(u: AtomicVector, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CesaroQuadratureConfig:
+class CesaroQuadratureConfig(Record):
     """Finite averaging window [-X, X] with a fixed trapezoid node count."""
 
-    window: float
-    steps: int
+    _fields = ("window", "steps")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.window) and self.window > 0):
-            raise ValueError(f"window must be finite and positive: {self.window!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2: {self.steps!r}")
+    def __init__(self, window: float, steps: int):
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "steps", steps)
+        if not (math.isfinite(window) and window > 0):
+            raise ValueError(f"window must be finite and positive: {window!r}")
+        if steps < 2:
+            raise ValueError(f"steps must be at least 2: {steps!r}")
 
 
 def default_steps(window: float, max_gap: float) -> int:

@@ -658,6 +658,25 @@ class TestRows:
                                 (1e308 + 0j, (1 + 0j, 1e308, -math.inf, math.inf), 0.0))
             assert adjoint(adjoint(big)) == big
 
+    def test_empty_and_nan_intervals(self):
+        empty, low_nan, high_nan = (Multiplier(1, 0.0, 2.0, 1.0), Multiplier(1, 0.0, math.nan, 1.0),
+                                    Multiplier(1, 0.0, 0.0, math.nan))
+        # an empty interval is the zero multiplier, as an empty intersection is
+        A = AlgebraElement.of([(1, empty, 0.0), (2.0, wave(1.0), 0.5), (3.0, empty, 0.5)])
+        assert A == AlgebraElement.of([(2.0, wave(1.0), 0.5)])
+        assert AlgebraElement.of([(1, empty, 0.0)]).rows == ()
+        for f, end in ((low_nan, "lo"), (high_nan, "hi")):
+            with pytest.raises(ValueError, match=f"NaN interval end {end}"):
+                AlgebraElement.of([(1.0, ONE, 0.0), (1, f, 0.0)])
+            with pytest.raises(ValueError, match=f"NaN interval end {end}"):
+                AlgebraElement([(1, f, 0.0)])
+        with pytest.raises(ValueError, match="empty interval.*AlgebraElement.of"):
+            AlgebraElement([(1, empty, 0.0)])
+        # products keep no NaN end and no empty interval
+        P = compose(AlgebraElement.mult(indicator(0, 3)), AlgebraElement.mult(indicator(2, 5)))
+        assert P.rows == ((1 + 0j, (1 + 0j, 0.0, 2.0, 3.0), 0.0),)
+        assert compose(P, AlgebraElement.mult(indicator(4, 5))).rows == ()
+
     def test_chains_build_no_multiplier(self, monkeypatch):
         B = AlgebraElement.of([(0.5, wave(1.0), 0.25), (0.5j, indicator(-2.0, 1.5), -0.5)])
         pairs = [(j / 8.0, complex(1.0, j / 16.0)) for j in range(-3, 5)]

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ class TestVectorSpace:
         assert norm(make_vector([(0.0, 5e-324)])) == 5e-324
         s = PureState((1.0 / norm(v)) * v)
         assert s.vector == make_vector([(0.0, 1j)])
+
+    def test_norm_of_huge_amplitudes(self):
+        # |c|^2 overflows to inf here; the norm is taken again rescaled, with
+        # no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(make_vector([(0.0, 1e200), (1.0, 1e200j)])) == math.hypot(1e200, 1e200)
+            assert norm(make_vector([(0.0, 1e200)])) == 1e200
+            # each square is finite but their sum overflows
+            many = [(float(j), 1.5e153) for j in range(100)]
+            assert norm(make_vector(many)) == 1.5e153 * math.sqrt(100.0)
+            # finite sums above the threshold keep the plain sum's bits
+            for pairs in ([(0.0, 3e153), (1.0, 4e153j)], [(0.0, 1e154), (2.0, 1e-300)]):
+                assert bits(norm(make_vector(pairs))) == bits(ref_norm(ref_make(pairs)))
 
     def test_norm_squared_is_self_inner(self):
         gen = np.random.default_rng(17)

@@ -621,6 +621,22 @@ class TestShiftConvolution:
             avg = averaged_T(Gaussian(1.0), s)
             assert evaluate(avg, A) == pytest.approx(evaluate(s, A), abs=1e-13)
 
+    def test_matches_unaveraged_evaluation_exactly(self):
+        # E f = 1 for f = ONE under every law: the value on the base, bit for bit
+        gen = np.random.default_rng(6)
+        A = AlgebraElement.of([(0.3, ONE, 0.0), (0.5j, ONE, 1.0), (0.2, ONE, -2.0)])
+        laws = (Gaussian(1.0), Cauchy(0.5), Rademacher(), MIXTURE)
+        for j in range(20):
+            s = PureState(random_unit_vector(gen))
+            for base in (s, MixedState(((0.5, s), (0.5, uniform_pair()))), random_density(gen, 3)):
+                avg = averaged_T(laws[j % len(laws)], base)
+                assert evaluate(avg, A) == evaluate(base, A)
+                draws = SeededRng(j).stream(0)
+                est = evaluate(avg, A, "mc", mc_samples=1_000, gen=draws)
+                assert est == McEstimate(evaluate(base, A), 0.0, 1_000)
+                # no draw was taken from the generator
+                assert draws.normal() == SeededRng(j).stream(0).normal()
+
 
 class TestSingularity:
     def test_continuous_smoothing_vanishes_analytic(self):
@@ -790,7 +806,7 @@ class TestDephasing:
                 calls.append(x)
                 return super().chi(x)
 
-        counted = Counted(**{k: getattr(d, k) for k in d.__dataclass_fields__})
+        counted = Counted(**{k: getattr(d, k) for k in d._fields})
         support = tuple(np.arange(-100, 100) / 4.0)  # m = 200 on a 200-point grid
         rho = NormalState(support[:3], np.eye(3) / 3.0)
         K = dephasing_kernel(counted, support)

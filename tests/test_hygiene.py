@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of atomdyn imports is read in it,
-and so is every private name it defines at module level.
+and so is every private name it defines at module level; no class is a
+dataclass, and importing the CLI does not load ``dataclasses``.
 
 An AST scan, so it needs no linter: a name bound by ``import`` or
 ``from ... import`` must occur as a loaded name somewhere in the module
@@ -12,6 +13,9 @@ private to its module, so the module must read it too.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +112,50 @@ def test_scan_flags_unread_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def dataclass_decorators(source: str):
+    """Line of each ``dataclass`` decorator, called or not, plain or dotted."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if isinstance(target, ast.Attribute):
+                    target = ast.Name(target.attr)
+                if getattr(target, "id", "") == "dataclass":
+                    lines.append(deco.lineno)
+    return lines
+
+
+def test_scan_flags_dataclasses():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    y: int\n"
+        "@other\n"
+        "class C:\n"
+        "    pass\n"
+    )
+    assert dataclass_decorators(source) == [3, 6]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # each decorated class costs about 1 ms of exec at every import; records
+    # derive from atoms.Record instead
+    assert dataclass_decorators(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_dataclasses():
+    code = "import sys, atomdyn.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
