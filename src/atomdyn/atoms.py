@@ -26,7 +26,8 @@ class Record:
     they are of the same class with equal field tuples, the hash is that of
     the field tuple, and the repr is ``Name(field=value, ...)``.  Setting or
     deleting an attribute raises ``dataclasses.FrozenInstanceError``.  These
-    are the rules of a frozen dataclass, made without generating code.
+    are the rules of a frozen dataclass, made without generating code.  A
+    subclass that defines its own ``__eq__`` keeps it.
     """
 
     _fields: Tuple[str, ...] = ()
@@ -54,7 +55,9 @@ class Record:
 
             def __hash__(self):
                 return hash(key(self))
-        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls.__hash__ = __hash__
+        if "__eq__" not in cls.__dict__:
+            cls.__eq__ = __eq__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -292,44 +295,35 @@ def scale(alpha: complex, u: AtomicVector) -> AtomicVector:
     return canonical(u.freqs, cmul(complex(alpha), u.amps))
 
 
-def dump_document(u: AtomicVector, key: str) -> str:
-    """JSON document {key: [{"p":..., "re":..., "im":...}, ...]}."""
-    return json.dumps({key: [{"p": a.p, "re": a.c.real, "im": a.c.imag} for a in u]})
+def serialize(u: AtomicVector) -> str:
+    """JSON document: {"atoms":[{"p":...,"re":...,"im":...}, ...]}."""
+    return json.dumps({"atoms": [{"p": a.p, "re": a.c.real, "im": a.c.imag} for a in u]})
 
 
-def load_document(text: str, key: str) -> AtomicVector:
-    """Parse and validate a document of :func:`dump_document`.
+def deserialize(text: str) -> AtomicVector:
+    """Parse and validate a document of :func:`serialize`.
 
     Duplicate frequencies merge on load.  Malformed JSON, a missing or
-    non-list ``key``, and entries without numeric p, re, im raise ValueError.
+    non-list ``"atoms"``, and entries without numeric p, re, im raise
+    ValueError.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(
-            f"malformed {key!r} document at position {exc.pos}: {exc.msg}"
+            f"malformed 'atoms' document at position {exc.pos}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"document must be an object with key {key!r}")
-    entries = doc[key]
+    if not isinstance(doc, dict) or "atoms" not in doc:
+        raise ValueError("document must be an object with key 'atoms'")
+    entries = doc["atoms"]
     if not isinstance(entries, list):
-        raise ValueError(f"{key!r} must be a list")
+        raise ValueError("'atoms' must be a list")
     pairs = []
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or not {"p", "re", "im"} <= set(e):
-            raise ValueError(f"{key!r} entry #{i} must have keys p, re, im")
+            raise ValueError(f"'atoms' entry #{i} must have keys p, re, im")
         try:
             pairs.append((float(e["p"]), complex(float(e["re"]), float(e["im"]))))
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{key!r} entry #{i} must hold numbers: {exc}") from exc
+            raise ValueError(f"'atoms' entry #{i} must hold numbers: {exc}") from exc
     return make_vector(pairs)
-
-
-def serialize(u: AtomicVector) -> str:
-    """JSON document: {"atoms":[{"p":...,"re":...,"im":...}, ...]}."""
-    return dump_document(u, "atoms")
-
-
-def deserialize(text: str) -> AtomicVector:
-    """Parse a vector document; duplicate frequencies merge on load."""
-    return load_document(text, "atoms")

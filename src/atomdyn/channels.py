@@ -28,15 +28,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, inner, norm, unit_atom
-from .algebra import (
-    ONE,
-    AlgebraElement,
-    Multiplier,
-    apply_element,
-    apply_shift,
-    shift_overlaps,
-)
+from .atoms import AtomicVector, Record, cmul, norm, unit_atom
+from .algebra import ONE, AlgebraElement, Multiplier, _check_shifts, apply_shift, shift_overlaps
 from .rand import Distribution, ConvolutionFamily, convolve
 
 _UNIT_TOL = 1e-12
@@ -69,7 +62,9 @@ class NormalState(Record):
     state keeps rho as its base.  The only eigenvalue computation is the
     positive-semidefiniteness check on construction.  The channels build
     their outputs through ``_channel_output``, which skips that one check:
-    their matrices are PSD by construction.
+    their matrices are PSD by construction.  Two states are equal when their
+    supports are and their matrices hold equal entries; the hash, that of
+    the field tuple, raises TypeError, as an array is unhashable.
     """
 
     _fields = ("support", "matrix")
@@ -81,6 +76,11 @@ class NormalState(Record):
         k = len(self.support)
         if k and np.linalg.eigvalsh(self.matrix).min() < -_PSD_TOL:
             raise ValueError("density matrix must be positive semidefinite")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.support == other.support and np.array_equal(self.matrix, other.matrix)
+        return NotImplemented
 
     @classmethod
     def _channel_output(cls, support, matrix) -> "NormalState":
@@ -306,45 +306,103 @@ def evaluate(
 ):
     """Value of the functional s on the normal-form operator A.
 
-    A pure state gives (u, A u) and a mixed state the weighted sum over its
-    components.  A normal state gives tr(rho A) from its matrix, with no
-    eigen-decomposition: each term c M_f S_a adds c np.dot(rho-pairs, f(q))
-    over the support atoms that the shift pairs by bit-equal frequencies,
-    as ``apply_shift`` does.  These kinds are exact and ignore
-    ``mc_samples`` and ``gen``.
-
-    Averaged states take expectations over the smoothing law by ``method``
-    (see :func:`expect_function`).  A convolution, whose multipliers are
-    all ``ONE``, has E f = 1 under every law, so it gives the value on the
-    base bit for bit (shift invariance), under ``mc`` as an
-    :class:`McEstimate` with stderr 0 that draws nothing from ``gen``.
-    Otherwise a normal base takes the same dot with E f(xi - q) in place of
-    f(q); a mixed base is the mixture of its components' averaged states.
-    Under ``mc`` each expectation draws ``mc_samples`` shifts from ``gen``
-    and the value is an :class:`McEstimate`: the weighted values add, the
-    variances add as (|weight| stderr)^2, and ``samples`` is the
-    per-expectation count.  A
-    :class:`StateDecomposition` combines its parts the same way, so it
-    returns an :class:`McEstimate` under ``mc`` when it has a singular part.
+    Every kind pairs atoms by one rule (see ``_hits``), which gives each
+    term c M_f S_a the weights r and frequencies q of its atom pairs.  Pure,
+    normal and mixed states add c np.dot(r, f(q)) over the terms, exactly;
+    they ignore ``mc_samples`` and ``gen``.  An averaged state pairs its
+    base so too, since the random shift survives only in the multiplier's
+    argument (shift-evaluation invariance): ``analytic`` takes E f(xi - q)
+    (see :func:`expect_function`) in place of f(q), and ``mc`` draws
+    xi_1 ... xi_N once, N = ``mc_samples``, each one realization of the
+    channel, and returns the :class:`McEstimate` of g(xi) = sum c r f(xi - q)
+    over the draws.  A convolution, whose multipliers are all ``ONE``, gives
+    the value on the base bit for bit, under ``mc`` with stderr 0 and no
+    draw from ``gen``.  A :class:`StateDecomposition` adds its parts'
+    weighted values, and their variances as (weight stderr)^2, so it returns
+    an :class:`McEstimate` under ``mc`` when it has a singular part.
     ``method`` must be ``analytic`` or ``mc`` for every kind.
     """
     _check_method(method, mc_samples)
-    if isinstance(s, PureState):
-        return inner(s.vector, apply_element(A, s.vector))
-    if isinstance(s, NormalState):
+    if isinstance(s, StateDecomposition):
         return _weighted_sum(
-            ((c, complex(np.dot(r, f.at(q)))) for c, f, r, q in _pairings(s, A)), mc_samples
+            ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in _parts(s)), mc_samples
         )
+    base, at = s, Multiplier.at
     if isinstance(s, AveragedState):
+        base, d = s.base, s.smoothing
         if all(f == ONE for _, f, _ in A.terms):
-            value = evaluate(s.base, A)
+            value = evaluate(base, A)
             return McEstimate(value, 0.0, mc_samples) if method == "mc" else value
-        return _weighted_sum(
-            _averaged_terms(s, A, method, mc_samples, gen), mc_samples, method == "mc"
-        )
-    return _weighted_sum(
-        ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in _parts(s)), mc_samples
-    )
+        if method == "mc":
+            return _mc_evaluate(base, A, d, mc_samples, gen)
+
+        def at(f, q):
+            return np.array([expect_function(d, f, x) for x in q.tolist()], dtype=complex)
+
+    total = 0j
+    for c, f, r, q in _hits(base, A):
+        total += c * complex(np.dot(r, at(f, q)))
+    return total
+
+
+def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEstimate:
+    """(mean g, sqrt(mean |g - mean|^2 / n), n) for g(xi) = <T_xi base, A> on n draws.
+
+    g is accumulated pair by pair in one length-n array.
+    """
+    if gen is None:
+        raise ValueError("mc evaluation needs a generator")
+    hits = list(_hits(base, A))  # a shift error raises before any draw
+    xs = np.asarray(d.sample(gen, n), dtype=float)
+    g = np.zeros(n, dtype=complex)
+    for c, f, r, q in hits:
+        for w, x in zip((c * r).tolist(), q.tolist()):
+            vals = f.at(xs - x)
+            vals *= w
+            g += vals
+    # as in expect_function: the draws' array takes |g - mean|^2
+    mean = complex(g.mean())
+    g -= mean
+    sq = np.abs(g, out=xs)
+    var = float(np.mean(np.square(sq, out=sq)))
+    return McEstimate(mean, math.sqrt(var / n), n)
+
+
+def _hits(s, A: AlgebraElement):
+    """(c, f, r, q) for each term c M_f S_a of A on a pure, normal or mixed state.
+
+    The term sends the atom at p_k to q_k = p_k - a and meets the atom j
+    whose frequency is bit-equal to q_k; r holds the pairs' weights and q
+    their frequencies, in the state's atom order.  A pure state u weighs a
+    pair conj(c_j) c_k, rounded by ``cmul``, and a normal state rho[k, j]; a
+    mixed state yields its components' hits with r scaled by their weights.
+    A shift that carries an atom past the largest float raises ValueError,
+    as ``apply_shift`` does, for every kind.
+    """
+    if isinstance(s, MixedState):
+        for w, st in s.components:
+            for c, f, r, q in _hits(st, A):
+                yield c, f, w * r, q
+        return
+    if isinstance(s, PureState):
+        p = sorted_p = s.vector.freqs
+        amps = s.vector.amps
+    elif isinstance(s, NormalState):
+        p = np.array(s.support, dtype=float)
+        order = np.argsort(p)
+        sorted_p = p[order]
+    else:
+        raise TypeError(f"not a state: {s!r}")
+    shifts = [a for _, _, a in A.rows]
+    _check_shifts(sorted_p, min(shifts, default=0.0), max(shifts, default=0.0))
+    for c, f, a in A.terms:
+        q = p - a
+        i = sorted_p.searchsorted(q)
+        np.minimum(i, len(p) - 1, out=i)
+        k = (sorted_p[i] == q).nonzero()[0]
+        j = i[k]
+        r = cmul(amps[j].conj(), amps[k]) if isinstance(s, PureState) else s.matrix[k, order[j]]
+        yield c, f, r, q[k]
 
 
 def _parts(s):
@@ -358,14 +416,15 @@ def _parts(s):
     raise TypeError(f"not a state: {s!r}")
 
 
-def _weighted_sum(pairs, mc_samples: int, estimate: bool = False):
+def _weighted_sum(pairs, mc_samples: int):
     """Sum of weight * value over (weight, value) pairs.
 
     An :class:`McEstimate` value adds its variance as (|weight| stderr)^2 and
-    makes the sum an :class:`McEstimate`; so does ``estimate``.
+    makes the sum an :class:`McEstimate`.
     """
     total = 0j
     variance = 0.0
+    estimate = False
     for weight, v in pairs:
         if isinstance(v, McEstimate):
             estimate = True
@@ -374,55 +433,6 @@ def _weighted_sum(pairs, mc_samples: int, estimate: bool = False):
         else:
             total += weight * v
     return McEstimate(total, math.sqrt(variance), mc_samples) if estimate else total
-
-
-def _pairings(s: NormalState, A: AlgebraElement):
-    """(c, f, rho[k, j], q_k) for each term c M_f S_a of A.
-
-    The term sends the support atom at p_k to q_k = p_k - a (the
-    subtraction of ``apply_shift``) and meets the atom j whose frequency is
-    bit-equal to q_k; tr(rho A) adds c rho[k, j] f(q_k) over those hits.
-    """
-    p = np.array(s.support, dtype=float)
-    order = np.argsort(p)
-    sorted_p = p[order]
-    for c, f, a in A.terms:
-        q = p - a
-        i = np.minimum(np.searchsorted(sorted_p, q), len(p) - 1)
-        k = np.flatnonzero(sorted_p[i] == q)
-        yield c, f, s.matrix[k, order[i[k]]], q[k]
-
-
-def _averaged_terms(s: AveragedState, A: AlgebraElement, method, mc_samples, gen):
-    """(weight, value) pairs whose weighted sum is E <T_xi base, A>.
-
-    The random shift cancels in the pairing of atoms (shift-evaluation
-    invariance) and survives only inside the multiplier argument: a pure
-    base u pairs the atoms with p_j = p_k - a of a term c M_f S_a into
-    conj(c_j) c_k E f(xi - p_j), a normal base pairs its matrix.
-    """
-    d, base = s.smoothing, s.base
-    if isinstance(base, MixedState):
-        for w, st in base.components:
-            yield w, evaluate(AveragedState(st, d), A, method, mc_samples, gen)
-    elif isinstance(base, NormalState):
-        for c, f, r, q in _pairings(base, A):
-            es = [expect_function(d, f, x, method, mc_samples, gen) for x in q.tolist()]
-            if method == "mc":
-                stderr = math.sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in zip(r, es)))
-                es = [e.value for e in es]
-            value = complex(np.dot(r, np.array(es, dtype=complex)))
-            yield c, McEstimate(value, stderr, mc_samples) if method == "mc" else value
-    else:
-        u = base.vector
-        for c, f, a in A.terms:
-            shifted = {b.p: b.c for b in apply_shift(a, u)}
-            for atom_j in u:
-                ck = shifted.get(atom_j.p, 0j)
-                if ck != 0:
-                    yield c * atom_j.c.conjugate() * ck, expect_function(
-                        d, f, atom_j.p, method, mc_samples, gen
-                    )
 
 
 # ---------------------------------------------------------------------------

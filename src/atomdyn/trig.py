@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, dump_document, load_document
+from .atoms import AtomicVector, Record
 
 
 def pointwise(u: AtomicVector, x: np.ndarray) -> np.ndarray:
@@ -83,11 +83,3 @@ def modulation_gap_exact(s: float, window: float) -> float:
         raise ValueError("gap is probed at a non-zero step s")
     return 2.0 - 2.0 * math.sin(s * window) / (s * window)
 
-
-def serialize(u: AtomicVector) -> str:
-    """JSON document: {"terms":[{"p":...,"re":...,"im":...}, ...]}."""
-    return dump_document(u, "terms")
-
-
-def deserialize(text: str) -> AtomicVector:
-    return load_document(text, "terms")

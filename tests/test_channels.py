@@ -1,16 +1,21 @@
 import cmath
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from atomdyn import channels
-from atomdyn.atoms import make_vector, norm, unit_atom
+from atomdyn.atoms import inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
     ONE,
     AlgebraElement,
     Multiplier,
     adjoint,
+    apply_element,
     compose,
     constant,
     indicator,
@@ -28,11 +33,13 @@ from atomdyn.rand import (
     Uniform,
 )
 from atomdyn.channels import (
+    AveragedState,
     McEstimate,
     MixedState,
     NormalState,
     PureState,
     QuadratureError,
+    StateDecomposition,
     averaged_Phi,
     averaged_T,
     channel_Phi,
@@ -282,6 +289,95 @@ class TestNormalEvaluate:
             assert evaluate(avg, A) == evaluate(s, A)
 
 
+# frequencies and shifts that land atoms on one float: 0.0 - 1.0 and
+# 1e-300 - 1.0 are both -1.0, and 1e16 + 2.0 - 2.0 rounds onto 1e16
+pairing_freqs = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 1.0, -1.0, 1e16, 1e16 + 2.0]),
+    st.integers(-16, 16).map(lambda j: j / 8.0),
+)
+pairing_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-4, 4))
+pairing_amps = st.builds(complex, pairing_parts, pairing_parts)
+pairing_multipliers = st.one_of(
+    st.just(ONE),
+    st.floats(-3, 3).map(wave),
+    st.tuples(pairing_freqs, st.floats(0, 4)).map(lambda t: indicator(t[0], t[0] + t[1])),
+    st.builds(Multiplier, pairing_amps, st.floats(-3, 3)),
+)
+pairing_shifts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, 1e16]),
+                           st.integers(-16, 16).map(lambda j: j / 8.0))
+
+
+class TestPairingRule:
+    """Every kind pairs atoms by one rule, and checks the shifts once."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(pairing_freqs, pairing_amps), min_size=1, max_size=8),
+           st.lists(st.tuples(pairing_amps, pairing_multipliers, pairing_shifts),
+                    min_size=1, max_size=4))
+    @example([(0.0, 0.1), (1e-300, 0.7), (-1.0, 1j), (1e16, 1.0), (1e16 + 2.0, 2.0)],
+             [(1.0, ONE, 1.0), (0.5j, wave(0.3), 2.0), (1.0, indicator(-2.0, 0.0), 1.0)])
+    def test_pure_matches_inner_of_apply_element(self, pairs, terms):
+        v = make_vector(pairs)
+        assume(1e-100 < norm(v) < 1e100)
+        u = (1.0 / norm(v)) * v
+        A = AlgebraElement.of(terms)
+        want = inner(u, apply_element(A, u))
+        tol = 1e-14 * sum(abs(c) for c, _, _ in A.rows)
+        assert abs(evaluate(PureState(u), A) - want) <= tol
+
+    def test_shift_past_the_float_range_every_kind(self):
+        rho = NormalState((0.0, 1e308), np.diag([0.5, 0.5]))
+        u = PureState(make_vector([(0.0, 0.6), (1e308, 0.8)]))
+        mixed = MixedState(((0.5, u), (0.5, uniform_pair())))
+        A = AlgebraElement.shift(-1e308)
+        B = AlgebraElement.of([(1.0, indicator(0.0, 1.0), 0.0), (0.5, wave(1.0), -1e308)])
+        states = [rho, u, mixed] + [averaged_T(d, s) for d in (Gaussian(1.0), Rademacher())
+                                    for s in (rho, u, mixed)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in states:
+                for E in (A, B):
+                    with pytest.raises(ValueError, match="shift -1e[+]308 moves an atom"):
+                        evaluate(s, E)
+                    draws = SeededRng(3).stream(0)
+                    with pytest.raises(ValueError, match="shift -1e[+]308 moves an atom"):
+                        evaluate(s, E, "mc", mc_samples=10, gen=draws)
+                    # the error comes before any draw
+                    assert draws.normal() == SeededRng(3).stream(0).normal()
+
+
+class TestNormalStateEquality:
+    """NormalState compares support and matrix entries; it stays unhashable."""
+
+    def test_pickled_copy_is_equal(self):
+        s = random_density(np.random.default_rng(49), 4)
+        back = pickle.loads(pickle.dumps(s))
+        assert back.matrix is not s.matrix
+        assert back == s and not back != s
+        assert NormalState(s.support, s.matrix.copy()) == s
+        with pytest.raises(TypeError, match="unhashable type: 'numpy.ndarray'"):
+            hash(back)
+
+    def test_unequal_matrices(self):
+        s = PAIR_DENSITY
+        other = NormalState(s.support, np.array([[0.5, 0.25], [0.25, 0.5]]))
+        assert other != s and not other == s
+        assert NormalState((0.0, 2.0), s.matrix) != s
+        assert s.__eq__(s.support) is NotImplemented
+
+    def test_wrapping_records(self):
+        s = random_density(np.random.default_rng(50), 3)
+        back = pickle.loads(pickle.dumps(s))
+        assert AveragedState(back, Gaussian(1.0)) == AveragedState(s, Gaussian(1.0))
+        assert AveragedState(back, Gaussian(1.0)) != AveragedState(s, Cauchy(1.0))
+        assert AveragedState(PAIR_DENSITY, Gaussian(1.0)) != AveragedState(s, Gaussian(1.0))
+        split = yosida_hewitt_split([(0.4, s), (0.6, averaged_T(Gaussian(1.0), s))])
+        again = pickle.loads(pickle.dumps(split))
+        assert isinstance(again, StateDecomposition)
+        assert again == split
+        assert again != yosida_hewitt_split([(0.5, s), (0.5, averaged_T(Gaussian(1.0), s))])
+
+
 class TestChannelT:
     def test_identity_shift(self):
         s = uniform_pair()
@@ -426,26 +522,43 @@ class TestEvaluateMonteCarlo:
         assert est.stderr > 0
         assert abs(est.value - evaluate(avg, A)) <= 4.0 * est.stderr
 
-    def test_stderr_is_root_sum_of_squares(self):
+    @staticmethod
+    def replay(avg, A, n, gen):
+        """(mean, stderr) of g(xi_i) = <T_xi_i base, A>, formed pair by pair.
+
+        The draws are taken once, as ``evaluate`` takes them; each atom pair
+        of each term adds its weight times f(xi - q) to g.
+        """
+        xs = avg.smoothing.sample(gen, n)
+        g = np.zeros(n, dtype=complex)
+        base = avg.base
+        comps = base.components if isinstance(base, MixedState) else ((1.0, base),)
+        for w, st in comps:
+            for c, f, a in A.terms:
+                if isinstance(st, PureState):
+                    pairs = [(ak.p - a, aj.c.conjugate() * ak.c)
+                             for ak in st.vector for aj in st.vector if aj.p == ak.p - a]
+                else:
+                    p = st.support
+                    pairs = [(pk - a, st.matrix[k, p.index(pk - a)])
+                             for k, pk in enumerate(p) if pk - a in p]
+                for q, r in pairs:
+                    g += w * c * r * f.at(xs - q)
+        mean = g.mean()
+        return mean, math.sqrt(np.mean(np.abs(g - mean) ** 2) / n)
+
+    def test_mixed_base_replays_per_draw_values(self):
         base = MixedState(((0.25, PureState(unit_atom(0.0))), (0.75, uniform_pair())))
         avg = averaged_T(Gaussian(1.0), base)
-        est = evaluate(avg, self.M, "mc", mc_samples=5_000, gen=SeededRng(32).stream(0))
-        # replay the per-expectation draws in the same order
-        replay = SeededRng(32).stream(0)
-        f = self.M.terms[0][1]
-        terms = [
-            (w * abs(a.c) ** 2,
-             expect_function(avg.smoothing, f, a.p, "mc", 5_000, replay))
-            for w, ps in base.components for a in ps.vector
-        ]
-        assert len(terms) == 3
-        assert est.value == pytest.approx(sum(w * e.value for w, e in terms), abs=1e-14)
-        assert est.stderr == pytest.approx(
-            math.sqrt(sum((w * e.stderr) ** 2 for w, e in terms)), rel=1e-12
-        )
+        A = AlgebraElement.of([(1.0, indicator(-0.5, 1.5), 0.0), (0.5, wave(0.7), 1.0)])
+        est = evaluate(avg, A, "mc", mc_samples=5_000, gen=SeededRng(32).stream(0))
+        mean, stderr = self.replay(avg, A, 5_000, SeededRng(32).stream(0))
+        assert est.value == pytest.approx(mean, abs=1e-14)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
         assert est.samples == 5_000
+        assert abs(est.value - evaluate(avg, A)) <= 4.0 * est.stderr
 
-    def test_normal_base_stderr_is_root_sum_of_squares(self):
+    def test_normal_base_replays_per_draw_values(self):
         gen = np.random.default_rng(37)
         base = random_density(gen, 3)
         p = base.support
@@ -453,20 +566,32 @@ class TestEvaluateMonteCarlo:
         avg = averaged_T(Gaussian(1.0), base)
         est = evaluate(avg, A, "mc", mc_samples=5_000, gen=SeededRng(35).stream(0))
         assert abs(est.value - evaluate(avg, A)) <= 4.0 * est.stderr
-        # replay: per term, one expectation per paired atom, in support order
-        replay = SeededRng(35).stream(0)
-        terms = []
-        for c, f, a in A.terms:
-            for k, pk in enumerate(p):
-                if pk - a in p:
-                    e = expect_function(avg.smoothing, f, pk - a, "mc", 5_000, replay)
-                    terms.append((c * base.matrix[k, p.index(pk - a)], e))
-        assert len(terms) == 4
-        assert est.value == pytest.approx(sum(w * e.value for w, e in terms), abs=1e-14)
-        assert est.stderr == pytest.approx(
-            math.sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in terms)), rel=1e-12
-        )
+        mean, stderr = self.replay(avg, A, 5_000, SeededRng(35).stream(0))
+        assert est.value == pytest.approx(mean, abs=1e-14)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
         assert est.samples == 5_000
+
+    def test_one_sample_call_per_evaluate(self, monkeypatch):
+        # every law class defines its own sample, so the count is taken on Gaussian
+        sizes = []
+        sample = Gaussian.sample
+
+        def counting(self, gen, size):
+            sizes.append(size)
+            return sample(self, gen, size)
+
+        monkeypatch.setattr(Gaussian, "sample", counting)
+        A = AlgebraElement.of([(1.0, indicator(-0.5, 1.5), 0.0), (0.5, wave(0.7), 1.0)])
+        conv = AlgebraElement.of([(0.3, ONE, 0.0), (0.7, ONE, 1.0)])
+        for base in (uniform_pair(), MixedState(((0.4, PureState(unit_atom(0.0))),
+                                                 (0.6, uniform_pair()))), PAIR_DENSITY):
+            avg = averaged_T(Gaussian(1.0), base)
+            sizes.clear()
+            evaluate(avg, A, "mc", mc_samples=1_000, gen=SeededRng(38).stream(0))
+            assert sizes == [1_000]
+            sizes.clear()
+            evaluate(avg, conv, "mc", mc_samples=1_000, gen=SeededRng(38).stream(0))
+            assert sizes == []
 
     def test_split_with_singular_part(self):
         u = PureState(unit_atom(0.0))

@@ -9,10 +9,8 @@ from atomdyn.trig import (
     auto_config,
     cesaro_inner_numeric,
     default_steps,
-    deserialize,
     modulation_gap_exact,
     modulation_gap_numeric,
-    serialize,
 )
 
 
@@ -120,12 +118,3 @@ class TestModulationGap:
         with pytest.raises(ValueError):
             modulation_gap_numeric(0.0, 0.0, CesaroQuadratureConfig(10.0, 16))
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        u = make_vector([(0.5, 1 + 2j), (-1.0, 3.0)])
-        assert deserialize(serialize(u)) == u
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            deserialize('{"terms": "nope"}')
