@@ -15,12 +15,18 @@ of the report.  Wall-clock runtime goes to a ``<out>.meta.json`` sidecar
 (stderr when writing to stdout) so the report itself stays reproducible.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
-configuration.
+configuration (including a bad ``ATOMDYN_SEED`` or an ``--out`` path that
+cannot be written).
+
+:func:`run` is the process entry point (``atomdyn`` and ``python -m
+atomdyn.cli``); :func:`main` runs one command and leaves the process's
+garbage collector alone, so tests and harnesses can call it in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -515,13 +521,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument(
-        "--seed", type=int,
-        default=int(os.environ.get(SEED_ENV, "0")),
-        help=f"RNG seed (default: ${SEED_ENV} or 0)",
+        "--seed", type=int, help=f"RNG seed (default: ${SEED_ENV} or 0)",
     )
     parser.add_argument("--out", help="report path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     args = parser.parse_args(argv)
+
+    seed = args.seed
+    if seed is None:
+        env_seed = os.environ.get(SEED_ENV, "0")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"error: {SEED_ENV} must be an integer, got {env_seed!r}",
+                  file=sys.stderr)
+            return 2
+    # a missing report directory fails before the command runs, not after
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        print(f"error: cannot write report: no directory for {args.out!r}",
+              file=sys.stderr)
+        return 2
 
     config: dict = {}
     if args.config:
@@ -537,17 +556,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     started = time.monotonic()
     try:
-        columns, rows, status = COMMANDS[args.command](config, args.seed)
+        columns, rows, status = COMMANDS[args.command](config, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = time.monotonic() - started
-    write_report(
-        args.out, args.format, args.command, args.seed, config, columns, rows,
-        runtime,
-    )
+    try:
+        write_report(
+            args.out, args.format, args.command, seed, config, columns, rows,
+            runtime,
+        )
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return status
 
 
+def run() -> int:
+    """Process entry point: freeze the import-time heap, then :func:`main`.
+
+    Every import is done by now, so ``gc.freeze()`` moves the objects that
+    numpy and atomdyn built (about 22k) to the permanent generation; the
+    full collections during the command and at interpreter shutdown skip
+    them.  atexit handlers, stream flushes and destructors still run.  Only
+    a process entry point may do this, since it changes the collector of
+    the whole process.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

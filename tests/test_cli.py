@@ -1,11 +1,13 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from atomdyn.cli import main
+from atomdyn.cli import COMMANDS, main
 
 RUN = [sys.executable, "-m", "atomdyn.cli"]
 
@@ -162,6 +164,31 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
+    def test_bad_env_seed_is_one_error_line(self, monkeypatch, capsys):
+        monkeypatch.setenv("ATOMDYN_SEED", "abc")
+        assert main(["chernoff", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "ATOMDYN_SEED" in lines[0] and captured.out == ""
+        # an explicit --seed does not read the variable
+        assert main(["dephase", "--seed", "3", "--format", "json"]) == 0
+
+    def test_out_in_missing_directory_fails_first(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["cesaro", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: cannot write report: "), lines
+        assert not out.parent.exists()
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        # the path is a directory, so opening it for writing fails
+        assert main(["dephase", "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: cannot write report: "), lines
+
     def test_env_seed_used(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -216,3 +243,43 @@ class TestSemigroupDephase:
         assert rc == 0
         for row in json.loads(out.read_text())["rows"]:
             assert row["abs_error"] <= 1e-12
+
+
+class TestEntryPoint:
+    """`run` freezes the import-time heap for the process; `main` does not."""
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["dephase", "--seed", "1", "--out", str(tmp_path / "d.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_before_main(self):
+        # importing the CLI freezes nothing; run() has frozen the imports'
+        # objects by the time main starts
+        code = (
+            "import gc, sys, atomdyn.cli as cli\n"
+            "print(gc.get_freeze_count())\n"
+            "cli.main = lambda argv=None: print(gc.get_freeze_count()) or 0\n"
+            "sys.exit(cli.run())\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        before, frozen = map(int, res.stdout.split())
+        assert before == 0 and frozen > 1000
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_module_run_matches_main(self, tmp_path, command):
+        for fmt in ("csv", "json"):
+            sub = tmp_path / f"sub.{fmt}"
+            res = run_cli([command, "--seed", "7", "--format", fmt, "--out", str(sub)])
+            assert res.returncode == 0, res.stderr
+            inproc = tmp_path / f"in.{fmt}"
+            assert main([command, "--seed", "7", "--format", fmt, "--out", str(inproc)]) == 0
+            assert sub.read_bytes() == inproc.read_bytes()
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        doc = tomllib.loads(pyproject.read_text())
+        assert doc["project"]["scripts"]["atomdyn"] == "atomdyn.cli:run"

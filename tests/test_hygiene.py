@@ -1,6 +1,8 @@
 """Source hygiene: every name a module of atomdyn imports is read in it,
 and so is every private name it defines at module level; no class is a
-dataclass, and importing the CLI does not load ``dataclasses``.
+dataclass, importing the CLI does not load ``dataclasses``, and no code
+but the CLI's process entry point changes the process's garbage collector
+or ends the process without shutdown.
 
 An AST scan, so it needs no linter: a name bound by ``import`` or
 ``from ... import`` must occur as a loaded name somewhere in the module
@@ -159,3 +161,49 @@ def test_cli_import_leaves_out_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+# calls that change the whole process: importing or calling the library must
+# leave the caller's collector and shutdown alone
+PROCESS_WIDE = {("gc", "freeze"), ("gc", "disable"), ("os", "_exit")}
+
+
+def process_wide_names(source: str):
+    """(line, name, function) of each ``gc.freeze``, ``gc.disable`` or
+    ``os._exit`` the source names, as an attribute or a ``from`` import;
+    ``function`` is the enclosing module-level function, or "" outside one.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in PROCESS_WIDE):
+                found.append((node.lineno, f"{node.value.id}.{node.attr}", where))
+            elif isinstance(node, ast.ImportFrom):
+                found.extend((node.lineno, f"{node.module}.{alias.name}", where)
+                             for alias in node.names
+                             if (node.module, alias.name) in PROCESS_WIDE)
+    return found
+
+
+def test_scan_flags_process_wide_calls():
+    source = (
+        "import gc, os\n"
+        "from gc import disable\n"
+        "def run():\n"
+        "    gc.freeze()\n"
+        "    return gc.collect()\n"
+        "def stop():\n"
+        "    os._exit(0)\n"
+        "gc.disable()\n"
+    )
+    assert process_wide_names(source) == [
+        (2, "gc.disable", ""), (4, "gc.freeze", "run"), (7, "os._exit", "stop"),
+        (8, "gc.disable", "")]
+
+
+def test_only_the_entry_point_freezes():
+    found = [(path.name, name, where) for path in MODULES + [SRC / "__init__.py"]
+             for _, name, where in process_wide_names(path.read_text())]
+    assert found == [("cli.py", "gc.freeze", "run")]
