@@ -15,7 +15,6 @@ from atomdyn import (
     Rademacher,
     SeededRng,
     chernoff_error,
-    chernoff_limit_apply,
     expected_walk_apply,
     make_vector,
     norm,
@@ -36,7 +35,8 @@ print(f"sampled 64-step walk: ||u|| = {norm(u):.12f}, ||walk(u)|| = {norm(w):.12
 for n in (1, 8, 64):
     v = expected_walk_apply(law, t, n, unit_atom(p))
     print(f"averaged walk, n = {n:>3}: amplitude at p={p} -> {v.amplitude(p).real:.6f}")
-limit = chernoff_limit_apply(law.variance, t, unit_atom(p))
+# Gaussian steps of the same variance give the limit multiplier in one step.
+limit = expected_walk_apply(Gaussian(law.variance), t, 1, unit_atom(p))
 print(f"Gaussian multiplier limit:          -> {limit.amplitude(p).real:.6f}")
 
 # Quantify the O(1/n) rate over a probe grid of frequencies.

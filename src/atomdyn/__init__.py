@@ -35,10 +35,8 @@ from .rand import (
     FiniteMixture,
     ConvolutionFamily,
     SeededRng,
-    averaged_mod_apply,
     random_walk_apply,
     expected_walk_apply,
-    chernoff_limit_apply,
     chernoff_error,
     distribution_from_json,
 )

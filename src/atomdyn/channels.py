@@ -22,7 +22,6 @@ One-parameter convolution families turn both into semigroups.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .atoms import AtomicVector, Record, cmul, norm, unit_atom
 from .algebra import ONE, AlgebraElement, Multiplier, _check_shifts, apply_shift, shift_overlaps
-from .rand import Distribution, ConvolutionFamily, convolve
+from .rand import Distribution, ConvolutionFamily, PointMass, convolve
 
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -196,6 +195,19 @@ class McEstimate(NamedTuple):
     stderr: float
     samples: int
 
+    @classmethod
+    def of(cls, vals: np.ndarray, out: np.ndarray) -> "McEstimate":
+        """The mean of the n samples vals, with stderr sqrt(mean |vals - mean|^2 / n).
+
+        vals is centred in place, and the float array out, of the same
+        length, takes the squared deviations.
+        """
+        mean = complex(vals.mean())
+        vals -= mean
+        sq = np.abs(vals, out=out)
+        var = float(np.mean(np.square(sq, out=sq)))
+        return cls(mean, math.sqrt(var / len(vals)), len(vals))
+
 
 class QuadratureError(ArithmeticError):
     """Two Gauss rule orders disagree: the expectation is not resolved."""
@@ -219,12 +231,13 @@ def expect_function(
     """E f(xi - x) for xi ~ d.
 
     ``analytic`` takes one of three paths and never returns a silent
-    approximation:
+    approximation.  It also takes a 1-d array x, and then returns the array
+    of the values at its points:
 
     * closed form -- a multiplier c e^{iay} on the whole line gives
-      c e^{-iax} chi(a) under any law; otherwise the discrete part is a
-      finite sum, and on the continuous part a constant c on [lo, hi] is c
-      times a cdf difference;
+      c e^{-iax} chi(a) under any law, one array expression in x;
+      otherwise the discrete part is a finite sum, and on the continuous
+      part a constant c on [lo, hi] is c times a cdf difference;
     * Gauss rule -- a wave on an interval, or a constant on one under a law
       with no cdf, is integrated against the continuous part by the law's rule (Gauss-Legendre for Gaussian within
       12 standard deviations and for Uniform, Gauss-Legendre in theta for
@@ -235,12 +248,9 @@ def expect_function(
     * error -- :class:`QuadratureError` when they do not, and
       NotImplementedError when the law has no rule.
 
-    ``mc`` returns an :class:`McEstimate` with the standard error of the
-    sample mean.  It gives the bits of the plain expressions ``vals =
-    f.at(d.sample(gen, n) - x)``, ``vals.mean()`` and
-    ``np.mean(np.abs(vals - mean) ** 2)`` with two arrays in place of five:
-    the draws, shifted in place and then reused for the squared deviations,
-    and the values of f, centred in place.
+    ``mc`` returns the :class:`McEstimate` of the values ``f.at(d.sample(gen,
+    n) - x)``, with the draws shifted in place and then reused by
+    ``McEstimate.of`` for the squared deviations.
 
     Only the continuous part of the law (``Distribution.continuous_part``,
     of mass ``continuous_weight``) meets a cdf or a rule; its discrete
@@ -250,19 +260,16 @@ def expect_function(
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
-        # the draws are a fresh array owned here: shifted in place, then
-        # reused for |f - mean|^2 once f has been taken on them
         ys = np.asarray(d.sample(gen, mc_samples), dtype=float)
         ys -= x
-        vals = f.at(ys)
-        mean = complex(vals.mean())
-        vals -= mean
-        sq = np.abs(vals, out=ys)
-        var = float(np.mean(np.square(sq, out=sq)))
-        stderr = math.sqrt(var / mc_samples)
-        return McEstimate(mean, stderr, mc_samples)
+        return McEstimate.of(f.at(ys), ys)
     if f.lo == -math.inf and f.hi == math.inf:
-        return f.c * cmath.exp(-1j * f.a * x) * d.chi(f.a) if f.a else f.c
+        # c e^{-iax} chi(a), where e^{-iax} is the chi of the point mass at -a
+        xs = np.asarray(x, dtype=float).reshape(-1)
+        v = PointMass(-f.a).chi(xs) * (f.c * d.chi(f.a)) if f.a else np.full(len(xs), f.c)
+        return v if isinstance(x, np.ndarray) else complex(v[0])
+    if isinstance(x, np.ndarray):
+        return np.array([expect_function(d, f, y) for y in x.tolist()], dtype=complex)
 
     total = 0j
     for loc, pr in d.discrete_atoms():
@@ -327,7 +334,7 @@ def evaluate(
         return _weighted_sum(
             ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in _parts(s)), mc_samples
         )
-    base, at = s, Multiplier.at
+    base, d = s, None
     if isinstance(s, AveragedState):
         base, d = s.base, s.smoothing
         if all(f == ONE for _, f, _ in A.terms):
@@ -335,13 +342,9 @@ def evaluate(
             return McEstimate(value, 0.0, mc_samples) if method == "mc" else value
         if method == "mc":
             return _mc_evaluate(base, A, d, mc_samples, gen)
-
-        def at(f, q):
-            return np.array([expect_function(d, f, x) for x in q.tolist()], dtype=complex)
-
     total = 0j
     for c, f, r, q in _hits(base, A):
-        total += c * complex(np.dot(r, at(f, q)))
+        total += c * complex(np.dot(r, f.at(q) if d is None else expect_function(d, f, q)))
     return total
 
 
@@ -360,12 +363,7 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
             vals = f.at(xs - x)
             vals *= w
             g += vals
-    # as in expect_function: the draws' array takes |g - mean|^2
-    mean = complex(g.mean())
-    g -= mean
-    sq = np.abs(g, out=xs)
-    var = float(np.mean(np.square(sq, out=sq)))
-    return McEstimate(mean, math.sqrt(var / n), n)
+    return McEstimate.of(g, xs)
 
 
 def _hits(s, A: AlgebraElement):
@@ -600,14 +598,13 @@ def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
 def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:
     """The Schur multiplier matrix chi(p_j - p_k) on a frequency support.
 
-    chi is called once per distinct difference: a support of m points drawn
-    from an evenly spaced grid of K points costs at most 2K - 1 calls, not
-    m^2.
+    chi is taken once, on the array of distinct differences: a support of m
+    points drawn from an evenly spaced grid of K points needs at most
+    2K - 1 values, not m^2.
     """
     p = np.array(support, dtype=float)
     diffs, where = np.unique((p[:, None] - p[None, :]).ravel(), return_inverse=True)
-    values = np.array([d.chi(float(delta)) for delta in diffs], dtype=complex)
-    return values[where].reshape(len(p), len(p))
+    return d.chi(diffs)[where].reshape(len(p), len(p))
 
 
 # ---------------------------------------------------------------------------

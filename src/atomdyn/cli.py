@@ -60,6 +60,7 @@ from .rand import (
     distribution_from_json,
 )
 from .channels import (
+    McEstimate,
     NormalState,
     PureState,
     averaged_Phi,
@@ -420,16 +421,14 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
     def point(i: int, n: int) -> dict:
         xs = d.sample(rng.stream(i), n)
         overlaps = shift_overlaps(u, v, xs)
-        mean_overlap = complex(overlaps.mean())
-        stderr = float(
-            math.sqrt(np.mean(np.abs(overlaps - mean_overlap) ** 2) / n)
-        )
         phases = np.exp(1j * probe_p * xs)
         mod_err = abs(complex(phases.mean()) - d.chi(probe_p))
+        # the draws are done with: their array takes the squared deviations
+        est = McEstimate.of(overlaps, xs)
         return {
             "N": n,
-            "shift_overlap_abs": abs(mean_overlap),
-            "shift_stderr": stderr,
+            "shift_overlap_abs": abs(est.value),
+            "shift_stderr": est.stderr,
             "mod_mean_error": mod_err,
             "clt_band": 4.0 / math.sqrt(n),
         }

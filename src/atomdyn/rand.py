@@ -1,11 +1,12 @@
 """Probability laws, characteristic functions, and operator random walks.
 
 Every law carries its characteristic function chi(x) = E e^{ix xi} in
-closed form.  Averaging the modulation group over a law multiplies the
-amplitude at frequency p by chi(sqrt(t) p); iterating n independent steps
-of size t/n and averaging gives chi(sqrt(t/n) p)^n, which converges to the
-Gaussian multiplier e^{-t D p^2 / 2} at rate O(1/n) for zero-mean laws
-with variance D (and is exactly equal for Gaussian steps).
+closed form, written once on float arrays, so chi takes a number or an
+array.  Averaging the modulation group over a law multiplies the amplitude
+at frequency p by chi(sqrt(t) p); n independent steps of size t/n give
+chi(sqrt(t/n) p)^n, which converges to the Gaussian multiplier
+e^{-t D p^2 / 2} at rate O(1/n) for zero-mean laws with variance D (and is
+exactly equal for Gaussian steps).
 
 Randomness is counter-based (Philox): a 64-bit seed plus a stream index
 determine the draw sequence, so parallel Monte Carlo partitions are
@@ -14,14 +15,13 @@ reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, make_vector
+from .atoms import AtomicVector, Record, canonical, cmul
 from .algebra import apply_mod
 
 _WEIGHT_TOL = 1e-12
@@ -36,13 +36,35 @@ class Distribution(Record):
 
     has_discrete_part: bool = False
 
-    def chi(self, x: float) -> complex:
-        """Characteristic function E e^{ix xi}."""
+    def chi(self, x):
+        """E e^{ix xi}: a Python complex for a number x, a new complex array for an array.
+
+        A value that is not finite (a phase x a overflows, or x is NaN)
+        raises ValueError naming the law and x.
+        """
+        return self.chi_pow(x, 1)
+
+    def chi_pow(self, x, n: int):
+        """chi(x)^n, taken as ``chi`` is."""
+        xs = np.asarray(x, dtype=float)
+        flat = xs.reshape(-1)
+        # an overflow only drives chi to its limit 0, or to NaN, caught below
+        with np.errstate(all="ignore"):
+            v = self._chi(flat) if n == 1 else self._chi_pow(flat, n)
+        # |chi| <= 1, so the sum is finite exactly when every value is
+        if not math.isfinite(abs(v.sum())):
+            bad = flat[~np.isfinite(v)][0]
+            raise ValueError(f"chi of {self!r} is not finite at x = {float(bad)!r}: "
+                             "a phase x a overflows, or x is not a number")
+        return complex(v[0]) if xs.ndim == 0 else np.asarray(v, dtype=complex).reshape(xs.shape)
+
+    def _chi(self, x: np.ndarray) -> np.ndarray:
+        """chi on a 1-d float array, as a real or complex array."""
         raise NotImplementedError
 
-    def chi_pow(self, x: float, n: int) -> complex:
-        """chi(x)^n; overridden where a closed form avoids power-loss."""
-        return self.chi(x) ** n
+    def _chi_pow(self, x: np.ndarray, n: int) -> np.ndarray:
+        """chi^n on a 1-d float array; overridden where a closed form avoids power-loss."""
+        return self._chi(x) ** n
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws from ``gen``, as a fresh, writable array.
@@ -105,12 +127,12 @@ class Gaussian(Distribution):
         if not (D > 0 and math.isfinite(D)):
             raise ValueError(f"variance must be positive: {D!r}")
 
-    def chi(self, x: float) -> complex:
-        return complex(math.exp(-0.5 * self.D * x * x))
+    def _chi(self, x):
+        return np.exp(-0.5 * self.D * x * x)
 
-    def chi_pow(self, x: float, n: int) -> complex:
+    def _chi_pow(self, x, n):
         # closed form of chi^n; keeps the Gaussian fixed-point identity exact
-        return complex(math.exp(-0.5 * n * self.D * x * x))
+        return np.exp(-0.5 * n * self.D * x * x)
 
     def sample(self, gen, size):
         return gen.normal(0.0, math.sqrt(self.D), size)
@@ -139,11 +161,11 @@ class Cauchy(Distribution):
         if not (gamma > 0 and math.isfinite(gamma)):
             raise ValueError(f"scale must be positive: {gamma!r}")
 
-    def chi(self, x: float) -> complex:
-        return complex(math.exp(-self.gamma * abs(x)))
+    def _chi(self, x):
+        return np.exp(-self.gamma * np.abs(x))
 
-    def chi_pow(self, x: float, n: int) -> complex:
-        return complex(math.exp(-n * self.gamma * abs(x)))
+    def _chi_pow(self, x, n):
+        return np.exp(-n * self.gamma * np.abs(x))
 
     def sample(self, gen, size):
         return self.gamma * gen.standard_cauchy(size)
@@ -167,8 +189,8 @@ class Cauchy(Distribution):
 class Rademacher(Distribution):
     has_discrete_part = True
 
-    def chi(self, x: float) -> complex:
-        return complex(math.cos(x))
+    def _chi(self, x):
+        return np.cos(x)
 
     def sample(self, gen, size):
         return gen.choice(np.array([-1.0, 1.0]), size)
@@ -192,13 +214,13 @@ class Uniform(Distribution):
         if not (a < b and math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
 
-    def chi(self, x: float) -> complex:
-        if x == 0:
-            return 1.0 + 0j
-        x = float(x)
-        return (cmath.exp(1j * x * self.b) - cmath.exp(1j * x * self.a)) / (
-            1j * x * (self.b - self.a)
-        )
+    def _chi(self, x):
+        # e^{ix m} sin(x h) / (x h) with m the midpoint and h the half-width:
+        # no cancellation near x = 0 and |chi| <= 1 down to the subnormals
+        m, h = 0.5 * self.a + 0.5 * self.b, 0.5 * self.b - 0.5 * self.a
+        xh = x * h
+        sinc = np.divide(np.sin(xh), xh, out=np.ones_like(xh), where=xh != 0)
+        return np.exp(1j * (x * m)) * sinc
 
     def sample(self, gen, size):
         return gen.uniform(self.a, self.b, size)
@@ -226,8 +248,8 @@ class PointMass(Distribution):
         if not math.isfinite(a):
             raise ValueError(f"non-finite location: {a!r}")
 
-    def chi(self, x: float) -> complex:
-        return cmath.exp(1j * self.a * x)
+    def _chi(self, x):
+        return np.exp(1j * (self.a * x))
 
     def sample(self, gen, size):
         return np.full(size, self.a)
@@ -259,8 +281,8 @@ class FiniteMixture(Distribution):
     def has_discrete_part(self) -> bool:  # type: ignore[override]
         return any(w > 0 and d.has_discrete_part for w, d in self.components)
 
-    def chi(self, x: float) -> complex:
-        return sum((w * d.chi(x) for w, d in self.components), 0j)
+    def _chi(self, x):
+        return sum((w * d._chi(x) for w, d in self.components), 0j)
 
     def sample(self, gen, size):
         ws = np.array([w for w, _ in self.components])
@@ -429,12 +451,13 @@ class SeededRng(Record):
 # Averaged multipliers and walks
 
 
-def averaged_mod_apply(d: Distribution, t: float, u: AtomicVector) -> AtomicVector:
-    """Mean modulation E M_{sqrt(t) xi}: amplitude at p scales by chi(sqrt(t) p)."""
+def _step(t: float, n: int) -> float:
+    """sqrt(t/n), the scale of each of n steps over the time t."""
+    if n < 1:
+        raise ValueError(f"need at least one step: {n!r}")
     if t < 0:
         raise ValueError(f"time must be non-negative: {t!r}")
-    rt = math.sqrt(t)
-    return make_vector([(a.p, d.chi(rt * a.p) * a.c) for a in u])
+    return math.sqrt(t / n)
 
 
 def random_walk_apply(
@@ -449,33 +472,18 @@ def random_walk_apply(
     Modulations commute and their parameters add, so the composed phase at
     frequency p is e^{i p sqrt(t/n) sum_k xi_k}; unitary for every draw.
     """
-    if n < 1:
-        raise ValueError(f"need at least one step: {n!r}")
-    if t < 0:
-        raise ValueError(f"time must be non-negative: {t!r}")
-    total = float(d.sample(gen, n).sum())
-    return apply_mod(math.sqrt(t / n) * total, u)
+    rt = _step(t, n)
+    return apply_mod(rt * float(d.sample(gen, n).sum()), u)
 
 
 def expected_walk_apply(d: Distribution, t: float, n: int, u: AtomicVector) -> AtomicVector:
-    """Mean of the n-step walk: amplitude factor chi(sqrt(t/n) p)^n."""
-    if n < 1:
-        raise ValueError(f"need at least one step: {n!r}")
-    if t < 0:
-        raise ValueError(f"time must be non-negative: {t!r}")
-    rt = math.sqrt(t / n)
-    return make_vector([(a.p, d.chi_pow(rt * a.p, n) * a.c) for a in u])
+    """Mean of the n-step walk: amplitude factor chi(sqrt(t/n) p)^n.
 
-
-def chernoff_limit_apply(D: float, t: float, u: AtomicVector) -> AtomicVector:
-    """Limit multiplier of the averaged walks: e^{-t D p^2 / 2} at frequency p."""
-    if D <= 0:
-        raise ValueError(f"variance must be positive: {D!r}")
-    if t < 0:
-        raise ValueError(f"time must be non-negative: {t!r}")
-    return make_vector(
-        [(a.p, math.exp(-0.5 * t * D * a.p * a.p) * a.c) for a in u]
-    )
+    n = 1 is the averaged modulation E M_{sqrt(t) xi}, and Gaussian(D) steps
+    give the Chernoff limit multiplier e^{-t D p^2 / 2} at every n.
+    """
+    rt = _step(t, n)
+    return canonical(u.freqs, cmul(d.chi_pow(rt * u.freqs, n), u.amps))
 
 
 def chernoff_error(
@@ -493,11 +501,8 @@ def chernoff_error(
         )
     if d.mean != 0:
         raise ValueError(f"law must be centered, got mean {d.mean!r}")
-    if n < 1:
-        raise ValueError(f"need at least one step: {n!r}")
-    if t < 0:
-        raise ValueError(f"time must be non-negative: {t!r}")
-    rt = math.sqrt(t / n)
-    return max(
-        abs(d.chi_pow(rt * x, n) - math.exp(-0.5 * t * D * x * x)) for x in probes
-    )
+    rt = _step(t, n)
+    x = np.asarray(probes, dtype=float)
+    # the limit e^{-t D x^2 / 2} is chi of the Gaussian law of variance t D
+    err = d.chi_pow(rt * x, n) - ConvolutionFamily("gaussian").at(t * D).chi(x)
+    return float(np.hypot(err.real, err.imag).max())

@@ -680,6 +680,12 @@ class TestExpectFunction:
         assert f == wave(-b)
         assert abs(expect_function(d, f, x) - wave_expectation(d, -b, x)) <= 1e-12
 
+    def test_wave_phase_overflow_names_the_point(self):
+        # cmath raised a bare "math domain error" here
+        for x in (1e308, np.array([0.0, -1e308])):
+            with pytest.raises(ValueError, match=r"x = -?1e\+308"):
+                expect_function(Gaussian(1.0), wave(10.0), x)
+
     def test_mixture_wave(self):
         a, x = 1.7, 0.3
         want = cmath.exp(-1j * a * x) * (0.5 * math.cos(a) + 0.5 * math.exp(-0.5 * a * a))
@@ -941,6 +947,15 @@ class TestDephasing:
         out = averaged_Phi(d, rho).matrix
         assert np.all(out == np.array([[d.chi(pj - pk) for pk in rho.support]
                                        for pj in rho.support]) * rho.matrix)
+
+    def test_kernel_at_far_apart_support_points(self):
+        # support points 1e308 apart made chi raise a bare "math domain error"
+        rho = NormalState((-5e307, 5e307), np.full((2, 2), 0.5, dtype=complex))
+        out = averaged_Phi(Uniform(-1.0, 2.0), rho).matrix
+        assert np.all(np.diag(out) == 0.5) and np.all(np.abs(out) <= 0.5)
+        assert abs(out[0, 1]) <= 0.5 / 1.5e308
+        with pytest.raises(ValueError, match=r"PointMass\(a=2\.0\).*x = -?1e\+308"):
+            averaged_Phi(PointMass(2.0), rho)
 
     def test_rank_one_matches_modulated_vector(self):
         # conjugating a rank-1 projector reproduces the modulated vector

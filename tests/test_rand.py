@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomdyn.atoms import make_vector, norm, unit_atom
 from atomdyn.algebra import apply_mod
@@ -15,9 +17,7 @@ from atomdyn.rand import (
     Rademacher,
     SeededRng,
     Uniform,
-    averaged_mod_apply,
     chernoff_error,
-    chernoff_limit_apply,
     convolve,
     distribution_from_json,
     expected_walk_apply,
@@ -83,6 +83,103 @@ class TestChi:
         for d in ALL_LAWS:
             assert type(d.chi(np.float64(1.3))) is complex
             assert type(d.chi_pow(1.3, 150)) is complex
+
+
+def _bits(z):
+    """The bytes of a complex array, so that == compares bit for bit."""
+    return np.asarray(z, dtype=complex).tobytes()
+
+
+EDGE_X = [1e308, -1e308, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+          0.0, -0.0, 1e-300, -1e-300, 1e154, 1e155, 1.0, -2.5]
+scales = st.sampled_from([1e-300, 1e-5, 0.7, 1.0, 1e5, 1e300]) | st.floats(1e-300, 1e300)
+locations = st.sampled_from([0.0, -1.0, 2.0, 1e-300, 1e300, -1e308]) | st.floats(-1e308, 1e308)
+
+
+simple_laws = st.one_of(
+    st.builds(Gaussian, scales),
+    st.builds(Cauchy, scales),
+    st.just(Rademacher()),
+    st.tuples(locations, locations).filter(lambda ab: ab[0] != ab[1])
+    .map(lambda ab: Uniform(min(ab), max(ab))),
+    st.builds(PointMass, locations),
+)
+laws = simple_laws | st.builds(
+    lambda w, d1, d2: FiniteMixture(((w, d1), (1.0 - w, d2))),
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), simple_laws, simple_laws,
+)
+edge_x = st.lists(st.sampled_from(EDGE_X) | st.floats(-10.0, 10.0)
+                  | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6)
+
+
+class TestChiKernel:
+    """One array kernel per law: numbers and arrays give the same bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(laws, edge_x)
+    def test_array_is_the_scalar_loop(self, d, xs):
+        values = []
+        for x in xs:
+            try:
+                c = d.chi(x)
+            except ValueError as err:
+                assert repr(x) in str(err) and type(d).__name__ in str(err)
+                with pytest.raises(ValueError):
+                    d.chi(np.array(xs))
+                return
+            assert type(c) is complex and type(d.chi_pow(x, 1)) is complex
+            assert _bits(d.chi_pow(x, 1)) == _bits(c)
+            assert math.isfinite(c.real) and math.isfinite(c.imag)
+            assert abs(c) <= 1.0 + 1e-15
+            values.append(c)
+        arr = d.chi(np.array(xs))
+        assert arr.dtype == complex and arr.shape == (len(xs),)
+        assert _bits(arr) == _bits(values)
+        assert _bits(d.chi_pow(np.array(xs), 1)) == _bits(values)
+        assert d.chi(0.0) == 1.0 + 0j
+
+    def test_shapes(self):
+        x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+        for d in ALL_LAWS:
+            out = d.chi(x)
+            assert out.shape == (2, 3) and out.dtype == complex
+            assert _bits(out.ravel()) == _bits([d.chi(v) for v in x.ravel().tolist()])
+            assert d.chi([]).shape == (0,)
+
+    def test_float_edges_keep_their_values_without_warnings(self):
+        # pytest turns RuntimeWarning into errors; math.exp gave 0.0 here
+        for x in (1e154, 1e155, 1e200, 1e308, -1e308):
+            assert Gaussian(1.0).chi(x) == 0j and Gaussian(1.0).chi_pow(x, 3) == 0j
+        assert np.all(Gaussian(1e300).chi(np.array([1e10, -1e300, 1e308])) == 0)
+        assert Cauchy(1e300).chi(1e308) == 0j
+        # the complex divide of the old form overflowed here, and its
+        # rounded x b, x a and x (b - a) gave chi = 2 for Uniform(-0.6, 0.6)
+        for d in (Uniform(-1.0, 1.0), Uniform(-1.0, 2.0), Uniform(-0.6, 0.6)):
+            assert d.chi(5e-324) == 1 + 0j
+            assert np.all(d.chi(np.array([0.0, 5e-324, -5e-324])) == 1)
+
+    def test_uniform_stays_accurate_near_zero(self):
+        # e^{ixb} - e^{ixa} cancels for 0 < a < b; the midpoint form does not
+        with mpmath.workdps(40):
+            for x in (1e-8, 1e-5, 0.3):
+                want = (mpmath.exp(1j * x * 2) - mpmath.exp(1j * x)) / (1j * x)
+                got = Uniform(1.0, 2.0).chi(x)
+                assert abs(got - complex(want)) <= 4e-16
+
+    def test_non_finite_phase_names_the_law_and_x(self):
+        # these raised a bare "math domain error"
+        with pytest.raises(ValueError, match=r"PointMass\(a=2\.0\).*x = 1e\+308"):
+            PointMass(2.0).chi(1e308)
+        with pytest.raises(ValueError, match=r"PointMass\(a=2\.0\).*x = 1e\+308"):
+            PointMass(2.0).chi(np.array([1.0, 1e308]))
+        with pytest.raises(ValueError, match=r"Uniform.*x = 2\.0"):
+            Uniform(-1e308, 1e308).chi(2.0)
+        with pytest.raises(ValueError, match=r"Gaussian.*x = nan"):
+            Gaussian(1.0).chi(math.nan)
+        # the phases x (a + b) / 2 and x (b - a) / 2 of Uniform(-1, 2) are
+        # finite at 1e308, so chi has a value there: |chi| <= 1 / (x (b - a) / 2)
+        c = Uniform(-1.0, 2.0).chi(1e308)
+        assert abs(c) <= 1.0 / 1.5e308
 
 
 class TestGaussRule:
@@ -164,13 +261,15 @@ class TestSampling:
 
 
 class TestAveragedModulation:
+    # the averaged modulation E M_{sqrt(t) xi} is the one-step mean walk
+
     def test_t_zero_identity(self):
         u = make_vector([(0.0, 0.6), (2.0, 0.8)])
-        assert averaged_mod_apply(Gaussian(1.0), 0.0, u) == u
+        assert expected_walk_apply(Gaussian(1.0), 0.0, 1, u) == u
 
     def test_gaussian_factor(self):
         D, t, p = 2.0, 0.5, 3.0
-        out = averaged_mod_apply(Gaussian(D), t, unit_atom(p))
+        out = expected_walk_apply(Gaussian(D), t, 1, unit_atom(p))
         assert out.amplitude(p) == pytest.approx(math.exp(-0.5 * t * D * p * p))
 
     def test_contraction(self):
@@ -178,11 +277,11 @@ class TestAveragedModulation:
         for d in ALL_LAWS:
             u = make_vector([(0.5, 1.0), (1.5, 1j)])
             t = float(gen.uniform(0, 2))
-            assert norm(averaged_mod_apply(d, t, u)) <= norm(u) + 1e-12
+            assert norm(expected_walk_apply(d, t, 1, u)) <= norm(u) + 1e-12
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            averaged_mod_apply(Gaussian(1.0), -0.1, unit_atom(0))
+            expected_walk_apply(Gaussian(1.0), -0.1, 1, unit_atom(0))
 
     def test_monte_carlo_oracle(self):
         # mean of single modulation draws reproduces the chi multiplier
@@ -190,7 +289,7 @@ class TestAveragedModulation:
         n = 100_000
         xs = d.sample(SeededRng(11).stream(0), n)
         draws = np.exp(1j * math.sqrt(t) * xs * p)
-        expected = averaged_mod_apply(d, t, unit_atom(p)).amplitude(p)
+        expected = expected_walk_apply(d, t, 1, unit_atom(p)).amplitude(p)
         assert abs(draws.mean() - expected) <= 4.0 / math.sqrt(n)
 
     def test_multiplier_semigroup_in_t(self):
@@ -225,21 +324,15 @@ class TestRandomWalk:
 
 
 class TestExpectedWalk:
-    def test_single_step_is_averaged_mod(self):
-        u = make_vector([(0.5, 1.0)])
-        for d in (Rademacher(), Uniform(-1, 1)):
-            assert expected_walk_apply(d, 0.7, 1, u) == averaged_mod_apply(d, 0.7, u)
-
     def test_gaussian_fixed_point(self):
         # algebraic identity (e^{-tDp^2/2n})^n = e^{-tDp^2/2}; float-exact
         # up to the last-ulp rounding of sqrt(t/n)*p
         u = make_vector([(0.5, 0.6), (2.0, 0.8)])
-        limit = chernoff_limit_apply(1.5, 0.9, u)
         for n in (1, 7, 100, 9999):
             out = expected_walk_apply(Gaussian(1.5), 0.9, n, u)
-            for a, b in zip(out, limit):
-                assert a.p == b.p
-                assert abs(a.c - b.c) <= 1e-14
+            assert out.frequencies == u.frequencies
+            for a, b in zip(out, u):
+                assert abs(a.c - math.exp(-0.5 * 0.9 * 1.5 * b.p * b.p) * b.c) <= 1e-14
 
     def test_monte_carlo_oracle(self):
         d, t, n, p = Rademacher(), 1.0, 4, 2.0
@@ -253,10 +346,14 @@ class TestExpectedWalk:
 
 class TestChernoff:
     def test_limit_trivial_cases(self):
+        # the limit multiplier e^{-tDp^2/2} is 1 at t = 0 and at p = 0, and
+        # Gaussian(D) steps reach it at every n
         u = make_vector([(0.0, 0.6), (2.0, 0.8)])
-        assert chernoff_limit_apply(1.0, 0.0, u) == u
-        out = chernoff_limit_apply(1.0, 5.0, u)
-        assert out.amplitude(0.0) == 0.6 + 0j
+        for n in (1, 7):
+            assert expected_walk_apply(Gaussian(1.0), 0.0, n, u) == u
+            out = expected_walk_apply(Gaussian(1.0), 5.0, n, u)
+            assert out.amplitude(0.0) == 0.6 + 0j
+            assert abs(out.amplitude(2.0) - math.exp(-0.5 * 5.0 * 1.0 * 2.0 * 2.0) * 0.8) <= 1e-14
 
     def test_rademacher_error_against_high_precision_oracle(self):
         # direct evaluation at 50 digits of |cos(x/sqrt(n))^n - e^{-x^2/2}|
@@ -284,6 +381,12 @@ class TestChernoff:
     def test_infinite_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
             chernoff_error(Cauchy(1.0), 1.0, 100, [1.0])
+
+    def test_far_probe_and_zero_time(self):
+        # e^{-x^2/2} underflows to 0 at x = 1e200 without a warning
+        want = math.cos(math.sqrt(1.0 / 10) * 1e200) ** 10
+        assert abs(chernoff_error(Rademacher(), 1.0, 10, [1e200]) - want) <= 1e-15
+        assert chernoff_error(Rademacher(), 0.0, 10, [1.0, 1e200]) == 0.0
 
     def test_uncentered_law_rejected(self):
         with pytest.raises(ValueError, match="centered"):
