@@ -1,62 +1,41 @@
-"""atomdyn: operator random walks and averaged channels on atomic vectors."""
+"""atomdyn: operator random walks and averaged channels on atomic vectors.
+
+``import atomdyn`` loads no module: a public name imports its module on
+first access (PEP 562) and is then cached in this namespace.
+"""
 
 __version__ = "0.1.0"
 
-from .atoms import AtomicVector, make_vector, unit_atom, inner, norm, add, scale
-from .trig import (
-    CesaroQuadratureConfig,
-    cesaro_inner_numeric,
-    auto_config,
-    default_steps,
-    modulation_gap_numeric,
-    modulation_gap_exact,
-)
-from .algebra import (
-    AlgebraElement,
-    Multiplier,
-    apply_shift,
-    apply_mod,
-    shift_overlaps,
-    apply_element,
-    compose,
-    adjoint,
-    weyl_residual,
-    generator_apply,
-    indicator,
-    constant,
-)
-from .rand import (
-    Distribution,
-    Gaussian,
-    Cauchy,
-    Rademacher,
-    Uniform,
-    PointMass,
-    FiniteMixture,
-    ConvolutionFamily,
-    SeededRng,
-    random_walk_apply,
-    expected_walk_apply,
-    chernoff_error,
-    distribution_from_json,
-)
-from .channels import (
-    PureState,
-    NormalState,
-    MixedState,
-    AveragedState,
-    StateDecomposition,
-    evaluate,
-    channel_T,
-    averaged_T,
-    channel_Phi,
-    averaged_Phi,
-    semigroup_T,
-    semigroup_Phi,
-    projector_value,
-    normality_witness,
-    yosida_hewitt_split,
-    dephasing_kernel,
-    McEstimate,
-    QuadratureError,
-)
+_EXPORTS = {
+    "atoms": "AtomicVector make_vector unit_atom inner norm add scale apply_mod",
+    "trig": "CesaroQuadratureConfig cesaro_inner_numeric auto_config default_steps "
+            "modulation_gap_numeric modulation_gap_exact",
+    "algebra": "AlgebraElement Multiplier apply_shift shift_overlaps apply_element compose "
+               "adjoint weyl_residual generator_apply indicator constant",
+    "rand": "Distribution Gaussian Cauchy Rademacher Uniform PointMass FiniteMixture "
+            "ConvolutionFamily SeededRng random_walk_apply expected_walk_apply "
+            "chernoff_error distribution_from_json McEstimate",
+    "channels": "PureState NormalState MixedState AveragedState StateDecomposition evaluate "
+                "channel_T averaged_T channel_Phi averaged_Phi semigroup_T semigroup_Phi "
+                "projector_value normality_witness yosida_hewitt_split dephasing_kernel "
+                "QuadratureError",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

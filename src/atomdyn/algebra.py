@@ -29,11 +29,11 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, canonical, cmul, inner, merge, norm
+from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, inner, merge, norm
 
 
 # ---------------------------------------------------------------------------
-# Unitary group actions
+# Unitary group actions (the modulation M_a is ``atoms.apply_mod``)
 
 
 def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
@@ -64,15 +64,6 @@ def _check_shifts(f: np.ndarray, low: float, high: float) -> None:
     if f.size and (math.isinf(f.item(-1) - low) or math.isinf(f.item(0) - high)):
         h = low if math.isinf(f.item(-1) - low) else high
         raise ValueError(f"shift {h!r} moves an atom of the vector out of the float range")
-
-
-def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
-    """M_a: the amplitude at p gains the phase e^{iap}."""
-    if not math.isfinite(a):
-        raise ValueError(f"non-finite modulation: {a!r}")
-    if a == 0:
-        return u
-    return AtomicVector(u.freqs, cmul(np.exp(cmul(1j * a, u.freqs)), u.amps))
 
 
 def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarray:

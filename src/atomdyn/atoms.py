@@ -283,6 +283,15 @@ def inner(u: AtomicVector, v: AtomicVector) -> complex:
     return complex(cmul(u.amps[hit].conj(), v.amps[i[hit]]).cumsum()[-1]) + 0j
 
 
+def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
+    """M_a: the amplitude at p gains the phase e^{iap} (re-exported by ``algebra``)."""
+    if not math.isfinite(a):
+        raise ValueError(f"non-finite modulation: {a!r}")
+    if a == 0:
+        return u
+    return AtomicVector(u.freqs, cmul(np.exp(cmul(1j * a, u.freqs)), u.amps))
+
+
 def norm(u: AtomicVector) -> float:
     return u.norm()
 

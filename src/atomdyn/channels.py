@@ -23,13 +23,13 @@ One-parameter convolution families turn both into semigroups.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .atoms import AtomicVector, Record, cmul, norm, unit_atom
 from .algebra import ONE, AlgebraElement, Multiplier, _check_shifts, apply_shift, shift_overlaps
-from .rand import Distribution, ConvolutionFamily, PointMass, convolve
+from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, convolve
 
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -190,25 +190,6 @@ def _aggregate(components):
 # Expectations E f(xi - x) over a smoothing law
 
 
-class McEstimate(NamedTuple):
-    value: complex
-    stderr: float
-    samples: int
-
-    @classmethod
-    def of(cls, vals: np.ndarray, out: np.ndarray) -> "McEstimate":
-        """The mean of the n samples vals, with stderr sqrt(mean |vals - mean|^2 / n).
-
-        vals is centred in place, and the float array out, of the same
-        length, takes the squared deviations.
-        """
-        mean = complex(vals.mean())
-        vals -= mean
-        sq = np.abs(vals, out=out)
-        var = float(np.mean(np.square(sq, out=sq)))
-        return cls(mean, math.sqrt(var / len(vals)), len(vals))
-
-
 class QuadratureError(ArithmeticError):
     """Two Gauss rule orders disagree: the expectation is not resolved."""
 
@@ -250,19 +231,27 @@ def expect_function(
 
     ``mc`` returns the :class:`McEstimate` of the values ``f.at(d.sample(gen,
     n) - x)``, with the draws shifted in place and then reused by
-    ``McEstimate.of`` for the squared deviations.
+    ``McEstimate.of`` for the squared deviations.  Under either method, x
+    must be finite, and a phase a (xi - x) that overflows raises ValueError.
 
     Only the continuous part of the law (``Distribution.continuous_part``,
     of mass ``continuous_weight``) meets a cdf or a rule; its discrete
     atoms are summed once, by the finite sum.
     """
     _check_method(method, mc_samples)
+    if not (isinstance(x, np.ndarray) or math.isfinite(x)):
+        raise ValueError(f"E f(xi - x) needs a finite x, got x = {x!r}")
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
         ys = np.asarray(d.sample(gen, mc_samples), dtype=float)
-        ys -= x
-        return McEstimate.of(f.at(ys), ys)
+        # a phase that overflows gives NaN values, which make the mean NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys -= x
+            est = McEstimate.of(f.at(ys), ys)
+        if not math.isfinite(abs(est.value)):
+            raise _not_finite(d, f, x)
+        return est
     if f.lo == -math.inf and f.hi == math.inf:
         # c e^{-iax} chi(a), where e^{-iax} is the chi of the point mass at -a
         xs = np.asarray(x, dtype=float).reshape(-1)
@@ -273,11 +262,19 @@ def expect_function(
 
     total = 0j
     for loc, pr in d.discrete_atoms():
-        total += pr * complex(f(loc - x))
+        try:
+            total += pr * complex(f(loc - x))
+        except ValueError:  # cmath.exp of a phase that overflows
+            raise _not_finite(d, f, x) from None
     cw = d.continuous_weight()
     if cw > 0:
         total += cw * _expect_continuous(d.continuous_part(), f, x)
     return total
+
+
+def _not_finite(d, f, x) -> ValueError:
+    return ValueError(f"E f(xi - x) for f = {f!r} under {d!r} is not finite at x = {x!r}: "
+                      "a phase a (xi - x) overflows")
 
 
 def _expect_continuous(d, f, x):
@@ -289,9 +286,12 @@ def _expect_continuous(d, f, x):
         except NotImplementedError:
             pass
     values = []
-    for n in GAUSS_ORDERS:
-        ys, ws = d.gauss_rule(n, lo, hi)
-        values.append(complex(np.dot(ws, f.at(ys - x))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in GAUSS_ORDERS:
+            ys, ws = d.gauss_rule(n, lo, hi)
+            values.append(complex(np.dot(ws, f.at(ys - x))))
+    if not all(math.isfinite(abs(v)) for v in values):
+        raise _not_finite(d, f, x)
     if abs(values[-1] - values[0]) > _RULE_TOL:
         raise QuadratureError(
             f"E f(xi - x) for f = {f!r}, x = {x!r} under {d!r} is unresolved: "
@@ -358,12 +358,18 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
     hits = list(_hits(base, A))  # a shift error raises before any draw
     xs = np.asarray(d.sample(gen, n), dtype=float)
     g = np.zeros(n, dtype=complex)
-    for c, f, r, q in hits:
-        for w, x in zip((c * r).tolist(), q.tolist()):
-            vals = f.at(xs - x)
-            vals *= w
-            g += vals
-    return McEstimate.of(g, xs)
+    # a phase that overflows gives NaN values, which make the mean NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, f, r, q in hits:
+            for w, x in zip((c * r).tolist(), q.tolist()):
+                vals = f.at(xs - x)
+                vals *= w
+                g += vals
+        est = McEstimate.of(g, xs)
+    if not math.isfinite(abs(est.value)):
+        raise ValueError(f"<T_xi s, A> for A = {A!r} under {d!r} is not finite: a phase "
+                         f"a (xi - q) overflows at a pair frequency q of {base!r}")
+    return est
 
 
 def _hits(s, A: AlgebraElement):

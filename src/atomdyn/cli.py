@@ -11,8 +11,9 @@ Reports embed the effective config, the seed, and the package version, and
 are byte-identical for identical (config, seed): sweep points run one after
 another and draw from pre-assigned Philox substreams indexed by row.  A
 ``workers`` key is accepted for old configs, has no effect and is left out
-of the report.  Wall-clock runtime goes to a ``<out>.meta.json`` sidecar
-(stderr when writing to stdout) so the report itself stays reproducible.
+of the report.  Wall-clock runtime, which includes the imports of the
+command's own modules, goes to a ``<out>.meta.json`` sidecar (stderr when
+writing to stdout) so the report itself stays reproducible.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
 configuration (including a bad ``ATOMDYN_SEED`` or an ``--out`` path that
@@ -26,50 +27,23 @@ garbage collector alone, so tests and harnesses can call it in process.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
 import os
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .atoms import AtomicVector, deserialize, inner, make_vector, norm, unit_atom
-from .trig import (
-    CesaroQuadratureConfig,
-    auto_config,
-    cesaro_inner_numeric,
-    modulation_gap_numeric,
-)
-from .algebra import (
-    AlgebraElement,
-    apply_shift,
-    indicator,
-    shift_overlaps,
-    weyl_residual,
-)
-from .rand import (
-    ConvolutionFamily,
-    Distribution,
-    Gaussian,
-    SeededRng,
-    chernoff_error,
-    distribution_from_json,
-)
-from .channels import (
-    McEstimate,
-    NormalState,
-    PureState,
-    averaged_Phi,
-    averaged_T,
-    evaluate,
-    projector_value,
-    semigroup_Phi,
-    semigroup_T,
-)
+
+# each command imports the modules it uses when it runs; these are for annotations
+if TYPE_CHECKING:
+    from .atoms import AtomicVector
+    from .rand import ConvolutionFamily, Distribution
 
 SEED_ENV = "ATOMDYN_SEED"
 
@@ -177,6 +151,7 @@ def _number_list(config: dict, key: str, default: list, kind: type = float,
 
 
 def _load_distribution(config: dict, default: dict) -> Distribution:
+    from .rand import distribution_from_json
     doc = config.get("distribution", default)
     try:
         if isinstance(doc, str):
@@ -188,6 +163,7 @@ def _load_distribution(config: dict, default: dict) -> Distribution:
 
 
 def _family(config: dict) -> ConvolutionFamily:
+    from .rand import ConvolutionFamily
     kind = config.get("family", "gaussian")
     try:
         return ConvolutionFamily(kind)
@@ -200,6 +176,7 @@ def _family(config: dict) -> ConvolutionFamily:
 
 
 def _random_vector(gen, max_atoms=6, span=10.0) -> AtomicVector:
+    from .atoms import make_vector
     k = int(gen.integers(1, max_atoms + 1))
     ps = gen.uniform(-span, span, k)
     cs = gen.normal(size=k) + 1j * gen.normal(size=k)
@@ -207,6 +184,7 @@ def _random_vector(gen, max_atoms=6, span=10.0) -> AtomicVector:
 
 
 def _random_density(gen, m: int):
+    from .channels import NormalState
     a = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
@@ -229,6 +207,10 @@ DEFAULT_TOLERANCES = {
 
 
 def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+    from .atoms import apply_mod, inner, make_vector, norm
+    from .algebra import AlgebraElement, apply_shift, weyl_residual
+    from .rand import ConvolutionFamily, Gaussian, SeededRng
+    from .channels import PureState, averaged_Phi, averaged_T, evaluate, projector_value
     overrides = config.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ConfigError(f"tolerances must be an object, got {overrides!r}")
@@ -275,7 +257,6 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
     gen = rng.stream(2)
     res = 0.0
-    from .algebra import apply_mod
     for _ in range(200):
         u = _random_vector(gen)
         h = float(gen.uniform(-5, 5))
@@ -348,6 +329,7 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 
 def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+    from .rand import chernoff_error
     d = _load_distribution(config, {"kind": "rademacher"})
     if not (math.isfinite(d.variance) and d.variance > 0):
         raise ConfigError(
@@ -375,6 +357,9 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 
 def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+    from .atoms import inner, unit_atom
+    from .trig import (CesaroQuadratureConfig, auto_config, cesaro_inner_numeric,
+                       modulation_gap_numeric)
     dp = _number(config.get("delta_p", 1.0), "delta_p")
     x_list = _number_list(config, "X_list", [1e2, 1e3, 1e4], float, "positive")
     gap_s = _number(config.get("gap_s", 1.0), "gap_s")
@@ -400,6 +385,9 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 
 def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+    from .atoms import deserialize, unit_atom
+    from .algebra import shift_overlaps
+    from .rand import McEstimate, SeededRng
     d = _load_distribution(config, {"kind": "gaussian", "D": 1.0})
     if d.has_discrete_part:
         print(
@@ -442,20 +430,26 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
 # semigroup
 
 
-# an equal-weight pair of atoms at 0 and 1, as a pure state and as a density
-# matrix, and the probes of T on it
-_PAIR = PureState(make_vector([(0.0, 2 ** -0.5), (1.0, 2 ** -0.5)]))
-_PAIR_DENSITY = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-_PAIR_PROBES = (AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(0.0, 1.0)))
+@functools.cache
+def _pair():
+    """Atoms at 0 and 1 with equal weights, as a pure and a normal state, and probes of T."""
+    from .atoms import make_vector
+    from .algebra import AlgebraElement, indicator
+    from .channels import NormalState, PureState
+    return (PureState(make_vector([(0.0, 2 ** -0.5), (1.0, 2 ** -0.5)])),
+            NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)),
+            (AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(0.0, 1.0))))
 
 
 def semigroup_residuals(fam: ConvolutionFamily, t: float, s: float) -> Tuple[float, float]:
     """Defects of T(t) T(s) = T(t + s) and Phi(t) Phi(s) = Phi(t + s) on the pair."""
-    lhs = semigroup_T(fam, t, semigroup_T(fam, s, _PAIR))
-    rhs = semigroup_T(fam, t + s, _PAIR)
-    res_t = max(abs(evaluate(lhs, A) - evaluate(rhs, A)) for A in _PAIR_PROBES)
-    m1 = semigroup_Phi(fam, t, semigroup_Phi(fam, s, _PAIR_DENSITY)).matrix
-    m2 = semigroup_Phi(fam, t + s, _PAIR_DENSITY).matrix
+    from .channels import evaluate, semigroup_Phi, semigroup_T
+    pure, density, probes = _pair()
+    lhs = semigroup_T(fam, t, semigroup_T(fam, s, pure))
+    rhs = semigroup_T(fam, t + s, pure)
+    res_t = max(abs(evaluate(lhs, A) - evaluate(rhs, A)) for A in probes)
+    m1 = semigroup_Phi(fam, t, semigroup_Phi(fam, s, density)).matrix
+    m2 = semigroup_Phi(fam, t + s, density).matrix
     return res_t, float(np.max(np.abs(m1 - m2)))
 
 
@@ -477,6 +471,7 @@ def run_semigroup(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 
 def run_dephase(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+    from .channels import NormalState, semigroup_Phi
     fam = _family(config)
     # the pair of atoms at 0 and delta_p needs delta_p != 0
     dp = _number(config.get("delta_p", 1.0), "delta_p", domain="non-zero")
@@ -574,12 +569,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def run() -> int:
     """Process entry point: freeze the import-time heap, then :func:`main`.
 
-    Every import is done by now, so ``gc.freeze()`` moves the objects that
-    numpy and atomdyn built (about 22k) to the permanent generation; the
-    full collections during the command and at interpreter shutdown skip
-    them.  atexit handlers, stream flushes and destructors still run.  Only
-    a process entry point may do this, since it changes the collector of
-    the whole process.
+    numpy and this module are imported by now, so ``gc.freeze()`` moves the
+    objects they built (about 21k) to the permanent generation; the full
+    collections during the command and at interpreter shutdown skip them.
+    The command's own modules load later (140-570 objects, and about 900
+    for ``numpy.random``).  atexit handlers, stream flushes and destructors
+    still run.  Only a process entry point may do this, since it changes
+    the collector of the whole process.
     """
     gc.freeze()
     return main()

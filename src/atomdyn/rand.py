@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, canonical, cmul
-from .algebra import apply_mod
+from .atoms import AtomicVector, Record, apply_mod, canonical, cmul
 
 _WEIGHT_TOL = 1e-12
 
@@ -445,6 +444,25 @@ class SeededRng(Record):
             dtype=np.uint64,
         )
         return np.random.Generator(np.random.Philox(key=key))
+
+
+class McEstimate(NamedTuple):
+    value: complex
+    stderr: float
+    samples: int
+
+    @classmethod
+    def of(cls, vals: np.ndarray, out: np.ndarray) -> "McEstimate":
+        """The mean of the n samples vals, with stderr sqrt(mean |vals - mean|^2 / n).
+
+        vals is centred in place, and the float array out, of the same
+        length, takes the squared deviations.
+        """
+        mean = complex(vals.mean())
+        vals -= mean
+        sq = np.abs(vals, out=out)
+        var = float(np.mean(np.square(sq, out=sq)))
+        return cls(mean, math.sqrt(var / len(vals)), len(vals))
 
 
 # ---------------------------------------------------------------------------

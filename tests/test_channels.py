@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -1203,6 +1204,75 @@ class TestMonteCarloBits:
                     want = plain_projector(avg, v, "mc", n, SeededRng(63).stream(0))
                     assert got.hex() == want.hex()
         assert positive > 0 if d.discrete_atoms() else positive == 0
+
+
+EDGE_X = [1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+          -2.2250738585072014e-308, 0.0, -0.0]
+edge_x = st.sampled_from(EDGE_X) | st.floats()
+EDGE_MULTIPLIERS = [wave(1.3), wave(10.0), indicator(-1.0, 0.5), constant(0.5j),
+                    wave(1.1) * indicator(-2.0, 1.0), Multiplier(1.0, 0.0, 0.0, math.inf),
+                    Multiplier(1.0, 2.0, 0.0, math.inf), Multiplier(-0.5, 1.5)]
+EDGE_PROBES = [AlgebraElement.shift(0.5), AlgebraElement.modulation(1.3),
+               AlgebraElement.modulation(10.0), AlgebraElement.mult(indicator(-1.0, 0.5)),
+               compose(AlgebraElement.shift(0.5), AlgebraElement.modulation(10.0))]
+
+
+def finite_or_named(call, x):
+    """call() returns finite numbers, or raises ValueError or QuadratureError naming x.
+
+    numpy raises on every floating-point error but underflow, which is the
+    correctly rounded result of arithmetic on subnormal inputs.
+    """
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            out = call()
+    except (ValueError, QuadratureError) as err:
+        assert repr(x) in str(err)
+        return
+    values = [out.value, out.stderr] if isinstance(out, McEstimate) else [out]
+    assert all(math.isfinite(abs(v)) for v in values), (x, out)
+
+
+class TestEdgeInputs:
+    """Frequencies near the float range, infinities, NaN, subnormals and -0.0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SIX_LAWS), st.sampled_from(EDGE_MULTIPLIERS), edge_x)
+    def test_expect_function(self, d, f, x):
+        finite_or_named(lambda: expect_function(d, f, x), x)
+        finite_or_named(lambda: expect_function(d, f, x, "mc", mc_samples=500,
+                                                gen=SeededRng(71).stream(0)), x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SIX_LAWS), st.sampled_from(EDGE_PROBES), edge_x)
+    def test_averaged_evaluate_on_an_edge_atom(self, d, A, x):
+        def averaged():
+            u = make_vector([(0.0, 0.6), (x, 0.8j)])
+            return averaged_T(d, PureState((1.0 / norm(u)) * u))
+
+        finite_or_named(lambda: evaluate(averaged(), A), x)
+        finite_or_named(lambda: evaluate(averaged(), A, "mc", mc_samples=500,
+                                         gen=SeededRng(72).stream(0)), x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SIX_LAWS), edge_x)
+    def test_averaged_evaluate_of_an_edge_operator(self, d, x):
+        avg = averaged_T(d, PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)])))
+        for A in (lambda: AlgebraElement.shift(x), lambda: AlgebraElement.modulation(x),
+                  lambda: compose(AlgebraElement.shift(x), AlgebraElement.modulation(1.3))):
+            finite_or_named(lambda: evaluate(avg, A()), x)
+            finite_or_named(lambda: evaluate(avg, A(), "mc", mc_samples=500,
+                                             gen=SeededRng(73).stream(0)), x)
+
+    def test_monte_carlo_overflow_names_x(self):
+        # these returned McEstimate(nan+nanj, nan, ...) and 0j
+        for x in (1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
+                expect_function(Gaussian(1.0), wave(10.0), x, "mc", mc_samples=100,
+                                gen=SeededRng(74).stream(0))
+        for x in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
+                expect_function(Gaussian(1.0), indicator(-1.0, 1.0), x)
 
 
 # the laws of the state-eval benchmark workload

@@ -2,7 +2,9 @@
 and so is every private name it defines at module level; no class is a
 dataclass, importing the CLI does not load ``dataclasses``, and no code
 but the CLI's process entry point changes the process's garbage collector
-or ends the process without shutdown.
+or ends the process without shutdown.  Importing the package or the CLI
+loads no library module, each command loads only the modules it uses, and
+the lazy package namespace still gives every public name.
 
 An AST scan, so it needs no linter: a name bound by ``import`` or
 ``from ... import`` must occur as a loaded name somewhere in the module
@@ -15,6 +17,7 @@ private to its module, so the module must read it too.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -154,13 +157,49 @@ def test_no_dataclasses(path):
     assert dataclass_decorators(path.read_text()) == []
 
 
-def test_cli_import_leaves_out_dataclasses():
-    code = "import sys, atomdyn.cli; print('dataclasses' in sys.modules)"
+def fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports atomdyn from src."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'atomdyn')"
+
+
+def test_cli_import_leaves_out_dataclasses():
+    assert fresh("import sys, atomdyn.cli; print('dataclasses' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_no_library_module():
+    assert fresh(f"import sys, atomdyn.cli; print({LOADED})") == str(["atomdyn", "atomdyn.cli"])
+
+
+# the library modules each command loads, besides atomdyn; ``-m`` runs the
+# CLI as __main__, so atomdyn.cli itself is not in sys.modules
+COMMAND_MODULES = {
+    "chernoff": ["atoms", "rand"],
+    "cesaro": ["atoms", "trig"],
+    "walk-decay": ["algebra", "atoms", "rand"],
+    "verify": ["algebra", "atoms", "channels", "rand"],
+    "semigroup": ["algebra", "atoms", "channels", "rand"],
+    "dephase": ["algebra", "atoms", "channels", "rand"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(command, tmp_path):
+    # ``python -m atomdyn.cli <command>``, with the modules listed at exit
+    code = (
+        "import atexit, runpy, sys\n"
+        f"atexit.register(lambda: print({LOADED}))\n"
+        f"sys.argv = ['atomdyn', {command!r}, '--out', {str(tmp_path / 'r.csv')!r}]\n"
+        "runpy.run_module('atomdyn.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    want = ["atomdyn"] + [f"atomdyn.{m}" for m in COMMAND_MODULES[command]]
+    assert fresh(code) == str(sorted(want))
 
 
 # calls that change the whole process: importing or calling the library must
@@ -207,3 +246,64 @@ def test_only_the_entry_point_freezes():
     found = [(path.name, name, where) for path in MODULES + [SRC / "__init__.py"]
              for _, name, where in process_wide_names(path.read_text())]
     assert found == [("cli.py", "gc.freeze", "run")]
+
+
+# the package's public names as of version 0.1.0, by the module that first
+# exported them; apply_mod now lives in atoms and McEstimate in rand, and
+# both old modules re-export them
+EXPORTS = {
+    "atoms": ["AtomicVector", "make_vector", "unit_atom", "inner", "norm", "add", "scale"],
+    "trig": ["CesaroQuadratureConfig", "cesaro_inner_numeric", "auto_config", "default_steps",
+             "modulation_gap_numeric", "modulation_gap_exact"],
+    "algebra": ["AlgebraElement", "Multiplier", "apply_shift", "apply_mod", "shift_overlaps",
+                "apply_element", "compose", "adjoint", "weyl_residual", "generator_apply",
+                "indicator", "constant"],
+    "rand": ["Distribution", "Gaussian", "Cauchy", "Rademacher", "Uniform", "PointMass",
+             "FiniteMixture", "ConvolutionFamily", "SeededRng", "random_walk_apply",
+             "expected_walk_apply", "chernoff_error", "distribution_from_json"],
+    "channels": ["PureState", "NormalState", "MixedState", "AveragedState",
+                 "StateDecomposition", "evaluate", "channel_T", "averaged_T", "channel_Phi",
+                 "averaged_Phi", "semigroup_T", "semigroup_Phi", "projector_value",
+                 "normality_witness", "yosida_hewitt_split", "dephasing_kernel", "McEstimate",
+                 "QuadratureError"],
+}
+ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+class TestNamespace:
+    def test_import_loads_no_module(self):
+        assert fresh(f"import sys, atomdyn; print({LOADED})") == "['atomdyn']"
+
+    def test_exports_resolve_to_their_modules(self):
+        import atomdyn
+
+        assert len(ALL_NAMES) == 56
+        for module, names in EXPORTS.items():
+            mod = importlib.import_module(f"atomdyn.{module}")
+            for name in names:
+                assert getattr(atomdyn, name) is getattr(mod, name), name
+                # cached: later reads are plain attribute reads
+                assert vars(atomdyn)[name] is getattr(mod, name)
+        assert atomdyn.apply_mod is importlib.import_module("atomdyn.atoms").apply_mod
+        assert atomdyn.McEstimate is importlib.import_module("atomdyn.rand").McEstimate
+
+    def test_modules_are_attributes(self):
+        code = ("import atomdyn; print([getattr(atomdyn, m).__name__ for m in "
+                f"{sorted(EXPORTS)!r}])")
+        assert fresh(code) == str([f"atomdyn.{m}" for m in sorted(EXPORTS)])
+
+    def test_dir_and_star_import_list_every_export(self):
+        import atomdyn
+
+        assert sorted(atomdyn.__all__) == ALL_NAMES
+        assert set(ALL_NAMES) | set(EXPORTS) <= set(dir(atomdyn))
+        namespace = {}
+        exec("from atomdyn import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == ALL_NAMES
+
+    def test_unknown_name(self):
+        import atomdyn
+
+        with pytest.raises(AttributeError, match=r"^module 'atomdyn' has no attribute 'nope'$"):
+            atomdyn.nope
+        assert not hasattr(atomdyn, "nope") and "nope" not in vars(atomdyn)
