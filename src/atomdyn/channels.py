@@ -197,8 +197,9 @@ class QuadratureError(ArithmeticError):
 def _check_method(method: str, mc_samples: int) -> None:
     if method not in ("analytic", "mc"):
         raise ValueError(f"unknown expectation method: {method!r}")
-    if method == "mc" and mc_samples < 1:
-        raise ValueError(f"mc_samples must be at least 1, got {mc_samples!r}")
+    if method == "mc" and (isinstance(mc_samples, bool)
+                           or not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1):
+        raise ValueError(f"mc_samples must be an integer of at least 1, got {mc_samples!r}")
 
 
 def expect_function(
@@ -229,10 +230,14 @@ def expect_function(
     * error -- :class:`QuadratureError` when they do not, and
       NotImplementedError when the law has no rule.
 
-    ``mc`` returns the :class:`McEstimate` of the values ``f.at(d.sample(gen,
-    n) - x)``, with the draws shifted in place and then reused by
-    ``McEstimate.of`` for the squared deviations.  Under either method, x
-    must be finite, and a phase a (xi - x) that overflows raises ValueError.
+    ``mc`` returns the :class:`McEstimate` of the values f(xi_i - x) over
+    n = ``mc_samples`` draws.  A law with no continuous part draws atom
+    indices, so f is taken once per location and gathered into draw order
+    (``Multiplier.at``); any other law's draws are shifted in place and
+    reused for the squared deviations.  The values are those of
+    ``f.at(d.sample(gen, n) - x)`` bit for bit.  mc_samples must be an
+    integer (a numpy one too) of at least 1.  Under either method, x must
+    be finite, and a phase a (xi - x) that overflows raises ValueError.
 
     Only the continuous part of the law (``Distribution.continuous_part``,
     of mass ``continuous_weight``) meets a cdf or a rule; its discrete
@@ -244,11 +249,11 @@ def expect_function(
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
-        ys = np.asarray(d.sample(gen, mc_samples), dtype=float)
+        ys, idx = d.sample_atoms(gen, mc_samples) or (d.sample(gen, mc_samples), None)
         # a phase that overflows gives NaN values, which make the mean NaN
         with np.errstate(over="ignore", invalid="ignore"):
             ys -= x
-            est = McEstimate.of(f.at(ys), ys)
+            est = McEstimate.of(f.at(ys, idx), ys if idx is None else None)
         if not math.isfinite(abs(est.value)):
             raise _not_finite(d, f, x)
         return est
@@ -322,12 +327,17 @@ def evaluate(
     (see :func:`expect_function`) in place of f(q), and ``mc`` draws
     xi_1 ... xi_N once, N = ``mc_samples``, each one realization of the
     channel, and returns the :class:`McEstimate` of g(xi) = sum c r f(xi - q)
-    over the draws.  A convolution, whose multipliers are all ``ONE``, gives
-    the value on the base bit for bit, under ``mc`` with stderr 0 and no
-    draw from ``gen``.  A :class:`StateDecomposition` adds its parts'
-    weighted values, and their variances as (weight stderr)^2, so it returns
-    an :class:`McEstimate` under ``mc`` when it has a singular part.
-    ``method`` must be ``analytic`` or ``mc`` for every kind.
+    over the draws.  Under a law with no continuous part each f(loc - q) is
+    taken once per atom location and gathered by the drawn atom indices
+    before the weights c r and the sums meet the length-N array, so the
+    bits are those of the draw-by-draw sum.  A convolution, whose
+    multipliers are all ``ONE``, gives the value on the base bit for bit,
+    under ``mc`` with stderr 0 and no draw from ``gen``.  A
+    :class:`StateDecomposition` adds its parts' weighted values, and their
+    variances as (weight stderr)^2, so it returns an :class:`McEstimate`
+    under ``mc`` when it has a singular part.  ``method`` must be
+    ``analytic`` or ``mc`` for every kind, and under ``mc`` mc_samples an
+    integer of at least 1.
     """
     _check_method(method, mc_samples)
     if isinstance(s, StateDecomposition):
@@ -356,16 +366,16 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
     if gen is None:
         raise ValueError("mc evaluation needs a generator")
     hits = list(_hits(base, A))  # a shift error raises before any draw
-    xs = np.asarray(d.sample(gen, n), dtype=float)
+    xs, idx = d.sample_atoms(gen, n) or (d.sample(gen, n), None)
     g = np.zeros(n, dtype=complex)
     # a phase that overflows gives NaN values, which make the mean NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for c, f, r, q in hits:
             for w, x in zip((c * r).tolist(), q.tolist()):
-                vals = f.at(xs - x)
+                vals = f.at(xs - x, idx)
                 vals *= w
                 g += vals
-        est = McEstimate.of(g, xs)
+        est = McEstimate.of(g, xs if idx is None else None)
     if not math.isfinite(abs(est.value)):
         raise ValueError(f"<T_xi s, A> for A = {A!r} under {d!r} is not finite: a phase "
                          f"a (xi - q) overflows at a pair frequency q of {base!r}")
@@ -500,7 +510,9 @@ def projector_value(
     base on that of v, almost surely -- the defining property of a singular
     state.  Discrete smoothing may give a positive value.  ``analytic`` sums
     g over the law's atoms, and returns 0.0 at once for a law with none;
-    ``mc`` averages g over ``mc_samples`` draws.
+    ``mc`` averages g over ``mc_samples`` draws, in draw order.  Under a law
+    with no continuous part g is the profile at the drawn atoms' locations,
+    as ``analytic`` takes it, gathered by the drawn atom indices.
     """
     _check_method(method, mc_samples)
     nv = norm(v)
@@ -509,7 +521,17 @@ def projector_value(
     if method == "mc":
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
-        g = _projector_profile(avg.base, v, avg.smoothing.sample(gen, mc_samples))
+        d = avg.smoothing
+        xs, idx = d.sample_atoms(gen, mc_samples) or (d.sample(gen, mc_samples), None)
+        if idx is None:
+            g = _projector_profile(avg.base, v, xs)
+        else:
+            # the drawn atoms alone: a normal base takes its profile in one
+            # matrix product, whose rounding depends on its number of columns
+            drawn = np.bincount(idx, minlength=len(xs)) > 0
+            if not drawn.all():
+                xs, idx = xs[drawn], (np.cumsum(drawn) - 1)[idx]
+            g = _projector_profile(avg.base, v, xs)[idx]
         # the running sum from 0.0 in draw order; adding 0.0 turns the -0.0
         # that a leading -0.0 leaves in a sum of zeros into 0.0, as the
         # loop from 0.0 has it

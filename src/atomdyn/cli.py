@@ -407,12 +407,15 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
     rng = SeededRng(seed)
 
     def point(i: int, n: int) -> dict:
-        xs = d.sample(rng.stream(i), n)
+        gen = rng.stream(i)
+        xs, idx = d.sample_atoms(gen, n) or (d.sample(gen, n), None)
         overlaps = shift_overlaps(u, v, xs)
         phases = np.exp(1j * probe_p * xs)
+        if idx is not None:  # one value per atom, gathered into draw order
+            overlaps, phases = overlaps[idx], phases[idx]
         mod_err = abs(complex(phases.mean()) - d.chi(probe_p))
         # the draws are done with: their array takes the squared deviations
-        est = McEstimate.of(overlaps, xs)
+        est = McEstimate.of(overlaps, xs if idx is None else None)
         return {
             "N": n,
             "shift_overlap_abs": abs(est.value),

@@ -69,9 +69,23 @@ class Distribution(Record):
         """``size`` draws from ``gen``, as a fresh, writable array.
 
         The array is the caller's: it shares no memory with the law or with
-        earlier draws, so the caller may overwrite it.
+        earlier draws, so the caller may overwrite it.  A law with no
+        continuous part draws through ``sample_atoms``: the draws are
+        ``locs[idx]``.
         """
-        raise NotImplementedError
+        locs, idx = self.sample_atoms(gen, size)
+        return locs[idx]
+
+    def sample_atoms(self, gen: np.random.Generator, size: int):
+        """``size`` draws as atom indices, (locs, idx), or None for a law with a continuous part.
+
+        ``locs[idx]`` is ``sample(gen, size)`` bit for bit, and both leave
+        ``gen`` in one state; locs is a fresh float array, the caller's.  A
+        Monte Carlo integrand then needs one value per location, gathered by
+        idx.  A law with a continuous part draws nothing here, so a caller
+        takes ``d.sample_atoms(gen, n) or (d.sample(gen, n), None)``.
+        """
+        return None
 
     @property
     def mean(self) -> float:
@@ -191,8 +205,9 @@ class Rademacher(Distribution):
     def _chi(self, x):
         return np.cos(x)
 
-    def sample(self, gen, size):
-        return gen.choice(np.array([-1.0, 1.0]), size)
+    def sample_atoms(self, gen, size):
+        # the draws of gen.choice([-1.0, 1.0], size), which takes these indices
+        return np.array([-1.0, 1.0]), gen.integers(0, 2, size)
 
     mean = property(lambda self: 0.0)
     variance = property(lambda self: 1.0)
@@ -250,8 +265,8 @@ class PointMass(Distribution):
     def _chi(self, x):
         return np.exp(1j * (self.a * x))
 
-    def sample(self, gen, size):
-        return np.full(size, self.a)
+    def sample_atoms(self, gen, size):
+        return np.array([self.a], dtype=float), np.zeros(size, dtype=np.intp)
 
     mean = property(lambda self: self.a)
     variance = property(lambda self: 0.0)
@@ -277,11 +292,16 @@ class FiniteMixture(Distribution):
             raise ValueError(f"mixture weights must sum to 1, got {sum(ws)!r}")
 
     @property
+    def _positive(self):
+        """The components of positive weight: one of weight 0 adds no atom, chi, cdf or moment."""
+        return [(w, d) for w, d in self.components if w > 0]
+
+    @property
     def has_discrete_part(self) -> bool:  # type: ignore[override]
-        return any(w > 0 and d.has_discrete_part for w, d in self.components)
+        return any(d.has_discrete_part for _, d in self._positive)
 
     def _chi(self, x):
-        return sum((w * d._chi(x) for w, d in self.components), 0j)
+        return sum((w * d._chi(x) for w, d in self._positive), 0j)
 
     def sample(self, gen, size):
         ws = np.array([w for w, _ in self.components])
@@ -293,7 +313,7 @@ class FiniteMixture(Distribution):
 
     @property
     def mean(self):
-        return sum(w * d.mean for w, d in self.components)
+        return sum(w * d.mean for w, d in self._positive)
 
     @property
     def variance(self):
@@ -301,21 +321,21 @@ class FiniteMixture(Distribution):
         if not math.isfinite(m):
             return math.inf
         return sum(
-            w * (d.variance + (d.mean - m) ** 2) for w, d in self.components
+            w * (d.variance + (d.mean - m) ** 2) for w, d in self._positive
         )
 
     def cdf(self, x):
-        return sum(w * d.cdf(x) for w, d in self.components)
+        return sum(w * d.cdf(x) for w, d in self._positive)
 
     def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         # the weighted union of the components' rules
-        rules = [(w, d.gauss_rule(n, lo, hi)) for w, d in self.components if w > 0]
+        rules = [(w, d.gauss_rule(n, lo, hi)) for w, d in self._positive]
         return (np.concatenate([ys for _, (ys, _) in rules]),
                 np.concatenate([w * ws for w, (_, ws) in rules]))
 
     def discrete_atoms(self):
         acc: dict[float, float] = {}
-        for w, d in self.components:
+        for w, d in self._positive:
             for loc, pr in d.discrete_atoms():
                 acc[loc] = acc.get(loc, 0.0) + w * pr
         return tuple(sorted(acc.items()))
@@ -452,11 +472,11 @@ class McEstimate(NamedTuple):
     samples: int
 
     @classmethod
-    def of(cls, vals: np.ndarray, out: np.ndarray) -> "McEstimate":
+    def of(cls, vals: np.ndarray, out: Optional[np.ndarray] = None) -> "McEstimate":
         """The mean of the n samples vals, with stderr sqrt(mean |vals - mean|^2 / n).
 
         vals is centred in place, and the float array out, of the same
-        length, takes the squared deviations.
+        length, takes the squared deviations (a new array when out is None).
         """
         mean = complex(vals.mean())
         vals -= mean

@@ -646,6 +646,29 @@ class TestMethodValidation:
         with pytest.raises(ValueError, match="mc_samples"):
             evaluate(avg, AlgebraElement.shift(1.0), "mc", mc_samples=n, gen=gen)
 
+    @pytest.mark.parametrize("n", [2.5, 1.0, True, np.float64(3.0)])
+    def test_mc_samples_not_an_integer_rejected(self, n):
+        avg = averaged_T(Gaussian(1.0), uniform_pair())
+        conv = AlgebraElement.identity()
+        gen = SeededRng(35).stream(0)
+        with pytest.raises(ValueError, match="mc_samples"):
+            expect_function(Gaussian(1.0), wave(1.0), 0.0, "mc", mc_samples=n, gen=gen)
+        with pytest.raises(ValueError, match="mc_samples"):
+            projector_value(avg, unit_atom(0.0), "mc", mc_samples=n, gen=gen)
+        for A in (AlgebraElement.shift(1.0), conv):
+            with pytest.raises(ValueError, match="mc_samples"):
+                evaluate(avg, A, "mc", mc_samples=n, gen=gen)
+
+    @pytest.mark.parametrize("n", [np.int64(7), np.int32(7), np.uint16(7)])
+    def test_numpy_integer_mc_samples_accepted(self, n):
+        avg = averaged_T(Gaussian(1.0), uniform_pair())
+        est = evaluate(avg, AlgebraElement.shift(1.0), "mc", mc_samples=n,
+                       gen=SeededRng(35).stream(0))
+        assert est == evaluate(avg, AlgebraElement.shift(1.0), "mc", mc_samples=7,
+                               gen=SeededRng(35).stream(0))
+        assert expect_function(Gaussian(1.0), wave(1.0), 0.0, "mc", mc_samples=n,
+                               gen=SeededRng(35).stream(0)).samples == 7
+
 
 def wave_expectation(d, a, x):
     """E e^{ia(xi - x)} = e^{-iax} chi(a)."""
@@ -1152,6 +1175,20 @@ def plain_projector(avg, v, method, mc_samples=0, gen=None):
     return total
 
 
+def plain_evaluate(avg, A, n, gen):
+    """(value, stderr) of averaged evaluate under mc, written out on one array of n draws."""
+    xs = avg.smoothing.sample(gen, n)
+    g = np.zeros(n, dtype=complex)
+    for c, f, r, q in channels._hits(avg.base, A):
+        for w, x in zip((c * r).tolist(), q.tolist()):
+            vals = plain_at(f, xs - x)
+            vals *= w
+            g += vals
+    mean = complex(g.mean())
+    var = float(np.mean(np.abs(g - mean) ** 2))
+    return mean, math.sqrt(var / n)
+
+
 SIX_LAWS = [Gaussian(0.7), Cauchy(1.3), Uniform(-0.5, 2.0), Rademacher(), PointMass(0.25),
             MIXTURE]
 SIX_IDS = ["gaussian", "cauchy", "uniform", "rademacher", "point", "mixture"]
@@ -1204,6 +1241,60 @@ class TestMonteCarloBits:
                     want = plain_projector(avg, v, "mc", n, SeededRng(63).stream(0))
                     assert got.hex() == want.hex()
         assert positive > 0 if d.discrete_atoms() else positive == 0
+
+    def test_projector_value_draws_one_atom(self):
+        # both atoms of the law land the base on v, but n = 1 draws one: a
+        # normal base's profile must then be taken at that atom alone, as the
+        # draw-by-draw code took it
+        gen = np.random.default_rng(66)
+        grid = np.arange(-12, 13) / 4.0
+        v = make_vector([(0.0, 0.6), (2.0, 0.8j)])
+        for m in range(2, 12):
+            others = [p for p in gen.choice(grid, m + 1, replace=False).tolist() if p != 1.0]
+            a = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
+            rho = a @ a.conj().T
+            avg = averaged_T(Rademacher(), NormalState(tuple([1.0] + others[:m - 1]),
+                                                       rho / np.trace(rho).real))
+            for n, stream in ((1, 0), (1, 1), (2, 2), (3, 3)):
+                got = projector_value(avg, v, "mc", mc_samples=n, gen=SeededRng(67).stream(stream))
+                want = plain_projector(avg, v, "mc", n, SeededRng(67).stream(stream))
+                assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("d", [Rademacher(), PointMass(0.25), PointMass(-0.0), MIXTURE,
+                                   FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(0.5))))],
+                             ids=["rademacher", "point", "point-0", "mixture", "discrete-mixture"])
+    def test_averaged_evaluate_mc(self, d):
+        gen = np.random.default_rng(64)
+        grid = np.arange(-6, 7) / 4.0
+
+        def unit(k):
+            v = make_vector(zip(gen.choice(grid, k, replace=False),
+                                gen.normal(size=k) + 1j * gen.normal(size=k)))
+            return (1.0 / norm(v)) * v
+
+        a = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        bases = [PureState(unit(4)),
+                 MixedState(((0.3, PureState(unit(3))), (0.7, PureState(unit(2))))),
+                 NormalState(tuple(gen.choice(grid, 4, replace=False).tolist()),
+                             rho / np.trace(rho).real)]
+        probes = [AlgebraElement.modulation(1.3),
+                  AlgebraElement.of([(0.6 - 0.2j, wave(-0.4).shifted(0.7), 0.5),
+                                     (1.0, indicator(-1.0, 0.5), 0.0)]),
+                  AlgebraElement.of([(2.0, wave(1.1) * indicator(-2.0, 1.0), -0.75),
+                                     (-0.5j, ONE, 0.25)])]
+        pairs = 0
+        for base in bases:
+            for A in probes:
+                pairs += sum(len(q) for _, _, _, q in channels._hits(base, A))
+                for n in (1, 2, 1_000, 16_384, 20_000):
+                    est = evaluate(averaged_T(d, base), A, "mc", mc_samples=n,
+                                   gen=SeededRng(65).stream(n))
+                    mean, stderr = plain_evaluate(averaged_T(d, base), A, n,
+                                                  SeededRng(65).stream(n))
+                    assert hexes(est.value, est.stderr) == hexes(mean, stderr)
+                    assert est.samples == n
+        assert pairs > 2 * len(bases) * len(probes)
 
 
 EDGE_X = [1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
@@ -1366,6 +1457,25 @@ class TestMixtureLaws:
             e = sum(pr * (lo <= loc - p <= hi) for loc, pr in MIXTURE.discrete_atoms())
             want += weight * (e + 0.5 * (g.cdf(hi + p) - g.cdf(lo + p)))
         assert abs(got - want) <= 1e-12
+
+    def test_zero_weight_component_is_dropped(self):
+        # an atom of probability 0 used to reach channel_T: the shift 1.0
+        # merges the atoms at 1e16 and 1e16 + 2
+        u = make_vector([(1e16, 0.6), (1e16 + 2.0, 0.8)])
+        lone = FiniteMixture(((1.0, Gaussian(1.0)),))
+        for zero in (PointMass(1.0), Rademacher(), Cauchy(1.0), PointMass(1e308)):
+            law = FiniteMixture(((1.0, Gaussian(1.0)), (0.0, zero)))
+            assert law.discrete_atoms() == () and not law.has_discrete_part
+            assert (law.mean, law.variance) == (lone.mean, lone.variance)
+            assert law.chi(10.0) == lone.chi(10.0)
+            for base in (PureState(u), PureState(make_vector([(0.0, 0.6), (0.5, 0.8j)]))):
+                avg, ref = averaged_T(law, base), averaged_T(lone, base)
+                assert normality_witness(avg, [[0.0], list(u.freqs)]) == 0.0
+                assert projector_value(avg, base.vector) == projector_value(ref, base.vector)
+                assert yosida_hewitt_split([(1.0, avg)]).normal_weight == 0.0
+                for A in (AlgebraElement.shift(0.5), AlgebraElement.mult(indicator(-0.4, 1.1)),
+                          AlgebraElement.mult(wave(1.1) * indicator(-0.5, 1.5))):
+                    assert evaluate(avg, A) == evaluate(ref, A)
 
     def test_continuous_part_takes_the_mixture_rule(self):
         law = FiniteMixture(((0.2, Rademacher()), (0.4, Gaussian(1.0)), (0.4, Cauchy(0.5))))

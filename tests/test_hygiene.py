@@ -248,6 +248,55 @@ def test_only_the_entry_point_freezes():
     assert found == [("cli.py", "gc.freeze", "run")]
 
 
+def second_samplers(source: str):
+    """(line, what) of each law that defines both ``sample_atoms`` and its own
+    ``sample``, and of each ``.choice`` call: a law with atom indices draws
+    through them alone, so it keeps one sampler.  The base ``Distribution``
+    defines both, as its ``sample`` is the one built on ``sample_atoms``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if {"sample", "sample_atoms"} <= methods and node.name != "Distribution":
+                found.append((node.lineno, f"{node.name}.sample"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "choice"):
+            found.append((node.lineno, "choice"))
+    return found
+
+
+def test_scan_flags_second_samplers():
+    source = (
+        "class Distribution:\n"
+        "    def sample(self, gen, size):\n"
+        "        return locs[idx]\n"
+        "    def sample_atoms(self, gen, size):\n"
+        "        return None\n"
+        "class Coin(Distribution):\n"
+        "    def sample_atoms(self, gen, size):\n"
+        "        return locs, gen.integers(0, 2, size)\n"
+        "    def sample(self, gen, size):\n"
+        "        return gen.choice(locs, size)\n"
+        "class Bell(Distribution):\n"
+        "    def sample(self, gen, size):\n"
+        "        return gen.normal(0.0, 1.0, size)\n"
+    )
+    assert second_samplers(source) == [(6, "Coin.sample"), (10, "choice")]
+
+
+def test_discrete_laws_sample_through_atom_indices():
+    # the atom-index table of a discrete law is the only way it draws, so
+    # locs[idx] and sample cannot drift apart
+    assert second_samplers((SRC / "rand.py").read_text()) == []
+    from atomdyn import rand
+    discrete = [cls for cls in vars(rand).values()
+                if isinstance(cls, type) and "sample_atoms" in vars(cls)
+                and cls is not rand.Distribution]
+    assert {cls.__name__ for cls in discrete} >= {"Rademacher", "PointMass"}
+    assert all("sample" not in vars(cls) for cls in discrete)
+
+
 # the package's public names as of version 0.1.0, by the module that first
 # exported them; apply_mod now lives in atoms and McEstimate in rand, and
 # both old modules re-export them

@@ -228,6 +228,13 @@ class TestLebesgueSplit:
         both = FiniteMixture(((0.5, g), (0.5, c)))
         assert both.continuous_part() is both
 
+    def test_zero_weight_component_has_no_atoms(self):
+        law = FiniteMixture(((1.0, Gaussian(1.0)), (0.0, PointMass(1.0))))
+        assert not law.has_discrete_part and law.discrete_atoms() == ()
+        assert law.continuous_weight() == 1.0 and law.continuous_part() is law
+        law = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0)), (0.0, PointMass(3.0))))
+        assert law.discrete_atoms() == ((-1.0, 0.25), (1.0, 0.25))
+
 
 class TestSampling:
     def test_draws_are_fresh_and_writable(self):
@@ -251,6 +258,38 @@ class TestSampling:
     def test_rademacher_support(self):
         xs = Rademacher().sample(SeededRng(5).stream(1), 1000)
         assert set(np.unique(xs)) == {-1.0, 1.0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([Rademacher(), PointMass(-0.0), PointMass(0.0), PointMass(0.25),
+                            PointMass(1e308)]),
+           st.sampled_from([0, 1, 2, 16_383, 16_384, 100_000]),
+           st.integers(0, 2 ** 64 - 1))
+    def test_atom_indices_replay_sample(self, d, size, seed):
+        g1, g2 = SeededRng(seed).stream(3), SeededRng(seed).stream(3)
+        locs, idx = d.sample_atoms(g1, size)
+        xs = d.sample(g2, size)
+        assert locs.dtype == xs.dtype == np.float64 and idx.shape == (size,)
+        assert locs[idx].tobytes() == xs.tobytes()
+        assert g1.random() == g2.random()
+
+    def test_atom_indices_replay_the_direct_samplers(self):
+        # gen.choice for Rademacher, a constant array for a point mass
+        for size in (0, 1, 7, 1_000, 100_000):
+            g1, g2 = SeededRng(4).stream(size), SeededRng(4).stream(size)
+            locs, idx = Rademacher().sample_atoms(g1, size)
+            assert locs[idx].tobytes() == g2.choice(np.array([-1.0, 1.0]), size).tobytes()
+            assert g1.random() == g2.random()
+            for a in (-0.0, 0.25, 1e308):
+                locs, idx = PointMass(a).sample_atoms(g1, size)
+                assert locs[idx].tobytes() == np.full(size, a).tobytes()
+            assert g1.random() == g2.random()
+
+    def test_continuous_laws_draw_no_atoms(self):
+        for d in ALL_LAWS:
+            if d.continuous_weight() > 0:
+                g1, g2 = SeededRng(6).stream(0), SeededRng(6).stream(0)
+                assert d.sample_atoms(g1, 10) is None
+                assert d.sample(g1, 10).tobytes() == d.sample(g2, 10).tobytes()
 
     def test_seed_reproducibility_and_stream_independence(self):
         a = Gaussian(1.0).sample(SeededRng(9).stream(0), 10)
