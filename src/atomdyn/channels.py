@@ -29,7 +29,7 @@ import numpy as np
 
 from .atoms import AtomicVector, Record, cmul, norm, unit_atom
 from .algebra import ONE, AlgebraElement, Multiplier, _check_shifts, apply_shift, shift_overlaps
-from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, convolve
+from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, _check_weights, convolve
 
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -116,11 +116,7 @@ class MixedState(Record):
 
     def __init__(self, components: Tuple[Tuple[float, PureState], ...]):
         object.__setattr__(self, "components", components)
-        ws = [w for w, _ in components]
-        if any(w < 0 for w in ws):
-            raise ValueError("mixture weights must be non-negative")
-        if abs(sum(ws) - 1.0) > _UNIT_TOL:
-            raise ValueError(f"mixture weights must sum to 1, got {sum(ws)!r}")
+        _check_weights([w for w, _ in components], "mixture weights")
 
 
 class AveragedState(Record):
@@ -664,16 +660,14 @@ def yosida_hewitt_split(
 ) -> StateDecomposition:
     """Split an explicit convex combination into normal and singular parts.
 
-    An averaged state with purely discrete smoothing is the finite mixture
-    of its shifted bases, and those land in the normal part.  A smoothing
-    law with both a discrete and a continuous part raises ValueError.
+    An averaged state of weight w splits along the Lebesgue split of its
+    law: each atom (loc, pr) puts the shifted base T_loc base, of weight
+    w pr, in the normal part, and the continuous part puts the base averaged
+    over ``continuous_part()``, of weight w ``continuous_weight()``, in the
+    singular part.  A law with no atoms keeps the averaged state as given.
     """
     comps = [(float(w), s) for w, s in components]
-    if any(w < 0 for w, _ in comps):
-        raise ValueError("weights must be non-negative")
-    total = sum(w for w, _ in comps)
-    if abs(total - 1.0) > _UNIT_TOL:
-        raise ValueError(f"weights must sum to 1, got {total!r}")
+    _check_weights([w for w, _ in comps], "weights")
 
     normal: list[Tuple[float, object]] = []
     singular: list[Tuple[float, AveragedState]] = []
@@ -683,12 +677,10 @@ def yosida_hewitt_split(
         if isinstance(s, AveragedState) and s.is_singular:
             singular.append((w, s))
         elif isinstance(s, AveragedState):
-            if s.smoothing.continuous_weight() > 0:
-                raise ValueError(
-                    f"cannot split an averaged state whose law {s.smoothing!r} has "
-                    "both a discrete and a continuous part"
-                )
             normal += [(w * pr, st) for pr, st in _discrete_shifts(s)]
+            cw = s.smoothing.continuous_weight()
+            if cw > 0:
+                singular.append((w * cw, AveragedState(s.base, s.smoothing.continuous_part())))
         elif isinstance(s, (PureState, NormalState, MixedState)):
             normal.append((w, s))
         else:

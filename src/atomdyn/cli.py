@@ -16,8 +16,9 @@ command's own modules, goes to a ``<out>.meta.json`` sidecar (stderr when
 writing to stdout) so the report itself stays reproducible.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
-configuration (including a bad ``ATOMDYN_SEED`` or an ``--out`` path that
-cannot be written).
+configuration (including a bad ``ATOMDYN_SEED``, an ``--out`` path that
+cannot be written, and a config value the library rejects: :func:`main`
+prints any ``ValueError`` of a command as one ``error:`` line).
 
 :func:`run` is the process entry point (``atomdyn`` and ``python -m
 atomdyn.cli``); :func:`main` runs one command and leaves the process's
@@ -46,10 +47,6 @@ if TYPE_CHECKING:
     from .rand import ConvolutionFamily, Distribution
 
 SEED_ENV = "ATOMDYN_SEED"
-
-
-class ConfigError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ _DOMAINS = {
 def _number(x, name: str, kind: type = float, domain: str = "finite"):
     """The config value ``x`` as a number of ``kind``.
 
-    Raises ConfigError when ``x`` is not a finite number, not integral when
+    Raises ValueError when ``x`` is not a finite number, not integral when
     ``kind`` is int, or outside ``domain`` (a key of ``_DOMAINS``).
     """
     try:
@@ -133,7 +130,7 @@ def _number(x, name: str, kind: type = float, domain: str = "finite"):
     except OverflowError:  # an int beyond the float range
         ok = False
     if not ok:
-        raise ConfigError(f"{name} must be a {domain} {kind.__name__}, got {x!r}")
+        raise ValueError(f"{name} must be a {domain} {kind.__name__}, got {x!r}")
     return kind(x)
 
 
@@ -141,12 +138,12 @@ def _number_list(config: dict, key: str, default: list, kind: type = float,
                  domain: str = "finite") -> list:
     """The list field ``key`` (``default`` when absent) as numbers of ``kind``.
 
-    Raises ConfigError for a non-list and for an entry that :func:`_number`
+    Raises ValueError for a non-list and for an entry that :func:`_number`
     rejects.
     """
     values = config.get(key, default)
     if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
     return [_number(x, f"each {key} entry", kind, domain) for x in values]
 
 
@@ -159,16 +156,12 @@ def _load_distribution(config: dict, default: dict) -> Distribution:
                 doc = json.load(fh)
         return distribution_from_json(doc)
     except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"bad distribution document: {exc}") from exc
+        raise ValueError(f"bad distribution document: {exc}") from exc
 
 
 def _family(config: dict) -> ConvolutionFamily:
     from .rand import ConvolutionFamily
-    kind = config.get("family", "gaussian")
-    try:
-        return ConvolutionFamily(kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ConvolutionFamily(config.get("family", "gaussian"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +206,10 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     from .channels import PureState, averaged_Phi, averaged_T, evaluate, projector_value
     overrides = config.get("tolerances", {})
     if not isinstance(overrides, dict):
-        raise ConfigError(f"tolerances must be an object, got {overrides!r}")
+        raise ValueError(f"tolerances must be an object, got {overrides!r}")
+    unknown = sorted(set(overrides) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ValueError(f"unknown tolerances {unknown}, not among {sorted(DEFAULT_TOLERANCES)}")
     tols = dict(DEFAULT_TOLERANCES)
     tols.update({k: _number(v, f"tolerance {k!r}") for k, v in overrides.items()})
     rng = SeededRng(seed)
@@ -331,16 +327,11 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     from .rand import chernoff_error
     d = _load_distribution(config, {"kind": "rademacher"})
-    if not (math.isfinite(d.variance) and d.variance > 0):
-        raise ConfigError(
-            "the product-formula hypotheses need a centered law with finite "
-            f"positive variance; {d.to_json()} has variance {d.variance!r}"
-        )
     t = _number(config.get("t", 1.0), "t")
     probes = _number_list(config, "probes", [0.5, 1.0, 2.0, 3.0])
     n_list = _number_list(config, "n_list", [10, 100, 1000, 10000], int, "positive")
     if not n_list or not probes:
-        raise ConfigError("n_list and probes must be non-empty")
+        raise ValueError("n_list and probes must be non-empty")
 
     err_by_n = {n: chernoff_error(d, t, n, probes) for n in n_list}
     rows = []
@@ -368,6 +359,10 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     kron = inner(u, v)
 
     def point(X: float) -> dict:
+        # both trapezoid node counts grow like X times a frequency gap
+        if not math.isfinite(40.0 * X * max(abs(dp), abs(gap_s), 1.0)):
+            raise ValueError(f"the trapezoid node count for X = {X!r}, delta_p = {dp!r} "
+                             f"and gap_s = {gap_s!r} is not finite")
         cfg = auto_config(X, u, v)
         num = cesaro_inner_numeric(u, v, cfg)
         gap_cfg = CesaroQuadratureConfig(
@@ -399,11 +394,8 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
     probe_p = _number(config.get("probe_p", 1.0), "probe_p")
     u_doc = config.get("u")
     v_doc = config.get("v")
-    try:
-        u = deserialize(json.dumps(u_doc)) if u_doc else unit_atom(0.0)
-        v = deserialize(json.dumps(v_doc)) if v_doc else unit_atom(1.0)
-    except ValueError as exc:
-        raise ConfigError(f"bad vector document: {exc}") from exc
+    u = deserialize(json.dumps(u_doc)) if u_doc else unit_atom(0.0)
+    v = deserialize(json.dumps(v_doc)) if v_doc else unit_atom(1.0)
     rng = SeededRng(seed)
 
     def point(i: int, n: int) -> dict:
@@ -554,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         columns, rows, status = COMMANDS[args.command](config, seed)
-    except ConfigError as exc:
+    except ValueError as exc:  # a config value that the CLI or the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = time.monotonic() - started

@@ -26,6 +26,14 @@ from .atoms import AtomicVector, Record, apply_mod, canonical, cmul
 _WEIGHT_TOL = 1e-12
 
 
+def _check_weights(ws: Sequence[float], what: str) -> None:
+    """Raise ValueError naming ``what`` unless ws are non-negative and sum to 1."""
+    if any(w < 0 for w in ws):
+        raise ValueError(f"{what} must be non-negative")
+    if abs(sum(ws) - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"{what} must sum to 1, got {sum(ws)!r}")
+
+
 # ---------------------------------------------------------------------------
 # Laws
 
@@ -129,7 +137,11 @@ class Distribution(Record):
         return None if self.has_discrete_part else self
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """{"kind": kind, **fields}: the law's kind in ``_KINDS``, then its ``_fields``."""
+        kind = next((k for k, cls in _KINDS.items() if cls is self.__class__), None)
+        if kind is None:
+            raise NotImplementedError(f"no JSON kind for {self.__class__.__name__}")
+        return {"kind": kind, **{name: getattr(self, name) for name in self._fields}}
 
 
 class Gaussian(Distribution):
@@ -162,9 +174,6 @@ class Gaussian(Distribution):
         y, w = _legendre(n, max(lo, -12.0 * s), min(hi, 12.0 * s))
         return y, w * np.exp(-y * y / (2.0 * self.D)) / math.sqrt(2.0 * math.pi * self.D)
 
-    def to_json(self):
-        return {"kind": "gaussian", "D": self.D}
-
 
 class Cauchy(Distribution):
     _fields = ("gamma",)
@@ -195,9 +204,6 @@ class Cauchy(Distribution):
         th, w = _legendre(n, math.atan(lo / self.gamma), math.atan(hi / self.gamma))
         return self.gamma * np.tan(th), w / math.pi
 
-    def to_json(self):
-        return {"kind": "cauchy", "gamma": self.gamma}
-
 
 class Rademacher(Distribution):
     has_discrete_part = True
@@ -214,9 +220,6 @@ class Rademacher(Distribution):
 
     def discrete_atoms(self):
         return ((-1.0, 0.5), (1.0, 0.5))
-
-    def to_json(self):
-        return {"kind": "rademacher"}
 
 
 class Uniform(Distribution):
@@ -249,9 +252,6 @@ class Uniform(Distribution):
         y, w = _legendre(n, max(lo, self.a), min(hi, self.b))
         return y, w / (self.b - self.a)
 
-    def to_json(self):
-        return {"kind": "uniform", "a": self.a, "b": self.b}
-
 
 class PointMass(Distribution):
     _fields = ("a",)
@@ -274,9 +274,6 @@ class PointMass(Distribution):
     def discrete_atoms(self):
         return ((self.a, 1.0),)
 
-    def to_json(self):
-        return {"kind": "pointmass", "a": self.a}
-
 
 class FiniteMixture(Distribution):
     _fields = ("components",)
@@ -285,11 +282,7 @@ class FiniteMixture(Distribution):
         object.__setattr__(self, "components", components)
         if not components:
             raise ValueError("mixture needs at least one component")
-        ws = [w for w, _ in components]
-        if any(w < 0 for w in ws):
-            raise ValueError("mixture weights must be non-negative")
-        if abs(sum(ws) - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"mixture weights must sum to 1, got {sum(ws)!r}")
+        _check_weights([w for w, _ in components], "mixture weights")
 
     @property
     def _positive(self):
@@ -386,19 +379,17 @@ def _legendre(n: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
     return half * t + 0.5 * (hi + lo), half * w
 
 
+# the JSON kind of each simple law; a FiniteMixture nests its components' documents
+_KINDS = {"gaussian": Gaussian, "cauchy": Cauchy, "rademacher": Rademacher,
+          "uniform": Uniform, "pointmass": PointMass}
+
+
 def distribution_from_json(doc: dict) -> Distribution:
     """Inverse of Distribution.to_json."""
     kind = doc.get("kind")
-    if kind == "gaussian":
-        return Gaussian(float(doc["D"]))
-    if kind == "cauchy":
-        return Cauchy(float(doc["gamma"]))
-    if kind == "rademacher":
-        return Rademacher()
-    if kind == "uniform":
-        return Uniform(float(doc["a"]), float(doc["b"]))
-    if kind == "pointmass":
-        return PointMass(float(doc["a"]))
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is not None:
+        return cls(*(float(doc[name]) for name in cls._fields))
     if kind == "mixture":
         return FiniteMixture(
             tuple(

@@ -387,6 +387,10 @@ class TestChannelT:
     def test_moves_basis_state(self):
         out = channel_T(1.5, PureState(unit_atom(0.0)))
         assert out == PureState(unit_atom(-1.5))
+        # a mixed state moves component by component, keeping the weights
+        mixed = MixedState(((0.25, PureState(unit_atom(0.0))), (0.75, uniform_pair())))
+        assert channel_T(1.5, mixed) == MixedState(
+            ((0.25, out), (0.75, channel_T(1.5, uniform_pair()))))
 
     def test_adjoint_duality(self):
         gen = np.random.default_rng(3)
@@ -466,6 +470,20 @@ class TestAveragedT:
         # S_1 pairs the atom at 1 with the atom at 0: rho[1, 0] = 0.5
         val = evaluate(avg, AlgebraElement.shift(1.0))
         assert val == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="averaged evaluate takes E f(xi - q), but "
+                       "<T_xi s, M_f> is E f(q - xi): it reflects the multiplier")
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    @pytest.mark.parametrize("base", [
+        PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)])),
+        NormalState((0.0, 1.0), np.array([[0.36, -0.48j], [0.48j, 0.64]])),
+    ], ids=["pure", "normal"])
+    def test_averaging_by_point_mass_at_zero_is_the_identity(self, base, method):
+        avg = averaged_T(PointMass(0.0), base)
+        for A in (AlgebraElement.mult(indicator(0.5, 2.0)), AlgebraElement.modulation(0.7)):
+            value = evaluate(avg, A, method, mc_samples=10, gen=SeededRng(1).stream(0))
+            value = value.value if method == "mc" else value
+            assert value == pytest.approx(evaluate(base, A), abs=1e-12)
 
 
 class TestEvalAveragedOnMult:
@@ -617,6 +635,10 @@ class TestEvaluateMonteCarlo:
         for s in (avg, split):
             with pytest.raises(ValueError, match="generator"):
                 evaluate(s, self.M, "mc")
+        with pytest.raises(ValueError, match="mc evaluation needs a generator"):
+            expect_function(Gaussian(1.0), wave(1.0), 0.0, "mc")
+        with pytest.raises(ValueError, match="mc evaluation needs a generator"):
+            projector_value(avg, unit_atom(0.0), "mc")
 
 
 class TestMethodValidation:
@@ -844,6 +866,8 @@ class TestSingularity:
         assert normality_witness(avg_n, [[-1.0, 0.0, 1.0, 2.0]]) == 1.0
         assert normality_witness(avg_n, [[-1.0], [1.0, 2.0]]) == 0.5
         assert normality_witness(averaged_T(Gaussian(1.0), PAIR_DENSITY), [[0.0, 1.0]]) == 0.0
+        with pytest.raises(ValueError, match="must be non-empty"):
+            normality_witness(pure, [])
 
     @pytest.mark.parametrize("d", [Gaussian(1.0), Cauchy(0.5)], ids=["gaussian", "cauchy"])
     def test_normal_base_vanishes(self, d):
@@ -1062,6 +1086,8 @@ class TestSemigroups:
         fam = ConvolutionFamily("gaussian")
         with pytest.raises(ValueError):
             semigroup_T(fam, -0.5, uniform_pair())
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            semigroup_Phi(fam, -0.5, PAIR_DENSITY)
 
 
 class TestYosidaHewitt:
@@ -1101,11 +1127,21 @@ class TestYosidaHewitt:
             direct = 0.4 * evaluate(avg, A) + 0.6 * evaluate(singular, A)
             assert abs(evaluate(split, A) - direct) <= 1e-12
 
-    def test_mixed_law_raises(self):
-        law = FiniteMixture(((0.5, Gaussian(1.0)), (0.5, Rademacher())))
-        avg = averaged_T(law, PureState(unit_atom(0.0)))
-        with pytest.raises(ValueError, match="both a discrete and a continuous part"):
-            yosida_hewitt_split([(1.0, avg)])
+    @pytest.mark.parametrize("base", [uniform_pair(), PAIR_DENSITY], ids=["pure", "normal"])
+    def test_two_part_law_splits(self, base):
+        # the atoms' shifted bases are normal, the Gaussian average singular
+        law = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0))))
+        avg = averaged_T(law, base)
+        split = yosida_hewitt_split([(1.0, avg)])
+        assert split.normal_weight == 0.5
+        weights = [w for w, _ in channels._parts(split)]
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+        assert split.singular_part == averaged_T(Gaussian(1.0), base)
+        # even probes: the value of the average does not see the sign of xi
+        for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.shift(-1.0),
+                  AlgebraElement.mult(indicator(-0.5, 0.5)),
+                  AlgebraElement.of([(1.0, indicator(-1.5, 1.5), 1.0)])):
+            assert abs(evaluate(split, A) - evaluate(avg, A)) <= 1e-12
 
     def test_evaluation_linearity(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
@@ -1118,8 +1154,10 @@ class TestYosidaHewitt:
             assert abs(evaluate(split, A) - direct) <= 1e-12
 
     def test_invalid_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must sum to 1, got 0.5"):
             yosida_hewitt_split([(0.5, PureState(unit_atom(0.0)))])
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            yosida_hewitt_split([(-0.5, PureState(unit_atom(0.0))), (1.5, uniform_pair())])
 
 
 

@@ -135,8 +135,15 @@ class TestExitCodes:
         ("cesaro", {"X_list": [0.0]}),
         ("walk-decay", {"N_list": [0]}),
         ("walk-decay", {"u": {"atoms": [{"p": "x", "re": 1.0, "im": 0.0}]}}),
+        # values the library rejects, which main reports as configuration errors
+        ("chernoff", {"distribution": {"kind": "uniform", "a": 0.0, "b": 2.0}}),
+        ("chernoff", {"t": -1}),
+        ("semigroup", {"t_list": [1e308]}),
+        ("cesaro", {"delta_p": 1e308}),
+        ("verify", {"tolerances": {"bogus": 1.0}}),
     ], ids=["mixture-as-lists", "distribution-list", "n_list-string", "X-zero", "N-zero",
-            "u-frequency-string"])
+            "u-frequency-string", "uncentered-law", "t-negative", "t-sum-overflows",
+            "node-count-overflows", "unknown-tolerance"])
     def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -2,9 +2,10 @@
 and so is every private name it defines at module level; no class is a
 dataclass, importing the CLI does not load ``dataclasses``, and no code
 but the CLI's process entry point changes the process's garbage collector
-or ends the process without shutdown.  Importing the package or the CLI
-loads no library module, each command loads only the modules it uses, and
-the lazy package namespace still gives every public name.
+or ends the process without shutdown.  Only the law base and the mixture
+define ``to_json``.  Importing the package or the CLI loads no library
+module, each command loads only the modules it uses, and the lazy package
+namespace still gives every public name.
 
 An AST scan, so it needs no linter: a name bound by ``import`` or
 ``from ... import`` must occur as a loaded name somewhere in the module
@@ -295,6 +296,42 @@ def test_discrete_laws_sample_through_atom_indices():
                 and cls is not rand.Distribution]
     assert {cls.__name__ for cls in discrete} >= {"Rademacher", "PointMass"}
     assert all("sample" not in vars(cls) for cls in discrete)
+
+
+def to_json_owners(source: str):
+    """Names of the classes that define their own ``to_json``, in source order."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == "to_json"
+                    for item in node.body)]
+
+
+def test_scan_flags_to_json_owners():
+    source = (
+        "class Distribution:\n"
+        "    def to_json(self):\n"
+        "        return {}\n"
+        "class Bell(Distribution):\n"
+        "    _fields = ('D',)\n"
+        "class Coin(Distribution):\n"
+        "    def to_json(self):\n"
+        "        return {'kind': 'coin'}\n"
+    )
+    assert to_json_owners(source) == ["Distribution", "Coin"]
+
+
+def test_simple_laws_share_one_to_json():
+    # the kind table and the fields are the one owner of a law's JSON form;
+    # the documents are those the per-law methods wrote, key order included
+    from atomdyn.rand import (Cauchy, Gaussian, PointMass, Rademacher, Uniform,
+                              distribution_from_json)
+    assert to_json_owners((SRC / "rand.py").read_text()) == ["Distribution", "FiniteMixture"]
+    for law, doc in [(Gaussian(0.5), {"kind": "gaussian", "D": 0.5}),
+                     (Cauchy(1.5), {"kind": "cauchy", "gamma": 1.5}),
+                     (Rademacher(), {"kind": "rademacher"}),
+                     (Uniform(-0.5, 2.0), {"kind": "uniform", "a": -0.5, "b": 2.0}),
+                     (PointMass(0.25), {"kind": "pointmass", "a": 0.25})]:
+        assert list(law.to_json().items()) == list(doc.items())
+        assert distribution_from_json(doc) == law
 
 
 # the package's public names as of version 0.1.0, by the module that first

@@ -440,11 +440,14 @@ class TestFamiliesAndJson:
     def test_family_member_kinds(self):
         assert ConvolutionFamily("gaussian").at(0.5) == Gaussian(0.5)
         assert ConvolutionFamily("cauchy").at(0.5) == Cauchy(0.5)
+        with pytest.raises(ValueError, match="family parameter must be non-negative"):
+            ConvolutionFamily("gaussian").at(-1.0)
 
     def test_convolve_closed_forms(self):
         assert convolve(Gaussian(1.0), Gaussian(2.0)) == Gaussian(3.0)
         assert convolve(Cauchy(1.0), Cauchy(0.5)) == Cauchy(1.5)
         assert convolve(PointMass(0.0), Rademacher()) == Rademacher()
+        assert convolve(PointMass(0.5), PointMass(-2.0)) == PointMass(-1.5)
         with pytest.raises(ValueError):
             convolve(Gaussian(1.0), Cauchy(1.0))
 
@@ -455,3 +458,9 @@ class TestFamiliesAndJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             distribution_from_json({"kind": "levy"})
+
+        class Spare(Gaussian):  # a law outside the kind table has no JSON form
+            pass
+
+        with pytest.raises(NotImplementedError, match="no JSON kind for Spare"):
+            Spare(1.0).to_json()
