@@ -267,9 +267,9 @@ class AlgebraElement(Record):
 
     Every multiplier f_j is a :class:`Multiplier` with c = 1: its constant
     factor lives in the term weight c_j.  The constructor rejects any other
-    multiplier, an empty interval, a NaN interval end, and any weight,
-    frequency or shift that is not finite; ``AlgebraElement.of`` puts terms
-    into this form, dropping empty intervals.  A convolution
+    multiplier, an empty interval, a NaN interval end, a non-finite weight,
+    frequency or shift, a weight 0 and a repeated (f, a); ``AlgebraElement.of``
+    puts terms into this form, dropping zeros and merging repeats.  A convolution
     sum_j w_j S_{a_j} is ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
     The element stores ``rows`` (c_j, data of f_j, a_j), which compare and
     hash as the ``terms`` do; ``terms`` is built when first read.
@@ -291,6 +291,8 @@ class AlgebraElement(Record):
                     "AlgebraElement.of drops such terms")
         rows = tuple((complex(c), _data(f), float(a)) for c, f, a in terms)
         _check_finite(rows)
+        if _normal_form(rows).rows != rows:
+            raise ValueError("a repeated (f, a) pair or a weight 0: use AlgebraElement.of")
         object.__setattr__(self, "rows", rows)
 
     @cached_property
@@ -417,9 +419,7 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
                 x[j, q[j].searchsorted(s.freqs)] = s.amps
     # the multipliers' values: e^{iaq} on the rows with a wave, 1 on the
     # others; then 0 outside [lo, hi]
-    if all(ia):
-        x = cmul(np.exp(wia[n:, None] * q).ravel(), x.ravel()).reshape(n, k)
-    elif any(ia):
+    if any(ia):
         rows = np.flatnonzero(wia[n:])
         x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
                        x[rows].ravel()).reshape(-1, k)

@@ -33,28 +33,19 @@ class Record:
     _fields: Tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        # closures over a C attribute getter: the fastest == and hash that
-        # need no generated code
-        if len(cls._fields) == 1:
-            one = attrgetter(*cls._fields)
+        # closures over the field tuple from a C attribute getter (which gives
+        # a bare value for one name): the fastest == and hash with no codegen
+        names = cls._fields
+        get = attrgetter(*names) if names else None
+        key = get if len(names) > 1 else (lambda r: (get(r),)) if names else (lambda r: ())
 
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return (one(self),) == (one(other),)
-                return NotImplemented
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
 
-            def __hash__(self):
-                return hash((one(self),))
-        else:
-            key = attrgetter(*cls._fields) if cls._fields else lambda r: ()
-
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return key(self) == key(other)
-                return NotImplemented
-
-            def __hash__(self):
-                return hash(key(self))
+        def __hash__(self):
+            return hash(key(self))
         cls.__hash__ = __hash__
         if "__eq__" not in cls.__dict__:
             cls.__eq__ = __eq__

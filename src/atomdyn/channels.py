@@ -6,7 +6,7 @@ of :mod:`atomdyn.algebra`.  Four representations are executable:
 * pure       -- a unit atomic vector u, acting by (u, A u);
 * normal     -- a finite density matrix rho over a frequency support,
                 acting by tr(rho A);
-* mixed      -- a finite convex combination of pure states;
+* mixed      -- a finite convex combination of pure, normal or mixed states;
 * averaged   -- a pure, normal or mixed base state smoothed by a random
                 shift: the functional A -> E <T_xi base, A>, kept
                 *intensionally* as the pair (base, law).  When the law is
@@ -85,9 +85,9 @@ class NormalState(Record):
     def _channel_output(cls, support, matrix) -> "NormalState":
         """A channel's output: every check of the constructor but the PSD one.
 
-        For ``channel_T`` and ``channel_Phi`` the matrix is unitarily similar
-        to a checked one, and for ``averaged_Phi`` it is the Schur product of
-        a checked one with the positive-definite kernel chi(p_j - p_k).
+        For ``channel_T`` the matrix is unitarily similar to a checked one,
+        and for ``averaged_Phi`` (so ``channel_Phi``) it is the Schur product
+        of a checked one with the positive-definite kernel chi(p_j - p_k).
         """
         s = object.__new__(cls)
         object.__setattr__(s, "support", support)
@@ -105,8 +105,11 @@ class NormalState(Record):
             raise ValueError("support frequencies must be distinct")
         if m.shape != (k, k):
             raise ValueError(f"matrix shape {m.shape} does not match support size {k}")
-        if np.max(np.abs(m - m.conj().T), initial=0.0) > _HERM_TOL:
-            raise ValueError("density matrix must be Hermitian")
+        with np.errstate(invalid="ignore"):  # a NaN or inf entry fails the test
+            herm = np.max(np.abs(m - m.conj().T), initial=0.0)
+        if not herm <= _HERM_TOL:
+            raise ValueError("density matrix must be Hermitian" if np.isfinite(m).all()
+                             else "density matrix entries must be finite")
         if abs(np.trace(m).real - 1.0) > _UNIT_TOL:
             raise ValueError(f"density matrix trace must be 1, got {np.trace(m)!r}")
 
@@ -114,9 +117,13 @@ class NormalState(Record):
 class MixedState(Record):
     _fields = ("components",)
 
-    def __init__(self, components: Tuple[Tuple[float, PureState], ...]):
+    def __init__(self,
+                 components: Tuple[Tuple[float, Union[PureState, NormalState, MixedState]], ...]):
         object.__setattr__(self, "components", components)
         _check_weights([w for w, _ in components], "mixture weights")
+        for _, s in components:
+            if not isinstance(s, (PureState, NormalState, MixedState)):
+                raise TypeError(f"mixture component is not a pure, normal or mixed state: {s!r}")
 
 
 class AveragedState(Record):
@@ -132,10 +139,6 @@ class AveragedState(Record):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "smoothing", smoothing)
 
-    @property
-    def is_singular(self) -> bool:
-        return not self.smoothing.has_discrete_part
-
 
 State = Union[PureState, NormalState, MixedState, AveragedState]
 
@@ -144,7 +147,9 @@ class StateDecomposition(Record):
     """Convex split into a normal aggregate and a singular aggregate.
 
     ``normal_weight`` is the total mass p of the normal part; the parts are
-    stored as internally normalized (weight, state) tuples.
+    stored as internally normalized (weight, state) tuples.  A part is None,
+    one state, or a MixedState of pure, normal and mixed states; several
+    averaged states have no state type, so their part stays the tuple.
     """
 
     _fields = ("normal_weight", "normal_components", "singular_components")
@@ -177,7 +182,7 @@ def _aggregate(components):
         return None
     if len(components) == 1:
         return components[0][1]
-    if all(isinstance(s, PureState) for _, s in components):
+    if not any(isinstance(s, AveragedState) for _, s in components):
         return MixedState(tuple(components))
     return components
 
@@ -525,8 +530,7 @@ def projector_value(
             # the drawn atoms alone: a normal base takes its profile in one
             # matrix product, whose rounding depends on its number of columns
             drawn = np.bincount(idx, minlength=len(xs)) > 0
-            if not drawn.all():
-                xs, idx = xs[drawn], (np.cumsum(drawn) - 1)[idx]
+            xs, idx = xs[drawn], (np.cumsum(drawn) - 1)[idx]
             g = _projector_profile(avg.base, v, xs)[idx]
         # the running sum from 0.0 in draw order; adding 0.0 turns the -0.0
         # that a leading -0.0 leaves in a sum of zeros into 0.0, as the
@@ -604,10 +608,8 @@ def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
 
 
 def channel_Phi(h: float, s: NormalState) -> NormalState:
-    """Conjugation by the modulation: entry (j, k) gains e^{ih(p_j - p_k)}."""
-    p = np.array(s.support)
-    phases = np.exp(1j * h * (p[:, None] - p[None, :]))
-    return NormalState._channel_output(s.support, phases * s.matrix)
+    """Conjugation by M_h, entry (j, k) times e^{ih(p_j - p_k)}: averaged_Phi of PointMass(h)."""
+    return averaged_Phi(PointMass(h), s)
 
 
 def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
@@ -664,7 +666,7 @@ def yosida_hewitt_split(
     law: each atom (loc, pr) puts the shifted base T_loc base, of weight
     w pr, in the normal part, and the continuous part puts the base averaged
     over ``continuous_part()``, of weight w ``continuous_weight()``, in the
-    singular part.  A law with no atoms keeps the averaged state as given.
+    singular part.  A law with no atoms is its own continuous part, of weight 1.
     """
     comps = [(float(w), s) for w, s in components]
     _check_weights([w for w, _ in comps], "weights")
@@ -674,9 +676,7 @@ def yosida_hewitt_split(
     for w, s in comps:
         if w == 0:
             continue
-        if isinstance(s, AveragedState) and s.is_singular:
-            singular.append((w, s))
-        elif isinstance(s, AveragedState):
+        if isinstance(s, AveragedState):
             normal += [(w * pr, st) for pr, st in _discrete_shifts(s)]
             cw = s.smoothing.continuous_weight()
             if cw > 0:

@@ -54,11 +54,7 @@ SEED_ENV = "ATOMDYN_SEED"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def render_csv(command: str, seed: int, config: dict, columns: Sequence[str],
@@ -440,8 +436,9 @@ def semigroup_residuals(fam: ConvolutionFamily, t: float, s: float) -> Tuple[flo
     """Defects of T(t) T(s) = T(t + s) and Phi(t) Phi(s) = Phi(t + s) on the pair."""
     from .channels import evaluate, semigroup_Phi, semigroup_T
     pure, density, probes = _pair()
-    lhs = semigroup_T(fam, t, semigroup_T(fam, s, pure))
+    # T(t + s) first: a sum past the float range fails as a family parameter
     rhs = semigroup_T(fam, t + s, pure)
+    lhs = semigroup_T(fam, t, semigroup_T(fam, s, pure))
     res_t = max(abs(evaluate(lhs, A) - evaluate(rhs, A)) for A in probes)
     m1 = semigroup_Phi(fam, t, semigroup_Phi(fam, s, density)).matrix
     m2 = semigroup_Phi(fam, t + s, density).matrix

@@ -334,6 +334,8 @@ class FiniteMixture(Distribution):
         return tuple(sorted(acc.items()))
 
     def continuous_weight(self):
+        if not self.has_discrete_part:  # its own continuous part, of weight 1 exactly
+            return 1.0
         return sum(w * d.continuous_weight() for w, d in self.components)
 
     def continuous_part(self):
@@ -415,8 +417,8 @@ class ConvolutionFamily(Record):
             raise ValueError(f"unknown family kind: {kind!r}")
 
     def at(self, t: float) -> Distribution:
-        if t < 0:
-            raise ValueError(f"family parameter must be non-negative: {t!r}")
+        if not 0 <= t < math.inf:
+            raise ValueError(f"family parameter must be non-negative and finite: {t!r}")
         if t == 0:
             return PointMass(0.0)
         return Gaussian(t) if self.kind == "gaussian" else Cauchy(t)
@@ -428,12 +430,11 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
         return d2
     if isinstance(d2, PointMass) and d2.a == 0:
         return d1
-    if isinstance(d1, PointMass) and isinstance(d2, PointMass):
-        return PointMass(d1.a + d2.a)
-    if isinstance(d1, Gaussian) and isinstance(d2, Gaussian):
-        return Gaussian(d1.D + d2.D)
-    if isinstance(d1, Cauchy) and isinstance(d2, Cauchy):
-        return Cauchy(d1.gamma + d2.gamma)
+    law = d1.__class__
+    if law is d2.__class__ and law in (PointMass, Gaussian, Cauchy):
+        # the one parameter adds: location, variance or scale
+        (name,) = law._fields
+        return law(getattr(d1, name) + getattr(d2, name))
     raise ValueError(f"no closed-form convolution for {d1!r} + {d2!r}")
 
 

@@ -423,6 +423,10 @@ class TestArrayRules:
 
     @settings(deadline=None)
     @given(pair_lists, st.lists(st.tuples(amplitudes, multipliers, shifts), min_size=3, max_size=3))
+    # every term a wave, so the exponential runs on every row
+    @example([(0.0, 0.6), (0.5, 0.8j), (-1.25, 1.0)],
+             [(1.0, wave(1.5), 0.5), (0.5j, Multiplier(1, -0.75, -1.0, 2.0), -0.25),
+              (2.0, wave(3.0), 0.0)])
     def test_apply_element(self, pairs, terms):
         u, A = make_vector(pairs), AlgebraElement.of(terms)
         assert vector_bits(apply_element(A, u)) == atom_bits(
@@ -586,6 +590,16 @@ class TestTermTable:
                   lambda y: y * y):
             with pytest.raises(ValueError, match="AlgebraElement.of"):
                 AlgebraElement(((1.0, ONE, 0.0), (1.0, f, 0.5)))
+        # a repeated (f, a) and a weight 0 would give a second element, and
+        # hash, for the operator that .of gives
+        for terms, same in (([(1, ONE, 0.0), (1, ONE, 0.0)], [(2, ONE, 0.0)]),
+                            ([(1, wave(1.0), -0.0), (0.5, wave(1.0), 0.0)],
+                             [(1.5, wave(1.0), 0.0)]),
+                            ([(0, ONE, 0.0)], []),
+                            ([(1.0, ONE, 0.5), (0j, wave(2.0), 0.0)], [(1.0, ONE, 0.5)])):
+            with pytest.raises(ValueError, match="AlgebraElement.of"):
+                AlgebraElement(terms)
+            assert AlgebraElement.of(terms) == AlgebraElement.of(same)
         A = AlgebraElement.of([(1.0, Multiplier(2.0), 0.5)])
         assert A.terms == ((2.0, ONE, 0.5),) and AlgebraElement(A.terms) == A
 

@@ -172,6 +172,20 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             PureState(make_vector([(0.0, 2.0)]))
 
+    def test_mixture_components_are_states(self):
+        with pytest.raises(TypeError, match="not a pure, normal or mixed state: 3$"):
+            MixedState(((1.0, 3),))
+        avg = averaged_T(Gaussian(1.0), uniform_pair())
+        with pytest.raises(TypeError, match=r"not a pure, normal or mixed state: AveragedState\("):
+            MixedState(((0.5, uniform_pair()), (0.5, avg)))
+        # normal and mixed components pair as their own states do
+        pure = PureState(unit_atom(0.0))
+        inner_mix = MixedState(((0.5, pure), (0.5, uniform_pair())))
+        mixed = MixedState(((0.25, PAIR_DENSITY), (0.75, inner_mix)))
+        for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(-0.5, 0.5))):
+            want = 0.25 * evaluate(PAIR_DENSITY, A) + 0.75 * evaluate(inner_mix, A)
+            assert abs(evaluate(mixed, A) - want) <= 1e-15
+
 
 class TestNormalEvaluate:
     """evaluate(NormalState) is tr(rho A) on the matrix itself."""
@@ -932,6 +946,26 @@ class TestDephasing:
         assert out.matrix[0, 1] == pytest.approx(0.5 * np.exp(-1.3j))
         assert out.matrix[0, 0] == pytest.approx(0.5)
 
+    def test_channel_phi_is_the_plain_phase_product(self):
+        # the point mass kernel rounds as the phase matrix written out does
+        gen = np.random.default_rng(20)
+        for m in (1, 2, 3, 5, 8):
+            off_grid = random_density(gen, m)
+            on_grid = NormalState(tuple(np.sort(gen.choice(np.arange(-16, 17) / 4.0, m,
+                                                            replace=False)).tolist()),
+                                  off_grid.matrix)
+            for s in (off_grid, on_grid):
+                p = np.array(s.support)
+                for h in (0.0, -0.0, 1e-300, 1.3, -1.3, 100.0 * gen.normal()):
+                    want = np.exp(1j * h * (p[:, None] - p[None, :])) * s.matrix
+                    assert channel_Phi(h, s).matrix.tobytes() == want.tobytes()
+
+    def test_channel_phi_phase_overflow_raises(self):
+        s = NormalState((0.0, 1e10), PAIR_DENSITY.matrix)
+        with pytest.raises(ValueError,
+                           match=r"PointMass\(a=1e\+300\) is not finite at x = -10000000000\.0:"):
+            channel_Phi(1e300, s)
+
     def test_channel_phi_identity_and_diagonal(self):
         gen = np.random.default_rng(9)
         rho = random_density(gen, 4)
@@ -1101,6 +1135,24 @@ class TestYosidaHewitt:
         split = yosida_hewitt_split([(1.0, avg)])
         assert split.normal_weight == 0.0
         assert split.normal_part is None
+
+    @pytest.mark.parametrize("law", [
+        Gaussian(1.0), FiniteMixture(tuple((0.1, Gaussian(1.0 + j)) for j in range(10)))],
+        ids=["gaussian", "ten-tenths"])
+    def test_law_with_no_atoms_keeps_the_average(self, law):
+        # the general split: no atoms, continuous weight 1, the law its own part
+        avg = averaged_T(law, uniform_pair())
+        split = yosida_hewitt_split([(1.0, avg)])
+        assert split.singular_components == ((1.0, avg),) and split.singular_part == avg
+
+    def test_normal_part_of_pure_and_normal_is_a_state(self):
+        pure = PureState(unit_atom(0.0))
+        split = yosida_hewitt_split([(0.5, pure), (0.5, PAIR_DENSITY)])
+        part = split.normal_part
+        assert part == MixedState(((0.5, pure), (0.5, PAIR_DENSITY)))
+        for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(-0.5, 0.5))):
+            want = 0.5 * evaluate(pure, A) + 0.5 * evaluate(PAIR_DENSITY, A)
+            assert abs(evaluate(part, A) - want) <= 1e-15
 
     def test_mixed_split_and_witness(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())

@@ -152,6 +152,8 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+        if cfg == {"t_list": [1e308]}:
+            assert lines[0] == "error: family parameter must be non-negative and finite: inf"
 
     @pytest.mark.parametrize("command,cfg", [
         ("chernoff", {"t": "abc"}),

@@ -18,6 +18,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # name -> (command, seed, config)
 CASES = {
     "verify": ("verify", 7, {}),
+    "chernoff": ("chernoff", 3, {}),
+    "semigroup-gaussian": ("semigroup", 3, {"family": "gaussian"}),
+    "semigroup-cauchy": ("semigroup", 3, {"family": "cauchy"}),
+    "dephase-gaussian": ("dephase", 3, {"family": "gaussian"}),
+    "dephase-cauchy": ("dephase", 3, {"family": "cauchy"}),
     "cesaro": ("cesaro", 2, {"X_list": [10.0, 50.0]}),
     "walk-decay-gaussian": ("walk-decay", 3, {}),
     "walk-decay-rademacher": ("walk-decay", 5, {

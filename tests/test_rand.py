@@ -232,6 +232,9 @@ class TestLebesgueSplit:
         law = FiniteMixture(((1.0, Gaussian(1.0)), (0.0, PointMass(1.0))))
         assert not law.has_discrete_part and law.discrete_atoms() == ()
         assert law.continuous_weight() == 1.0 and law.continuous_part() is law
+        # ten weights 0.1 add to 0.9999999999999999; the law is still all continuous
+        tenths = FiniteMixture(tuple((0.1, Gaussian(1.0 + j)) for j in range(10)))
+        assert tenths.continuous_weight() == 1.0 and tenths.continuous_part() is tenths
         law = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0)), (0.0, PointMass(3.0))))
         assert law.discrete_atoms() == ((-1.0, 0.25), (1.0, 0.25))
 
@@ -440,8 +443,12 @@ class TestFamiliesAndJson:
     def test_family_member_kinds(self):
         assert ConvolutionFamily("gaussian").at(0.5) == Gaussian(0.5)
         assert ConvolutionFamily("cauchy").at(0.5) == Cauchy(0.5)
-        with pytest.raises(ValueError, match="family parameter must be non-negative"):
-            ConvolutionFamily("gaussian").at(-1.0)
+        for kind in ("gaussian", "cauchy"):
+            for t in (-1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="family parameter must be non-negative"):
+                    ConvolutionFamily(kind).at(t)
+        with pytest.raises(ValueError, match="non-negative and finite: inf"):
+            ConvolutionFamily("gaussian").at(math.inf)
 
     def test_convolve_closed_forms(self):
         assert convolve(Gaussian(1.0), Gaussian(2.0)) == Gaussian(3.0)

@@ -181,6 +181,12 @@ VALIDATION = [
      r"matrix shape \(2, 2\) does not match support size 1"),
     (lambda: NormalState((0.0, 1.0), np.array([[0.5, 1], [0, 0.5]])),
      "density matrix must be Hermitian"),
+    (lambda: NormalState((0.0, 1.0), np.array([[0.5, math.nan], [math.nan, 0.5]])),
+     "density matrix entries must be finite"),
+    (lambda: NormalState((0.0, 1.0), np.array([[0.5, math.inf], [math.inf, 0.5]])),
+     "density matrix entries must be finite"),
+    (lambda: NormalState((0.0, 1.0), np.array([[math.inf, 0.0], [0.0, 0.5]])),
+     "density matrix entries must be finite"),
     (lambda: NormalState((0.0, 1.0), np.eye(2)),
      r"density matrix trace must be 1, got np.complex128\(2\+0j\)"),
     (lambda: NormalState((0.0, 1.0), np.array([[1.5, 0], [0, -0.5]])),
