@@ -434,7 +434,10 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     if law is d2.__class__ and law in (PointMass, Gaussian, Cauchy):
         # the one parameter adds: location, variance or scale
         (name,) = law._fields
-        return law(getattr(d1, name) + getattr(d2, name))
+        total = getattr(d1, name) + getattr(d2, name)
+        if not math.isfinite(total):
+            raise ValueError(f"{d1!r} + {d2!r}: the {name} parameters add past the largest float")
+        return law(total)
     raise ValueError(f"no closed-form convolution for {d1!r} + {d2!r}")
 
 

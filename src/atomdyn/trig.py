@@ -9,12 +9,14 @@ That limit is the counting-measure inner product of the atoms, so the
 analytic routine is :func:`atomdyn.atoms.inner` and the Fourier
 identification is a relabeling.  The numeric routine evaluates the
 finite-window average by composite trapezoid quadrature, which converges
-at rate O(1/X).
+at rate O(1/X), in blocks of nodes into one array of weights (trapezoid
+terms) whose bits are those of the full-array rule.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,9 +25,13 @@ from .atoms import AtomicVector, Record
 
 def pointwise(u: AtomicVector, x: np.ndarray) -> np.ndarray:
     """Values of sum_k c_k e^{i p_k x} on an array of sample points."""
-    out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x, dtype=complex)
     for t in u:
-        out = out + t.c * np.exp(1j * t.p * np.asarray(x, dtype=float))
+        # e * c at every length: numpy rounds c * e, and an in-place product on
+        # one element, differently from e * c, and elides c * e into e *= c
+        # from 16384 points, so either of those would make bits depend on length
+        out += np.exp(1j * t.p * x) * t.c
     return out
 
 
@@ -37,10 +43,15 @@ class CesaroQuadratureConfig(Record):
     def __init__(self, window: float, steps: int):
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "steps", steps)
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer: {steps!r}")
         if not (math.isfinite(window) and window > 0):
             raise ValueError(f"window must be finite and positive: {window!r}")
         if steps < 2:
             raise ValueError(f"steps must be at least 2: {steps!r}")
+        if not (math.isfinite(2.0 * window) and 2.0 * window / (steps - 1) >= sys.float_info.min):
+            raise ValueError(f"window {window!r} on {steps!r} nodes: 2*window must be finite and "
+                             f"the node spacing at least {sys.float_info.min!r}")
 
 
 def default_steps(window: float, max_gap: float) -> int:
@@ -54,13 +65,36 @@ def auto_config(window: float, u: AtomicVector, v: AtomicVector) -> CesaroQuadra
     return CesaroQuadratureConfig(window, default_steps(window, max(max_gap, 1.0)))
 
 
+_BLOCK = 1 << 15  # trapezoid intervals per block of a window average
+
+
+def _window_average(values, cfg: CesaroQuadratureConfig):
+    """(1/2X) int_{-X}^{X} values(x) dx by the trapezoid rule on cfg.steps nodes.
+
+    The nodes are np.linspace(-X, X, steps) element for element (the config
+    rules out its zero-step branch), and the terms and their one pairwise sum
+    are np.trapezoid's, so the bits are the full-array rule's; values(x) sees
+    _BLOCK + 1 nodes at a time.
+    """
+    X, n = float(cfg.window), cfg.steps
+    step, terms = 2.0 * X / (n - 1), None
+    for k0 in range(0, n - 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, n - 1)
+        x = np.arange(k0, k1 + 1) * step - X
+        if k1 == n - 1:
+            x[-1] = X
+        f = values(x)
+        if terms is None:
+            terms = np.empty(n - 1, dtype=f.dtype)
+        terms[k0:k1] = (x[1:] - x[:-1]) * (f[1:] + f[:-1]) / 2.0
+    return terms.sum() / (2.0 * X)
+
+
 def cesaro_inner_numeric(
     u: AtomicVector, v: AtomicVector, cfg: CesaroQuadratureConfig
 ) -> complex:
     """Finite-window average (1/2X) int_{-X}^{X} conj(u) v dx by trapezoid."""
-    x = np.linspace(-cfg.window, cfg.window, cfg.steps)
-    integrand = np.conj(pointwise(u, x)) * pointwise(v, x)
-    return complex(np.trapezoid(integrand, x) / (2.0 * cfg.window))
+    return complex(_window_average(lambda x: np.conj(pointwise(u, x)) * pointwise(v, x), cfg))
 
 
 def modulation_gap_numeric(s: float, p: float, cfg: CesaroQuadratureConfig) -> float:
@@ -72,9 +106,7 @@ def modulation_gap_numeric(s: float, p: float, cfg: CesaroQuadratureConfig) -> f
     """
     if s == 0:
         raise ValueError("gap is probed at a non-zero step s")
-    x = np.linspace(-cfg.window, cfg.window, cfg.steps)
-    integrand = np.abs(np.exp(1j * s * x) - 1.0) ** 2
-    return float(np.trapezoid(integrand, x) / (2.0 * cfg.window))
+    return float(_window_average(lambda x: np.abs(np.exp(1j * s * x) - 1.0) ** 2, cfg))
 
 
 def modulation_gap_exact(s: float, window: float) -> float:

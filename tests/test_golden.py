@@ -24,6 +24,8 @@ CASES = {
     "dephase-gaussian": ("dephase", 3, {"family": "gaussian"}),
     "dephase-cauchy": ("dephase", 3, {"family": "cauchy"}),
     "cesaro": ("cesaro", 2, {"X_list": [10.0, 50.0]}),
+    # 63,662 and 190,986 trapezoid nodes: several blocks of the window average
+    "cesaro-blocks": ("cesaro", 4, {"X_list": [1e4, 3e4], "delta_p": 0.9, "gap_s": 0.7}),
     "walk-decay-gaussian": ("walk-decay", 3, {}),
     "walk-decay-rademacher": ("walk-decay", 5, {
         "distribution": {"kind": "rademacher"},

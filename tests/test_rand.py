@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -457,6 +458,14 @@ class TestFamiliesAndJson:
         assert convolve(PointMass(0.5), PointMass(-2.0)) == PointMass(-1.5)
         with pytest.raises(ValueError):
             convolve(Gaussian(1.0), Cauchy(1.0))
+
+    @pytest.mark.parametrize("law, name", [(Gaussian, "D"), (Cauchy, "gamma")])
+    def test_convolve_overflow_names_both_laws(self, law, name):
+        big = law(1e308)
+        message = re.escape(f"{big!r} + {big!r}: the {name} parameters add past the largest float")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convolve(big, big)
+        assert convolve(law(8e307), law(8e307)) == law(1.6e308)
 
     def test_json_round_trip(self):
         for d in ALL_LAWS:

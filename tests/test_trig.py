@@ -1,16 +1,24 @@
 import math
+import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomdyn.atoms import inner, make_vector, unit_atom
 from atomdyn.trig import (
+    _BLOCK,
     CesaroQuadratureConfig,
+    _window_average,
     auto_config,
     cesaro_inner_numeric,
     default_steps,
     modulation_gap_exact,
     modulation_gap_numeric,
+    pointwise,
 )
 
 
@@ -66,6 +74,17 @@ class TestNumericInner:
             CesaroQuadratureConfig(-1.0, 100)
         with pytest.raises(ValueError):
             CesaroQuadratureConfig(10.0, 1)
+        for steps in (100.5, True, np.float64(64.0), "64"):
+            with pytest.raises(ValueError, match=re.escape(f"steps must be an integer: {steps!r}")):
+                CesaroQuadratureConfig(10.0, steps)
+        # 2X overflows, or the node spacing is zero or subnormal
+        for window, steps in ((1e308, 64), (5e-324, 64), (1e-310, 64), (1e-300, 2**62)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"window {window!r} on {steps!r} nodes: 2*window must be finite and "
+                    f"the node spacing at least {sys.float_info.min!r}")):
+                CesaroQuadratureConfig(window, steps)
+        assert CesaroQuadratureConfig(10.0, np.int64(64)).steps == 64
+        assert CesaroQuadratureConfig(sys.float_info.max / 2, 2).window == sys.float_info.max / 2
 
     def test_default_steps_resolves_oscillation(self):
         assert default_steps(100.0, 2.0) >= 40 * 100 * 2 / (2 * math.pi) - 1
@@ -118,3 +137,93 @@ class TestModulationGap:
         with pytest.raises(ValueError):
             modulation_gap_numeric(0.0, 0.0, CesaroQuadratureConfig(10.0, 16))
 
+
+def plain_pointwise(u, x):
+    """pointwise written out as the full-array loop."""
+    out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
+    for t in u:
+        out = out + t.c * np.exp(1j * t.p * np.asarray(x, dtype=float))
+    return out
+
+
+def plain_cesaro(u, v, cfg):
+    """cesaro_inner_numeric written out: np.trapezoid over np.linspace."""
+    x = np.linspace(-cfg.window, cfg.window, cfg.steps)
+    integrand = np.conj(plain_pointwise(u, x)) * plain_pointwise(v, x)
+    return complex(np.trapezoid(integrand, x) / (2.0 * cfg.window))
+
+
+def plain_gap(s, cfg):
+    """modulation_gap_numeric written out: np.trapezoid over np.linspace."""
+    x = np.linspace(-cfg.window, cfg.window, cfg.steps)
+    return float(np.trapezoid(np.abs(np.exp(1j * s * x) - 1.0) ** 2, x) / (2.0 * cfg.window))
+
+
+def complex_hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+B = _BLOCK
+NODE_COUNTS = [2, 3, 64, B - 1, B, B + 1, 2 * B + 1, 3 * B - 5, 636_620]
+
+
+class TestBlockedWindowAverage:
+    """The blocked window averages give the bits of the full-array rule."""
+
+    @pytest.mark.parametrize("n", NODE_COUNTS)
+    def test_unit_atoms_match_full_array_bits(self, n):
+        cfg = CesaroQuadratureConfig(1e5 if n == 636_620 else 1e3, n)
+        u, v = make_vector([(0.0, 1.0), (-1.7, 1.0)]), unit_atom(0.83)
+        assert complex_hex(cesaro_inner_numeric(u, v, cfg)) == complex_hex(plain_cesaro(u, v, cfg))
+        assert modulation_gap_numeric(0.7, 0.0, cfg).hex() == plain_gap(0.7, cfg).hex()
+
+    @pytest.mark.parametrize("n", [16_384, B + 1, 2 * B + 1, 3 * B - 5])
+    def test_complex_amplitudes_match_from_16384_nodes(self, n):
+        cfg = CesaroQuadratureConfig(250.0, n)
+        u = make_vector([(0.5, 0.6 + 0.8j), (1.5, -0.3 + 0.1j)])
+        v = make_vector([(-0.7, 0.3 - 2j), (0.5, 1.0)])
+        assert complex_hex(cesaro_inner_numeric(u, v, cfg)) == complex_hex(plain_cesaro(u, v, cfg))
+
+    @pytest.mark.parametrize("window, n", [(1e3, 2), (1e3, B + 1), (0.37, 3 * B - 5),
+                                           (1e5, 636_620)])
+    def test_block_nodes_are_linspace_nodes(self, window, n):
+        blocks = []
+
+        def values(x):
+            blocks.append(x.copy())
+            return np.zeros(len(x))
+
+        _window_average(values, CesaroQuadratureConfig(window, n))
+        nodes = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
+        assert [len(b) for b in blocks[:-1]] == [B + 1] * (len(blocks) - 1)
+        assert nodes.tobytes() == np.linspace(-window, window, n).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40_000),
+           st.lists(st.floats(0.0, 1.0), max_size=4),
+           st.complex_numbers(max_magnitude=10.0, allow_nan=False))
+    @example(seed=1, n=20_000, cuts=[0.005], c=0.6 + 0.8j)  # 100 + 19,900 points
+    @example(seed=0, n=8, cuts=[0.875], c=3 + 1j)  # a piece of one point
+    def test_pointwise_is_the_same_on_any_split(self, seed, n, cuts, c):
+        x = np.random.default_rng(seed).uniform(-1e3, 1e3, n)
+        u = make_vector([(0.5, c), (-1.25, 1.0)]) if c else unit_atom(-1.25)
+        edges = sorted({int(f * n) for f in cuts} | {0, n})
+        parts = [pointwise(u, x[a:b]) for a, b in zip(edges, edges[1:])]
+        assert np.concatenate(parts).tobytes() == pointwise(u, x).tobytes()
+
+
+@pytest.mark.parametrize("name, limit_mb", [("cesaro", 16.0), ("gap", 8.0)])
+def test_window_average_peak_memory(name, limit_mb):
+    """At X = 1e5 (636,620 nodes) the only full-length array is the terms' (MB = 1e6 bytes)."""
+    u, v = unit_atom(0.0), unit_atom(0.83)
+    cfg = auto_config(1e5, u, v)
+    call = {"cesaro": lambda: cesaro_inner_numeric(u, v, cfg),
+            "gap": lambda: modulation_gap_numeric(0.83, 0.0, cfg)}[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.steps == 636_620
+    assert peak < limit_mb * 1e6
