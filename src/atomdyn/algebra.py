@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, inner, merge, norm
+from .atoms import _LEAF, AtomicVector, Record, apply_mod, canonical, cmul, inner, merge, norm
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +86,22 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     if not len(u) or not len(v):
         return out
     vp = v.freqs
-    merged = np.zeros(xs.shape, dtype=bool)
-    prev = None
-    for a in u:
-        q = a.p - xs
-        idx = np.minimum(np.searchsorted(vp, q), len(vp) - 1)
-        hit = vp[idx] == q
-        out[hit] += cmul(a.c.conjugate(), v.amps[idx[hit]])
-        if prev is not None:
-            merged |= prev == q
-        prev = q
-    for i in np.flatnonzero(merged):
-        out[i] = inner(apply_shift(float(xs[i]), u), v)
+    # runs of _LEAF shifts: the temporaries stay small at any len(xs)
+    for k in range(0, len(xs), _LEAF):
+        x, o = xs[k:k + _LEAF], out[k:k + _LEAF]
+        merged = np.zeros(x.shape, dtype=bool)
+        prev = None
+        for a in u:
+            q = a.p - x
+            idx = np.searchsorted(vp, q)
+            np.minimum(idx, len(vp) - 1, out=idx)
+            hit = vp[idx] == q
+            o[hit] += cmul(a.c.conjugate(), v.amps[idx[hit]])
+            if prev is not None:
+                merged |= prev == q
+            prev = q
+        for i in np.flatnonzero(merged):
+            o[i] = inner(apply_shift(float(x[i]), u), v)
     return out
 
 

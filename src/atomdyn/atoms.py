@@ -172,6 +172,45 @@ class AtomicVector:
 ZERO = AtomicVector()
 
 
+_LEAF = 1 << 13  # values that pairwise_sum adds as one array
+
+
+def pairwise_sum(n: int, chunks):
+    """np.add.reduce of n float64 or complex128 values, bit for bit, read in chunks.
+
+    chunks yields contiguous arrays, of any lengths and at least one, whose
+    concatenation is the n values; they are read as the sum needs them, so
+    the caller may produce them on demand.  numpy adds a contiguous array
+    pairwise: a run of m values splits after h = m//2 - (m//2) % 8 of them,
+    or for complex values after (m - m % 8)//2 (it counts doubles), and the
+    sums of the two parts add.  The tree is walked down to runs of at most
+    _LEAF values, which np.add.reduce sums as one array; a run that spans
+    chunks is copied into one.  A complex mean is this sum / n, as np.mean
+    divides.
+    """
+    chunks = iter(chunks)
+    head = next(chunks)
+    pair = head.dtype.kind == "c"
+
+    def take(m):
+        nonlocal head
+        parts = []
+        while len(head) < m:
+            parts.append(head)
+            m -= len(head)
+            head = next(chunks)
+        run, head = head[:m], head[m:]
+        return np.concatenate(parts + [run]) if parts else run
+
+    def node(m):
+        if m <= _LEAF:
+            return np.add.reduce(take(m))
+        h = (m - m % 8) // 2 if pair else m // 2 - m // 2 % 8
+        return node(h) + node(m - h)
+
+    return node(n)
+
+
 # The array arithmetic below rounds as the Python scalar rules do, which are
 # the reference: numpy's complex product may fuse multiply-adds, so products
 # go through ``cmul``; ``np.sum`` adds pairwise, so sums are running sums;

@@ -254,7 +254,7 @@ def expect_function(
         # a phase that overflows gives NaN values, which make the mean NaN
         with np.errstate(over="ignore", invalid="ignore"):
             ys -= x
-            est = McEstimate.of(f.at(ys, idx), ys if idx is None else None)
+            est = McEstimate.of(f.at(ys, idx), ys if idx is None else idx.view(np.float64))
         if not math.isfinite(abs(est.value)):
             raise _not_finite(d, f, x)
         return est
@@ -376,7 +376,7 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
                 vals = f.at(xs - x, idx)
                 vals *= w
                 g += vals
-        est = McEstimate.of(g, xs if idx is None else None)
+        est = McEstimate.of(g, xs if idx is None else idx.view(np.float64))
     if not math.isfinite(abs(est.value)):
         raise ValueError(f"<T_xi s, A> for A = {A!r} under {d!r} is not finite: a phase "
                          f"a (xi - q) overflows at a pair frequency q of {base!r}")

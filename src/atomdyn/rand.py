@@ -88,10 +88,11 @@ class Distribution(Record):
         """``size`` draws as atom indices, (locs, idx), or None for a law with a continuous part.
 
         ``locs[idx]`` is ``sample(gen, size)`` bit for bit, and both leave
-        ``gen`` in one state; locs is a fresh float array, the caller's.  A
-        Monte Carlo integrand then needs one value per location, gathered by
-        idx.  A law with a continuous part draws nothing here, so a caller
-        takes ``d.sample_atoms(gen, n) or (d.sample(gen, n), None)``.
+        ``gen`` in one state; locs is a fresh float array and idx a fresh
+        int64 array, both the caller's.  A Monte Carlo integrand then needs
+        one value per location, gathered by idx.  A law with a continuous
+        part draws nothing here, so a caller takes
+        ``d.sample_atoms(gen, n) or (d.sample(gen, n), None)``.
         """
         return None
 
@@ -266,7 +267,7 @@ class PointMass(Distribution):
         return np.exp(1j * (self.a * x))
 
     def sample_atoms(self, gen, size):
-        return np.array([self.a], dtype=float), np.zeros(size, dtype=np.intp)
+        return np.array([self.a], dtype=float), np.zeros(size, dtype=np.int64)
 
     mean = property(lambda self: self.a)
     variance = property(lambda self: 0.0)
@@ -299,8 +300,12 @@ class FiniteMixture(Distribution):
     def sample(self, gen, size):
         ws = np.array([w for w, _ in self.components])
         counts = gen.multinomial(size, ws / ws.sum())
-        parts = [d.sample(gen, k) for (_, d), k in zip(self.components, counts)]
-        out = np.concatenate(parts) if parts else np.empty(0)
+        # each component's draws go straight into one array, which is then
+        # shuffled: no second array of all the draws
+        out, k0 = np.empty(size), 0
+        for (_, d), k in zip(self.components, counts.tolist()):
+            out[k0:k0 + k] = d.sample(gen, k)
+            k0 += k
         gen.shuffle(out)
         return out
 
@@ -472,6 +477,8 @@ class McEstimate(NamedTuple):
 
         vals is centred in place, and the float array out, of the same
         length, takes the squared deviations (a new array when out is None).
+        A Monte Carlo caller passes the draws, or the drawn atom indices
+        viewed as float64, once it is done with them.
         """
         mean = complex(vals.mean())
         vals -= mean

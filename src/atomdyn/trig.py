@@ -9,8 +9,9 @@ That limit is the counting-measure inner product of the atoms, so the
 analytic routine is :func:`atomdyn.atoms.inner` and the Fourier
 identification is a relabeling.  The numeric routine evaluates the
 finite-window average by composite trapezoid quadrature, which converges
-at rate O(1/X), in blocks of nodes into one array of weights (trapezoid
-terms) whose bits are those of the full-array rule.
+at rate O(1/X), in blocks of nodes.  The trapezoid terms stream through
+numpy's pairwise summation tree as the blocks make them, so memory is
+O(block) at any node count and the bits are those of the full-array rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .atoms import AtomicVector, Record
+from .atoms import AtomicVector, Record, pairwise_sum
 
 
 def pointwise(u: AtomicVector, x: np.ndarray) -> np.ndarray:
@@ -52,11 +53,17 @@ class CesaroQuadratureConfig(Record):
         if not (math.isfinite(2.0 * window) and 2.0 * window / (steps - 1) >= sys.float_info.min):
             raise ValueError(f"window {window!r} on {steps!r} nodes: 2*window must be finite and "
                              f"the node spacing at least {sys.float_info.min!r}")
+        if steps > 2**53:
+            raise ValueError(f"steps must be at most 2**53, past which node indices are not "
+                             f"exact floats: {steps!r}")
 
 
 def default_steps(window: float, max_gap: float) -> int:
     """Node count resolving the fastest oscillation: >= 20 nodes per period."""
-    return max(64, math.ceil(40.0 * window * max_gap / (2.0 * math.pi)))
+    nodes = 40.0 * window * max_gap / (2.0 * math.pi)
+    if not math.isfinite(nodes):
+        raise ValueError(f"the node count for window {window!r} and gap {max_gap!r} is not finite")
+    return max(64, math.ceil(nodes))
 
 
 def auto_config(window: float, u: AtomicVector, v: AtomicVector) -> CesaroQuadratureConfig:
@@ -65,7 +72,7 @@ def auto_config(window: float, u: AtomicVector, v: AtomicVector) -> CesaroQuadra
     return CesaroQuadratureConfig(window, default_steps(window, max(max_gap, 1.0)))
 
 
-_BLOCK = 1 << 15  # trapezoid intervals per block of a window average
+_BLOCK = 1 << 13  # trapezoid intervals per block of a window average
 
 
 def _window_average(values, cfg: CesaroQuadratureConfig):
@@ -74,20 +81,22 @@ def _window_average(values, cfg: CesaroQuadratureConfig):
     The nodes are np.linspace(-X, X, steps) element for element (the config
     rules out its zero-step branch), and the terms and their one pairwise sum
     are np.trapezoid's, so the bits are the full-array rule's; values(x) sees
-    _BLOCK + 1 nodes at a time.
+    _BLOCK + 1 nodes at a time, and the sum takes each block's terms as it
+    reaches them.
     """
     X, n = float(cfg.window), cfg.steps
-    step, terms = 2.0 * X / (n - 1), None
-    for k0 in range(0, n - 1, _BLOCK):
+    step = 2.0 * X / (n - 1)
+
+    def block(k0):
+        """The trapezoid terms on nodes k0 .. k0 + _BLOCK (or the last node)."""
         k1 = min(k0 + _BLOCK, n - 1)
         x = np.arange(k0, k1 + 1) * step - X
         if k1 == n - 1:
             x[-1] = X
         f = values(x)
-        if terms is None:
-            terms = np.empty(n - 1, dtype=f.dtype)
-        terms[k0:k1] = (x[1:] - x[:-1]) * (f[1:] + f[:-1]) / 2.0
-    return terms.sum() / (2.0 * X)
+        return (x[1:] - x[:-1]) * (f[1:] + f[:-1]) / 2.0
+
+    return pairwise_sum(n - 1, map(block, range(0, n - 1, _BLOCK))) / (2.0 * X)
 
 
 def cesaro_inner_numeric(

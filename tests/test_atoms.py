@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomdyn.atoms import (
+    _LEAF,
     Atom,
     AtomicVector,
     add,
@@ -17,6 +18,7 @@ from atomdyn.atoms import (
     inner,
     make_vector,
     norm,
+    pairwise_sum,
     scale,
     serialize,
     unit_atom,
@@ -310,3 +312,40 @@ class TestArrayRules:
             v.amps[0] = 0j
         assert pickle.loads(pickle.dumps(v)) == v
         assert copy.deepcopy(v) == v
+
+
+def spread_values(n, dtype, seed):
+    """n values over many binades, so that every change of summation order shows."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal(n) * np.exp(gen.uniform(-20.0, 20.0, n))
+    if dtype is complex:
+        a = a + 1j * gen.standard_normal(n) * np.exp(gen.uniform(-20.0, 20.0, n))
+    return a
+
+
+TREE_CHANGED = "numpy changed its pairwise summation tree: pairwise_sum models numpy 2.4.6's"
+
+
+class TestPairwiseSum:
+    """pairwise_sum of a stream of chunks is np.add.reduce of their concatenation."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", list(range(1, 301)) + [
+        _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 8, 2 * _LEAF + 8, 636_619])
+    def test_matches_numpy_in_one_chunk_and_in_small_ones(self, n, dtype):
+        a = spread_values(n, dtype, n)
+        want = np.add.reduce(a)
+        for chunks in ([a], np.array_split(a, max(1, n // 97))):
+            got = pairwise_sum(n, chunks)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), TREE_CHANGED
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5 * _LEAF), st.sampled_from([float, complex]),
+           st.lists(st.floats(0.0, 1.0), max_size=6), st.integers(0, 2**32 - 1))
+    @example(n=2 * _LEAF + 8, dtype=complex, cuts=[0.5, 0.5], seed=0)  # an empty chunk
+    def test_any_chunks(self, n, dtype, cuts, seed):
+        a = spread_values(n, dtype, seed)
+        chunks = np.split(a, sorted(int(f * n) for f in cuts))
+        got = pairwise_sum(n, iter(chunks))
+        assert np.asarray(got).tobytes() == np.asarray(np.add.reduce(a)).tobytes(), TREE_CHANGED

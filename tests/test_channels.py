@@ -1,8 +1,12 @@
 import cmath
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -784,6 +788,38 @@ class TestExpectFunction:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             expect_function(Gaussian(1.0), wave(1.0), 0.0, method="simpson")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts the minor page faults that Linux reports")
+    @pytest.mark.parametrize("doc", [
+        {"kind": "gaussian", "D": 1.0}, {"kind": "uniform", "a": -1.0, "b": 1.0},
+        {"kind": "cauchy", "gamma": 1.0}, {"kind": "rademacher"},
+        {"kind": "pointmass", "a": 0.5}, MIXTURE.to_json(),
+    ], ids=["gaussian", "uniform", "cauchy", "rademacher", "pointmass", "mixture"])
+    def test_mc_reuses_its_memory(self, doc):
+        # a third array of n values, or the parts of a mixture's draws next to
+        # the draws, leave the allocator a top chunk that it hands back to the
+        # system after each call; each call then faults its pages in again
+        # (about 750 faults at n = 1e5)
+        code = f"""
+import resource
+import numpy as np
+from atomdyn.algebra import Multiplier
+from atomdyn.channels import expect_function
+from atomdyn.rand import distribution_from_json
+d, gen, faults = distribution_from_json({doc!r}), np.random.default_rng(0), []
+for _ in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    expect_function(d, Multiplier(1.0, 0.7), 0.3, "mc", 100_000, gen)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[3:]))
+"""
+        src = str(Path(channels.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert int(out.stdout) < 64
 
 
 class TestShiftConvolution:

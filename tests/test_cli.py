@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,24 @@ class TestWalkDecay:
         assert res.returncode == 0
         assert "discrete" in res.stderr.lower()
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "gaussian", "D": 1.0}, {"kind": "cauchy", "gamma": 1.0}, {"kind": "rademacher"},
+        {"kind": "mixture", "components": [
+            {"weight": 0.5, "distribution": {"kind": "rademacher"}},
+            {"weight": 0.5, "distribution": {"kind": "gaussian", "D": 1.0}}]},
+    ], ids=["gaussian", "cauchy", "rademacher", "mixture"])
+    def test_row_memory(self, doc):
+        """A row of 1e5 draws holds the draws (or atom indices) and the overlaps, and
+        no more full-length arrays (MB = 1e6 bytes)."""
+        from atomdyn.cli import run_walk_decay
+        tracemalloc.start()
+        try:
+            run_walk_decay({"distribution": doc, "N_list": [100_000]}, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
 
 class TestReportCells:
     @pytest.mark.parametrize("command,cfg", [
@@ -140,10 +159,11 @@ class TestExitCodes:
         ("chernoff", {"t": -1}),
         ("semigroup", {"t_list": [1e308]}),
         ("cesaro", {"delta_p": 1e308}),
+        ("cesaro", {"X_list": [1e290]}),
         ("verify", {"tolerances": {"bogus": 1.0}}),
     ], ids=["mixture-as-lists", "distribution-list", "n_list-string", "X-zero", "N-zero",
             "u-frequency-string", "uncentered-law", "t-negative", "t-sum-overflows",
-            "node-count-overflows", "unknown-tolerance"])
+            "node-count-overflows", "node-count-past-2**53", "unknown-tolerance"])
     def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -154,6 +174,8 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
         if cfg == {"t_list": [1e308]}:
             assert lines[0] == "error: family parameter must be non-negative and finite: inf"
+        if cfg == {"X_list": [1e290]}:
+            assert lines[0].startswith("error: steps must be at most 2**53")
 
     @pytest.mark.parametrize("command,cfg", [
         ("chernoff", {"t": "abc"}),

@@ -35,6 +35,31 @@ CASES = {
         "v": {"atoms": [{"p": 0.0, "re": 0.8, "im": 0.0},
                         {"p": 2.0, "re": 0.6, "im": 0.0}]},
     }),
+    # sums of up to 100,003 terms, which stream through numpy's pairwise tree
+    "walk-decay-cauchy": ("walk-decay", 6, {
+        "distribution": {"kind": "cauchy", "gamma": 1.0},
+        "N_list": [100, 10000, 100000],
+        "probe_p": 0.7,
+    }),
+    "walk-decay-mixture": ("walk-decay", 7, {
+        "distribution": {"kind": "mixture", "components": [
+            {"weight": 0.5, "distribution": {"kind": "rademacher"}},
+            {"weight": 0.5, "distribution": {"kind": "gaussian", "D": 1.0}}]},
+        "N_list": [1000, 20000, 65537],
+        "u": {"atoms": [{"p": 0.0, "re": 0.6, "im": 0.0},
+                        {"p": 1.0, "re": 0.0, "im": 0.8}]},
+        "v": {"atoms": [{"p": 0.0, "re": 0.8, "im": 0.0},
+                        {"p": 2.0, "re": 0.6, "im": 0.0}]},
+    }),
+    "walk-decay-rademacher-large": ("walk-decay", 8, {
+        "distribution": {"kind": "rademacher"},
+        "N_list": [16384, 50000, 100003],
+        "probe_p": 1.3,
+        "u": {"atoms": [{"p": 0.0, "re": 0.6, "im": 0.0},
+                        {"p": 1.0, "re": 0.0, "im": 0.8}]},
+        "v": {"atoms": [{"p": 0.0, "re": 0.8, "im": 0.0},
+                        {"p": 2.0, "re": 0.6, "im": 0.0}]},
+    }),
 }
 
 

@@ -85,6 +85,23 @@ class TestNumericInner:
                 CesaroQuadratureConfig(window, steps)
         assert CesaroQuadratureConfig(10.0, np.int64(64)).steps == 64
         assert CesaroQuadratureConfig(sys.float_info.max / 2, 2).window == sys.float_info.max / 2
+        # past 2**53 nodes the node indices are not exact floats
+        for steps in (2**53 + 1, np.int64(2**62)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "steps must be at most 2**53, past which node indices are not exact "
+                    f"floats: {steps!r}")):
+                CesaroQuadratureConfig(1.0, steps)
+        assert CesaroQuadratureConfig(1.0, 2**53).steps == 2**53
+        # a node count that is not finite names the window and the gap
+        for window, gap in ((1e308, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the node count for window {window!r} and gap {gap!r} is not finite")):
+                default_steps(window, gap)
+        with pytest.raises(ValueError, match=re.escape(
+                "the node count for window inf and gap 1.0 is not finite")):
+            auto_config(math.inf, unit_atom(0.0), unit_atom(0.5))
+        with pytest.raises(ValueError, match=re.escape("steps must be at most 2**53")):
+            auto_config(1e290, unit_atom(0.0), unit_atom(0.5))
 
     def test_default_steps_resolves_oscillation(self):
         assert default_steps(100.0, 2.0) >= 40 * 100 * 2 / (2 * math.pi) - 1
@@ -215,6 +232,23 @@ class TestBlockedWindowAverage:
 @pytest.mark.parametrize("name, limit_mb", [("cesaro", 16.0), ("gap", 8.0)])
 def test_window_average_peak_memory(name, limit_mb):
     """At X = 1e5 (636,620 nodes) the only full-length array is the terms' (MB = 1e6 bytes)."""
+    u, v = unit_atom(0.0), unit_atom(0.83)
+    cfg = auto_config(1e5, u, v)
+    call = {"cesaro": lambda: cesaro_inner_numeric(u, v, cfg),
+            "gap": lambda: modulation_gap_numeric(0.83, 0.0, cfg)}[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.steps == 636_620
+    assert peak < limit_mb * 1e6
+
+
+@pytest.mark.parametrize("name, limit_mb", [("cesaro", 3.0), ("gap", 2.0)])
+def test_window_average_memory_is_a_few_blocks(name, limit_mb):
+    """At X = 1e5 (636,620 nodes) no array of all the terms is made (MB = 1e6 bytes)."""
     u, v = unit_atom(0.0), unit_atom(0.83)
     cfg = auto_config(1e5, u, v)
     call = {"cesaro": lambda: cesaro_inner_numeric(u, v, cfg),
