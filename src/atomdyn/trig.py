@@ -61,8 +61,9 @@ class CesaroQuadratureConfig(Record):
 def default_steps(window: float, max_gap: float) -> int:
     """Node count resolving the fastest oscillation: >= 20 nodes per period."""
     nodes = 40.0 * window * max_gap / (2.0 * math.pi)
-    if not math.isfinite(nodes):
-        raise ValueError(f"the node count for window {window!r} and gap {max_gap!r} is not finite")
+    if not nodes <= 2**53:
+        raise ValueError(f"the node count {nodes:.4g} for window {window!r} and gap {max_gap!r} "
+                         "is not a number up to 2**53")
     return max(64, math.ceil(nodes))
 
 

@@ -175,7 +175,8 @@ class TestExitCodes:
         if cfg == {"t_list": [1e308]}:
             assert lines[0] == "error: family parameter must be non-negative and finite: inf"
         if cfg == {"X_list": [1e290]}:
-            assert lines[0].startswith("error: steps must be at most 2**53")
+            assert lines[0] == ("error: the node count 6.366e+290 for window 1e+290 and gap 1.0 "
+                                "is not a number up to 2**53")
 
     @pytest.mark.parametrize("command,cfg", [
         ("chernoff", {"t": "abc"}),

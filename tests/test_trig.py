@@ -92,16 +92,18 @@ class TestNumericInner:
                     f"floats: {steps!r}")):
                 CesaroQuadratureConfig(1.0, steps)
         assert CesaroQuadratureConfig(1.0, 2**53).steps == 2**53
-        # a node count that is not finite names the window and the gap
-        for window, gap in ((1e308, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        # a node count that is not finite, or past 2**53, names the window and the gap
+        for window, gap, nodes in ((1e308, 1.0, "inf"), (math.inf, 1.0, "inf"),
+                                   (math.nan, 1.0, "nan"), (1.0, math.inf, "inf"),
+                                   (1e290, 1.0, "6.366e+290")):
             with pytest.raises(ValueError, match=re.escape(
-                    f"the node count for window {window!r} and gap {gap!r} is not finite")):
+                    f"the node count {nodes} for window {window!r} and gap {gap!r} "
+                    "is not a number up to 2**53")):
                 default_steps(window, gap)
         with pytest.raises(ValueError, match=re.escape(
-                "the node count for window inf and gap 1.0 is not finite")):
+                "the node count inf for window inf and gap 1.0 is not a number up to 2**53")):
             auto_config(math.inf, unit_atom(0.0), unit_atom(0.5))
-        with pytest.raises(ValueError, match=re.escape("steps must be at most 2**53")):
-            auto_config(1e290, unit_atom(0.0), unit_atom(0.5))
+        assert default_steps(2**53 * math.pi / 20, 1.0) == 2**53
 
     def test_default_steps_resolves_oscillation(self):
         assert default_steps(100.0, 2.0) >= 40 * 100 * 2 / (2 * math.pi) - 1
