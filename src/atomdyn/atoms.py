@@ -181,12 +181,12 @@ def pairwise_sum(n: int, chunks):
     chunks yields contiguous arrays, of any lengths and at least one, whose
     concatenation is the n values; they are read as the sum needs them, so
     the caller may produce them on demand.  numpy adds a contiguous array
-    pairwise: a run of m values splits after h = m//2 - (m//2) % 8 of them,
-    or for complex values after (m - m % 8)//2 (it counts doubles), and the
-    sums of the two parts add.  The tree is walked down to runs of at most
-    _LEAF values, which np.add.reduce sums as one array; a run that spans
-    chunks is copied into one.  A complex mean is this sum / n, as np.mean
-    divides.
+    pairwise: a run of m values above 128 doubles splits after
+    h = m//2 - (m//2) % 8 of them, or for complex values after
+    (m - m % 8)//2 (it counts doubles), and the sums of the two parts add.
+    The tree is walked down to runs of at most _LEAF values, which
+    np.add.reduce sums as one array; a run that spans chunks is copied into
+    one.  A complex mean is this sum / n, as np.mean divides.
     """
     chunks = iter(chunks)
     head = next(chunks)
