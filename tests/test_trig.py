@@ -183,7 +183,10 @@ def complex_hex(z):
 
 
 B = _BLOCK
-NODE_COUNTS = [2, 3, 64, B - 1, B, B + 1, 2 * B + 1, 3 * B - 5, 636_620]
+# the edges of 2**15-interval blocks as well: the bits may not depend on the block size
+W = 1 << 15
+NODE_COUNTS = sorted({2, 3, 64, B - 1, B, B + 1, 2 * B + 1, 3 * B - 5,
+                      W - 1, W, W + 1, 2 * W + 1, 3 * W - 5, 636_620})
 
 
 class TestBlockedWindowAverage:
@@ -196,15 +199,17 @@ class TestBlockedWindowAverage:
         assert complex_hex(cesaro_inner_numeric(u, v, cfg)) == complex_hex(plain_cesaro(u, v, cfg))
         assert modulation_gap_numeric(0.7, 0.0, cfg).hex() == plain_gap(0.7, cfg).hex()
 
-    @pytest.mark.parametrize("n", [16_384, B + 1, 2 * B + 1, 3 * B - 5])
+    @pytest.mark.parametrize("n", sorted({16_384, B + 1, 2 * B + 1, 3 * B - 5,
+                                               W + 1, 2 * W + 1, 3 * W - 5}))
     def test_complex_amplitudes_match_from_16384_nodes(self, n):
         cfg = CesaroQuadratureConfig(250.0, n)
         u = make_vector([(0.5, 0.6 + 0.8j), (1.5, -0.3 + 0.1j)])
         v = make_vector([(-0.7, 0.3 - 2j), (0.5, 1.0)])
         assert complex_hex(cesaro_inner_numeric(u, v, cfg)) == complex_hex(plain_cesaro(u, v, cfg))
 
-    @pytest.mark.parametrize("window, n", [(1e3, 2), (1e3, B + 1), (0.37, 3 * B - 5),
-                                           (1e5, 636_620)])
+    @pytest.mark.parametrize("window, n", sorted({(1e3, 2), (1e3, B + 1), (0.37, 3 * B - 5),
+                                                  (1e3, W + 1), (0.37, 3 * W - 5),
+                                                  (1e5, 636_620)}))
     def test_block_nodes_are_linspace_nodes(self, window, n):
         blocks = []
 
