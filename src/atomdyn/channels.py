@@ -622,15 +622,9 @@ def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
 
 
 def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:
-    """The Schur multiplier matrix chi(p_j - p_k) on a frequency support.
-
-    chi is taken once, on the array of distinct differences: a support of m
-    points drawn from an evenly spaced grid of K points needs at most
-    2K - 1 values, not m^2.
-    """
+    """The Schur multiplier matrix chi(p_j - p_k) on a frequency support."""
     p = np.array(support, dtype=float)
-    diffs, where = np.unique((p[:, None] - p[None, :]).ravel(), return_inverse=True)
-    return d.chi(diffs)[where].reshape(len(p), len(p))
+    return d.chi(p[:, None] - p[None, :])
 
 
 # ---------------------------------------------------------------------------

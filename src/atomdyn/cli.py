@@ -376,7 +376,7 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 
 def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
-    from .atoms import _LEAF, deserialize, pairwise_sum, unit_atom
+    from .atoms import deserialize, pairwise_sum, unit_atom
     from .algebra import shift_overlaps
     from .rand import McEstimate, SeededRng
     d = _load_distribution(config, {"kind": "gaussian", "D": 1.0})
@@ -398,13 +398,15 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
         gen = rng.stream(i)
         xs, idx = d.sample_atoms(gen, n) or (d.sample(gen, n), None)
         overlaps = shift_overlaps(u, v, xs)
-        runs = range(0, n, _LEAF)
         if idx is None:
-            phases = (np.exp(1j * probe_p * xs[k:k + _LEAF]) for k in runs)
+            def phases(k0, k1):
+                return np.exp(1j * probe_p * xs[k0:k1])
         else:  # one value per atom, gathered into draw order
             at_atoms = np.exp(1j * probe_p * xs)
             overlaps = overlaps[idx]
-            phases = (at_atoms[idx[k:k + _LEAF]] for k in runs)
+
+            def phases(k0, k1):
+                return at_atoms[idx[k0:k1]]
         mod_err = abs(complex(pairwise_sum(n, phases) / n) - d.chi(probe_p))
         # the draws (or atom indices) are done with: their array takes the
         # squared deviations

@@ -9,9 +9,9 @@ That limit is the counting-measure inner product of the atoms, so the
 analytic routine is :func:`atomdyn.atoms.inner` and the Fourier
 identification is a relabeling.  The numeric routine evaluates the
 finite-window average by composite trapezoid quadrature, which converges
-at rate O(1/X), in blocks of nodes.  The trapezoid terms stream through
-numpy's pairwise summation tree as the blocks make them, so memory is
-O(block) at any node count and the bits are those of the full-array rule.
+at rate O(1/X).  numpy's pairwise summation tree pulls the trapezoid terms
+one run of nodes at a time, so memory is O(run) at any node count and the
+bits are those of the full-array rule.
 """
 
 from __future__ import annotations
@@ -73,31 +73,26 @@ def auto_config(window: float, u: AtomicVector, v: AtomicVector) -> CesaroQuadra
     return CesaroQuadratureConfig(window, default_steps(window, max(max_gap, 1.0)))
 
 
-_BLOCK = 1 << 13  # trapezoid intervals per block of a window average
-
-
 def _window_average(values, cfg: CesaroQuadratureConfig):
     """(1/2X) int_{-X}^{X} values(x) dx by the trapezoid rule on cfg.steps nodes.
 
     The nodes are np.linspace(-X, X, steps) element for element (the config
     rules out its zero-step branch), and the terms and their one pairwise sum
-    are np.trapezoid's, so the bits are the full-array rule's; values(x) sees
-    _BLOCK + 1 nodes at a time, and the sum takes each block's terms as it
-    reaches them.
+    are np.trapezoid's, so the bits are the full-array rule's; the sum pulls
+    the terms in runs, and values(x) sees the nodes of one run at a time.
     """
     X, n = float(cfg.window), cfg.steps
     step = 2.0 * X / (n - 1)
 
-    def block(k0):
-        """The trapezoid terms on nodes k0 .. k0 + _BLOCK (or the last node)."""
-        k1 = min(k0 + _BLOCK, n - 1)
+    def terms(k0, k1):
+        """The trapezoid terms k0 .. k1 - 1, on nodes k0 .. k1."""
         x = np.arange(k0, k1 + 1) * step - X
         if k1 == n - 1:
             x[-1] = X
         f = values(x)
         return (x[1:] - x[:-1]) * (f[1:] + f[:-1]) / 2.0
 
-    return pairwise_sum(n - 1, map(block, range(0, n - 1, _BLOCK))) / (2.0 * X)
+    return pairwise_sum(n - 1, terms) / (2.0 * X)
 
 
 def cesaro_inner_numeric(

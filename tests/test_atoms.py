@@ -326,8 +326,32 @@ def spread_values(n, dtype, seed):
 TREE_CHANGED = "numpy changed its pairwise summation tree: pairwise_sum models numpy 2.4.6's"
 
 
+def pulled(a):
+    """values(k0, k1) = a[k0:k1] for pairwise_sum, and the list of runs it is asked for."""
+    runs = []
+
+    def values(k0, k1):
+        runs.append((k0, k1))
+        return a[k0:k1]
+
+    return values, runs
+
+
+def assert_runs_tile(runs, n):
+    """After the dtype probe (0, 1), the runs tile [0, n) in order, none above _LEAF."""
+    assert runs[0] == (0, 1)
+    runs = runs[1:]
+    assert [k0 for k0, _ in runs] == [0] + [k1 for _, k1 in runs[:-1]]
+    assert runs[-1][1] == n
+    assert all(0 < k1 - k0 <= _LEAF for k0, k1 in runs)
+
+
 class TestPairwiseSum:
-    """pairwise_sum of a stream of chunks is np.add.reduce of their concatenation."""
+    """pairwise_sum of values pulled in runs is np.add.reduce of the whole array.
+
+    The test names date from a chunked interface; each now pulls the values
+    in runs and checks that the runs tile [0, n).
+    """
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", list(range(1, 301)) + [
@@ -335,17 +359,18 @@ class TestPairwiseSum:
     def test_matches_numpy_in_one_chunk_and_in_small_ones(self, n, dtype):
         a = spread_values(n, dtype, n)
         want = np.add.reduce(a)
-        for chunks in ([a], np.array_split(a, max(1, n // 97))):
-            got = pairwise_sum(n, chunks)
-            assert type(got) is type(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), TREE_CHANGED
+        values, runs = pulled(a)
+        got = pairwise_sum(n, values)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), TREE_CHANGED
+        assert_runs_tile(runs, n)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5 * _LEAF), st.sampled_from([float, complex]),
-           st.lists(st.floats(0.0, 1.0), max_size=6), st.integers(0, 2**32 - 1))
-    @example(n=2 * _LEAF + 8, dtype=complex, cuts=[0.5, 0.5], seed=0)  # an empty chunk
-    def test_any_chunks(self, n, dtype, cuts, seed):
+    @given(st.integers(1, 5 * _LEAF), st.sampled_from([float, complex]), st.integers(0, 2**32 - 1))
+    @example(n=2 * _LEAF + 8, dtype=complex, seed=0)
+    def test_any_chunks(self, n, dtype, seed):
         a = spread_values(n, dtype, seed)
-        chunks = np.split(a, sorted(int(f * n) for f in cuts))
-        got = pairwise_sum(n, iter(chunks))
+        values, runs = pulled(a)
+        got = pairwise_sum(n, values)
         assert np.asarray(got).tobytes() == np.asarray(np.add.reduce(a)).tobytes(), TREE_CHANGED
+        assert_runs_tile(runs, n)

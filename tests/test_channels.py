@@ -1241,6 +1241,20 @@ class TestYosidaHewitt:
             direct = 0.4 * evaluate(normal, A) + 0.6 * evaluate(avg, A)
             assert abs(evaluate(split, A) - direct) <= 1e-12
 
+    def test_several_averaged_states_keep_the_tuple(self):
+        # no state type holds several averaged states: the singular part is
+        # the tuple of pairs, which the split evaluates and evaluate rejects
+        s = PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)]))
+        g, c = averaged_T(Gaussian(1.0), s), averaged_T(Cauchy(1.0), s)
+        split = yosida_hewitt_split([(0.5, g), (0.5, c)])
+        assert split.normal_weight == 0.0 and split.normal_part is None
+        assert split.singular_part == ((0.5, g), (0.5, c))
+        A = AlgebraElement.mult(indicator(-0.5, 1.5))
+        assert evaluate(split, A) == 0.3660730309828851
+        assert evaluate(split, A) == 0.5 * evaluate(g, A) + 0.5 * evaluate(c, A)
+        with pytest.raises(TypeError, match="^not a state: "):
+            evaluate(split.singular_part, A)
+
     def test_invalid_weights(self):
         with pytest.raises(ValueError, match="weights must sum to 1, got 0.5"):
             yosida_hewitt_split([(0.5, PureState(unit_atom(0.0)))])

@@ -58,6 +58,19 @@ class TestChernoff:
         errs = [row["sup_error"] for row in data["rows"]]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_law_from_a_file_gives_the_inline_rows(self, tmp_path):
+        law = {"kind": "uniform", "a": -1.0, "b": 1.0}
+        law_path = tmp_path / "law.json"
+        law_path.write_text(json.dumps(law))
+        out, cfg = tmp_path / "c.json", tmp_path / "cfg.json"
+        rows = []
+        for doc in (law, str(law_path)):
+            cfg.write_text(json.dumps({"distribution": doc, "n_list": [10, 20]}))
+            assert main(["chernoff", "--seed", "1", "--config", str(cfg),
+                         "--out", str(out), "--format", "json"]) == 0
+            rows.append(json.loads(out.read_text())["rows"])
+        assert rows[0] == rows[1]
+
     def test_infinite_variance_law_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"distribution": {"kind": "cauchy", "gamma": 1.0}}))
@@ -195,6 +208,20 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg_path)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_missing_law_file_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "no-law.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"distribution": str(missing)}))
+        assert main(["chernoff", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("error: bad distribution document: [Errno 2] "
+                                           f"No such file or directory: {str(missing)!r}\n")
+
+    def test_config_array_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["chernoff", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
     def test_bad_env_seed_is_one_error_line(self, monkeypatch, capsys):
         monkeypatch.setenv("ATOMDYN_SEED", "abc")

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atomdyn.atoms import inner, make_vector, unit_atom
+from atomdyn.atoms import _LEAF, inner, make_vector, unit_atom
 from atomdyn.trig import (
-    _BLOCK,
     CesaroQuadratureConfig,
     _window_average,
     auto_config,
@@ -182,8 +181,8 @@ def complex_hex(z):
     return z.real.hex(), z.imag.hex()
 
 
-B = _BLOCK
-# the edges of 2**15-interval blocks as well: the bits may not depend on the block size
+B = _LEAF
+# the edges of 2**15-interval blocks as well: the bits may not depend on the run size
 W = 1 << 15
 NODE_COUNTS = sorted({2, 3, 64, B - 1, B, B + 1, 2 * B + 1, 3 * B - 5,
                       W - 1, W, W + 1, 2 * W + 1, 3 * W - 5, 636_620})
@@ -211,16 +210,21 @@ class TestBlockedWindowAverage:
                                                   (1e3, W + 1), (0.37, 3 * W - 5),
                                                   (1e5, 636_620)}))
     def test_block_nodes_are_linspace_nodes(self, window, n):
-        blocks = []
+        calls = []
 
         def values(x):
-            blocks.append(x.copy())
+            calls.append(x.copy())
             return np.zeros(len(x))
 
         _window_average(values, CesaroQuadratureConfig(window, n))
-        nodes = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
-        assert [len(b) for b in blocks[:-1]] == [B + 1] * (len(blocks) - 1)
-        assert nodes.tobytes() == np.linspace(-window, window, n).tobytes()
+        nodes = np.linspace(-window, window, n)
+        assert calls[0].tobytes() == nodes[:2].tobytes()  # the dtype probe
+        k0 = 0
+        for x in calls[1:]:
+            assert 2 <= len(x) <= _LEAF + 1
+            assert x.tobytes() == nodes[k0:k0 + len(x)].tobytes()
+            k0 += len(x) - 1
+        assert k0 == n - 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40_000),
@@ -238,7 +242,10 @@ class TestBlockedWindowAverage:
 
 @pytest.mark.parametrize("name, limit_mb", [("cesaro", 16.0), ("gap", 8.0)])
 def test_window_average_peak_memory(name, limit_mb):
-    """At X = 1e5 (636,620 nodes) the only full-length array is the terms' (MB = 1e6 bytes)."""
+    """At X = 1e5 (636,620 nodes) the peak is below 1.6 full-length arrays of trapezoid terms.
+
+    One such array is 10.2 MB complex (cesaro) or 5.1 MB real (the gap); MB = 1e6 bytes.
+    """
     u, v = unit_atom(0.0), unit_atom(0.83)
     cfg = auto_config(1e5, u, v)
     call = {"cesaro": lambda: cesaro_inner_numeric(u, v, cfg),
