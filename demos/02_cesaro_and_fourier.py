@@ -2,35 +2,45 @@
 
 Finite sums of harmonics e^{ipx} are not square-integrable on the line,
 but the window average (1/2X) * integral over [-X, X] of conj(u) * v has a
-limit as X grows: 1 when the frequencies match, 0 otherwise.  Numerically
-the average converges at rate O(1/X).  The same pairing is computed two
-ways here — a trapezoid quadrature over a finite window and the exact
-Kronecker rule — and the gap is tracked as the window widens.
+limit as X grows: 1 when the frequencies match, 0 otherwise.  For two
+harmonics dp apart the average is exactly sin(dp X) / (dp X) (Bohr's mean
+value), so it converges at rate O(1/X).  The same pairing is computed three
+ways here -- the closed form over a finite window, a trapezoid quadrature of
+the same window, and the exact Kronecker rule of the limit -- and the gap is
+tracked as the window widens.
 """
 
 import numpy as np
 
 from atomdyn import (
-    auto_config,
-    cesaro_inner_numeric,
+    cesaro_inner,
     inner,
     make_vector,
     modulation_gap_exact,
-    modulation_gap_numeric,
     unit_atom,
 )
+
+
+def trapezoid(f, X):
+    """(1/2X) int_{-X}^{X} f dx on 20 nodes per period of e^{ix}."""
+    x = np.linspace(-X, X, int(np.ceil(20 * X / np.pi)))
+    return np.trapezoid(f(x), x) / (2.0 * X)
+
 
 u = unit_atom(0.0)      # the constant function 1
 v = unit_atom(1.0)      # e^{ix}
 
+# The trapezoid sum of e^{ix} on nodes h apart is sinc(X) (h/2) cot(h/2):
+# at 20 nodes per period it lies 0.8 % below the closed form at every X.
 print("window averages of <1, e^{ix}> (exact limit is 0):")
-print(f"{'X':>10} {'numeric':>14} {'2/(dp*X) bound':>16}")
+print(f"{'X':>10} {'closed form':>14} {'trapezoid':>14} {'2/(dp*X) bound':>16}")
 for X in (1e2, 1e3, 1e4):
-    num = cesaro_inner_numeric(u, v, auto_config(X, u, v))
-    print(f"{X:>10.0e} {abs(num):>14.3e} {2.0 / X:>16.3e}")
+    closed = cesaro_inner(u, v, X)
+    trap = trapezoid(lambda x: np.exp(1j * x), X)
+    print(f"{X:>10.0e} {abs(closed):>14.3e} {abs(trap):>14.3e} {2.0 / X:>16.3e}")
 
 # Matching frequencies give 1 regardless of the window.
-same = cesaro_inner_numeric(v, v, auto_config(1e3, v, v))
+same = cesaro_inner(v, v, 1e3)
 print(f"\n<e^ix, e^ix> over X=1e3: {same.real:.6f} (limit 1)")
 
 # The limit pairing is the Kronecker rule: the harmonic at p meets only the
@@ -54,7 +64,6 @@ print(f"\nisometry check: inner {lhs} == Kronecker rule {rhs} -> {lhs == rhs}")
 s = 1.0
 print("\nmodulation gap ||f_p - e^{isx} f_p||^2 under the window average:")
 for X in (1e1, 1e2, 1e3):
-    cfg = auto_config(X, unit_atom(0.0), unit_atom(s))
-    numeric = modulation_gap_numeric(s, 0.0, cfg)
+    trap = trapezoid(lambda x: np.abs(np.exp(1j * s * x) - 1.0) ** 2, X)
     exact = modulation_gap_exact(s, X)
-    print(f"  X = {X:>6.0e}: numeric {numeric:.6f}, antiderivative {exact:.6f}")
+    print(f"  X = {X:>6.0e}: closed form {exact:.6f}, trapezoid {trap:.6f}")

@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "atoms": "AtomicVector make_vector unit_atom inner norm add scale apply_mod",
-    "trig": "CesaroQuadratureConfig cesaro_inner_numeric auto_config default_steps "
-            "modulation_gap_numeric modulation_gap_exact",
+    "trig": "cesaro_inner modulation_gap_exact",
     "algebra": "AlgebraElement Multiplier apply_shift shift_overlaps apply_element compose "
                "adjoint weyl_residual generator_apply indicator constant",
     "rand": "Distribution Gaussian Cauchy Rademacher Uniform PointMass FiniteMixture "

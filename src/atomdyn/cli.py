@@ -345,8 +345,7 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     from .atoms import inner, unit_atom
-    from .trig import (CesaroQuadratureConfig, auto_config, cesaro_inner_numeric,
-                       modulation_gap_numeric)
+    from .trig import cesaro_inner, modulation_gap_exact
     dp = _number(config.get("delta_p", 1.0), "delta_p")
     x_list = _number_list(config, "X_list", [1e2, 1e3, 1e4], float, "positive")
     gap_s = _number(config.get("gap_s", 1.0), "gap_s")
@@ -355,17 +354,8 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     kron = inner(u, v)
 
     def point(X: float) -> dict:
-        # both trapezoid node counts grow like X times a frequency gap
-        if not math.isfinite(40.0 * X * max(abs(dp), abs(gap_s), 1.0)):
-            raise ValueError(f"the trapezoid node count for X = {X!r}, delta_p = {dp!r} "
-                             f"and gap_s = {gap_s!r} is not finite")
-        cfg = auto_config(X, u, v)
-        num = cesaro_inner_numeric(u, v, cfg)
-        gap_cfg = CesaroQuadratureConfig(
-            X, max(cfg.steps, int(40 * X * abs(gap_s) / (2 * math.pi)) + 1)
-        )
-        gap = modulation_gap_numeric(gap_s, 0.0, gap_cfg)
-        return {"X": X, "abs_error": abs(num - kron), "mod_gap": gap}
+        return {"X": X, "abs_error": abs(cesaro_inner(u, v, X) - kron),
+                "mod_gap": modulation_gap_exact(gap_s, X)}
 
     rows = [point(X) for X in x_list]
     return ["X", "abs_error", "mod_gap"], rows, 0

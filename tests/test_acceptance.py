@@ -14,7 +14,7 @@ import numpy as np
 
 from atomdyn.atoms import inner, make_vector, norm, unit_atom
 from atomdyn.algebra import AlgebraElement, indicator, weyl_residual
-from atomdyn.trig import auto_config, cesaro_inner_numeric
+from atomdyn.trig import cesaro_inner
 from atomdyn.rand import (
     Cauchy,
     ConvolutionFamily,
@@ -91,14 +91,13 @@ def test_03_cesaro_quadrature():
     u, v = unit_atom(0.0), unit_atom(1.0)
     errors = {}
     for X in (1e2, 1e3, 1e4):
-        num = cesaro_inner_numeric(u, v, auto_config(X, u, v))
-        errors[X] = abs(num - inner(u, v))
+        errors[X] = abs(cesaro_inner(u, v, X) - inner(u, v))
     xs = np.log10(1.0 / np.array(sorted(errors)))
     ys = np.log10([errors[X] for X in sorted(errors)])
     order = float(np.polyfit(xs, ys, 1)[0])
     ok = errors[1e4] <= 2e-4 and order >= 0.9
     report(
-        "cesaro quadrature: error <= 2e-4 at X=1e4, order >= 0.9 in 1/X",
+        "cesaro average: error <= 2e-4 at X=1e4, order >= 0.9 in 1/X",
         ok,
         f"err(1e4)={errors[1e4]:.2e}, order {order:.2f}",
     )

@@ -1,8 +1,10 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -90,6 +92,17 @@ class TestCesaro:
         assert rows[0]["abs_error"] > rows[1]["abs_error"]
         assert all("mod_gap" in r for r in rows)
 
+    @pytest.mark.parametrize("X", [1e12, 1e290])
+    def test_any_window_is_the_closed_form_at_once(self, tmp_path, X):
+        out = tmp_path / "c.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"X_list": [X]}))
+        started = time.monotonic()
+        assert main(["cesaro", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+        assert time.monotonic() - started < 1.0
+        assert json.loads(out.read_text())["rows"] == [{
+            "X": X, "abs_error": abs(math.sin(X) / X), "mod_gap": 2.0 - 2.0 * math.sin(X) / X}]
+
 
 class TestWalkDecay:
     def test_discrete_law_warns(self, tmp_path):
@@ -172,11 +185,10 @@ class TestExitCodes:
         ("chernoff", {"t": -1}),
         ("semigroup", {"t_list": [1e308]}),
         ("cesaro", {"delta_p": 1e308}),
-        ("cesaro", {"X_list": [1e290]}),
         ("verify", {"tolerances": {"bogus": 1.0}}),
     ], ids=["mixture-as-lists", "distribution-list", "n_list-string", "X-zero", "N-zero",
             "u-frequency-string", "uncentered-law", "t-negative", "t-sum-overflows",
-            "node-count-overflows", "node-count-past-2**53", "unknown-tolerance"])
+            "phase-overflows", "unknown-tolerance"])
     def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -187,9 +199,9 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
         if cfg == {"t_list": [1e308]}:
             assert lines[0] == "error: family parameter must be non-negative and finite: inf"
-        if cfg == {"X_list": [1e290]}:
-            assert lines[0] == ("error: the node count 6.366e+290 for window 1e+290 and gap 1.0 "
-                                "is not a number up to 2**53")
+        if cfg == {"delta_p": 1e308}:
+            assert lines[0] == ("error: the phase gap * window is not finite for window 100.0 "
+                                "and gap 1e+308")
 
     @pytest.mark.parametrize("command,cfg", [
         ("chernoff", {"t": "abc"}),

@@ -2,7 +2,9 @@
 
 ``tests/golden/demos/<name>.txt`` holds the stdout of ``demos/<name>.py``,
 compared byte for byte; like the reports under ``tests/golden/``, it pins
-this toolchain.  Regenerate with ``PYTHONPATH=src python tests/test_demos.py``.
+this toolchain.  Regenerate the named demos with ``PYTHONPATH=src python
+tests/test_demos.py [stem ...]`` (``02_cesaro_and_fourier``), and every demo
+when no stem is given.
 """
 
 import subprocess
@@ -34,8 +36,13 @@ def test_demo_runs(demo):
 
 
 if __name__ == "__main__":
+    by_stem = {demo.stem: demo for demo in DEMOS}
+    stems = sys.argv[1:] or list(by_stem)
+    unknown = sorted(set(stems) - set(by_stem))
+    if unknown:
+        sys.exit(f"unknown demos {unknown}, not among {list(by_stem)}")
     GOLDEN.mkdir(exist_ok=True)
-    for demo in DEMOS:
-        res = _run(demo)
+    for stem in stems:
+        res = _run(by_stem[stem])
         res.check_returncode()
-        (GOLDEN / f"{demo.stem}.txt").write_bytes(res.stdout)
+        (GOLDEN / f"{stem}.txt").write_bytes(res.stdout)

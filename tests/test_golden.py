@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` pin this toolchain (numpy 2.4.6): a
 change of numpy can move the last digit of a float, so a toolchain change
 regenerates them on purpose, with a note in ``CHANGES.md``.  Regenerate
-with ``PYTHONPATH=src python tests/test_golden.py``.
+the named cases with ``PYTHONPATH=src python tests/test_golden.py [name ...]``,
+and every case when no name is given.
 """
 
 import json
@@ -24,7 +25,7 @@ CASES = {
     "dephase-gaussian": ("dephase", 3, {"family": "gaussian"}),
     "dephase-cauchy": ("dephase", 3, {"family": "cauchy"}),
     "cesaro": ("cesaro", 2, {"X_list": [10.0, 50.0]}),
-    # 63,662 and 190,986 trapezoid nodes: several blocks of the window average
+    # large windows, and a gap and a step other than 1
     "cesaro-blocks": ("cesaro", 4, {"X_list": [1e4, 3e4], "delta_p": 0.9, "gap_s": 0.7}),
     "walk-decay-gaussian": ("walk-decay", 3, {}),
     "walk-decay-rademacher": ("walk-decay", 5, {
@@ -81,11 +82,16 @@ def test_report_matches_golden(tmp_path, name, fmt, workers):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases {unknown}, not among {sorted(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in names:
             for fmt in ("csv", "json"):
                 (GOLDEN / f"{name}.{fmt}").write_bytes(
                     _report(pathlib.Path(tmp), name, fmt, 1))

@@ -334,13 +334,12 @@ def test_simple_laws_share_one_to_json():
         assert distribution_from_json(doc) == law
 
 
-# the package's public names as of version 0.1.0, by the module that first
-# exported them; apply_mod now lives in atoms and McEstimate in rand, and
-# both old modules re-export them
+# the package's public names, by the module that first exported them;
+# apply_mod now lives in atoms and McEstimate in rand, and both old modules
+# re-export them; trig's trapezoid names gave way to cesaro_inner
 EXPORTS = {
     "atoms": ["AtomicVector", "make_vector", "unit_atom", "inner", "norm", "add", "scale"],
-    "trig": ["CesaroQuadratureConfig", "cesaro_inner_numeric", "auto_config", "default_steps",
-             "modulation_gap_numeric", "modulation_gap_exact"],
+    "trig": ["cesaro_inner", "modulation_gap_exact"],
     "algebra": ["AlgebraElement", "Multiplier", "apply_shift", "apply_mod", "shift_overlaps",
                 "apply_element", "compose", "adjoint", "weyl_residual", "generator_apply",
                 "indicator", "constant"],
@@ -363,7 +362,7 @@ class TestNamespace:
     def test_exports_resolve_to_their_modules(self):
         import atomdyn
 
-        assert len(ALL_NAMES) == 56
+        assert len(ALL_NAMES) == 52
         for module, names in EXPORTS.items():
             mod = importlib.import_module(f"atomdyn.{module}")
             for name in names:

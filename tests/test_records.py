@@ -34,7 +34,7 @@ from atomdyn.rand import (
     SeededRng,
     Uniform,
 )
-from atomdyn.trig import CesaroQuadratureConfig
+from atomdyn.trig import cesaro_inner
 
 U = make_vector([(0.0, 0.6), (1.5, 0.8j)])
 U_REPR = "AtomicVector(atoms=(Atom(p=0.0, c=(0.6+0j)), Atom(p=1.5, c=0.8j)))"
@@ -52,8 +52,6 @@ RECORDS = [
     (lambda: AlgebraElement.of([(0.5, wave(1.0), 0.25), (2j, indicator(-1, 1), -0.5)]),
      "AlgebraElement(terms=(((0.5+0j), Multiplier(c=(1+0j), a=1.0, lo=-inf, hi=inf), 0.25), "
      "(2j, Multiplier(c=(1+0j), a=0.0, lo=-1.0, hi=1.0), -0.5)))", ("rows",)),
-    (lambda: CesaroQuadratureConfig(10.0, 64), "CesaroQuadratureConfig(window=10.0, steps=64)",
-     ("window", "steps")),
     (lambda: PureState(U), f"PureState(vector={U_REPR})", ("vector",)),
     (lambda: MixedState(((0.25, PS), (0.75, PS))),
      f"MixedState(components=((0.25, PureState(vector={U_REPR})), "
@@ -165,9 +163,8 @@ VALIDATION = [
      "mixture weights must be non-negative"),
     (lambda: FiniteMixture(((0.5, Gaussian()),)), "mixture weights must sum to 1, got 0.5"),
     (lambda: ConvolutionFamily("uniform"), "unknown family kind: 'uniform'"),
-    (lambda: CesaroQuadratureConfig(0.0, 64), "window must be finite and positive: 0.0"),
-    (lambda: CesaroQuadratureConfig(math.inf, 64), "window must be finite and positive: inf"),
-    (lambda: CesaroQuadratureConfig(1.0, 1), "steps must be at least 2: 1"),
+    (lambda: cesaro_inner(U, U, 0.0), "window must be finite and positive: 0.0"),
+    (lambda: cesaro_inner(U, U, math.inf), "window must be finite and positive: inf"),
     (lambda: PureState(make_vector([(0.0, 2.0)])), "pure state vector must be unit norm, got 2.0"),
     (lambda: MixedState(((-0.5, ps_two), (1.5, ps_two))), "mixture weights must be non-negative"),
     (lambda: MixedState(((0.5, ps_two),)), "mixture weights must sum to 1, got 0.5"),
