@@ -66,20 +66,6 @@ def _check_shifts(f: np.ndarray, low: float, high: float) -> None:
         raise ValueError(f"shift {h!r} moves an atom of the vector out of the float range")
 
 
-def _check_draws(xs: np.ndarray, *fs: np.ndarray) -> None:
-    """Raise ValueError as ``shift_overlaps`` does on the shifts xs, for each f of fs in turn.
-
-    A non-finite shift fails first, then a shift that moves a frequency of f
-    out of the float range.
-    """
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("non-finite shift")
-    if xs.size:
-        low, high = float(xs.min()), float(xs.max())
-        for f in fs:
-            _check_shifts(f, low, high)
-
-
 def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
     """(S_x u, v) for every x of xs, as a complex array.
 
@@ -92,7 +78,10 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     largest float raises ValueError, as it does there.
     """
     xs = np.asarray(xs, dtype=float)
-    _check_draws(xs, u.freqs)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("non-finite shift")
+    if xs.size:
+        _check_shifts(u.freqs, float(xs.min()), float(xs.max()))
     out = np.zeros(xs.shape, dtype=complex)
     if not len(u) or not len(v):
         return out

@@ -28,8 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .atoms import AtomicVector, Record, cmul, norm, unit_atom
-from .algebra import (ONE, AlgebraElement, Multiplier, _check_draws, _check_shifts, apply_shift,
-                      shift_overlaps)
+from .algebra import ONE, AlgebraElement, Multiplier, _check_shifts, apply_shift, shift_overlaps
 from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, _check_weights, convolve
 
 _UNIT_TOL = 1e-12
@@ -549,59 +548,25 @@ def projector_value(
 
 
 def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
-    """g(x) = <T_x base, P_v> for every x of xs, as a float array.
-
-    Overlaps are taken only at the shifts that ``_landing`` keeps; every
-    other g(x) is 0.0.  ``shift_overlaps`` takes each shift on its own, so
-    the values keep their bits, and its errors are raised on all of xs.
-    """
+    """g(x) = <T_x base, P_v> for every x of xs, as a float array."""
     if isinstance(base, MixedState):
         return sum(w * _projector_profile(st, v, xs) for w, st in base.components)
     if isinstance(base, PureState):
-        u = base.vector
-        _check_draws(xs, u.freqs)
-        at = _landing(u.freqs, v.freqs, xs)
-        ov = shift_overlaps(u, v, xs[at])
+        ov = shift_overlaps(base.vector, v, xs)
         hit = np.flatnonzero(ov)
         z = ov[hit]
-        g = np.zeros(len(xs))
+        g = np.zeros(len(ov))
         # |z| ** 2 as Python rounds it: hypot, then pow
-        g[at[hit]] = np.float_power(np.hypot(z.real, z.imag), 2.0)
+        g[hit] = np.float_power(np.hypot(z.real, z.imag), 2.0)
         return g
     # a discrete law repeats its shifts: form h* rho h once per distinct one
     xs, back = np.unique(xs, return_inverse=True)
-    support = np.array(base.support, dtype=float)
-    # each atom on its own, in support order, as one shift_overlaps per atom checks them
-    _check_draws(xs, *support[:, None])
-    at = _landing(support, v.freqs, xs)
-    h = np.array([shift_overlaps(unit_atom(p), v, xs[at]) for p in base.support])
-    # the hit columns in ascending order, so the product rounds as on all of xs
+    h = np.array([shift_overlaps(unit_atom(p), v, xs) for p in base.support])
     hit = np.flatnonzero(h.any(axis=0))
     hh = h[:, hit]
     g = np.zeros(len(xs))
-    g[at[hit]] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
+    g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
     return g[back]
-
-
-def _landing(p: np.ndarray, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Ascending indices of a superset of the x of xs with fl(p_k - x) == q_j for some k, j.
-
-    fl(p - x) == q puts x within (ulp(q) + ulp(c)) / 2 of c = fl(p - q).
-    Each interval is taken four times that wide, which also covers the
-    rounding of its ends; a c past the float range is clipped to it, and its
-    interval then holds every x.  Sorted by start, with the running maximum
-    of the ends, the intervals merge: x lies in one when the running end at
-    its last start at or below x reaches it.
-    """
-    big = np.finfo(float).max
-    with np.errstate(over="ignore"):
-        c = np.clip(np.subtract.outer(p, q), -big, big)
-        w = 2.0 * (np.spacing(np.abs(c)) + np.spacing(np.abs(q)))
-        lo, hi = (c - w).ravel(), (c + w).ravel()
-    order = np.argsort(lo)
-    lo, reach = lo[order], np.maximum.accumulate(hi[order])
-    k = np.searchsorted(lo, xs, side="right") - 1
-    return np.flatnonzero((k >= 0) & (xs <= reach[np.maximum(k, 0)]))
 
 
 def _discrete_shifts(s: AveragedState):

@@ -1400,76 +1400,6 @@ class TestMonteCarloBits:
                 want = plain_projector(avg, v, "mc", n, SeededRng(67).stream(stream))
                 assert got.hex() == want.hex()
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=4),
-           st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=4),
-           st.integers(0, 2**32 - 1))
-    @example(ps=[0.70000001, 2.5], qs=[0.7, 1e-300], seed=0)
-    @example(ps=[1.0, -0.0], qs=[0.0, 5e-324], seed=1)
-    def test_landing_keeps_every_shift_that_lands(self, ps, qs, seed):
-        p, q = np.array(ps), np.unique(qs)
-        c = np.subtract.outer(p, q).ravel()
-        # each p_k - q_j and its float neighbours up to 8 apart, among uniform draws
-        near, up, down = [c], c, c
-        for _ in range(8):
-            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-            near += [up, down]
-        gen = np.random.default_rng(seed)
-        xs = np.concatenate(near + [gen.uniform(-2e3, 2e3, 100)])
-        gen.shuffle(xs)
-        with np.errstate(over="ignore"):
-            lands = np.isin(np.subtract.outer(p, xs), q).any(axis=0)
-        at = channels._landing(p, q, xs)
-        assert np.all(np.diff(at) > 0)
-        assert set(np.flatnonzero(lands).tolist()) <= set(at.tolist())
-
-    def test_profile_on_shifts_that_land_by_rounding(self):
-        # atoms a little off those of v, so that many float neighbours of
-        # p - q land p on q: the profile keeps the bits of the full m x n one
-        gen = np.random.default_rng(68)
-        v = make_vector([(0.1, 0.6), (0.7, 0.8j)])
-        near = np.concatenate([v.freqs + 1e-9 * gen.normal(size=2), gen.uniform(-3, 3, 3)])
-        u = make_vector(zip(near, gen.normal(size=5) + 1j * gen.normal(size=5)))
-        u = (1.0 / norm(u)) * u
-        a = gen.normal(size=(5, 5)) + 1j * gen.normal(size=(5, 5))
-        rho = a @ a.conj().T
-        normal = NormalState(tuple(near[::-1].tolist()), rho / np.trace(rho).real)
-        mixed = MixedState(((0.4, PureState(u)), (0.6, PureState(unit_atom(0.7 - 1e-9)))))
-        off_grid = 0
-        for base in (PureState(u), normal, mixed):
-            c = np.subtract.outer(np.append(near, 0.7 - 1e-9), v.freqs).ravel()
-            xs = np.concatenate([c + k * np.spacing(c) for k in range(-40, 41)]
-                                + [gen.normal(size=1000)])
-            gen.shuffle(xs)
-            got = channels._projector_profile(base, v, xs)
-            assert got.tobytes() == plain_profile(base, v, xs).tobytes()
-            off_grid += np.count_nonzero((got != 0) & ~np.isin(xs, c))
-        assert off_grid > 100
-        # the draws that land nothing are not candidates
-        assert channels._landing(near, v.freqs, gen.normal(size=1000)).size == 0
-
-    @pytest.mark.parametrize("base, h", [
-        (PureState(make_vector([(-1e308, 0.6), (1e308, 0.8)])), -1e308),
-        (NormalState((1e308, 0.0, -1e308), np.eye(3) / 3), -1e308),
-        (NormalState((-1e308, 0.0, 1e308), np.eye(3) / 3), 1e308),
-        (MixedState(((0.5, PureState(unit_atom(-1e308))), (0.5, PureState(unit_atom(1e308))))),
-         1e308),
-    ], ids=["pure", "normal", "normal-reversed", "mixed"])
-    def test_profile_checks_every_draw(self, base, h):
-        # draws that land nothing still fail as shift_overlaps fails on them:
-        # a non-finite draw first, then the first atom set, in the base's
-        # order, that a draw moves out of the float range
-        v = unit_atom(1.0)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite shift$"):
-            projector_value(averaged_T(Cauchy(1e308), base), v, "mc", mc_samples=100,
-                            gen=SeededRng(1).stream(0))
-        law = FiniteMixture(((0.4, Gaussian(1.0)), (0.3, PointMass(1e308)),
-                             (0.3, PointMass(-1e308))))
-        with pytest.raises(ValueError, match=re.escape(
-                f"shift {h!r} moves an atom of the vector out of the float range")):
-            projector_value(averaged_T(law, base), v, "mc", mc_samples=100,
-                            gen=SeededRng(1).stream(0))
-
     @pytest.mark.parametrize("d", [Rademacher(), PointMass(0.25), PointMass(-0.0), MIXTURE,
                                    FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(0.5))))],
                              ids=["rademacher", "point", "point-0", "mixture", "discrete-mixture"])
