@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .atoms import _LEAF, AtomicVector, Record, apply_mod, canonical, cmul, inner, merge, norm
+from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, inner, merge, norm
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,9 @@ def _check_shifts(f: np.ndarray, low: float, high: float) -> None:
         raise ValueError(f"shift {h!r} moves an atom of the vector out of the float range")
 
 
+_RUN = 1 << 13  # shifts that shift_overlaps takes at once
+
+
 def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
     """(S_x u, v) for every x of xs, as a complex array.
 
@@ -86,9 +89,9 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     if not len(u) or not len(v):
         return out
     vp = v.freqs
-    # runs of _LEAF shifts: the temporaries stay small at any len(xs)
-    for k in range(0, len(xs), _LEAF):
-        x, o = xs[k:k + _LEAF], out[k:k + _LEAF]
+    # runs of _RUN shifts keep each atom's temporaries small at any len(xs)
+    for k in range(0, len(xs), _RUN):
+        x, o = xs[k:k + _RUN], out[k:k + _RUN]
         merged = np.zeros(x.shape, dtype=bool)
         prev = None
         for a in u:

@@ -172,32 +172,6 @@ class AtomicVector:
 ZERO = AtomicVector()
 
 
-_LEAF = 1 << 13  # values that pairwise_sum adds as one array
-
-
-def pairwise_sum(n: int, values):
-    """np.add.reduce of n float64 or complex128 values, bit for bit, pulled in runs.
-
-    values(k0, k1) returns values k0 .. k1 - 1 as one array, so the caller
-    may make them on demand; values(0, 1) tells float from complex.  numpy
-    adds a contiguous array pairwise: a run of m values above 128 doubles
-    splits after h = m//2 - (m//2) % 8 of them, or for complex values after
-    (m - m % 8)//2 (it counts doubles), and the sums of the two parts add.
-    The tree is walked down to runs of at most _LEAF values, each asked for
-    once, in order, and summed by one np.add.reduce.  A complex mean is this
-    sum / n, as np.mean divides.
-    """
-    pair = values(0, 1).dtype.kind == "c"
-
-    def node(k0, m):
-        if m <= _LEAF:
-            return np.add.reduce(values(k0, k0 + m))
-        h = (m - m % 8) // 2 if pair else m // 2 - m // 2 % 8
-        return node(k0, h) + node(k0 + h, m - h)
-
-    return node(0, n)
-
-
 # The array arithmetic below rounds as the Python scalar rules do, which are
 # the reference: numpy's complex product may fuse multiply-adds, so products
 # go through ``cmul``; ``np.sum`` adds pairwise, so sums are running sums;

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomdyn.atoms import (
-    _LEAF,
     Atom,
     AtomicVector,
     add,
@@ -18,7 +17,6 @@ from atomdyn.atoms import (
     inner,
     make_vector,
     norm,
-    pairwise_sum,
     scale,
     serialize,
     unit_atom,
@@ -323,54 +321,43 @@ def spread_values(n, dtype, seed):
     return a
 
 
-TREE_CHANGED = "numpy changed its pairwise summation tree: pairwise_sum models numpy 2.4.6's"
-
-
-def pulled(a):
-    """values(k0, k1) = a[k0:k1] for pairwise_sum, and the list of runs it is asked for."""
-    runs = []
-
-    def values(k0, k1):
-        runs.append((k0, k1))
-        return a[k0:k1]
-
-    return values, runs
-
-
-def assert_runs_tile(runs, n):
-    """After the dtype probe (0, 1), the runs tile [0, n) in order, none above _LEAF."""
-    assert runs[0] == (0, 1)
-    runs = runs[1:]
-    assert [k0 for k0, _ in runs] == [0] + [k1 for _, k1 in runs[:-1]]
-    assert runs[-1][1] == n
-    assert all(0 < k1 - k0 <= _LEAF for k0, k1 in runs)
+def assert_sums_run_left_to_right(n, dtype, seed, groups):
+    """inner and norm over n atoms, and make_vector's merge of n pairs at
+    ``groups`` frequencies, are the scalar rules' running sums, bit for bit."""
+    ps = np.arange(float(n)).tolist()
+    pu = list(zip(ps, spread_values(n, dtype, seed).tolist()))
+    pv = list(zip(ps, spread_values(n, dtype, seed + 1).tolist()))
+    u, v = make_vector(pu), make_vector(pv)
+    # sorted, distinct frequencies and no zero amplitude: ref_make of pu
+    ru, rv = [(p, 0j + c) for p, c in pu], [(p, 0j + c) for p, c in pv]
+    assert bits(norm(u)) == bits(ref_norm(ru))
+    assert bits(inner(u, v)) == bits(ref_inner(ru, rv))
+    at = np.random.default_rng(seed).integers(0, groups, n).astype(float).tolist()
+    pw = list(zip(at, [c for _, c in pu]))
+    assert vector_bits((a.p, a.c) for a in make_vector(pw)) == vector_bits(ref_make(pw))
 
 
 class TestPairwiseSum:
-    """pairwise_sum of values pulled in runs is np.add.reduce of the whole array.
+    """Sums over many atoms add left to right, never in numpy's pairwise tree.
 
-    The test names date from a chunked interface; each now pulls the values
-    in runs and checks that the runs tile [0, n).
+    np.add.reduce keeps eight interleaved partial sums from 8 values on and
+    splits a run above 128 in halves, so amplitudes spread over many
+    binades tell its order from the running sums of the scalar rules.  The
+    names date from a copy of that tree, which the library no longer holds:
+    "one chunk" is now a sum over all n atoms (``inner``, ``norm``), "small
+    ones" the sums of the groups of equal frequencies that ``make_vector``
+    merges.
     """
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", list(range(1, 301)) + [
-        _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 8, 2 * _LEAF + 8, 636_619])
+        8191, 8192, 8193, 16376, 16392, 636_619])
     def test_matches_numpy_in_one_chunk_and_in_small_ones(self, n, dtype):
-        a = spread_values(n, dtype, n)
-        want = np.add.reduce(a)
-        values, runs = pulled(a)
-        got = pairwise_sum(n, values)
-        assert type(got) is type(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), TREE_CHANGED
-        assert_runs_tile(runs, n)
+        assert_sums_run_left_to_right(n, dtype, n, 1 + n // 20)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5 * _LEAF), st.sampled_from([float, complex]), st.integers(0, 2**32 - 1))
-    @example(n=2 * _LEAF + 8, dtype=complex, seed=0)
-    def test_any_chunks(self, n, dtype, seed):
-        a = spread_values(n, dtype, seed)
-        values, runs = pulled(a)
-        got = pairwise_sum(n, values)
-        assert np.asarray(got).tobytes() == np.asarray(np.add.reduce(a)).tobytes(), TREE_CHANGED
-        assert_runs_tile(runs, n)
+    @given(st.integers(1, 40_960), st.sampled_from([float, complex]),
+           st.integers(0, 2**32 - 2), st.integers(1, 300))
+    @example(n=16_392, dtype=complex, seed=0, groups=1)
+    def test_any_chunks(self, n, dtype, seed, groups):
+        assert_sums_run_left_to_right(n, dtype, seed, groups)

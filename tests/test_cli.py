@@ -7,11 +7,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atomdyn.cli import COMMANDS, main
 
-RUN = [sys.executable, "-m", "atomdyn.cli"]
+# a RuntimeWarning in the child fails the test, as pyproject's filterwarnings does in process
+RUN = [sys.executable, "-W", "error::RuntimeWarning", "-m", "atomdyn.cli"]
 
 
 def run_cli(args, env_extra=None):
@@ -127,6 +129,24 @@ class TestWalkDecay:
             tracemalloc.stop()
         assert peak < 3e6
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "gaussian", "D": 1.0}, {"kind": "rademacher"}, {"kind": "pointmass", "a": 0.5},
+        {"kind": "mixture", "components": [
+            {"weight": 0.5, "distribution": {"kind": "rademacher"}},
+            {"weight": 0.5, "distribution": {"kind": "gaussian", "D": 1.0}}]},
+    ], ids=["gaussian", "rademacher", "pointmass", "mixture"])
+    def test_phase_mean_is_numpy_mean(self, doc):
+        """mod_mean_error is |np.mean of the phases of the row's draws - chi(p)|, bit for
+        bit, at N about multiples of 2**13 and at an odd N past 1e5."""
+        from atomdyn.cli import run_walk_decay
+        from atomdyn.rand import SeededRng, distribution_from_json
+        d = distribution_from_json(doc)
+        p, seed, n_list = 0.7, 11, [8191, 8192, 8193, 16392, 100003]
+        _, rows, _ = run_walk_decay({"distribution": doc, "N_list": n_list, "probe_p": p}, seed)
+        for i, (n, row) in enumerate(zip(n_list, rows)):
+            xs = d.sample(SeededRng(seed).stream(i), n)
+            assert row["mod_mean_error"] == abs(complex(np.exp(1j * p * xs).mean()) - d.chi(p)), n
+
 
 class TestReportCells:
     @pytest.mark.parametrize("command,cfg", [
@@ -183,9 +203,14 @@ class TestExitCodes:
         ("semigroup", {"t_list": [1e308]}),
         ("cesaro", {"delta_p": 1e308}),
         ("verify", {"tolerances": {"bogus": 1.0}}),
+        ("verify", {"tolerances": {"weyl": -1}}),
+        ("walk-decay", {"probe_p": 1e308, "N_list": [1000]}),
+        ("walk-decay", {"probe_p": 1e308, "N_list": [1000],
+                        "distribution": {"kind": "cauchy", "gamma": 1.0}}),
     ], ids=["mixture-as-lists", "distribution-list", "n_list-string", "X-zero", "N-zero",
             "u-frequency-string", "uncentered-law", "t-negative", "t-sum-overflows",
-            "phase-overflows", "unknown-tolerance"])
+            "phase-overflows", "unknown-tolerance", "negative-tolerance",
+            "probe-phase-overflows", "probe-phase-overflows-cauchy"])
     def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -199,6 +224,12 @@ class TestExitCodes:
         if cfg == {"delta_p": 1e308}:
             assert lines[0] == ("error: the phase gap * window is not finite for window 100.0 "
                                 "and gap 1e+308")
+        if cfg == {"tolerances": {"weyl": -1}}:
+            assert lines[0] == "error: tolerance 'weyl' must be a non-negative float, got -1"
+        if cfg.get("probe_p") == 1e308:
+            law = "Cauchy(gamma=1.0)" if "distribution" in cfg else "Gaussian(D=1.0)"
+            assert lines[0] == (f"error: the mean of e^(i probe_p xi) under {law} is not finite "
+                                "for probe_p = 1e+308: a phase probe_p xi overflows")
 
     @pytest.mark.parametrize("command,cfg", [
         ("chernoff", {"t": "abc"}),

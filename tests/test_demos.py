@@ -19,8 +19,9 @@ GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def _run(demo):
-    return subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          cwd=ROOT, timeout=120)
+    # a RuntimeWarning fails the demo, as pyproject's filterwarnings does in process
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, cwd=ROOT, timeout=120)
 
 
 def test_demos_found():

@@ -36,7 +36,7 @@ CASES = {
         "v": {"atoms": [{"p": 0.0, "re": 0.8, "im": 0.0},
                         {"p": 2.0, "re": 0.6, "im": 0.0}]},
     }),
-    # sums of up to 100,003 terms, which stream through numpy's pairwise tree
+    # phase means over up to 100,003 draws, each taken by one np.mean
     "walk-decay-cauchy": ("walk-decay", 6, {
         "distribution": {"kind": "cauchy", "gamma": 1.0},
         "N_list": [100, 10000, 100000],
