@@ -47,14 +47,14 @@ def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
         raise ValueError(f"non-finite shift: {h!r}")
     if h == 0:
         return u
-    _check_shifts(u.freqs, float(h), float(h))
+    check_shifts(u.freqs, float(h), float(h))
     q = u.freqs - h
     if np.count_nonzero(q[1:] == q[:-1]):
         return merge(q, u.amps)
     return AtomicVector(q, u.amps)
 
 
-def _check_shifts(f: np.ndarray, low: float, high: float) -> None:
+def check_shifts(f: np.ndarray, low: float, high: float) -> None:
     """Raise ValueError if a shift in [low, high] moves a frequency of f to +-inf.
 
     The frequencies f are sorted and subtraction is monotone, so the end
@@ -84,7 +84,7 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     if not np.all(np.isfinite(xs)):
         raise ValueError("non-finite shift")
     if xs.size:
-        _check_shifts(u.freqs, float(xs.min()), float(xs.max()))
+        check_shifts(u.freqs, float(xs.min()), float(xs.max()))
     out = np.zeros(xs.shape, dtype=complex)
     if not len(u) or not len(v):
         return out
@@ -413,7 +413,7 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     # a shift by -0.0 leaves u as it is, as 0.0 does
     w, ia, lo, hi, h = zip(*[(w, 1j * a, lo, hi, s + 0.0) for w, (_, a, lo, hi), s in A.rows])
     if any(h):
-        _check_shifts(u.freqs, float(min(h)), float(max(h)))
+        check_shifts(u.freqs, float(min(h)), float(max(h)))
     wia = np.array(w + ia, dtype=complex)
     q = u.freqs - np.array(h, dtype=float)[:, None]
     x = u.amps[None, :].repeat(n, axis=0)

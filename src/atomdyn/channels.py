@@ -28,8 +28,8 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .atoms import AtomicVector, Record, cmul, norm, unit_atom
-from .algebra import ONE, AlgebraElement, Multiplier, _check_shifts, apply_shift, shift_overlaps
-from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, _check_weights, convolve
+from .algebra import ONE, AlgebraElement, Multiplier, apply_shift, check_shifts, shift_overlaps
+from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, check_weights, convolve
 
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -120,7 +120,7 @@ class MixedState(Record):
     def __init__(self,
                  components: Tuple[Tuple[float, Union[PureState, NormalState, MixedState]], ...]):
         object.__setattr__(self, "components", components)
-        _check_weights([w for w, _ in components], "mixture weights")
+        check_weights([w for w, _ in components], "mixture weights")
         for _, s in components:
             if not isinstance(s, (PureState, NormalState, MixedState)):
                 raise TypeError(f"mixture component is not a pure, normal or mixed state: {s!r}")
@@ -221,8 +221,8 @@ def expect_function(
       c e^{-iax} chi(a) under any law, one array expression in x;
       otherwise the discrete part is a finite sum, and on the continuous
       part a constant c on [lo, hi] is c times a cdf difference;
-    * Gauss rule -- a wave on an interval, or a constant on one under a law
-      with no cdf, is integrated against the continuous part by the law's rule (Gauss-Legendre for Gaussian within
+    * Gauss rule -- a wave on an interval is integrated against the
+      continuous part by the law's rule (Gauss-Legendre for Gaussian within
       12 standard deviations and for Uniform, Gauss-Legendre in theta for
       Cauchy with y = gamma tan theta, and the weighted union of its
       components' rules for a mixture) at the two orders of
@@ -248,13 +248,11 @@ def expect_function(
     if not (isinstance(x, np.ndarray) or math.isfinite(x)):
         raise ValueError(f"E f(xi - x) needs a finite x, got x = {x!r}")
     if method == "mc":
-        if gen is None:
-            raise ValueError("mc evaluation needs a generator")
-        ys, idx = d.sample_atoms(gen, mc_samples) or (d.sample(gen, mc_samples), None)
+        ys, idx = d.draw(gen, mc_samples)
         # a phase that overflows gives NaN values, which make the mean NaN
         with np.errstate(over="ignore", invalid="ignore"):
             ys -= x
-            est = McEstimate.of(f.at(ys, idx), ys if idx is None else idx.view(np.float64))
+            est = McEstimate.of(f.at(ys, idx), ys, idx)
         if not math.isfinite(abs(est.value)):
             raise _not_finite(d, f, x)
         return est
@@ -287,10 +285,7 @@ def _expect_continuous(d, f, x):
     lo, hi = f.lo + x, f.hi + x
     if not f.a:
         # c P(lo <= xi <= hi)
-        try:
-            return f.c * complex(d.cdf(hi) - d.cdf(lo))
-        except NotImplementedError:
-            pass
+        return f.c * complex(d.cdf(hi) - d.cdf(lo))
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
         for n in GAUSS_ORDERS:
@@ -364,10 +359,8 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
 
     g is accumulated pair by pair in one length-n array.
     """
-    if gen is None:
-        raise ValueError("mc evaluation needs a generator")
     hits = list(_hits(base, A))  # a shift error raises before any draw
-    xs, idx = d.sample_atoms(gen, n) or (d.sample(gen, n), None)
+    xs, idx = d.draw(gen, n)
     g = np.zeros(n, dtype=complex)
     # a phase that overflows gives NaN values, which make the mean NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -376,7 +369,7 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
                 vals = f.at(xs - x, idx)
                 vals *= w
                 g += vals
-        est = McEstimate.of(g, xs if idx is None else idx.view(np.float64))
+        est = McEstimate.of(g, xs, idx)
     if not math.isfinite(abs(est.value)):
         raise ValueError(f"<T_xi s, A> for A = {A!r} under {d!r} is not finite: a phase "
                          f"a (xi - q) overflows at a pair frequency q of {base!r}")
@@ -409,7 +402,7 @@ def _hits(s, A: AlgebraElement):
     else:
         raise TypeError(f"not a state: {s!r}")
     shifts = [a for _, _, a in A.rows]
-    _check_shifts(sorted_p, min(shifts, default=0.0), max(shifts, default=0.0))
+    check_shifts(sorted_p, min(shifts, default=0.0), max(shifts, default=0.0))
     for c, f, a in A.terms:
         q = p - a
         i = sorted_p.searchsorted(q)
@@ -515,15 +508,14 @@ def projector_value(
     with no continuous part g is the profile at the drawn atoms' locations,
     as ``analytic`` takes it, gathered by the drawn atom indices.
     """
+    if not isinstance(avg, AveragedState):
+        raise TypeError(f"not an averaged state: {avg!r}")
     _check_method(method, mc_samples)
     nv = norm(v)
     if abs(nv - 1.0) > _UNIT_TOL:
         raise ValueError(f"projector direction must be unit norm, got {nv!r}")
     if method == "mc":
-        if gen is None:
-            raise ValueError("mc evaluation needs a generator")
-        d = avg.smoothing
-        xs, idx = d.sample_atoms(gen, mc_samples) or (d.sample(gen, mc_samples), None)
+        xs, idx = avg.smoothing.draw(gen, mc_samples)
         if idx is None:
             g = _projector_profile(avg.base, v, xs)
         else:
@@ -618,6 +610,8 @@ def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
     The kernel is positive definite and has unit diagonal, so the output
     stays Hermitian, PSD, and trace one; off-diagonals shrink by |chi|.
     """
+    if not isinstance(s, NormalState):
+        raise TypeError(f"not a normal state: {s!r}")
     return NormalState._channel_output(s.support, dephasing_kernel(d, s.support) * s.matrix)
 
 
@@ -663,7 +657,7 @@ def yosida_hewitt_split(
     singular part.  A law with no atoms is its own continuous part, of weight 1.
     """
     comps = [(float(w), s) for w, s in components]
-    _check_weights([w for w, _ in comps], "weights")
+    check_weights([w for w, _ in comps], "weights")
 
     normal: list[Tuple[float, object]] = []
     singular: list[Tuple[float, AveragedState]] = []

@@ -17,8 +17,9 @@ writing to stdout) so the report itself stays reproducible.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
 configuration (including a bad ``ATOMDYN_SEED``, an ``--out`` path that
-cannot be written, and a config value the library rejects: :func:`main`
-prints any ``ValueError`` of a command as one ``error:`` line).
+cannot be written, a config value the library rejects and a sample count
+too large for memory: :func:`main` prints any ``ValueError`` or
+``MemoryError`` of a command as one ``error:`` line).
 
 :func:`run` is the process entry point (``atomdyn`` and ``python -m
 atomdyn.cli``); :func:`main` runs one command and leaves the process's
@@ -368,7 +369,7 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
 def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     from .atoms import deserialize, unit_atom
-    from .algebra import shift_overlaps
+    from .algebra import shift_overlaps, wave
     from .rand import McEstimate, SeededRng
     d = _load_distribution(config, {"kind": "gaussian", "D": 1.0})
     if d.has_discrete_part:
@@ -386,23 +387,18 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
     rng = SeededRng(seed)
 
     def point(i: int, n: int) -> dict:
-        gen = rng.stream(i)
-        xs, idx = d.sample_atoms(gen, n) or (d.sample(gen, n), None)
+        xs, idx = d.draw(rng.stream(i), n)
         # the phases are dropped before the overlaps exist, so a row never holds both
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives NaN, caught below
-            z = 1j * probe_p * xs
-            np.exp(z, out=z)
-            mean = complex(z.mean() if idx is None else z[idx].mean())
-        del z
+            mean = complex(wave(probe_p).at(xs, idx).mean())
         if not math.isfinite(abs(mean)):
             raise ValueError(f"the mean of e^(i probe_p xi) under {d!r} is not finite for "
                              f"probe_p = {probe_p!r}: a phase probe_p xi overflows")
         overlaps = shift_overlaps(u, v, xs)
         if idx is not None:  # one value per atom, gathered into draw order
             overlaps = overlaps[idx]
-        # the draws (or atom indices) are done with: their array takes the
-        # squared deviations
-        est = McEstimate.of(overlaps, xs if idx is None else idx.view(np.float64))
+        # the draws are done with: their array takes the squared deviations
+        est = McEstimate.of(overlaps, xs, idx)
         return {
             "N": n,
             "shift_overlap_abs": abs(est.value),
@@ -542,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         columns, rows, status = COMMANDS[args.command](config, seed)
-    except ValueError as exc:  # a config value that the CLI or the library rejects
+    except (ValueError, MemoryError) as exc:  # a rejected config value, or N beyond memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = time.monotonic() - started

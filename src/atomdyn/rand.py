@@ -26,7 +26,7 @@ from .atoms import AtomicVector, Record, apply_mod, canonical, cmul
 _WEIGHT_TOL = 1e-12
 
 
-def _check_weights(ws: Sequence[float], what: str) -> None:
+def check_weights(ws: Sequence[float], what: str) -> None:
     """Raise ValueError naming ``what`` unless ws are non-negative and sum to 1."""
     if any(w < 0 for w in ws):
         raise ValueError(f"{what} must be non-negative")
@@ -73,28 +73,26 @@ class Distribution(Record):
         """chi^n on a 1-d float array; overridden where a closed form avoids power-loss."""
         return self._chi(x) ** n
 
+    def draw(self, gen: np.random.Generator, size: int):
+        """``size`` draws from ``gen`` as (xs, idx), fresh arrays that are the caller's.
+
+        A law with no continuous part draws atom indices: xs holds its atom
+        locations and the int64 array idx indexes them, so the draws are
+        ``xs[idx]`` and a Monte Carlo integrand needs one value per location,
+        gathered by idx.  Any other law gives its draws as xs, with idx None.
+        """
+        if gen is None:
+            raise ValueError("mc evaluation needs a generator")
+        return self._draw(gen, size)
+
+    def _draw(self, gen: np.random.Generator, size: int):
+        """(xs, idx) of ``draw``."""
+        raise NotImplementedError
+
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws from ``gen``, as a fresh, writable array.
-
-        The array is the caller's: it shares no memory with the law or with
-        earlier draws, so the caller may overwrite it.  A law with no
-        continuous part draws through ``sample_atoms``: the draws are
-        ``locs[idx]``.
-        """
-        locs, idx = self.sample_atoms(gen, size)
-        return locs[idx]
-
-    def sample_atoms(self, gen: np.random.Generator, size: int):
-        """``size`` draws as atom indices, (locs, idx), or None for a law with a continuous part.
-
-        ``locs[idx]`` is ``sample(gen, size)`` bit for bit, and both leave
-        ``gen`` in one state; locs is a fresh float array and idx a fresh
-        int64 array, both the caller's.  A Monte Carlo integrand then needs
-        one value per location, gathered by idx.  A law with a continuous
-        part draws nothing here, so a caller takes
-        ``d.sample_atoms(gen, n) or (d.sample(gen, n), None)``.
-        """
-        return None
+        """The draws of ``draw`` in draw order, as a fresh, writable array."""
+        xs, idx = self.draw(gen, size)
+        return xs if idx is None else xs[idx]
 
     @property
     def mean(self) -> float:
@@ -160,8 +158,8 @@ class Gaussian(Distribution):
         # closed form of chi^n; keeps the Gaussian fixed-point identity exact
         return np.exp(-0.5 * n * self.D * x * x)
 
-    def sample(self, gen, size):
-        return gen.normal(0.0, math.sqrt(self.D), size)
+    def _draw(self, gen, size):
+        return gen.normal(0.0, math.sqrt(self.D), size), None
 
     mean = property(lambda self: 0.0)
     variance = property(lambda self: self.D)
@@ -190,8 +188,8 @@ class Cauchy(Distribution):
     def _chi_pow(self, x, n):
         return np.exp(-n * self.gamma * np.abs(x))
 
-    def sample(self, gen, size):
-        return self.gamma * gen.standard_cauchy(size)
+    def _draw(self, gen, size):
+        return self.gamma * gen.standard_cauchy(size), None
 
     mean = property(lambda self: math.nan)
     variance = property(lambda self: math.inf)
@@ -212,7 +210,7 @@ class Rademacher(Distribution):
     def _chi(self, x):
         return np.cos(x)
 
-    def sample_atoms(self, gen, size):
+    def _draw(self, gen, size):
         # the draws of gen.choice([-1.0, 1.0], size), which takes these indices
         return np.array([-1.0, 1.0]), gen.integers(0, 2, size)
 
@@ -240,8 +238,8 @@ class Uniform(Distribution):
         sinc = np.divide(np.sin(xh), xh, out=np.ones_like(xh), where=xh != 0)
         return np.exp(1j * (x * m)) * sinc
 
-    def sample(self, gen, size):
-        return gen.uniform(self.a, self.b, size)
+    def _draw(self, gen, size):
+        return gen.uniform(self.a, self.b, size), None
 
     mean = property(lambda self: 0.5 * (self.a + self.b))
     variance = property(lambda self: (self.b - self.a) ** 2 / 12.0)
@@ -266,7 +264,7 @@ class PointMass(Distribution):
     def _chi(self, x):
         return np.exp(1j * (self.a * x))
 
-    def sample_atoms(self, gen, size):
+    def _draw(self, gen, size):
         return np.array([self.a], dtype=float), np.zeros(size, dtype=np.int64)
 
     mean = property(lambda self: self.a)
@@ -283,7 +281,7 @@ class FiniteMixture(Distribution):
         object.__setattr__(self, "components", components)
         if not components:
             raise ValueError("mixture needs at least one component")
-        _check_weights([w for w, _ in components], "mixture weights")
+        check_weights([w for w, _ in components], "mixture weights")
 
     @property
     def _positive(self):
@@ -297,7 +295,7 @@ class FiniteMixture(Distribution):
     def _chi(self, x):
         return sum((w * d._chi(x) for w, d in self._positive), 0j)
 
-    def sample(self, gen, size):
+    def _draw(self, gen, size):
         ws = np.array([w for w, _ in self.components])
         counts = gen.multinomial(size, ws / ws.sum())
         # each component's draws go straight into one array, which is then
@@ -307,7 +305,7 @@ class FiniteMixture(Distribution):
             out[k0:k0 + k] = d.sample(gen, k)
             k0 += k
         gen.shuffle(out)
-        return out
+        return out, None
 
     @property
     def mean(self):
@@ -472,17 +470,18 @@ class McEstimate(NamedTuple):
     samples: int
 
     @classmethod
-    def of(cls, vals: np.ndarray, out: Optional[np.ndarray] = None) -> "McEstimate":
+    def of(cls, vals: np.ndarray, xs: Optional[np.ndarray] = None,
+           idx: Optional[np.ndarray] = None) -> "McEstimate":
         """The mean of the n samples vals, with stderr sqrt(mean |vals - mean|^2 / n).
 
-        vals is centred in place, and the float array out, of the same
-        length, takes the squared deviations (a new array when out is None).
-        A Monte Carlo caller passes the draws, or the drawn atom indices
-        viewed as float64, once it is done with them.
+        vals is centred in place.  A Monte Carlo caller passes its draws
+        (xs, idx) of :meth:`Distribution.draw` once it is done with them, and
+        their length-n array takes the squared deviations: idx viewed as
+        float64 for an atom law, else xs (a new array when both are None).
         """
         mean = complex(vals.mean())
         vals -= mean
-        sq = np.abs(vals, out=out)
+        sq = np.abs(vals, out=xs if idx is None else idx.view(np.float64))
         var = float(np.mean(np.square(sq, out=sq)))
         return cls(mean, math.sqrt(var / len(vals)), len(vals))
 

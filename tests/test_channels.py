@@ -609,15 +609,15 @@ class TestEvaluateMonteCarlo:
         assert est.samples == 5_000
 
     def test_one_sample_call_per_evaluate(self, monkeypatch):
-        # every law class defines its own sample, so the count is taken on Gaussian
+        # every law class defines its own _draw, so the count is taken on Gaussian
         sizes = []
-        sample = Gaussian.sample
+        draw = Gaussian._draw
 
         def counting(self, gen, size):
             sizes.append(size)
-            return sample(self, gen, size)
+            return draw(self, gen, size)
 
-        monkeypatch.setattr(Gaussian, "sample", counting)
+        monkeypatch.setattr(Gaussian, "_draw", counting)
         A = AlgebraElement.of([(1.0, indicator(-0.5, 1.5), 0.0), (0.5, wave(0.7), 1.0)])
         conv = AlgebraElement.of([(0.3, ONE, 0.0), (0.7, ONE, 1.0)])
         for base in (uniform_pair(), MixedState(((0.4, PureState(unit_atom(0.0))),
@@ -1622,3 +1622,86 @@ class TestMixtureLaws:
         f, x = wave(1.1) * indicator(-0.5, 1.5), 0.3
         want = sum(w * expect_function(d, f, x) for w, d in law.components)
         assert abs(expect_function(law, f, x) - want) <= 1e-12
+
+
+# a state of each kind, and the functions that need a normal or an averaged one
+KINDS = {"pure": uniform_pair(), "normal": PAIR_DENSITY,
+         "mixed": MixedState(((0.5, uniform_pair()), (0.5, PAIR_DENSITY))),
+         "averaged": averaged_T(Gaussian(1.0), uniform_pair())}
+NEEDS_NORMAL = {"averaged_Phi": lambda s: averaged_Phi(Gaussian(1.0), s),
+                "channel_Phi": lambda s: channel_Phi(0.5, s),
+                "semigroup_Phi": lambda s: semigroup_Phi(ConvolutionFamily("cauchy"), 1.0, s)}
+NEEDS_AVERAGED = {"projector_value": lambda s: projector_value(s, unit_atom(0.0)),
+                  "projector_value-mc": lambda s: projector_value(
+                      s, unit_atom(0.0), "mc", 10, SeededRng(1).stream(0))}
+WRONG_KINDS = {f"{name}-{kind}": (call, KINDS[kind], need)
+               for calls, need in ((NEEDS_NORMAL, "normal"), (NEEDS_AVERAGED, "averaged"))
+               for name, call in calls.items() for kind in KINDS if kind != need}
+
+
+@pytest.mark.parametrize("call,s,need", WRONG_KINDS.values(), ids=WRONG_KINDS.keys())
+def test_wrong_state_kind_is_named(call, s, need):
+    article = "an" if need == "averaged" else "a"
+    with pytest.raises(TypeError, match=f"^not {article} {need} state: {re.escape(repr(s))}$"):
+        call(s)
+
+
+# the atoms of every Gram state lie on the grid (1/2) Z, so the shifts of the
+# elements pair them
+GRAM_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+GRAM_COEFFS = [1.0, -0.5, 0.3j, 0.7 - 0.2j, 2.0 + 1.5j]
+GRAM_MULTIPLIERS = [ONE, wave(0.7), wave(-1.3), indicator(-0.5, 1.0), indicator(0.0, math.inf),
+                    indicator(-math.inf, 0.5)]
+GRAM_SHIFTS = [0.0, 0.5, -0.5, 1.0]
+gram_terms = st.lists(st.tuples(st.sampled_from(GRAM_COEFFS), st.sampled_from(GRAM_MULTIPLIERS),
+                                st.sampled_from(GRAM_SHIFTS)), min_size=1, max_size=3)
+
+
+def gram_state(kind, seed):
+    """A pure, normal or mixed state on four grid atoms, or the split of an
+    average under an atom law, whose parts are all normal."""
+    gen = np.random.default_rng(seed)
+    support = tuple(np.sort(gen.choice(GRAM_GRID, 4, replace=False)).tolist())
+    cs = gen.normal(size=4) + 1j * gen.normal(size=4)
+    pure = PureState((1.0 / np.linalg.norm(cs)) * make_vector(list(zip(support, cs))))
+    a = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    normal = NormalState(support, rho / np.trace(rho).real)
+    return {"pure": pure, "normal": normal,
+            "mixed": MixedState(((0.3, pure), (0.7, normal))),
+            "split-rademacher": yosida_hewitt_split([(1.0, averaged_T(Rademacher(), pure))]),
+            "split-point": yosida_hewitt_split([(0.4, normal),
+                                                (0.6, averaged_T(PointMass(0.5), normal))])}[kind]
+
+
+def gram(s, elements):
+    """G_jk = <s, A_j* A_k>: the Gram matrix of the A_k in the state's GNS space."""
+    return np.array([[evaluate(s, compose(adjoint(Aj), Ak)) for Ak in elements]
+                     for Aj in elements])
+
+
+def assert_gram_is_psd(G, scale):
+    """G is Hermitian and positive semidefinite, both within 1e-12 scale."""
+    assert np.abs(G - G.conj().T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh((G + G.conj().T) / 2).min() >= -1e-12 * scale
+
+
+class TestGram:
+    """A state is positive: the Gram matrix of any elements under it is PSD."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["pure", "normal", "mixed", "split-rademacher", "split-point"]),
+           st.integers(0, 2 ** 32 - 1), st.lists(gram_terms, min_size=1, max_size=3))
+    def test_normal_kinds(self, kind, seed, terms):
+        elements = [AlgebraElement.of(t) for t in terms]
+        scale = sum(abs(c) ** 2 for t in terms for c, _, _ in t)
+        assert_gram_is_psd(gram(gram_state(kind, seed), elements), scale)
+
+    @pytest.mark.xfail(strict=True, reason="averaged evaluate takes E f(xi - q), but "
+                       "<T_xi s, M_f> is E f(q - xi): it reflects the multiplier")
+    @pytest.mark.parametrize("law", [PointMass(0.3), Gaussian(1.0), Rademacher()],
+                             ids=["point", "gaussian", "rademacher"])
+    def test_averaged(self, law):
+        s = PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)]))
+        elements = [AlgebraElement.shift(1.0), AlgebraElement.mult(wave(0.7))]
+        assert_gram_is_psd(gram(averaged_T(law, s), elements), 2.0)

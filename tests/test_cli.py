@@ -207,10 +207,15 @@ class TestExitCodes:
         ("walk-decay", {"probe_p": 1e308, "N_list": [1000]}),
         ("walk-decay", {"probe_p": 1e308, "N_list": [1000],
                         "distribution": {"kind": "cauchy", "gamma": 1.0}}),
+        # 1e15 draws need 7 PiB, beyond any 64-bit address space, so the
+        # allocation fails at once
+        ("walk-decay", {"N_list": [1e15]}),
+        ("walk-decay", {"N_list": [1e15], "distribution": {"kind": "rademacher"}}),
     ], ids=["mixture-as-lists", "distribution-list", "n_list-string", "X-zero", "N-zero",
             "u-frequency-string", "uncentered-law", "t-negative", "t-sum-overflows",
             "phase-overflows", "unknown-tolerance", "negative-tolerance",
-            "probe-phase-overflows", "probe-phase-overflows-cauchy"])
+            "probe-phase-overflows", "probe-phase-overflows-cauchy", "N-too-large",
+            "N-too-large-rademacher"])
     def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -218,6 +223,9 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         lines = res.stderr.splitlines()
+        if cfg.get("distribution") == {"kind": "rademacher"}:
+            # walk-decay warns about a law with atoms before it draws
+            assert lines.pop(0).startswith("warning: the zero-mean-shift hypothesis"), res.stderr
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
         if cfg == {"t_list": [1e308]}:
             assert lines[0] == "error: family parameter must be non-negative and finite: inf"

@@ -3,9 +3,10 @@ and so is every private name it defines at module level; no class is a
 dataclass, importing the CLI does not load ``dataclasses``, and no code
 but the CLI's process entry point changes the process's garbage collector
 or ends the process without shutdown.  Only the law base and the mixture
-define ``to_json``.  Importing the package or the CLI loads no library
-module, each command loads only the modules it uses, and the lazy package
-namespace still gives every public name.
+define ``to_json``, only the law base defines ``sample`` and ``draw``, and
+no module imports a private name from another.  Importing the package or
+the CLI loads no library module, each command loads only the modules it
+uses, and the lazy package namespace still gives every public name.
 
 An AST scan, so it needs no linter: a name bound by ``import`` or
 ``from ... import`` must occur as a loaded name somewhere in the module
@@ -250,52 +251,81 @@ def test_only_the_entry_point_freezes():
 
 
 def second_samplers(source: str):
-    """(line, what) of each law that defines both ``sample_atoms`` and its own
-    ``sample``, and of each ``.choice`` call: a law with atom indices draws
-    through them alone, so it keeps one sampler.  The base ``Distribution``
-    defines both, as its ``sample`` is the one built on ``sample_atoms``.
+    """(line, what) of each class but ``Distribution`` that defines ``sample``
+    or ``draw``, and of each ``.choice`` call: a law defines its draws once,
+    in ``_draw``, and the base class alone checks and gathers them, so a
+    discrete law's atom indices and its samples cannot drift apart.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef):
-            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
-            if {"sample", "sample_atoms"} <= methods and node.name != "Distribution":
-                found.append((node.lineno, f"{node.name}.sample"))
+        if isinstance(node, ast.ClassDef) and node.name != "Distribution":
+            found += [(item.lineno, f"{node.name}.{item.name}") for item in node.body
+                      if isinstance(item, ast.FunctionDef) and item.name in ("sample", "draw")]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr == "choice"):
             found.append((node.lineno, "choice"))
-    return found
+    return sorted(found)
 
 
 def test_scan_flags_second_samplers():
     source = (
         "class Distribution:\n"
+        "    def draw(self, gen, size):\n"
+        "        return self._draw(gen, size)\n"
         "    def sample(self, gen, size):\n"
         "        return locs[idx]\n"
-        "    def sample_atoms(self, gen, size):\n"
-        "        return None\n"
         "class Coin(Distribution):\n"
-        "    def sample_atoms(self, gen, size):\n"
+        "    def _draw(self, gen, size):\n"
         "        return locs, gen.integers(0, 2, size)\n"
         "    def sample(self, gen, size):\n"
         "        return gen.choice(locs, size)\n"
         "class Bell(Distribution):\n"
-        "    def sample(self, gen, size):\n"
-        "        return gen.normal(0.0, 1.0, size)\n"
+        "    def draw(self, gen, size):\n"
+        "        return gen.normal(0.0, 1.0, size), None\n"
     )
-    assert second_samplers(source) == [(6, "Coin.sample"), (10, "choice")]
+    assert second_samplers(source) == [(9, "Coin.sample"), (10, "choice"), (12, "Bell.draw")]
 
 
 def test_discrete_laws_sample_through_atom_indices():
-    # the atom-index table of a discrete law is the only way it draws, so
-    # locs[idx] and sample cannot drift apart
+    # each law draws through its own _draw alone, and the base class checks
+    # the generator and gathers xs[idx] for every law
     assert second_samplers((SRC / "rand.py").read_text()) == []
     from atomdyn import rand
-    discrete = [cls for cls in vars(rand).values()
-                if isinstance(cls, type) and "sample_atoms" in vars(cls)
-                and cls is not rand.Distribution]
-    assert {cls.__name__ for cls in discrete} >= {"Rademacher", "PointMass"}
-    assert all("sample" not in vars(cls) for cls in discrete)
+    laws = [cls for cls in vars(rand).values()
+            if isinstance(cls, type) and issubclass(cls, rand.Distribution)
+            and cls is not rand.Distribution]
+    assert {cls.__name__ for cls in laws} == {"Gaussian", "Cauchy", "Rademacher", "Uniform",
+                                               "PointMass", "FiniteMixture"}
+    assert all("_draw" in vars(cls) and not {"sample", "draw"} & set(vars(cls))
+               for cls in laws)
+
+
+def private_imports(source: str):
+    """(line, name) of each ``_x`` name (not a dunder) imported from a module of atomdyn."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "atomdyn")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_scan_flags_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import __version__\n"
+        "from .algebra import ONE, _check_shifts\n"
+        "from numpy.random import _pickle\n"
+        "def f():\n"
+        "    from atomdyn.rand import _legendre, Gaussian\n"
+        "    from ..atoms import _hidden as h\n"
+    )
+    assert private_imports(source) == [(3, "_check_shifts"), (6, "_legendre"), (7, "_hidden")]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    # a name another module needs is a module-level public name, exported or not
+    assert private_imports(path.read_text()) == []
 
 
 def to_json_owners(source: str):

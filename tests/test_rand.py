@@ -270,7 +270,7 @@ class TestSampling:
            st.integers(0, 2 ** 64 - 1))
     def test_atom_indices_replay_sample(self, d, size, seed):
         g1, g2 = SeededRng(seed).stream(3), SeededRng(seed).stream(3)
-        locs, idx = d.sample_atoms(g1, size)
+        locs, idx = d.draw(g1, size)
         xs = d.sample(g2, size)
         assert locs.dtype == xs.dtype == np.float64 and idx.shape == (size,)
         assert locs[idx].tobytes() == xs.tobytes()
@@ -280,11 +280,11 @@ class TestSampling:
         # gen.choice for Rademacher, a constant array for a point mass
         for size in (0, 1, 7, 1_000, 100_000):
             g1, g2 = SeededRng(4).stream(size), SeededRng(4).stream(size)
-            locs, idx = Rademacher().sample_atoms(g1, size)
+            locs, idx = Rademacher().draw(g1, size)
             assert locs[idx].tobytes() == g2.choice(np.array([-1.0, 1.0]), size).tobytes()
             assert g1.random() == g2.random()
             for a in (-0.0, 0.25, 1e308):
-                locs, idx = PointMass(a).sample_atoms(g1, size)
+                locs, idx = PointMass(a).draw(g1, size)
                 assert locs[idx].tobytes() == np.full(size, a).tobytes()
             assert g1.random() == g2.random()
 
@@ -292,8 +292,15 @@ class TestSampling:
         for d in ALL_LAWS:
             if d.continuous_weight() > 0:
                 g1, g2 = SeededRng(6).stream(0), SeededRng(6).stream(0)
-                assert d.sample_atoms(g1, 10) is None
-                assert d.sample(g1, 10).tobytes() == d.sample(g2, 10).tobytes()
+                xs, idx = d.draw(g1, 10)
+                assert idx is None
+                assert xs.tobytes() == d.sample(g2, 10).tobytes()
+
+    def test_no_generator_is_named(self):
+        for d in ALL_LAWS:
+            for draw in (d.draw, d.sample):
+                with pytest.raises(ValueError, match="^mc evaluation needs a generator$"):
+                    draw(None, 3)
 
     def test_seed_reproducibility_and_stream_independence(self):
         a = Gaussian(1.0).sample(SeededRng(9).stream(0), 10)
