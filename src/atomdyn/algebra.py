@@ -66,6 +66,20 @@ def check_shifts(f: np.ndarray, low: float, high: float) -> None:
         raise ValueError(f"shift {h!r} moves an atom of the vector out of the float range")
 
 
+def check_draws(xs: np.ndarray, *fs: np.ndarray) -> None:
+    """Raise ValueError as ``shift_overlaps`` does on the shifts xs, for each f of fs in turn.
+
+    A non-finite shift fails first, then a shift that moves a frequency of f
+    out of the float range.
+    """
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("non-finite shift")
+    if xs.size:
+        low, high = float(xs.min()), float(xs.max())
+        for f in fs:
+            check_shifts(f, low, high)
+
+
 _RUN = 1 << 13  # shifts that shift_overlaps takes at once
 
 
@@ -81,10 +95,7 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     largest float raises ValueError, as it does there.
     """
     xs = np.asarray(xs, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("non-finite shift")
-    if xs.size:
-        check_shifts(u.freqs, float(xs.min()), float(xs.max()))
+    check_draws(xs, u.freqs)
     out = np.zeros(xs.shape, dtype=complex)
     if not len(u) or not len(v):
         return out

@@ -28,7 +28,8 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .atoms import AtomicVector, Record, cmul, norm, unit_atom
-from .algebra import ONE, AlgebraElement, Multiplier, apply_shift, check_shifts, shift_overlaps
+from .algebra import (ONE, AlgebraElement, Multiplier, apply_shift, check_draws, check_shifts,
+                      shift_overlaps)
 from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, check_weights, convolve
 
 _UNIT_TOL = 1e-12
@@ -58,12 +59,14 @@ class NormalState(Record):
 
     Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|.  Every consumer
     reads the matrix itself: ``evaluate`` as tr(rho A), and an averaged
-    state keeps rho as its base.  The only eigenvalue computation is the
-    positive-semidefiniteness check on construction.  The channels build
-    their outputs through ``_channel_output``, which skips that one check:
-    their matrices are PSD by construction.  Two states are equal when their
-    supports are and their matrices hold equal entries; the hash, that of
-    the field tuple, raises TypeError, as an array is unhashable.
+    state keeps rho as its base, with no eigen-decomposition anywhere.  On
+    construction rho is PSD when rho + 1e-10 I has a Cholesky factor, which
+    fails just when its smallest eigenvalue is below -1e-10 up to rounding.
+    The channels build their outputs through ``_channel_output``, which
+    skips that one check: their matrices are PSD by construction.  Two
+    states are equal when their supports are and their matrices hold equal
+    entries; the hash, that of the field tuple, raises TypeError, as an
+    array is unhashable.
     """
 
     _fields = ("support", "matrix")
@@ -73,8 +76,11 @@ class NormalState(Record):
         object.__setattr__(self, "matrix", matrix)
         self._validate()
         k = len(self.support)
-        if k and np.linalg.eigvalsh(self.matrix).min() < -_PSD_TOL:
-            raise ValueError("density matrix must be positive semidefinite")
+        if k:
+            try:
+                np.linalg.cholesky(self.matrix + _PSD_TOL * np.eye(k))
+            except np.linalg.LinAlgError:
+                raise ValueError("density matrix must be positive semidefinite") from None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -506,7 +512,9 @@ def projector_value(
     g over the law's atoms, and returns 0.0 at once for a law with none;
     ``mc`` averages g over ``mc_samples`` draws, in draw order.  Under a law
     with no continuous part g is the profile at the drawn atoms' locations,
-    as ``analytic`` takes it, gathered by the drawn atom indices.
+    as ``analytic`` takes it, gathered by the drawn atom indices; under any
+    other law it is the profile at the draws that can land an atom of the
+    base on v (see ``_landed_profile``), and 0.0 at the others.
     """
     if not isinstance(avg, AveragedState):
         raise TypeError(f"not an averaged state: {avg!r}")
@@ -517,7 +525,7 @@ def projector_value(
     if method == "mc":
         xs, idx = avg.smoothing.draw(gen, mc_samples)
         if idx is None:
-            g = _projector_profile(avg.base, v, xs)
+            g = _landed_profile(avg.base, v, xs)
         else:
             # the drawn atoms alone: a normal base takes its profile in one
             # matrix product, whose rounding depends on its number of columns
@@ -559,6 +567,59 @@ def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
     g = np.zeros(len(xs))
     g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
     return g[back]
+
+
+def _landed_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
+    """``_projector_profile(base, v, xs)`` bit for bit, with overlaps only where a draw lands.
+
+    Every draw is first checked as the profile's ``shift_overlaps`` calls
+    check them, with the same errors in the same order.  The profile is then
+    taken once per distinct draw that ``_landing`` keeps and scattered into
+    zeros: at any other draw no atom of the base meets v, so g is 0.0 there
+    too.  A normal base's matrix product meets the same hit columns, so it
+    rounds as it does on all of xs.
+    """
+    sets = list(_atom_sets(base))
+    check_draws(xs, *sets)
+    at = _landing(np.concatenate(sets), v.freqs, xs)
+    g = np.zeros(len(xs))
+    if at.size:
+        kept, back = np.unique(xs[at], return_inverse=True)
+        g[at] = _projector_profile(base, v, kept)[back]
+    return g
+
+
+def _atom_sets(base):
+    """The sorted frequency arrays that ``_projector_profile`` shifts, one per
+    ``shift_overlaps`` call, in the order of its calls."""
+    if isinstance(base, MixedState):
+        for _, st in base.components:
+            yield from _atom_sets(st)
+    elif isinstance(base, PureState):
+        yield base.vector.freqs
+    else:
+        yield from np.array(base.support, dtype=float)[:, None]
+
+
+def _landing(p: np.ndarray, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Ascending indices of a superset of the x of xs with fl(p_k - x) == q_j for some k, j.
+
+    fl(p - x) == q puts x within (ulp(q) + ulp(c)) / 2 of c = fl(p - q).
+    Each interval is taken four times that wide, which also covers the
+    rounding of its ends; a c past the float range is clipped to it, and its
+    interval then holds every x.  Sorted by start, with the running maximum
+    of the ends, the intervals merge: a finite x lies in one when the
+    running end at its last start at or below x reaches it.
+    """
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        c = np.clip(np.subtract.outer(p, q), -big, big)
+        w = 2.0 * (np.spacing(np.abs(c)) + np.spacing(np.abs(q)))
+        lo, hi = (c - w).ravel(), (c + w).ravel()
+    order = np.argsort(lo)
+    # reach[j] is the running end over the first j starts; reach[0] holds no x
+    reach = np.concatenate(([-np.inf], np.maximum.accumulate(hi[order])))
+    return np.flatnonzero(xs <= reach[np.searchsorted(lo[order], xs, side="right")])
 
 
 def _discrete_shifts(s: AveragedState):

@@ -135,12 +135,12 @@ def _number_list(config: dict, key: str, default: list, kind: type = float,
                  domain: str = "finite") -> list:
     """The list field ``key`` (``default`` when absent) as numbers of ``kind``.
 
-    Raises ValueError for a non-list and for an entry that :func:`_number`
-    rejects.
+    Raises ValueError for a non-list, an empty list and an entry that
+    :func:`_number` rejects.
     """
     values = config.get(key, default)
-    if not isinstance(values, list):
-        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{key} must be a non-empty list of numbers, got {values!r}")
     return [_number(x, f"each {key} entry", kind, domain) for x in values]
 
 
@@ -328,8 +328,6 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
     t = _number(config.get("t", 1.0), "t")
     probes = _number_list(config, "probes", [0.5, 1.0, 2.0, 3.0])
     n_list = _number_list(config, "n_list", [10, 100, 1000, 10000], int, "positive")
-    if not n_list or not probes:
-        raise ValueError("n_list and probes must be non-empty")
 
     err_by_n = {n: chernoff_error(d, t, n, probes) for n in n_list}
     rows = []

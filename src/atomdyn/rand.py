@@ -239,17 +239,25 @@ class Uniform(Distribution):
         return np.exp(1j * (x * m)) * sinc
 
     def _draw(self, gen, size):
+        if math.isinf(self.b - self.a):
+            raise ValueError(f"cannot draw from {self!r}: its range b - a overflows")
         return gen.uniform(self.a, self.b, size), None
 
     mean = property(lambda self: 0.5 * (self.a + self.b))
     variance = property(lambda self: (self.b - self.a) ** 2 / 12.0)
 
     def cdf(self, x):
-        return min(1.0, max(0.0, (x - self.a) / (self.b - self.a)))
+        a, b = self.a, self.b
+        if math.isinf(b - a):  # halves keep the ratio and do not overflow
+            x, a, b = 0.5 * x, 0.5 * a, 0.5 * b
+        return min(1.0, max(0.0, (x - a) / (b - a)))
 
     def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         y, w = _legendre(n, max(lo, self.a), min(hi, self.b))
-        return y, w / (self.b - self.a)
+        a, b = self.a, self.b
+        if math.isinf(b - a):  # as in cdf
+            w, a, b = 0.5 * w, 0.5 * a, 0.5 * b
+        return y, w / (b - a)
 
 
 class PointMass(Distribution):
@@ -380,8 +388,13 @@ def _legendre(n: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
     if not lo < hi:
         return np.empty(0), np.empty(0)
     t, w = _reference_rule(n)
-    half = 0.5 * (hi - lo)
-    return half * t + 0.5 * (hi + lo), half * w
+    # halves first only where the plain sum or difference overflows
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    if math.isinf(half):
+        half = 0.5 * hi - 0.5 * lo
+    if math.isinf(mid):
+        mid = 0.5 * hi + 0.5 * lo
+    return half * t + mid, half * w
 
 
 # the JSON kind of each simple law; a FiniteMixture nests its components' documents

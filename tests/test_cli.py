@@ -211,11 +211,19 @@ class TestExitCodes:
         # allocation fails at once
         ("walk-decay", {"N_list": [1e15]}),
         ("walk-decay", {"N_list": [1e15], "distribution": {"kind": "rademacher"}}),
+        ("walk-decay", {"distribution": {"kind": "uniform", "a": -1e308, "b": 1e308}}),
+        # an empty sweep has no rows
+        ("chernoff", {"n_list": []}),
+        ("cesaro", {"X_list": []}),
+        ("walk-decay", {"N_list": []}),
+        ("semigroup", {"s_list": []}),
+        ("dephase", {"t_list": []}),
     ], ids=["mixture-as-lists", "distribution-list", "n_list-string", "X-zero", "N-zero",
             "u-frequency-string", "uncentered-law", "t-negative", "t-sum-overflows",
             "phase-overflows", "unknown-tolerance", "negative-tolerance",
             "probe-phase-overflows", "probe-phase-overflows-cauchy", "N-too-large",
-            "N-too-large-rademacher"])
+            "N-too-large-rademacher", "uniform-range-overflows", "n_list-empty", "X_list-empty",
+            "N_list-empty", "s_list-empty", "t_list-empty"])
     def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -234,6 +242,12 @@ class TestExitCodes:
                                 "and gap 1e+308")
         if cfg == {"tolerances": {"weyl": -1}}:
             assert lines[0] == "error: tolerance 'weyl' must be a non-negative float, got -1"
+        if cfg.get("distribution") == {"kind": "uniform", "a": -1e308, "b": 1e308}:
+            assert lines[0] == ("error: cannot draw from Uniform(a=-1e+308, b=1e+308): "
+                                "its range b - a overflows")
+        if [] in cfg.values():
+            [(key, _)] = cfg.items()
+            assert lines[0] == f"error: {key} must be a non-empty list of numbers, got []"
         if cfg.get("probe_p") == 1e308:
             law = "Cauchy(gamma=1.0)" if "distribution" in cfg else "Gaussian(D=1.0)"
             assert lines[0] == (f"error: the mean of e^(i probe_p xi) under {law} is not finite "

@@ -2,7 +2,8 @@
 and so is every private name it defines at module level; no class is a
 dataclass, importing the CLI does not load ``dataclasses``, and no code
 but the CLI's process entry point changes the process's garbage collector
-or ends the process without shutdown.  Only the law base and the mixture
+or ends the process without shutdown.  No library module but the CLI
+takes an eigen-decomposition.  Only the law base and the mixture
 define ``to_json``, only the law base defines ``sample`` and ``draw``, and
 no module imports a private name from another.  Importing the package or
 the CLI loads no library module, each command loads only the modules it
@@ -248,6 +249,46 @@ def test_only_the_entry_point_freezes():
     found = [(path.name, name, where) for path in MODULES + [SRC / "__init__.py"]
              for _, name, where in process_wide_names(path.read_text())]
     assert found == [("cli.py", "gc.freeze", "run")]
+
+
+# numpy's eigen-decompositions; the library needs none of them, and a PSD
+# verdict is a Cholesky factorization
+EIGEN = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def eigen_calls(source: str):
+    """(line, name) of each ``linalg.eig*`` the source names, as an attribute
+    (``np.linalg.eigvalsh``, ``linalg.eigh``) or a ``from ... linalg`` import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in EIGEN
+                and isinstance(node.value, (ast.Attribute, ast.Name))
+                and getattr(node.value, "attr", getattr(node.value, "id", "")) == "linalg"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in EIGEN)
+    return sorted(found)
+
+
+def test_scan_flags_eigen_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import eigh, norm\n"
+        "from scipy.linalg import eigvals as ev\n"
+        "def f(m):\n"
+        "    np.linalg.cholesky(m)\n"
+        "    w = np.linalg.eigvalsh(m).min()\n"
+        "    return linalg.eig(m), m.eigh, w\n"
+    )
+    assert eigen_calls(source) == [(3, "eigh"), (4, "eigvals"), (7, "eigvalsh"), (8, "eig")]
+
+
+@pytest.mark.parametrize("name", ["atoms.py", "algebra.py", "rand.py", "channels.py", "trig.py"])
+def test_library_takes_no_eigen_decomposition(name):
+    # the CLI's dephase residual reports the smallest eigenvalue, so it keeps its call
+    assert eigen_calls((SRC / name).read_text()) == []
 
 
 def second_samplers(source: str):

@@ -215,6 +215,37 @@ class TestGaussRule:
             d.gauss_rule(64)
 
 
+class TestWideUniform:
+    """A Uniform law whose range b - a overflows: its halves do not."""
+
+    d = Uniform(-1e308, 1e308)
+
+    def test_cdf(self):
+        assert [self.d.cdf(x) for x in (-math.inf, -1e308, 0.0, 5e307, 1e308, math.inf)] == [
+            0.0, 0.0, 0.5, 0.75, 1.0, 1.0]
+
+    def test_indicator_expectation(self):
+        from atomdyn.algebra import indicator
+        from atomdyn.channels import expect_function
+
+        # P(0 <= xi <= 1e308) = 0.5; it was 0j
+        assert expect_function(self.d, indicator(0.0, 1e308), 0.0) == 0.5
+
+    def test_gauss_rule(self):
+        for lo, hi, mass in ((-math.inf, math.inf, 1.0), (0.0, 1e308, 0.5)):
+            ys, ws = self.d.gauss_rule(64, lo, hi)
+            assert np.all(np.isfinite(ys)) and max(lo, -1e308) < ys.min() < ys.max() < hi
+            assert ws.sum() == pytest.approx(mass, rel=1e-12)
+        # a range whose midpoint sum overflows
+        ys, ws = Uniform(1e308, 1.7e308).gauss_rule(64)
+        assert 1e308 < ys.min() < ys.max() < 1.7e308 and ws.sum() == pytest.approx(1.0)
+
+    def test_draws_name_the_law(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot draw from Uniform(a=-1e+308, b=1e+308): its range b - a overflows")):
+            self.d.draw(SeededRng(0).stream(0), 10)
+
+
 class TestLebesgueSplit:
     def test_continuous_part(self):
         g, c = Gaussian(1.0), Cauchy(0.5)
