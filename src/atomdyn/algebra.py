@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, inner, merge, norm
+from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, inner, match, merge, norm
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,6 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     out = np.zeros(xs.shape, dtype=complex)
     if not len(u) or not len(v):
         return out
-    vp = v.freqs
     # runs of _RUN shifts keep each atom's temporaries small at any len(xs)
     for k in range(0, len(xs), _RUN):
         x, o = xs[k:k + _RUN], out[k:k + _RUN]
@@ -107,9 +106,7 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
         prev = None
         for a in u:
             q = a.p - x
-            idx = np.searchsorted(vp, q)
-            np.minimum(idx, len(vp) - 1, out=idx)
-            hit = vp[idx] == q
+            idx, hit = match(v.freqs, q)
             o[hit] += cmul(a.c.conjugate(), v.amps[idx[hit]])
             if prev is not None:
                 merged |= prev == q

@@ -258,6 +258,13 @@ def unit_atom(p: float) -> AtomicVector:
     return make_vector([(p, 1.0)])
 
 
+def match(f: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(i, hit) with f[i] == q where hit, for sorted, distinct, non-empty f and q of any shape."""
+    i = f.searchsorted(q)
+    np.minimum(i, len(f) - 1, out=i)
+    return i, f[i] == q
+
+
 def inner(u: AtomicVector, v: AtomicVector) -> complex:
     """Inner product, conjugate-linear in the first argument.
 
@@ -266,9 +273,7 @@ def inner(u: AtomicVector, v: AtomicVector) -> complex:
     """
     if not len(u) or not len(v):
         return 0j
-    i = v.freqs.searchsorted(u.freqs)
-    np.minimum(i, len(v) - 1, out=i)
-    hit = v.freqs[i] == u.freqs
+    i, hit = match(v.freqs, u.freqs)
     if not np.count_nonzero(hit):
         return 0j
     return complex(cmul(u.amps[hit].conj(), v.amps[i[hit]]).cumsum()[-1]) + 0j

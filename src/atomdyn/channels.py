@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, cmul, norm, unit_atom
+from .atoms import AtomicVector, Record, cmul, match, norm
 from .algebra import (ONE, AlgebraElement, Multiplier, apply_shift, check_draws, check_shifts,
                       shift_overlaps)
 from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, check_weights, convolve
@@ -240,8 +240,7 @@ def expect_function(
     ``mc`` returns the :class:`McEstimate` of the values f(xi_i - x) over
     n = ``mc_samples`` draws.  A law with no continuous part draws atom
     indices, so f is taken once per location and gathered into draw order
-    (``Multiplier.at``); any other law's draws are shifted in place and
-    reused for the squared deviations.  The values are those of
+    (``Multiplier.at``).  The values are those of
     ``f.at(d.sample(gen, n) - x)`` bit for bit.  mc_samples must be an
     integer (a numpy one too) of at least 1.  Under either method, x must
     be finite, and a phase a (xi - x) that overflows raises ValueError.
@@ -258,7 +257,7 @@ def expect_function(
         # a phase that overflows gives NaN values, which make the mean NaN
         with np.errstate(over="ignore", invalid="ignore"):
             ys -= x
-            est = McEstimate.of(f.at(ys, idx), ys, idx)
+            est = McEstimate.of(f.at(ys, idx))
         if not math.isfinite(abs(est.value)):
             raise _not_finite(d, f, x)
         return est
@@ -375,7 +374,7 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
                 vals = f.at(xs - x, idx)
                 vals *= w
                 g += vals
-        est = McEstimate.of(g, xs, idx)
+        est = McEstimate.of(g)
     if not math.isfinite(abs(est.value)):
         raise ValueError(f"<T_xi s, A> for A = {A!r} under {d!r} is not finite: a phase "
                          f"a (xi - q) overflows at a pair frequency q of {base!r}")
@@ -411,9 +410,8 @@ def _hits(s, A: AlgebraElement):
     check_shifts(sorted_p, min(shifts, default=0.0), max(shifts, default=0.0))
     for c, f, a in A.terms:
         q = p - a
-        i = sorted_p.searchsorted(q)
-        np.minimum(i, len(p) - 1, out=i)
-        k = (sorted_p[i] == q).nonzero()[0]
+        i, hit = match(sorted_p, q)
+        k = hit.nonzero()[0]
         j = i[k]
         r = cmul(amps[j].conj(), amps[k]) if isinstance(s, PureState) else s.matrix[k, order[j]]
         yield c, f, r, q[k]
@@ -504,8 +502,8 @@ def projector_value(
 
     g is |(S_x u, v)|^2 for a pure base u, h* rho h with h_k = (S_x 1_{p_k}, v)
     for a normal base, and the weighted sum of its components' g for a
-    mixed base; every overlap comes from
-    :func:`~atomdyn.algebra.shift_overlaps`.  Exactly zero for continuous
+    mixed base; every overlap pairs atoms by bit-equal frequencies
+    (:func:`~atomdyn.atoms.match`).  Exactly zero for continuous
     smoothing: a sampled shift never lands the (bit-exact) atom grid of the
     base on that of v, almost surely -- the defining property of a singular
     state.  Discrete smoothing may give a positive value.  ``analytic`` sums
@@ -548,7 +546,7 @@ def projector_value(
 
 
 def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
-    """g(x) = <T_x base, P_v> for every x of xs, as a float array."""
+    """g(x) = <T_x base, P_v> for every x of xs, as a float array; xs are distinct."""
     if isinstance(base, MixedState):
         return sum(w * _projector_profile(st, v, xs) for w, st in base.components)
     if isinstance(base, PureState):
@@ -559,25 +557,24 @@ def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
         # |z| ** 2 as Python rounds it: hypot, then pow
         g[hit] = np.float_power(np.hypot(z.real, z.imag), 2.0)
         return g
-    # a discrete law repeats its shifts: form h* rho h once per distinct one
-    xs, back = np.unique(xs, return_inverse=True)
-    h = np.array([shift_overlaps(unit_atom(p), v, xs) for p in base.support])
-    hit = np.flatnonzero(h.any(axis=0))
-    hh = h[:, hit]
+    check_draws(xs, *_atom_sets(base))
+    # h_k = (S_x 1_{p_k}, v) is the amplitude of v at p_k - x
+    i, hit = match(v.freqs, np.subtract.outer(np.array(base.support, dtype=float), xs))
+    cols = hit.any(axis=0)
+    hh = np.where(hit, v.amps[i], 0j)[:, cols]
     g = np.zeros(len(xs))
-    g[hit] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
-    return g[back]
+    g[cols] = np.sum(hh.conj() * (base.matrix @ hh), axis=0).real
+    return g
 
 
 def _landed_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
     """``_projector_profile(base, v, xs)`` bit for bit, with overlaps only where a draw lands.
 
-    Every draw is first checked as the profile's ``shift_overlaps`` calls
-    check them, with the same errors in the same order.  The profile is then
-    taken once per distinct draw that ``_landing`` keeps and scattered into
-    zeros: at any other draw no atom of the base meets v, so g is 0.0 there
-    too.  A normal base's matrix product meets the same hit columns, so it
-    rounds as it does on all of xs.
+    Every draw is first checked as the profile checks it.  The profile is
+    then taken once per distinct draw that ``_landing`` keeps and scattered
+    into zeros: at any other draw no atom of the base meets v, so g is 0.0
+    there too.  A normal base's matrix product meets the same hit columns,
+    so it rounds as it does on all of xs.
     """
     sets = list(_atom_sets(base))
     check_draws(xs, *sets)
@@ -590,8 +587,8 @@ def _landed_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
 
 
 def _atom_sets(base):
-    """The sorted frequency arrays that ``_projector_profile`` shifts, one per
-    ``shift_overlaps`` call, in the order of its calls."""
+    """The sorted frequency arrays whose shifts ``_projector_profile`` checks,
+    in the order of its checks."""
     if isinstance(base, MixedState):
         for _, st in base.components:
             yield from _atom_sets(st)

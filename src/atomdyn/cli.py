@@ -395,8 +395,7 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
         overlaps = shift_overlaps(u, v, xs)
         if idx is not None:  # one value per atom, gathered into draw order
             overlaps = overlaps[idx]
-        # the draws are done with: their array takes the squared deviations
-        est = McEstimate.of(overlaps, xs, idx)
+        est = McEstimate.of(overlaps)
         return {
             "N": n,
             "shift_overlap_abs": abs(est.value),

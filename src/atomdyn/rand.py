@@ -34,6 +34,11 @@ def check_weights(ws: Sequence[float], what: str) -> None:
         raise ValueError(f"{what} must sum to 1, got {sum(ws)!r}")
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf past sqrt(max float), where Python's pow raises OverflowError."""
+    return math.inf if abs(x) > 1.3407807929942596e154 else x ** 2
+
+
 # ---------------------------------------------------------------------------
 # Laws
 
@@ -243,8 +248,10 @@ class Uniform(Distribution):
             raise ValueError(f"cannot draw from {self!r}: its range b - a overflows")
         return gen.uniform(self.a, self.b, size), None
 
-    mean = property(lambda self: 0.5 * (self.a + self.b))
-    variance = property(lambda self: (self.b - self.a) ** 2 / 12.0)
+    # halves only where a + b overflows, so that every finite mean keeps its bits
+    mean = property(lambda self: 0.5 * (self.a + self.b) if math.isfinite(self.a + self.b)
+                    else 0.5 * self.a + 0.5 * self.b)
+    variance = property(lambda self: _square(self.b - self.a) / 12.0)
 
     def cdf(self, x):
         a, b = self.a, self.b
@@ -324,9 +331,7 @@ class FiniteMixture(Distribution):
         m = self.mean
         if not math.isfinite(m):
             return math.inf
-        return sum(
-            w * (d.variance + (d.mean - m) ** 2) for w, d in self._positive
-        )
+        return sum(w * (d.variance + _square(d.mean - m)) for w, d in self._positive)
 
     def cdf(self, x):
         return sum(w * d.cdf(x) for w, d in self._positive)
@@ -483,18 +488,15 @@ class McEstimate(NamedTuple):
     samples: int
 
     @classmethod
-    def of(cls, vals: np.ndarray, xs: Optional[np.ndarray] = None,
-           idx: Optional[np.ndarray] = None) -> "McEstimate":
+    def of(cls, vals: np.ndarray) -> "McEstimate":
         """The mean of the n samples vals, with stderr sqrt(mean |vals - mean|^2 / n).
 
-        vals is centred in place.  A Monte Carlo caller passes its draws
-        (xs, idx) of :meth:`Distribution.draw` once it is done with them, and
-        their length-n array takes the squared deviations: idx viewed as
-        float64 for an atom law, else xs (a new array when both are None).
+        vals is the caller's scratch: it is centred in place, and the squared
+        deviations go into its real parts, so no array of n values is made.
         """
         mean = complex(vals.mean())
         vals -= mean
-        sq = np.abs(vals, out=xs if idx is None else idx.view(np.float64))
+        sq = np.abs(vals, out=vals.real)
         var = float(np.mean(np.square(sq, out=sq)))
         return cls(mean, math.sqrt(var / len(vals)), len(vals))
 

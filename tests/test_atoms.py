@@ -16,6 +16,7 @@ from atomdyn.atoms import (
     deserialize,
     inner,
     make_vector,
+    match,
     norm,
     scale,
     serialize,
@@ -361,3 +362,42 @@ class TestPairwiseSum:
     @example(n=16_392, dtype=complex, seed=0, groups=1)
     def test_any_chunks(self, n, dtype, seed, groups):
         assert_sums_run_left_to_right(n, dtype, seed, groups)
+
+
+# signed zeros, the subnormal and normal ends, the float ends and infinities
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+         2.225073858507201e-308, 1.0, -1.0, sys.float_info.max, -sys.float_info.max,
+         math.inf, -math.inf]
+keys = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False),
+                 st.integers(-8, 8).map(lambda j: j / 4.0))
+
+
+def neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+class TestMatch:
+    """``match`` finds a frequency as a dict keyed by Python floats finds it."""
+
+    @settings(deadline=None)
+    @given(st.lists(keys, min_size=1, max_size=10), st.lists(keys, max_size=6),
+           st.integers(1, 4))
+    @example(fs=[0.0], extra=[-0.0], m=2)
+    @example(fs=[-0.0, 5e-324], extra=[0.0, -5e-324], m=1)
+    @example(fs=[math.inf], extra=[-math.inf], m=3)
+    def test_matches_a_dict_lookup(self, fs, extra, m):
+        f = np.array(sorted(set(fs)))  # sorted and distinct: -0.0 and 0.0 are one key
+        where = {x: k for k, x in enumerate(f.tolist())}
+        # each frequency and its float neighbours one ulp off, NaN, the points
+        # past both ends and a few more
+        probes = [y for x in f.tolist() for y in neighbours(x)] + extra + [
+            math.nan, -math.nan, neighbours(f[0])[0], neighbours(f[-1])[2]]
+        q = np.array(probes)
+        gen = np.random.default_rng(len(probes))
+        for qq in (q, np.stack([gen.permutation(q) for _ in range(m)])):
+            i, hit = match(f, qq)
+            assert i.shape == hit.shape == qq.shape
+            assert np.all((0 <= i) & (i < len(f)))
+            want = [where.get(x) for x in qq.ravel().tolist()]
+            assert hit.ravel().tolist() == [k is not None for k in want]
+            assert i.ravel()[hit.ravel()].tolist() == [k for k in want if k is not None]

@@ -1831,3 +1831,63 @@ class TestGram:
         s = PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)]))
         elements = [AlgebraElement.shift(1.0), AlgebraElement.mult(wave(0.7))]
         assert_gram_is_psd(gram(averaged_T(law, s), elements), 2.0)
+
+
+class TestNormalProfile:
+    """A normal base's profile looks the amplitude of v up at each p_k - x,
+    with the bits of ``plain_profile``, which forms each overlap
+    h_k = (S_x 1_{p_k}, v) by one ``shift_overlaps`` call per support atom."""
+
+    @pytest.mark.parametrize("d", [Rademacher(), PointMass(0.25), MIXTURE],
+                             ids=["rademacher", "point", "mixture"])
+    @pytest.mark.parametrize("m", [1, 8, 64, 200])
+    def test_matches_the_overlaps(self, m, d):
+        gen = np.random.default_rng(71 + m)
+        grid = np.arange(-4 * m - 8, 4 * m + 9) / 4.0
+        support = gen.choice(grid, m, replace=False)
+        a = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
+        rho = a @ a.conj().T
+        base = NormalState(tuple(support.tolist()), rho / np.trace(rho).real)
+        # v sits where the law's atoms, and a few other shifts, carry support atoms
+        targets = np.unique(np.subtract.outer(support, [0.25, 1.0, -1.0, 0.5]))
+        k = min(6, len(targets))
+        v = make_vector(zip(gen.choice(targets, k, replace=False),
+                            gen.normal(size=k) + 1j * gen.normal(size=k)))
+        v = (1.0 / norm(v)) * v
+        # distinct shifts, sorted as every caller passes them: each one that
+        # lands a support atom on v, its float neighbours, and plain ones
+        landing = np.subtract.outer(support, v.freqs).ravel()
+        xs = np.unique(np.concatenate([landing, np.nextafter(landing, np.inf),
+                                       gen.normal(size=50)]))
+        got = channels._projector_profile(base, v, xs)
+        assert got.tobytes() == plain_profile(base, v, xs).tobytes()
+        assert np.count_nonzero(got) >= len(landing) // len(v)
+        avg = averaged_T(d, base)
+        atoms = np.array([loc for loc, _ in d.discrete_atoms()])
+        assert (channels._projector_profile(base, v, atoms).tobytes()
+                == plain_profile(base, v, atoms).tobytes())
+        value = projector_value(avg, v)
+        assert value.hex() == plain_projector(avg, v, "analytic").hex() and value > 0.0
+        for n in (1, 2_000):
+            got = projector_value(avg, v, "mc", mc_samples=n, gen=SeededRng(72).stream(m))
+            want = plain_projector(avg, v, "mc", n, SeededRng(72).stream(m))
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("support, xs", [
+        ((0.0, 1e308), [0.5, -1e308, math.nan]),
+        ((0.0, 1e308), [math.inf, 0.5]),
+        ((1e308, 0.0, -1e308), [0.5, -1e308, 1e308]),
+        ((-1e308, 0.0, 1e308), [0.5, -1e308, 1e308]),
+    ], ids=["nan-first", "inf", "first-atom-up", "first-atom-down"])
+    def test_fails_as_the_overlaps(self, support, xs):
+        # a non-finite shift first, then the first support atom, in the
+        # support's order, that a shift carries past the largest float
+        base = NormalState(support, np.eye(len(support)) / len(support))
+        xs = np.array(xs)
+        with pytest.raises(ValueError) as want:
+            plain_profile(base, unit_atom(1.0), xs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            channels._projector_profile(base, unit_atom(1.0), xs)
+        assert str(want.value) == ("non-finite shift" if not np.isfinite(xs).all() else
+                                   f"shift {-support[0]!r} moves an atom of the vector "
+                                   "out of the float range")

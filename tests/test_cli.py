@@ -212,6 +212,7 @@ class TestExitCodes:
         ("walk-decay", {"N_list": [1e15]}),
         ("walk-decay", {"N_list": [1e15], "distribution": {"kind": "rademacher"}}),
         ("walk-decay", {"distribution": {"kind": "uniform", "a": -1e308, "b": 1e308}}),
+        ("chernoff", {"distribution": {"kind": "uniform", "a": -1e200, "b": 1e200}}),
         # an empty sweep has no rows
         ("chernoff", {"n_list": []}),
         ("cesaro", {"X_list": []}),
@@ -222,8 +223,8 @@ class TestExitCodes:
             "u-frequency-string", "uncentered-law", "t-negative", "t-sum-overflows",
             "phase-overflows", "unknown-tolerance", "negative-tolerance",
             "probe-phase-overflows", "probe-phase-overflows-cauchy", "N-too-large",
-            "N-too-large-rademacher", "uniform-range-overflows", "n_list-empty", "X_list-empty",
-            "N_list-empty", "s_list-empty", "t_list-empty"])
+            "N-too-large-rademacher", "uniform-range-overflows", "uniform-variance-overflows",
+            "n_list-empty", "X_list-empty", "N_list-empty", "s_list-empty", "t_list-empty"])
     def test_bad_config_is_one_error_line(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -245,6 +246,9 @@ class TestExitCodes:
         if cfg.get("distribution") == {"kind": "uniform", "a": -1e308, "b": 1e308}:
             assert lines[0] == ("error: cannot draw from Uniform(a=-1e+308, b=1e+308): "
                                 "its range b - a overflows")
+        if cfg.get("distribution") == {"kind": "uniform", "a": -1e200, "b": 1e200}:
+            assert lines[0] == ("error: law must have positive finite variance, got inf for "
+                                "Uniform(a=-1e+200, b=1e+200)")
         if [] in cfg.values():
             [(key, _)] = cfg.items()
             assert lines[0] == f"error: {key} must be a non-empty list of numbers, got []"

@@ -3,7 +3,9 @@ and so is every private name it defines at module level; no class is a
 dataclass, importing the CLI does not load ``dataclasses``, and no code
 but the CLI's process entry point changes the process's garbage collector
 or ends the process without shutdown.  No library module but the CLI
-takes an eigen-decomposition.  Only the law base and the mixture
+takes an eigen-decomposition, and only ``atoms.match`` clamps a
+``searchsorted`` index, so the bit-equal match of frequencies is written
+once.  Only the law base and the mixture
 define ``to_json``, only the law base defines ``sample`` and ``draw``, and
 no module imports a private name from another.  Importing the package or
 the CLI loads no library module, each command loads only the modules it
@@ -289,6 +291,50 @@ def test_scan_flags_eigen_calls():
 def test_library_takes_no_eigen_decomposition(name):
     # the CLI's dephase residual reports the smallest eigenvalue, so it keeps its call
     assert eigen_calls((SRC / name).read_text()) == []
+
+
+def clamp_calls(source: str):
+    """(line, owner) of each call of ``minimum`` (``np.minimum``, a bare
+    ``minimum``) and each ``from ... import minimum``, where owner is the
+    module-level function or class that holds it (None at module level).
+
+    The clamp of a ``searchsorted`` index is the step of a bit-equal match of
+    frequencies that is easiest to spot, so a second match shows up here.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "attr", getattr(node.func, "id", None)) == "minimum":
+                    found.append((node.lineno, owner))
+            elif isinstance(node, ast.ImportFrom):
+                found.extend((node.lineno, owner) for alias in node.names
+                             if alias.name == "minimum")
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_scan_flags_clamp_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy import minimum as lowest\n"
+        "def match(f, q):\n"
+        "    i = f.searchsorted(q)\n"
+        "    np.minimum(i, len(f) - 1, out=i)\n"
+        "    return i, f[i] == q\n"
+        "def inner(u, v):\n"
+        "    i = np.minimum(v.searchsorted(u), len(v) - 1)\n"
+        "    return min(i), np.maximum(i, 0), np.minimum.reduce(i)\n"
+        "class Law:\n"
+        "    def at(self, x):\n"
+        "        return minimum(x, 1.0)\n"
+    )
+    assert clamp_calls(source) == [(2, None), (5, "match"), (8, "inner"), (12, "Law")]
+
+
+def test_the_bit_equal_match_is_written_once():
+    found = [(path.name, owner) for path in MODULES for _, owner in clamp_calls(path.read_text())]
+    assert found == [("atoms.py", "match")]
 
 
 def second_samplers(source: str):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from atomdyn.rand import (
     ConvolutionFamily,
     FiniteMixture,
     Gaussian,
+    McEstimate,
     PointMass,
     Rademacher,
     SeededRng,
@@ -244,6 +246,56 @@ class TestWideUniform:
         with pytest.raises(ValueError, match=re.escape(
                 "cannot draw from Uniform(a=-1e+308, b=1e+308): its range b - a overflows")):
             self.d.draw(SeededRng(0).stream(0), 10)
+
+    def test_moments(self):
+        # halves where a + b overflows, inf where (b - a)^2 does, and the plain
+        # expressions, bit for bit, everywhere else
+        assert Uniform(1e308, 1.7e308).mean == 1.35e308
+        assert self.d.mean == 0.0 and self.d.variance == math.inf
+        assert Uniform(-1e200, 1e200).variance == math.inf
+        top = math.sqrt(1.7976931348623157e308)  # the largest float whose square is finite
+        assert Uniform(0.0, top).variance == top ** 2 / 12.0
+        assert Uniform(0.0, math.nextafter(top, math.inf)).variance == math.inf
+        gen = np.random.default_rng(5)
+        for a, b in np.sort(gen.normal(size=(200, 2)) * 10.0 ** gen.integers(-150, 150, (200, 1))):
+            d = Uniform(float(a), float(b))
+            assert d.mean.hex() == (0.5 * (d.a + d.b)).hex()
+            assert d.variance.hex() == ((d.b - d.a) ** 2 / 12.0).hex()
+        wide = FiniteMixture(((0.5, PointMass(-1e200)), (0.5, PointMass(1e200))))
+        assert wide.variance == math.inf
+
+
+class TestMcEstimate:
+    """``McEstimate.of`` takes its squared deviations in the real parts of its values."""
+
+    @staticmethod
+    def spread(n):
+        gen = np.random.default_rng(n)
+        return gen.standard_cauchy(n) * np.exp(1j * gen.uniform(-4.0, 4.0, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16_383, 16_384, 100_000, 100_001])
+    def test_bits_of_a_separate_buffer(self, n):
+        vals = self.spread(n)
+        # the deviations in a separate contiguous float array
+        ref = vals.copy()
+        mean = complex(ref.mean())
+        ref -= mean
+        sq = np.abs(ref)
+        var = float(np.mean(np.square(sq, out=sq)))
+        est = McEstimate.of(vals)
+        assert (est.value.real.hex(), est.value.imag.hex()) == (mean.real.hex(), mean.imag.hex())
+        assert est.stderr.hex() == math.sqrt(var / n).hex() and est.samples == n
+
+    def test_makes_no_array_of_its_samples(self):
+        n = 100_000
+        vals = self.spread(n)
+        tracemalloc.start()
+        try:
+            McEstimate.of(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
 
 class TestLebesgueSplit:
