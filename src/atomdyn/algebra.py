@@ -160,33 +160,29 @@ class Multiplier(Record):
     def at(self, ys: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """f on every point of ys[idx] (of ys when idx is None), as a new complex array.
 
-        ys is not written.  The values are those of ``c * np.exp(1j * a *
-        ys[idx])``; the exponential is taken once per point of ys, written
-        into the array of its argument (see ``_exp_into``) and gathered by
-        idx, and c then multiplies the full-length array.  Points outside
-        [lo, hi] and NaN points give 0j; the mask that finds them is built
-        only when an end is finite or ys holds a NaN, and it writes into the
-        values.
-
-        For c != 1 the last bit of a value can depend on the length of the
-        array, not only on its point: numpy reuses the exponential's
-        temporary for the product from 16384 points on (temporary elision),
-        and the two loops round the complex product differently.  On 1e5
-        Cauchy draws, ``wave(-0.4).shifted(0.7)`` gives 38,643 values in one
-        call that differ from those of 1000-point calls, and neither matches
-        ``__call__`` everywhere.  Callers that must replay bits keep the
-        length of their arrays.
+        ys is not written.  Each value is taken once per point of ys and
+        rounded as ``__call__`` rounds it: one libm exponential per point,
+        times c by ``cmul`` (for c == 1 numpy's exact product gives the same
+        bits).  Points outside [lo, hi] and NaN points give 0j; the mask that
+        finds them is built only when an end is finite or ys holds a NaN.
+        idx gathers last, so ``f.at(ys, idx)`` is ``f.at(ys)[idx]`` at any
+        length.
         """
         ys = np.asarray(ys, dtype=float)
         if self.a:
-            out = self.c * _exp_into(1j * self.a * ys, idx)
+            out = 1j * self.a * ys
+            np.exp(out, out=out)
+            if self.c == 1:
+                out *= self.c
+            else:
+                out = cmul(self.c, out)
         else:
-            out = np.full(ys.shape if idx is None else idx.shape, self.c, dtype=complex)
+            out = np.full(ys.shape, self.c, dtype=complex)
         if self.lo > -math.inf or self.hi < math.inf or (ys.size and math.isnan(ys.min())):
             inside = self.lo <= ys
             inside &= ys <= self.hi
-            out[~(inside if idx is None else inside[idx])] = 0j
-        return out
+            out[~inside] = 0j
+        return out if idx is None else out[idx]
 
     def shifted(self, h: float) -> "Multiplier":
         """y -> f(y + h): the wave gains the phase e^{iah}, the interval moves by -h."""
@@ -199,21 +195,6 @@ class Multiplier(Record):
 
     def __mul__(self, other):
         return Multiplier(*_product(_data(self), _data(other)))
-
-
-def _exp_into(z: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
-    """np.exp(z) written into z, which the caller hands over, and gathered by idx if given.
-
-    The result comes back as a temporary that no name holds, like the one
-    ``np.exp(z)`` returns, so numpy treats ``c * _exp_into(z)`` as it treats
-    ``c * np.exp(z)``: for large arrays it may reuse the temporary for the
-    product (temporary elision), and it picks the same loop either way.
-    The exponential of each point is a scalar libm call, the same wherever
-    the point sits, so a gathered value equals the value of a full-length
-    call.
-    """
-    np.exp(z, out=z)
-    return z if idx is None else z[idx]
 
 
 ONE = Multiplier()

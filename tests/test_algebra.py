@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from atomdyn.atoms import AtomicVector, inner, make_vector, norm, unit_atom
+from atomdyn.atoms import AtomicVector, cmul, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
     ONE,
     ZERO,
@@ -87,6 +87,13 @@ class TestShiftAndMod:
             if prev is not None:
                 assert gap < prev
             prev = gap
+
+    def test_non_finite_shift_and_modulation_rejected(self):
+        u = make_vector([(0.0, 0.6), (1.0, 0.8j)])
+        with pytest.raises(ValueError, match=r"^non-finite shift: nan$"):
+            apply_shift(math.nan, u)
+        with pytest.raises(ValueError, match=r"^non-finite modulation: inf$"):
+            apply_mod(math.inf, u)
 
 
 class TestShiftOverlaps:
@@ -285,6 +292,10 @@ class TestMultiplierData:
         assert isinstance(f, Multiplier) and f.c == 2 - 1j
         assert f == constant(2 - 1j)
         assert ONE.shifted(3.0) == ONE and ONE.conjugate() == ONE
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^empty interval \[2, 1\]$"):
+            indicator(2, 1)
 
     def test_at_matches_pointwise_calls(self):
         ys = np.array([-3.0, -1.0, -0.2, 0.0, 0.5, 1.0, 2.25])
@@ -733,7 +744,7 @@ class TestRows:
 def plain_at(f, ys):
     """f on ys as one chain of numpy temporaries, each step a new array."""
     ys = np.asarray(ys, dtype=float)
-    vals = f.c * np.exp(1j * f.a * ys) if f.a else np.full(ys.shape, f.c)
+    vals = cmul(f.c, np.exp(1j * f.a * ys)) if f.a else np.full(ys.shape, f.c)
     return np.where((f.lo <= ys) & (ys <= f.hi), vals, 0j)
 
 
@@ -782,4 +793,35 @@ class TestMultiplierAtBits:
                   wave(0.9) * indicator(-1.0, 2.0), constant(0.5j), ONE,
                   Multiplier(2.0), Multiplier(-0.5, 1.5), Multiplier(2.0, 0.0, -1.0, 1.0)):
             assert_same_bits(f.at(ys), plain_at(f, ys))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(st.sampled_from([1, 1.0, 1 + 0j, 1 - 0j, -1, 0.5j]),
+                     st.builds(complex, at_parts, at_parts), at_parts),
+           at_frequencies, at_intervals,
+           st.lists(at_points, min_size=1, max_size=24),
+           st.sampled_from([1, 2, 3, 16383, 16384, 100_000]),
+           st.integers(1, 20_000), st.integers(0, 2**32 - 1))
+    def test_values_are_those_of_call(self, c, a, interval, points, size, chunk, seed):
+        # each value is f(y) at its point, whatever the length of the array,
+        # the position of the point in it, or the gather
+        f = Multiplier(c, a, *interval)
+        ys = np.resize(np.array(points, dtype=float), size)
+        want, fine = [], []
+        for y in points:
+            try:
+                want.append(complex(f(y)))
+                fine.append(True)
+            except (ValueError, OverflowError):  # cmath.exp of a phase that overflows
+                want.append(0j)
+                fine.append(False)
+        fine = np.resize(np.array(fine), size)
+        idx = np.random.default_rng(seed).integers(0, size, 1_000)
+        chunk = max(chunk, -(-size // 100))
+        with np.errstate(all="ignore"):
+            got = f.at(ys)
+            gathered = f.at(ys, idx)
+            pieces = np.concatenate([f.at(ys[k:k + chunk]) for k in range(0, size, chunk)])
+        assert_same_bits(got[fine], np.resize(np.array(want), size)[fine])
+        assert_same_bits(gathered, got[idx])
+        assert_same_bits(pieces, got)
 

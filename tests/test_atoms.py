@@ -101,6 +101,11 @@ class TestVectorSpace:
     def test_unit_norm(self):
         assert norm(unit_atom(0)) == 1.0
 
+    def test_equality_with_another_type(self):
+        u = unit_atom(0)
+        assert u.__eq__(3) is NotImplemented
+        assert (u == 3) is False and u != 3
+
     def test_additive_cancellation(self):
         u = unit_atom(0)
         assert add(u, scale(-1, u)) == AtomicVector()
@@ -164,6 +169,16 @@ class TestSerialization:
             deserialize("[1, 2]")
         with pytest.raises(ValueError):
             deserialize('{"atoms": [{"p": 0.0}]}')
+
+    def test_atoms_must_be_a_list(self):
+        with pytest.raises(ValueError, match="^'atoms' must be a list$"):
+            deserialize('{"atoms": 3}')
+
+    def test_entries_must_hold_numbers(self):
+        doc = '{"atoms": [{"p": 0.0, "re": 1.0, "im": 0.0}, {"p": "x", "re": 1.0, "im": 0.0}]}'
+        with pytest.raises(ValueError, match="^'atoms' entry #1 must hold numbers: "
+                                             "could not convert string to float: 'x'$"):
+            deserialize(doc)
 
 
 # ---------------------------------------------------------------------------

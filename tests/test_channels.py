@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomdyn import channels
-from atomdyn.atoms import inner, make_vector, norm, unit_atom
+from atomdyn.atoms import cmul, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
     ONE,
     AlgebraElement,
@@ -719,6 +719,14 @@ MIXTURE = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0))))
 
 
 class TestExpectFunction:
+    def test_discrete_atom_phase_overflow_names_the_point(self):
+        # analytic: the atom's phase 1e300 * 1e10 overflows inside the interval
+        f = wave(1e300) * indicator(-1e12, 1e12)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"E f(xi - x) for f = {f!r} under PointMass(a=10000000000.0) is not finite "
+                "at x = 0.0: a phase a (xi - x) overflows") + "$"):
+            expect_function(PointMass(1e10), f, 0.0)
+
     def test_cauchy_wave_closed_form(self):
         val = expect_function(Cauchy(1.0), wave(1.0), 3.0)
         assert abs(val - wave_expectation(Cauchy(1.0), 1.0, 3.0)) <= 1e-12
@@ -938,7 +946,7 @@ class TestSingularity:
         def refuse(*args, **kwargs):
             raise AssertionError("overlap profile of a law with no atoms")
 
-        monkeypatch.setattr(channels, "shift_overlaps", refuse)
+        monkeypatch.setattr(channels, "_projector_profile", refuse)
         for d in (Gaussian(1.0), FiniteMixture(((0.5, Cauchy(0.5)), (0.5, Uniform(-1, 2))))):
             for base in bases:
                 assert projector_value(averaged_T(d, base), u) == 0.0
@@ -1261,6 +1269,18 @@ class TestYosidaHewitt:
         with pytest.raises(ValueError, match="weights must be non-negative"):
             yosida_hewitt_split([(-0.5, PureState(unit_atom(0.0))), (1.5, uniform_pair())])
 
+    def test_weight_zero_component_is_dropped(self):
+        s = PureState(unit_atom(0.0))
+        split = yosida_hewitt_split([(1.0, s), (0.0, averaged_T(Gaussian(1.0), s))])
+        assert split == StateDecomposition(1.0, ((1.0, s),), ())
+
+    def test_not_a_state(self):
+        for call in (lambda: evaluate(3, IDENTITY), lambda: channel_T(0.5, 3),
+                     lambda: averaged_T(Gaussian(1.0), 3),
+                     lambda: yosida_hewitt_split([(1.0, 3)])):
+            with pytest.raises(TypeError, match="^not a state: 3$"):
+                call()
+
 
 
 # ---------------------------------------------------------------------------
@@ -1269,7 +1289,7 @@ class TestYosidaHewitt:
 
 def plain_at(f, ys):
     """Multiplier values as one chain of numpy temporaries, each step a new array."""
-    vals = f.c * np.exp(1j * f.a * ys) if f.a else np.full(ys.shape, f.c)
+    vals = cmul(f.c, np.exp(1j * f.a * ys)) if f.a else np.full(ys.shape, f.c)
     return np.where((f.lo <= ys) & (ys <= f.hi), vals, 0j)
 
 
@@ -1474,22 +1494,22 @@ class TestMonteCarloBits:
     @pytest.mark.parametrize("d", [Gaussian(1.2), Cauchy(1.2), Uniform(-1.2, 1.2), MIXTURE],
                              ids=["gaussian", "cauchy", "uniform", "mixture"])
     def test_overlaps_only_where_draws_land(self, d, monkeypatch):
-        # on plain draws the profile meets shift_overlaps only at the distinct
-        # draws that _landing keeps, and not at all when none is kept
+        # on plain draws the profile is taken only at the distinct draws that
+        # _landing keeps, and not at all when none is kept
         kept, calls = [], []
-        keep = channels._landing
+        keep, profile = channels._landing, channels._projector_profile
 
         def landing(p, q, xs):
             at = keep(p, q, xs)
             kept.append(len(np.unique(xs[at])))
             return at
 
-        def overlaps(u, v, xs):
+        def watched(base, v, xs):
             calls.append(len(xs))
-            return shift_overlaps(u, v, xs)
+            return profile(base, v, xs)
 
         monkeypatch.setattr(channels, "_landing", landing)
-        monkeypatch.setattr(channels, "shift_overlaps", overlaps)
+        monkeypatch.setattr(channels, "_projector_profile", watched)
         grid = np.arange(4) / 2.0
         u = make_vector(zip(grid, [0.6, 0.48j, 0.36, 0.52]))
         bases = [PureState((1.0 / norm(u)) * u), NormalState(tuple(grid.tolist()), np.eye(4) / 4),
@@ -1499,10 +1519,9 @@ class TestMonteCarloBits:
             del kept[:], calls[:]
             value = projector_value(averaged_T(d, base), v, "mc", mc_samples=10_000,
                                     gen=SeededRng(69).stream(0))
-            assert len(kept) == 1 and all(n <= kept[0] for n in calls)
+            assert len(kept) == 1
             assert (value > 0.0) == (d is MIXTURE)
-            if not kept[0]:
-                assert calls == []
+            assert set(calls) == ({kept[0]} if kept[0] else set())
 
     @pytest.mark.parametrize("d", [Rademacher(), PointMass(0.25), PointMass(-0.0), MIXTURE,
                                    FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(0.5))))],

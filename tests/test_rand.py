@@ -455,6 +455,10 @@ class TestRandomWalk:
         expected = np.exp(1j * p * math.sqrt(t / n) * xs.sum())
         assert out.amplitude(p) == pytest.approx(complex(expected))
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one step: 0$"):
+            random_walk_apply(Gaussian(1.0), 1.0, 0, SeededRng(1).stream(0), unit_atom(0.0))
+
 
 class TestExpectedWalk:
     def test_gaussian_fixed_point(self):
@@ -515,6 +519,13 @@ class TestChernoff:
         with pytest.raises(ValueError, match="variance"):
             chernoff_error(Cauchy(1.0), 1.0, 100, [1.0])
 
+    def test_mixture_with_a_cauchy_part_has_infinite_variance(self):
+        d = FiniteMixture(((0.5, Cauchy(1.0)), (0.5, Gaussian(1.0))))
+        assert math.isnan(d.mean) and d.variance == math.inf
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"law must have positive finite variance, got inf for {d!r}") + "$"):
+            chernoff_error(d, 1.0, 100, [1.0])
+
     def test_far_probe_and_zero_time(self):
         # e^{-x^2/2} underflows to 0 at x = 1e200 without a warning
         want = math.cos(math.sqrt(1.0 / 10) * 1e200) ** 10
@@ -524,6 +535,17 @@ class TestChernoff:
     def test_uncentered_law_rejected(self):
         with pytest.raises(ValueError, match="centered"):
             chernoff_error(Uniform(0.0, 1.0), 1.0, 100, [1.0])
+
+    @pytest.mark.xfail(strict=True, reason="Rademacher chi_pow is cos(x/sqrt(n))**n, "
+                                           "whose rounding grows with n")
+    @pytest.mark.parametrize("n", [10**8, 10**10])
+    def test_rademacher_error_at_large_n(self, n):
+        # cos(y) = 1 - 2 sin^2(y/2), so cos(x/sqrt(n))^n = exp(n log1p(-2 sin^2(x/(2 sqrt(n)))))
+        probes = [0.5, 1.0, 2.0, 3.0]
+        x = np.array(probes)
+        power = np.exp(n * np.log1p(-2.0 * np.sin(x / (2.0 * math.sqrt(n))) ** 2))
+        accurate = float(np.abs(power - np.exp(-0.5 * x * x)).max())
+        assert abs(chernoff_error(Rademacher(), 1.0, n, probes) / accurate - 1.0) <= 0.01
 
 
 class TestFamiliesAndJson:
