@@ -7,13 +7,16 @@ Usage::
 
 Commands: verify, chernoff, cesaro, walk-decay, semigroup, dephase.
 
-Reports embed the effective config, the seed, and the package version, and
-are byte-identical for identical (config, seed): sweep points run one after
-another and draw from pre-assigned Philox substreams indexed by row.  A
-``workers`` key is accepted for old configs, has no effect and is left out
-of the report.  Wall-clock runtime, which includes the imports of the
-command's own modules, goes to a ``<out>.meta.json`` sidecar (stderr when
-writing to stdout) so the report itself stays reproducible.
+Each ``run_<command>(config, seed)`` returns ``(rows, status)``: a
+non-empty list of row dicts, whose keys in order are the report's columns,
+and the exit status.  Reports embed the effective config, the seed, and the
+package version, and are byte-identical for identical (config, seed): sweep
+points run one after another and draw from pre-assigned Philox substreams
+indexed by row.  A ``workers`` key is accepted for old configs, has no
+effect and is left out of the report.  Wall-clock runtime, which includes
+the imports of the command's own modules, goes to a ``<out>.meta.json``
+sidecar (stderr when writing to stdout) so the report itself stays
+reproducible.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
 configuration (including a bad ``ATOMDYN_SEED``, an ``--out`` path that
@@ -54,47 +57,39 @@ SEED_ENV = "ATOMDYN_SEED"
 # Report plumbing
 
 
-def _fmt(value) -> str:
-    return "" if value is None else str(value)
-
-
-def render_csv(command: str, seed: int, config: dict, columns: Sequence[str],
-               rows: Sequence[dict]) -> str:
+def render_csv(command: str, seed: int, config: dict, rows: Sequence[dict]) -> str:
     lines = [
         "# atomdyn report v1",
         f"# command={command}",
         f"# seed={seed}",
         f"# version={__version__}",
         f"# config={json.dumps(config, sort_keys=True)}",
-        ",".join(columns),
+        ",".join(rows[0]),
     ]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(",".join("" if v is None else str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
-def render_json(command: str, seed: int, config: dict, columns: Sequence[str],
-                rows: Sequence[dict]) -> str:
+def render_json(command: str, seed: int, config: dict, rows: Sequence[dict]) -> str:
     doc = {
         "report_version": 1,
         "command": command,
         "seed": seed,
         "version": __version__,
         "config": config,
-        "columns": list(columns),
-        "rows": [{c: row.get(c) for c in columns} for row in rows],
+        "columns": list(rows[0]),
+        "rows": list(rows),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def write_report(out: Optional[str], fmt: str, command: str, seed: int,
-                 config: dict, columns, rows, runtime_s: float) -> None:
+                 config: dict, rows, runtime_s: float) -> None:
     # the ignored workers key of old configs stays out of the report, so
     # its bytes do not depend on it
     config = {k: v for k, v in config.items() if k != "workers"}
-    text = (render_csv if fmt == "csv" else render_json)(
-        command, seed, config, columns, rows
-    )
+    text = (render_csv if fmt == "csv" else render_json)(command, seed, config, rows)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -196,7 +191,7 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+def run_verify(config: dict, seed: int) -> Tuple[List[dict], int]:
     from .atoms import apply_mod, inner, make_vector, norm
     from .algebra import AlgebraElement, apply_shift, weyl_residual
     from .rand import ConvolutionFamily, Gaussian, SeededRng
@@ -215,14 +210,8 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
 
     def check(name: str, residual: float):
         tol = tols[name]
-        rows.append(
-            {
-                "check": name,
-                "residual": float(residual),
-                "tolerance": tol,
-                "passed": residual <= tol,
-            }
-        )
+        rows.append({"check": name, "passed": residual <= tol,
+                     "residual": float(residual), "tolerance": tol})
 
     gen = rng.stream(0)
     res = 0.0
@@ -310,19 +299,14 @@ def run_verify(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
                                        gen=rng.stream(100)))
     check("singularity", res)
 
-    failed = [r for r in rows if not r["passed"]]
-    return (
-        ["check", "passed", "residual", "tolerance"],
-        rows,
-        1 if failed else 0,
-    )
+    return rows, 0 if all(r["passed"] for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------
 # chernoff
 
 
-def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+def run_chernoff(config: dict, seed: int) -> Tuple[List[dict], int]:
     from .rand import chernoff_error
     d = _load_distribution(config, {"kind": "rademacher"})
     t = _number(config.get("t", 1.0), "t")
@@ -336,14 +320,14 @@ def run_chernoff(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
         if 2 * n in err_by_n and err_by_n[2 * n] > 0 and err_by_n[n] > 0:
             rate = math.log2(err_by_n[n] / err_by_n[2 * n])
         rows.append({"n": n, "sup_error": err_by_n[n], "rate_estimate": rate})
-    return ["n", "sup_error", "rate_estimate"], rows, 0
+    return rows, 0
 
 
 # ---------------------------------------------------------------------------
 # cesaro
 
 
-def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+def run_cesaro(config: dict, seed: int) -> Tuple[List[dict], int]:
     from .atoms import inner, unit_atom
     from .trig import cesaro_inner, modulation_gap_exact
     dp = _number(config.get("delta_p", 1.0), "delta_p")
@@ -357,15 +341,14 @@ def run_cesaro(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
         return {"X": X, "abs_error": abs(cesaro_inner(u, v, X) - kron),
                 "mod_gap": modulation_gap_exact(gap_s, X)}
 
-    rows = [point(X) for X in x_list]
-    return ["X", "abs_error", "mod_gap"], rows, 0
+    return [point(X) for X in x_list], 0
 
 
 # ---------------------------------------------------------------------------
 # walk-decay
 
 
-def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+def run_walk_decay(config: dict, seed: int) -> Tuple[List[dict], int]:
     from .atoms import deserialize, unit_atom
     from .algebra import shift_overlaps, wave
     from .rand import McEstimate, SeededRng
@@ -404,9 +387,7 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[str], List[dict], int]
             "clt_band": 4.0 / math.sqrt(n),
         }
 
-    rows = [point(i, n) for i, n in enumerate(n_list)]
-    cols = ["N", "shift_overlap_abs", "shift_stderr", "mod_mean_error", "clt_band"]
-    return cols, rows, 0
+    return [point(i, n) for i, n in enumerate(n_list)], 0
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +418,7 @@ def semigroup_residuals(fam: ConvolutionFamily, t: float, s: float) -> Tuple[flo
     return res_t, float(np.max(np.abs(m1 - m2)))
 
 
-def run_semigroup(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+def run_semigroup(config: dict, seed: int) -> Tuple[List[dict], int]:
     fam = _family(config)
     t_list = _number_list(config, "t_list", [0.0, 0.1, 0.5, 1.0, 2.0], float, "non-negative")
     s_list = _number_list(config, "s_list", t_list, float, "non-negative")
@@ -446,15 +427,14 @@ def run_semigroup(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
         res_t, res_phi = semigroup_residuals(fam, t, s)
         return {"t": t, "s": s, "residual_T": res_t, "residual_Phi": res_phi}
 
-    rows = [point(t, s) for t in t_list for s in s_list]
-    return ["t", "s", "residual_T", "residual_Phi"], rows, 0
+    return [point(t, s) for t in t_list for s in s_list], 0
 
 
 # ---------------------------------------------------------------------------
 # dephase
 
 
-def run_dephase(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
+def run_dephase(config: dict, seed: int) -> Tuple[List[dict], int]:
     from .channels import NormalState, semigroup_Phi
     fam = _family(config)
     # the pair of atoms at 0 and delta_p needs delta_p != 0
@@ -474,8 +454,7 @@ def run_dephase(config: dict, seed: int) -> Tuple[List[str], List[dict], int]:
             "abs_error": abs(off - analytic),
         }
 
-    rows = [point(t) for t in t_list]
-    return ["t", "delta_p", "offdiag_abs", "analytic", "abs_error"], rows, 0
+    return [point(t) for t in t_list], 0
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +513,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     started = time.monotonic()
     try:
-        columns, rows, status = COMMANDS[args.command](config, seed)
+        rows, status = COMMANDS[args.command](config, seed)
     except (ValueError, MemoryError) as exc:  # a rejected config value, or N beyond memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = time.monotonic() - started
     try:
-        write_report(
-            args.out, args.format, args.command, seed, config, columns, rows,
-            runtime,
-        )
+        write_report(args.out, args.format, args.command, seed, config, rows, runtime)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2

@@ -142,7 +142,7 @@ class TestWalkDecay:
         from atomdyn.rand import SeededRng, distribution_from_json
         d = distribution_from_json(doc)
         p, seed, n_list = 0.7, 11, [8191, 8192, 8193, 16392, 100003]
-        _, rows, _ = run_walk_decay({"distribution": doc, "N_list": n_list, "probe_p": p}, seed)
+        rows, _ = run_walk_decay({"distribution": doc, "N_list": n_list, "probe_p": p}, seed)
         for i, (n, row) in enumerate(zip(n_list, rows)):
             xs = d.sample(SeededRng(seed).stream(i), n)
             assert row["mod_mean_error"] == abs(complex(np.exp(1j * p * xs).mean()) - d.chi(p)), n
@@ -166,6 +166,30 @@ class TestReportCells:
             for cell in line.split(","):
                 if cell:
                     float(cell)  # raises on np.float64(...) and other reprs
+
+
+class TestReportRows:
+    """A command returns (rows, status); a report's columns are its rows' keys, in order."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_columns_are_the_keys_of_every_row(self, tmp_path, command):
+        cfg = {"N_list": [100]} if command == "walk-decay" else {}
+        rows, status = COMMANDS[command](cfg, 3)
+        assert rows and status in (0, 1)
+        columns = list(rows[0])
+        assert all(list(row) == columns for row in rows)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"r.{fmt}"
+            main([command, "--seed", "3", "--config", str(cfg_path), "--format", fmt,
+                  "--out", str(out)])
+            text = out.read_text()
+            if fmt == "csv":
+                header = next(x for x in text.splitlines() if not x.startswith("#"))
+                assert header.split(",") == columns
+            else:
+                assert json.loads(text)["columns"] == columns
 
 
 class TestImport:
