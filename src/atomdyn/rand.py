@@ -215,6 +215,12 @@ class Rademacher(Distribution):
     def _chi(self, x):
         return np.cos(x)
 
+    def _chi_pow(self, x, n):
+        # cos x = 1 - 2 sin^2(x/2), so where cos x > 0 the power is
+        # exp(n log1p(-2 sin^2(x/2))), whose rounding does not grow with n
+        c = np.cos(x)
+        return np.where(c > 0, np.exp(n * np.log1p(-2.0 * np.sin(0.5 * x) ** 2)), c ** n)
+
     def _draw(self, gen, size):
         # the draws of gen.choice([-1.0, 1.0], size), which takes these indices
         return np.array([-1.0, 1.0]), gen.integers(0, 2, size)

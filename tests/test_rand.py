@@ -536,8 +536,6 @@ class TestChernoff:
         with pytest.raises(ValueError, match="centered"):
             chernoff_error(Uniform(0.0, 1.0), 1.0, 100, [1.0])
 
-    @pytest.mark.xfail(strict=True, reason="Rademacher chi_pow is cos(x/sqrt(n))**n, "
-                                           "whose rounding grows with n")
     @pytest.mark.parametrize("n", [10**8, 10**10])
     def test_rademacher_error_at_large_n(self, n):
         # cos(y) = 1 - 2 sin^2(y/2), so cos(x/sqrt(n))^n = exp(n log1p(-2 sin^2(x/(2 sqrt(n)))))
