@@ -169,9 +169,6 @@ class AtomicVector:
         return scale(alpha, self)
 
 
-ZERO = AtomicVector()
-
-
 # The array arithmetic below rounds as the Python scalar rules do, which are
 # the reference: numpy's complex product may fuse multiply-adds, so products
 # go through ``cmul``; ``np.sum`` adds pairwise, so sums are running sums;

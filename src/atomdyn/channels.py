@@ -469,9 +469,8 @@ def channel_T(h: float, s: State) -> State:
     if isinstance(s, MixedState):
         return MixedState(tuple((w, channel_T(h, ps)) for w, ps in s.components))
     if isinstance(s, AveragedState):
-        raise TypeError(
-            "shift channels compose with averaged states through semigroup_T"
-        )
+        # S_h commutes with the random shift S_xi, so T_h moves the base
+        return AveragedState(channel_T(h, s.base), s.smoothing)
     raise TypeError(f"not a state: {s!r}")
 
 

@@ -79,7 +79,7 @@ def render_json(command: str, seed: int, config: dict, rows: Sequence[dict]) -> 
         "version": __version__,
         "config": config,
         "columns": list(rows[0]),
-        "rows": list(rows),
+        "rows": rows,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -429,10 +429,45 @@ class TestChannelT:
         assert out.support == tuple(p - 2.0 for p in s.support)
         assert np.array_equal(out.matrix, s.matrix)
 
-    def test_rejects_averaged(self):
-        avg = averaged_T(Gaussian(1.0), uniform_pair())
-        with pytest.raises(TypeError):
-            channel_T(1.0, avg)
+    @pytest.mark.parametrize("d", [Gaussian(1.0), Rademacher(), FiniteMixture(
+        ((0.5, Rademacher()), (0.5, Gaussian(1.0))))], ids=["gaussian", "rademacher", "mixture"])
+    def test_averaged_state_shifts_its_base(self, d):
+        # S_h commutes with the random shift S_xi, so T_h moves the base and keeps the law
+        gen = np.random.default_rng(5)
+        bases = [PureState(random_unit_vector(gen)), random_density(gen, 3),
+                 MixedState(((0.25, uniform_pair()), (0.75, PAIR_DENSITY)))]
+        for s in bases:
+            for h in (0.75, -2.5, 1e-300):
+                assert channel_T(h, averaged_T(d, s)) == averaged_T(d, channel_T(h, s))
+
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_averaged_projector_follows_the_base_shift(self, method):
+        # on the grid (1/4) Z every shift and its sum are exact
+        pure = PureState(make_vector([(0.0, 0.6), (0.5, 0.8j)]))
+        normal = NormalState((-0.25, 0.0, 1.0), np.array(
+            [[0.5, 0.1, 0.0], [0.1, 0.3, 0.1j], [0.0, -0.1j, 0.2]]))
+        mixed = MixedState(((0.4, pure), (0.6, normal)))
+
+        def value(avg, v):
+            return projector_value(avg, v, method, 50, SeededRng(2).stream(0))
+
+        a, h = 0.75, -1.25
+        seen = 0.0
+        for s in (pure, normal, mixed):
+            for p in (-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0):
+                got = value(channel_T(h, averaged_T(PointMass(a), s)), unit_atom(p))
+                assert got == value(averaged_T(PointMass(a + h), s), unit_atom(p))
+                seen = max(seen, got)
+        assert seen > 0.0
+
+    def test_averaged_state_shift_that_merges_atoms(self):
+        # 0.0 - 1.0 and 1e-300 - 1.0 are both -1.0
+        pure = PureState(make_vector([(0.0, 2 ** -0.5), (1e-300, 2 ** -0.5)]))
+        with pytest.raises(ValueError, match="^shift 1.0 merges atoms of the state"):
+            channel_T(1.0, averaged_T(Gaussian(1.0), pure))
+        normal = NormalState((0.0, 1e-300), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="^shift 1.0 breaks the support of the state"):
+            channel_T(1.0, averaged_T(Gaussian(1.0), normal))
 
     def test_shift_that_merges_atoms(self):
         # 0.0 - 1.0 and 1e-300 - 1.0 are both -1.0: S_1 is not isometric there

@@ -16,7 +16,11 @@ An AST scan, so it needs no linter: a name bound by ``import`` or
 (``np.exp`` reads ``np``).  ``__init__.py`` is skipped, since its imports
 are the package's public namespace, and so are ``__future__`` imports.
 A module-level function, class or constant named ``_x`` (not a dunder) is
-private to its module, so the module must read it too.
+private to its module, so the module must read it too.  A public one that
+its module never reads must be imported by name or read as
+``<module>.<name>`` somewhere under ``src/``, ``tests/``, ``demos/`` or
+``perfbench/``, or be listed in the package's ``_EXPORTS``; otherwise it is
+dead.
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-def unread_private_names(source: str):
-    """(line, name) of each module-level ``_x`` definition the module never reads."""
+def unread_definitions(source: str):
+    """name -> line of each module-level function, class or assigned name (no
+    dunder) that the module never reads."""
     tree = ast.parse(source)
     defined = {}
     for node in tree.body:
@@ -71,10 +76,14 @@ def unread_private_names(source: str):
                     if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
                         defined[name.id] = node.lineno
     read = _loaded_names(tree)
-    return sorted(
-        (line, name) for name, line in defined.items()
-        if name.startswith("_") and not name.startswith("__") and name not in read
-    )
+    return {name: line for name, line in defined.items()
+            if not name.startswith("__") and name not in read}
+
+
+def unread_private_names(source: str):
+    """(line, name) of each module-level ``_x`` definition the module never reads."""
+    return sorted((line, name) for name, line in unread_definitions(source).items()
+                  if name.startswith("_"))
 
 
 def test_scan_sees_modules():
@@ -122,6 +131,61 @@ def test_scan_flags_unread_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+# where a name of a library module may be used from outside it
+USERS = [p for d in ("src", "tests", "demos", "perfbench")
+         for p in sorted((SRC.parents[1] / d).rglob("*.py"))]
+
+
+def outside_uses(module: str, source: str):
+    """Names of ``module`` that ``source`` imports by name or reads as ``module.name``."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if getattr(owner, "id", None) == module or getattr(owner, "attr", None) == module:
+                used.add(node.attr)
+    return used
+
+
+def dead_names(module: str, source: str, users, exported=()):
+    """(line, name) of each module-level name of ``module`` that it never reads,
+    no ``users`` source imports or reads as ``module.name``, and ``exported`` omits."""
+    used = set(exported).union(*(outside_uses(module, text) for text in users))
+    return sorted((line, name) for name, line in unread_definitions(source).items()
+                  if name not in used)
+
+
+def test_scan_flags_dead_names():
+    source = (
+        "import math\n"
+        "ZERO = 0.0\n"
+        "ONE = 1.0\n"
+        "HALF = 0.5\n"
+        "_CUT = 1e-14\n"
+        "def f(x):\n"
+        "    return math.sqrt(x) + HALF\n"
+        "def g():\n"
+        "    return 1\n"
+        "class Law:\n"
+        "    pass\n"
+    )
+    users = ["from atomdyn.rand import ONE\n",
+             "from atomdyn import rand\nrand.g()\n",
+             "import atomdyn\natomdyn.rand.Law\nother.ZERO\n"]
+    assert dead_names("rand", source, users, exported=["f"]) == [(2, "ZERO"), (5, "_CUT")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_names(path):
+    # a public name its module never reads is used from outside it, or exported
+    from atomdyn import _EXPORTS
+    module = path.stem
+    users = [p.read_text() for p in USERS if p != path]
+    assert dead_names(module, path.read_text(), users, _EXPORTS.get(module, "").split()) == []
 
 
 def dataclass_decorators(source: str):
