@@ -182,8 +182,8 @@ class TestReportRows:
         cfg_path.write_text(json.dumps(cfg))
         for fmt in ("csv", "json"):
             out = tmp_path / f"r.{fmt}"
-            main([command, "--seed", "3", "--config", str(cfg_path), "--format", fmt,
-                  "--out", str(out)])
+            assert main([command, "--seed", "3", "--config", str(cfg_path), "--format", fmt,
+                         "--out", str(out)]) == status
             text = out.read_text()
             if fmt == "csv":
                 header = next(x for x in text.splitlines() if not x.startswith("#"))
