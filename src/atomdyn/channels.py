@@ -348,10 +348,9 @@ def evaluate(
     base, d = s, None
     if isinstance(s, AveragedState):
         base, d = s.base, s.smoothing
-        if all(f == ONE for _, f, _ in A.terms):
-            value = evaluate(base, A)
-            return McEstimate(value, 0.0, mc_samples) if method == "mc" else value
         if method == "mc":
+            if all(f == ONE for _, f, _ in A.terms):
+                return McEstimate(evaluate(base, A), 0.0, mc_samples)
             return _mc_evaluate(base, A, d, mc_samples, gen)
     total = 0j
     for c, f, r, q in _hits(base, A):
@@ -550,12 +549,8 @@ def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
         return sum(w * _projector_profile(st, v, xs) for w, st in base.components)
     if isinstance(base, PureState):
         ov = shift_overlaps(base.vector, v, xs)
-        hit = np.flatnonzero(ov)
-        z = ov[hit]
-        g = np.zeros(len(ov))
-        # |z| ** 2 as Python rounds it: hypot, then pow
-        g[hit] = np.float_power(np.hypot(z.real, z.imag), 2.0)
-        return g
+        # |ov| ** 2 as Python rounds it: hypot, then pow; 0.0 where nothing lands
+        return np.float_power(np.hypot(ov.real, ov.imag), 2.0)
     check_draws(xs, *_atom_sets(base))
     # h_k = (S_x 1_{p_k}, v) is the amplitude of v at p_k - x
     i, hit = match(v.freqs, np.subtract.outer(np.array(base.support, dtype=float), xs))

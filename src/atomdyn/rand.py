@@ -62,7 +62,7 @@ class Distribution(Record):
         flat = xs.reshape(-1)
         # an overflow only drives chi to its limit 0, or to NaN, caught below
         with np.errstate(all="ignore"):
-            v = self._chi(flat) if n == 1 else self._chi_pow(flat, n)
+            v = self._chi_pow(flat, n)
         # |chi| <= 1, so the sum is finite exactly when every value is
         if not math.isfinite(abs(v.sum())):
             bad = flat[~np.isfinite(v)][0]
@@ -76,7 +76,7 @@ class Distribution(Record):
 
     def _chi_pow(self, x: np.ndarray, n: int) -> np.ndarray:
         """chi^n on a 1-d float array; overridden where a closed form avoids power-loss."""
-        return self._chi(x) ** n
+        return self._chi(x) if n == 1 else self._chi(x) ** n
 
     def draw(self, gen: np.random.Generator, size: int):
         """``size`` draws from ``gen`` as (xs, idx), fresh arrays that are the caller's.
@@ -156,9 +156,6 @@ class Gaussian(Distribution):
         if not (D > 0 and math.isfinite(D)):
             raise ValueError(f"variance must be positive: {D!r}")
 
-    def _chi(self, x):
-        return np.exp(-0.5 * self.D * x * x)
-
     def _chi_pow(self, x, n):
         # closed form of chi^n; keeps the Gaussian fixed-point identity exact
         return np.exp(-0.5 * n * self.D * x * x)
@@ -187,9 +184,6 @@ class Cauchy(Distribution):
         if not (gamma > 0 and math.isfinite(gamma)):
             raise ValueError(f"scale must be positive: {gamma!r}")
 
-    def _chi(self, x):
-        return np.exp(-self.gamma * np.abs(x))
-
     def _chi_pow(self, x, n):
         return np.exp(-n * self.gamma * np.abs(x))
 
@@ -212,13 +206,12 @@ class Cauchy(Distribution):
 class Rademacher(Distribution):
     has_discrete_part = True
 
-    def _chi(self, x):
-        return np.cos(x)
-
     def _chi_pow(self, x, n):
         # cos x = 1 - 2 sin^2(x/2), so where cos x > 0 the power is
         # exp(n log1p(-2 sin^2(x/2))), whose rounding does not grow with n
         c = np.cos(x)
+        if n == 1:
+            return c
         return np.where(c > 0, np.exp(n * np.log1p(-2.0 * np.sin(0.5 * x) ** 2)), c ** n)
 
     def _draw(self, gen, size):
@@ -314,7 +307,7 @@ class FiniteMixture(Distribution):
         return any(d.has_discrete_part for _, d in self._positive)
 
     def _chi(self, x):
-        return sum((w * d._chi(x) for w, d in self._positive), 0j)
+        return sum((w * d._chi_pow(x, 1) for w, d in self._positive), 0j)
 
     def _draw(self, gen, size):
         ws = np.array([w for w, _ in self.components])
