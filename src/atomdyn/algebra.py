@@ -29,7 +29,8 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, inner, match, merge, norm
+from .atoms import (AtomicVector, Record, apply_mod, canonical, check_phase, cmul, inner, match,
+                    merge, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +122,7 @@ def weyl_residual(h: float, a: float, u: AtomicVector) -> float:
     nu = norm(u)
     if nu == 0:
         raise ValueError("residual is undefined on the zero vector")
+    check_phase(a, np.array([h]))
     lhs = apply_shift(h, apply_mod(a, u))
     rhs = cmath.exp(1j * a * h) * apply_mod(a, apply_shift(h, u))
     return norm(lhs - rhs) / nu
@@ -128,6 +130,7 @@ def weyl_residual(h: float, a: float, u: AtomicVector) -> float:
 
 def generator_apply(h: float, u: AtomicVector) -> AtomicVector:
     """Derivative of the shift group at t=0: the wave at p gains factor ihp."""
+    check_phase(h, u.freqs)
     return canonical(u.freqs, cmul(cmul(1j * h, u.freqs), u.amps))
 
 

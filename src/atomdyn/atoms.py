@@ -276,12 +276,22 @@ def inner(u: AtomicVector, v: AtomicVector) -> complex:
     return complex(cmul(u.amps[hit].conj(), v.amps[i[hit]]).cumsum()[-1]) + 0j
 
 
+def check_phase(a: float, f: np.ndarray) -> None:
+    """Raise ValueError naming a and p if a phase a p overflows for a p of the sorted f;
+    |a p| grows with |p|, so the end frequencies decide."""
+    if f.size:
+        p = max(f.item(0), f.item(-1), key=abs)
+        if math.isinf(a * p):
+            raise ValueError(f"the phase {a!r} * {p!r} overflows the float range")
+
+
 def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
     """M_a: the amplitude at p gains the phase e^{iap} (re-exported by ``algebra``)."""
     if not math.isfinite(a):
         raise ValueError(f"non-finite modulation: {a!r}")
     if a == 0:
         return u
+    check_phase(a, u.freqs)
     return AtomicVector(u.freqs, cmul(np.exp(cmul(1j * a, u.freqs)), u.amps))
 
 

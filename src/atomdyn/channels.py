@@ -668,9 +668,22 @@ def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
 
 
 def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:
-    """The Schur multiplier matrix chi(p_j - p_k) on a frequency support."""
+    """The Schur multiplier matrix chi(p_j - p_k) on a frequency support.
+
+    A difference past the float range is +-inf: a Gaussian or Cauchy chi is
+    0.0 there, and any other law raises ValueError naming p_j and p_k."""
     p = np.array(support, dtype=float)
-    return d.chi(p[:, None] - p[None, :])
+    with np.errstate(over="ignore"):
+        x = p[:, None] - p[None, :]
+    try:
+        return d.chi(x)
+    except ValueError:
+        bad = np.argwhere(np.isinf(x))
+        if not len(bad):
+            raise
+        j, k = bad[0]
+        raise ValueError(f"chi of {d!r} is not finite on the support: the difference "
+                         f"{p.item(j)!r} - {p.item(k)!r} overflows") from None
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,8 @@ class Cauchy(Distribution):
         return np.exp(-n * self.gamma * np.abs(x))
 
     def _draw(self, gen, size):
-        return self.gamma * gen.standard_cauchy(size), None
+        with np.errstate(over="ignore"):  # a draw past the float range is +-inf
+            return self.gamma * gen.standard_cauchy(size), None
 
     mean = property(lambda self: math.nan)
     variance = property(lambda self: math.inf)
@@ -526,7 +527,9 @@ def random_walk_apply(
     frequency p is e^{i p sqrt(t/n) sum_k xi_k}; unitary for every draw.
     """
     rt = _step(t, n)
-    return apply_mod(rt * float(d.sample(gen, n).sum()), u)
+    with np.errstate(over="ignore", invalid="ignore"):  # +-inf or NaN, which apply_mod names
+        total = float(d.sample(gen, n).sum())
+    return apply_mod(rt * total, u)
 
 
 def expected_walk_apply(d: Distribution, t: float, n: int, u: AtomicVector) -> AtomicVector:

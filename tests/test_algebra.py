@@ -169,6 +169,31 @@ class TestWeyl:
             weyl_residual(1.0, 1.0, AtomicVector())
 
 
+class TestPhaseOverflow:
+    """A phase a p past the float range raises ValueError naming a and p."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: apply_mod(10.0, unit_atom(1e308)), "the phase 10.0 * 1e+308"),
+        # the end of larger magnitude decides
+        (lambda: apply_mod(-10.0, make_vector([(-1e308, 1.0), (1.0, 1.0)])),
+         "the phase -10.0 * -1e+308"),
+        (lambda: generator_apply(1e308, unit_atom(1e308)), "the phase 1e+308 * 1e+308"),
+        (lambda: weyl_residual(1.0, 1e308, unit_atom(1e308)), "the phase 1e+308 * 1e+308"),
+        # the phase e^{iah} of the relation itself: a times h
+        (lambda: weyl_residual(1e308, 1e308, unit_atom(1.0)), "the phase 1e+308 * 1e+308"),
+    ], ids=["mod", "mod-low-end", "generator", "weyl-mod", "weyl-relation"])
+    def test_named(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message + " overflows the float range"
+
+    def test_largest_finite_phase_passes(self):
+        u = make_vector([(-1e308, 0.6), (1e308, 0.8)])
+        assert norm(apply_mod(1.0, u)) == norm(u)
+        assert len(generator_apply(1.0, u)) == 2
+        assert weyl_residual(0.0, 1.0, u) == 0.0
+
+
 class TestAlgebraElement:
     def test_pure_shift_term(self):
         A = AlgebraElement.shift(1.5)

@@ -335,13 +335,18 @@ class TestPairingRule:
                     min_size=1, max_size=4))
     @example([(0.0, 0.1), (1e-300, 0.7), (-1.0, 1j), (1e16, 1.0), (1e16 + 2.0, 2.0)],
              [(1.0, ONE, 1.0), (0.5j, wave(0.3), 2.0), (1.0, indicator(-2.0, 0.0), 1.0)])
+    # a subnormal weight: the two sides differ by 5e-324, the smallest float step
+    @example([(0.0, 0j)] * 4 + [(0.0, 2j), (0.0, 1 + 0j)], [(2.2250738585e-313j, ONE, 0.0)])
     def test_pure_matches_inner_of_apply_element(self, pairs, terms):
         v = make_vector(pairs)
         assume(1e-100 < norm(v) < 1e100)
         u = (1.0 / norm(v)) * v
         A = AlgebraElement.of(terms)
         want = inner(u, apply_element(A, u))
-        tol = 1e-14 * sum(abs(c) for c, _, _ in A.rows)
+        # relative, with an absolute floor of a few subnormal steps per atom pair,
+        # since rounding among the subnormals is absolute
+        tol = (1e-14 * sum(abs(c) for c, _, _ in A.rows)
+               + 4 * 2.0 ** -1074 * len(A.rows) * len(u))
         assert abs(evaluate(PureState(u), A) - want) <= tol
 
     def test_shift_past_the_float_range_every_kind(self):
@@ -786,6 +791,14 @@ class TestExpectFunction:
         [(c, f, a)] = adjoint(AlgebraElement.modulation(b)).terms
         assert f == wave(-b)
         assert abs(expect_function(d, f, x) - wave_expectation(d, -b, x)) <= 1e-12
+
+    def test_gauss_rule_phase_overflow_names_the_point(self):
+        # a phase a (xi - x) of a Gauss-rule node past the float range
+        f = Multiplier(a=1e308, lo=0.0, hi=10.0)
+        with pytest.raises(ValueError) as err:
+            expect_function(Gaussian(1.0), f, 0.0)
+        assert str(err.value) == (f"E f(xi - x) for f = {f!r} under Gaussian(D=1.0) is not "
+                                  "finite at x = 0.0: a phase a (xi - x) overflows")
 
     def test_wave_phase_overflow_names_the_point(self):
         # cmath raised a bare "math domain error" here
@@ -1316,6 +1329,11 @@ class TestYosidaHewitt:
             with pytest.raises(TypeError, match="^not a state: 3$"):
                 call()
 
+    def test_witness_of_a_non_state(self):
+        with pytest.raises(TypeError) as err:
+            normality_witness(42, [[0.0]])
+        assert str(err.value) == "not a state: 42"
+
 
 
 # ---------------------------------------------------------------------------
@@ -1662,6 +1680,65 @@ class TestEdgeInputs:
         for x in (math.inf, math.nan):
             with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
                 expect_function(Gaussian(1.0), indicator(-1.0, 1.0), x)
+
+
+class TestDrawsPastTheFloatRange:
+    """Cauchy(1e308) draws past the float range as +-inf, with no RuntimeWarning; each
+    Monte Carlo path then names the failure, or returns the exact limit."""
+
+    LAW = Cauchy(1e308)
+    BASE = PureState(unit_atom(0.0))
+
+    def mc(self, call):
+        return call(method="mc", mc_samples=100, gen=SeededRng(1).stream(0))
+
+    def test_expect_function_of_an_indicator(self):
+        f = indicator(-1.0, 1.0)
+        est = self.mc(lambda **kw: expect_function(self.LAW, f, 0.0, **kw))
+        assert est == McEstimate(0j, 0.0, 100)
+
+    def test_expect_function_of_a_wave(self):
+        f = wave(1.0)
+        with pytest.raises(ValueError) as err:
+            self.mc(lambda **kw: expect_function(self.LAW, f, 0.0, **kw))
+        assert str(err.value) == (f"E f(xi - x) for f = {f!r} under {self.LAW!r} is not "
+                                  "finite at x = 0.0: a phase a (xi - x) overflows")
+
+    def test_evaluate_of_an_indicator(self):
+        A = AlgebraElement.mult(indicator(-1.0, 1.0))
+        est = self.mc(lambda **kw: evaluate(averaged_T(self.LAW, self.BASE), A, **kw))
+        assert est == McEstimate(0j, 0.0, 100)
+
+    def test_evaluate_of_a_wave(self):
+        A = AlgebraElement.mult(wave(1.0))
+        with pytest.raises(ValueError) as err:
+            self.mc(lambda **kw: evaluate(averaged_T(self.LAW, self.BASE), A, **kw))
+        assert str(err.value) == (f"<T_xi s, A> for A = {A!r} under {self.LAW!r} is not "
+                                  "finite: a phase a (xi - q) overflows at a pair frequency "
+                                  f"q of {self.BASE!r}")
+
+    def test_projector_value(self):
+        with pytest.raises(ValueError) as err:
+            self.mc(lambda **kw: projector_value(averaged_T(self.LAW, self.BASE),
+                                                 unit_atom(0.0), **kw))
+        assert str(err.value) == "non-finite shift"
+
+
+class TestKernelPastTheFloatRange:
+    """chi(p_j - p_k) where the difference overflows, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("d", [Gaussian(1.0), Cauchy(0.5)], ids=["gaussian", "cauchy"])
+    def test_closed_form_limit(self, d):
+        K = dephasing_kernel(d, (-1e308, 1e308))
+        assert np.array_equal(K, np.eye(2)) and K.dtype == complex
+
+    @pytest.mark.parametrize("d", [Uniform(-1.0, 2.0), PointMass(0.5), Rademacher()],
+                             ids=["uniform", "pointmass", "rademacher"])
+    def test_names_the_frequencies(self, d):
+        with pytest.raises(ValueError) as err:
+            dephasing_kernel(d, (-1e308, 1e308))
+        assert str(err.value) == (f"chi of {d!r} is not finite on the support: the "
+                                  "difference -1e+308 - 1e+308 overflows")
 
 
 # the laws of the state-eval benchmark workload

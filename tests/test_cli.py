@@ -281,6 +281,17 @@ class TestExitCodes:
             assert lines[0] == (f"error: the mean of e^(i probe_p xi) under {law} is not finite "
                                 "for probe_p = 1e+308: a phase probe_p xi overflows")
 
+    def test_draws_past_the_float_range_are_one_error_line(self, tmp_path):
+        # Cauchy(1e308) draws overflow to +-inf; numpy's warning used to come first
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"distribution": {"kind": "cauchy", "gamma": 1e308},
+                                        "N_list": [100]}))
+        res = run_cli(["walk-decay", "--config", str(cfg_path)])
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "error: the mean of e^(i probe_p xi) under Cauchy(gamma=1e+308) is not finite "
+            "for probe_p = 1.0: a phase probe_p xi overflows"]
+
     @pytest.mark.parametrize("command,cfg", [
         ("chernoff", {"t": "abc"}),
         ("chernoff", {"n_list": [10 ** 400]}),

@@ -460,6 +460,34 @@ class TestRandomWalk:
             random_walk_apply(Gaussian(1.0), 1.0, 0, SeededRng(1).stream(0), unit_atom(0.0))
 
 
+class TestDrawsPastTheFloatRange:
+    """A draw or a walk's sum past the float range is +-inf, with no RuntimeWarning."""
+
+    def test_cauchy_draws(self):
+        xs = Cauchy(1e308).sample(SeededRng(1).stream(0), 100)
+        with np.errstate(over="ignore"):
+            want = 1e308 * SeededRng(1).stream(0).standard_cauchy(100)
+        assert np.array_equal(xs, want)
+        assert np.isposinf(xs).any() and np.isneginf(xs).any()
+        mixture = FiniteMixture(((0.5, Cauchy(1e308)), (0.5, Gaussian(1.0))))
+        assert np.isinf(mixture.sample(SeededRng(1).stream(0), 100)).any()
+
+    @pytest.mark.parametrize("d,seed,message", [
+        (Cauchy(1e308), 0, "non-finite modulation: inf"),
+        # draws of both signs past the float range: their sum is NaN
+        (Cauchy(1e308), 2, "non-finite modulation: nan"),
+        (FiniteMixture(((0.5, Cauchy(1e308)), (0.5, Gaussian(1.0)))), 0,
+         "non-finite modulation: -inf"),
+        # finite draws whose sum overflows
+        (Uniform(1e308, 1.5e308), 0, "non-finite modulation: inf"),
+        (Uniform(-1.5e308, -1e308), 0, "non-finite modulation: -inf"),
+    ], ids=["cauchy", "cauchy-both-signs", "mixture", "uniform", "uniform-negative"])
+    def test_random_walk_names_the_modulation(self, d, seed, message):
+        with pytest.raises(ValueError) as err:
+            random_walk_apply(d, 1.0, 10, SeededRng(seed).stream(0), unit_atom(1.0))
+        assert str(err.value) == message
+
+
 class TestExpectedWalk:
     def test_gaussian_fixed_point(self):
         # algebraic identity (e^{-tDp^2/2n})^n = e^{-tDp^2/2}; float-exact
