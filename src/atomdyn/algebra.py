@@ -51,7 +51,7 @@ def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
     check_shifts(u.freqs, float(h), float(h))
     q = u.freqs - h
     if np.count_nonzero(q[1:] == q[:-1]):
-        return merge(q, u.amps)
+        return merge(q, u.amps.copy())
     return AtomicVector(q, u.amps)
 
 
@@ -401,7 +401,7 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     """
     if not A.rows or not len(u):
         return AtomicVector()
-    n, k = len(A.rows), len(u)
+    n = len(A.rows)
     # a shift by -0.0 leaves u as it is, as 0.0 does
     w, ia, lo, hi, h = zip(*[(w, 1j * a, lo, hi, s + 0.0) for w, (_, a, lo, hi), s in A.rows])
     if any(h):
@@ -421,11 +421,11 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     if any(ia):
         rows = np.flatnonzero(wia[n:])
         x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
-                       x[rows].ravel()).reshape(-1, k)
+                       x[rows].ravel()).reshape(len(rows), -1)
     if max(lo) > -math.inf or min(hi) < math.inf:
         lo, hi = np.array((lo, hi), dtype=float)[:, :, None]
         x[~((lo <= q) & (q <= hi))] = 0j
-    q, w = q.ravel(), cmul(wia[:n].repeat(k), x.ravel())
+    q, w = q.ravel(), cmul(wia[:n, None], x).ravel()
     at_zero = q == 0
     if np.count_nonzero(at_zero):
         hits = at_zero & (w != 0)

@@ -81,14 +81,15 @@ class AtomicVector:
     Both are read-only and may be shared with other vectors.  Iteration and
     ``atoms`` give the atoms as ``Atom(p, c)`` values with Python float and
     complex fields.  Equality compares the atoms (-0.0 equals 0.0), and the
-    hash is that of the atom tuple.
+    hash is that of the atom tuple.  The norm is taken on its first call and
+    kept.
 
     Construct through :func:`make_vector`, which merges duplicates and
     drops zero amplitudes; the constructor trusts its arrays and makes them
     read-only.  The empty vector is the zero vector.
     """
 
-    __slots__ = ("freqs", "amps")
+    __slots__ = ("freqs", "amps", "_norm")
 
     def __init__(self, freqs=(), amps=()):
         freqs = np.asarray(freqs, dtype=float)
@@ -97,6 +98,7 @@ class AtomicVector:
         amps.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AtomicVector is immutable: cannot set {name!r}")
@@ -138,26 +140,16 @@ class AtomicVector:
         return 0j
 
     def norm(self) -> float:
-        """sqrt of sum |c|^2, the squares added in atom order.
+        """sqrt of sum |c|^2, the squares added in atom order; taken once and kept.
 
         A sum that underflows below the normal floats, or overflows to inf, is
         taken again relative to the largest |c|.  Only moduli that could
         overflow (n |c|^2 above about 1e306) take the sum with overflow
         warnings off.
         """
-        if not len(self.amps):
-            return 0.0
-        moduli = np.hypot(self.amps.real, self.amps.imag)
-        # argmax is a C method; max goes through a Python wrapper
-        top = moduli[moduli.argmax()]
-        if top > 1e153 / math.sqrt(len(moduli)):
-            with np.errstate(over="ignore"):
-                total = np.float_power(moduli, 2.0).cumsum()[-1]
-        else:
-            total = np.float_power(moduli, 2.0).cumsum()[-1]
-        if total < sys.float_info.min or total == math.inf:
-            return top * math.sqrt(np.float_power(moduli / top, 2.0).cumsum()[-1])
-        return math.sqrt(total)
+        if self._norm is None:
+            object.__setattr__(self, "_norm", _root_sum_squares(self.amps))
+        return self._norm
 
     def __add__(self, other: "AtomicVector") -> "AtomicVector":
         return add(self, other)
@@ -180,14 +172,37 @@ def cmul(x, y) -> np.ndarray:
 
     re = xr yr - xi yi and im = xr yi + xi yr, each product and sum rounded
     on its own.  A real operand counts as complex with a zero imaginary
-    part, as in Python's mixed arithmetic.  One operand may be a scalar.
+    part, as in Python's mixed arithmetic.  One operand may be a scalar, and
+    the shapes broadcast.  The products go straight into the real and
+    imaginary parts of the output, by way of one scratch array.
     """
     xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    re = xr * yr - xi * yi
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = xr * yi + xi * yr
+    s = xi * yi
+    out = np.empty(s.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(xr, yr, out=re)
+    re -= s
+    np.multiply(xr, yi, out=im)
+    np.multiply(xi, yr, out=s)
+    im += s
     return out
+
+
+def _root_sum_squares(amps: np.ndarray) -> float:
+    """The norm of the amplitudes amps, by the rule of ``AtomicVector.norm``."""
+    if not len(amps):
+        return 0.0
+    moduli = np.hypot(amps.real, amps.imag)
+    # argmax is a C method; max goes through a Python wrapper
+    top = moduli[moduli.argmax()]
+    if top > 1e153 / math.sqrt(len(moduli)):
+        with np.errstate(over="ignore"):
+            total = np.float_power(moduli, 2.0).cumsum()[-1]
+    else:
+        total = np.float_power(moduli, 2.0).cumsum()[-1]
+    if total < sys.float_info.min or total == math.inf:
+        return top * math.sqrt(np.float_power(moduli / top, 2.0).cumsum()[-1])
+    return math.sqrt(total)
 
 
 def _check_finite(p: float, c: complex) -> None:
@@ -215,35 +230,49 @@ def make_vector(pairs: Iterable[Tuple[float, complex]]) -> AtomicVector:
     return merge(ps, cs)
 
 
+_RUNS = 8  # merge sorts input of fewer descents than this stably at once
+
+
 def merge(ps: np.ndarray, cs: np.ndarray) -> AtomicVector:
-    """:func:`make_vector` on finite arrays of frequencies and amplitudes.
+    """:func:`make_vector` on finite arrays of frequencies and amplitudes; cs is scratch.
 
     Each merged amplitude is 0j plus its group's amplitudes in input order,
     the sum a dict accumulating ``acc[p] = acc.get(p, 0j) + c`` forms.
-    Frequencies that are sorted and distinct already skip the sort.
+    Frequencies that are sorted and distinct already skip the sort.  The
+    descents ps[i + 1] <= ps[i] choose the sort.  Input with fewer than
+    ``_RUNS`` of them is a few sorted runs (a sum of vectors, the rows of
+    ``apply_element``), and takes one stable sort, which keeps equal
+    frequencies in input order.  Other input takes numpy's default sort,
+    which is faster on it, and a stable sort again only if a frequency
+    repeats.  Either way the result is the same.
     """
-    if len(ps) < 2 or not np.count_nonzero(ps[1:] <= ps[:-1]):
+    descents = np.count_nonzero(ps[1:] <= ps[:-1]) if len(ps) > 1 else 0
+    if not descents:
         return canonical(ps, cs)
-    order = ps.argsort()
-    repeat = ps[order[1:]] == ps[order[:-1]]
+    runs = descents < _RUNS
+    order = ps.argsort(kind="stable" if runs else None)
+    sp = ps[order]
+    repeat = sp[1:] == sp[:-1]
     repeats = np.count_nonzero(repeat)
     if not repeats:
-        return canonical(ps[order], cs[order])
-    # a stable sort keeps equal frequencies in input order
-    order = ps.argsort(kind="stable")
+        return canonical(sp, cs[order])
+    if not runs:
+        order = ps.argsort(kind="stable")
+        sp = ps[order]
     first = np.concatenate([[True], ~repeat])
     sums = np.zeros(len(ps) - repeats, dtype=complex)
     np.add.at(sums, first.cumsum() - 1, cs[order])
-    return canonical(ps[order][first], sums)
+    return canonical(sp[first], sums)
 
 
 def canonical(ps: np.ndarray, cs: np.ndarray) -> AtomicVector:
     """The vector with atoms (ps[i], 0j + cs[i]) for sorted, distinct ps.
 
-    Adding 0j turns a -0.0 part into 0.0, as a merge does; atoms whose
-    amplitude is zero are dropped.
+    cs is the caller's scratch: it is written, and may become the vector's
+    amplitudes.  Adding 0j turns a -0.0 part into 0.0, as a merge does;
+    atoms whose amplitude is zero are dropped.
     """
-    cs = cs + 0.0
+    cs += 0.0
     keep = cs != 0
     if np.count_nonzero(keep) < len(cs):
         ps, cs = ps[keep], cs[keep]
@@ -300,6 +329,15 @@ def norm(u: AtomicVector) -> float:
 
 
 def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
+    """u + v, the merge of u's atoms and then v's.
+
+    On equal supports that is the elementwise (0j + c_u) + c_v at u's
+    frequencies, which needs no sort.
+    """
+    f, g = u.freqs, v.freqs
+    if f is g or len(f) == len(g) and len(f) and f.item(-1) == g.item(-1) and np.array_equal(f, g):
+        # canonical adds 0j, which gives c_u + c_v the bits of (0j + c_u) + c_v
+        return canonical(u.freqs, u.amps + v.amps)
     return merge(np.concatenate([u.freqs, v.freqs]), np.concatenate([u.amps, v.amps]))
 
 
