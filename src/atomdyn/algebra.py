@@ -396,8 +396,8 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     its values are e^{iaq} on [lo, hi] and 0 outside.  As in the scalar
     rule, the exponential runs only on the rows with a wave, the interval
     test only if some end is finite, and a row whose values are all 1 is
-    not multiplied.  A shift that carries an atom past the largest float
-    raises ValueError.
+    not multiplied.  A shift that carries an atom past the largest float,
+    or a phase a q that overflows, raises ValueError.
     """
     if not A.rows or not len(u):
         return AtomicVector()
@@ -420,6 +420,12 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     # others; then 0 outside [lo, hi]
     if any(ia):
         rows = np.flatnonzero(wia[n:])
+        # |a q| <= max |a| (max |p| + max |h|); only a bound past the float
+        # range checks each wave row's phases at its end frequencies
+        ends = max(abs(u.freqs.item(0)), abs(u.freqs.item(-1))) + max(map(abs, h))
+        if math.isinf(max(map(abs, ia)) * ends):
+            for j in rows.tolist():
+                check_phase(A.rows[j][1][1], q[j])
         x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
                        x[rows].ravel()).reshape(len(rows), -1)
     if max(lo) > -math.inf or min(hi) < math.inf:

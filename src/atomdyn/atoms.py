@@ -78,11 +78,11 @@ class AtomicVector:
 
     ``freqs`` holds the frequencies as sorted, pairwise distinct float64 and
     ``amps`` the complex128 amplitudes in the same order, none of them zero.
-    Both are read-only and may be shared with other vectors.  Iteration and
-    ``atoms`` give the atoms as ``Atom(p, c)`` values with Python float and
-    complex fields.  Equality compares the atoms (-0.0 equals 0.0), and the
-    hash is that of the atom tuple.  The norm is taken on its first call and
-    kept.
+    Both are read-only and may be shared with other vectors; ``amps`` is
+    contiguous.  Iteration and ``atoms`` give the atoms as ``Atom(p, c)``
+    values with Python float and complex fields.  Equality compares the
+    atoms (-0.0 equals 0.0), and the hash is that of the atom tuple.  The
+    norm is taken on its first call and kept.
 
     Construct through :func:`make_vector`, which merges duplicates and
     drops zero amplitudes; the constructor trusts its arrays and makes them
@@ -93,7 +93,7 @@ class AtomicVector:
 
     def __init__(self, freqs=(), amps=()):
         freqs = np.asarray(freqs, dtype=float)
-        amps = np.asarray(amps, dtype=complex)
+        amps = np.ascontiguousarray(amps, dtype=complex)
         freqs.setflags(write=False)
         amps.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
@@ -328,21 +328,60 @@ def norm(u: AtomicVector) -> float:
     return u.norm()
 
 
+def _top(u: AtomicVector) -> float:
+    """The largest |re c| or |im c| over u's amplitudes c, 0.0 for the zero vector."""
+    x = u.amps.view(float)
+    return max(x.max(initial=0.0).item(), -x.min(initial=0.0).item())
+
+
+def _named_overflow(risky: bool, make, name) -> AtomicVector:
+    """make(); when risky, taken with overflow warnings off, and an amplitude
+    that is not finite raises ValueError(name(p)) at its frequency p."""
+    if not risky:
+        return make()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = make()
+    bad = ~np.isfinite(w.amps)
+    if np.count_nonzero(bad):
+        raise ValueError(name(w.freqs.item(int(bad.argmax()))))
+    return w
+
+
 def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
     """u + v, the merge of u's atoms and then v's.
 
     On equal supports that is the elementwise (0j + c_u) + c_v at u's
-    frequencies, which needs no sort.
+    frequencies, which needs no sort.  A sum can overflow only if the
+    largest parts of u and v add up past the float range, and only then is
+    it checked: an overflow raises ValueError naming the amplitudes.
     """
     f, g = u.freqs, v.freqs
     if f is g or len(f) == len(g) and len(f) and f.item(-1) == g.item(-1) and np.array_equal(f, g):
         # canonical adds 0j, which gives c_u + c_v the bits of (0j + c_u) + c_v
-        return canonical(u.freqs, u.amps + v.amps)
-    return merge(np.concatenate([u.freqs, v.freqs]), np.concatenate([u.amps, v.amps]))
+        def make():
+            return canonical(f, u.amps + v.amps)
+    else:
+        def make():
+            return merge(np.concatenate([f, g]), np.concatenate([u.amps, v.amps]))
+    return _named_overflow(
+        math.isinf(_top(u) + _top(v)), make,
+        lambda p: f"{u.amplitude(p)!r} + {v.amplitude(p)!r}, the amplitudes at frequency "
+                  f"{p!r}, overflows the float range")
 
 
 def scale(alpha: complex, u: AtomicVector) -> AtomicVector:
-    return canonical(u.freqs, cmul(complex(alpha), u.amps))
+    """alpha u, each product by ``cmul``.
+
+    A part of a product is at most 2 |alpha part| |c part|, so only a bound
+    past the float range takes the check: an amplitude that is not finite
+    raises ValueError naming alpha and c.
+    """
+    alpha = complex(alpha)
+    bound = 2.0 * max(abs(alpha.real), abs(alpha.imag)) * _top(u)
+    return _named_overflow(
+        not bound < math.inf, lambda: canonical(u.freqs, cmul(alpha, u.amps)),
+        lambda p: f"{alpha!r} * {u.amplitude(p)!r}, the amplitude at frequency {p!r}, "
+                  "is not finite")
 
 
 def serialize(u: AtomicVector) -> str:

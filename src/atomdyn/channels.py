@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, cmul, match, norm
+from .atoms import AtomicVector, Record, check_phase, cmul, match, norm
 from .algebra import (ONE, AlgebraElement, Multiplier, apply_shift, check_draws, check_shifts,
                       shift_overlaps)
 from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, check_weights, convolve
@@ -354,6 +354,9 @@ def evaluate(
             return _mc_evaluate(base, A, d, mc_samples, gen)
     total = 0j
     for c, f, r, q in _hits(base, A):
+        if d is None and f.a:
+            # the phases a q of f.at; a pure state's pairs come sorted
+            check_phase(f.a, q if isinstance(base, PureState) else np.sort(q))
         total += c * complex(np.dot(r, f.at(q) if d is None else expect_function(d, f, q)))
     return total
 
