@@ -330,15 +330,16 @@ def norm(u: AtomicVector) -> float:
 
 def _top(u: AtomicVector) -> float:
     """The largest |re c| or |im c| over u's amplitudes c, 0.0 for the zero vector."""
+    if not len(u):
+        return 0.0
+    # the ufunc reductions skip the Python wrappers of max and min
     x = u.amps.view(float)
-    return max(x.max(initial=0.0).item(), -x.min(initial=0.0).item())
+    return max(float(np.maximum.reduce(x)), -float(np.minimum.reduce(x)))
 
 
-def _named_overflow(risky: bool, make, name) -> AtomicVector:
-    """make(); when risky, taken with overflow warnings off, and an amplitude
-    that is not finite raises ValueError(name(p)) at its frequency p."""
-    if not risky:
-        return make()
+def _named_overflow(make, name) -> AtomicVector:
+    """make() with overflow warnings off; an amplitude that is not finite
+    raises ValueError(name(p)) at its frequency p."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = make()
     bad = ~np.isfinite(w.amps)
@@ -363,10 +364,10 @@ def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
     else:
         def make():
             return merge(np.concatenate([f, g]), np.concatenate([u.amps, v.amps]))
-    return _named_overflow(
-        math.isinf(_top(u) + _top(v)), make,
-        lambda p: f"{u.amplitude(p)!r} + {v.amplitude(p)!r}, the amplitudes at frequency "
-                  f"{p!r}, overflows the float range")
+    if _top(u) + _top(v) < math.inf:
+        return make()
+    return _named_overflow(make, lambda p: f"{u.amplitude(p)!r} + {v.amplitude(p)!r}, the "
+                           f"amplitudes at frequency {p!r}, overflows the float range")
 
 
 def scale(alpha: complex, u: AtomicVector) -> AtomicVector:
@@ -377,11 +378,11 @@ def scale(alpha: complex, u: AtomicVector) -> AtomicVector:
     raises ValueError naming alpha and c.
     """
     alpha = complex(alpha)
-    bound = 2.0 * max(abs(alpha.real), abs(alpha.imag)) * _top(u)
-    return _named_overflow(
-        not bound < math.inf, lambda: canonical(u.freqs, cmul(alpha, u.amps)),
-        lambda p: f"{alpha!r} * {u.amplitude(p)!r}, the amplitude at frequency {p!r}, "
-                  "is not finite")
+    if 2.0 * max(abs(alpha.real), abs(alpha.imag)) * _top(u) < math.inf:
+        return canonical(u.freqs, cmul(alpha, u.amps))
+    return _named_overflow(lambda: canonical(u.freqs, cmul(alpha, u.amps)),
+                           lambda p: f"{alpha!r} * {u.amplitude(p)!r}, the amplitude at "
+                           f"frequency {p!r}, is not finite")
 
 
 def serialize(u: AtomicVector) -> str:

@@ -194,6 +194,28 @@ class TestPhaseOverflow:
         assert weyl_residual(0.0, 1.0, u) == 0.0
 
 
+class TestElementPhaseOverflow:
+    """apply_element names a wave row's phase a q past the float range, as apply_mod does."""
+
+    @pytest.mark.parametrize("A,u,message", [
+        (AlgebraElement.mult(wave(10.0)), unit_atom(1e308), "the phase 10.0 * 1e+308"),
+        # a shifted row: its frequencies q = p - h, the low end deciding
+        (AlgebraElement.of([(1.0, ONE, 0.0), (2j, wave(-3.0) * indicator(0.0, 1.0), 1.0)]),
+         make_vector([(-1e308, 0.5), (0.0, 1.0)]), "the phase -3.0 * -1e+308"),
+    ], ids=["mult", "shifted-row"])
+    def test_named(self, A, u, message):
+        with pytest.raises(ValueError) as err:
+            apply_element(A, u)
+        assert str(err.value) == message + " overflows the float range"
+
+    def test_largest_finite_phase_passes(self):
+        u = make_vector([(-1e308, 0.6), (1e308, 0.8)])
+        A = AlgebraElement.of([(1.0, wave(1.0), 0.0), (0.5, ONE, 0.0), (1.0, indicator(0, 1), 1.0)])
+        assert apply_element(A, u) == apply_mod(1.0, u) + 0.5 * u
+        # a row with no wave computes no phase
+        assert apply_element(AlgebraElement.shift(1e300), u) == apply_shift(1e300, u)
+
+
 class TestAlgebraElement:
     def test_pure_shift_term(self):
         A = AlgebraElement.shift(1.5)

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,14 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from atomdyn import atoms
 from atomdyn.atoms import (
     Atom,
     AtomicVector,
     add,
+    cmul,
     deserialize,
     inner,
     make_vector,
     match,
+    merge,
     norm,
     scale,
     serialize,
@@ -416,3 +420,196 @@ class TestMatch:
             want = [where.get(x) for x in qq.ravel().tolist()]
             assert hit.ravel().tolist() == [k is not None for k in want]
             assert i.ravel()[hit.ravel()].tolist() == [k for k in want if k is not None]
+
+
+# ---------------------------------------------------------------------------
+# The merge of sorted runs, sums on one support, cmul's two buffers and the
+# kept norm: each bit for bit against the scalar rules above
+
+
+@st.composite
+def sorted_runs(draw):
+    """1-8 runs of pairs, each sorted by frequency, as a sum or a table of rows gives them.
+
+    Runs share keys, hold -0.0 and 0.0, and may hold equal neighbours (the
+    atoms that a shift lands on one frequency); a pair may cancel one before it.
+    """
+    runs = []
+    for _ in range(draw(st.integers(1, 8))):
+        pairs = draw(st.lists(st.tuples(frequencies, amplitudes), max_size=8))
+        for i in draw(st.lists(st.integers(0, 7), max_size=2)):
+            if pairs:  # an equal neighbour, the same key or its signed zero twin
+                p, c = pairs[i % len(pairs)]
+                pairs.append((-p if p == 0 and draw(st.booleans()) else p, c))
+        if runs and runs[0] and draw(st.booleans()):
+            p, c = runs[0][0]
+            pairs.append((p, -c))  # cancels exactly
+        runs.append(sorted(pairs, key=lambda pc: pc[0]))
+    return runs
+
+
+class TestSortedRuns:
+    @settings(deadline=None)
+    @given(sorted_runs(), st.sampled_from([1, 8, 10**9]))
+    @example(runs=[[(-0.0, 1 + 0j), (1.0, 2j)], [(0.0, 1 + 0j), (1.0, -2j)]], rule=8)
+    @example(runs=[[(0.0, 1j)], [(-0.0, -1j)], [(1e16, 0.5 + 0j), (1e16, -0.5 + 0j)]], rule=1)
+    def test_merge_on_both_sides_of_the_runs_rule(self, runs, rule):
+        """merge of the runs' concatenation is the dict merge, whichever sort the
+        descents choose: rule 1 sends every unsorted input to the default sort,
+        10**9 every one to the stable sort, and 8 is the library's rule."""
+        pairs = [pc for run in runs for pc in run]
+        ps = np.array([p for p, _ in pairs], dtype=float)
+        cs = np.array([c for _, c in pairs], dtype=complex)
+        kept, atoms._RUNS = atoms._RUNS, rule
+        try:
+            v = merge(ps, cs)
+        finally:
+            atoms._RUNS = kept
+        assert vector_bits((a.p, a.c) for a in v) == vector_bits(ref_make(pairs))
+
+    @settings(deadline=None)
+    @given(pair_lists(), st.lists(amplitudes, min_size=12, max_size=12), st.booleans())
+    def test_add_on_one_support(self, pu, cs, flip):
+        """On equal supports add is the merge of u's atoms and then v's, and u's
+        key wins where one side has -0.0 and the other 0.0."""
+        u = make_vector(pu)
+        pv = [(-p if flip and p == 0 else p, c) for p, c in zip(u.frequencies, cs)]
+        v = make_vector(pv)
+        ru, rv = ref_make(pu), ref_make(pv)
+        assert vector_bits((a.p, a.c) for a in add(u, v)) == vector_bits(ref_make(ru + rv))
+        assert vector_bits((a.p, a.c) for a in add(v, u)) == vector_bits(ref_make(rv + ru))
+
+    @settings(deadline=None)
+    @given(pair_lists(), pair_lists())
+    def test_add_on_two_supports_and_difference(self, pu, pv):
+        u, v = make_vector(pu), make_vector(pv)
+        ru, rv = ref_make(pu), ref_make(pv)
+        assert vector_bits((a.p, a.c) for a in add(u, v)) == vector_bits(ref_make(ru + rv))
+        minus_v = ref_make([(p, complex(-1) * c) for p, c in rv])
+        assert vector_bits((a.p, a.c) for a in u - v) == vector_bits(ref_make(ru + minus_v))
+        assert u - u == AtomicVector()
+
+
+def complex_bits(a):
+    return np.asarray(a, dtype=complex).view(np.int64)
+
+
+def spread_complex(gen, shape):
+    """Complex values over many binades, with signed zeros and subnormals among them."""
+    a = spread_values(int(np.prod(shape)), complex, int(gen.integers(2**32))).reshape(shape)
+    special = np.array([0.0, -0.0, 5e-324, -1.0, 1e-310])
+    mask = gen.random(shape) < 0.1
+    a.real[mask] = gen.choice(special, np.count_nonzero(mask))
+    mask = gen.random(shape) < 0.1
+    a.imag[mask] = gen.choice(special, np.count_nonzero(mask))
+    return a
+
+
+class TestCmul:
+    """cmul rounds as Python's complex product, operand by operand."""
+
+    @pytest.mark.parametrize("n", [0, 1, 16_383, 16_384, 100_000])
+    def test_arrays_scalars_and_reals(self, n):
+        gen = np.random.default_rng(n)
+        x, y = spread_complex(gen, (n,)), spread_complex(gen, (n,))
+        r = spread_values(n, float, n + 7)
+        alpha = complex(-0.7, 1e-3)
+        xs, ys, rs = x.tolist(), y.tolist(), r.tolist()
+        cases = [
+            (cmul(x, y), [a * b for a, b in zip(xs, ys)]),
+            (cmul(alpha, y), [alpha * b for b in ys]),
+            # a real operand is complex with a zero imaginary part
+            (cmul(x, r), [a * complex(b) for a, b in zip(xs, rs)]),
+            (cmul(r, x), [complex(b) * a for a, b in zip(xs, rs)]),
+        ]
+        for got, want in cases:
+            assert got.shape == (n,)
+            assert np.array_equal(complex_bits(got), complex_bits(want))
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 8), (5, 4000)])
+    def test_column_times_table(self, n, k):
+        """(n, 1) x (n, k), as apply_element weighs its table."""
+        gen = np.random.default_rng(n * k)
+        w, t = spread_complex(gen, (n, 1)), spread_complex(gen, (n, k))
+        want = [[w[i, 0].item() * t[i, j].item() for j in range(k)] for i in range(n)]
+        got = cmul(w, t)
+        assert got.shape == (n, k)
+        assert np.array_equal(complex_bits(got), complex_bits(want))
+
+    def test_peak_memory_is_the_output_and_one_scratch_array(self):
+        """1e5 products hold the output (16 bytes each) and one float scratch
+        array (8 bytes each) at their peak: 2.4 MB (MB = 1e6 bytes)."""
+        gen = np.random.default_rng(0)
+        x, y = spread_complex(gen, (100_000,)), spread_complex(gen, (100_000,))
+        tracemalloc.start()
+        try:
+            cmul(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+
+class TestKeptNorm:
+    def test_taken_once_per_vector(self, monkeypatch):
+        calls = []
+        fresh = atoms._root_sum_squares
+        monkeypatch.setattr(atoms, "_root_sum_squares", lambda a: calls.append(1) or fresh(a))
+        u = make_vector([(0.0, 0.6), (1.5, 0.8j), (2.0, 1e-3)])
+        first = norm(u)
+        assert norm(u) is first and u.norm() is first
+        assert len(calls) == 1
+        # another vector on the same arrays takes its own
+        norm(AtomicVector(u.freqs, u.amps))
+        assert len(calls) == 2
+
+    @settings(deadline=None)
+    @given(pair_lists())
+    def test_equals_a_fresh_computation(self, pairs):
+        u = make_vector(pairs)
+        assert bits(norm(u)) == bits(ref_norm(ref_make(pairs)))
+        assert bits(norm(u)) == bits(norm(u))
+        assert bits(norm(u)) == bits(norm(AtomicVector(u.freqs, u.amps)))
+
+    @pytest.mark.parametrize("taken", [False, True])
+    def test_pickle_and_deepcopy(self, taken):
+        u = make_vector([(-0.0, 1e-200), (0.25, 3 - 4j), (1e16, 2.2250738585e-313j)])
+        if taken:
+            norm(u)
+        for w in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
+            assert w == u and hash(w) == hash(u)
+            assert bits(norm(w)) == bits(norm(u))
+
+
+class TestAmplitudeOverflow:
+    """A sum or a product of amplitudes past the float range raises ValueError
+    naming the frequency and the amplitudes, with no RuntimeWarning."""
+
+    U = make_vector([(0.0, 1e308), (1.0, 1j)])
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda u: add(u, u),
+         "(1e+308+0j) + (1e+308+0j), the amplitudes at frequency 0.0, overflows the float range"),
+        # two supports: the merge
+        (lambda u: add(u, make_vector([(-1.0, 1.0), (0.0, 1e308j), (0.0, 1e308)])),
+         "(1e+308+0j) + (1e+308+1e+308j), the amplitudes at frequency 0.0, overflows the float "
+         "range"),
+        (lambda u: scale(1e10, u),
+         "(10000000000+0j) * (1e+308+0j), the amplitude at frequency 0.0, is not finite"),
+        (lambda u: scale(1e308 + 1e308j, make_vector([(0.0, 1e308 + 1e308j)])),
+         "(1e+308+1e+308j) * (1e+308+1e+308j), the amplitude at frequency 0.0, is not finite"),
+        (lambda u: scale(math.nan, u), "(nan+0j) * (1e+308+0j), the amplitude at frequency 0.0, "
+         "is not finite"),
+    ], ids=["add-one-support", "add-two-supports", "scale", "scale-complex", "scale-nan"])
+    def test_named(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call(self.U)
+        assert str(err.value) == message
+
+    def test_sums_and_products_in_range_pass(self):
+        u = self.U
+        assert u - u == AtomicVector()
+        assert scale(-1, u).amps.tolist() == [-1e308 + 0j, -1j]
+        assert add(u, scale(-0.5, u)).amps.tolist() == [5e307 + 0j, 0.5j]
+        big = make_vector([(0.0, sys.float_info.max / 2)])
+        assert add(big, big).amps.tolist() == [complex(sys.float_info.max)]

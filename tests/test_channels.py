@@ -1682,6 +1682,29 @@ class TestEdgeInputs:
                 expect_function(Gaussian(1.0), indicator(-1.0, 1.0), x)
 
 
+class TestPairPhaseOverflow:
+    """evaluate of a pure, normal or mixed state names a phase a q past the float
+    range at a pair frequency q, with check_phase's message."""
+
+    PURE = PureState(unit_atom(1e308))
+
+    @pytest.mark.parametrize("s", [
+        PURE,
+        NormalState((0.0, 1e308), np.array([[0.5, 0.0], [0.0, 0.5]])),
+        MixedState(((0.5, PURE), (0.5, PureState(unit_atom(0.0))))),
+    ], ids=["pure", "normal", "mixed"])
+    def test_named(self, s):
+        with pytest.raises(ValueError) as err:
+            evaluate(s, AlgebraElement.mult(wave(10.0)))
+        assert str(err.value) == "the phase 10.0 * 1e+308 overflows the float range"
+
+    def test_a_frequency_no_pair_reaches_passes(self):
+        s = PureState(make_vector([(0.0, 0.6), (1e308, 0.8)]))
+        assert evaluate(s, AlgebraElement.of([(1.0, wave(10.0), 1e300)])) == 0j
+        value = evaluate(s, AlgebraElement.mult(wave(1.0)))
+        assert abs(value - (0.36 + 0.64 * cmath.exp(1e308j))) < 1e-15
+
+
 class TestDrawsPastTheFloatRange:
     """Cauchy(1e308) draws past the float range as +-inf, with no RuntimeWarning; each
     Monte Carlo path then names the failure, or returns the exact limit."""
