@@ -403,7 +403,8 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
         return AtomicVector()
     n = len(A.rows)
     # a shift by -0.0 leaves u as it is, as 0.0 does
-    w, ia, lo, hi, h = zip(*[(w, 1j * a, lo, hi, s + 0.0) for w, (_, a, lo, hi), s in A.rows])
+    w, a, ia, lo, hi, h = zip(*[(w, a, 1j * a, lo, hi, s + 0.0)
+                                for w, (_, a, lo, hi), s in A.rows])
     if any(h):
         check_shifts(u.freqs, float(min(h)), float(max(h)))
     wia = np.array(w + ia, dtype=complex)
@@ -422,10 +423,10 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
         rows = np.flatnonzero(wia[n:])
         # |a q| <= max |a| (max |p| + max |h|); only a bound past the float
         # range checks each wave row's phases at its end frequencies
-        ends = max(abs(u.freqs.item(0)), abs(u.freqs.item(-1))) + max(map(abs, h))
-        if math.isinf(max(map(abs, ia)) * ends):
+        ends = max(abs(u.freqs.item(0)), abs(u.freqs.item(-1))) + max(max(h), -min(h))
+        if math.isinf(max(max(a), -min(a)) * ends):
             for j in rows.tolist():
-                check_phase(A.rows[j][1][1], q[j])
+                check_phase(a[j], q[j])
         x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
                        x[rows].ravel()).reshape(len(rows), -1)
     if max(lo) > -math.inf or min(hi) < math.inf:

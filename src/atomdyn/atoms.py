@@ -330,10 +330,10 @@ def norm(u: AtomicVector) -> float:
 
 def _top(u: AtomicVector) -> float:
     """The largest |re c| or |im c| over u's amplitudes c, 0.0 for the zero vector."""
-    if not len(u):
-        return 0.0
-    # the ufunc reductions skip the Python wrappers of max and min
     x = u.amps.view(float)
+    if len(x) < 64:  # on few parts Python floats beat two numpy calls
+        return max(map(abs, x.tolist()), default=0.0)
+    # the ufunc reductions skip the Python wrappers of max and min
     return max(float(np.maximum.reduce(x)), -float(np.minimum.reduce(x)))
 
 
@@ -357,13 +357,14 @@ def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
     it checked: an overflow raises ValueError naming the amplitudes.
     """
     f, g = u.freqs, v.freqs
-    if f is g or len(f) == len(g) and len(f) and f.item(-1) == g.item(-1) and np.array_equal(f, g):
-        # canonical adds 0j, which gives c_u + c_v the bits of (0j + c_u) + c_v
-        def make():
+    same = f is g or (len(f) == len(g) and len(f) and f.item(-1) == g.item(-1)
+                      and np.array_equal(f, g))
+
+    def make():
+        if same:
+            # canonical adds 0j, which gives c_u + c_v the bits of (0j + c_u) + c_v
             return canonical(f, u.amps + v.amps)
-    else:
-        def make():
-            return merge(np.concatenate([f, g]), np.concatenate([u.amps, v.amps]))
+        return merge(np.concatenate([f, g]), np.concatenate([u.amps, v.amps]))
     if _top(u) + _top(v) < math.inf:
         return make()
     return _named_overflow(make, lambda p: f"{u.amplitude(p)!r} + {v.amplitude(p)!r}, the "
