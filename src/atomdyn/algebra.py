@@ -23,6 +23,7 @@ frequencies of the argument vector, or on whole arrays with ``at``.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from functools import cached_property
 from typing import Iterable, Optional, Tuple
@@ -79,6 +80,23 @@ def check_draws(xs: np.ndarray, *fs: np.ndarray) -> None:
         low, high = float(xs.min()), float(xs.max())
         for f in fs:
             check_shifts(f, low, high)
+
+
+def check_wave(a: float, lo: float, hi: float, q: np.ndarray, top: float) -> bool:
+    """Whether the phases a q of the wave e^{iay} on [lo, hi] at the points q may overflow.
+
+    Every |q| is at most top, so a bound |a| top in the float range says
+    False at once.  Past it, a point of q in [lo, hi] whose phase overflows
+    raises ValueError as ``check_phase`` does, and True is returned: the
+    points outside [lo, hi] take no phase (the value there is 0), so the
+    caller takes them with warnings off.
+    """
+    if not math.isinf(a * top):
+        return False
+    q = q[(lo <= q) & (q <= hi)]
+    if q.size:
+        check_phase(a, np.array([q.min(), q.max()]))
+    return True
 
 
 _RUN = 1 << 13  # shifts that shift_overlaps takes at once
@@ -397,7 +415,8 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     rule, the exponential runs only on the rows with a wave, the interval
     test only if some end is finite, and a row whose values are all 1 is
     not multiplied.  A shift that carries an atom past the largest float,
-    or a phase a q that overflows, raises ValueError.
+    or a phase a q that overflows at a q in its row's [lo, hi], raises
+    ValueError; outside [lo, hi] a row takes no phase, as in the scalar rule.
     """
     if not A.rows or not len(u):
         return AtomicVector()
@@ -421,14 +440,18 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     # others; then 0 outside [lo, hi]
     if any(ia):
         rows = np.flatnonzero(wia[n:])
-        # |a q| <= max |a| (max |p| + max |h|); only a bound past the float
-        # range checks each wave row's phases at its end frequencies
-        ends = max(abs(u.freqs.item(0)), abs(u.freqs.item(-1))) + max(max(h), -min(h))
-        if math.isinf(max(max(a), -min(a)) * ends):
+        # |q| <= max |p| + max |h|; only a bound max |a| top past the float
+        # range checks the wave rows' phases inside their intervals
+        top = max(abs(u.freqs.item(0)), abs(u.freqs.item(-1))) + max(max(h), -min(h))
+        quiet = contextlib.nullcontext()
+        if math.isinf(max(max(a), -min(a)) * top):
             for j in rows.tolist():
-                check_phase(a[j], q[j])
-        x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
-                       x[rows].ravel()).reshape(len(rows), -1)
+                check_wave(a[j], lo[j], hi[j], q[j], top)
+            # a phase left to overflow lies outside its row's interval, zeroed below
+            quiet = np.errstate(over="ignore", invalid="ignore")
+        with quiet:
+            x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
+                           x[rows].ravel()).reshape(len(rows), -1)
     if max(lo) > -math.inf or min(hi) < math.inf:
         lo, hi = np.array((lo, hi), dtype=float)[:, :, None]
         x[~((lo <= q) & (q <= hi))] = 0j

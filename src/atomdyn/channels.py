@@ -27,9 +27,9 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, check_phase, cmul, match, norm
+from .atoms import AtomicVector, Record, cmul, match, norm
 from .algebra import (ONE, AlgebraElement, Multiplier, apply_shift, check_draws, check_shifts,
-                      shift_overlaps)
+                      check_wave, shift_overlaps)
 from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, check_weights, convolve
 
 _UNIT_TOL = 1e-12
@@ -353,11 +353,16 @@ def evaluate(
                 return McEstimate(evaluate(base, A), 0.0, mc_samples)
             return _mc_evaluate(base, A, d, mc_samples, gen)
     total = 0j
-    for c, f, r, q in _hits(base, A):
-        if d is None and f.a:
-            # the phases a q of f.at; a pure state's pairs come sorted
-            check_phase(f.a, q if isinstance(base, PureState) else np.sort(q))
-        total += c * complex(np.dot(r, f.at(q) if d is None else expect_function(d, f, q)))
+    for c, f, r, q, top in _pairs(base, A):
+        if d is not None:
+            values = expect_function(d, f, q)
+        elif check_wave(f.a, f.lo, f.hi, q, top):
+            # every phase left to overflow lies outside [lo, hi], where f.at gives 0j
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = f.at(q)
+        else:
+            values = f.at(q)
+        total += c * complex(np.dot(r, values))
     return total
 
 
@@ -384,20 +389,27 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
 
 
 def _hits(s, A: AlgebraElement):
-    """(c, f, r, q) for each term c M_f S_a of A on a pure, normal or mixed state.
+    """``_pairs`` without top: (c, f, r, q) for each term of A on the state s."""
+    for c, f, r, q, _ in _pairs(s, A):
+        yield c, f, r, q
+
+
+def _pairs(s, A: AlgebraElement):
+    """(c, f, r, q, top) for each term c M_f S_a of A on a pure, normal or mixed state.
 
     The term sends the atom at p_k to q_k = p_k - a and meets the atom j
     whose frequency is bit-equal to q_k; r holds the pairs' weights and q
-    their frequencies, in the state's atom order.  A pure state u weighs a
-    pair conj(c_j) c_k, rounded by ``cmul``, and a normal state rho[k, j]; a
+    their frequencies, in the state's atom order; top is the largest |p|
+    over the state's support, so |q| <= top.  A pure state u weighs a pair
+    conj(c_j) c_k, rounded by ``cmul``, and a normal state rho[k, j]; a
     mixed state yields its components' hits with r scaled by their weights.
     A shift that carries an atom past the largest float raises ValueError,
     as ``apply_shift`` does, for every kind.
     """
     if isinstance(s, MixedState):
         for w, st in s.components:
-            for c, f, r, q in _hits(st, A):
-                yield c, f, w * r, q
+            for c, f, r, q, top in _pairs(st, A):
+                yield c, f, w * r, q, top
         return
     if isinstance(s, PureState):
         p = sorted_p = s.vector.freqs
@@ -410,13 +422,14 @@ def _hits(s, A: AlgebraElement):
         raise TypeError(f"not a state: {s!r}")
     shifts = [a for _, _, a in A.rows]
     check_shifts(sorted_p, min(shifts, default=0.0), max(shifts, default=0.0))
+    top = max(abs(sorted_p.item(0)), abs(sorted_p.item(-1))) if len(sorted_p) else 0.0
     for c, f, a in A.terms:
         q = p - a
         i, hit = match(sorted_p, q)
         k = hit.nonzero()[0]
         j = i[k]
         r = cmul(amps[j].conj(), amps[k]) if isinstance(s, PureState) else s.matrix[k, order[j]]
-        yield c, f, r, q[k]
+        yield c, f, r, q[k], top
 
 
 def _parts(s):

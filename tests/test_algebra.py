@@ -199,14 +199,28 @@ class TestElementPhaseOverflow:
 
     @pytest.mark.parametrize("A,u,message", [
         (AlgebraElement.mult(wave(10.0)), unit_atom(1e308), "the phase 10.0 * 1e+308"),
-        # a shifted row: its frequencies q = p - h, the low end deciding
-        (AlgebraElement.of([(1.0, ONE, 0.0), (2j, wave(-3.0) * indicator(0.0, 1.0), 1.0)]),
+        # a shifted row: its frequencies q = p - h, the low end deciding, inside [lo, hi]
+        (AlgebraElement.of([(1.0, ONE, 0.0), (2j, wave(-3.0) * indicator(-1e308, 1.0), 1.0)]),
          make_vector([(-1e308, 0.5), (0.0, 1.0)]), "the phase -3.0 * -1e+308"),
     ], ids=["mult", "shifted-row"])
     def test_named(self, A, u, message):
         with pytest.raises(ValueError) as err:
             apply_element(A, u)
         assert str(err.value) == message + " overflows the float range"
+
+    @pytest.mark.parametrize("A,u", [
+        # every q of the wave row lies outside [0, 1], so the row is 0
+        (AlgebraElement.of([(1.0, ONE, 0.0), (2j, wave(-3.0) * indicator(0.0, 1.0), 1.0)]),
+         make_vector([(-1e308, 0.5), (0.0, 1.0)])),
+        # one wave row overflows outside its interval, another takes its phases
+        (AlgebraElement.of([(1.0, wave(10.0) * indicator(-1.0, 1.0), 0.0),
+                            (0.5j, wave(0.25), -0.5), (2.0, ONE, 1.0)]),
+         make_vector([(-0.5, 0.6j), (0.0, 0.3), (1e308, 0.8)])),
+    ], ids=["shifted-row", "two-wave-rows"])
+    def test_phases_outside_the_interval_pass(self, A, u):
+        # the scalar rule gives 0j outside [lo, hi] and takes no phase there
+        assert vector_bits(apply_element(A, u)) == atom_bits(
+            ref_apply_element(A.terms, ref_make([(a.p, a.c) for a in u])))
 
     def test_largest_finite_phase_passes(self):
         u = make_vector([(-1e308, 0.6), (1e308, 0.8)])

@@ -450,13 +450,13 @@ def sorted_runs(draw):
 
 class TestSortedRuns:
     @settings(deadline=None)
-    @given(sorted_runs(), st.sampled_from([1, 8, 10**9]))
-    @example(runs=[[(-0.0, 1 + 0j), (1.0, 2j)], [(0.0, 1 + 0j), (1.0, -2j)]], rule=8)
+    @given(sorted_runs(), st.sampled_from([1, atoms._RUNS, 10**9]))
+    @example(runs=[[(-0.0, 1 + 0j), (1.0, 2j)], [(0.0, 1 + 0j), (1.0, -2j)]], rule=atoms._RUNS)
     @example(runs=[[(0.0, 1j)], [(-0.0, -1j)], [(1e16, 0.5 + 0j), (1e16, -0.5 + 0j)]], rule=1)
     def test_merge_on_both_sides_of_the_runs_rule(self, runs, rule):
         """merge of the runs' concatenation is the dict merge, whichever sort the
         descents choose: rule 1 sends every unsorted input to the default sort,
-        10**9 every one to the stable sort, and 8 is the library's rule."""
+        10**9 every one to the stable sort, and atoms._RUNS is the library's rule."""
         pairs = [pc for run in runs for pc in run]
         ps = np.array([p for p, _ in pairs], dtype=float)
         cs = np.array([c for _, c in pairs], dtype=complex)

@@ -1698,6 +1698,26 @@ class TestPairPhaseOverflow:
             evaluate(s, AlgebraElement.mult(wave(10.0)))
         assert str(err.value) == "the phase 10.0 * 1e+308 overflows the float range"
 
+    @pytest.mark.parametrize("s", [
+        PureState(make_vector([(0.0, 0.6), (1e308, 0.8)])),
+        NormalState((0.0, 1e308), np.array([[0.5, 0.0], [0.0, 0.5]])),
+        MixedState(((0.5, PURE), (0.5, PureState(make_vector([(-1.0, 0.6), (1.0, 0.8j)]))))),
+    ], ids=["pure", "normal", "mixed"])
+    def test_phases_outside_the_interval_pass(self, s):
+        # the atom at 1e308 lies outside [-1, 1]: the scalar rule gives 0j there
+        f = wave(10.0) * indicator(-1.0, 1.0)
+        A = AlgebraElement.of([(1.5, f, 0.0), (-0.5j, wave(0.5), 0.0)])
+
+        def ref(st):
+            if isinstance(st, MixedState):
+                return sum(w * ref(part) for w, part in st.components)
+            if isinstance(st, PureState):
+                atoms = [(a.p, a.c.conjugate() * a.c) for a in st.vector]
+            else:
+                atoms = [(p, complex(st.matrix[k, k])) for k, p in enumerate(st.support)]
+            return sum(c * sum(r * g(p) for p, r in atoms) for c, g, _ in A.terms)
+        assert abs(evaluate(s, A) - ref(s)) <= 1e-15
+
     def test_a_frequency_no_pair_reaches_passes(self):
         s = PureState(make_vector([(0.0, 0.6), (1e308, 0.8)]))
         assert evaluate(s, AlgebraElement.of([(1.0, wave(10.0), 1e300)])) == 0j
