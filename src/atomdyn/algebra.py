@@ -23,7 +23,6 @@ frequencies of the argument vector, or on whole arrays with ``at``.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from functools import cached_property
 from typing import Iterable, Optional, Tuple
@@ -31,7 +30,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .atoms import (AtomicVector, Record, apply_mod, canonical, check_phase, cmul, inner, match,
-                    merge, norm)
+                    merge, named_overflow, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -82,21 +81,13 @@ def check_draws(xs: np.ndarray, *fs: np.ndarray) -> None:
             check_shifts(f, low, high)
 
 
-def check_wave(a: float, lo: float, hi: float, q: np.ndarray, top: float) -> bool:
-    """Whether the phases a q of the wave e^{iay} on [lo, hi] at the points q may overflow.
-
-    Every |q| is at most top, so a bound |a| top in the float range says
-    False at once.  Past it, a point of q in [lo, hi] whose phase overflows
-    raises ValueError as ``check_phase`` does, and True is returned: the
-    points outside [lo, hi] take no phase (the value there is 0), so the
-    caller takes them with warnings off.
-    """
-    if not math.isinf(a * top):
-        return False
+def check_wave(a: float, lo: float, hi: float, q: np.ndarray) -> None:
+    """Raise ValueError as ``check_phase`` does if a phase a q of the wave e^{iay} on
+    [lo, hi] overflows at a q inside [lo, hi] (outside, the value 0 takes no phase);
+    it diagnoses a result that is not finite."""
     q = q[(lo <= q) & (q <= hi)]
     if q.size:
         check_phase(a, np.array([q.min(), q.max()]))
-    return True
 
 
 _RUN = 1 << 13  # shifts that shift_overlaps takes at once
@@ -414,9 +405,10 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     its values are e^{iaq} on [lo, hi] and 0 outside.  As in the scalar
     rule, the exponential runs only on the rows with a wave, the interval
     test only if some end is finite, and a row whose values are all 1 is
-    not multiplied.  A shift that carries an atom past the largest float,
-    or a phase a q that overflows at a q in its row's [lo, hi], raises
-    ValueError; outside [lo, hi] a row takes no phase, as in the scalar rule.
+    not multiplied.  A shift that carries an atom past the largest float
+    raises ValueError first; the table is built under ``named_overflow``, which
+    names a wave row's phase past the float range by ``check_wave``, rows in
+    order, and otherwise the term weights times the amplitudes of u that meet.
     """
     if not A.rows or not len(u):
         return AtomicVector()
@@ -428,43 +420,44 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
         check_shifts(u.freqs, float(min(h)), float(max(h)))
     wia = np.array(w + ia, dtype=complex)
     q = u.freqs - np.array(h, dtype=float)[:, None]
-    x = u.amps[None, :].repeat(n, axis=0)
-    if any(h):
-        landed = q[:, 1:] == q[:, :-1]
-        if np.count_nonzero(landed):
-            for j in np.flatnonzero(landed.any(axis=1)):
-                s = apply_shift(h[j], u)
-                x[j] = 0j
-                x[j, q[j].searchsorted(s.freqs)] = s.amps
-    # the multipliers' values: e^{iaq} on the rows with a wave, 1 on the
-    # others; then 0 outside [lo, hi]
-    if any(ia):
-        rows = np.flatnonzero(wia[n:])
-        # |q| <= max |p| + max |h|; only a bound max |a| top past the float
-        # range checks the wave rows' phases inside their intervals
-        top = max(abs(u.freqs.item(0)), abs(u.freqs.item(-1))) + max(max(h), -min(h))
-        quiet = contextlib.nullcontext()
-        if math.isinf(max(max(a), -min(a)) * top):
-            for j in rows.tolist():
-                check_wave(a[j], lo[j], hi[j], q[j], top)
-            # a phase left to overflow lies outside its row's interval, zeroed below
-            quiet = np.errstate(over="ignore", invalid="ignore")
-        with quiet:
-            x[rows] = cmul(np.exp(wia[n + rows, None] * q[rows]).ravel(),
-                           x[rows].ravel()).reshape(len(rows), -1)
-    if max(lo) > -math.inf or min(hi) < math.inf:
-        lo, hi = np.array((lo, hi), dtype=float)[:, :, None]
-        x[~((lo <= q) & (q <= hi))] = 0j
-    q, w = q.ravel(), cmul(wia[:n, None], x).ravel()
-    at_zero = q == 0
-    if np.count_nonzero(at_zero):
-        hits = at_zero & (w != 0)
-        total = 0j
-        for key, term in zip(q[hits].tolist(), w[hits].tolist()):
-            if total == 0:
-                q[at_zero] = key
-            total += term
-    return merge(q, w)
+    waves = np.flatnonzero(wia[n:])
+
+    def make():
+        x = u.amps[None, :].repeat(n, axis=0)
+        if any(h):
+            landed = q[:, 1:] == q[:, :-1]
+            if np.count_nonzero(landed):
+                for j in np.flatnonzero(landed.any(axis=1)):
+                    s = apply_shift(h[j], u)
+                    x[j] = 0j
+                    x[j, q[j].searchsorted(s.freqs)] = s.amps
+        # the multipliers' values: e^{iaq} on the rows with a wave, 1 on the
+        # others; then 0 outside [lo, hi], where a phase may have overflowed
+        if len(waves):
+            x[waves] = cmul(np.exp(wia[n + waves, None] * q[waves]).ravel(),
+                            x[waves].ravel()).reshape(len(waves), -1)
+        if max(lo) > -math.inf or min(hi) < math.inf:
+            los, his = np.array((lo, hi), dtype=float)[:, :, None]
+            x[~((los <= q) & (q <= his))] = 0j
+        qs, ws = q.ravel(), cmul(wia[:n, None], x).ravel()
+        at_zero = qs == 0
+        if np.count_nonzero(at_zero):
+            hits = at_zero & (ws != 0)
+            total = 0j
+            for key, term in zip(qs[hits].tolist(), ws[hits].tolist()):
+                if total == 0:
+                    qs[at_zero] = key
+                total += term
+        return merge(qs, ws)
+
+    def name(p):
+        for j in waves.tolist():
+            check_wave(a[j], lo[j], hi[j], q[j])
+        terms = [f"{w[j]!r} * {c!r}" for j in range(n) if lo[j] <= p <= hi[j]
+                 for c in u.amps[q[j] == p].tolist()]
+        return (f"{' + '.join(terms)}, the amplitude of A u at frequency {p!r}, overflows the "
+                "float range")
+    return named_overflow(make, name)
 
 
 def compose(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:

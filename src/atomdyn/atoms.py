@@ -333,18 +333,10 @@ def norm(u: AtomicVector) -> float:
     return u.norm()
 
 
-def _top(u: AtomicVector) -> float:
-    """The largest |re c| or |im c| over u's amplitudes c, 0.0 for the zero vector."""
-    x = u.amps.view(float)
-    if not len(x):
-        return 0.0
-    # the ufunc reductions skip the Python wrappers of max and min
-    return max(float(np.maximum.reduce(x)), -float(np.minimum.reduce(x)))
-
-
-def _named_overflow(make, name) -> AtomicVector:
-    """make() with overflow warnings off; an amplitude that is not finite
-    raises ValueError(name(p)) at its frequency p."""
+def named_overflow(make, name) -> AtomicVector:
+    """make() with overflow warnings off, the one overflow rule of the kernels: only
+    an amplitude that is not finite is diagnosed, and raises ValueError(name(p))
+    at its frequency p, unless name raises a more specific ValueError itself."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = make()
     bad = ~np.isfinite(w.amps)
@@ -357,9 +349,9 @@ def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
     """u + v, the merge of u's atoms and then v's.
 
     On equal supports that is the elementwise (0j + c_u) + c_v at u's
-    frequencies, which needs no sort.  A sum can overflow only if the
-    largest parts of u and v add up past the float range, and only then is
-    it checked: an overflow raises ValueError naming the amplitudes.
+    frequencies, which needs no sort.  The sum is taken under
+    :func:`named_overflow`: an amplitude past the float range raises
+    ValueError naming the frequency and the two amplitudes there.
     """
     f, g = u.freqs, v.freqs
     same = f is g or (len(f) == len(g) and len(f) and f.item(-1) == g.item(-1)
@@ -370,25 +362,17 @@ def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
             # canonical adds 0j, which gives c_u + c_v the bits of (0j + c_u) + c_v
             return canonical(f, u.amps + v.amps)
         return merge(np.concatenate([f, g]), np.concatenate([u.amps, v.amps]))
-    if _top(u) + _top(v) < math.inf:
-        return make()
-    return _named_overflow(make, lambda p: f"{u.amplitude(p)!r} + {v.amplitude(p)!r}, the "
-                           f"amplitudes at frequency {p!r}, overflows the float range")
+    return named_overflow(make, lambda p: f"{u.amplitude(p)!r} + {v.amplitude(p)!r}, the "
+                          f"amplitudes at frequency {p!r}, overflows the float range")
 
 
 def scale(alpha: complex, u: AtomicVector) -> AtomicVector:
-    """alpha u, each product by ``cmul``.
-
-    A part of a product is at most 2 |alpha part| |c part|, so only a bound
-    past the float range takes the check: an amplitude that is not finite
-    raises ValueError naming alpha and c.
-    """
+    """alpha u, each product by ``cmul``, taken under :func:`named_overflow`:
+    an amplitude that is not finite raises ValueError naming alpha and c."""
     alpha = complex(alpha)
-    if 2.0 * max(abs(alpha.real), abs(alpha.imag)) * _top(u) < math.inf:
-        return canonical(u.freqs, cmul(alpha, u.amps))
-    return _named_overflow(lambda: canonical(u.freqs, cmul(alpha, u.amps)),
-                           lambda p: f"{alpha!r} * {u.amplitude(p)!r}, the amplitude at "
-                           f"frequency {p!r}, is not finite")
+    return named_overflow(lambda: canonical(u.freqs, cmul(alpha, u.amps)),
+                          lambda p: f"{alpha!r} * {u.amplitude(p)!r}, the amplitude at "
+                          f"frequency {p!r}, is not finite")
 
 
 def serialize(u: AtomicVector) -> str:

@@ -22,6 +22,7 @@ One-parameter convolution families turn both into semigroups.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -339,6 +340,9 @@ def evaluate(
     under ``mc`` when it has a singular part.  ``method`` must be
     ``analytic`` or ``mc`` for every kind, and under ``mc`` mc_samples an
     integer of at least 1.
+    Outside ``mc`` the terms are summed with overflow warnings off; a value that is
+    not finite raises ValueError by ``check_wave`` (not on an averaged state), the
+    terms in order, or else naming A, whose weights overflowed.
     """
     _check_method(method, mc_samples)
     if isinstance(s, StateDecomposition):
@@ -353,16 +357,16 @@ def evaluate(
                 return McEstimate(evaluate(base, A), 0.0, mc_samples)
             return _mc_evaluate(base, A, d, mc_samples, gen)
     total = 0j
-    for c, f, r, q, top in _pairs(base, A):
-        if d is not None:
-            values = expect_function(d, f, q)
-        elif check_wave(f.a, f.lo, f.hi, q, top):
-            # every phase left to overflow lies outside [lo, hi], where f.at gives 0j
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = f.at(q)
-        else:
-            values = f.at(q)
-        total += c * complex(np.dot(r, values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, f, r, q in _hits(base, A):
+            values = f.at(q) if d is None else expect_function(d, f, q)
+            total += c * complex(np.dot(r, values))
+    if not cmath.isfinite(total):
+        if d is None:
+            for _, f, _, q in _hits(base, A):
+                check_wave(f.a, f.lo, f.hi, q)
+        raise ValueError(f"<s, A> for A = {A!r} is not finite: a term weight times its pair "
+                         "sum, or the sum of the terms, overflows the float range")
     return total
 
 
@@ -389,27 +393,21 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
 
 
 def _hits(s, A: AlgebraElement):
-    """``_pairs`` without top: (c, f, r, q) for each term of A on the state s."""
-    for c, f, r, q, _ in _pairs(s, A):
-        yield c, f, r, q
+    """(c, f, r, q) for each term c M_f S_a of A on a pure, normal or mixed state.
 
-
-def _pairs(s, A: AlgebraElement):
-    """(c, f, r, q, top) for each term c M_f S_a of A on a pure, normal or mixed state.
-
-    The term sends the atom at p_k to q_k = p_k - a and meets the atom j
-    whose frequency is bit-equal to q_k; r holds the pairs' weights and q
-    their frequencies, in the state's atom order; top is the largest |p|
-    over the state's support, so |q| <= top.  A pure state u weighs a pair
-    conj(c_j) c_k, rounded by ``cmul``, and a normal state rho[k, j]; a
-    mixed state yields its components' hits with r scaled by their weights.
-    A shift that carries an atom past the largest float raises ValueError,
-    as ``apply_shift`` does, for every kind.
+    The one pairing rule of ``evaluate`` and ``_mc_evaluate``: the term sends
+    the atom at p_k to q_k = p_k - a and meets the atom j whose frequency is
+    bit-equal to q_k; r holds the pairs' weights and q their frequencies, in
+    the state's atom order.  A pure state u weighs a pair conj(c_j) c_k,
+    rounded by ``cmul``, and a normal state rho[k, j]; a mixed state yields
+    its components' hits with r scaled by their weights.  A shift that
+    carries an atom past the largest float raises ValueError, as
+    ``apply_shift`` does, for every kind.
     """
     if isinstance(s, MixedState):
         for w, st in s.components:
-            for c, f, r, q, top in _pairs(st, A):
-                yield c, f, w * r, q, top
+            for c, f, r, q in _hits(st, A):
+                yield c, f, w * r, q
         return
     if isinstance(s, PureState):
         p = sorted_p = s.vector.freqs
@@ -422,14 +420,13 @@ def _pairs(s, A: AlgebraElement):
         raise TypeError(f"not a state: {s!r}")
     shifts = [a for _, _, a in A.rows]
     check_shifts(sorted_p, min(shifts, default=0.0), max(shifts, default=0.0))
-    top = max(abs(sorted_p.item(0)), abs(sorted_p.item(-1))) if len(sorted_p) else 0.0
     for c, f, a in A.terms:
         q = p - a
         i, hit = match(sorted_p, q)
         k = hit.nonzero()[0]
         j = i[k]
         r = cmul(amps[j].conj(), amps[k]) if isinstance(s, PureState) else s.matrix[k, order[j]]
-        yield c, f, r, q[k], top
+        yield c, f, r, q[k]
 
 
 def _parts(s):
