@@ -82,9 +82,8 @@ def check_draws(xs: np.ndarray, *fs: np.ndarray) -> None:
 
 
 def check_wave(a: float, lo: float, hi: float, q: np.ndarray) -> None:
-    """Raise ValueError as ``check_phase`` does if a phase a q of the wave e^{iay} on
-    [lo, hi] overflows at a q inside [lo, hi] (outside, the value 0 takes no phase);
-    it diagnoses a result that is not finite."""
+    """Raise ValueError as ``check_phase`` does if a phase a q of the wave e^{iay} on [lo, hi]
+    overflows at a q inside [lo, hi], where alone it takes one; it diagnoses results."""
     q = q[(lo <= q) & (q <= hi)]
     if q.size:
         check_phase(a, np.array([q.min(), q.max()]))
@@ -138,9 +137,12 @@ def weyl_residual(h: float, a: float, u: AtomicVector) -> float:
 
 
 def generator_apply(h: float, u: AtomicVector) -> AtomicVector:
-    """Derivative of the shift group at t=0: the wave at p gains factor ihp."""
+    """Derivative of the shift group at t=0: the wave at p gains factor ihp; the phase
+    h p is checked as in ``apply_mod``, the products under ``named_overflow``."""
     check_phase(h, u.freqs)
-    return canonical(u.freqs, cmul(cmul(1j * h, u.freqs), u.amps))
+    return named_overflow(lambda: canonical(u.freqs, cmul(cmul(1j * h, u.freqs), u.amps)),
+                          lambda p: f"i * {h!r} * {p!r} * {u.amplitude(p)!r}, the amplitude at "
+                          f"frequency {p!r}, is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +407,9 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     its values are e^{iaq} on [lo, hi] and 0 outside.  As in the scalar
     rule, the exponential runs only on the rows with a wave, the interval
     test only if some end is finite, and a row whose values are all 1 is
-    not multiplied.  A shift that carries an atom past the largest float
-    raises ValueError first; the table is built under ``named_overflow``, which
-    names a wave row's phase past the float range by ``check_wave``, rows in
-    order, and otherwise the term weights times the amplitudes of u that meet.
+    not multiplied.  A shift past the largest float raises ValueError first; under
+    ``named_overflow`` an amplitude that is not finite is named by ``check_wave`` on
+    the wave rows in order, or else as term weights times amplitudes of u.
     """
     if not A.rows or not len(u):
         return AtomicVector()

@@ -9,6 +9,7 @@ of the same atom set perfectly aligned (p + h is bit-reproducible).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -300,14 +301,21 @@ def inner(u: AtomicVector, v: AtomicVector) -> complex:
     """Inner product, conjugate-linear in the first argument.
 
     Only bit-identical frequencies contribute: (1_x, 1_y) = delta_{x,y}.
-    The products conj(c_u) c_v are added in u's atom order, starting at 0j.
+    The products conj(c_u) c_v are added in u's atom order, starting at 0j;
+    a sum that overflows raises ValueError naming where it first does.
     """
     if not len(u) or not len(v):
         return 0j
     i, hit = match(v.freqs, u.freqs)
     if not np.count_nonzero(hit):
         return 0j
-    return complex(cmul(u.amps[hit].conj(), v.amps[i[hit]]).cumsum()[-1]) + 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = cmul(u.amps[hit].conj(), v.amps[i[hit]]).cumsum()
+    if not cmath.isfinite(sums[-1]):
+        p = u.freqs[hit].item(int(np.isfinite(sums).argmin()))
+        raise ValueError(f"conj({u.amplitude(p)!r}) * {v.amplitude(p)!r}, the product at frequency "
+                         f"{p!r}, or the sum up to it, overflows the float range")
+    return complex(sums[-1]) + 0j
 
 
 def check_phase(a: float, f: np.ndarray) -> None:
@@ -326,7 +334,10 @@ def apply_mod(a: float, u: AtomicVector) -> AtomicVector:
     if a == 0:
         return u
     check_phase(a, u.freqs)
-    return AtomicVector(u.freqs, cmul(np.exp(cmul(1j * a, u.freqs)), u.amps))
+    return named_overflow(
+        lambda: AtomicVector(u.freqs, cmul(np.exp(cmul(1j * a, u.freqs)), u.amps)),
+        lambda p: f"e^(i {a!r} {p!r}) * {u.amplitude(p)!r}, the amplitude at frequency {p!r}, "
+        "is not finite")
 
 
 def norm(u: AtomicVector) -> float:
@@ -346,13 +357,9 @@ def named_overflow(make, name) -> AtomicVector:
 
 
 def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
-    """u + v, the merge of u's atoms and then v's.
-
-    On equal supports that is the elementwise (0j + c_u) + c_v at u's
-    frequencies, which needs no sort.  The sum is taken under
-    :func:`named_overflow`: an amplitude past the float range raises
-    ValueError naming the frequency and the two amplitudes there.
-    """
+    """u + v, the merge of u's atoms and then v's; on equal supports the elementwise
+    (0j + c_u) + c_v, with no sort.  Under :func:`named_overflow` an amplitude past
+    the float range raises ValueError naming the frequency and both amplitudes."""
     f, g = u.freqs, v.freqs
     same = f is g or (len(f) == len(g) and len(f) and f.item(-1) == g.item(-1)
                       and np.array_equal(f, g))

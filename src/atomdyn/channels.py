@@ -340,9 +340,8 @@ def evaluate(
     under ``mc`` when it has a singular part.  ``method`` must be
     ``analytic`` or ``mc`` for every kind, and under ``mc`` mc_samples an
     integer of at least 1.
-    Outside ``mc`` the terms are summed with overflow warnings off; a value that is
-    not finite raises ValueError by ``check_wave`` (not on an averaged state), the
-    terms in order, or else naming A, whose weights overflowed.
+    Outside ``mc`` the terms add up with overflow warnings off; a sum that is not finite
+    raises ValueError by ``check_wave`` on unaveraged states, terms in order, or names A.
     """
     _check_method(method, mc_samples)
     if isinstance(s, StateDecomposition):
@@ -395,14 +394,13 @@ def _mc_evaluate(base, A: AlgebraElement, d: Distribution, n: int, gen) -> McEst
 def _hits(s, A: AlgebraElement):
     """(c, f, r, q) for each term c M_f S_a of A on a pure, normal or mixed state.
 
-    The one pairing rule of ``evaluate`` and ``_mc_evaluate``: the term sends
-    the atom at p_k to q_k = p_k - a and meets the atom j whose frequency is
-    bit-equal to q_k; r holds the pairs' weights and q their frequencies, in
-    the state's atom order.  A pure state u weighs a pair conj(c_j) c_k,
-    rounded by ``cmul``, and a normal state rho[k, j]; a mixed state yields
-    its components' hits with r scaled by their weights.  A shift that
-    carries an atom past the largest float raises ValueError, as
-    ``apply_shift`` does, for every kind.
+    The term sends the atom at p_k to q_k = p_k - a and meets the atom j
+    whose frequency is bit-equal to q_k; r holds the pairs' weights and q
+    their frequencies, in the state's atom order.  A pure state u weighs a
+    pair conj(c_j) c_k, rounded by ``cmul``, and a normal state rho[k, j]; a
+    mixed state yields its components' hits with r scaled by their weights.
+    A shift that carries an atom past the largest float raises ValueError,
+    as ``apply_shift`` does, for every kind.
     """
     if isinstance(s, MixedState):
         for w, st in s.components:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, apply_mod, canonical, cmul
+from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, named_overflow
 
 _WEIGHT_TOL = 1e-12
 
@@ -514,6 +514,20 @@ def _step(t: float, n: int) -> float:
     return math.sqrt(t / n)
 
 
+def _step_chi_pow(d: Distribution, t: float, n: int, ps: np.ndarray) -> np.ndarray:
+    """chi(sqrt(t/n) p)^n at each p of ps, sqrt(t/n) p taken with overflow warnings off:
+    a Gaussian or Cauchy chi is 0.0 at +-inf, and any other law names t, n and p."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _step(t, n) * ps
+    try:
+        return d.chi_pow(x, n)
+    except ValueError:
+        if np.isfinite(x).all():
+            raise
+        raise ValueError(f"the step frequency sqrt(t/n) p is not finite for t = {t!r}, n = {n!r} "
+                         f"and p = {ps[~np.isfinite(x)].item(0)!r}") from None
+
+
 def random_walk_apply(
     d: Distribution,
     t: float,
@@ -538,8 +552,10 @@ def expected_walk_apply(d: Distribution, t: float, n: int, u: AtomicVector) -> A
     n = 1 is the averaged modulation E M_{sqrt(t) xi}, and Gaussian(D) steps
     give the Chernoff limit multiplier e^{-t D p^2 / 2} at every n.
     """
-    rt = _step(t, n)
-    return canonical(u.freqs, cmul(d.chi_pow(rt * u.freqs, n), u.amps))
+    x = _step_chi_pow(d, t, n, u.freqs)
+    return named_overflow(lambda: canonical(u.freqs, cmul(x, u.amps)),
+                          lambda p: f"chi(sqrt(t/n) {p!r})^{n!r} * {u.amplitude(p)!r}, the "
+                          f"amplitude at frequency {p!r}, is not finite")
 
 
 def chernoff_error(
@@ -557,8 +573,7 @@ def chernoff_error(
         )
     if d.mean != 0:
         raise ValueError(f"law must be centered, got mean {d.mean!r}")
-    rt = _step(t, n)
     x = np.asarray(probes, dtype=float)
     # the limit e^{-t D x^2 / 2} is chi of the Gaussian law of variance t D
-    err = d.chi_pow(rt * x, n) - ConvolutionFamily("gaussian").at(t * D).chi(x)
+    err = _step_chi_pow(d, t, n, x) - ConvolutionFamily("gaussian").at(t * D).chi(x)
     return float(np.hypot(err.real, err.imag).max())

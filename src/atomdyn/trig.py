@@ -15,6 +15,7 @@ rule at rate O(1/X).  It costs O(|u| |v|) at any window.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .atoms import AtomicVector
@@ -37,7 +38,7 @@ def cesaro_inner(u: AtomicVector, v: AtomicVector, window: float) -> complex:
 
     The sum over atoms (p, c) of u and (q, d) of v of conj(c) d sinc((q - p) X),
     with sinc(0) = 1, added in u's atom order and then v's.  X = window must
-    be finite and positive.
+    be finite and positive.  A sum that is not finite raises ValueError.
     """
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"window must be finite and positive: {window!r}")
@@ -45,6 +46,9 @@ def cesaro_inner(u: AtomicVector, v: AtomicVector, window: float) -> complex:
     for a in u:
         for b in v:
             total += a.c.conjugate() * b.c * _sinc(b.p - a.p, window)
+    if not cmath.isfinite(total):
+        raise ValueError(f"the window average for window {window!r} is not finite: a product "
+                         "conj(c) d of amplitudes of u and v, or their sum, overflows")
     return total
 
 
