@@ -82,8 +82,8 @@ def check_draws(xs: np.ndarray, *fs: np.ndarray) -> None:
 
 
 def check_wave(a: float, lo: float, hi: float, q: np.ndarray) -> None:
-    """Raise ValueError as ``check_phase`` does if a phase a q of the wave e^{iay} on [lo, hi]
-    overflows at a q inside [lo, hi], where alone it takes one; it diagnoses results."""
+    """Raise ValueError as ``check_phase`` does if a phase a q overflows at a q inside [lo, hi];
+    outside it the wave e^{iay} on [lo, hi] is 0 and takes none.  Used to diagnose."""
     q = q[(lo <= q) & (q <= hi)]
     if q.size:
         check_phase(a, np.array([q.min(), q.max()]))

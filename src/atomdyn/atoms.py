@@ -350,9 +350,9 @@ def named_overflow(make, name) -> AtomicVector:
     at its frequency p, unless name raises a more specific ValueError itself."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = make()
-    bad = ~np.isfinite(w.amps)
-    if np.count_nonzero(bad):
-        raise ValueError(name(w.freqs.item(int(bad.argmax()))))
+    ok = np.isfinite(w.amps)
+    if np.count_nonzero(ok) < len(ok):
+        raise ValueError(name(w.freqs.item(int(ok.argmin()))))
     return w
 
 
