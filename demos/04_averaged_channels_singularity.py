@@ -13,6 +13,7 @@ from atomdyn import (
     AlgebraElement,
     Cauchy,
     Gaussian,
+    MixedState,
     PureState,
     SeededRng,
     averaged_T,
@@ -52,7 +53,9 @@ for d in (Gaussian(1.0), Cauchy(0.4)):
                            mc_samples=10_000, gen=SeededRng(6).stream(0))
     print(f"\n{d}: projector value analytic = {p_analytic}, MC = {p_mc}")
 
-# Normal / singular decomposition of a 30/70 mixture.
-split = yosida_hewitt_split([(0.3, rho), (0.7, avg)])
-print(f"\n30/70 mixture: normal weight = {split.normal_weight}")
+# Normal / singular decomposition of a 30/70 mixture.  The split is itself a
+# state: the mixture of its normal and singular parts.
+p, normal, singular = yosida_hewitt_split([(0.3, rho), (0.7, avg)])
+split = MixedState(((p, normal), (1.0 - p, singular)))
+print(f"\n30/70 mixture: normal weight = {p}")
 print(f"normality witness on a covering grid = {normality_witness(split, [[0.0]])}")

@@ -6,7 +6,7 @@ of :mod:`atomdyn.algebra`.  Four representations are executable:
 * pure       -- a unit atomic vector u, acting by (u, A u);
 * normal     -- a finite density matrix rho over a frequency support,
                 acting by tr(rho A);
-* mixed      -- a finite convex combination of pure, normal or mixed states;
+* mixed      -- a finite convex combination of states of any kind;
 * averaged   -- a pure, normal or mixed base state smoothed by a random
                 shift: the functional A -> E <T_xi base, A>, kept
                 *intensionally* as the pair (base, law).  When the law is
@@ -124,13 +124,12 @@ class NormalState(Record):
 class MixedState(Record):
     _fields = ("components",)
 
-    def __init__(self,
-                 components: Tuple[Tuple[float, Union[PureState, NormalState, MixedState]], ...]):
+    def __init__(self, components: Tuple[Tuple[float, State], ...]):
         object.__setattr__(self, "components", components)
         check_weights([w for w, _ in components], "mixture weights")
         for _, s in components:
-            if not isinstance(s, (PureState, NormalState, MixedState)):
-                raise TypeError(f"mixture component is not a pure, normal or mixed state: {s!r}")
+            if not isinstance(s, (PureState, NormalState, MixedState, AveragedState)):
+                raise TypeError(f"mixture component is not a state: {s!r}")
 
 
 class AveragedState(Record):
@@ -150,48 +149,10 @@ class AveragedState(Record):
 State = Union[PureState, NormalState, MixedState, AveragedState]
 
 
-class StateDecomposition(Record):
-    """Convex split into a normal aggregate and a singular aggregate.
-
-    ``normal_weight`` is the total mass p of the normal part; the parts are
-    stored as internally normalized (weight, state) tuples.  A part is None,
-    one state, or a MixedState of pure, normal and mixed states; several
-    averaged states have no state type, so their part stays the tuple.
-    """
-
-    _fields = ("normal_weight", "normal_components", "singular_components")
-
-    def __init__(self, normal_weight: float,
-                 normal_components: Tuple[Tuple[float, State], ...],
-                 singular_components: Tuple[Tuple[float, AveragedState], ...]):
-        object.__setattr__(self, "normal_weight", normal_weight)
-        object.__setattr__(self, "normal_components", normal_components)
-        object.__setattr__(self, "singular_components", singular_components)
-        p = normal_weight
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"normal weight must lie in [0, 1]: {p!r}")
-        if p == 1.0 and singular_components:
-            raise ValueError("weight 1 admits no singular part")
-        if p == 0.0 and normal_components:
-            raise ValueError("weight 0 admits no normal part")
-
-    @property
-    def normal_part(self):
-        return _aggregate(self.normal_components)
-
-    @property
-    def singular_part(self):
-        return _aggregate(self.singular_components)
-
-
-def _aggregate(components):
-    if not components:
-        return None
-    if len(components) == 1:
-        return components[0][1]
-    if not any(isinstance(s, AveragedState) for _, s in components):
-        return MixedState(tuple(components))
-    return components
+def _averaged_in(s) -> bool:
+    """Whether s is an averaged state or a mixture that holds one at any depth."""
+    return isinstance(s, AveragedState) or (
+        isinstance(s, MixedState) and any(_averaged_in(st) for _, st in s.components))
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +295,19 @@ def evaluate(
     before the weights c r and the sums meet the length-N array, so the
     bits are those of the draw-by-draw sum.  A convolution, whose
     multipliers are all ``ONE``, gives the value on the base bit for bit,
-    under ``mc`` with stderr 0 and no draw from ``gen``.  A
-    :class:`StateDecomposition` adds its parts' weighted values, and their
+    under ``mc`` with stderr 0 and no draw from ``gen``.  A mixture that
+    holds an averaged state adds its components' weighted values, and their
     variances as (weight stderr)^2, so it returns an :class:`McEstimate`
-    under ``mc`` when it has a singular part.  ``method`` must be
+    under ``mc`` when an averaged state in it does.  ``method`` must be
     ``analytic`` or ``mc`` for every kind, and under ``mc`` mc_samples an
     integer of at least 1.
     Outside ``mc`` the terms add up with overflow warnings off; a sum that is not finite
     raises ValueError by ``check_wave`` on unaveraged states, terms in order, or names A.
     """
     _check_method(method, mc_samples)
-    if isinstance(s, StateDecomposition):
+    if isinstance(s, MixedState) and _averaged_in(s):
         return _weighted_sum(
-            ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in _parts(s)), mc_samples
+            ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in s.components), mc_samples
         )
     base, d = s, None
     if isinstance(s, AveragedState):
@@ -427,33 +388,19 @@ def _hits(s, A: AlgebraElement):
         yield c, f, r, q[k]
 
 
-def _parts(s):
-    """(weight, state) pairs of a mixed state or a split, whose mixture is s."""
-    if isinstance(s, MixedState):
-        return s.components
-    if isinstance(s, StateDecomposition):
-        p = s.normal_weight
-        return ([(p * w, st) for w, st in s.normal_components]
-                + [((1.0 - p) * w, st) for w, st in s.singular_components])
-    raise TypeError(f"not a state: {s!r}")
-
-
 def _weighted_sum(pairs, mc_samples: int):
     """Sum of weight * value over (weight, value) pairs.
 
     An :class:`McEstimate` value adds its variance as (|weight| stderr)^2 and
     makes the sum an :class:`McEstimate`.
     """
-    total = 0j
-    variance = 0.0
-    estimate = False
+    total, variance, estimate = 0j, 0.0, False
     for weight, v in pairs:
         if isinstance(v, McEstimate):
             estimate = True
-            total += weight * v.value
             variance += (abs(weight) * v.stderr) ** 2
-        else:
-            total += weight * v
+            v = v.value
+        total += weight * v
     return McEstimate(total, math.sqrt(variance), mc_samples) if estimate else total
 
 
@@ -484,17 +431,20 @@ def channel_T(h: float, s: State) -> State:
     raise TypeError(f"not a state: {s!r}")
 
 
-def averaged_T(d: Distribution, s: State) -> AveragedState:
+def averaged_T(d: Distribution, s: State) -> State:
     """The channel average E T_xi as a lazy functional.
 
     A pure, normal or mixed state becomes the base as it is; a normal state
     keeps its density matrix, with no eigen-decomposition.  A discrete law
     is permitted; the result then evaluates as a finite mixture and need not
     be singular.  Stacking on an existing averaged state convolves the
-    smoothing laws (used by the semigroup).
+    smoothing laws (used by the semigroup).  A mixture that holds an
+    averaged state averages by its components: E T_xi sum w s = sum w E T_xi s.
     """
     if isinstance(s, AveragedState):
         return AveragedState(s.base, convolve(s.smoothing, d))
+    if isinstance(s, MixedState) and _averaged_in(s):
+        return MixedState(tuple((w, averaged_T(d, st)) for w, st in s.components))
     if isinstance(s, (PureState, NormalState, MixedState)):
         return AveragedState(s, d)
     raise TypeError(f"not a state: {s!r}")
@@ -640,7 +590,9 @@ def _mass(s, fset: set) -> float:
     if isinstance(s, NormalState):
         return sum((float(s.matrix[j, j].real)
                     for j, p in enumerate(s.support) if p in fset), 0.0)
-    parts = _discrete_shifts(s) if isinstance(s, AveragedState) else _parts(s)
+    if not isinstance(s, (AveragedState, MixedState)):
+        raise TypeError(f"not a state: {s!r}")
+    parts = _discrete_shifts(s) if isinstance(s, AveragedState) else s.components
     return sum((w * _mass(st, fset) for w, st in parts), 0.0)
 
 
@@ -649,8 +601,8 @@ def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
 
     The largest <s, P_F> over the sets F of the family.  Equals 1 for
     normal-kind states whose support one set covers, and 0 for averaged
-    states with continuous smoothing; a convex split reports its normal
-    weight when one set covers the normal support.
+    states with continuous smoothing; the mixture of a split's parts reports
+    its normal weight when one set covers the normal support.
     """
     fams = [set(fs) for fs in family]
     if not fams:
@@ -722,38 +674,53 @@ def semigroup_Phi(fam: ConvolutionFamily, t: float, s: NormalState) -> NormalSta
 
 
 def yosida_hewitt_split(
-    components: Iterable[Tuple[float, object]]
-) -> StateDecomposition:
+    components: Iterable[Tuple[float, State]]
+) -> Tuple[float, Optional[State], Optional[State]]:
     """Split an explicit convex combination into normal and singular parts.
+
+    Returns (p, normal_part, singular_part), where p is the weight of the
+    normal part and a part is None when it has no mass, one state, or the
+    MixedState of its states; the split is the state MixedState(((p,
+    normal_part), (1 - p, singular_part))) of the parts that are not None.
 
     An averaged state of weight w splits along the Lebesgue split of its
     law: each atom (loc, pr) puts the shifted base T_loc base, of weight
     w pr, in the normal part, and the continuous part puts the base averaged
     over ``continuous_part()``, of weight w ``continuous_weight()``, in the
     singular part.  A law with no atoms is its own continuous part, of weight 1.
+    A mixture that holds an averaged state splits by its components, any
+    other state goes to the normal part whole, and weight 0 is dropped.
     """
     comps = [(float(w), s) for w, s in components]
     check_weights([w for w, _ in comps], "weights")
-
-    normal: list[Tuple[float, object]] = []
-    singular: list[Tuple[float, AveragedState]] = []
+    normal, singular = [], []
     for w, s in comps:
-        if w == 0:
-            continue
-        if isinstance(s, AveragedState):
-            normal += [(w * pr, st) for pr, st in _discrete_shifts(s)]
-            cw = s.smoothing.continuous_weight()
-            if cw > 0:
-                singular.append((w * cw, AveragedState(s.base, s.smoothing.continuous_part())))
-        elif isinstance(s, (PureState, NormalState, MixedState)):
-            normal.append((w, s))
-        else:
-            raise TypeError(f"not a state: {s!r}")
-
+        _lebesgue(w, s, normal, singular)
     p = sum(w for w, _ in normal)
-    nn = tuple((w / p, s) for w, s in normal) if p > 0 else ()
-    q = 1.0 - p
-    ss = tuple((w / q, s) for w, s in singular) if q > 0 else ()
     # guard against float drift putting p marginally outside [0, 1]
-    p = min(1.0, max(0.0, p))
-    return StateDecomposition(p, nn, ss)
+    return min(1.0, max(0.0, p)), _part(normal, p), _part(singular, 1.0 - p)
+
+
+def _lebesgue(w: float, s, normal: list, singular: list) -> None:
+    """Append the (weight, state) pieces of w s to the parts of ``yosida_hewitt_split``."""
+    if w == 0:
+        return
+    if isinstance(s, AveragedState):
+        normal += [(w * pr, st) for pr, st in _discrete_shifts(s)]
+        cw = s.smoothing.continuous_weight()
+        if cw > 0:
+            singular.append((w * cw, AveragedState(s.base, s.smoothing.continuous_part())))
+    elif isinstance(s, MixedState) and _averaged_in(s):
+        for v, st in s.components:
+            _lebesgue(w * v, st, normal, singular)
+    elif isinstance(s, (PureState, NormalState, MixedState)):
+        normal.append((w, s))
+    else:
+        raise TypeError(f"not a state: {s!r}")
+
+
+def _part(pairs: list, mass: float) -> Optional[State]:
+    """None, the one state, or the MixedState of the (weight / mass, state) pairs."""
+    if not pairs or mass <= 0:
+        return None
+    return pairs[0][1] if len(pairs) == 1 else MixedState(tuple((w / mass, st) for w, st in pairs))

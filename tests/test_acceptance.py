@@ -24,6 +24,7 @@ from atomdyn.rand import (
     chernoff_error,
 )
 from atomdyn.channels import (
+    MixedState,
     NormalState,
     PureState,
     averaged_Phi,
@@ -180,7 +181,8 @@ def test_07_singularity():
         )
     normal = PureState(unit_atom(0.0))
     avg = averaged_T(Gaussian(1.0), PureState(unit_atom(1.0)))
-    split = yosida_hewitt_split([(0.3, normal), (0.7, avg)])
+    p, normal_part, singular_part = yosida_hewitt_split([(0.3, normal), (0.7, avg)])
+    split = MixedState(((p, normal_part), (1.0 - p, singular_part)))
     witness = normality_witness(split, [[0.0, 1.0, 2.0]])
     ok = worst == 0.0 and abs(witness - 0.3) <= 1e-12
     report(

@@ -44,7 +44,6 @@ from atomdyn.channels import (
     NormalState,
     PureState,
     QuadratureError,
-    StateDecomposition,
     averaged_Phi,
     averaged_T,
     channel_Phi,
@@ -86,6 +85,13 @@ def uniform_pair():
 
 
 PAIR_DENSITY = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def split_state(components):
+    """The Yosida--Hewitt split of the components as one state: the mixture of its parts."""
+    p, normal, singular = yosida_hewitt_split(components)
+    return MixedState(tuple((w, part) for w, part in ((p, normal), (1.0 - p, singular))
+                            if part is not None))
 
 
 def eigen_mixture(s):
@@ -177,11 +183,14 @@ class TestEvaluate:
             PureState(make_vector([(0.0, 2.0)]))
 
     def test_mixture_components_are_states(self):
-        with pytest.raises(TypeError, match="not a pure, normal or mixed state: 3$"):
+        with pytest.raises(TypeError, match="^mixture component is not a state: 3$"):
             MixedState(((1.0, 3),))
+        # an averaged component is a state too: the mixture adds its components' values
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        with pytest.raises(TypeError, match=r"not a pure, normal or mixed state: AveragedState\("):
-            MixedState(((0.5, uniform_pair()), (0.5, avg)))
+        with_avg = MixedState(((0.5, uniform_pair()), (0.5, avg)))
+        for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(-0.5, 0.5))):
+            want = 0.5 * evaluate(uniform_pair(), A) + 0.5 * evaluate(avg, A)
+            assert abs(evaluate(with_avg, A) - want) <= 1e-15
         # normal and mixed components pair as their own states do
         pure = PureState(unit_atom(0.0))
         inner_mix = MixedState(((0.5, pure), (0.5, uniform_pair())))
@@ -395,11 +404,11 @@ class TestNormalStateEquality:
         assert AveragedState(back, Gaussian(1.0)) == AveragedState(s, Gaussian(1.0))
         assert AveragedState(back, Gaussian(1.0)) != AveragedState(s, Cauchy(1.0))
         assert AveragedState(PAIR_DENSITY, Gaussian(1.0)) != AveragedState(s, Gaussian(1.0))
-        split = yosida_hewitt_split([(0.4, s), (0.6, averaged_T(Gaussian(1.0), s))])
+        split = split_state([(0.4, s), (0.6, averaged_T(Gaussian(1.0), s))])
         again = pickle.loads(pickle.dumps(split))
-        assert isinstance(again, StateDecomposition)
+        assert isinstance(again, MixedState)
         assert again == split
-        assert again != yosida_hewitt_split([(0.5, s), (0.5, averaged_T(Gaussian(1.0), s))])
+        assert again != split_state([(0.5, s), (0.5, averaged_T(Gaussian(1.0), s))])
 
 
 class TestChannelT:
@@ -673,7 +682,7 @@ class TestEvaluateMonteCarlo:
     def test_split_with_singular_part(self):
         u = PureState(unit_atom(0.0))
         avg = averaged_T(Gaussian(1.0), u)
-        split = yosida_hewitt_split([(0.3, u), (0.7, avg)])
+        split = split_state([(0.3, u), (0.7, avg)])
         est = evaluate(split, self.M, "mc", mc_samples=20_000, gen=SeededRng(33).stream(0))
         assert isinstance(est, McEstimate)
         assert abs(est.value - evaluate(split, self.M)) <= 4.0 * est.stderr
@@ -683,13 +692,13 @@ class TestEvaluateMonteCarlo:
 
     def test_exact_kinds_ignore_mc(self):
         rho = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
-        discrete = yosida_hewitt_split([(1.0, averaged_T(Rademacher(), uniform_pair()))])
+        discrete = split_state([(1.0, averaged_T(Rademacher(), uniform_pair()))])
         for s in (uniform_pair(), rho, MixedState(((1.0, uniform_pair()),)), discrete):
             assert evaluate(s, self.M, "mc") == evaluate(s, self.M)
 
     def test_missing_generator_raises(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        split = yosida_hewitt_split([(0.5, uniform_pair()), (0.5, avg)])
+        split = split_state([(0.5, uniform_pair()), (0.5, avg)])
         for s in (avg, split):
             with pytest.raises(ValueError, match="generator"):
                 evaluate(s, self.M, "mc")
@@ -704,7 +713,7 @@ class TestMethodValidation:
         A = AlgebraElement.shift(1.0)
         rho = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        split = yosida_hewitt_split([(0.5, uniform_pair()), (0.5, avg)])
+        split = split_state([(0.5, uniform_pair()), (0.5, avg)])
         # "quadrature", a rule with no error estimate, is gone
         for method in ("simpson", "quadrature"):
             for s in (uniform_pair(), rho, MixedState(((1.0, uniform_pair()),)), avg, split):
@@ -1218,15 +1227,15 @@ class TestSemigroups:
 
 class TestYosidaHewitt:
     def test_purely_normal(self):
-        split = yosida_hewitt_split([(1.0, PureState(unit_atom(0.0)))])
-        assert split.normal_weight == 1.0
-        assert split.singular_part is None
+        p, _, singular = yosida_hewitt_split([(1.0, PureState(unit_atom(0.0)))])
+        assert p == 1.0
+        assert singular is None
 
     def test_purely_singular(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        split = yosida_hewitt_split([(1.0, avg)])
-        assert split.normal_weight == 0.0
-        assert split.normal_part is None
+        p, normal, _ = yosida_hewitt_split([(1.0, avg)])
+        assert p == 0.0
+        assert normal is None
 
     @pytest.mark.parametrize("law", [
         Gaussian(1.0), FiniteMixture(tuple((0.1, Gaussian(1.0 + j)) for j in range(10)))],
@@ -1234,13 +1243,11 @@ class TestYosidaHewitt:
     def test_law_with_no_atoms_keeps_the_average(self, law):
         # the general split: no atoms, continuous weight 1, the law its own part
         avg = averaged_T(law, uniform_pair())
-        split = yosida_hewitt_split([(1.0, avg)])
-        assert split.singular_components == ((1.0, avg),) and split.singular_part == avg
+        assert yosida_hewitt_split([(1.0, avg)]) == (0.0, None, avg)
 
     def test_normal_part_of_pure_and_normal_is_a_state(self):
         pure = PureState(unit_atom(0.0))
-        split = yosida_hewitt_split([(0.5, pure), (0.5, PAIR_DENSITY)])
-        part = split.normal_part
+        _, part, _ = yosida_hewitt_split([(0.5, pure), (0.5, PAIR_DENSITY)])
         assert part == MixedState(((0.5, pure), (0.5, PAIR_DENSITY)))
         for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(-0.5, 0.5))):
             want = 0.5 * evaluate(pure, A) + 0.5 * evaluate(PAIR_DENSITY, A)
@@ -1248,24 +1255,25 @@ class TestYosidaHewitt:
 
     def test_mixed_split_and_witness(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
-        split = yosida_hewitt_split(
-            [(0.3, PureState(unit_atom(0.0))), (0.7, avg)]
-        )
-        assert split.normal_weight == pytest.approx(0.3, abs=1e-12)
-        assert normality_witness(split, [[0.0, 1.0]]) == pytest.approx(0.3, abs=1e-12)
+        components = [(0.3, PureState(unit_atom(0.0))), (0.7, avg)]
+        p, _, _ = yosida_hewitt_split(components)
+        assert p == pytest.approx(0.3, abs=1e-12)
+        assert normality_witness(split_state(components), [[0.0, 1.0]]) == pytest.approx(
+            0.3, abs=1e-12)
 
     def test_discrete_averaged_goes_normal(self):
         avg = averaged_T(Rademacher(), PureState(unit_atom(0.0)))
-        split = yosida_hewitt_split([(1.0, avg)])
-        assert split.normal_weight == 1.0
+        p, _, _ = yosida_hewitt_split([(1.0, avg)])
+        assert p == 1.0
         # a normal base: its shifted copies join the normal part as they are
         avg = averaged_T(Rademacher(), PAIR_DENSITY)
         singular = averaged_T(Gaussian(1.0), PAIR_DENSITY)
-        split = yosida_hewitt_split([(0.4, avg), (0.6, singular)])
-        assert split.normal_weight == 0.4
+        p, normal, _ = yosida_hewitt_split([(0.4, avg), (0.6, singular)])
+        assert p == 0.4
         # the shifted bases stay normal states: S_{-1} and S_{+1} of the pair
-        assert [(w, st.support) for w, st in split.normal_components] == [
+        assert [(w, st.support) for w, st in normal.components] == [
             (0.5, (1.0, 2.0)), (0.5, (-1.0, 0.0))]
+        split = split_state([(0.4, avg), (0.6, singular)])
         assert normality_witness(split, [[-1.0, 0.0, 1.0, 2.0]]) == pytest.approx(0.4)
         for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.mult(indicator(-1, 1))):
             direct = 0.4 * evaluate(avg, A) + 0.6 * evaluate(singular, A)
@@ -1276,11 +1284,12 @@ class TestYosidaHewitt:
         # the atoms' shifted bases are normal, the Gaussian average singular
         law = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0))))
         avg = averaged_T(law, base)
-        split = yosida_hewitt_split([(1.0, avg)])
-        assert split.normal_weight == 0.5
-        weights = [w for w, _ in channels._parts(split)]
+        p, normal, singular = yosida_hewitt_split([(1.0, avg)])
+        assert p == 0.5
+        weights = [p * w for w, _ in normal.components] + [1.0 - p]
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
-        assert split.singular_part == averaged_T(Gaussian(1.0), base)
+        assert singular == averaged_T(Gaussian(1.0), base)
+        split = split_state([(1.0, avg)])
         # even probes: the value of the average does not see the sign of xi
         for A in (IDENTITY, AlgebraElement.shift(1.0), AlgebraElement.shift(-1.0),
                   AlgebraElement.mult(indicator(-0.5, 0.5)),
@@ -1290,7 +1299,7 @@ class TestYosidaHewitt:
     def test_evaluation_linearity(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
         normal = PureState(unit_atom(0.0))
-        split = yosida_hewitt_split([(0.4, normal), (0.6, avg)])
+        split = split_state([(0.4, normal), (0.6, avg)])
         probes = [IDENTITY, AlgebraElement.shift(1.0),
                   AlgebraElement.mult(indicator(-1, 1))]
         for A in probes:
@@ -1298,18 +1307,16 @@ class TestYosidaHewitt:
             assert abs(evaluate(split, A) - direct) <= 1e-12
 
     def test_several_averaged_states_keep_the_tuple(self):
-        # no state type holds several averaged states: the singular part is
-        # the tuple of pairs, which the split evaluates and evaluate rejects
+        # the split stays the tuple (p, normal_part, singular_part), and a
+        # singular part of several averaged states is their MixedState
         s = PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)]))
         g, c = averaged_T(Gaussian(1.0), s), averaged_T(Cauchy(1.0), s)
-        split = yosida_hewitt_split([(0.5, g), (0.5, c)])
-        assert split.normal_weight == 0.0 and split.normal_part is None
-        assert split.singular_part == ((0.5, g), (0.5, c))
+        p, normal, singular = yosida_hewitt_split([(0.5, g), (0.5, c)])
+        assert p == 0.0 and normal is None
+        assert singular == MixedState(((0.5, g), (0.5, c)))
         A = AlgebraElement.mult(indicator(-0.5, 1.5))
-        assert evaluate(split, A) == 0.3660730309828851
-        assert evaluate(split, A) == 0.5 * evaluate(g, A) + 0.5 * evaluate(c, A)
-        with pytest.raises(TypeError, match="^not a state: "):
-            evaluate(split.singular_part, A)
+        assert evaluate(singular, A) == 0.3660730309828851
+        assert evaluate(singular, A) == 0.5 * evaluate(g, A) + 0.5 * evaluate(c, A)
 
     def test_invalid_weights(self):
         with pytest.raises(ValueError, match="weights must sum to 1, got 0.5"):
@@ -1320,7 +1327,7 @@ class TestYosidaHewitt:
     def test_weight_zero_component_is_dropped(self):
         s = PureState(unit_atom(0.0))
         split = yosida_hewitt_split([(1.0, s), (0.0, averaged_T(Gaussian(1.0), s))])
-        assert split == StateDecomposition(1.0, ((1.0, s),), ())
+        assert split == (1.0, s, None)
 
     def test_not_a_state(self):
         for call in (lambda: evaluate(3, IDENTITY), lambda: channel_T(0.5, 3),
@@ -1912,7 +1919,7 @@ class TestMixtureLaws:
                 avg, ref = averaged_T(law, base), averaged_T(lone, base)
                 assert normality_witness(avg, [[0.0], list(u.freqs)]) == 0.0
                 assert projector_value(avg, base.vector) == projector_value(ref, base.vector)
-                assert yosida_hewitt_split([(1.0, avg)]).normal_weight == 0.0
+                assert yosida_hewitt_split([(1.0, avg)])[0] == 0.0
                 for A in (AlgebraElement.shift(0.5), AlgebraElement.mult(indicator(-0.4, 1.1)),
                           AlgebraElement.mult(wave(1.1) * indicator(-0.5, 1.5))):
                     assert evaluate(avg, A) == evaluate(ref, A)
@@ -1969,9 +1976,9 @@ def gram_state(kind, seed):
     normal = NormalState(support, rho / np.trace(rho).real)
     return {"pure": pure, "normal": normal,
             "mixed": MixedState(((0.3, pure), (0.7, normal))),
-            "split-rademacher": yosida_hewitt_split([(1.0, averaged_T(Rademacher(), pure))]),
-            "split-point": yosida_hewitt_split([(0.4, normal),
-                                                (0.6, averaged_T(PointMass(0.5), normal))])}[kind]
+            "split-rademacher": split_state([(1.0, averaged_T(Rademacher(), pure))]),
+            "split-point": split_state([(0.4, normal),
+                                        (0.6, averaged_T(PointMass(0.5), normal))])}[kind]
 
 
 def gram(s, elements):

@@ -527,11 +527,10 @@ EXPORTS = {
     "rand": ["Distribution", "Gaussian", "Cauchy", "Rademacher", "Uniform", "PointMass",
              "FiniteMixture", "ConvolutionFamily", "SeededRng", "random_walk_apply",
              "expected_walk_apply", "chernoff_error", "distribution_from_json"],
-    "channels": ["PureState", "NormalState", "MixedState", "AveragedState",
-                 "StateDecomposition", "evaluate", "channel_T", "averaged_T", "channel_Phi",
-                 "averaged_Phi", "semigroup_T", "semigroup_Phi", "projector_value",
-                 "normality_witness", "yosida_hewitt_split", "dephasing_kernel", "McEstimate",
-                 "QuadratureError"],
+    "channels": ["PureState", "NormalState", "MixedState", "AveragedState", "evaluate",
+                 "channel_T", "averaged_T", "channel_Phi", "averaged_Phi", "semigroup_T",
+                 "semigroup_Phi", "projector_value", "normality_witness", "yosida_hewitt_split",
+                 "dephasing_kernel", "McEstimate", "QuadratureError"],
 }
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
@@ -543,7 +542,7 @@ class TestNamespace:
     def test_exports_resolve_to_their_modules(self):
         import atomdyn
 
-        assert len(ALL_NAMES) == 52
+        assert len(ALL_NAMES) == 51
         for module, names in EXPORTS.items():
             mod = importlib.import_module(f"atomdyn.{module}")
             for name in names:

@@ -22,7 +22,6 @@ from atomdyn.channels import (
     MixedState,
     NormalState,
     PureState,
-    StateDecomposition,
 )
 from atomdyn.rand import (
     Cauchy,
@@ -59,12 +58,6 @@ RECORDS = [
     (lambda: AveragedState(PS, Gaussian(1.0)),
      f"AveragedState(base=PureState(vector={U_REPR}), smoothing=Gaussian(D=1.0))",
      ("base", "smoothing")),
-    (lambda: StateDecomposition(0.5, ((1.0, PS),), ((1.0, AveragedState(PS, Cauchy(0.5))),)),
-     "StateDecomposition(normal_weight=0.5, "
-     f"normal_components=((1.0, PureState(vector={U_REPR})),), "
-     f"singular_components=((1.0, AveragedState(base=PureState(vector={U_REPR}), "
-     "smoothing=Cauchy(gamma=0.5))),))",
-     ("normal_weight", "normal_components", "singular_components")),
     (lambda: Gaussian(), "Gaussian(D=1.0)", ("D",)),
     (lambda: Cauchy(0.5), "Cauchy(gamma=0.5)", ("gamma",)),
     (lambda: Rademacher(), "Rademacher()", ()),
@@ -168,10 +161,6 @@ VALIDATION = [
     (lambda: PureState(make_vector([(0.0, 2.0)])), "pure state vector must be unit norm, got 2.0"),
     (lambda: MixedState(((-0.5, ps_two), (1.5, ps_two))), "mixture weights must be non-negative"),
     (lambda: MixedState(((0.5, ps_two),)), "mixture weights must sum to 1, got 0.5"),
-    (lambda: StateDecomposition(1.5, (), ()), r"normal weight must lie in \[0, 1\]: 1.5"),
-    (lambda: StateDecomposition(1.0, (), ((1.0, AveragedState(ps_two, Gaussian())),)),
-     "weight 1 admits no singular part"),
-    (lambda: StateDecomposition(0.0, ((1.0, ps_two),), ()), "weight 0 admits no normal part"),
     (lambda: NormalState((0.0, math.nan), np.eye(2) / 2), "support frequencies must be finite"),
     (lambda: NormalState((0.0, 0.0), np.eye(2) / 2), "support frequencies must be distinct"),
     (lambda: NormalState((0.0,), np.eye(2) / 2),
@@ -205,5 +194,3 @@ def test_keywords_and_defaults():
     assert Uniform(b=2.0) == Uniform(-1.0, 2.0) and PointMass() == PointMass(a=0.0)
     assert Cauchy() == Cauchy(gamma=1.0) and Gaussian(D=2.0) == Gaussian(2.0)
     assert Atom(c=1j, p=2.0) == Atom(2.0, 1j)
-    assert StateDecomposition(normal_weight=1.0, normal_components=((1.0, PS),),
-                              singular_components=()).normal_part == PS
