@@ -135,7 +135,9 @@ class MixedState(Record):
 class AveragedState(Record):
     """Lazy functional A -> E <T_xi base, A>; singular when smoothing is continuous.
 
-    The base is a pure, normal or mixed state, kept as given.
+    The base is a pure, normal or mixed state with no averaged state in it,
+    kept as given, and the smoothing a :class:`Distribution`; anything else
+    raises TypeError.
     """
 
     _fields = ("base", "smoothing")
@@ -144,6 +146,11 @@ class AveragedState(Record):
                  smoothing: Distribution):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "smoothing", smoothing)
+        if not isinstance(base, (PureState, NormalState, MixedState)) or _averaged_in(base):
+            raise TypeError(f"averaged state base is not a pure, normal or mixed state with no "
+                            f"averaged state in it: {base!r}")
+        if not isinstance(smoothing, Distribution):
+            raise TypeError(f"averaged state smoothing is not a Distribution: {smoothing!r}")
 
 
 State = Union[PureState, NormalState, MixedState, AveragedState]

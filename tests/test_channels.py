@@ -502,6 +502,22 @@ class TestChannelT:
 
 
 class TestAveragedT:
+    def test_constructor_checks_its_inputs(self):
+        # an averaged base, at any depth of a mixture, or a law that is not a
+        # Distribution used to construct and fail later, naming a valid state
+        s = uniform_pair()
+        avg = averaged_T(Gaussian(1.0), s)
+        deep = MixedState(((0.5, s), (0.5, MixedState(((0.5, PAIR_DENSITY), (0.5, avg))))))
+        for base in (avg, MixedState(((0.5, s), (0.5, avg))), deep, 3):
+            with pytest.raises(TypeError, match="^averaged state base is not a pure, normal or "
+                               f"mixed state with no averaged state in it: {re.escape(repr(base))}$"):
+                AveragedState(base, Gaussian(1.0))
+        for law in ("gauss", None):
+            with pytest.raises(TypeError, match="^averaged state smoothing is not a "
+                               f"Distribution: {law!r}$"):
+                AveragedState(s, law)
+        assert AveragedState(MixedState(((0.5, s), (0.5, PAIR_DENSITY))), Cauchy(1.0)).base.components
+
     def test_unital(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
         assert evaluate(avg, IDENTITY) == pytest.approx(1.0, abs=1e-14)
