@@ -41,7 +41,8 @@ def apply_shift(h: float, u: AtomicVector) -> AtomicVector:
     """S_h: the atom at p moves to p - h, amplitude unchanged.
 
     Subtraction is monotone, so the atoms stay sorted; it is not injective,
-    so neighbours can land on one frequency, and those are merged.  A shift
+    so neighbours can land on one frequency, and those are merged, as
+    :func:`~atomdyn.atoms.merge` names a sum past the float range.  A shift
     that carries an atom past the largest float raises ValueError.
     """
     if not math.isfinite(h):
@@ -101,7 +102,9 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     up in u's atom order.  Shifts at which two atoms of u land on one
     frequency merge them first, so those few are computed through
     ``apply_shift`` itself.  A shift that carries an atom of u past the
-    largest float raises ValueError, as it does there.
+    largest float raises ValueError, as it does there; so does an overflow,
+    which the sums meet with warnings off and the first shift whose value
+    is not finite names through ``inner(apply_shift(x, u), v)``.
     """
     xs = np.asarray(xs, dtype=float)
     check_draws(xs, u.freqs)
@@ -113,15 +116,19 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
         x, o = xs[k:k + _RUN], out[k:k + _RUN]
         merged = np.zeros(x.shape, dtype=bool)
         prev = None
-        for a in u:
-            q = a.p - x
-            idx, hit = match(v.freqs, q)
-            o[hit] += cmul(a.c.conjugate(), v.amps[idx[hit]])
-            if prev is not None:
-                merged |= prev == q
-            prev = q
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in u:
+                q = a.p - x
+                idx, hit = match(v.freqs, q)
+                o[hit] += cmul(a.c.conjugate(), v.amps[idx[hit]])
+                if prev is not None:
+                    merged |= prev == q
+                prev = q
         for i in np.flatnonzero(merged):
             o[i] = inner(apply_shift(float(x[i]), u), v)
+    ok = np.isfinite(out)
+    if np.count_nonzero(ok) < ok.size:
+        inner(apply_shift(float(xs.ravel()[ok.argmin()]), u), v)  # raises the named ValueError
     return out
 
 
@@ -449,7 +456,7 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
                 if total == 0:
                     qs[at_zero] = key
                 total += term
-        return merge(qs, ws)
+        return merge(qs, ws, named=False)
 
     def name(p):
         for j in waves.tolist():

@@ -144,9 +144,10 @@ class AtomicVector:
         """sqrt of sum |c|^2, the squares added in atom order; taken once and kept.
 
         A sum that underflows below the normal floats, or overflows to inf, is
-        taken again relative to the largest |c|.  Only moduli that could
-        overflow (n |c|^2 above about 1e306) take the sum with overflow
-        warnings off.
+        taken again relative to the largest |c|.  The moduli and the sum are
+        taken with overflow warnings off; a modulus past the float range
+        raises ValueError naming its amplitude, and a norm past it
+        ValueError naming the largest modulus.
         """
         if self._norm is None:
             object.__setattr__(self, "_norm", _root_sum_squares(self.amps))
@@ -193,16 +194,21 @@ def _root_sum_squares(amps: np.ndarray) -> float:
     """The norm of the amplitudes amps, by the rule of ``AtomicVector.norm``."""
     if not len(amps):
         return 0.0
-    moduli = np.hypot(amps.real, amps.imag)
-    # argmax is a C method; max goes through a Python wrapper
-    top = moduli[moduli.argmax()]
-    if top > 1e153 / math.sqrt(len(moduli)):
-        with np.errstate(over="ignore"):
-            total = np.float_power(moduli, 2.0).cumsum()[-1]
-    else:
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(amps.real, amps.imag)
+        # argmax is a C method; max goes through a Python wrapper
+        k = moduli.argmax()
         total = np.float_power(moduli, 2.0).cumsum()[-1]
+    top = moduli.item(k)
+    if top == math.inf:
+        raise ValueError(f"|{amps.item(k)!r}|, the modulus of an amplitude, overflows the "
+                         "float range")
     if total < sys.float_info.min or total == math.inf:
-        return top * math.sqrt(np.float_power(moduli / top, 2.0).cumsum()[-1])
+        total = top * math.sqrt(np.float_power(moduli / top, 2.0).cumsum()[-1])
+        if total == math.inf:
+            raise ValueError(f"the norm of {len(amps)} amplitudes, the largest of modulus "
+                             f"{top!r}, overflows the float range")
+        return total
     return math.sqrt(total)
 
 
@@ -219,7 +225,8 @@ def make_vector(pairs: Iterable[Tuple[float, complex]]) -> AtomicVector:
     Duplicate frequencies (equal floats; -0.0 equals 0.0, and the frequency
     seen first is kept) are merged by adding amplitudes in input order;
     atoms whose merged amplitude is exactly zero are dropped; the result is
-    sorted by frequency.  The amplitudes are not rescaled to unit norm.
+    sorted by frequency.  The amplitudes are not rescaled to unit norm.  A
+    merged amplitude past the float range raises ValueError (see :func:`merge`).
     """
     pairs = list(pairs)
     ps = np.array([p for p, _ in pairs], dtype=float)
@@ -234,11 +241,14 @@ def make_vector(pairs: Iterable[Tuple[float, complex]]) -> AtomicVector:
 _RUNS = 6  # merge sorts input of fewer descents than this stably at once
 
 
-def merge(ps: np.ndarray, cs: np.ndarray) -> AtomicVector:
+def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True) -> AtomicVector:
     """:func:`make_vector` on finite arrays of frequencies and amplitudes; cs is scratch.
 
     Each merged amplitude is 0j plus its group's amplitudes in input order,
-    the sum a dict accumulating ``acc[p] = acc.get(p, 0j) + c`` forms.
+    the sum a dict accumulating ``acc[p] = acc.get(p, 0j) + c`` forms.  The
+    sums alone are taken with overflow warnings off; one that is not finite
+    raises ValueError naming its frequency and amplitudes, unless ``named``
+    is false and the caller names it.
     Frequencies that are sorted and distinct already skip the sort.  The
     descents ps[i + 1] <= ps[i] choose the sort.  Input with fewer than
     ``_RUNS`` of them is a few sorted runs (a sum of vectors, the rows of
@@ -266,8 +276,15 @@ def merge(ps: np.ndarray, cs: np.ndarray) -> AtomicVector:
         order = ps.argsort(kind="stable")
         sp = ps[order]
     first = np.concatenate([[True], ~repeat])
+    group, cs = first.cumsum() - 1, cs[order]
     sums = np.zeros(len(ps) - repeats, dtype=complex)
-    np.add.at(sums, first.cumsum() - 1, cs[order])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(sums, group, cs)
+    ok = np.isfinite(sums)
+    if named and np.count_nonzero(ok) < len(ok):
+        k = int(ok.argmin())
+        raise ValueError(f"{' + '.join(map(repr, cs[group == k].tolist()))}, the amplitudes at "
+                         f"frequency {sp[first].item(k)!r}, overflows the float range")
     return canonical(sp[first], sums)
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from atomdyn.algebra import ONE, AlgebraElement, apply_element, generator_apply, indicator, wave
-from atomdyn.atoms import AtomicVector, add, apply_mod, inner, make_vector, scale, unit_atom
+from atomdyn.algebra import (ONE, AlgebraElement, apply_element, apply_shift, generator_apply,
+                             indicator, shift_overlaps, wave)
+from atomdyn.atoms import AtomicVector, add, apply_mod, inner, make_vector, norm, scale, unit_atom
 from atomdyn.channels import MixedState, NormalState, PureState, averaged_T, evaluate
 from atomdyn.rand import (Cauchy, FiniteMixture, Gaussian, PointMass, Rademacher, Uniform,
                           chernoff_error, expected_walk_apply)
@@ -67,9 +68,29 @@ class TestNamed:
         (lambda: apply_mod(math.pi / 4, make_vector([(1.0, Z)])),
          f"e^(i {math.pi / 4!r} 1.0) * (1.5e+308-1.5e+308j), the amplitude at frequency 1.0, "
          "is not finite"),
+        (lambda: make_vector([(0.0, 1e308), (0.0, 1e308)]),
+         "(1e+308+0j) + (1e+308+0j), the amplitudes at frequency 0.0, overflows the float range"),
+        # three amplitudes merge at -0.0, the frequency seen first
+        (lambda: make_vector([(-0.0, 1e308), (1.0, 1.0), (0.0, -1j), (0.0, 1e308)]),
+         "(1e+308+0j) + (-0-1j) + (1e+308+0j), the amplitudes at frequency -0.0, overflows the "
+         "float range"),
+        # 0.0 - 1.0 and 1e-20 - 1.0 are both -1.0
+        (lambda: apply_shift(1.0, make_vector([(0.0, 1e308), (1e-20, 1e308)])),
+         "(1e+308+0j) + (1e+308+0j), the amplitudes at frequency -1.0, overflows the float range"),
+        (lambda: shift_overlaps(make_vector([(0.0, 1e200)]), make_vector([(-1.0, 1e200)]),
+                                np.array([0.5, 1.0])),
+         "conj((1e+200+0j)) * (1e+200+0j), the product at frequency -1.0, or the sum up to it, "
+         "overflows the float range"),
+        (lambda: norm(make_vector([(0.0, 1.0), (2.0, Z)])),
+         "|(1.5e+308-1.5e+308j)|, the modulus of an amplitude, overflows the float range"),
+        # each modulus is finite, and the norm is not
+        (lambda: norm(make_vector([(0.0, 1e308 + 1e308j), (1.0, 1e308 + 1e308j)])),
+         f"the norm of 2 amplitudes, the largest of modulus {abs(1e308 + 1e308j)!r}, overflows "
+         "the float range"),
     ], ids=["generator", "walk-rademacher", "walk-uniform", "chernoff", "walk-product",
             "cesaro", "inner-product", "inner-sum", "element", "element-sum", "evaluate",
-            "evaluate-averaged", "mod"])
+            "evaluate-averaged", "mod", "make-vector", "make-vector-three", "shift-merge",
+            "shift-overlaps", "norm", "norm-sum"])
     def test_named(self, call, message):
         with pytest.raises(ValueError) as err:
             call()
@@ -131,6 +152,8 @@ def finite_or_value_error(call):
         return
     if isinstance(out, AtomicVector):
         assert np.isfinite(out.freqs).all() and np.isfinite(out.amps).all(), out
+    elif isinstance(out, np.ndarray):
+        assert np.isfinite(out).all(), out
     else:
         assert math.isfinite(out.real) and math.isfinite(out.imag), out
 
@@ -150,10 +173,23 @@ class TestEdgeProperty:
     @given(vectors, vectors, amplitudes, reals)
     @example(make_vector([(1e8, 1e10)]), AtomicVector(), 1e10, 1e300)
     @example(make_vector([(0.0, 1e200)]), make_vector([(0.0, 1e200)]), 1.0, 0.0)
+    @example(make_vector([(0.0, 1e200)]), make_vector([(-1.0, 1e200)]), 1.0, 1.0)
+    @example(make_vector([(0.0, Z)]), AtomicVector(), 1.0, 0.0)
     def test_vector_kernels(self, u, v, alpha, h):
         for call in (lambda: add(u, v), lambda: scale(alpha, u), lambda: inner(u, v),
-                     lambda: generator_apply(h, u), lambda: apply_mod(h, u)):
+                     lambda: generator_apply(h, u), lambda: apply_mod(h, u), lambda: norm(u),
+                     lambda: shift_overlaps(u, v, np.unique([0.0, h]))):
             finite_or_value_error(call)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 1e-20]) | reals, amplitudes),
+                    max_size=5), reals)
+    @example([(0.0, 1e308), (0.0, 1e308)], 0.0)
+    @example([(0.0, 1e308), (1e-20, 1e308)], 1.0)
+    def test_merges(self, pairs, h):
+        # repeated frequencies add up, in make_vector and where a shift lands atoms on one float
+        finite_or_value_error(lambda: make_vector(pairs))
+        finite_or_value_error(lambda: apply_shift(h, make_vector(pairs)))
 
     @settings(max_examples=400, deadline=None)
     @given(terms, vectors)
