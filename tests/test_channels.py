@@ -2088,3 +2088,119 @@ class TestNormalProfile:
         assert str(want.value) == ("non-finite shift" if not np.isfinite(xs).all() else
                                    f"shift {-support[0]!r} moves an atom of the vector "
                                    "out of the float range")
+
+
+# ---------------------------------------------------------------------------
+# Convex combinations of every state kind are states
+
+
+CLOSURE_LAWS = [Gaussian(1.0), Cauchy(0.5), Rademacher(), MIXTURE]
+# every atom a shifted base lands on: the grid, moved by the laws' atoms 0 and +-1
+COVER = sorted({g + loc for g in GRAM_GRID for loc in (-1.0, 0.0, 1.0)})
+
+
+def closure_leaf(kind, law, seed):
+    """A pure or normal state on three grid atoms, or its average under a law."""
+    gen = np.random.default_rng(seed)
+    support = tuple(np.sort(gen.choice(GRAM_GRID, 3, replace=False)).tolist())
+    if kind.endswith("pure"):
+        cs = gen.normal(size=3) + 1j * gen.normal(size=3)
+        s = PureState((1.0 / np.linalg.norm(cs)) * make_vector(list(zip(support, cs))))
+    else:
+        a = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+        rho = a @ a.conj().T
+        s = NormalState(support, rho / np.trace(rho).real)
+    return averaged_T(law, s) if kind.startswith("averaged") else s
+
+
+def closure_mixture(pairs):
+    """The MixedState of (count, state) pairs, each weighted by count / total."""
+    total = sum(k for k, _ in pairs)
+    return MixedState(tuple((k / total, s) for k, s in pairs))
+
+
+def normal_mass(s):
+    """The weight of the normal part of s: 1 on a pure or normal state, and the
+    discrete weight of the law on an averaged one."""
+    if isinstance(s, MixedState):
+        return sum(w * normal_mass(st) for w, st in s.components)
+    if isinstance(s, AveragedState):
+        return 1.0 - s.smoothing.continuous_weight()
+    return 1.0
+
+
+def laws_in(s):
+    if isinstance(s, MixedState):
+        return {law for _, st in s.components for law in laws_in(st)}
+    return {s.smoothing} if isinstance(s, AveragedState) else set()
+
+
+closure_leaves = st.builds(closure_leaf,
+                           st.sampled_from(["pure", "normal", "averaged-pure", "averaged-normal"]),
+                           st.sampled_from(CLOSURE_LAWS), st.integers(0, 2 ** 32 - 1))
+closure_states = st.recursive(
+    closure_leaves,
+    lambda kids: st.lists(st.tuples(st.integers(1, 4), kids), min_size=1, max_size=3)
+    .map(closure_mixture),
+    max_leaves=6)
+
+
+class TestClosure:
+    """A mixture takes states of every kind, nested, and stays a state for every channel."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), closure_states), min_size=1, max_size=3),
+           gram_terms)
+    def test_convex_combinations(self, pairs, terms):
+        s = closure_mixture(pairs)
+        A = AlgebraElement.of(terms)
+        scale = sum(abs(c) for c, _, _ in terms)
+        # evaluate is linear in the state
+        want = sum(w * evaluate(st, A) for w, st in s.components)
+        assert abs(evaluate(s, A) - want) <= 1e-12 * scale
+        # the split: its weights sum to 1, p is the normal mass, and the
+        # mixture of its parts has p as its witness on a covering set
+        p, normal, singular = yosida_hewitt_split(s.components)
+        assert 0.0 <= p <= 1.0 and abs(p - normal_mass(s)) <= 1e-12
+        parts = [(w, part) for w, part in ((p, normal), (1.0 - p, singular)) if part is not None]
+        leaves = [w * v for w, part in parts
+                  for v in ([v for v, _ in part.components] if isinstance(part, MixedState)
+                            else [1.0])]
+        assert abs(math.fsum(leaves) - 1.0) <= 1e-12
+        rebuilt = MixedState(tuple(parts))
+        assert abs(normality_witness(rebuilt, [COVER]) - p) <= 1e-12
+        assert abs(normality_witness(s, [COVER]) - p) <= 1e-12
+        # channel_T and averaged_T take every kind; the average is linear
+        assert abs(evaluate(channel_T(0.5, s), IDENTITY) - 1.0) <= 1e-12
+        laws = laws_in(s)
+        d = next((law for law in (Gaussian(0.5), Cauchy(0.5))
+                  if laws <= {law.__class__(1.0), law.__class__(0.5)}), PointMass(0.0))
+        avg = averaged_T(d, s)
+        assert abs(evaluate(avg, IDENTITY) - 1.0) <= 1e-12
+        want = sum(w * evaluate(averaged_T(d, st), A) for w, st in s.components)
+        assert abs(evaluate(avg, A) - want) <= 1e-12 * scale
+
+    def test_two_averaged_states_under_different_laws(self):
+        s = PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)]))
+        g, m = averaged_T(Gaussian(1.0), s), averaged_T(MIXTURE, PAIR_DENSITY)
+        mix = MixedState(((0.3, g), (0.7, m)))
+        A = AlgebraElement.mult(indicator(-0.5, 1.5))
+        assert evaluate(mix, A) == 0.3 * evaluate(g, A) + 0.7 * evaluate(m, A)
+        est = evaluate(mix, A, "mc", 4_000, SeededRng(40).stream(0))
+        assert isinstance(est, McEstimate) and est.samples == 4_000 and est.stderr > 0.0
+        assert abs(est.value - evaluate(mix, A)) <= 4.0 * est.stderr
+        assert channel_T(0.5, mix) == MixedState(((0.3, channel_T(0.5, g)),
+                                                  (0.7, channel_T(0.5, m))))
+        assert averaged_T(PointMass(0.0), mix) == mix
+        gg = MixedState(((0.3, g), (0.7, averaged_T(Gaussian(2.0), PAIR_DENSITY))))
+        assert averaged_T(Gaussian(0.5), gg) == MixedState(
+            ((0.3, AveragedState(s, Gaussian(1.5))),
+             (0.7, AveragedState(PAIR_DENSITY, Gaussian(2.5)))))
+        # the atoms +-1 of the mixture law carry half of m's mass, all of it normal
+        assert normality_witness(mix, [COVER]) == pytest.approx(0.35, abs=1e-15)
+        p, normal, singular = yosida_hewitt_split([(1.0, mix)])
+        assert p == pytest.approx(0.35, abs=1e-15)
+        assert [st.support for _, st in normal.components] == [(1.0, 2.0), (-1.0, 0.0)]
+        assert singular == MixedState(((0.3 / (1.0 - p), g),
+                                       (0.35 / (1.0 - p), AveragedState(PAIR_DENSITY,
+                                                                       Gaussian(1.0)))))
