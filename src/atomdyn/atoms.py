@@ -280,11 +280,12 @@ def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True) -> AtomicVector:
     sums = np.zeros(len(ps) - repeats, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(sums, group, cs)
-    ok = np.isfinite(sums)
-    if named and np.count_nonzero(ok) < len(ok):
-        k = int(ok.argmin())
-        raise ValueError(f"{' + '.join(map(repr, cs[group == k].tolist()))}, the amplitudes at "
-                         f"frequency {sp[first].item(k)!r}, overflows the float range")
+    if named:
+        ok = np.isfinite(sums)
+        if np.count_nonzero(ok) < len(ok):
+            k = int(ok.argmin())
+            raise ValueError(f"{' + '.join(map(repr, cs[group == k].tolist()))}, the amplitudes "
+                             f"at frequency {sp[first].item(k)!r}, overflows the float range")
     return canonical(sp[first], sums)
 
 
