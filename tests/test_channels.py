@@ -509,14 +509,16 @@ class TestAveragedT:
         avg = averaged_T(Gaussian(1.0), s)
         deep = MixedState(((0.5, s), (0.5, MixedState(((0.5, PAIR_DENSITY), (0.5, avg))))))
         for base in (avg, MixedState(((0.5, s), (0.5, avg))), deep, 3):
-            with pytest.raises(TypeError, match="^averaged state base is not a pure, normal or "
-                               f"mixed state with no averaged state in it: {re.escape(repr(base))}$"):
+            message = ("^averaged state base is not a pure, normal or mixed state with no "
+                       f"averaged state in it: {re.escape(repr(base))}$")
+            with pytest.raises(TypeError, match=message):
                 AveragedState(base, Gaussian(1.0))
         for law in ("gauss", None):
             with pytest.raises(TypeError, match="^averaged state smoothing is not a "
                                f"Distribution: {law!r}$"):
                 AveragedState(s, law)
-        assert AveragedState(MixedState(((0.5, s), (0.5, PAIR_DENSITY))), Cauchy(1.0)).base.components
+        plain = MixedState(((0.5, s), (0.5, PAIR_DENSITY)))
+        assert AveragedState(plain, Cauchy(1.0)).base is plain
 
     def test_unital(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
