@@ -401,20 +401,24 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
 
     The terms form a table with one row per term and one column per atom of
     u: row j holds the frequencies q = p - a_j of S_{a_j} u and the values
-    c_j f_j(q) c for its atoms (q, c).  The rows are flattened in term order
-    and merged once, so each frequency's amplitude adds the terms' values
-    left to right, as ``out + c_j M_{f_j} S_{a_j} u`` term by term does.
-    That fold keeps the frequency key of the term that brought an atom in
-    until its sum cancels exactly; only -0.0 and 0.0 are distinct keys that
-    compare equal, so the zero atom's key is set to match.
+    c_j f_j(q) c for its atoms (q, c).  Only the live entries are kept, row
+    after row in term order, and merged once: ``merge`` takes the sorted
+    rows with one stable sort, so each frequency's amplitude adds the terms'
+    values left to right, as ``out + c_j M_{f_j} S_{a_j} u`` term by term
+    does.  That fold keeps the frequency key of the term that brought an
+    atom in until its sum cancels exactly; only -0.0 and 0.0 are distinct
+    keys that compare equal, so the zero atom's key is set to match.
 
-    A row where atoms of u land on one frequency takes the amplitudes of
-    ``apply_shift``, which merges them first, and keeps zeros for the rest
-    of each merged run.  Every multiplier has c = 1 (the normal form), so
-    its values are e^{iaq} on [lo, hi] and 0 outside.  As in the scalar
-    rule, the exponential runs only on the rows with a wave, the interval
-    test only if some end is finite, and a row whose values are all 1 is
-    not multiplied.  A shift past the largest float raises ValueError first; under
+    Every multiplier has c = 1 (the normal form), so its values are e^{iaq}
+    on [lo, hi] and 0 outside.  A row where atoms of u land on one
+    frequency takes the amplitudes of ``apply_shift``, which merges them
+    first, at the head of each merged run, and 0 at the rest of it.  An
+    entry outside [lo, hi] or in the rest of a run is dead: its value is a
+    zero, and a zero added to a sum that starts at 0j changes no bit of it,
+    so dead entries are left out before the exponential, the weights and
+    the merge.  As in the scalar rule, the exponential runs only on the
+    rows with a wave, and the interval test only if some end is finite.  A
+    shift past the largest float raises ValueError first; under
     ``named_overflow`` an amplitude that is not finite is named by ``check_wave`` on
     the wave rows in order, or else as term weights times amplitudes of u.
     """
@@ -431,23 +435,35 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     waves = np.flatnonzero(wia[n:])
 
     def make():
-        x = u.amps[None, :].repeat(n, axis=0)
+        x, live = np.broadcast_to(u.amps, q.shape), None
+        if max(lo) > -math.inf or min(hi) < math.inf:
+            los, his = np.array((lo, hi), dtype=float)[:, :, None]
+            live = los <= q
+            live &= q <= his
         if any(h):
             landed = q[:, 1:] == q[:, :-1]
             if np.count_nonzero(landed):
+                x = x.copy()
+                if live is None:
+                    live = np.ones(q.shape, dtype=bool)
                 for j in np.flatnonzero(landed.any(axis=1)):
                     s = apply_shift(h[j], u)
-                    x[j] = 0j
-                    x[j, q[j].searchsorted(s.freqs)] = s.amps
-        # the multipliers' values: e^{iaq} on the rows with a wave, 1 on the
-        # others; then 0 outside [lo, hi], where a phase may have overflowed
+                    at = q[j].searchsorted(s.freqs)
+                    x[j, at] = s.amps
+                    run_heads = np.zeros(len(u), dtype=bool)
+                    run_heads[at] = True
+                    live[j] &= run_heads
+        # the live entries, row after row: qs their frequencies, ws their values
+        if live is None:
+            qs, ws, counts = q.ravel(), np.tile(u.amps, n), np.full(n, len(u))
+        else:
+            qs, ws, counts = q[live], x[live], np.count_nonzero(live, axis=1)
         if len(waves):
-            x[waves] = cmul(np.exp(wia[n + waves, None] * q[waves]).ravel(),
-                            x[waves].ravel()).reshape(len(waves), -1)
-        if max(lo) > -math.inf or min(hi) < math.inf:
-            los, his = np.array((lo, hi), dtype=float)[:, :, None]
-            x[~((los <= q) & (q <= his))] = 0j
-        qs, ws = q.ravel(), cmul(wia[:n, None], x).ravel()
+            # e^{iaq} on the live entries of the rows with a wave
+            wq = (wia[n:] != 0).repeat(counts)
+            e = wia[n + waves].repeat(counts[waves]) * qs[wq]
+            ws[wq] = cmul(np.exp(e, out=e), ws[wq])
+        ws = cmul(wia[:n].repeat(counts), ws)
         at_zero = qs == 0
         if np.count_nonzero(at_zero):
             hits = at_zero & (ws != 0)
@@ -456,7 +472,7 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
                 if total == 0:
                     qs[at_zero] = key
                 total += term
-        return merge(qs, ws, named=False)
+        return merge(qs, ws, named=False, rows=True)
 
     def name(p):
         for j in waves.tolist():

@@ -157,7 +157,8 @@ class AtomicVector:
         return add(self, other)
 
     def __sub__(self, other: "AtomicVector") -> "AtomicVector":
-        return add(self, scale(-1, other))
+        """u - v in one pass, the bits of ``u + (-1) v``: see :func:`add`."""
+        return _add(self, other, minus=True)
 
     def __rmul__(self, alpha: complex) -> "AtomicVector":
         return scale(alpha, self)
@@ -241,7 +242,8 @@ def make_vector(pairs: Iterable[Tuple[float, complex]]) -> AtomicVector:
 _RUNS = 6  # merge sorts input of fewer descents than this stably at once
 
 
-def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True) -> AtomicVector:
+def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True,
+          rows: bool = False) -> AtomicVector:
     """:func:`make_vector` on finite arrays of frequencies and amplitudes; cs is scratch.
 
     Each merged amplitude is 0j plus its group's amplitudes in input order,
@@ -249,23 +251,25 @@ def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True) -> AtomicVector:
     sums alone are taken with overflow warnings off; one that is not finite
     raises ValueError naming its frequency and amplitudes, unless ``named``
     is false and the caller names it.
-    Frequencies that are sorted and distinct already skip the sort.  The
-    descents ps[i + 1] <= ps[i] choose the sort.  Input with fewer than
-    ``_RUNS`` of them is a few sorted runs (a sum of vectors, the rows of
-    ``apply_element``), and takes one stable sort, which keeps equal
-    frequencies in input order.  Other input takes numpy's default sort,
-    which is faster on it, and a stable sort again only if a frequency
-    repeats.  Either way the result is the same.  The cutoff is where the
-    two cross on rows with no repeated frequency, the stable sort's worst
-    case: there it wins or ties up to 5 descents at every row length timed
-    (8 to 1000), and loses at 7 descents on rows of 500 and 1000 atoms
-    (by 9 and 18 %).  Rows with repeats take the stable sort anyway, so the
-    one sort wins on them at every count timed, up to 159 descents.
+    Frequencies that are sorted and distinct already skip the sort.  ``rows``
+    says that ps is sorted rows laid end to end, as ``apply_element``'s
+    table is; it takes one stable sort, which keeps equal frequencies in
+    input order, whatever its number of descents ps[i + 1] <= ps[i].  On
+    other input the descents choose the sort.  Fewer than ``_RUNS`` of them
+    is a few sorted runs (a sum of vectors), and takes the one stable sort.
+    Other input takes numpy's default sort, which is faster on it, and a
+    stable sort again only if a frequency repeats.  Either way the result is
+    the same.  The cutoff is where the two cross on rows with no repeated
+    frequency, the stable sort's worst case: there it wins or ties up to 5
+    descents at every row length timed (8 to 1000), and loses at 7 descents
+    on rows of 500 and 1000 atoms (by 9 and 18 %).  On rows with repeats,
+    as ``power_adjoint``'s tables have, the one sort wins at every count
+    timed, up to 159 descents.
     """
     descents = np.count_nonzero(ps[1:] <= ps[:-1]) if len(ps) > 1 else 0
     if not descents:
         return canonical(ps, cs)
-    runs = descents < _RUNS
+    runs = rows or descents < _RUNS
     order = ps.argsort(kind="stable" if runs else None)
     sp = ps[order]
     repeat = sp[1:] == sp[:-1]
@@ -377,7 +381,17 @@ def named_overflow(make, name) -> AtomicVector:
 def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
     """u + v, the merge of u's atoms and then v's; on equal supports the elementwise
     (0j + c_u) + c_v, with no sort.  Under :func:`named_overflow` an amplitude past
-    the float range raises ValueError naming the frequency and both amplitudes."""
+    the float range raises ValueError naming the frequency and both amplitudes.
+
+    ``u - v`` takes the same paths with -c_v: on equal supports c_u - c_v, and
+    otherwise the merge of u's atoms and v's negated ones.  Negation is exact
+    and x - y is x + (-y), so the sums are those of ``u + (-1) v`` but for the
+    sign of a zero part, which ``canonical`` turns into 0.0 as ``scale`` does.
+    An overflow names the amplitudes as ``a - b``."""
+    return _add(u, v, minus=False)
+
+
+def _add(u: AtomicVector, v: AtomicVector, minus: bool) -> AtomicVector:
     f, g = u.freqs, v.freqs
     same = f is g or (len(f) == len(g) and len(f) and f.item(-1) == g.item(-1)
                       and np.array_equal(f, g))
@@ -385,9 +399,11 @@ def add(u: AtomicVector, v: AtomicVector) -> AtomicVector:
     def make():
         if same:
             # canonical adds 0j, which gives c_u + c_v the bits of (0j + c_u) + c_v
-            return canonical(f, u.amps + v.amps)
-        return merge(np.concatenate([f, g]), np.concatenate([u.amps, v.amps]))
-    return named_overflow(make, lambda p: f"{u.amplitude(p)!r} + {v.amplitude(p)!r}, the "
+            return canonical(f, u.amps - v.amps if minus else u.amps + v.amps)
+        return merge(np.concatenate([f, g]),
+                     np.concatenate([u.amps, -v.amps if minus else v.amps]), named=False)
+    op = "-" if minus else "+"
+    return named_overflow(make, lambda p: f"{u.amplitude(p)!r} {op} {v.amplitude(p)!r}, the "
                           f"amplitudes at frequency {p!r}, overflows the float range")
 
 
