@@ -144,11 +144,24 @@ class AveragedState(Record):
 
     def __init__(self, base: Union[PureState, NormalState, MixedState],
                  smoothing: Distribution):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "smoothing", smoothing)
         if not isinstance(base, (PureState, NormalState, MixedState)) or _averaged_in(base):
             raise TypeError(f"averaged state base is not a pure, normal or mixed state with no "
                             f"averaged state in it: {base!r}")
+        self._set(base, smoothing)
+
+    @classmethod
+    def _of_base(cls, base, smoothing) -> "AveragedState":
+        """The state on a base the caller knows to be valid: every check but the base's.
+
+        ``averaged_T`` has walked the base already, and ``channel_T`` and a
+        stack of laws take the base of an averaged state."""
+        s = object.__new__(cls)
+        s._set(base, smoothing)
+        return s
+
+    def _set(self, base, smoothing):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "smoothing", smoothing)
         if not isinstance(smoothing, Distribution):
             raise TypeError(f"averaged state smoothing is not a Distribution: {smoothing!r}")
 
@@ -434,7 +447,7 @@ def channel_T(h: float, s: State) -> State:
         return MixedState(tuple((w, channel_T(h, ps)) for w, ps in s.components))
     if isinstance(s, AveragedState):
         # S_h commutes with the random shift S_xi, so T_h moves the base
-        return AveragedState(channel_T(h, s.base), s.smoothing)
+        return AveragedState._of_base(channel_T(h, s.base), s.smoothing)
     raise TypeError(f"not a state: {s!r}")
 
 
@@ -449,16 +462,16 @@ def averaged_T(d: Distribution, s: State) -> State:
     averaged state averages by its components: E T_xi sum w s = sum w E T_xi s.
     """
     if isinstance(s, AveragedState):
-        return AveragedState(s.base, convolve(s.smoothing, d))
+        return AveragedState._of_base(s.base, convolve(s.smoothing, d))
     if isinstance(s, MixedState) and _averaged_in(s):
         return MixedState(tuple((w, averaged_T(d, st)) for w, st in s.components))
     if isinstance(s, (PureState, NormalState, MixedState)):
-        return AveragedState(s, d)
+        return AveragedState._of_base(s, d)
     raise TypeError(f"not a state: {s!r}")
 
 
 def projector_value(
-    avg: AveragedState,
+    avg: Union[AveragedState, MixedState],
     v: AtomicVector,
     method: str = "analytic",
     mc_samples: int = 10_000,
@@ -478,8 +491,17 @@ def projector_value(
     with no continuous part g is the profile at the drawn atoms' locations,
     as ``analytic`` takes it, gathered by the drawn atom indices; under any
     other law it is the profile at the draws that can land an atom of the
-    base on v (see ``_landed_profile``), and 0.0 at the others.
+    base on v (see ``_landed_profile``), and 0.0 at the others.  A mixture
+    that holds an averaged state gives sum w_i <s_i, P_v> over its
+    components, each one an averaged state or such a mixture, under either
+    method; under ``mc`` each component draws from ``gen`` in turn.  A
+    mixture with no averaged state in it is a base, not an averaged state.
     """
+    if isinstance(avg, MixedState) and _averaged_in(avg):
+        total = 0.0
+        for w, st in avg.components:
+            total += w * projector_value(st, v, method, mc_samples, gen)
+        return total
     if not isinstance(avg, AveragedState):
         raise TypeError(f"not an averaged state: {avg!r}")
     _check_method(method, mc_samples)

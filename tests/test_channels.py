@@ -520,6 +520,30 @@ class TestAveragedT:
         plain = MixedState(((0.5, s), (0.5, PAIR_DENSITY)))
         assert AveragedState(plain, Cauchy(1.0)).base is plain
 
+    def test_channels_walk_the_base_once(self, monkeypatch):
+        # averaged_T walks a plain mixture once, to see that it holds no
+        # averaged state, and channel_T of an averaged state not at all; the
+        # law is still checked
+        walks = []
+        walk = channels._averaged_in
+
+        def counted(s):
+            walks.append(s)
+            return walk(s)
+        monkeypatch.setattr(channels, "_averaged_in", counted)
+        plain = MixedState(((0.5, uniform_pair()), (0.5, PAIR_DENSITY)))
+        avg = averaged_T(Gaussian(1.0), plain)
+        assert walks.count(plain) == 1 and avg == AveragedState(plain, Gaussian(1.0))
+        del walks[:]
+        moved = channel_T(0.5, avg)
+        assert walks == [] and moved == AveragedState(channel_T(0.5, plain), Gaussian(1.0))
+        del walks[:]
+        stacked = averaged_T(Gaussian(2.0), avg)
+        assert walks == [] and stacked == AveragedState(plain, Gaussian(3.0))
+        with pytest.raises(TypeError, match="^averaged state smoothing is not a Distribution: "
+                           "'gauss'$"):
+            averaged_T("gauss", plain)
+
     def test_unital(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
         assert evaluate(avg, IDENTITY) == pytest.approx(1.0, abs=1e-14)
@@ -2206,3 +2230,28 @@ class TestClosure:
         assert singular == MixedState(((0.3 / (1.0 - p), g),
                                        (0.35 / (1.0 - p), AveragedState(PAIR_DENSITY,
                                                                        Gaussian(1.0)))))
+
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_projector_value_of_a_mixture(self, method):
+        # <sum w s, P_v> = sum w <s, P_v>, with mixtures nested; under mc each
+        # component draws from the one generator in turn
+        s = PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)]))
+        parts = [averaged_T(Rademacher(), s), averaged_T(MIXTURE, PAIR_DENSITY),
+                 averaged_T(Gaussian(1.0), s)]
+        mix = MixedState(((0.25, parts[0]),
+                          (0.75, MixedState(((0.4, parts[1]), (0.6, parts[2]))))))
+        v = make_vector([(-1.0, 0.6), (1.0, 0.8)])
+
+        def value(st, gen):
+            return projector_value(st, v, method, 2_000, gen)
+
+        gen = SeededRng(41).stream(0)
+        want = 0.25 * value(parts[0], gen) + 0.75 * (0.4 * value(parts[1], gen)
+                                                     + 0.6 * value(parts[2], gen))
+        got = value(mix, SeededRng(41).stream(0))
+        assert got.hex() == want.hex() and got > 0.0
+        # a plain mixture is a base, and so is every plain state in a mixture
+        for bad, plain in ((KINDS["mixed"], KINDS["mixed"]),
+                           (MixedState(((0.5, parts[0]), (0.5, s))), s)):
+            with pytest.raises(TypeError, match=f"^not an averaged state: {re.escape(repr(plain))}$"):
+                value(bad, SeededRng(41).stream(0))
