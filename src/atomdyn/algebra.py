@@ -402,12 +402,11 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
     The terms form a table with one row per term and one column per atom of
     u: row j holds the frequencies q = p - a_j of S_{a_j} u and the values
     c_j f_j(q) c for its atoms (q, c).  Only the live entries are kept, row
-    after row in term order, and merged once: ``merge`` takes the sorted
-    rows with one stable sort, so each frequency's amplitude adds the terms'
-    values left to right, as ``out + c_j M_{f_j} S_{a_j} u`` term by term
-    does.  That fold keeps the frequency key of the term that brought an
-    atom in until its sum cancels exactly; only -0.0 and 0.0 are distinct
-    keys that compare equal, so the zero atom's key is set to match.
+    after row in term order, and merged once, so each frequency's amplitude
+    adds the terms' values left to right, as ``out + c_j M_{f_j} S_{a_j} u``
+    term by term does.  That fold keeps the frequency key of the term that
+    brought an atom in until its sum cancels exactly; only -0.0 and 0.0 are
+    distinct keys that compare equal, so the zero atom's key is set to match.
 
     Every multiplier has c = 1 (the normal form), so its values are e^{iaq}
     on [lo, hi] and 0 outside.  A row where atoms of u land on one
@@ -472,7 +471,7 @@ def apply_element(A: AlgebraElement, u: AtomicVector) -> AtomicVector:
                 if total == 0:
                     qs[at_zero] = key
                 total += term
-        return merge(qs, ws, named=False, rows=True)
+        return merge(qs, ws, named=False)
 
     def name(p):
         for j in waves.tolist():

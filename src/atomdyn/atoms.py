@@ -242,8 +242,7 @@ def make_vector(pairs: Iterable[Tuple[float, complex]]) -> AtomicVector:
 _RUNS = 6  # merge sorts input of fewer descents than this stably at once
 
 
-def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True,
-          rows: bool = False) -> AtomicVector:
+def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True) -> AtomicVector:
     """:func:`make_vector` on finite arrays of frequencies and amplitudes; cs is scratch.
 
     Each merged amplitude is 0j plus its group's amplitudes in input order,
@@ -251,25 +250,24 @@ def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True,
     sums alone are taken with overflow warnings off; one that is not finite
     raises ValueError naming its frequency and amplitudes, unless ``named``
     is false and the caller names it.
-    Frequencies that are sorted and distinct already skip the sort.  ``rows``
-    says that ps is sorted rows laid end to end, as ``apply_element``'s
-    table is; it takes one stable sort, which keeps equal frequencies in
-    input order, whatever its number of descents ps[i + 1] <= ps[i].  On
-    other input the descents choose the sort.  Fewer than ``_RUNS`` of them
-    is a few sorted runs (a sum of vectors), and takes the one stable sort.
-    Other input takes numpy's default sort, which is faster on it, and a
-    stable sort again only if a frequency repeats.  Either way the result is
-    the same.  The cutoff is where the two cross on rows with no repeated
-    frequency, the stable sort's worst case: there it wins or ties up to 5
-    descents at every row length timed (8 to 1000), and loses at 7 descents
-    on rows of 500 and 1000 atoms (by 9 and 18 %).  On rows with repeats,
-    as ``power_adjoint``'s tables have, the one sort wins at every count
-    timed, up to 159 descents.
+    Frequencies that are sorted and distinct already skip the sort.  The
+    descents ps[i + 1] <= ps[i] choose the sort.  Input with fewer than
+    ``_RUNS`` of them is a few sorted runs (a sum of vectors, the rows of
+    ``apply_element``), and takes one stable sort, which keeps equal
+    frequencies in input order.  Other input takes numpy's default sort,
+    which is faster on it, and a stable sort again only if a frequency
+    repeats.  Either way the result is the same.  The cutoff is where the
+    two cross on rows with no repeated frequency, the stable sort's worst
+    case: there it wins or ties up to 5 descents at every row length timed
+    (8 to 1000), and loses at 7 descents on rows of 500 and 1000 atoms
+    (by 9 and 18 %).  On rows with repeats, as ``power_adjoint``'s tables
+    have, the one sort would win at every count timed, up to 159 descents,
+    but nothing cheap tells them apart before the sort.
     """
     descents = np.count_nonzero(ps[1:] <= ps[:-1]) if len(ps) > 1 else 0
     if not descents:
         return canonical(ps, cs)
-    runs = rows or descents < _RUNS
+    runs = descents < _RUNS
     order = ps.argsort(kind="stable" if runs else None)
     sp = ps[order]
     repeat = sp[1:] == sp[:-1]

@@ -2,10 +2,11 @@
 
 ``apply_element`` used to carry the whole (terms x atoms) table, zeros
 outside each row's [lo, hi] and in the rest of each landed run, through the
-weights and the merge; ``merge`` sorted a table of many descents twice when
-a frequency repeats; ``u - v`` was ``u + (-1) v``.  Each of those is
+weights and the merge; ``u - v`` was ``u + (-1) v``.  Each of those is
 written out here as it was, and the library must give the same bits,
-compared through ``.view(np.int64)``, or the same error.
+compared through ``.view(np.int64)``, or the same error.  ``merge`` picks
+one stable sort or two sorts by the descent count of its input, and both
+must give the same bits on the tables of powers, where frequencies repeat.
 """
 
 import math
@@ -70,10 +71,11 @@ def zero_filled_apply_element(A, u):
     return named_overflow(make, name)
 
 
-def two_sort_merge(ps, cs):
-    """merge as it took a table of many descents: numpy's default sort, then a
-    stable sort again when a frequency repeats."""
-    kept, atoms._RUNS = atoms._RUNS, 1
+def merge_with_cutoff(runs, ps, cs):
+    """merge with its descent cutoff set to runs: 1 sends every unsorted input to
+    numpy's default sort and then a stable sort when a frequency repeats, and
+    inf sends it to one stable sort."""
+    kept, atoms._RUNS = atoms._RUNS, runs
     try:
         return merge(ps, cs, named=False)
     finally:
@@ -198,35 +200,14 @@ def power_tables(draw):
     return np.concatenate(rows), np.array(cs, dtype=complex)
 
 
-class TestOneSort:
+class TestSortChoice:
     @settings(deadline=None, max_examples=200)
     @given(power_tables())
-    def test_against_the_two_sort_merge(self, table):
+    def test_one_sort_against_two_sorts(self, table):
         ps, cs = table
-        assert outcome(lambda: merge(ps, cs.copy(), named=False, rows=True)) == outcome(
-            lambda: two_sort_merge(ps, cs.copy()))
-
-    def test_tables_of_the_benchmark_sort_once(self, monkeypatch):
-        # a power-8 adjoint table has at least 6 descents and repeats
-        B = AlgebraElement.of([(0.5j, wave(0.7), 0.5), (0.3 + 0.1j, indicator(-1.5, 2.25), -1.0)])
-        u = make_vector([(j / 8.0, complex(1.0, j / 16.0)) for j in range(-8, 8, 2)])
-        kinds = []
-        argsort = np.ndarray.argsort
-
-        class Spy(np.ndarray):
-            def argsort(self, kind=None):
-                kinds.append(kind)
-                return argsort(np.asarray(self), kind=kind)
-
-        real_merge = atoms.merge
-
-        def spied(ps, cs, named=True, rows=False):
-            assert np.count_nonzero(ps[1:] <= ps[:-1]) >= atoms._RUNS
-            return real_merge(ps.view(Spy), cs, named, rows)
-
-        monkeypatch.setattr("atomdyn.algebra.merge", spied)
-        apply_element(power_adjoint(B, 8), u)
-        assert kinds == ["stable"]
+        want = outcome(lambda: merge_with_cutoff(1, ps, cs.copy()))
+        assert outcome(lambda: merge_with_cutoff(math.inf, ps, cs.copy())) == want
+        assert outcome(lambda: merge(ps, cs.copy(), named=False)) == want
 
 
 class TestDifference:
