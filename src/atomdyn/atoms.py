@@ -252,8 +252,8 @@ def merge(ps: np.ndarray, cs: np.ndarray, named: bool = True) -> AtomicVector:
     is false and the caller names it.
     Frequencies that are sorted and distinct already skip the sort.  The
     descents ps[i + 1] <= ps[i] choose the sort.  Input with fewer than
-    ``_RUNS`` of them is a few sorted runs (a sum of vectors, the rows of
-    ``apply_element``), and takes one stable sort, which keeps equal
+    ``_RUNS`` of them is a few sorted runs (a sum of vectors, a few-term
+    ``apply_element`` table), and takes one stable sort, which keeps equal
     frequencies in input order.  Other input takes numpy's default sort,
     which is faster on it, and a stable sort again only if a frequency
     repeats.  Either way the result is the same.  The cutoff is where the
