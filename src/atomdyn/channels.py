@@ -220,9 +220,10 @@ def expect_function(
       NotImplementedError when the law has no rule.
 
     ``mc`` returns the :class:`McEstimate` of the values f(xi_i - x) over
-    n = ``mc_samples`` draws.  A law with no continuous part draws atom
-    indices, so f is taken once per location and gathered into draw order
-    (``Multiplier.at``).  The values are those of
+    n = ``mc_samples`` draws.  A law with no continuous part (an all-atom
+    mixture too) draws atom indices, so f is taken once per location, and
+    :meth:`McEstimate.of` centres and squares once per location and gathers
+    by the indices.  The estimate is that of the values
     ``f.at(d.sample(gen, n) - x)`` bit for bit.  mc_samples must be an
     integer (a numpy one too) of at least 1.  Under either method, x must
     be finite, and a phase a (xi - x) that overflows raises ValueError.
@@ -239,7 +240,7 @@ def expect_function(
         # a phase that overflows gives NaN values, which make the mean NaN
         with np.errstate(over="ignore", invalid="ignore"):
             ys -= x
-            est = McEstimate.of(f.at(ys, idx))
+            est = McEstimate.of(f.at(ys), idx)
         if not math.isfinite(abs(est.value)):
             raise _not_finite(d, f, x)
         return est
@@ -513,11 +514,15 @@ def projector_value(
         if idx is None:
             g = _landed_profile(avg.base, v, xs)
         else:
-            # the drawn atoms alone: a normal base takes its profile in one
-            # matrix product, whose rounding depends on its number of columns
+            # the distinct drawn locations alone, ascending, as _landed_profile
+            # takes them: a normal base takes its profile in one matrix
+            # product, whose rounding depends on its columns, and a mixture's
+            # table may repeat a location
             drawn = np.bincount(idx, minlength=len(xs)) > 0
-            xs, idx = xs[drawn], (np.cumsum(drawn) - 1)[idx]
-            g = _projector_profile(avg.base, v, xs)[idx]
+            kept, back = np.unique(xs[drawn], return_inverse=True)
+            at = np.zeros(len(xs), dtype=np.int64)
+            at[drawn] = back
+            g = _projector_profile(avg.base, v, kept)[at[idx]]
         # the running sum from 0.0 in draw order; adding 0.0 turns the -0.0
         # that a leading -0.0 leaves in a sum of zeros into 0.0, as the
         # loop from 0.0 has it

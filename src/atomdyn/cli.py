@@ -367,10 +367,8 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[dict], int]:
         if not math.isfinite(abs(mean)):
             raise ValueError(f"the mean of e^(i probe_p xi) under {d!r} is not finite for "
                              f"probe_p = {probe_p!r}: a phase probe_p xi overflows")
-        overlaps = shift_overlaps(u, v, xs)
-        if idx is not None:  # one value per atom, gathered into draw order
-            overlaps = overlaps[idx]
-        est = McEstimate.of(overlaps)
+        # under an atom law, one overlap per location, gathered by the estimate
+        est = McEstimate.of(shift_overlaps(u, v, xs), idx)
         return {
             "N": n,
             "shift_overlap_abs": abs(est.value),

@@ -81,10 +81,12 @@ class Distribution(Record):
     def draw(self, gen: np.random.Generator, size: int):
         """``size`` draws from ``gen`` as (xs, idx), fresh arrays that are the caller's.
 
-        A law with no continuous part draws atom indices: xs holds its atom
-        locations and the int64 array idx indexes them, so the draws are
-        ``xs[idx]`` and a Monte Carlo integrand needs one value per location,
-        gathered by idx.  Any other law gives its draws as xs, with idx None.
+        A law with no continuous part, a mixture of such laws too, draws
+        atom indices: xs holds its atom locations and the int64 array idx
+        indexes them, so the draws are ``xs[idx]`` and a Monte Carlo
+        integrand needs one value per location, gathered by idx
+        (``McEstimate.of(vals, idx)``).  A mixture's table may repeat a
+        location.  Any other law gives its draws as xs, with idx None.
         """
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
@@ -290,6 +292,15 @@ class PointMass(Distribution):
 
 
 class FiniteMixture(Distribution):
+    """sum_i w_i d_i over its (w_i, d_i) components.
+
+    A draw takes the components' counts from one multinomial, draws each
+    component in turn and shuffles the result.  With no continuous part
+    (``continuous_weight()`` 0) it shuffles atom indices into the
+    concatenated location tables of the components that drew, which are
+    the values' draws bit for bit and leave the generator where they do.
+    """
+
     _fields = ("components",)
 
     def __init__(self, components: Tuple[Tuple[float, Distribution], ...] = ()):
@@ -313,6 +324,22 @@ class FiniteMixture(Distribution):
     def _draw(self, gen, size):
         ws = np.array([w for w, _ in self.components])
         counts = gen.multinomial(size, ws / ws.sum())
+        if self.continuous_weight() == 0:
+            # every component that draws gives atom indices: they are offset
+            # into the concatenation of those components' location tables and
+            # shuffled, and Fisher-Yates takes the same random numbers on
+            # indices as on values.  The empty seeds make size 0 an empty table.
+            tables, idxs, k0 = [np.empty(0)], [np.empty(0, dtype=np.int64)], 0
+            for (_, d), k in zip(self.components, counts.tolist()):
+                xs, idx = d.draw(gen, k)
+                if k:  # a component that draws nothing adds no location
+                    idx += k0
+                    tables.append(xs)
+                    idxs.append(idx)
+                    k0 += len(xs)
+            idx = np.concatenate(idxs)
+            gen.shuffle(idx)
+            return np.concatenate(tables), idx
         # each component's draws go straight into one array, which is then
         # shuffled: no second array of all the draws
         out, k0 = np.empty(size), 0
@@ -488,17 +515,25 @@ class McEstimate(NamedTuple):
     samples: int
 
     @classmethod
-    def of(cls, vals: np.ndarray) -> "McEstimate":
-        """The mean of the n samples vals, with stderr sqrt(mean |vals - mean|^2 / n).
+    def of(cls, vals: np.ndarray, idx: Optional[np.ndarray] = None) -> "McEstimate":
+        """The mean of the n samples, with stderr sqrt(mean |sample - mean|^2 / n).
 
-        vals is the caller's scratch: it is centred in place, and the squared
-        deviations go into its real parts, so no array of n values is made.
+        The samples are vals, or with idx the gather vals[idx]: vals then
+        holds one value per atom location and idx the drawn atom indices
+        (``Distribution.draw``), and each deviation, modulus and square is
+        taken once per location and gathered as a float.  Either way the
+        bits are those of the samples written out, since the mean of a
+        gather sums the same floats in the same order.  vals is the caller's
+        scratch: it is centred in place and the squared deviations go into
+        its real parts, so no complex array of n values outlives the mean.
         """
-        mean = complex(vals.mean())
+        n = len(vals if idx is None else idx)
+        at = slice(None) if idx is None else idx  # a view of vals, or the gather
+        mean = complex(vals[at].mean())
         vals -= mean
         sq = np.abs(vals, out=vals.real)
-        var = float(np.mean(np.square(sq, out=sq)))
-        return cls(mean, math.sqrt(var / len(vals)), len(vals))
+        var = float(np.mean(np.square(sq, out=sq)[at]))
+        return cls(mean, math.sqrt(var / n), n)
 
 
 # ---------------------------------------------------------------------------
