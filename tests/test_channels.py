@@ -1662,6 +1662,110 @@ class TestMonteCarloBits:
         assert pairs > 2 * len(bases) * len(probes)
 
 
+ATOM_MIXTURES = [
+    FiniteMixture(((0.5, PointMass(-1.0)), (0.5, PointMass(2.0)))),
+    FiniteMixture(((0.3, Rademacher()),
+                   (0.7, FiniteMixture(((0.5, PointMass(0.5)), (0.5, Rademacher())))))),
+    FiniteMixture(((0.5, PointMass(-0.0)), (0.25, PointMass(0.0)), (0.25, Rademacher()))),
+    FiniteMixture(((0.6, Rademacher()), (0.0, Gaussian(1.0)), (0.4, PointMass(0.25)))),
+    FiniteMixture(((0.1, PointMass(1.0)), (0.2, PointMass(-1.0)), (0.7, Rademacher()))),
+]
+ATOM_MIXTURE_IDS = ["two-points", "nested", "signed-zeros", "weight-0-gaussian", "repeats"]
+
+
+class TestAtomMixtures:
+    """Mixtures with no continuous part draw atom indices; every mc path keeps the bits of
+    the draw-by-draw code."""
+
+    @staticmethod
+    def bases(seed):
+        gen = np.random.default_rng(seed)
+        grid = np.arange(-8, 9) / 4.0
+
+        def unit(k):
+            v = make_vector(zip(gen.choice(grid, k, replace=False),
+                                gen.normal(size=k) + 1j * gen.normal(size=k)))
+            return (1.0 / norm(v)) * v
+
+        m = int(gen.integers(2, 9))
+        a = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
+        rho = a @ a.conj().T
+        normal = NormalState(tuple(gen.choice(grid, m, replace=False).tolist()),
+                             rho / np.trace(rho).real)
+        mixed = MixedState(((0.3, PureState(unit(3))), (0.7, PureState(unit(2)))))
+        return [PureState(unit(4)), normal, mixed], unit(3)
+
+    @pytest.mark.parametrize("d", ATOM_MIXTURES, ids=ATOM_MIXTURE_IDS)
+    def test_expect_function_mc(self, d):
+        fs = [wave(1.3), wave(-0.4).shifted(0.7), indicator(-1.0, 0.5), constant(0.5j),
+              Multiplier(-0.5, 1.5)]
+        for j, f in enumerate(fs):
+            for n in (1, 2, 7, 1_000, 16_384, 100_000):
+                for x in (0.0, -0.3):
+                    est = expect_function(d, f, x, "mc", mc_samples=n,
+                                          gen=SeededRng(73).stream(j))
+                    mean, stderr = plain_mc(d, f, x, n, SeededRng(73).stream(j))
+                    assert hexes(est.value, est.stderr) == hexes(mean, stderr)
+                    assert est.samples == n
+
+    @pytest.mark.parametrize("d", ATOM_MIXTURES, ids=ATOM_MIXTURE_IDS)
+    def test_averaged_evaluate_mc(self, d):
+        probes = [AlgebraElement.modulation(1.3),
+                  AlgebraElement.of([(0.6 - 0.2j, wave(-0.4).shifted(0.7), 0.5),
+                                     (1.0, indicator(-1.0, 0.5), 0.0)])]
+        for seed in range(2):
+            for base in self.bases(74 + seed)[0]:
+                for A in probes:
+                    for n in (1, 2, 1_000, 16_384):
+                        est = evaluate(averaged_T(d, base), A, "mc", mc_samples=n,
+                                       gen=SeededRng(75).stream(n))
+                        mean, stderr = plain_evaluate(averaged_T(d, base), A, n,
+                                                      SeededRng(75).stream(n))
+                        assert hexes(est.value, est.stderr) == hexes(mean, stderr)
+
+    @pytest.mark.parametrize("d", ATOM_MIXTURES, ids=ATOM_MIXTURE_IDS)
+    def test_projector_value_mc(self, d):
+        positive = 0
+        for seed in range(4):
+            bases, v = self.bases(76 + seed)
+            for base in bases:
+                avg = averaged_T(d, base)
+                for n in (1, 2, 7, 2_000):
+                    got = projector_value(avg, v, "mc", mc_samples=n, gen=SeededRng(77).stream(n))
+                    want = plain_projector(avg, v, "mc", n, SeededRng(77).stream(n))
+                    assert got.hex() == want.hex()
+                    positive += got > 0.0
+        assert positive > 0
+
+    def test_projector_at_repeated_locations(self):
+        # the table repeats locations out of order, and many of them land the
+        # normal base on v: the profile is taken once per distinct drawn
+        # location, ascending, as on plain draws; a matrix product over the
+        # table's own columns rounds differently in some of these cases
+        law = FiniteMixture(tuple((0.125, PointMass(a))
+                                  for a in (0.75, -0.5, 0.25, 1.0, -0.5, 0.75, 1.0))
+                            + ((0.125, Rademacher()),))
+        assert law.draw(SeededRng(78).stream(0), 1_000)[0].tolist() == [
+            0.75, -0.5, 0.25, 1.0, -0.5, 0.75, 1.0, -1.0, 1.0]
+        gen = np.random.default_rng(79)
+        grid = np.arange(-24, 25) / 4.0
+        for m in range(2, 34, 3):
+            a = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
+            rho = a @ a.conj().T
+            avg = averaged_T(law, NormalState(tuple(gen.choice(grid, m, replace=False).tolist()),
+                                              rho / np.trace(rho).real))
+            v = make_vector(zip(gen.choice(grid, 12, replace=False),
+                                gen.normal(size=12) + 1j * gen.normal(size=12)))
+            v = (1.0 / norm(v)) * v
+            # few draws, so that one ulp of a profile value shows in the mean
+            for stream in range(16):
+                n = 1_000 if stream == 15 else 1 + stream % 3
+                got = projector_value(avg, v, "mc", mc_samples=n,
+                                      gen=SeededRng(78).stream(stream))
+                want = plain_projector(avg, v, "mc", n, SeededRng(78).stream(stream))
+                assert got.hex() == want.hex()
+
+
 EDGE_X = [1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
           -2.2250738585072014e-308, 0.0, -0.0]
 edge_x = st.sampled_from(EDGE_X) | st.floats()

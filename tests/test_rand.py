@@ -298,6 +298,102 @@ class TestMcEstimate:
         assert peak < 8 * n
 
 
+EDGE_PARTS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e308, -1.7e308, math.nan]
+
+
+class TestMcEstimateOfATable:
+    """``McEstimate.of(t, idx)`` is the estimate of the gathered samples t[idx], bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(EDGE_PARTS) | st.floats(allow_infinity=False),
+                              st.sampled_from(EDGE_PARTS) | st.floats(allow_infinity=False)),
+                    min_size=1, max_size=16),
+           st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 1_000, 16_385]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_hex_equal_to_the_gather(self, parts, n, seed):
+        t = np.array([complex(re_, im) for re_, im in parts])
+        gen = np.random.default_rng(seed)
+        # about half of the locations are never drawn (one always is)
+        used = np.flatnonzero(gen.random(len(t)) < 0.5)
+        idx = gen.choice(used if used.size else np.array([len(t) - 1]), n)
+        with np.errstate(all="ignore"):
+            got = McEstimate.of(t.copy(), idx)
+            want = McEstimate.of(t[idx])
+        assert got.samples == want.samples == n
+        assert ((got.value.real.hex(), got.value.imag.hex(), got.stderr.hex())
+                == (want.value.real.hex(), want.value.imag.hex(), want.stderr.hex()))
+
+    def test_skipped_locations_do_not_count(self):
+        # a NaN or a huge value at a location no draw takes leaves no trace
+        t = np.array([1.0 + 2.0j, math.nan, 1e308 - 1e308j, -0.0 + 0.5j])
+        idx = np.array([0, 3, 3, 0, 0, 3, 3])
+        with np.errstate(all="ignore"):
+            est = McEstimate.of(t.copy(), idx)
+        assert est == McEstimate.of(t[idx]) and math.isfinite(est.stderr)
+
+    def test_makes_no_complex_array_past_the_mean(self):
+        n = 100_000
+        t = TestMcEstimate.spread(2)
+        idx = np.random.default_rng(3).integers(0, 2, n)
+        tracemalloc.start()
+        try:
+            McEstimate.of(t, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the complex gather (16 n bytes) is freed before the float one (8 n) is made
+        assert peak < 17 * n
+
+
+ATOM_MIXTURES = [
+    FiniteMixture(((0.5, PointMass(-1.0)), (0.5, PointMass(2.0)))),
+    FiniteMixture(((0.3, Rademacher()),
+                   (0.7, FiniteMixture(((0.5, PointMass(0.5)), (0.5, Rademacher())))))),
+    FiniteMixture(((0.5, PointMass(-0.0)), (0.25, PointMass(0.0)), (0.25, Rademacher()))),
+    FiniteMixture(((0.6, Rademacher()), (0.0, Gaussian(1.0)), (0.4, PointMass(0.25)))),
+    FiniteMixture(((0.1, PointMass(1.0)), (0.2, PointMass(-1.0)), (0.7, Rademacher()))),
+]
+ATOM_MIXTURE_IDS = ["two-points", "nested", "signed-zeros", "weight-0-gaussian", "repeats"]
+
+
+def plain_sample(d, gen, size):
+    """The draws of d, every mixture's written out on values: the component counts, each
+    component's draws in turn, one shuffle."""
+    if not isinstance(d, FiniteMixture):
+        return d.sample(gen, size)
+    ws = np.array([w for w, _ in d.components])
+    counts = gen.multinomial(size, ws / ws.sum())
+    out = np.concatenate([np.empty(0)] + [plain_sample(c, gen, k)
+                                          for (_, c), k in zip(d.components, counts.tolist())])
+    gen.shuffle(out)
+    return out
+
+
+class TestAtomMixtureDraws:
+    @pytest.mark.parametrize("d", ATOM_MIXTURES, ids=ATOM_MIXTURE_IDS)
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 1_000, 16_384, 100_000])
+    def test_indices_replay_the_values(self, d, size):
+        assert d.continuous_weight() == 0
+        g1, g2 = SeededRng(8).stream(size), SeededRng(8).stream(size)
+        locs, idx = d.draw(g1, size)
+        assert locs.dtype == np.float64 and idx.dtype == np.int64 and idx.shape == (size,)
+        assert locs[idx].tobytes() == plain_sample(d, g2, size).tobytes()
+        assert g1.random() == g2.random()
+
+    def test_tables_of_the_components_that_drew(self):
+        law = FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(1.0)), (0.0, PointMass(1e308))))
+        locs, idx = law.draw(SeededRng(9).stream(0), 1_000)
+        # the table repeats 1.0 and leaves out the point mass that drew nothing
+        assert locs.tolist() == [-1.0, 1.0, 1.0]
+        assert np.bincount(idx, minlength=3).min() > 0
+
+    def test_a_continuous_part_keeps_the_values(self):
+        law = FiniteMixture(((0.5, PointMass(1.0)), (0.5, Uniform(0.0, 1.0))))
+        g1, g2 = SeededRng(10).stream(0), SeededRng(10).stream(0)
+        xs, idx = law.draw(g1, 100)
+        assert idx is None and xs.tobytes() == plain_sample(law, g2, 100).tobytes()
+
+
 class TestLebesgueSplit:
     def test_continuous_part(self):
         g, c = Gaussian(1.0), Cauchy(0.5)
