@@ -90,7 +90,7 @@ def check_wave(a: float, lo: float, hi: float, q: np.ndarray) -> None:
         check_phase(a, np.array([q.min(), q.max()]))
 
 
-_RUN = 1 << 13  # shifts that shift_overlaps takes at once
+_RUN = 1 << 13  # entries of the (atoms x shifts) table that shift_overlaps takes at once
 
 
 def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
@@ -99,9 +99,10 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     The rule of ``inner(apply_shift(x, u), v)``, bit for bit: the atom of u
     at p meets v where p - x is bit-equal to a frequency of v, and the
     products conj(c_u) c_v, rounded by ``cmul`` as ``inner`` rounds them, add
-    up in u's atom order.  Shifts at which two atoms of u land on one
-    frequency merge them first, so those few are computed through
-    ``apply_shift`` itself.  A shift that carries an atom of u past the
+    up in u's atom order.  A run of shifts is one (atoms x shifts) table of
+    p - x, so a few shifts cost a few numpy calls, not a few per atom.
+    Shifts at which two atoms of u land on one frequency merge them first,
+    so those few are computed through ``apply_shift`` itself.  A shift that carries an atom of u past the
     largest float raises ValueError, as it does there; so does an overflow,
     which the sums meet with warnings off and the first shift whose value
     is not finite names through ``inner(apply_shift(x, u), v)``.
@@ -111,20 +112,20 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     out = np.zeros(xs.shape, dtype=complex)
     if not len(u) or not len(v):
         return out
-    # runs of _RUN shifts keep each atom's temporaries small at any len(xs)
-    for k in range(0, len(xs), _RUN):
-        x, o = xs[k:k + _RUN], out[k:k + _RUN]
-        merged = np.zeros(x.shape, dtype=bool)
-        prev = None
+    conj = u.amps.conj()
+    # runs of shifts keep the (atoms x shifts) tables near _RUN entries
+    run = max(1, _RUN // len(u))
+    for k in range(0, len(xs), run):
+        x, o = xs[k:k + run], out[k:k + run]
         with np.errstate(over="ignore", invalid="ignore"):
-            for a in u:
-                q = a.p - x
-                idx, hit = match(v.freqs, q)
-                o[hit] += cmul(a.c.conjugate(), v.amps[idx[hit]])
-                if prev is not None:
-                    merged |= prev == q
-                prev = q
-        for i in np.flatnonzero(merged):
+            q = np.subtract.outer(u.freqs, x)
+            idx, hit = match(v.freqs, q)
+            # the hits in row-major order, so that np.add.at, which adds in
+            # the order of its indices, adds each shift's products in u's
+            # atom order
+            at = np.flatnonzero(hit)
+            np.add.at(o, at % len(x), cmul(conj[at // len(x)], v.amps[idx.ravel()[at]]))
+        for i in np.flatnonzero((q[1:] == q[:-1]).any(axis=0)):
             o[i] = inner(apply_shift(float(x[i]), u), v)
     ok = np.isfinite(out)
     if np.count_nonzero(ok) < ok.size:

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -149,6 +150,41 @@ class TestShiftOverlaps:
             with pytest.raises(ValueError, match="shift -1e[+]308"):
                 apply_shift(-1e308, u)
             assert shift_overlaps(u, v, np.array([1e308]))[0] == 0j
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1e-300, 1e16, 3.0]),
+                              st.complex_numbers(max_magnitude=1e150, allow_nan=False,
+                                                 allow_infinity=False)),
+                    min_size=1, max_size=12),
+           st.lists(st.tuples(st.sampled_from([0.0, -0.75, 0.5, 1.0, -1.0, 1e16, 2.0]),
+                              st.sampled_from([1.0, -0.5j, 0.3 - 0.4j, -0.0 + 0.0j, 1e150])),
+                    min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 7, 700, 3_000]))
+    def test_atom_table_against_per_sample_inner(self, us, vs, seed, n):
+        # one (atoms x shifts) table per run of shifts: shifts that land,
+        # merge two atoms, move by signed zeros or miss, across run ends
+        u, v = make_vector(us), make_vector(vs)
+        c = np.subtract.outer(u.freqs, v.freqs).ravel()
+        gen = np.random.default_rng(seed)
+        xs = gen.choice(np.concatenate([c, [0.0, -0.0, 1e-300, 0.5], gen.uniform(-4, 4, 4)]), n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = self.per_sample(u, v, xs)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    shift_overlaps(u, v, xs)
+                return
+        assert np.array_equal(shift_overlaps(u, v, xs).view(float), want.view(float))
+
+    def test_many_hits_add_in_atom_order(self):
+        # on one grid, most shifts land several atoms of u on v, and their
+        # products add in u's order, as inner adds them
+        gen = np.random.default_rng(13)
+        for k in (3, 8, 40):
+            u = make_vector(zip(range(k), gen.normal(size=k) + 1j * gen.normal(size=k)))
+            v = make_vector(zip(range(k), gen.normal(size=k) + 1j * gen.normal(size=k)))
+            xs = np.arange(-k + 1, k, dtype=float)
+            self.assert_bit_equal(u, v, np.tile(xs, 300 // k))
 
 
 class TestWeyl:
