@@ -81,12 +81,11 @@ class Distribution(Record):
     def draw(self, gen: np.random.Generator, size: int):
         """``size`` draws from ``gen`` as (xs, idx), fresh arrays that are the caller's.
 
-        A law with no continuous part, a mixture of such laws too, draws
-        atom indices: xs holds its atom locations and the int64 array idx
-        indexes them, so the draws are ``xs[idx]`` and a Monte Carlo
-        integrand needs one value per location, gathered by idx
-        (``McEstimate.of(vals, idx)``).  A mixture's table may repeat a
-        location.  Any other law gives its draws as xs, with idx None.
+        A law with no continuous part (a mixture of such laws too) draws atom
+        indices: xs holds its atom locations, which a mixture may repeat, and
+        the int64 array idx indexes them, so the draws are ``xs[idx]`` and a
+        Monte Carlo integrand needs one value per location, gathered by idx.
+        Any other law gives its draws as xs, with idx None.
         """
         if gen is None:
             raise ValueError("mc evaluation needs a generator")
@@ -292,14 +291,8 @@ class PointMass(Distribution):
 
 
 class FiniteMixture(Distribution):
-    """sum_i w_i d_i over its (w_i, d_i) components.
-
-    A draw takes the components' counts from one multinomial, draws each
-    component in turn and shuffles the result.  With no continuous part
-    (``continuous_weight()`` 0) it shuffles atom indices into the
-    concatenated location tables of the components that drew, which are
-    the values' draws bit for bit and leave the generator where they do.
-    """
+    """sum_i w_i d_i.  A draw takes the counts from one multinomial, draws each component
+    in turn and shuffles; with no continuous part it shuffles atom indices, as ``draw``."""
 
     _fields = ("components",)
 
@@ -325,10 +318,8 @@ class FiniteMixture(Distribution):
         ws = np.array([w for w, _ in self.components])
         counts = gen.multinomial(size, ws / ws.sum())
         if self.continuous_weight() == 0:
-            # every component that draws gives atom indices: they are offset
-            # into the concatenation of those components' location tables and
-            # shuffled, and Fisher-Yates takes the same random numbers on
-            # indices as on values.  The empty seeds make size 0 an empty table.
+            # indices into the tables of the components that draw (the empty
+            # seeds serve size 0); shuffling them takes the values' random numbers
             tables, idxs, k0 = [np.empty(0)], [np.empty(0, dtype=np.int64)], 0
             for (_, d), k in zip(self.components, counts.tolist()):
                 xs, idx = d.draw(gen, k)
@@ -516,16 +507,12 @@ class McEstimate(NamedTuple):
 
     @classmethod
     def of(cls, vals: np.ndarray, idx: Optional[np.ndarray] = None) -> "McEstimate":
-        """The mean of the n samples, with stderr sqrt(mean |sample - mean|^2 / n).
+        """The mean of the n samples vals, or vals[idx], with stderr sqrt(mean |dev|^2 / n).
 
-        The samples are vals, or with idx the gather vals[idx]: vals then
-        holds one value per atom location and idx the drawn atom indices
-        (``Distribution.draw``), and each deviation, modulus and square is
-        taken once per location and gathered as a float.  Either way the
-        bits are those of the samples written out, since the mean of a
-        gather sums the same floats in the same order.  vals is the caller's
-        scratch: it is centred in place and the squared deviations go into
-        its real parts, so no complex array of n values outlives the mean.
+        With idx, vals holds one value per atom location (``Distribution.draw``),
+        and each deviation and square is taken once per location and gathered:
+        the bits of the samples written out.  vals is the caller's scratch,
+        centred in place, with the squares in its real parts.
         """
         n = len(vals if idx is None else idx)
         at = slice(None) if idx is None else idx  # a view of vals, or the gather
