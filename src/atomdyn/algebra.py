@@ -102,10 +102,11 @@ def shift_overlaps(u: AtomicVector, v: AtomicVector, xs: np.ndarray) -> np.ndarr
     up in u's atom order.  A run of shifts is one (atoms x shifts) table of
     p - x, so a few shifts cost a few numpy calls, not a few per atom.
     Shifts at which two atoms of u land on one frequency merge them first,
-    so those few are computed through ``apply_shift`` itself.  A shift that carries an atom of u past the
-    largest float raises ValueError, as it does there; so does an overflow,
-    which the sums meet with warnings off and the first shift whose value
-    is not finite names through ``inner(apply_shift(x, u), v)``.
+    so those few are computed through ``apply_shift`` itself.  A shift that
+    carries an atom of u past the largest float raises ValueError, as it
+    does there; so does an overflow, which the sums meet with warnings off
+    and the first shift whose value is not finite names through
+    ``inner(apply_shift(x, u), v)``.
     """
     xs = np.asarray(xs, dtype=float)
     check_draws(xs, u.freqs)
