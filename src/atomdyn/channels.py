@@ -228,9 +228,9 @@ def expect_function(
     integer (a numpy one too) of at least 1.  Under either method, x must
     be finite, and a phase a (xi - x) that overflows raises ValueError.
 
-    Only the continuous part of the law (``Distribution.continuous_part``,
-    of mass ``continuous_weight``) meets a cdf or a rule; its discrete
-    atoms are summed once, by the finite sum.
+    ``analytic`` takes the law's ``lebesgue_split`` once per point: its atoms
+    are summed once, by the finite sum, and only its continuous part meets a
+    cdf or a rule.
     """
     _check_method(method, mc_samples)
     if not (isinstance(x, np.ndarray) or math.isfinite(x)):
@@ -252,15 +252,15 @@ def expect_function(
     if isinstance(x, np.ndarray):
         return np.array([expect_function(d, f, y) for y in x.tolist()], dtype=complex)
 
+    atoms, cw, part = d.lebesgue_split()
     total = 0j
-    for loc, pr in d.discrete_atoms():
+    for loc, pr in atoms:
         try:
             total += pr * complex(f(loc - x))
         except ValueError:  # cmath.exp of a phase that overflows
             raise _not_finite(d, f, x) from None
-    cw = d.continuous_weight()
     if cw > 0:
-        total += cw * _expect_continuous(d.continuous_part(), f, x)
+        total += cw * _expect_continuous(part, f, x)
     return total
 
 
@@ -527,7 +527,7 @@ def projector_value(
         # that a leading -0.0 leaves in a sum of zeros into 0.0, as the
         # loop from 0.0 has it
         return (float(np.cumsum(g)[-1]) + 0.0) / mc_samples
-    atoms = avg.smoothing.discrete_atoms()
+    atoms = avg.smoothing.lebesgue_split()[0]
     if not atoms:
         return 0.0
     g = _projector_profile(avg.base, v, np.array([loc for loc, _ in atoms], dtype=float))
@@ -608,15 +608,6 @@ def _landing(p: np.ndarray, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(xs <= reach[np.searchsorted(lo[order], xs, side="right")])
 
 
-def _discrete_shifts(s: AveragedState):
-    """(pr, T_loc base) over the atoms (loc, pr) of the smoothing law.
-
-    The discrete part of the smoothing as a finite mixture of shifted bases.
-    """
-    for loc, pr in s.smoothing.discrete_atoms():
-        yield pr, channel_T(loc, s.base)
-
-
 def _mass(s, fset: set) -> float:
     """<s, P_F>: the mass of s on the atoms whose frequencies are in fset."""
     if isinstance(s, PureState):
@@ -624,10 +615,13 @@ def _mass(s, fset: set) -> float:
     if isinstance(s, NormalState):
         return sum((float(s.matrix[j, j].real)
                     for j, p in enumerate(s.support) if p in fset), 0.0)
-    if not isinstance(s, (AveragedState, MixedState)):
+    if isinstance(s, MixedState):
+        return sum((w * _mass(st, fset) for w, st in s.components), 0.0)
+    if not isinstance(s, AveragedState):
         raise TypeError(f"not a state: {s!r}")
-    parts = _discrete_shifts(s) if isinstance(s, AveragedState) else s.components
-    return sum((w * _mass(st, fset) for w, st in parts), 0.0)
+    # the atoms (loc, pr) of the law make the finite mixture of the shifted bases
+    return sum((pr * _mass(channel_T(loc, s.base), fset)
+                for loc, pr in s.smoothing.lebesgue_split()[0]), 0.0)
 
 
 def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
@@ -717,11 +711,10 @@ def yosida_hewitt_split(
     MixedState of its states; the split is the state MixedState(((p,
     normal_part), (1 - p, singular_part))) of the parts that are not None.
 
-    An averaged state of weight w splits along the Lebesgue split of its
-    law: each atom (loc, pr) puts the shifted base T_loc base, of weight
-    w pr, in the normal part, and the continuous part puts the base averaged
-    over ``continuous_part()``, of weight w ``continuous_weight()``, in the
-    singular part.  A law with no atoms is its own continuous part, of weight 1.
+    An averaged state of weight w splits along its law's ``lebesgue_split``:
+    each atom (loc, pr) puts the shifted base T_loc base, of weight w pr, in
+    the normal part, and the continuous part, of weight cw, puts the base
+    averaged over it, of weight w cw, in the singular part.
     A mixture that holds an averaged state splits by its components, any
     other state goes to the normal part whole, and weight 0 is dropped.
     """
@@ -740,10 +733,10 @@ def _lebesgue(w: float, s, normal: list, singular: list) -> None:
     if w == 0:
         return
     if isinstance(s, AveragedState):
-        normal += [(w * pr, st) for pr, st in _discrete_shifts(s)]
-        cw = s.smoothing.continuous_weight()
+        atoms, cw, part = s.smoothing.lebesgue_split()
+        normal += [(w * pr, channel_T(loc, s.base)) for loc, pr in atoms]
         if cw > 0:
-            singular.append((w * cw, AveragedState(s.base, s.smoothing.continuous_part())))
+            singular.append((w * cw, AveragedState(s.base, part)))
     elif isinstance(s, MixedState) and _averaged_in(s):
         for v, st in s.components:
             _lebesgue(w * v, st, normal, singular)

@@ -345,7 +345,7 @@ def run_walk_decay(config: dict, seed: int) -> Tuple[List[dict], int]:
     from .algebra import shift_overlaps, wave
     from .rand import McEstimate, SeededRng
     d = _load_distribution(config, {"kind": "gaussian", "D": 1.0})
-    if d.has_discrete_part:
+    if d.lebesgue_split()[0]:
         print(
             "warning: the zero-mean-shift hypothesis needs a law without a "
             "discrete part; running anyway",

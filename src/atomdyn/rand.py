@@ -46,8 +46,6 @@ def _square(x: float) -> float:
 class Distribution(Record):
     """Base class for the supported laws.  Immutable."""
 
-    has_discrete_part: bool = False
-
     def chi(self, x):
         """E e^{ix xi}: a Python complex for a number x, a new complex array for an array.
 
@@ -124,22 +122,14 @@ class Distribution(Record):
         """
         raise NotImplementedError(f"no Gauss rule for {self!r}")
 
-    def discrete_atoms(self) -> Tuple[Tuple[float, float], ...]:
-        """(location, probability) pairs of the discrete part."""
-        return ()
-
-    def continuous_weight(self) -> float:
-        """Probability mass of the continuous part."""
-        return 0.0 if self.has_discrete_part else 1.0
-
-    def continuous_part(self) -> Optional["Distribution"]:
-        """The continuous part as a normalized law, or None when it has no mass.
-
-        The law is ``continuous_weight()`` times this part plus its
-        ``discrete_atoms()`` (the Lebesgue split of a law; Yosida & Hewitt,
-        Trans. AMS 72, 1952).
-        """
-        return None if self.has_discrete_part else self
+    def lebesgue_split(
+        self,
+    ) -> Tuple[Tuple[Tuple[float, float], ...], float, Optional["Distribution"]]:
+        """(atoms, weight, part): the sorted, distinct (location, probability) pairs of
+        the discrete part, the mass of the continuous part, exactly 1.0 for a law with
+        no atoms, and that part as a normalised law, or None when the weight is 0
+        (the Lebesgue split of a law; Yosida & Hewitt, Trans. AMS 72, 1952)."""
+        return (), 1.0, self
 
     def to_json(self) -> dict:
         """{"kind": kind, **fields}: the law's kind in ``_KINDS``, then its ``_fields``."""
@@ -206,8 +196,6 @@ class Cauchy(Distribution):
 
 
 class Rademacher(Distribution):
-    has_discrete_part = True
-
     def _chi_pow(self, x, n):
         # cos x = 1 - 2 sin^2(x/2), so where cos x > 0 the power is
         # exp(n log1p(-2 sin^2(x/2))), whose rounding does not grow with n
@@ -223,8 +211,8 @@ class Rademacher(Distribution):
     mean = property(lambda self: 0.0)
     variance = property(lambda self: 1.0)
 
-    def discrete_atoms(self):
-        return ((-1.0, 0.5), (1.0, 0.5))
+    def lebesgue_split(self):
+        return ((-1.0, 0.5), (1.0, 0.5)), 0.0, None
 
 
 class Uniform(Distribution):
@@ -270,7 +258,6 @@ class Uniform(Distribution):
 
 class PointMass(Distribution):
     _fields = ("a",)
-    has_discrete_part = True
 
     def __init__(self, a: float = 0.0):
         object.__setattr__(self, "a", a)
@@ -286,8 +273,8 @@ class PointMass(Distribution):
     mean = property(lambda self: self.a)
     variance = property(lambda self: 0.0)
 
-    def discrete_atoms(self):
-        return ((self.a, 1.0),)
+    def lebesgue_split(self):
+        return ((self.a, 1.0),), 0.0, None
 
 
 class FiniteMixture(Distribution):
@@ -307,17 +294,13 @@ class FiniteMixture(Distribution):
         """The components of positive weight: one of weight 0 adds no atom, chi, cdf or moment."""
         return [(w, d) for w, d in self.components if w > 0]
 
-    @property
-    def has_discrete_part(self) -> bool:  # type: ignore[override]
-        return any(d.has_discrete_part for _, d in self._positive)
-
     def _chi(self, x):
         return sum((w * d._chi_pow(x, 1) for w, d in self._positive), 0j)
 
     def _draw(self, gen, size):
         ws = np.array([w for w, _ in self.components])
         counts = gen.multinomial(size, ws / ws.sum())
-        if self.continuous_weight() == 0:
+        if self.lebesgue_split()[1] == 0:
             # indices into the tables of the components that draw (the empty
             # seeds serve size 0); shuffling them takes the values' random numbers
             tables, idxs, k0 = [np.empty(0)], [np.empty(0, dtype=np.int64)], 0
@@ -360,29 +343,24 @@ class FiniteMixture(Distribution):
         return (np.concatenate([ys for _, (ys, _) in rules]),
                 np.concatenate([w * ws for w, (_, ws) in rules]))
 
-    def discrete_atoms(self):
+    def lebesgue_split(self):
+        # atoms add per location and weights w cw in component order, in one pass
         acc: dict[float, float] = {}
+        weight, parts = 0.0, []
         for w, d in self._positive:
-            for loc, pr in d.discrete_atoms():
+            atoms, cw, part = d.lebesgue_split()
+            for loc, pr in atoms:
                 acc[loc] = acc.get(loc, 0.0) + w * pr
-        return tuple(sorted(acc.items()))
-
-    def continuous_weight(self):
-        if not self.has_discrete_part:  # its own continuous part, of weight 1 exactly
-            return 1.0
-        return sum(w * d.continuous_weight() for w, d in self.components)
-
-    def continuous_part(self):
-        if not self.has_discrete_part:
-            return self
-        parts = [(w * d.continuous_weight(), d.continuous_part()) for w, d in self.components]
-        parts = [(w, d) for w, d in parts if w > 0]
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0][1]
-        cw = sum(w for w, _ in parts)
-        return FiniteMixture(tuple((w / cw, d) for w, d in parts))
+            if w * cw > 0:
+                weight += w * cw
+                parts.append((w * cw, part))
+        if not acc:  # its own continuous part, of weight 1 exactly
+            return (), 1.0, self
+        if len(parts) > 1:
+            part = FiniteMixture(tuple((w / weight, d) for w, d in parts))
+        else:
+            part = parts[0][1] if parts else None
+        return tuple(sorted(acc.items())), weight, part
 
     def to_json(self):
         return {

@@ -1430,7 +1430,7 @@ def plain_projector(avg, v, method, mc_samples=0, gen=None):
         for val in g[g != 0].tolist():
             total += val
         return total / mc_samples
-    atoms = avg.smoothing.discrete_atoms()
+    atoms = avg.smoothing.lebesgue_split()[0]
     g = plain_profile(avg.base, v, np.array([loc for loc, _ in atoms], dtype=float))
     for (_, pr), val in zip(atoms, g.tolist()):
         total += pr * val
@@ -1502,7 +1502,7 @@ class TestMonteCarloBits:
                     got = projector_value(avg, v, "mc", mc_samples=n, gen=SeededRng(63).stream(0))
                     want = plain_projector(avg, v, "mc", n, SeededRng(63).stream(0))
                     assert got.hex() == want.hex()
-        assert positive > 0 if d.discrete_atoms() else positive == 0
+        assert positive > 0 if d.lebesgue_split()[0] else positive == 0
 
     def test_projector_value_draws_one_atom(self):
         # both atoms of the law land the base on v, but n = 1 draws one: a
@@ -2035,8 +2035,8 @@ class TestMixtureLaws:
         lo, hi = -0.7, 1.2
         g = Gaussian(1.0)
         for x in (-1.5, -0.2, 0.0, 0.3, 0.9):
-            want = sum(pr * (lo <= loc - x <= hi) for loc, pr in MIXTURE.discrete_atoms())
-            want += MIXTURE.continuous_weight() * (g.cdf(hi + x) - g.cdf(lo + x))
+            want = sum(pr * (lo <= loc - x <= hi) for loc, pr in MIXTURE.lebesgue_split()[0])
+            want += MIXTURE.lebesgue_split()[1] * (g.cdf(hi + x) - g.cdf(lo + x))
             assert abs(expect_function(MIXTURE, indicator(lo, hi), x) - want) <= 1e-15
 
     def test_averaged_indicator(self):
@@ -2047,7 +2047,7 @@ class TestMixtureLaws:
         g = Gaussian(1.0)
         want = 0.0
         for p, weight in ((0.0, 0.36), (0.5, 0.64)):
-            e = sum(pr * (lo <= loc - p <= hi) for loc, pr in MIXTURE.discrete_atoms())
+            e = sum(pr * (lo <= loc - p <= hi) for loc, pr in MIXTURE.lebesgue_split()[0])
             want += weight * (e + 0.5 * (g.cdf(hi + p) - g.cdf(lo + p)))
         assert abs(got - want) <= 1e-12
 
@@ -2058,7 +2058,7 @@ class TestMixtureLaws:
         lone = FiniteMixture(((1.0, Gaussian(1.0)),))
         for zero in (PointMass(1.0), Rademacher(), Cauchy(1.0), PointMass(1e308)):
             law = FiniteMixture(((1.0, Gaussian(1.0)), (0.0, zero)))
-            assert law.discrete_atoms() == () and not law.has_discrete_part
+            assert law.lebesgue_split()[0] == () and not law.lebesgue_split()[0]
             assert (law.mean, law.variance) == (lone.mean, lone.variance)
             assert law.chi(10.0) == lone.chi(10.0)
             for base in (PureState(u), PureState(make_vector([(0.0, 0.6), (0.5, 0.8j)]))):
@@ -2190,7 +2190,7 @@ class TestNormalProfile:
         assert got.tobytes() == plain_profile(base, v, xs).tobytes()
         assert np.count_nonzero(got) >= len(landing) // len(v)
         avg = averaged_T(d, base)
-        atoms = np.array([loc for loc, _ in d.discrete_atoms()])
+        atoms = np.array([loc for loc, _ in d.lebesgue_split()[0]])
         assert (channels._projector_profile(base, v, atoms).tobytes()
                 == plain_profile(base, v, atoms).tobytes())
         value = projector_value(avg, v)
@@ -2255,7 +2255,7 @@ def normal_mass(s):
     if isinstance(s, MixedState):
         return sum(w * normal_mass(st) for w, st in s.components)
     if isinstance(s, AveragedState):
-        return 1.0 - s.smoothing.continuous_weight()
+        return 1.0 - s.smoothing.lebesgue_split()[1]
     return 1.0
 
 

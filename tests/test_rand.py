@@ -69,12 +69,12 @@ class TestChi:
                 assert np.linalg.eigvalsh(k).min() >= -1e-10
 
     def test_has_discrete_part_flag(self):
-        assert not Gaussian(1.0).has_discrete_part
-        assert not Cauchy(1.0).has_discrete_part
-        assert Rademacher().has_discrete_part
-        assert PointMass(1.0).has_discrete_part
-        assert FiniteMixture(((1.0, Gaussian(1.0)),)).has_discrete_part is False
-        assert FiniteMixture(((0.5, Gaussian(1.0)), (0.5, PointMass(0.0)))).has_discrete_part
+        assert not Gaussian(1.0).lebesgue_split()[0]
+        assert not Cauchy(1.0).lebesgue_split()[0]
+        assert Rademacher().lebesgue_split()[0]
+        assert PointMass(1.0).lebesgue_split()[0]
+        assert FiniteMixture(((1.0, Gaussian(1.0)),)).lebesgue_split()[0] == ()
+        assert FiniteMixture(((0.5, Gaussian(1.0)), (0.5, PointMass(0.0)))).lebesgue_split()[0]
 
     def test_mixture_weight_validation(self):
         with pytest.raises(ValueError):
@@ -373,7 +373,7 @@ class TestAtomMixtureDraws:
     @pytest.mark.parametrize("d", ATOM_MIXTURES, ids=ATOM_MIXTURE_IDS)
     @pytest.mark.parametrize("size", [0, 1, 2, 7, 1_000, 16_384, 100_000])
     def test_indices_replay_the_values(self, d, size):
-        assert d.continuous_weight() == 0
+        assert d.lebesgue_split()[1] == 0
         g1, g2 = SeededRng(8).stream(size), SeededRng(8).stream(size)
         locs, idx = d.draw(g1, size)
         assert locs.dtype == np.float64 and idx.dtype == np.int64 and idx.shape == (size,)
@@ -397,26 +397,27 @@ class TestAtomMixtureDraws:
 class TestLebesgueSplit:
     def test_continuous_part(self):
         g, c = Gaussian(1.0), Cauchy(0.5)
-        assert g.continuous_part() is g
-        assert Rademacher().continuous_part() is None
-        assert PointMass(0.3).continuous_part() is None
-        assert FiniteMixture(((0.5, Rademacher()), (0.5, g))).continuous_part() is g
+        assert g.lebesgue_split()[2] is g
+        assert Rademacher().lebesgue_split()[2] is None
+        assert PointMass(0.3).lebesgue_split()[2] is None
+        assert FiniteMixture(((0.5, Rademacher()), (0.5, g))).lebesgue_split()[2] is g
         law = FiniteMixture(((0.2, Rademacher()), (0.4, g), (0.4, c)))
-        assert law.continuous_weight() == pytest.approx(0.8)
-        assert law.continuous_part() == FiniteMixture(((0.5, g), (0.5, c)))
-        assert FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(1.0)))).continuous_part() is None
+        assert law.lebesgue_split()[1] == pytest.approx(0.8)
+        assert law.lebesgue_split()[2] == FiniteMixture(((0.5, g), (0.5, c)))
+        atoms_only = FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(1.0))))
+        assert atoms_only.lebesgue_split()[2] is None
         both = FiniteMixture(((0.5, g), (0.5, c)))
-        assert both.continuous_part() is both
+        assert both.lebesgue_split()[2] is both
 
     def test_zero_weight_component_has_no_atoms(self):
         law = FiniteMixture(((1.0, Gaussian(1.0)), (0.0, PointMass(1.0))))
-        assert not law.has_discrete_part and law.discrete_atoms() == ()
-        assert law.continuous_weight() == 1.0 and law.continuous_part() is law
+        assert not law.lebesgue_split()[0] and law.lebesgue_split()[0] == ()
+        assert law.lebesgue_split()[1] == 1.0 and law.lebesgue_split()[2] is law
         # ten weights 0.1 add to 0.9999999999999999; the law is still all continuous
         tenths = FiniteMixture(tuple((0.1, Gaussian(1.0 + j)) for j in range(10)))
-        assert tenths.continuous_weight() == 1.0 and tenths.continuous_part() is tenths
+        assert tenths.lebesgue_split()[1] == 1.0 and tenths.lebesgue_split()[2] is tenths
         law = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0)), (0.0, PointMass(3.0))))
-        assert law.discrete_atoms() == ((-1.0, 0.25), (1.0, 0.25))
+        assert law.lebesgue_split()[0] == ((-1.0, 0.25), (1.0, 0.25))
 
 
 class TestSampling:
@@ -469,7 +470,7 @@ class TestSampling:
 
     def test_continuous_laws_draw_no_atoms(self):
         for d in ALL_LAWS:
-            if d.continuous_weight() > 0:
+            if d.lebesgue_split()[1] > 0:
                 g1, g2 = SeededRng(6).stream(0), SeededRng(6).stream(0)
                 xs, idx = d.draw(g1, 10)
                 assert idx is None
