@@ -162,8 +162,12 @@ class AveragedState(Record):
     def _set(self, base, smoothing):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "smoothing", smoothing)
-        if not isinstance(smoothing, Distribution):
-            raise TypeError(f"averaged state smoothing is not a Distribution: {smoothing!r}")
+        _check_law(smoothing)
+
+
+def _check_law(d) -> None:
+    if not isinstance(d, Distribution):
+        raise TypeError(f"averaged state smoothing is not a Distribution: {d!r}")
 
 
 State = Union[PureState, NormalState, MixedState, AveragedState]
@@ -225,8 +229,9 @@ def expect_function(
     :meth:`McEstimate.of` centres and squares once per location and gathers
     by the indices.  The estimate is that of the values
     ``f.at(d.sample(gen, n) - x)`` bit for bit.  mc_samples must be an
-    integer (a numpy one too) of at least 1.  Under either method, x must
-    be finite, and a phase a (xi - x) that overflows raises ValueError.
+    integer (a numpy one too) of at least 1, and x a number: an array x
+    raises ValueError.  Under either method, x must be finite, and a phase
+    a (xi - x) that overflows raises ValueError.
 
     ``analytic`` takes the law's ``lebesgue_split`` once per point: its atoms
     are summed once, by the finite sum, and only its continuous part meets a
@@ -236,6 +241,8 @@ def expect_function(
     if not (isinstance(x, np.ndarray) or math.isfinite(x)):
         raise ValueError(f"E f(xi - x) needs a finite x, got x = {x!r}")
     if method == "mc":
+        if isinstance(x, np.ndarray):
+            raise ValueError(f"mc takes one point x, got an array of shape {x.shape}")
         ys, idx = d.draw(gen, mc_samples)
         # a phase that overflows gives NaN values, which make the mean NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -461,7 +468,9 @@ def averaged_T(d: Distribution, s: State) -> State:
     be singular.  Stacking on an existing averaged state convolves the
     smoothing laws (used by the semigroup).  A mixture that holds an
     averaged state averages by its components: E T_xi sum w s = sum w E T_xi s.
+    A d that is not a :class:`Distribution` raises TypeError for every s.
     """
+    _check_law(d)
     if isinstance(s, AveragedState):
         return AveragedState._of_base(s.base, convolve(s.smoothing, d))
     if isinstance(s, MixedState) and _averaged_in(s):

@@ -27,9 +27,12 @@ _WEIGHT_TOL = 1e-12
 
 
 def check_weights(ws: Sequence[float], what: str) -> None:
-    """Raise ValueError naming ``what`` unless ws are non-negative and sum to 1."""
+    """Raise ValueError naming ``what`` unless ws are finite, non-negative and sum to 1."""
     if any(w < 0 for w in ws):
         raise ValueError(f"{what} must be non-negative")
+    for w in ws:
+        if not math.isfinite(w):  # a NaN passes the other two tests
+            raise ValueError(f"{what} must be finite, got {w!r}")
     if abs(sum(ws) - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"{what} must sum to 1, got {sum(ws)!r}")
 
@@ -278,8 +281,11 @@ class PointMass(Distribution):
 
 
 class FiniteMixture(Distribution):
-    """sum_i w_i d_i.  A draw takes the counts from one multinomial, draws each component
-    in turn and shuffles; with no continuous part it shuffles atom indices, as ``draw``."""
+    """sum_i w_i d_i, with finite non-negative weights that sum to 1 (else ValueError) and
+    Distribution components (else TypeError).  ``lebesgue_split`` adds the components'
+    atoms per location and their continuous parts into one normalised mixture.  A draw
+    takes the counts from one multinomial, draws each component in turn and shuffles;
+    with no continuous part it shuffles atom indices, as ``draw``."""
 
     _fields = ("components",)
 
@@ -288,6 +294,9 @@ class FiniteMixture(Distribution):
         if not components:
             raise ValueError("mixture needs at least one component")
         check_weights([w for w, _ in components], "mixture weights")
+        for _, d in components:
+            if not isinstance(d, Distribution):
+                raise TypeError(f"mixture component is not a Distribution: {d!r}")
 
     @property
     def _positive(self):
@@ -563,8 +572,9 @@ def chernoff_error(
 ) -> float:
     """Sup over probe frequencies of |chi(sqrt(t/n) x)^n - e^{-t D x^2 / 2}|.
 
-    Requires a zero-mean law with finite variance; decays like O(1/n) when
-    the fourth moment is finite, and vanishes identically for Gaussian steps.
+    Requires a zero-mean law with finite variance and at least one probe;
+    decays like O(1/n) when the fourth moment is finite, and vanishes
+    identically for Gaussian steps.
     """
     D = d.variance
     if not (math.isfinite(D) and D > 0):
@@ -574,6 +584,8 @@ def chernoff_error(
     if d.mean != 0:
         raise ValueError(f"law must be centered, got mean {d.mean!r}")
     x = np.asarray(probes, dtype=float)
+    if not x.size:
+        raise ValueError("chernoff_error needs at least one probe frequency")
     # the limit e^{-t D x^2 / 2} is chi of the Gaussian law of variance t D
     err = _step_chi_pow(d, t, n, x) - ConvolutionFamily("gaussian").at(t * D).chi(x)
     return float(np.hypot(err.real, err.imag).max())

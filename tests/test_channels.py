@@ -544,6 +544,14 @@ class TestAveragedT:
                            "'gauss'$"):
             averaged_T("gauss", plain)
 
+    def test_smoothing_not_a_law_is_named_for_every_state(self):
+        plain = uniform_pair()
+        avg = averaged_T(Gaussian(1.0), plain)
+        for s in (plain, PAIR_DENSITY, avg, MixedState(((0.5, plain), (0.5, avg)))):
+            with pytest.raises(TypeError, match="^averaged state smoothing is not a "
+                               "Distribution: 'x'$"):
+                averaged_T("x", s)
+
     def test_unital(self):
         avg = averaged_T(Gaussian(1.0), uniform_pair())
         assert evaluate(avg, IDENTITY) == pytest.approx(1.0, abs=1e-14)
@@ -810,6 +818,12 @@ MIXTURE = FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0))))
 
 
 class TestExpectFunction:
+    def test_mc_takes_one_point(self):
+        # an array x would pair draw i with point i
+        with pytest.raises(ValueError, match=r"^mc takes one point x, got an array of shape \(2,\)$"):
+            expect_function(Gaussian(), wave(1.0), np.array([0.0, 1.0]), "mc", 2,
+                            SeededRng(0).stream(0))
+
     def test_discrete_atom_phase_overflow_names_the_point(self):
         # analytic: the atom's phase 1e300 * 1e10 overflows inside the interval
         f = wave(1e300) * indicator(-1e12, 1e12)
@@ -1365,6 +1379,11 @@ class TestYosidaHewitt:
             yosida_hewitt_split([(0.5, PureState(unit_atom(0.0)))])
         with pytest.raises(ValueError, match="weights must be non-negative"):
             yosida_hewitt_split([(-0.5, PureState(unit_atom(0.0))), (1.5, uniform_pair())])
+
+    def test_nan_weight_rejected(self):
+        s = PureState(unit_atom(0.0))
+        with pytest.raises(ValueError, match="^weights must be finite, got nan$"):
+            yosida_hewitt_split([(math.nan, s), (1.0, s)])
 
     def test_weight_zero_component_is_dropped(self):
         s = PureState(unit_atom(0.0))

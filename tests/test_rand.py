@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import tracemalloc
@@ -79,6 +80,12 @@ class TestChi:
     def test_mixture_weight_validation(self):
         with pytest.raises(ValueError):
             FiniteMixture(((0.5, Gaussian(1.0)), (0.4, Rademacher())))
+
+    def test_mixture_components_are_laws(self):
+        with pytest.raises(TypeError, match="^mixture component is not a Distribution: 'x'$"):
+            FiniteMixture(((1.0, "x"),))
+        with pytest.raises(TypeError, match="^mixture component is not a Distribution: 3$"):
+            FiniteMixture(((0.5, Gaussian(1.0)), (0.5, 3)))
 
 
     def test_values_are_python_complex(self):
@@ -394,7 +401,37 @@ class TestAtomMixtureDraws:
         assert idx is None and xs.tobytes() == plain_sample(law, g2, 100).tobytes()
 
 
+def _mixture(children):
+    """A FiniteMixture of 1-4 children, with raw weights that may be 0, normalised."""
+    raw = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]), children),
+                   min_size=1, max_size=4).filter(lambda cs: any(r for r, _ in cs))
+    return raw.map(lambda cs: FiniteMixture(
+        tuple((r / sum(q for q, _ in cs), d) for r, d in cs)))
+
+
+SPLIT_LAWS = st.recursive(
+    st.sampled_from([Gaussian(1.0), Cauchy(0.7), Rademacher(), Uniform(-1.0, 2.0)])
+    | st.builds(PointMass, st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])),
+    _mixture, max_leaves=8)
+
+
 class TestLebesgueSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(SPLIT_LAWS, st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4))
+    def test_split_of_nested_mixtures(self, d, xs):
+        atoms, weight, part = d.lebesgue_split()
+        locs = [loc for loc, _ in atoms]
+        assert all(a < b for a, b in zip(locs, locs[1:]))
+        assert abs(sum(pr for _, pr in atoms) + weight - 1.0) <= 1e-12
+        assert (part is None) == (weight == 0)
+        if part is not None:
+            assert part.lebesgue_split() == ((), 1.0, part)
+        for x in xs:
+            want = sum(pr * cmath.exp(1j * loc * x) for loc, pr in atoms)
+            if part is not None:
+                want += weight * part.chi(x)
+            assert abs(d.chi(x) - want) <= 1e-12
+
     def test_continuous_part(self):
         g, c = Gaussian(1.0), Cauchy(0.5)
         assert g.lebesgue_split()[2] is g
@@ -627,6 +664,10 @@ class TestChernoff:
         err = chernoff_error(Rademacher(), 1.0, n, [x])
         assert err <= 5e-4
         assert abs(err - float(oracle)) <= 1e-12
+
+    def test_no_probe_is_named(self):
+        with pytest.raises(ValueError, match="^chernoff_error needs at least one probe frequency$"):
+            chernoff_error(Rademacher(), 1.0, 10, [])
 
     def test_gaussian_error_vanishes(self):
         for n in (1, 10, 1000, 100_000):

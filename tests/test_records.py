@@ -161,6 +161,11 @@ VALIDATION = [
     (lambda: PureState(make_vector([(0.0, 2.0)])), "pure state vector must be unit norm, got 2.0"),
     (lambda: MixedState(((-0.5, ps_two), (1.5, ps_two))), "mixture weights must be non-negative"),
     (lambda: MixedState(((0.5, ps_two),)), "mixture weights must sum to 1, got 0.5"),
+    # a NaN weight fails neither the sign test nor the sum test
+    (lambda: FiniteMixture(((math.nan, Gaussian()), (1.0, Cauchy()))),
+     "mixture weights must be finite, got nan"),
+    (lambda: MixedState(((math.nan, ps_two), (1.0, ps_two))),
+     "mixture weights must be finite, got nan"),
     (lambda: NormalState((0.0, math.nan), np.eye(2) / 2), "support frequencies must be finite"),
     (lambda: NormalState((0.0, 0.0), np.eye(2) / 2), "support frequencies must be distinct"),
     (lambda: NormalState((0.0,), np.eye(2) / 2),
