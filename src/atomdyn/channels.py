@@ -230,19 +230,23 @@ def expect_function(
     by the indices.  The estimate is that of the values
     ``f.at(d.sample(gen, n) - x)`` bit for bit.  mc_samples must be an
     integer (a numpy one too) of at least 1, and x a number: an array x
-    raises ValueError.  Under either method, x must be finite, and a phase
-    a (xi - x) that overflows raises ValueError.
+    raises ValueError.  Under either method, x must be finite (each point
+    of an array x), an array x must be 1-d, and a phase a (xi - x) that
+    overflows raises ValueError.
 
-    ``analytic`` takes the law's ``lebesgue_split`` once per point: its atoms
-    are summed once, by the finite sum, and only its continuous part meets a
-    cdf or a rule.
+    ``analytic`` takes the law's ``lebesgue_split`` once per call: at each
+    point its atoms are summed by the finite sum, and only its continuous
+    part meets a cdf or a rule.
     """
     _check_method(method, mc_samples)
-    if not (isinstance(x, np.ndarray) or math.isfinite(x)):
-        raise ValueError(f"E f(xi - x) needs a finite x, got x = {x!r}")
+    array = isinstance(x, np.ndarray)
+    if array and (method == "mc" or x.ndim != 1):
+        what = "mc takes one point x" if method == "mc" else "x must be a number or a 1-d array"
+        raise ValueError(f"{what}, got an array of shape {x.shape}")
+    if not (np.isfinite(x).all() if array else math.isfinite(x)):
+        bad = x[~np.isfinite(x)][0].item() if array else x
+        raise ValueError(f"E f(xi - x) needs a finite x, got x = {bad!r}")
     if method == "mc":
-        if isinstance(x, np.ndarray):
-            raise ValueError(f"mc takes one point x, got an array of shape {x.shape}")
         ys, idx = d.draw(gen, mc_samples)
         # a phase that overflows gives NaN values, which make the mean NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -255,20 +259,20 @@ def expect_function(
         # c e^{-iax} chi(a), where e^{-iax} is the chi of the point mass at -a
         xs = np.asarray(x, dtype=float).reshape(-1)
         v = PointMass(-f.a).chi(xs) * (f.c * d.chi(f.a)) if f.a else np.full(len(xs), f.c)
-        return v if isinstance(x, np.ndarray) else complex(v[0])
-    if isinstance(x, np.ndarray):
-        return np.array([expect_function(d, f, y) for y in x.tolist()], dtype=complex)
-
+        return v if array else complex(v[0])
     atoms, cw, part = d.lebesgue_split()
-    total = 0j
-    for loc, pr in atoms:
-        try:
-            total += pr * complex(f(loc - x))
-        except ValueError:  # cmath.exp of a phase that overflows
-            raise _not_finite(d, f, x) from None
-    if cw > 0:
-        total += cw * _expect_continuous(part, f, x)
-    return total
+    values = []
+    for y in x.tolist() if array else (x,):
+        total = 0j
+        for loc, pr in atoms:
+            try:
+                total += pr * complex(f(loc - y))
+            except ValueError:  # cmath.exp of a phase that overflows
+                raise _not_finite(d, f, y) from None
+        if cw > 0:
+            total += cw * _expect_continuous(part, f, y)
+        values.append(total)
+    return np.array(values, dtype=complex) if array else total
 
 
 def _not_finite(d, f, x) -> ValueError:
@@ -334,9 +338,7 @@ def evaluate(
     """
     _check_method(method, mc_samples)
     if isinstance(s, MixedState) and _averaged_in(s):
-        return _weighted_sum(
-            ((w, evaluate(st, A, method, mc_samples, gen)) for w, st in s.components), mc_samples
-        )
+        return _weighted_sum(evaluate, s, A, method, mc_samples, gen)
     base, d = s, None
     if isinstance(s, AveragedState):
         base, d = s.base, s.smoothing
@@ -416,20 +418,20 @@ def _hits(s, A: AlgebraElement):
         yield c, f, r, q[k]
 
 
-def _weighted_sum(pairs, mc_samples: int):
-    """Sum of weight * value over (weight, value) pairs.
+def _weighted_sum(value, s: MixedState, *args):
+    """Sum of w value(st, *args) over the components (w, st) of the mixture s, in order.
 
-    An :class:`McEstimate` value adds its variance as (|weight| stderr)^2 and
-    makes the sum an :class:`McEstimate`.
+    An :class:`McEstimate` value adds its variance as (|w| stderr)^2 and
+    makes the sum an :class:`McEstimate` of the same number of draws.
     """
-    total, variance, estimate = 0j, 0.0, False
-    for weight, v in pairs:
+    total, variance, samples = 0j, 0.0, None
+    for w, st in s.components:
+        v = value(st, *args)
         if isinstance(v, McEstimate):
-            estimate = True
-            variance += (abs(weight) * v.stderr) ** 2
-            v = v.value
-        total += weight * v
-    return McEstimate(total, math.sqrt(variance), mc_samples) if estimate else total
+            variance += (abs(w) * v.stderr) ** 2
+            v, samples = v.value, v.samples
+        total += w * v
+    return total if samples is None else McEstimate(total, math.sqrt(variance), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +499,19 @@ def projector_value(
     base on that of v, almost surely -- the defining property of a singular
     state.  Discrete smoothing may give a positive value.  ``analytic`` sums
     g over the law's atoms, and returns 0.0 at once for a law with none;
-    ``mc`` averages g over ``mc_samples`` draws, in draw order.  Under a law
-    with no continuous part g is the profile at the drawn atoms' locations,
-    as ``analytic`` takes it, gathered by the drawn atom indices; under any
-    other law it is the profile at the draws that can land an atom of the
-    base on v (see ``_landed_profile``), and 0.0 at the others.  A mixture
-    that holds an averaged state gives sum w_i <s_i, P_v> over its
-    components, each one an averaged state or such a mixture, under either
-    method; under ``mc`` each component draws from ``gen`` in turn.  A
-    mixture with no averaged state in it is a base, not an averaged state.
+    ``mc`` averages g over ``mc_samples`` draws, in draw order.  Both law
+    kinds take g by ``_scattered_profile``: a law with no continuous part at
+    the table locations it drew, gathered by the drawn atom indices, and any
+    other law at the draws that ``_landing`` keeps, with 0.0 at the others,
+    where no atom of the base meets v.  The profile's own check is the only
+    one a draw meets.  A mixture that holds an averaged state gives
+    sum w_i <s_i, P_v> over its components, each one an averaged state or
+    such a mixture, under either method; under ``mc`` each component draws
+    from ``gen`` in turn.  A mixture with no averaged state in it is a base,
+    not an averaged state.
     """
     if isinstance(avg, MixedState) and _averaged_in(avg):
-        total = 0.0
-        for w, st in avg.components:
-            total += w * projector_value(st, v, method, mc_samples, gen)
-        return total
+        return _weighted_sum(projector_value, avg, v, method, mc_samples, gen).real
     if not isinstance(avg, AveragedState):
         raise TypeError(f"not an averaged state: {avg!r}")
     _check_method(method, mc_samples)
@@ -521,17 +521,11 @@ def projector_value(
     if method == "mc":
         xs, idx = avg.smoothing.draw(gen, mc_samples)
         if idx is None:
-            g = _landed_profile(avg.base, v, xs)
+            at = _landing(np.concatenate(list(_atom_sets(avg.base))), v.freqs, xs)
+            g = _scattered_profile(avg.base, v, xs, at)
         else:
-            # the distinct drawn locations alone, ascending, as _landed_profile
-            # takes them: a normal base takes its profile in one matrix
-            # product, whose rounding depends on its columns, and a mixture's
-            # table may repeat a location
-            drawn = np.bincount(idx, minlength=len(xs)) > 0
-            kept, back = np.unique(xs[drawn], return_inverse=True)
-            at = np.zeros(len(xs), dtype=np.int64)
-            at[drawn] = back
-            g = _projector_profile(avg.base, v, kept)[at[idx]]
+            g = _scattered_profile(avg.base, v, xs,
+                                   np.flatnonzero(np.bincount(idx, minlength=len(xs))))[idx]
         # the running sum from 0.0 in draw order; adding 0.0 turns the -0.0
         # that a leading -0.0 leaves in a sum of zeros into 0.0, as the
         # loop from 0.0 has it
@@ -565,18 +559,13 @@ def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
     return g
 
 
-def _landed_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
-    """``_projector_profile(base, v, xs)`` bit for bit, with overlaps only where a draw lands.
+def _scattered_profile(base, v: AtomicVector, xs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """g over xs: ``_projector_profile`` at the distinct xs[at], ascending, scattered into zeros.
 
-    Every draw is first checked as the profile checks it.  The profile is
-    then taken once per distinct draw that ``_landing`` keeps and scattered
-    into zeros: at any other draw no atom of the base meets v, so g is 0.0
-    there too.  A normal base's matrix product meets the same hit columns,
-    so it rounds as it does on all of xs.
+    The entries outside ``at`` stay 0.0.  Taken at the distinct values
+    ascending, as on plain draws, a normal base's matrix product meets the
+    same hit columns, so it rounds as it does on all of xs.
     """
-    sets = list(_atom_sets(base))
-    check_draws(xs, *sets)
-    at = _landing(np.concatenate(sets), v.freqs, xs)
     g = np.zeros(len(xs))
     if at.size:
         kept, back = np.unique(xs[at], return_inverse=True)
@@ -599,7 +588,11 @@ def _atom_sets(base):
 def _landing(p: np.ndarray, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Ascending indices of a superset of the x of xs with fl(p_k - x) == q_j for some k, j.
 
-    fl(p - x) == q puts x within (ulp(q) + ulp(c)) / 2 of c = fl(p - q).
+    When a draw is not finite or carries an atom of p past the largest float
+    (two subtractions from the extreme atoms), every index is kept: the
+    profile's check then meets every draw, the least and the greatest too,
+    and fails as it fails on all of xs, so no draw needs a check before.
+    Otherwise fl(p - x) == q puts x within (ulp(q) + ulp(c)) / 2 of c = fl(p - q).
     Each interval is taken four times that wide, which also covers the
     rounding of its ends; a c past the float range is clipped to it, and its
     interval then holds every x.  Sorted by start, with the running maximum
@@ -607,7 +600,9 @@ def _landing(p: np.ndarray, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
     running end at its last start at or below x reaches it.
     """
     big = np.finfo(float).max
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (abs(p.max() - xs.min()) <= big and abs(p.min() - xs.max()) <= big):
+            return np.arange(len(xs))
         c = np.clip(np.subtract.outer(p, q), -big, big)
         w = 2.0 * (np.spacing(np.abs(c)) + np.spacing(np.abs(q)))
         lo, hi = (c - w).ravel(), (c + w).ravel()

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from atomdyn import channels
+from atomdyn import algebra, channels
 from atomdyn.atoms import cmul, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
     ONE,
@@ -824,6 +825,38 @@ class TestExpectFunction:
             expect_function(Gaussian(), wave(1.0), np.array([0.0, 1.0]), "mc", 2,
                             SeededRng(0).stream(0))
 
+    @pytest.mark.parametrize("f", [indicator(-1.0, 0.5), wave(1.3) * indicator(-1.0, 0.5),
+                                   ONE, wave(1.3)],
+                             ids=["interval", "interval-wave", "line", "line-wave"])
+    @pytest.mark.parametrize("d", [Gaussian(1.0), MIXTURE], ids=["gaussian", "mixture"])
+    def test_array_x_is_checked_under_both_multiplier_kinds(self, d, f):
+        # a 0-d or 2-d array x is named, and so is the first point that is not finite
+        for x in (np.array(0.5), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"x must be a number or a 1-d array, got an array of shape {x.shape}") + "$"):
+                expect_function(d, f, x)
+        for x, bad in (([0.0, math.inf], "inf"), ([math.nan, 0.5, -math.inf], "nan")):
+            with pytest.raises(ValueError, match=f"^E f\\(xi - x\\) needs a finite x, got x = {bad}$"):
+                expect_function(d, f, np.array(x))
+            with pytest.raises(ValueError, match=f"^E f\\(xi - x\\) needs a finite x, got x = {bad}$"):
+                expect_function(d, f, float(bad))
+
+    @pytest.mark.parametrize("d", [PointMass(-1.0), Gaussian(0.7), MIXTURE,
+                                   FiniteMixture(((0.2, Rademacher()), (0.4, Gaussian(1.0)),
+                                                  (0.4, Cauchy(0.5))))],
+                             ids=["point", "gaussian", "mixture", "three-parts"])
+    def test_array_x_takes_the_split_once(self, d, monkeypatch):
+        # the values are those of the points one at a time, bit for bit
+        x = np.array([0.0, -0.3, 1.7, 2.5, -4.0, 0.125, 3.0, -0.0])
+        f = wave(-0.4).shifted(0.7) * indicator(-1.0, 0.5)
+        want = [expect_function(d, f, y) for y in x.tolist()]
+        splits, split = [], type(d).lebesgue_split
+        monkeypatch.setattr(type(d), "lebesgue_split",
+                            lambda self: splits.append(self) or split(self))
+        got = expect_function(d, f, x)
+        assert hexes(*got.tolist()) == hexes(*want)
+        assert splits == [d]
+
     def test_discrete_atom_phase_overflow_names_the_point(self):
         # analytic: the atom's phase 1e300 * 1e10 overflows inside the interval
         f = wave(1e300) * indicator(-1e12, 1e12)
@@ -1583,7 +1616,8 @@ class TestMonteCarloBits:
             xs = np.concatenate([c + k * np.spacing(c) for k in range(-40, 41)]
                                 + [gen.normal(size=1000)])
             gen.shuffle(xs)
-            got = channels._landed_profile(base, v, xs)
+            at = channels._landing(np.concatenate(list(channels._atom_sets(base))), v.freqs, xs)
+            got = channels._scattered_profile(base, v, xs, at)
             assert got.tobytes() == plain_profile(base, v, xs).tobytes()
             off_grid += np.count_nonzero((got != 0) & ~np.isin(xs, c))
         assert off_grid > 100
@@ -1783,6 +1817,89 @@ class TestAtomMixtures:
                                       gen=SeededRng(78).stream(stream))
                 want = plain_projector(avg, v, "mc", n, SeededRng(78).stream(stream))
                 assert got.hex() == want.hex()
+
+
+PROJECTOR_LAWS = SIX_LAWS[:5] + [PointMass(0.0), PointMass(-0.0)] + ATOM_MIXTURES + [
+    MIXTURE, FiniteMixture(((0.3, PointMass(0.5)), (0.7, Uniform(-1.0, 1.0)))),
+    Cauchy(1e308), FiniteMixture(((0.4, Gaussian(1.0)), (0.3, PointMass(1e308)),
+                                  (0.3, PointMass(-1e308)))),
+    FiniteMixture(((0.5, Rademacher()), (0.5, PointMass(-1e308))))]
+
+
+class TestProjectorMonteCarlo:
+    """Both law kinds take the profile through one scatter, and the profile's
+    check is the only one a draw meets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PROJECTOR_LAWS),
+           st.sampled_from(["pure", "normal", "normal-reversed", "mixed", "averaged-mixture"]),
+           st.sampled_from([(), (1e308,), (-1e308,), (-1e308, 1e308)]),
+           st.sampled_from([1, 2, 7, 2_000]), st.integers(0, 2**32 - 1))
+    def test_matches_the_plain_projector(self, d, kind, far, n, seed):
+        # values hex-equal to the written-out projector, and errors equal to
+        # the one its profile raises over all of the draws
+        gen = np.random.default_rng(seed)
+        grid = np.arange(-8, 9) / 4.0
+
+        def unit(k, extra=()):
+            locs = gen.choice(grid, k, replace=False).tolist() + list(extra)
+            u = make_vector(zip(locs, gen.normal(size=len(locs)) + 1j * gen.normal(size=len(locs))))
+            return (1.0 / norm(u)) * u
+
+        m = int(gen.integers(1, 6))
+        support = gen.choice(grid, m, replace=False).tolist() + list(far)
+        a = gen.normal(size=(len(support),) * 2) + 1j * gen.normal(size=(len(support),) * 2)
+        rho = a @ a.conj().T
+        normal = NormalState(tuple(support[::-1] if kind == "normal-reversed" else support),
+                             rho / np.trace(rho).real)
+        pure = PureState(unit(int(gen.integers(1, 5)), far))
+        base = {"pure": pure, "normal": normal, "normal-reversed": normal,
+                "mixed": MixedState(((0.3, pure), (0.7, normal))), "averaged-mixture": None}[kind]
+        parts = ([(0.4, averaged_T(d, pure)), (0.6, averaged_T(d, normal))] if base is None
+                 else [(1.0, averaged_T(d, base))])
+        avg = parts[0][1] if base is not None else MixedState(tuple(parts))
+        v = unit(int(gen.integers(1, 4)))
+        for method in ("analytic", "mc"):
+            with np.errstate(over="ignore"):
+                try:
+                    stream = SeededRng(seed).stream(0)
+                    want = 0.0
+                    for w, st_ in parts:
+                        want += w * plain_projector(st_, v, method, n, stream)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                        projector_value(avg, v, method, n, SeededRng(seed).stream(0))
+                else:
+                    got = projector_value(avg, v, method, n, SeededRng(seed).stream(0))
+                    assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("d", [MIXTURE, FiniteMixture(((0.3, PointMass(0.5)),
+                                                           (0.7, Uniform(-1.0, 1.0)))),
+                                   Rademacher()], ids=["mixture", "uniform-mixture", "rademacher"])
+    def test_each_kept_draw_is_checked_once(self, d, monkeypatch):
+        # a kept draw reaches check_draws once per pure or normal state in
+        # the base, through the profile's own check, and no draw before it
+        seen = []
+
+        def spy(check):
+            def checked(xs, *fs):
+                seen.extend(xs.tolist())
+                return check(xs, *fs)
+            return checked
+
+        monkeypatch.setattr(channels, "check_draws", spy(channels.check_draws))
+        monkeypatch.setattr(algebra, "check_draws", spy(algebra.check_draws))
+        grid = np.arange(4) / 2.0
+        u = make_vector(zip(grid, [0.6, 0.48j, 0.36, 0.52]))
+        u = PureState((1.0 / norm(u)) * u)
+        normal = NormalState(tuple(grid.tolist()), np.eye(4) / 4)
+        v = make_vector([(-1.0, 0.6), (1.0, 0.8)])
+        for base, leaves in ((u, 1), (normal, 1), (MixedState(((0.5, u), (0.5, normal))), 2)):
+            del seen[:]
+            value = projector_value(averaged_T(d, base), v, "mc", mc_samples=10_000,
+                                    gen=SeededRng(70).stream(0))
+            assert value > 0.0 and seen
+            assert set(Counter(seen).values()) == {leaves}
 
 
 EDGE_X = [1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,

@@ -401,6 +401,40 @@ def test_the_bit_equal_match_is_written_once():
     assert found == [("atoms.py", "match")]
 
 
+def draw_checks(source: str):
+    """(line, owner) of each call of ``check_draws`` (a bare name or an
+    attribute), where owner is the module-level function or class that holds
+    it (None at module level).
+
+    A Monte Carlo draw is checked where its profile is taken, so a second
+    call site would check the same draws twice.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        found += [(node.lineno, owner) for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "check_draws"]
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_scan_flags_draw_checks():
+    source = (
+        "from .algebra import check_draws\n"
+        "check_draws(xs)\n"
+        "def profile(base, xs):\n"
+        "    check_draws(xs, *sets(base))\n"
+        "def landed(base, xs):\n"
+        "    algebra.check_draws(xs, base.freqs)\n"
+        "    return check_shifts(base.freqs, 0.0, 1.0)\n"
+    )
+    assert draw_checks(source) == [(2, None), (4, "profile"), (6, "landed")]
+
+
+def test_projector_draws_are_checked_by_the_profile_alone():
+    assert [owner for _, owner in draw_checks((SRC / "channels.py").read_text())] == [
+        "_projector_profile"]
+
+
 def second_samplers(source: str):
     """(line, what) of each class but ``Distribution`` that defines ``sample``
     or ``draw``, and of each ``.choice`` call: a law defines its draws once,
