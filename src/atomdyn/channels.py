@@ -243,8 +243,9 @@ def expect_function(
     if array and (method == "mc" or x.ndim != 1):
         what = "mc takes one point x" if method == "mc" else "x must be a number or a 1-d array"
         raise ValueError(f"{what}, got an array of shape {x.shape}")
-    if not (np.isfinite(x).all() if array else math.isfinite(x)):
-        bad = x[~np.isfinite(x)][0].item() if array else x
+    points = x.tolist() if array else (x,)
+    if not (all(map(math.isfinite, points)) if array else math.isfinite(x)):
+        bad = next(y for y in points if not math.isfinite(y))
         raise ValueError(f"E f(xi - x) needs a finite x, got x = {bad!r}")
     if method == "mc":
         ys, idx = d.draw(gen, mc_samples)
@@ -262,7 +263,7 @@ def expect_function(
         return v if array else complex(v[0])
     atoms, cw, part = d.lebesgue_split()
     values = []
-    for y in x.tolist() if array else (x,):
+    for y in points:
         total = 0j
         for loc, pr in atoms:
             try:
