@@ -15,7 +15,7 @@ _EXPORTS = {
             "ConvolutionFamily SeededRng random_walk_apply expected_walk_apply "
             "chernoff_error distribution_from_json McEstimate",
     "channels": "PureState NormalState MixedState AveragedState evaluate "
-                "channel_T averaged_T channel_Phi averaged_Phi semigroup_T semigroup_Phi "
+                "channel_T averaged_T averaged_Phi semigroup_T semigroup_Phi "
                 "projector_value normality_witness yosida_hewitt_split dephasing_kernel "
                 "QuadratureError",
 }

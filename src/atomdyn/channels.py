@@ -93,8 +93,8 @@ class NormalState(Record):
         """A channel's output: every check of the constructor but the PSD one.
 
         For ``channel_T`` the matrix is unitarily similar to a checked one,
-        and for ``averaged_Phi`` (so ``channel_Phi``) it is the Schur product
-        of a checked one with the positive-definite kernel chi(p_j - p_k).
+        and for ``averaged_Phi`` it is the Schur product of a checked one
+        with the positive-definite kernel chi(p_j - p_k).
         """
         s = object.__new__(cls)
         object.__setattr__(s, "support", support)
@@ -647,11 +647,6 @@ def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
 # Modulation channel Phi and dephasing
 
 
-def channel_Phi(h: float, s: NormalState) -> NormalState:
-    """Conjugation by M_h, entry (j, k) times e^{ih(p_j - p_k)}: averaged_Phi of PointMass(h)."""
-    return averaged_Phi(PointMass(h), s)
-
-
 def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
     """Dephasing: Schur product with the kernel chi(p_j - p_k).
 
@@ -688,8 +683,6 @@ def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:
 
 def semigroup_T(fam: ConvolutionFamily, t: float, s: State) -> Union[State, AveragedState]:
     """T(t) = E T_{xi_t}; composing T(t) after T(s) convolves the laws."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative: {t!r}")
     if t == 0 and not isinstance(s, AveragedState):
         return s
     return averaged_T(fam.at(t), s)
@@ -697,8 +690,6 @@ def semigroup_T(fam: ConvolutionFamily, t: float, s: State) -> Union[State, Aver
 
 def semigroup_Phi(fam: ConvolutionFamily, t: float, s: NormalState) -> NormalState:
     """Phi(t): Schur multiplier of the family law at time t; exact semigroup."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative: {t!r}")
     return averaged_Phi(fam.at(t), s)
 
 

@@ -49,16 +49,12 @@ def _square(x: float) -> float:
 class Distribution(Record):
     """Base class for the supported laws.  Immutable."""
 
-    def chi(self, x):
-        """E e^{ix xi}: a Python complex for a number x, a new complex array for an array.
+    def chi(self, x, n: int = 1):
+        """(E e^{ix xi})^n: a Python complex for a number x, a new complex array for an array.
 
         A value that is not finite (a phase x a overflows, or x is NaN)
         raises ValueError naming the law and x.
         """
-        return self.chi_pow(x, 1)
-
-    def chi_pow(self, x, n: int):
-        """chi(x)^n, taken as ``chi`` is."""
         xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)
         # an overflow only drives chi to its limit 0, or to NaN, caught below
@@ -529,7 +525,7 @@ def _step_chi_pow(d: Distribution, t: float, n: int, ps: np.ndarray) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         x = _step(t, n) * ps
     try:
-        return d.chi_pow(x, n)
+        return d.chi(x, n)
     except ValueError:
         if np.isfinite(x).all():
             raise

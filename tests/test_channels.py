@@ -47,7 +47,6 @@ from atomdyn.channels import (
     QuadratureError,
     averaged_Phi,
     averaged_T,
-    channel_Phi,
     channel_T,
     dephasing_kernel,
     evaluate,
@@ -1132,7 +1131,7 @@ class TestSingularity:
 class TestDephasing:
     def test_channel_phi_phases(self):
         rho = NormalState((0.0, 1.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
-        out = channel_Phi(1.3, rho)
+        out = averaged_Phi(PointMass(1.3), rho)
         assert out.matrix[0, 1] == pytest.approx(0.5 * np.exp(-1.3j))
         assert out.matrix[0, 0] == pytest.approx(0.5)
 
@@ -1148,20 +1147,20 @@ class TestDephasing:
                 p = np.array(s.support)
                 for h in (0.0, -0.0, 1e-300, 1.3, -1.3, 100.0 * gen.normal()):
                     want = np.exp(1j * h * (p[:, None] - p[None, :])) * s.matrix
-                    assert channel_Phi(h, s).matrix.tobytes() == want.tobytes()
+                    assert averaged_Phi(PointMass(h), s).matrix.tobytes() == want.tobytes()
 
     def test_channel_phi_phase_overflow_raises(self):
         s = NormalState((0.0, 1e10), PAIR_DENSITY.matrix)
         with pytest.raises(ValueError,
                            match=r"PointMass\(a=1e\+300\) is not finite at x = -10000000000\.0:"):
-            channel_Phi(1e300, s)
+            averaged_Phi(PointMass(1e300), s)
 
     def test_channel_phi_identity_and_diagonal(self):
         gen = np.random.default_rng(9)
         rho = random_density(gen, 4)
-        assert np.allclose(channel_Phi(0.0, rho).matrix, rho.matrix)
+        assert np.allclose(averaged_Phi(PointMass(0.0), rho).matrix, rho.matrix)
         diag = NormalState((0.0, 1.0, 2.0), np.diag([0.2, 0.3, 0.5]).astype(complex))
-        assert np.allclose(channel_Phi(2.7, diag).matrix, diag.matrix)
+        assert np.allclose(averaged_Phi(PointMass(2.7), diag).matrix, diag.matrix)
 
     def test_averaged_phi_gaussian_factors(self):
         rho = NormalState((0.0, 2.0), np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -1237,7 +1236,7 @@ class TestDephasing:
             np.array([[0.36, 0.48], [0.48, 0.64]], dtype=complex),
         )
         h = 0.9
-        out = channel_Phi(h, rho)
+        out = averaged_Phi(PointMass(h), rho)
         from atomdyn.algebra import apply_mod
 
         mu = apply_mod(h, u)
@@ -1308,9 +1307,11 @@ class TestSemigroups:
 
     def test_negative_time_rejected(self):
         fam = ConvolutionFamily("gaussian")
-        with pytest.raises(ValueError):
+        # the family's one check rejects t for both semigroups
+        message = "^family parameter must be non-negative and finite: -0.5$"
+        with pytest.raises(ValueError, match=message):
             semigroup_T(fam, -0.5, uniform_pair())
-        with pytest.raises(ValueError, match="time must be non-negative"):
+        with pytest.raises(ValueError, match=message):
             semigroup_Phi(fam, -0.5, PAIR_DENSITY)
 
 
@@ -2079,7 +2080,7 @@ STATE_EVAL_LAWS = [Gaussian(1.3), Cauchy(0.8), Uniform(-1.5, 1.5), Rademacher(),
 
 
 class TestChannelOutputs:
-    """channel_T, channel_Phi, averaged_Phi and semigroup_Phi skip the PSD check."""
+    """channel_T, averaged_Phi (of a PointMass too) and semigroup_Phi skip the PSD check."""
 
     @pytest.mark.parametrize("m", [8, 64, 200])
     def test_outputs_are_psd(self, m):
@@ -2090,7 +2091,7 @@ class TestChannelOutputs:
             support = np.sort(gen.choice(np.arange(-m, m + 1), m, replace=False) / 4.0)
             s = NormalState(tuple(support.tolist()), rho / np.trace(rho).real)
             t = float(gen.uniform(0.05, 2.0))
-            outs = [channel_T(0.75, s), channel_Phi(1.3, s),
+            outs = [channel_T(0.75, s), averaged_Phi(PointMass(1.3), s),
                     semigroup_Phi(ConvolutionFamily("gaussian"), t, s),
                     semigroup_Phi(ConvolutionFamily("cauchy"), t, s)]
             outs += [averaged_Phi(d, s) for d in STATE_EVAL_LAWS]
@@ -2108,7 +2109,7 @@ class TestChannelOutputs:
         for name in ("eigvalsh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refuse(name))
         channel_T(0.5, s)
-        channel_Phi(0.5, s)
+        averaged_Phi(PointMass(0.5), s)
         semigroup_Phi(ConvolutionFamily("cauchy"), 0.5, s)
         for d in STATE_EVAL_LAWS:
             averaged_Phi(d, s)
@@ -2218,7 +2219,7 @@ KINDS = {"pure": uniform_pair(), "normal": PAIR_DENSITY,
          "mixed": MixedState(((0.5, uniform_pair()), (0.5, PAIR_DENSITY))),
          "averaged": averaged_T(Gaussian(1.0), uniform_pair())}
 NEEDS_NORMAL = {"averaged_Phi": lambda s: averaged_Phi(Gaussian(1.0), s),
-                "channel_Phi": lambda s: channel_Phi(0.5, s),
+                "channel_Phi": lambda s: averaged_Phi(PointMass(0.5), s),
                 "semigroup_Phi": lambda s: semigroup_Phi(ConvolutionFamily("cauchy"), 1.0, s)}
 NEEDS_AVERAGED = {"projector_value": lambda s: projector_value(s, unit_atom(0.0)),
                   "projector_value-mc": lambda s: projector_value(
