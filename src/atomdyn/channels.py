@@ -16,7 +16,8 @@ of :mod:`atomdyn.algebra`.  Four representations are executable:
 Channels: T_h conjugates by the shift S_h, Phi_h by the modulation M_h.
 Averaging Phi over a law multiplies density-matrix entries by
 chi(p_j - p_k) (Schur product with a positive-definite kernel), which
-preserves normality; averaging T over a continuous law destroys it.
+preserves normality; Phi_h itself is the average over PointMass(h).
+Averaging T over a continuous law destroys normality.
 One-parameter convolution families turn both into semigroups.
 """
 
@@ -31,7 +32,8 @@ import numpy as np
 from .atoms import AtomicVector, Record, cmul, match, norm
 from .algebra import (ONE, AlgebraElement, Multiplier, apply_shift, check_draws, check_shifts,
                       check_wave, shift_overlaps)
-from .rand import Distribution, ConvolutionFamily, McEstimate, PointMass, check_weights, convolve
+from .rand import (Distribution, ConvolutionFamily, McEstimate, PointMass, as_count,
+                   check_weights, convolve)
 
 _UNIT_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -58,9 +60,10 @@ class PureState(Record):
 class NormalState(Record):
     """Density matrix over a finite frequency support.
 
-    Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|.  Every consumer
-    reads the matrix itself: ``evaluate`` as tr(rho A), and an averaged
-    state keeps rho as its base, with no eigen-decomposition anywhere.  On
+    Entry (j, k) is the coefficient of |1_{p_j}><1_{p_k}|, and the support
+    is kept as a tuple of floats, whatever sequence it was given as.  Every
+    consumer reads the matrix itself: ``evaluate`` as tr(rho A), and an
+    averaged state keeps rho as its base, with no eigen-decomposition.  On
     construction rho is PSD when rho + 1e-10 I has a Cholesky factor, which
     fails just when its smallest eigenvalue is below -1e-10 up to rounding.
     The channels build their outputs through ``_channel_output``, which
@@ -108,6 +111,7 @@ class NormalState(Record):
         k = len(self.support)
         if not all(math.isfinite(p) for p in self.support):
             raise ValueError("support frequencies must be finite")
+        object.__setattr__(self, "support", tuple(float(p) for p in self.support))
         if len(set(self.support)) != k:
             raise ValueError("support frequencies must be distinct")
         if m.shape != (k, k):
@@ -190,9 +194,8 @@ class QuadratureError(ArithmeticError):
 def _check_method(method: str, mc_samples: int) -> None:
     if method not in ("analytic", "mc"):
         raise ValueError(f"unknown expectation method: {method!r}")
-    if method == "mc" and (isinstance(mc_samples, bool)
-                           or not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1):
-        raise ValueError(f"mc_samples must be an integer of at least 1, got {mc_samples!r}")
+    if method == "mc":
+        as_count(mc_samples, "mc_samples must be an integer of at least 1, got")
 
 
 def expect_function(
@@ -650,8 +653,11 @@ def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
 def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
     """Dephasing: Schur product with the kernel chi(p_j - p_k).
 
-    The kernel is positive definite and has unit diagonal, so the output
-    stays Hermitian, PSD, and trace one; off-diagonals shrink by |chi|.
+    The kernel is positive definite and its diagonal is exactly 1, so the
+    output stays Hermitian, PSD, and of trace one through any number of
+    compositions; off-diagonals shrink by |chi|.  The modulation channel
+    Phi_h, conjugation by M_h, is averaged_Phi(PointMass(h), s): entry
+    (j, k) times e^{ih(p_j - p_k)}.
     """
     if not isinstance(s, NormalState):
         raise TypeError(f"not a normal state: {s!r}")
@@ -661,8 +667,9 @@ def averaged_Phi(d: Distribution, s: NormalState) -> NormalState:
 def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:
     """The Schur multiplier matrix chi(p_j - p_k) on a frequency support.
 
-    A difference past the float range is +-inf: a Gaussian or Cauchy chi is
-    0.0 there, and any other law raises ValueError naming p_j and p_k."""
+    Its diagonal is exactly 1, as chi(0) is under every law.  A difference
+    past the float range is +-inf: a Gaussian or Cauchy chi is 0.0 there,
+    and any other law raises ValueError naming p_j and p_k."""
     p = np.array(support, dtype=float)
     with np.errstate(over="ignore"):
         x = p[:, None] - p[None, :]
@@ -682,14 +689,19 @@ def dephasing_kernel(d: Distribution, support: Sequence[float]) -> np.ndarray:
 
 
 def semigroup_T(fam: ConvolutionFamily, t: float, s: State) -> Union[State, AveragedState]:
-    """T(t) = E T_{xi_t}; composing T(t) after T(s) convolves the laws."""
+    """T(t) = E T_{xi_t}; composing T(t) after T(s) convolves the laws.
+
+    At t = 0 a state that is not averaged comes back as it is.  Any other t
+    goes to ``fam.at``, which rejects a negative, infinite or NaN t."""
     if t == 0 and not isinstance(s, AveragedState):
         return s
     return averaged_T(fam.at(t), s)
 
 
 def semigroup_Phi(fam: ConvolutionFamily, t: float, s: NormalState) -> NormalState:
-    """Phi(t): Schur multiplier of the family law at time t; exact semigroup."""
+    """Phi(t): Schur multiplier of the family law at time t; exact semigroup.
+
+    t goes to ``fam.at``, which rejects a negative, infinite or NaN t."""
     return averaged_Phi(fam.at(t), s)
 
 

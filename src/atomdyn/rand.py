@@ -37,6 +37,15 @@ def check_weights(ws: Sequence[float], what: str) -> None:
         raise ValueError(f"{what} must sum to 1, got {sum(ws)!r}")
 
 
+def as_count(n, message: str) -> int:
+    """n as a Python int, where n is an int or a numpy integer of at least 1 and not a bool;
+    any other n raises ValueError(``message`` and n).  The int keeps -n and n * x exact
+    for an unsigned numpy n, whose negation wraps."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{message} {n!r}")
+    return int(n)
+
+
 def _square(x: float) -> float:
     """x ** 2, or inf past sqrt(max float), where Python's pow raises OverflowError."""
     return math.inf if abs(x) > 1.3407807929942596e154 else x ** 2
@@ -52,9 +61,14 @@ class Distribution(Record):
     def chi(self, x, n: int = 1):
         """(E e^{ix xi})^n: a Python complex for a number x, a new complex array for an array.
 
-        A value that is not finite (a phase x a overflows, or x is NaN)
-        raises ValueError naming the law and x.
+        chi(0) is exactly 1 and chi(-x) is conj(chi(x)) for every law.  The
+        power n is a whole number of at least 1 (an int or a numpy integer);
+        any other n raises ValueError naming it.  A value that is not finite
+        (a phase x a overflows, or x is NaN) raises ValueError naming the law
+        and x.  The generic power takes chi(x) ** n, whose rounding grows
+        like n ulp; Gaussian, Cauchy and Rademacher take a closed form.
         """
+        n = as_count(n, "need at least one step:")
         xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)
         # an overflow only drives chi to its limit 0, or to NaN, caught below
@@ -300,7 +314,8 @@ class FiniteMixture(Distribution):
         return [(w, d) for w, d in self.components if w > 0]
 
     def _chi(self, x):
-        return sum((w * d._chi_pow(x, 1) for w, d in self._positive), 0j)
+        # chi(0) = E 1 = 1 exactly, where the rounded sum of the weights may not be
+        return np.where(x == 0, 1.0, sum((w * d._chi_pow(x, 1) for w, d in self._positive), 0j))
 
     def _draw(self, gen, size):
         ws = np.array([w for w, _ in self.components])
@@ -511,9 +526,8 @@ class McEstimate(NamedTuple):
 
 
 def _step(t: float, n: int) -> float:
-    """sqrt(t/n), the scale of each of n steps over the time t."""
-    if n < 1:
-        raise ValueError(f"need at least one step: {n!r}")
+    """sqrt(t/n), the scale of each of n steps over the time t; n as in ``as_count``."""
+    n = as_count(n, "need at least one step:")
     if t < 0:
         raise ValueError(f"time must be non-negative: {t!r}")
     return math.sqrt(t / n)

@@ -410,6 +410,16 @@ class TestNormalStateEquality:
         assert again == split
         assert again != split_state([(0.5, s), (0.5, averaged_T(Gaussian(1.0), s))])
 
+    def test_support_is_a_tuple_of_floats(self):
+        # an array support made == raise, and a list compared unequal to the tuple
+        rho = PAIR_DENSITY.matrix
+        for support in (np.array([0.0, 1.0]), [0, 1], (np.float64(0.0), np.int64(1))):
+            s = NormalState(support, rho)
+            assert s == PAIR_DENSITY and repr(s.support) == "(0.0, 1.0)"
+            assert [type(p) for p in s.support] == [float, float]
+        split = yosida_hewitt_split([(1.0, NormalState(np.array([0.0, 1.0]), rho))])
+        assert split[1] == PAIR_DENSITY
+
 
 class TestChannelT:
     def test_identity_shift(self):
@@ -1249,6 +1259,25 @@ class TestDephasing:
             ]
         )
         assert np.max(np.abs(out.matrix - expected)) <= 1e-14
+
+
+class TestComposedDephasing:
+    """chi(0) is exactly 1, so the kernel's diagonal is, and the trace stays 1."""
+
+    def test_ten_thousand_compositions_keep_the_trace(self):
+        # the weights sum to 1 - 2^-53 in floats, and the parent's kernel
+        # diagonal did too: the trace check failed at the 9008th composition
+        law = FiniteMixture(((0.7, Gaussian(0.01)), (0.2, Cauchy(0.01)), (0.1, Rademacher())))
+        s = NormalState((0.0, 1.0), np.array([[0.5, 0.1], [0.1, 0.5]]))
+        for _ in range(10_000):
+            s = averaged_Phi(law, s)
+        assert np.trace(s.matrix) == 1 and np.all(np.diag(s.matrix) == 0.5)
+
+    def test_weights_a_few_ulps_off(self):
+        law = FiniteMixture(((0.5 + 4.5e-13, Gaussian(1.0)), (0.5 + 4.5e-13, Rademacher())))
+        assert np.all(np.diag(dephasing_kernel(law, (0.0, 1.0, 2.5))) == 1)
+        s = averaged_Phi(law, averaged_Phi(law, PAIR_DENSITY))
+        assert np.trace(s.matrix) == 1
 
 
 class TestSemigroups:

@@ -549,6 +549,42 @@ def test_simple_laws_share_one_to_json():
         assert distribution_from_json(doc) == law
 
 
+def chi_hooks(source: str):
+    """{class: its methods named _chi or _chi_pow} for each class with the base Distribution."""
+    return {node.name: [item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                        and item.name in ("_chi", "_chi_pow")]
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Distribution" for base in node.bases)}
+
+
+def test_scan_lists_chi_hooks():
+    source = (
+        "class Distribution:\n"
+        "    def _chi(self, x):\n"
+        "        pass\n"
+        "class Bell(Distribution):\n"
+        "    def _chi_pow(self, x, n):\n"
+        "        pass\n"
+        "class Coin(Distribution):\n"
+        "    def _chi(self, x):\n"
+        "        pass\n"
+        "    def _chi_pow(self, x, n):\n"
+        "        pass\n"
+    )
+    assert chi_hooks(source) == {"Bell": ["_chi_pow"], "Coin": ["_chi", "_chi_pow"]}
+
+
+def test_each_law_writes_chi_once():
+    # a law writes chi itself or its power, and chi(x, n) is the one public call
+    source = (SRC / "rand.py").read_text()
+    hooks = chi_hooks(source)
+    assert sorted(hooks) == ["Cauchy", "FiniteMixture", "Gaussian", "PointMass", "Rademacher",
+                             "Uniform"]
+    assert all(len(names) == 1 for names in hooks.values()), hooks
+    assert not [node.lineno for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == "chi_pow"]
+
+
 # the package's public names, by the module that first exported them;
 # apply_mod now lives in atoms and McEstimate in rand, and both old modules
 # re-export them; trig's trapezoid names gave way to cesaro_inner

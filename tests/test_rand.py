@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomdyn.atoms import make_vector, norm, unit_atom
@@ -120,6 +120,46 @@ laws = simple_laws | st.builds(
 )
 edge_x = st.lists(st.sampled_from(EDGE_X) | st.floats(-10.0, 10.0)
                   | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6)
+
+
+@st.composite
+def _nearly_unit_mixture(draw, components):
+    """A mixture of the drawn components whose weights sum to 1 within a few ulps."""
+    parts = draw(st.lists(components, min_size=1, max_size=4))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(parts), max_size=len(parts))
+               .filter(lambda r: sum(r) > 0))
+    moves = draw(st.lists(st.integers(-3, 3), min_size=len(parts), max_size=len(parts)))
+    ws = [r / sum(raw) for r in raw]
+    ws = [max(w + k * math.ulp(w), 0.0) for w, k in zip(ws, moves)]
+    return FiniteMixture(tuple(zip(ws, parts)))
+
+
+nested_laws = st.recursive(simple_laws, _nearly_unit_mixture, max_leaves=8)
+
+
+class TestChiInvariants:
+    """chi(0) = 1 exactly, chi(-x) = conj chi(x) and |chi| <= 1: the kernel
+    chi(p_j - p_k) has unit diagonal and is Hermitian, which the channels'
+    outputs rely on in place of a PSD check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nested_laws, st.sampled_from(EDGE_X) | st.floats(-10.0, 10.0)
+           | st.floats(allow_nan=False, allow_infinity=False))
+    @example(FiniteMixture(((0.7, Gaussian(0.01)), (0.2, Cauchy(0.01)), (0.1, Rademacher()))),
+             0.5)
+    def test_unit_at_zero_hermitian_and_bounded(self, d, x):
+        for n in (1, 7):
+            assert d.chi(0.0, n) == 1 and d.chi(-0.0, n) == 1
+        assert np.all(d.chi(np.array([0.0, -0.0, 0.0])) == 1)
+        try:
+            c = d.chi(x)
+        except ValueError:
+            with pytest.raises(ValueError):
+                d.chi(-x)
+            return
+        # == on complex ignores the sign of a zero imaginary part
+        assert d.chi(-x) == c.conjugate()
+        assert abs(c) <= 1.0 + 1e-12
 
 
 class TestChiKernel:
@@ -594,6 +634,34 @@ class TestRandomWalk:
             random_walk_apply(Gaussian(1.0), 1.0, 0, SeededRng(1).stream(0), unit_atom(0.0))
 
 
+class TestStepCount:
+    """A step count, and the power n of chi, is an int or a numpy integer of at least 1."""
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, np.float64(2.0), True, False, "3", None],
+                             ids=repr)
+    def test_anything_else_is_rejected_by_name(self, n):
+        message = "^" + re.escape(f"need at least one step: {n!r}") + "$"
+        u = unit_atom(1.0)
+        calls = [lambda: expected_walk_apply(Rademacher(), 1.0, n, u),
+                 lambda: chernoff_error(Rademacher(), 1.0, n, [1.0]),
+                 lambda: random_walk_apply(Gaussian(1.0), 1.0, n, SeededRng(1).stream(0), u),
+                 # a power below 1 gave |chi| > 1, and Cauchy's was blamed on x
+                 lambda: Gaussian(1.0).chi(0.1, n),
+                 lambda: Cauchy(1.0).chi(1e3, n)]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_numpy_integers_count(self):
+        u = make_vector([(0.5, 0.6), (2.0, 0.8)])
+        for law in ALL_LAWS:
+            want = expected_walk_apply(law, 1.0, 7, u)
+            # an unsigned n wrapped on negation: Cauchy's chi^7 was 3.8e8 at x = 0.3
+            for n in (np.int64(7), np.int32(7), np.uint8(7), np.uint64(7)):
+                assert expected_walk_apply(law, 1.0, n, u) == want
+                assert _bits(law.chi(0.3, n)) == _bits(law.chi(0.3, 7))
+
+
 class TestDrawsPastTheFloatRange:
     """A draw or a walk's sum past the float range is +-inf, with no RuntimeWarning."""
 
@@ -710,6 +778,28 @@ class TestChernoff:
         power = np.exp(n * np.log1p(-2.0 * np.sin(x / (2.0 * math.sqrt(n))) ** 2))
         accurate = float(np.abs(power - np.exp(-0.5 * x * x)).max())
         assert abs(chernoff_error(Rademacher(), 1.0, n, probes) / accurate - 1.0) <= 0.01
+
+
+    @pytest.mark.xfail(strict=True, reason="the generic chi(x) ** n rounds like n ulp "
+                       "(ROADMAP item 18)")
+    @pytest.mark.parametrize("law", [Uniform(-1.0, 1.0),
+                                     FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0))))],
+                             ids=["uniform", "rademacher-gaussian"])
+    def test_generic_power_at_large_n(self, law):
+        # at n = 1e10 atomdyn gives 1.07e-6 (uniform) and 2.51e-8 (mixture),
+        # against 1.004e-11 and 9.02e-12
+        n, probes = 10**10, [0.5, 1.0, 2.0, 3.0]
+        step, D = math.sqrt(1.0 / n), law.variance
+        with mpmath.workdps(60):
+            def chi(y):
+                y = mpmath.mpf(y)
+                if isinstance(law, Uniform):
+                    return mpmath.sin(y) / y
+                return (mpmath.cos(y) + mpmath.exp(-y * y / 2)) / 2
+            want = max(abs(chi(step * x) ** n - mpmath.exp(-mpmath.mpf(D) * x * x / 2))
+                       for x in probes)
+            want = float(want)
+        assert abs(chernoff_error(law, 1.0, n, probes) / want - 1.0) <= 1e-3
 
 
 class TestFamiliesAndJson:
