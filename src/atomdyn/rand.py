@@ -65,8 +65,9 @@ class Distribution(Record):
         power n is a whole number of at least 1 (an int or a numpy integer);
         any other n raises ValueError naming it.  A value that is not finite
         (a phase x a overflows, or x is NaN) raises ValueError naming the law
-        and x.  The generic power takes chi(x) ** n, whose rounding grows
-        like n ulp; Gaussian, Cauchy and Rademacher take a closed form.
+        and x.  Gaussian and Cauchy take the power in closed form and
+        Rademacher through log1p; the other laws take chi(x) ** n, whose
+        rounding grows like n ulp.
         """
         n = as_count(n, "need at least one step:")
         xs = np.asarray(x, dtype=float)

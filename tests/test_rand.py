@@ -780,8 +780,8 @@ class TestChernoff:
         assert abs(chernoff_error(Rademacher(), 1.0, n, probes) / accurate - 1.0) <= 0.01
 
 
-    @pytest.mark.xfail(strict=True, reason="the generic chi(x) ** n rounds like n ulp "
-                       "(ROADMAP item 18)")
+    @pytest.mark.xfail(strict=True, reason="Uniform and mixtures take chi(x) ** n, whose "
+                       "rounding grows like n ulp")
     @pytest.mark.parametrize("law", [Uniform(-1.0, 1.0),
                                      FiniteMixture(((0.5, Rademacher()), (0.5, Gaussian(1.0))))],
                              ids=["uniform", "rademacher-gaussian"])
