@@ -315,8 +315,10 @@ class FiniteMixture(Distribution):
         return [(w, d) for w, d in self.components if w > 0]
 
     def _chi(self, x):
+        v = sum((w * d._chi_pow(x, 1) for w, d in self._positive), 0j)
         # chi(0) = E 1 = 1 exactly, where the rounded sum of the weights may not be
-        return np.where(x == 0, 1.0, sum((w * d._chi_pow(x, 1) for w, d in self._positive), 0j))
+        v[x == 0] = 1.0
+        return v
 
     def _draw(self, gen, size):
         ws = np.array([w for w, _ in self.components])
