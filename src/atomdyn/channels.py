@@ -111,7 +111,7 @@ class NormalState(Record):
         k = len(self.support)
         if not all(math.isfinite(p) for p in self.support):
             raise ValueError("support frequencies must be finite")
-        object.__setattr__(self, "support", tuple(float(p) for p in self.support))
+        object.__setattr__(self, "support", tuple(map(float, self.support)))
         if len(set(self.support)) != k:
             raise ValueError("support frequencies must be distinct")
         if m.shape != (k, k):
