@@ -656,7 +656,7 @@ class TestStepCount:
         u = make_vector([(0.5, 0.6), (2.0, 0.8)])
         for law in ALL_LAWS:
             want = expected_walk_apply(law, 1.0, 7, u)
-            # an unsigned n wrapped on negation: Cauchy's chi^7 was 3.8e8 at x = 0.3
+            # an unsigned n wrapped on negation: Cauchy(0.7)'s chi^7 at x = 0.11 was 3.8e8
             for n in (np.int64(7), np.int32(7), np.uint8(7), np.uint64(7)):
                 assert expected_walk_apply(law, 1.0, n, u) == want
                 assert _bits(law.chi(0.3, n)) == _bits(law.chi(0.3, 7))
