@@ -151,19 +151,6 @@ class AveragedState(Record):
         if not isinstance(base, (PureState, NormalState, MixedState)) or _averaged_in(base):
             raise TypeError(f"averaged state base is not a pure, normal or mixed state with no "
                             f"averaged state in it: {base!r}")
-        self._set(base, smoothing)
-
-    @classmethod
-    def _of_base(cls, base, smoothing) -> "AveragedState":
-        """The state on a base the caller knows to be valid: every check but the base's.
-
-        ``averaged_T`` has walked the base already, and ``channel_T`` and a
-        stack of laws take the base of an averaged state."""
-        s = object.__new__(cls)
-        s._set(base, smoothing)
-        return s
-
-    def _set(self, base, smoothing):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "smoothing", smoothing)
         _check_law(smoothing)
@@ -461,7 +448,7 @@ def channel_T(h: float, s: State) -> State:
         return MixedState(tuple((w, channel_T(h, ps)) for w, ps in s.components))
     if isinstance(s, AveragedState):
         # S_h commutes with the random shift S_xi, so T_h moves the base
-        return AveragedState._of_base(channel_T(h, s.base), s.smoothing)
+        return AveragedState(channel_T(h, s.base), s.smoothing)
     raise TypeError(f"not a state: {s!r}")
 
 
@@ -478,11 +465,11 @@ def averaged_T(d: Distribution, s: State) -> State:
     """
     _check_law(d)
     if isinstance(s, AveragedState):
-        return AveragedState._of_base(s.base, convolve(s.smoothing, d))
+        return AveragedState(s.base, convolve(s.smoothing, d))
     if isinstance(s, MixedState) and _averaged_in(s):
         return MixedState(tuple((w, averaged_T(d, st)) for w, st in s.components))
     if isinstance(s, (PureState, NormalState, MixedState)):
-        return AveragedState._of_base(s, d)
+        return AveragedState(s, d)
     raise TypeError(f"not a state: {s!r}")
 
 
