@@ -315,10 +315,13 @@ class FiniteMixture(Distribution):
         return [(w, d) for w, d in self.components if w > 0]
 
     def _chi(self, x):
-        v = sum((w * d._chi_pow(x, 1) for w, d in self._positive), 0j)
-        # chi(0) = E 1 = 1 exactly, where the rounded sum of the weights may not be
-        v[x == 0] = 1.0
-        return v
+        # sum w_i chi_i over the weights' plain float sum, the law _draw samples: at x = 0
+        # both sums are that one float, so chi(0) = 1 exactly; the parts divide as floats
+        v, total = 0j, 0.0
+        for w, d in self._positive:
+            v = v + w * d._chi_pow(x, 1)
+            total += w
+        return (v.view(float) / total).view(complex)
 
     def _draw(self, gen, size):
         ws = np.array([w for w, _ in self.components])

@@ -1268,6 +1268,17 @@ class TestComposedDephasing:
         s = averaged_Phi(law, averaged_Phi(law, PAIR_DENSITY))
         assert np.trace(s.matrix) == 1
 
+    def test_weights_a_few_ulps_off_keep_the_cone(self):
+        # chi is sum w_i chi_i over sum w_i, so |chi| <= 1 and the composed channel
+        # stays PSD; the unnormalised sum gave |chi(1e-9)| = 1.0000000000009 and a
+        # smallest eigenvalue of -4.5e-10 after 1000 compositions
+        law = FiniteMixture(((0.5 + 4.5e-13, Gaussian(1.0)), (0.5 + 4.5e-13, Rademacher())))
+        assert abs(law.chi(1e-9)) <= 1.0
+        s = NormalState((0.0, 1e-9), [[0.5, 0.5], [0.5, 0.5]])
+        for _ in range(1000):
+            s = averaged_Phi(law, s)
+        assert np.linalg.eigvalsh(s.matrix).min() >= -1e-15
+
 
 class TestSemigroups:
     GRID = [0.0, 0.1, 0.5, 1.0, 2.0]
