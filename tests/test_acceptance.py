@@ -21,7 +21,10 @@ from atomdyn.rand import (
     Gaussian,
     Rademacher,
     SeededRng,
+    Uniform,
     chernoff_error,
+    expected_walk_apply,
+    random_walk_apply,
 )
 from atomdyn.channels import (
     MixedState,
@@ -292,3 +295,86 @@ def test_10_reproducible_reports(tmp_path):
         and blobs[("json", 0)] == blobs[("json", 1)]
     )
     report("reproducibility: byte-identical reports, 1 vs 4 worker threads", ok)
+
+
+# The modulation walk U_n = M_{S_n / b_n}, S_n a sum of n i.i.d. steps, on
+# u = 0.6 e_1 + 0.8i e_{-2.5}: E U_n u is expected_walk_apply(d, n / b_n^2, n, u),
+# so D_n = E ||U_n u - u||^2 = 2 ||u||^2 - 2 Re <u, E U_n u> needs no sampling.
+WALK_U = make_vector([(1.0, 0.6), (-2.5, 0.8j)])
+WALK_N = (1, 10, 100, 1000)
+
+
+def walk_distance(v):
+    """2 ||u||^2 - 2 Re <u, v>: ||v - u||^2 for v = U_n u, which is unitary, and D_n for
+    v = E U_n u."""
+    return 2 * norm(WALK_U) ** 2 - 2 * inner(WALK_U, v).real
+
+
+def expected_walk_distance(d, n, b):
+    return walk_distance(expected_walk_apply(d, n / b ** 2, n, WALK_U))
+
+
+def walk_sum(g):
+    """sum |c_p|^2 g(p) over the atoms of WALK_U."""
+    return sum(abs(a.c) ** 2 * g(a.p) for a in WALK_U)
+
+
+def test_11_no_first_moment_no_convergence():
+    gamma = 0.7
+    limit = 2 * walk_sum(lambda p: 1 - math.exp(-gamma * abs(p)))
+    d = Cauchy(gamma)
+    dists = [expected_walk_distance(d, n, n) for n in WALK_N]
+    # 2000 realizations at n = 100 from one fixed stream
+    n, gen = 100, SeededRng(111).stream(0)
+    draws = np.array([
+        walk_distance(random_walk_apply(d, n / n ** 2, n, gen, WALK_U)) for _ in range(2000)
+    ])
+    mean, stderr = draws.mean(), draws.std() / math.sqrt(len(draws))
+    ok = (
+        all(abs(x - limit) <= 1e-12 for x in dists)
+        and abs(limit - 1.4200279336536155) <= 1e-15
+        and abs(mean - limit) <= 4 * stderr
+    )
+    report(
+        "cauchy walk, b_n = n: E||U_n u - u||^2 = 2 sum |c_p|^2 (1 - e^{-gamma|p|}) at every n "
+        "(1e-12), 2000 realizations within 4 stderr",
+        ok,
+        f"D_n {[f'{x:.6f}' for x in dists]} vs {limit:.6f}, mc {mean:.4f} +- {stderr:.4f}",
+    )
+
+
+def test_12_finite_variance_converges_in_probability():
+    laws = {"gaussian": (Gaussian(1.0), 1.0), "rademacher": (Rademacher(), 1.0),
+            "uniform": (Uniform(-1.0, 1.0), 1.0 / 3.0)}
+    details, ok = [], True
+    for name, (d, var) in laws.items():
+        target = var * walk_sum(lambda p: p * p)
+        dists = [expected_walk_distance(d, n, n) for n in WALK_N]
+        scaled = WALK_N[-1] * dists[-1]
+        ok &= abs(scaled - target) <= 0.01 * target and dists == sorted(dists, reverse=True)
+        details.append(f"{name} n D_n {scaled:.4f} vs {target:.4f}")
+    report(
+        "walks with variance, b_n = n: D_n -> 0 at O(1/n), n D_n within 1% of "
+        "Var xi sum |c_p|^2 p^2 at n = 1000",
+        ok,
+        ", ".join(details),
+    )
+
+
+def test_13_central_scaling_converges_in_distribution_only():
+    limit = 2 * walk_sum(lambda p: 1 - math.exp(-p * p / 2))
+    gauss = [expected_walk_distance(Gaussian(1.0), n, math.sqrt(n)) for n in WALK_N]
+    ns = (10, 100, 1000, 10 ** 4)
+    rad = [n * (expected_walk_distance(Rademacher(), n, math.sqrt(n)) - limit) for n in ns]
+    ok = (
+        abs(limit - 1.5070586499689425) <= 1e-15
+        and all(abs(x - limit) <= 1e-12 for x in gauss)
+        and all(abs(x - 0.2195) <= 1e-3 for x in rad)
+    )
+    report(
+        "b_n = sqrt(n): D_n stays at 2 sum |c_p|^2 (1 - e^{-p^2/2}) != 0 under Gaussian (1e-12), "
+        "Rademacher reaches it at O(1/n)",
+        ok,
+        f"limit {limit:.6f}, gaussian {[f'{x:.6f}' for x in gauss]}, "
+        f"rademacher n (D_n - limit) {[f'{x:.4f}' for x in rad]}",
+    )

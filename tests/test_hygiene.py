@@ -5,7 +5,8 @@ but the CLI's process entry point changes the process's garbage collector
 or ends the process without shutdown.  No library module but the CLI
 takes an eigen-decomposition, and only ``atoms.match`` clamps a
 ``searchsorted`` index, so the bit-equal match of frequencies is written
-once.  Only the law base and the mixture
+once.  Only ``NormalState._channel_output`` and ``algebra._normal_form``
+build an instance without its constructor.  Only the law base and the mixture
 define ``to_json``, only the law base defines ``sample`` and ``draw``, and
 no module imports a private name from another.  Importing the package or
 the CLI loads no library module, each command loads only the modules it
@@ -399,6 +400,50 @@ def test_scan_flags_clamp_calls():
 def test_the_bit_equal_match_is_written_once():
     found = [(path.name, owner) for path in MODULES for _, owner in clamp_calls(path.read_text())]
     assert found == [("atoms.py", "match")]
+
+
+def bare_builds(source: str):
+    """(line, owner) of each call of an attribute ``__new__`` (``object.__new__(cls)``),
+    where owner is the module-level function, or ``Class.member``, that holds it.
+
+    Such a call makes an instance without running its constructor's checks, so
+    each call site is a second constructor of its class.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        parts = ([(f"{top.name}.{getattr(item, 'name', '')}", item) for item in top.body]
+                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+        for owner, tree in parts:
+            found += [(node.lineno, owner) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "__new__"]
+    return sorted(found)
+
+
+def test_scan_flags_bare_builds():
+    source = (
+        "s = object.__new__(State)\n"
+        "class State:\n"
+        "    _fields = ('base',)\n"
+        "    @classmethod\n"
+        "    def _of(cls, base):\n"
+        "        s = object.__new__(cls)\n"
+        "        return s\n"
+        "def build(rows):\n"
+        "    e = Element.__new__(Element)\n"
+        "    return State(rows), new(rows)\n"
+    )
+    assert bare_builds(source) == [(1, None), (6, "State._of"), (9, "build")]
+
+
+# the only builds that skip a constructor, each for its reason: the Cholesky
+# check that a channel's output skips costs about 1.5 ms an output at m = 200,
+# and _normal_form is the one builder of an element
+BARE_BUILDS = [("algebra.py", "_normal_form"), ("channels.py", "NormalState._channel_output")]
+
+
+def test_only_two_builds_skip_a_constructor():
+    found = [(path.name, owner) for path in MODULES for _, owner in bare_builds(path.read_text())]
+    assert found == BARE_BUILDS
 
 
 def draw_checks(source: str):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from atomdyn.algebra import (ONE, AlgebraElement, apply_element, apply_shift, generator_apply,
-                             indicator, shift_overlaps, wave)
+from atomdyn.algebra import (ONE, AlgebraElement, adjoint, apply_element, apply_shift, compose,
+                             generator_apply, indicator, shift_overlaps, wave, weyl_residual)
 from atomdyn.atoms import AtomicVector, add, apply_mod, inner, make_vector, norm, scale, unit_atom
 from atomdyn.channels import MixedState, NormalState, PureState, averaged_T, evaluate
 from atomdyn.rand import (Cauchy, FiniteMixture, Gaussian, PointMass, Rademacher, Uniform,
@@ -37,6 +37,10 @@ class TestNamed:
         (lambda: expected_walk_apply(Uniform(), 1e300, 4, make_vector([(-1e308, 1.0), (1.0, 1.0)])),
          step_message(1e300, 4, -1e308)),
         (lambda: chernoff_error(Rademacher(), 1e300, 1, [1e308]), step_message(1e300, 1, 1e308)),
+        # the step frequency 2.0 is finite, so the error is chi's own
+        (lambda: expected_walk_apply(PointMass(1e308), 1.0, 1, make_vector([(2.0, 1.0)])),
+         "chi of PointMass(a=1e+308) is not finite at x = 2.0: a phase x a overflows, or x is "
+         "not a number"),
         # chi = e^{i pi/4} turns a finite amplitude past the float range
         (lambda: expected_walk_apply(PointMass(0.25), 1.0, 1, make_vector([(math.pi, Z)])),
          f"chi(sqrt(t/n) {math.pi!r})^1 * (1.5e+308-1.5e+308j), the amplitude at frequency "
@@ -87,7 +91,7 @@ class TestNamed:
         (lambda: norm(make_vector([(0.0, 1e308 + 1e308j), (1.0, 1e308 + 1e308j)])),
          f"the norm of 2 amplitudes, the largest of modulus {abs(1e308 + 1e308j)!r}, overflows "
          "the float range"),
-    ], ids=["generator", "walk-rademacher", "walk-uniform", "chernoff", "walk-product",
+    ], ids=["generator", "walk-rademacher", "walk-uniform", "chernoff", "walk-chi", "walk-product",
             "cesaro", "inner-product", "inner-sum", "element", "element-sum", "evaluate",
             "evaluate-averaged", "mod", "make-vector", "make-vector-three", "shift-merge",
             "shift-overlaps", "norm", "norm-sum"])
@@ -152,6 +156,10 @@ def finite_or_value_error(call):
         return
     if isinstance(out, AtomicVector):
         assert np.isfinite(out.freqs).all() and np.isfinite(out.amps).all(), out
+    elif isinstance(out, AlgebraElement):
+        # weights, frequencies and shifts are finite; an interval end may be infinite
+        for c, (_, a, lo, hi), h in out.rows:
+            assert all(map(math.isfinite, (c.real, c.imag, a, h))) and lo <= hi, out
     elif isinstance(out, np.ndarray):
         assert np.isfinite(out).all(), out
     else:
@@ -197,6 +205,17 @@ class TestEdgeProperty:
     def test_apply_element(self, rows, u):
         A = element(rows)
         finite_or_value_error(lambda: apply_element(A, u))
+
+    @settings(max_examples=400, deadline=None)
+    @given(terms, terms, reals, reals, vectors)
+    @example([(1e308, ONE, 1e308)], [(1e308, wave(1e308), 1e308)], 1e308, 1e308, unit_atom(1.0))
+    @example([(1.0, indicator(-1e308, 1e308), -1e308)], [(1j, wave(5e-324), -0.0)], 5e-324, -0.0,
+             make_vector([(1e308, Z), (-1e308, 1.0)]))
+    def test_algebra(self, rows, other, h, a, u):
+        # products of terms, where a phase a h or a weight c1 c2 may leave the float range
+        A, B = element(rows), element(other)
+        for call in (lambda: compose(A, B), lambda: adjoint(A), lambda: weyl_residual(h, a, u)):
+            finite_or_value_error(call)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(LAWS), st.sampled_from([0.0, 4.0, 1e300, 1.7976931348623157e308])
