@@ -12,12 +12,13 @@ The multipliers of the normal form are data: a :class:`Multiplier`
 waves and interval indicators are instances, and the family is closed under
 shifts (c gains e^{iah}, the interval moves), conjugation and products
 (phases multiply, frequencies add, intervals intersect; an empty
-intersection is the zero multiplier).  The algebra is closed: every element
-is in normal form, which keeps c = 1 in every multiplier, moving the
-constant into the term weight, merges terms with equal (multiplier, shift)
-by value, and holds finite weights, frequencies and shifts.  Elements keep
-their terms as data rows and build Multiplier objects only when asked.  Multipliers are evaluated at the finitely many atom
-frequencies of the argument vector, or on whole arrays with ``at``.
+intersection is the zero multiplier).  The algebra is closed: the
+constructor puts any terms into normal form, which keeps c = 1 in every
+multiplier, moving the constant into the term weight, merges terms with
+equal (multiplier, shift) by value, and holds finite weights, frequencies
+and shifts.  Elements keep their terms as data rows and build Multiplier
+objects only when asked; multipliers are evaluated at the finitely many
+atom frequencies of the argument vector, or on whole arrays with ``at``.
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ def indicator(lo: float, hi: float) -> Multiplier:
 
 
 def _data(f: Multiplier) -> tuple:
+    if not isinstance(f, Multiplier):
+        raise TypeError(f"not a Multiplier: {f!r}")
     return f.c, f.a, f.lo, f.hi
 
 
@@ -284,34 +287,21 @@ def _product(f, g, h=0.0, conj=False):
 class AlgebraElement(Record):
     """Normal form sum_j c_j M_{f_j} S_{a_j} with at most one term per (f, a).
 
-    Every multiplier f_j is a :class:`Multiplier` with c = 1: its constant
-    factor lives in the term weight c_j.  The constructor rejects any other
-    multiplier, an empty interval, a NaN interval end, a non-finite weight,
-    frequency or shift, a weight 0 and a repeated (f, a); ``AlgebraElement.of``
-    puts terms into this form, dropping zeros and merging repeats.  A convolution
-    sum_j w_j S_{a_j} is ``AlgebraElement.of([(w_j, ONE, a_j), ...])``.
-    The element stores ``rows`` (c_j, data of f_j, a_j), which compare and
-    hash as the ``terms`` do; ``terms`` is built when first read.
+    The constructor puts terms (c, f, a), each f a :class:`Multiplier` (else
+    TypeError naming f), into this form: f's constant moves into the weight,
+    so every f_j has c = 1, zero weights and empty intervals drop out, and
+    equal (f, a) merge by value in first-seen order.  A NaN interval end, or
+    a weight, frequency or shift of the result that is not finite, raises
+    ValueError.  ``AlgebraElement.of`` is the same call.  A convolution
+    sum_j w_j S_{a_j} is ``AlgebraElement([(w_j, ONE, a_j), ...])``.  The
+    element stores ``rows`` (c_j, data of f_j, a_j), which compare and hash
+    as the ``terms`` do; ``terms`` is built when first read.
     """
 
     _fields = ("rows",)
 
     def __init__(self, terms: Iterable[Tuple[complex, Multiplier, float]]):
-        terms = tuple(terms)
-        for _, f, _ in terms:
-            if type(f) is not Multiplier or f.c != 1:
-                raise ValueError(
-                    f"term multiplier {f!r} is not in normal form, a Multiplier with "
-                    "c = 1; build the element with AlgebraElement.of")
-            if not f.lo <= f.hi:
-                _check_ends(_data(f))
-                raise ValueError(
-                    f"term multiplier {f!r} has an empty interval, so it is zero; "
-                    "AlgebraElement.of drops such terms")
-        rows = tuple((complex(c), _data(f), float(a)) for c, f, a in terms)
-        _check_finite(rows)
-        if _normal_form(rows).rows != rows:
-            raise ValueError("a repeated (f, a) pair or a weight 0: use AlgebraElement.of")
+        rows = _normal_form((complex(c), _data(f), float(a)) for c, f, a in terms).rows
         object.__setattr__(self, "rows", rows)
 
     @cached_property
@@ -323,23 +313,23 @@ class AlgebraElement(Record):
 
     @staticmethod
     def of(terms: Iterable[Tuple[complex, Multiplier, float]]) -> "AlgebraElement":
-        return _normal_form((complex(c), _data(f), float(a)) for c, f, a in terms)
+        return AlgebraElement(terms)
 
     @staticmethod
     def identity() -> "AlgebraElement":
-        return AlgebraElement.of([(1.0, ONE, 0.0)])
+        return AlgebraElement([(1.0, ONE, 0.0)])
 
     @staticmethod
     def shift(h: float) -> "AlgebraElement":
-        return AlgebraElement.of([(1.0, ONE, h)])
+        return AlgebraElement([(1.0, ONE, h)])
 
     @staticmethod
     def mult(f: Multiplier) -> "AlgebraElement":
-        return AlgebraElement.of([(1.0, f, 0.0)])
+        return AlgebraElement([(1.0, f, 0.0)])
 
     @staticmethod
     def modulation(a: float) -> "AlgebraElement":
-        return AlgebraElement.of([(1.0, wave(a), 0.0)])
+        return AlgebraElement([(1.0, wave(a), 0.0)])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return _normal_form(self.rows + other.rows)

@@ -627,6 +627,13 @@ table_multipliers = st.one_of(
               amplitudes, st.floats(-3, 3), frequencies, st.floats(0, 20)),
 )
 term_lists = st.lists(st.tuples(amplitudes, table_multipliers, shifts), min_size=1, max_size=40)
+# terms that repeat (f, a), weigh 0, carry c != 1 or have an empty interval
+normal_form_terms = st.lists(st.tuples(
+    st.sampled_from([0, 0j, -0.0, 1.0, 0.5j]) | amplitudes,
+    st.sampled_from([ONE, ZERO, wave(1.0), Multiplier(2.0), Multiplier(0.3 - 0.7j, 1.1, -2.0, 6.0),
+                     Multiplier(1, 0.0, 2.0, 1.0), Multiplier(-1j, 1.0, 0.5, -0.5)])
+    | table_multipliers,
+    st.sampled_from([0.0, -0.0, 0.5]) | shifts), max_size=12)
 
 
 # the 2-term element of the sparse-large benchmark: unit phases of modulus 1/2,
@@ -693,23 +700,34 @@ class TestTermTable:
         assert vector_bits(apply_element(star, make_vector(pairs))) == atom_bits(
             ref_apply_element(ref_star, ref_make(pairs)))
 
-    def test_constructor_takes_the_normal_form_only(self):
-        for f in (Multiplier(2.0), Multiplier(0.3 - 0.7j, 1.1, -2.0, 6.0), ZERO,
-                  lambda y: y * y):
-            with pytest.raises(ValueError, match="AlgebraElement.of"):
-                AlgebraElement(((1.0, ONE, 0.0), (1.0, f, 0.5)))
-        # a repeated (f, a) and a weight 0 would give a second element, and
-        # hash, for the operator that .of gives
-        for terms, same in (([(1, ONE, 0.0), (1, ONE, 0.0)], [(2, ONE, 0.0)]),
-                            ([(1, wave(1.0), -0.0), (0.5, wave(1.0), 0.0)],
-                             [(1.5, wave(1.0), 0.0)]),
-                            ([(0, ONE, 0.0)], []),
-                            ([(1.0, ONE, 0.5), (0j, wave(2.0), 0.0)], [(1.0, ONE, 0.5)])):
-            with pytest.raises(ValueError, match="AlgebraElement.of"):
-                AlgebraElement(terms)
-            assert AlgebraElement.of(terms) == AlgebraElement.of(same)
-        A = AlgebraElement.of([(1.0, Multiplier(2.0), 0.5)])
-        assert A.terms == ((2.0, ONE, 0.5),) and AlgebraElement(A.terms) == A
+    @settings(deadline=None, max_examples=300)
+    @given(normal_form_terms)
+    @example([(1.0, ONE, 0.0), (1.0, Multiplier(2.0), 0.5), (1.0, ZERO, 0.5),
+              (1.0, Multiplier(0.3 - 0.7j, 1.1, -2.0, 6.0), 0.5)])
+    @example([(1.0, ONE, 0.5), (0j, wave(2.0), 0.0), (1, Multiplier(1, 0.0, 2.0, 1.0), 0.0)])
+    def test_constructor_is_the_normal_form(self, terms):
+        # repeated (f, a), zero weights, c != 1 and empty intervals: the
+        # constructor merges and drops them, as the written-out rule does
+        A, B = AlgebraElement(terms), AlgebraElement.of(terms)
+        ref = ref_normal_form([(c, f, a) for c, f, a in terms if f.lo <= f.hi])
+        assert term_bits(A.terms) == term_bits(B.terms) == term_bits(ref)
+        assert A == B and hash(A) == hash(B) and AlgebraElement(A.terms) == A
+
+    def test_constructor_examples(self):
+        assert AlgebraElement([(1, ONE, 0.0), (1, ONE, 0.0)]) == AlgebraElement([(2, ONE, 0.0)])
+        assert AlgebraElement([(1, wave(1.0), -0.0), (0.5, wave(1.0), 0.0)]).rows == (
+            (1.5 + 0j, (1 + 0j, 1.0, -math.inf, math.inf), -0.0),)
+        assert AlgebraElement([(0, ONE, 0.0)]).rows == AlgebraElement([(1.0, ZERO, 0.5)]).rows == ()
+        A = AlgebraElement([(1.0, Multiplier(2.0), 0.5)])
+        assert A.terms == ((2.0, ONE, 0.5),) and AlgebraElement.of(A.terms) == A
+
+    @pytest.mark.parametrize("f", [lambda y: y * y, "ONE", (1 + 0j, 0.0, -math.inf, math.inf)],
+                             ids=["function", "string", "data"])
+    def test_a_term_multiplier_is_a_multiplier(self, f):
+        for build in (AlgebraElement, AlgebraElement.of):
+            with pytest.raises(TypeError, match="^not a Multiplier: ") as err:
+                build([(1.0, ONE, 0.0), (1.0, f, 0.5)])
+            assert str(err.value).endswith(repr(f))
 
     def test_product_terms_are_plain_multipliers(self):
         B = AlgebraElement.of([(0.5, wave(1.0), 0.25), (0.5j, indicator(-1, 1), -0.5)])
@@ -792,8 +810,7 @@ class TestRows:
                 AlgebraElement.of([(1.0, ONE, 0.0), (1, f, 0.0)])
             with pytest.raises(ValueError, match=f"NaN interval end {end}"):
                 AlgebraElement([(1, f, 0.0)])
-        with pytest.raises(ValueError, match="empty interval.*AlgebraElement.of"):
-            AlgebraElement([(1, empty, 0.0)])
+        assert AlgebraElement([(1, empty, 0.0)]).rows == ()
         # products keep no NaN end and no empty interval
         P = compose(AlgebraElement.mult(indicator(0, 3)), AlgebraElement.mult(indicator(2, 5)))
         assert P.rows == ((1 + 0j, (1 + 0j, 0.0, 2.0, 3.0), 0.0),)

@@ -182,9 +182,6 @@ VALIDATION = [
      r"density matrix trace must be 1, got np.complex128\(2\+0j\)"),
     (lambda: NormalState((0.0, 1.0), np.array([[1.5, 0], [0, -0.5]])),
      "density matrix must be positive semidefinite"),
-    (lambda: AlgebraElement([(1.0, Multiplier(2.0), 0.0)]),
-     r"term multiplier Multiplier\(c=2.0, a=0.0, lo=-inf, hi=inf\) is not in normal form, "
-     "a Multiplier with c = 1; build the element with AlgebraElement.of"),
 ]
 
 
