@@ -604,33 +604,30 @@ def _landing(p: np.ndarray, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _mass(s, fset: set) -> float:
-    """<s, P_F>: the mass of s on the atoms whose frequencies are in fset."""
+    """<s, P_F> for a pure, normal or plain mixed s: its mass on the atoms in fset."""
     if isinstance(s, PureState):
         return sum((abs(a.c) ** 2 for a in s.vector if a.p in fset), 0.0)
     if isinstance(s, NormalState):
         return sum((float(s.matrix[j, j].real)
                     for j, p in enumerate(s.support) if p in fset), 0.0)
-    if isinstance(s, MixedState):
-        return sum((w * _mass(st, fset) for w, st in s.components), 0.0)
-    if not isinstance(s, AveragedState):
-        raise TypeError(f"not a state: {s!r}")
-    # the atoms (loc, pr) of the law make the finite mixture of the shifted bases
-    return sum((pr * _mass(channel_T(loc, s.base), fset)
-                for loc, pr in s.smoothing.lebesgue_split()[0]), 0.0)
+    return sum((w * _mass(st, fset) for w, st in s.components), 0.0)
 
 
 def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
     """Best mass captured by projectors onto finite atom sets from ``family``.
 
-    The largest <s, P_F> over the sets F of the family.  Equals 1 for
-    normal-kind states whose support one set covers, and 0 for averaged
-    states with continuous smoothing; the mixture of a split's parts reports
-    its normal weight when one set covers the normal support.
+    The largest <s, P_F> over the sets F of the family, read off the Yosida--Hewitt
+    split: the normal pieces (w, state) of s, taken once per call, give sum w <state, P_F>,
+    and the singular part has no mass on a finite set.  So it is 1 for normal-kind states
+    whose support one set covers, 0 for averaged states with continuous smoothing, and the
+    split's normal weight p when one set covers the normal support.
     """
     fams = [set(fs) for fs in family]
     if not fams:
         raise ValueError("family of finite atom sets must be non-empty")
-    return max(_mass(s, fset) for fset in fams)
+    pieces: list = []
+    _lebesgue(1.0, s, pieces, [])
+    return max(sum((w * _mass(st, fset) for w, st in pieces), 0.0) for fset in fams)
 
 
 # ---------------------------------------------------------------------------
@@ -712,15 +709,16 @@ def yosida_hewitt_split(
     averaged over it, of weight w cw, in the singular part.
     A mixture that holds an averaged state splits by its components, any
     other state goes to the normal part whole, and weight 0 is dropped.
+    Each part divides its pieces' weights by their plain float sum, p for the normal part.
     """
     comps = [(float(w), s) for w, s in components]
     check_weights([w for w, _ in comps], "weights")
     normal, singular = [], []
     for w, s in comps:
         _lebesgue(w, s, normal, singular)
-    p = sum(w for w, _ in normal)
+    p, normal_part = _part(normal)
     # guard against float drift putting p marginally outside [0, 1]
-    return min(1.0, max(0.0, p)), _part(normal, p), _part(singular, 1.0 - p)
+    return min(1.0, max(0.0, p)), normal_part, _part(singular)[1]
 
 
 def _lebesgue(w: float, s, normal: list, singular: list) -> None:
@@ -741,8 +739,12 @@ def _lebesgue(w: float, s, normal: list, singular: list) -> None:
         raise TypeError(f"not a state: {s!r}")
 
 
-def _part(pairs: list, mass: float) -> Optional[State]:
-    """None, the one state, or the MixedState of the (weight / mass, state) pairs."""
-    if not pairs or mass <= 0:
-        return None
-    return pairs[0][1] if len(pairs) == 1 else MixedState(tuple((w / mass, st) for w, st in pairs))
+def _part(pairs: list) -> Tuple[float, Optional[State]]:
+    """(mass, part): mass the plain float sum of the pairs' weights, left to right from 0.0,
+    and part None when mass is 0, the one state, or the MixedState of the (w / mass, state)."""
+    mass = 0.0
+    for w, _ in pairs:
+        mass += w
+    if not mass > 0 or len(pairs) == 1:
+        return mass, pairs[0][1] if mass > 0 else None
+    return mass, MixedState(tuple((w / mass, st) for w, st in pairs))

@@ -1425,6 +1425,21 @@ class TestYosidaHewitt:
             direct = 0.4 * evaluate(normal, A) + 0.6 * evaluate(avg, A)
             assert abs(evaluate(split, A) - direct) <= 1e-12
 
+    @pytest.mark.parametrize("c", [1e-4, 1e-6, 1e-8, 1e-12])
+    def test_a_small_continuous_weight_keeps_its_digits(self, c):
+        # each part is normalised by its own weight: 1 - p would lose the
+        # digits of a singular weight near c, and its mixture fail to sum to 1
+        law = FiniteMixture(((0.3 - c / 2, Rademacher()), (0.7 - c / 2, PointMass(0.25)),
+                             (c, Gaussian(1.0))))
+        mix = MixedState(tuple((w, averaged_T(law, PureState(unit_atom(q))))
+                               for w, q in ((0.2, 0.0), (0.3, 1.0), (0.5, 2.0))))
+        p, normal, singular = yosida_hewitt_split([(1.0, mix)])
+        for part in (normal, singular):
+            assert abs(math.fsum(w for w, _ in part.components) - 1.0) <= 4 * math.ulp(1.0)
+        cover = [q - loc for q in (0.0, 1.0, 2.0) for loc in (-1.0, 0.25, 1.0)]
+        assert abs(normality_witness(mix, [cover]) - p) <= 1e-15
+        assert abs(p - (1.0 - c)) <= 1e-15
+
     def test_several_averaged_states_keep_the_tuple(self):
         # the split stays the tuple (p, normal_part, singular_part), and a
         # singular part of several averaged states is their MixedState
@@ -2497,9 +2512,10 @@ class TestClosure:
         p, normal, singular = yosida_hewitt_split([(1.0, mix)])
         assert p == pytest.approx(0.35, abs=1e-15)
         assert [st.support for _, st in normal.components] == [(1.0, 2.0), (-1.0, 0.0)]
-        assert singular == MixedState(((0.3 / (1.0 - p), g),
-                                       (0.35 / (1.0 - p), AveragedState(PAIR_DENSITY,
-                                                                       Gaussian(1.0)))))
+        # the singular part is normalised by its own weight, 0.3 + 0.35
+        assert singular == MixedState(((0.3 / (0.3 + 0.35), g),
+                                       (0.35 / (0.3 + 0.35), AveragedState(PAIR_DENSITY,
+                                                                          Gaussian(1.0)))))
 
     @pytest.mark.parametrize("method", ["analytic", "mc"])
     def test_projector_value_of_a_mixture(self, method):

@@ -6,7 +6,9 @@ or ends the process without shutdown.  No library module but the CLI
 takes an eigen-decomposition, and only ``atoms.match`` clamps a
 ``searchsorted`` index, so the bit-equal match of frequencies is written
 once.  Only ``NormalState._channel_output`` and ``algebra._normal_form``
-build an instance without its constructor.  Only the law base and the mixture
+build an instance without its constructor, and in ``channels`` only
+``expect_function``, ``projector_value`` and ``_lebesgue`` take a law's
+``lebesgue_split``.  Only the law base and the mixture
 define ``to_json``, only the law base defines ``sample`` and ``draw``, and
 no module imports a private name from another.  Importing the package or
 the CLI loads no library module, each command loads only the modules it
@@ -446,20 +448,24 @@ def test_only_two_builds_skip_a_constructor():
     assert found == BARE_BUILDS
 
 
-def draw_checks(source: str):
-    """(line, owner) of each call of ``check_draws`` (a bare name or an
-    attribute), where owner is the module-level function or class that holds
-    it (None at module level).
-
-    A Monte Carlo draw is checked where its profile is taken, so a second
-    call site would check the same draws twice.
-    """
+def call_sites(source: str, name: str):
+    """(line, owner) of each call of ``name`` (a bare name or an attribute), where
+    owner is the module-level function or class that holds it (None at module level)."""
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
         found += [(node.lineno, owner) for node in ast.walk(top) if isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "check_draws"]
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
     return sorted(found, key=lambda item: item[0])
+
+
+def draw_checks(source: str):
+    """The call sites of ``check_draws``.
+
+    A Monte Carlo draw is checked where its profile is taken, so a second
+    call site would check the same draws twice.
+    """
+    return call_sites(source, "check_draws")
 
 
 def test_scan_flags_draw_checks():
@@ -478,6 +484,36 @@ def test_scan_flags_draw_checks():
 def test_projector_draws_are_checked_by_the_profile_alone():
     assert [owner for _, owner in draw_checks((SRC / "channels.py").read_text())] == [
         "_projector_profile"]
+
+
+def split_calls(source: str):
+    """The call sites of ``lebesgue_split``.
+
+    A law's atoms meet a state where its split is taken: ``expect_function``
+    sums f over them, ``projector_value`` takes the profile at them, and
+    ``_lebesgue`` shifts the base by them for both the Yosida--Hewitt split
+    and the normality witness.  A fourth call site would walk the atoms again.
+    """
+    return call_sites(source, "lebesgue_split")
+
+
+def test_scan_flags_split_calls():
+    source = (
+        "atoms = law.lebesgue_split()[0]\n"
+        "def split(s, normal):\n"
+        "    atoms, cw, part = s.smoothing.lebesgue_split()\n"
+        "class Law:\n"
+        "    def lebesgue_split(self):\n"
+        "        return lebesgue_split(self.parts)\n"
+        "def mass(s):\n"
+        "    return sum(pr for _, pr in s.smoothing.lebesgue_split()[0]) + split(s, [])\n"
+    )
+    assert split_calls(source) == [(1, None), (3, "split"), (6, "Law"), (8, "mass")]
+
+
+def test_a_law_meets_a_state_in_three_places():
+    assert [owner for _, owner in split_calls((SRC / "channels.py").read_text())] == [
+        "expect_function", "projector_value", "_lebesgue"]
 
 
 def second_samplers(source: str):
