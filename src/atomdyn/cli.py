@@ -19,10 +19,11 @@ sidecar (stderr when writing to stdout) so the report itself stays
 reproducible.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
-configuration (including a bad ``ATOMDYN_SEED``, an ``--out`` path that
-cannot be written, a config value the library rejects and a sample count
-too large for memory: :func:`main` prints any ``ValueError`` or
-``MemoryError`` of a command as one ``error:`` line).
+configuration (including a ``--seed`` or ``ATOMDYN_SEED`` that is not an
+integer in [0, 2**64), an ``--out`` path that cannot be written, a config
+value the library rejects and a sample count too large for memory:
+:func:`main` prints any ``ValueError`` or ``MemoryError`` of a command as
+one ``error:`` line).
 
 :func:`run` is the process entry point (``atomdyn`` and ``python -m
 atomdyn.cli``); :func:`main` runs one command and leaves the process's
@@ -457,7 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument(
-        "--seed", type=int, help=f"RNG seed (default: ${SEED_ENV} or 0)",
+        "--seed", type=int, help=f"RNG seed in [0, 2**64) (default: ${SEED_ENV} or 0)",
     )
     parser.add_argument("--out", help="report path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -469,9 +470,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"error: {SEED_ENV} must be an integer, got {env_seed!r}",
-                  file=sys.stderr)
+            print(f"error: {SEED_ENV} must be an integer, got {env_seed!r}", file=sys.stderr)
             return 2
+    if not 0 <= seed < 1 << 64:  # the first word of the Philox key
+        where = SEED_ENV if args.seed is None else "--seed"
+        print(f"error: {where} must be in [0, 2**64), got {seed}", file=sys.stderr)
+        return 2
     # a missing report directory fails before the command runs, not after
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         print(f"error: cannot write report: no directory for {args.out!r}",

@@ -8,8 +8,8 @@ chi(sqrt(t/n) p)^n, which converges to the Gaussian multiplier
 e^{-t D p^2 / 2} at rate O(1/n) for zero-mean laws with variance D (and is
 exactly equal for Gaussian steps).
 
-Randomness is counter-based (Philox): a 64-bit seed plus a stream index
-determine the draw sequence, so parallel Monte Carlo partitions are
+Randomness is counter-based (Philox): a seed and a stream index, each in
+[0, 2**64), determine the draw sequence, so parallel Monte Carlo partitions are
 reproducible regardless of scheduling.
 """
 
@@ -37,11 +37,11 @@ def check_weights(ws: Sequence[float], what: str) -> None:
         raise ValueError(f"{what} must sum to 1, got {sum(ws)!r}")
 
 
-def as_count(n, message: str) -> int:
-    """n as a Python int, where n is an int or a numpy integer of at least 1 and not a bool;
+def as_count(n, message: str, lo: int = 1, hi: float = math.inf) -> int:
+    """n as a Python int, where n is an int or a numpy integer in [lo, hi) and not a bool;
     any other n raises ValueError(``message`` and n).  The int keeps -n and n * x exact
     for an unsigned numpy n, whose negation wraps."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not lo <= int(n) < hi:
         raise ValueError(f"{message} {n!r}")
     return int(n)
 
@@ -484,23 +484,26 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     raise ValueError(f"no closed-form convolution for {d1!r} + {d2!r}")
 
 
+# each word of the Philox key is an integer in [0, 2**64)
+_KEY_WORD = "{} must be an integer in [0, 2**64), got"
+
+
 class SeededRng(Record):
     """Counter-based randomness: (seed, stream index) -> independent stream.
 
-    Streams use Philox with key (seed, index); equal seeds give identical
+    Streams use Philox with key (seed, index), each an int or numpy integer in
+    [0, 2**64) and not a bool (else ValueError naming it); equal seeds give identical
     draws, distinct indices give statistically independent substreams.
     """
 
     _fields = ("seed",)
 
     def __init__(self, seed: int):
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", as_count(seed, _KEY_WORD.format("seed"), 0, 1 << 64))
 
     def stream(self, index: int = 0) -> np.random.Generator:
-        key = np.array(
-            [np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)],
-            dtype=np.uint64,
-        )
+        index = as_count(index, _KEY_WORD.format("stream index"), 0, 1 << 64)
+        key = np.array([self.seed, index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

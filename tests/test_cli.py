@@ -334,6 +334,20 @@ class TestExitCodes:
         # an explicit --seed does not read the variable
         assert main(["dephase", "--seed", "3", "--format", "json"]) == 0
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 1)])
+    def test_seed_outside_the_key_is_one_error_line(self, seed, monkeypatch, capsys):
+        # --seed 18446744073709551617 wrote the rows of --seed 1 under its own header
+        for argv, env, where in ((["--seed", seed], "0", "--seed"), ([], seed, "ATOMDYN_SEED")):
+            monkeypatch.setenv("ATOMDYN_SEED", env)
+            assert main(["walk-decay", *argv, "--format", "json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {where} must be in [0, 2**64), got {seed}\n"
+            assert captured.out == ""
+
+    def test_largest_seed_runs(self, capsys):
+        assert main(["dephase", "--seed", str(2 ** 64 - 1), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
+
     def test_out_in_missing_directory_fails_first(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.csv"
         assert main(["cesaro", "--out", str(out)]) == 2

@@ -567,6 +567,37 @@ class TestSampling:
         assert not np.array_equal(a, c)
 
 
+class TestSeeds:
+    """A seed and a stream index are words of the 128-bit Philox key: ints or numpy integers
+    in [0, 2**64), not bools.  Anything else raises ValueError naming it."""
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1, True, False, 1.0, "1", None,
+                                      np.int64(-1)], ids=repr)
+    def test_a_seed_outside_the_key_is_rejected_by_name(self, seed):
+        # 2**64 + 1 drew the stream of 1, -1 that of 2**64 - 1, and True that of 1
+        message = "^" + re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            SeededRng(seed)
+
+    @pytest.mark.parametrize("index", [-1, 2 ** 64, True, 0.0, "0"], ids=repr)
+    def test_a_stream_index_outside_the_key_is_rejected_by_name(self, index):
+        # -1 and 2**64 raised numpy's OverflowError
+        message = "^" + re.escape(f"stream index must be an integer in [0, 2**64), got "
+                                  f"{index!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            SeededRng(1).stream(index)
+
+    def test_every_key_word_draws_its_own_stream(self):
+        top = 2 ** 64 - 1
+        for seed, index in ((0, 0), (top, 0), (0, top), (top, top)):
+            for s, i in ((np.uint64(seed), np.uint64(index)), (seed, index)):
+                assert SeededRng(s) == SeededRng(seed) and type(SeededRng(s).seed) is int
+                assert SeededRng(s).stream(i).random() == SeededRng(seed).stream(index).random()
+        small = SeededRng(np.int32(7)).stream(np.uint8(3))
+        assert small.random() == SeededRng(7).stream(3).random()
+        assert SeededRng(1).stream(0).random() != SeededRng(top).stream(0).random()
+
+
 class TestAveragedModulation:
     # the averaged modulation E M_{sqrt(t) xi} is the one-step mean walk
 
