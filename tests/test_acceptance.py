@@ -378,3 +378,55 @@ def test_13_central_scaling_converges_in_distribution_only():
         f"limit {limit:.6f}, gaussian {[f'{x:.6f}' for x in gauss]}, "
         f"rademacher n (D_n - limit) {[f'{x:.4f}' for x in rad]}",
     )
+
+
+def sampled_mean(d, n, b, gen, value):
+    """(mean, stderr) of value(U_n u) over 2000 realizations of random_walk_apply."""
+    draws = np.array([value(random_walk_apply(d, n / b ** 2, n, gen, WALK_U))
+                      for _ in range(2000)])
+    return draws.mean(), draws.std() / math.sqrt(len(draws))
+
+
+def test_14_sampled_distances_match_the_closed_form():
+    # b_n = n: the mean of ||U_n u - u||^2 over 2000 realizations at n = 100, each law
+    # from its own fixed stream, lies within 4 stderr of D_n
+    laws = {"gaussian": Gaussian(1.0), "rademacher": Rademacher(), "uniform": Uniform(-1.0, 1.0)}
+    details, ok, n = [], True, 100
+    for i, (name, d) in enumerate(laws.items()):
+        closed = expected_walk_distance(d, n, n)
+        mean, stderr = sampled_mean(d, n, n, SeededRng(114).stream(i), walk_distance)
+        ok &= abs(mean - closed) <= 4 * stderr
+        details.append(f"{name} {mean:.5f} +- {stderr:.5f} vs {closed:.5f}")
+    report("walks with variance, b_n = n: 2000 realizations of ||U_n u - u||^2 at n = 100 "
+           "within 4 stderr of D_n", ok, ", ".join(details))
+
+
+def second_moment(d, n, b):
+    """E|<U_n u, u>|^2 = sum_{p,q} |c_p|^2 |c_q|^2 chi((p - q)/b)^n over the atoms of WALK_U."""
+    return sum(abs(x.c) ** 2 * abs(y.c) ** 2 * d.chi((x.p - y.p) / b, n)
+               for x in WALK_U for y in WALK_U).real
+
+
+def test_15_central_scaling_second_moment_converges_at_rate_1_over_n():
+    # b_n = sqrt(n): E|<U_n u, u>|^2 tends to sum |c_p|^2 |c_q|^2 e^{-(p - q)^2 / 2} at
+    # O(1/n), so the law of <U_n u, u> converges (Levy's continuity theorem)
+    limit = sum(abs(x.c) ** 2 * abs(y.c) ** 2 * math.exp(-(x.p - y.p) ** 2 / 2)
+                for x in WALK_U for y in WALK_U)
+    root3 = math.sqrt(3.0)
+    laws = {"rademacher": (Rademacher(), 0.540086, -0.0126),
+            "uniform": (Uniform(-root3, root3), 0.540133, -0.0076)}
+    gauss = [second_moment(Gaussian(1.0), n, math.sqrt(n)) for n in WALK_N]
+    ok = abs(limit - 0.540208) <= 5e-7 and all(abs(x - limit) <= 1e-12 for x in gauss)
+    details = [f"limit {limit:.6f}"]
+    for i, (name, (d, at_100, rate)) in enumerate(laws.items()):
+        m2 = second_moment(d, 100, 10.0)
+        scaled = [n * (second_moment(d, n, math.sqrt(n)) - limit) for n in (1000, 3000, 10 ** 4)]
+        mean, stderr = sampled_mean(d, 100, 10.0, SeededRng(115).stream(i),
+                                    lambda v: abs(inner(v, WALK_U)) ** 2)
+        ok &= (abs(m2 - at_100) <= 5e-7 and all(abs(x - rate) <= 1e-3 for x in scaled)
+               and abs(mean - m2) <= 4 * stderr)
+        details.append(f"{name} m2 {m2:.6f}, n (m2 - limit) {[f'{x:.4f}' for x in scaled]}, "
+                       f"mc {mean:.4f} +- {stderr:.4f}")
+    report("b_n = sqrt(n): E|<U_n u, u>|^2 is the limit at every n under Gaussian (1e-12), "
+           "and reaches it at O(1/n) under Rademacher and Uniform; 2000 realizations at "
+           "n = 100 within 4 stderr", ok, "; ".join(details))
