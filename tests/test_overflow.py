@@ -1,5 +1,6 @@
-"""One overflow rule: a vector kernel or ``evaluate`` returns finite numbers, or raises
-a ValueError that names its inputs; never a bare RuntimeWarning, inf or NaN."""
+"""One overflow rule: a vector kernel, ``evaluate`` or a state function returns finite
+numbers, or raises a ValueError (a QuadratureError for an unresolved rule) that names its
+inputs; never a bare RuntimeWarning, inf or NaN."""
 
 import math
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from atomdyn.algebra import (ONE, AlgebraElement, adjoint, apply_element, apply_shift, compose,
                              generator_apply, indicator, shift_overlaps, wave, weyl_residual)
 from atomdyn.atoms import AtomicVector, add, apply_mod, inner, make_vector, norm, scale, unit_atom
-from atomdyn.channels import MixedState, NormalState, PureState, averaged_T, evaluate
-from atomdyn.rand import (Cauchy, FiniteMixture, Gaussian, PointMass, Rademacher, Uniform,
-                          chernoff_error, expected_walk_apply)
+from atomdyn.channels import (AveragedState, MixedState, NormalState, PureState, QuadratureError,
+                              averaged_Phi, averaged_T, channel_T, dephasing_kernel, evaluate,
+                              normality_witness, projector_value, yosida_hewitt_split)
+from atomdyn.rand import (Cauchy, FiniteMixture, Gaussian, PointMass, Rademacher, SeededRng,
+                          Uniform, chernoff_error, expected_walk_apply, random_walk_apply)
 from atomdyn.trig import cesaro_inner
 
 S = PureState(make_vector([(0.0, 0.6), (1.0, 0.8j)]))
@@ -146,15 +149,34 @@ LAWS = [Gaussian(0.7), Cauchy(1.3), Uniform(-0.5, 2.0), Rademacher(), PointMass(
 
 
 def finite_or_value_error(call):
-    """call() returns finite numbers or raises ValueError; numpy raises on every
-    floating-point error but underflow, which is benign."""
+    """call() returns finite numbers or raises ValueError, QuadratureError included; numpy
+    raises on every floating-point error but underflow, which is benign."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             out = call()
-    except ValueError as err:
+    except (ValueError, QuadratureError) as err:
         assert str(err)
         return
-    if isinstance(out, AtomicVector):
+    assert_finite(out)
+
+
+def assert_finite(out):
+    if out is None:
+        return
+    if isinstance(out, tuple):  # a split (p, normal part, singular part)
+        for x in out:
+            assert_finite(x)
+    elif isinstance(out, PureState):
+        assert_finite(out.vector)
+    elif isinstance(out, NormalState):
+        assert np.isfinite(out.support).all() and np.isfinite(out.matrix).all(), out
+    elif isinstance(out, MixedState):
+        for w, st in out.components:
+            assert math.isfinite(w), out
+            assert_finite(st)
+    elif isinstance(out, AveragedState):
+        assert_finite(out.base)
+    elif isinstance(out, AtomicVector):
         assert np.isfinite(out.freqs).all() and np.isfinite(out.amps).all(), out
     elif isinstance(out, AlgebraElement):
         # weights, frequencies and shifts are finite; an interval end may be infinite
@@ -237,3 +259,74 @@ class TestEdgeProperty:
              "mixed": MixedState(((0.5, pure), (0.5, normal)))}[kind]
         A = element(rows)
         finite_or_value_error(lambda: evaluate(s, A))
+
+
+# law scales out to 1e-300 and 1e300, components of weight 0, and continuous weights
+# from 1e-12 to 1e-4 beside atoms
+SCALES = st.sampled_from([1e-300, 1e300, 1.0])
+small_part = st.floats(1e-12, 1e-4).map(lambda c: FiniteMixture((
+    (0.3 - c / 2, Rademacher()), (0.7 - c / 2, PointMass(0.25)), (c, Gaussian(1.0)))))
+edge_laws = st.one_of(
+    st.sampled_from(LAWS), SCALES.map(Gaussian), SCALES.map(Cauchy), small_part,
+    st.sampled_from(LAWS).map(lambda d: FiniteMixture(((0.0, Cauchy(1e300)), (1.0, d)))),
+    st.tuples(SCALES, SCALES).map(lambda g: FiniteMixture(
+        ((0.5, Gaussian(g[0])), (0.0, PointMass(1e308)), (0.5, Cauchy(g[1]))))))
+supports = st.lists(reals, min_size=1, max_size=3, unique=True)
+
+
+def edge_states(support):
+    """A pure, a normal and a mixed state of equal weights on the support."""
+    k = len(support)
+    pure = PureState(make_vector([(p, k ** -0.5) for p in support]))
+    normal = NormalState(tuple(support), np.eye(k) / k)
+    return pure, normal, MixedState(((0.5, pure), (0.5, normal)))
+
+
+class TestStateFunctions:
+    """The edge rule over the channels, the projector, the witness and the split, and the
+    walks: finite values, or a ValueError or QuadratureError with a message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_laws, edge_laws, supports, reals)
+    @example(Gaussian(1e300), Cauchy(1e-300), [1e308, -1e308, 5e-324], 1e308)
+    @example(FiniteMixture(((0.3 - 5e-13, Rademacher()), (0.7 - 5e-13, PointMass(0.25)),
+                            (1e-12, Gaussian(1.0)))), Gaussian(1e-300), [0.0, 1.0, 2.0], -0.0)
+    def test_channels(self, d, e, support, h):
+        pure, normal, mixed = edge_states(support)
+        for s in (pure, normal, mixed):
+            finite_or_value_error(lambda: channel_T(h, s))
+            finite_or_value_error(lambda: averaged_T(d, s))
+            finite_or_value_error(lambda: averaged_T(e, averaged_T(d, s)))
+        finite_or_value_error(lambda: averaged_Phi(d, normal))
+        finite_or_value_error(lambda: dephasing_kernel(d, support))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_laws, edge_laws, supports, supports)
+    @example(Cauchy(1e300), Gaussian(1e-300), [1e308, -1e308], [5e-324, 1e308])
+    def test_projector_witness_and_split(self, d, e, support, other):
+        pure, normal, mixed = edge_states(support)
+        v = edge_states(other)[0].vector
+        cover = [support, [p - q for p in support for q in (-1.0, 0.25, 1.0)], other]
+        for s in (pure, normal, mixed):
+            avg = averaged_T(d, s)
+            mix = MixedState(((0.25, avg), (0.0, averaged_T(e, s)), (0.75, averaged_T(e, pure))))
+            for method in ("analytic", "mc"):
+                finite_or_value_error(
+                    lambda: projector_value(avg, v, method, 64, SeededRng(5).stream(0)))
+                finite_or_value_error(
+                    lambda: projector_value(mix, v, method, 64, SeededRng(5).stream(0)))
+            for state in (s, avg, mix, MixedState(((0.5, avg), (0.5, s)))):
+                finite_or_value_error(lambda: normality_witness(state, cover))
+                finite_or_value_error(lambda: yosida_hewitt_split([(1.0, state)]))
+            finite_or_value_error(lambda: yosida_hewitt_split([(0.5, avg), (0.5, mix)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_laws, st.sampled_from([0.0, 1e-300, 1.0, 1e300, 1.7976931348623157e308])
+           | st.floats(0.0, allow_infinity=False), st.integers(1, 10 ** 4), vectors, vectors,
+           reals.filter(lambda x: x > 0))
+    @example(Cauchy(1e300), 1e300, 3, unit_atom(1e308), unit_atom(-1e308), 5e-324)
+    @example(Gaussian(1e300), 1.0, 1, unit_atom(1e154), unit_atom(1e154), 1e308)
+    def test_walks_and_window(self, d, t, n, u, v, window):
+        finite_or_value_error(lambda: chernoff_error(d, t, n, [0.5, 1e154, -1e308, 5e-324]))
+        finite_or_value_error(lambda: random_walk_apply(d, t, n, SeededRng(6).stream(0), u))
+        finite_or_value_error(lambda: cesaro_inner(u, v, window))
