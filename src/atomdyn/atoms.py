@@ -164,10 +164,20 @@ class AtomicVector:
         return scale(alpha, self)
 
 
-# The array arithmetic below rounds as the Python scalar rules do, which are
-# the reference: numpy's complex product may fuse multiply-adds, so products
-# go through ``cmul``; ``np.sum`` adds pairwise, so sums are running sums;
-# ``abs`` of a complex is ``hypot`` and ``x ** 2`` is ``pow``.
+# The array arithmetic below rounds as the Python scalar rules do, which are the reference:
+# numpy's complex product may fuse multiply-adds, so products go through ``cmul``; ``np.sum``
+# adds pairwise and builtin ``sum`` compensates from Python 3.12, so sums run left to right,
+# by ``fold``; ``abs`` of a complex is ``hypot`` and ``x ** 2`` is ``pow``.
+
+
+def fold(values, zero=0.0):
+    """zero + v1 + v2 + ..., left to right; a 1-d array by one cumsum, to a Python number."""
+    if isinstance(values, np.ndarray):
+        a = np.concatenate(([zero], values))
+        return np.cumsum(a, out=a).item(-1)  # in place: no second array
+    for v in values:
+        zero = zero + v
+    return zero
 
 
 def cmul(x, y) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, cmul, match, norm
+from .atoms import AtomicVector, Record, cmul, fold, match, norm
 from .algebra import (ONE, AlgebraElement, Multiplier, apply_shift, check_draws, check_shifts,
                       check_wave, shift_overlaps)
 from .rand import (Distribution, ConvolutionFamily, McEstimate, PointMass, as_count,
@@ -517,25 +517,19 @@ def projector_value(
         else:
             g = _scattered_profile(avg.base, v, xs,
                                    np.flatnonzero(np.bincount(idx, minlength=len(xs))))[idx]
-        # the running sum from 0.0 in draw order; adding 0.0 turns the -0.0
-        # that a leading -0.0 leaves in a sum of zeros into 0.0, as the
-        # loop from 0.0 has it
-        return (float(np.cumsum(g)[-1]) + 0.0) / mc_samples
+        return fold(g) / mc_samples
     atoms = avg.smoothing.lebesgue_split()[0]
     if not atoms:
         return 0.0
     g = _projector_profile(avg.base, v, np.array([loc for loc, _ in atoms], dtype=float))
-    total = 0.0
-    for (_, pr), val in zip(atoms, g.tolist()):
-        total += pr * val
     # the continuous part contributes exactly zero
-    return total
+    return fold(pr * val for (_, pr), val in zip(atoms, g.tolist()))
 
 
 def _projector_profile(base, v: AtomicVector, xs: np.ndarray) -> np.ndarray:
     """g(x) = <T_x base, P_v> for every x of xs, as a float array; xs are distinct."""
     if isinstance(base, MixedState):
-        return sum(w * _projector_profile(st, v, xs) for w, st in base.components)
+        return fold(w * _projector_profile(st, v, xs) for w, st in base.components)
     if isinstance(base, PureState):
         ov = shift_overlaps(base.vector, v, xs)
         # |ov| ** 2 as Python rounds it: hypot, then pow; 0.0 where nothing lands
@@ -603,31 +597,32 @@ def _landing(p: np.ndarray, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(xs <= reach[np.searchsorted(lo[order], xs, side="right")])
 
 
-def _mass(s, fset: set) -> float:
-    """<s, P_F> for a pure, normal or plain mixed s: its mass on the atoms in fset."""
+def _mass(s, fset: set, h: float) -> float:
+    """<T_h s, P_F> for a pure, normal or plain mixed s: the folded mass of its atoms p
+    with p - h in fset, the difference taken in Python floats, as ``apply_shift`` has it."""
     if isinstance(s, PureState):
-        return sum((abs(a.c) ** 2 for a in s.vector if a.p in fset), 0.0)
+        return fold(abs(a.c) ** 2 for a in s.vector if a.p - h in fset)
     if isinstance(s, NormalState):
-        return sum((float(s.matrix[j, j].real)
-                    for j, p in enumerate(s.support) if p in fset), 0.0)
-    return sum((w * _mass(st, fset) for w, st in s.components), 0.0)
+        return fold(float(s.matrix[j, j].real) for j, p in enumerate(s.support) if p - h in fset)
+    return fold(w * _mass(st, fset, h) for w, st in s.components)
 
 
 def normality_witness(s, family: Sequence[Sequence[float]]) -> float:
     """Best mass captured by projectors onto finite atom sets from ``family``.
 
-    The largest <s, P_F> over the sets F of the family, read off the Yosida--Hewitt
-    split: the normal pieces (w, state) of s, taken once per call, give sum w <state, P_F>,
-    and the singular part has no mass on a finite set.  So it is 1 for normal-kind states
-    whose support one set covers, 0 for averaged states with continuous smoothing, and the
-    split's normal weight p when one set covers the normal support.
+    The largest <s, P_F> over the sets F of the family, read off the Yosida--Hewitt split:
+    the normal pieces (w, base, shift) of s, taken once per call, give the fold of w <T_shift
+    base, P_F> by ``_mass``, with no shifted state, so a shift that merges atoms raises
+    nothing; the singular part has no mass on a finite set.  So it is 1 for normal-kind
+    states whose support one set covers, 0 for averaged states with continuous smoothing,
+    and the split's normal weight p when one set covers the normal support.
     """
     fams = [set(fs) for fs in family]
     if not fams:
         raise ValueError("family of finite atom sets must be non-empty")
     pieces: list = []
     _lebesgue(1.0, s, pieces, [])
-    return max(sum((w * _mass(st, fset) for w, st in pieces), 0.0) for fset in fams)
+    return max(fold(w * _mass(st, fset, h or 0.0) for w, st, h in pieces) for fset in fams)
 
 
 # ---------------------------------------------------------------------------
@@ -706,45 +701,46 @@ def yosida_hewitt_split(
     An averaged state of weight w splits along its law's ``lebesgue_split``:
     each atom (loc, pr) puts the shifted base T_loc base, of weight w pr, in
     the normal part, and the continuous part, of weight cw, puts the base
-    averaged over it, of weight w cw, in the singular part.
+    averaged over it, of weight w cw, in the singular part.  A shift that
+    merges atoms of the base, or breaks a normal support, leaves its piece
+    with no state, and raises the ValueError of ``channel_T``.
     A mixture that holds an averaged state splits by its components, any
     other state goes to the normal part whole, and weight 0 is dropped.
-    Each part divides its pieces' weights by their plain float sum, p for the normal part.
+    Each part divides its pieces' weights by their fold, p for the normal part.
     """
     comps = [(float(w), s) for w, s in components]
     check_weights([w for w, _ in comps], "weights")
     normal, singular = [], []
     for w, s in comps:
         _lebesgue(w, s, normal, singular)
-    p, normal_part = _part(normal)
+    p, normal_part = _part([(w, st if h is None else channel_T(h, st)) for w, st, h in normal])
     # guard against float drift putting p marginally outside [0, 1]
     return min(1.0, max(0.0, p)), normal_part, _part(singular)[1]
 
 
 def _lebesgue(w: float, s, normal: list, singular: list) -> None:
-    """Append the (weight, state) pieces of w s to the parts of ``yosida_hewitt_split``."""
+    """Append the pieces of w s to the parts of ``yosida_hewitt_split``: (weight, state) to the
+    singular part, (weight, base, shift) for T_shift base, or shift None, to the normal part."""
     if w == 0:
         return
     if isinstance(s, AveragedState):
         atoms, cw, part = s.smoothing.lebesgue_split()
-        normal += [(w * pr, channel_T(loc, s.base)) for loc, pr in atoms]
+        normal += [(w * pr, s.base, loc) for loc, pr in atoms]
         if cw > 0:
             singular.append((w * cw, AveragedState(s.base, part)))
     elif isinstance(s, MixedState) and _averaged_in(s):
         for v, st in s.components:
             _lebesgue(w * v, st, normal, singular)
     elif isinstance(s, (PureState, NormalState, MixedState)):
-        normal.append((w, s))
+        normal.append((w, s, None))
     else:
         raise TypeError(f"not a state: {s!r}")
 
 
 def _part(pairs: list) -> Tuple[float, Optional[State]]:
-    """(mass, part): mass the plain float sum of the pairs' weights, left to right from 0.0,
-    and part None when mass is 0, the one state, or the MixedState of the (w / mass, state)."""
-    mass = 0.0
-    for w, _ in pairs:
-        mass += w
+    """(mass, part): mass the fold of the pairs' weights, and part None when mass is 0,
+    the one state, or the MixedState of the (w / mass, state)."""
+    mass = fold(w for w, _ in pairs)
     if not mass > 0 or len(pairs) == 1:
         return mass, pairs[0][1] if mass > 0 else None
     return mass, MixedState(tuple((w / mass, st) for w, st in pairs))

@@ -169,10 +169,12 @@ def _random_vector(gen, max_atoms=6, span=10.0) -> AtomicVector:
 
 
 def _random_density(gen, m: int):
+    """a a* / tr(a a*) for a complex Gaussian a, Hermitian bit for bit under any BLAS kernel."""
+    from .atoms import cmul, fold
     from .channels import NormalState
     a = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
+    rho = fold(cmul(a[:, i, None], a[None, :, i].conj()) for i in range(m))
+    rho = (rho.view(float) / fold(rho.diagonal().real)).view(complex)
     support = tuple(np.sort(gen.uniform(-5.0, 5.0, m)))
     return NormalState(support, rho)
 
@@ -192,7 +194,7 @@ DEFAULT_TOLERANCES = {
 
 
 def run_verify(config: dict, seed: int) -> Tuple[List[dict], int]:
-    from .atoms import apply_mod, inner, make_vector, norm
+    from .atoms import apply_mod, fold, inner, make_vector, norm
     from .algebra import AlgebraElement, apply_shift, weyl_residual
     from .rand import Gaussian, SeededRng
     from .channels import PureState, averaged_Phi, averaged_T, evaluate, projector_value
@@ -234,7 +236,7 @@ def run_verify(config: dict, seed: int) -> Tuple[List[dict], int]:
                  gen.normal(size=3), gen.normal(size=3))]
         )
         # the Kronecker rule, written out from the amplitudes of v
-        kron = sum((a.c.conjugate() * v.amplitude(a.p) for a in u), 0j)
+        kron = fold((a.c.conjugate() * v.amplitude(a.p) for a in u), 0j)
         res = max(res, abs(inner(u, v) - kron))
     check("fourier_isometry", res)
 

@@ -21,20 +21,21 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, named_overflow
+from .atoms import AtomicVector, Record, apply_mod, canonical, cmul, fold, named_overflow
 
 _WEIGHT_TOL = 1e-12
 
 
 def check_weights(ws: Sequence[float], what: str) -> None:
-    """Raise ValueError naming ``what`` unless ws are finite, non-negative and sum to 1."""
+    """Raise ValueError naming ``what`` unless ws are finite, non-negative and fold to 1."""
     if any(w < 0 for w in ws):
         raise ValueError(f"{what} must be non-negative")
     for w in ws:
         if not math.isfinite(w):  # a NaN passes the other two tests
             raise ValueError(f"{what} must be finite, got {w!r}")
-    if abs(sum(ws) - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"{what} must sum to 1, got {sum(ws)!r}")
+    total = fold(ws, 0)  # from the int 0, as builtin sum: int weights fold to an int
+    if abs(total - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"{what} must sum to 1, got {total!r}")
 
 
 def as_count(n, message: str, lo: int = 1, hi: float = math.inf) -> int:
@@ -351,17 +352,17 @@ class FiniteMixture(Distribution):
 
     @property
     def mean(self):
-        return sum(w * d.mean for w, d in self._positive)
+        return fold(w * d.mean for w, d in self._positive)
 
     @property
     def variance(self):
         m = self.mean
         if not math.isfinite(m):
             return math.inf
-        return sum(w * (d.variance + _square(d.mean - m)) for w, d in self._positive)
+        return fold(w * (d.variance + _square(d.mean - m)) for w, d in self._positive)
 
     def cdf(self, x):
-        return sum(w * d.cdf(x) for w, d in self._positive)
+        return fold(w * d.cdf(x) for w, d in self._positive)
 
     def gauss_rule(self, n, lo=-math.inf, hi=math.inf):
         # the weighted union of the components' rules

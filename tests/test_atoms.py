@@ -17,6 +17,7 @@ from atomdyn.atoms import (
     add,
     cmul,
     deserialize,
+    fold,
     inner,
     make_vector,
     match,
@@ -381,6 +382,35 @@ class TestPairwiseSum:
     @example(n=16_392, dtype=complex, seed=0, groups=1)
     def test_any_chunks(self, n, dtype, seed, groups):
         assert_sums_run_left_to_right(n, dtype, seed, groups)
+
+
+class TestFold:
+    """``fold`` is the running sum from ``zero``, whatever the Python version or the kind
+    of its values: Python 3.12's compensated ``sum`` gives 1.0 on both examples."""
+
+    def test_left_to_right_where_sum_compensates(self):
+        assert fold([1e16, 1.0, -1e16]) == 0.0
+        assert fold([0.1] * 10) == 0.9999999999999999
+        assert fold(np.array([0.1] * 10)) == 0.9999999999999999
+        assert fold([]) == 0.0 and fold(np.empty(0)) == 0.0 and fold([], 0j) == 0j
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(parts, st.sampled_from([1e16, -1e16, 1e308, 5e-324, 0.1])),
+                    max_size=40), st.booleans())
+    def test_every_path_is_the_loop(self, values, imag):
+        # numbers, a 1-d array (by one cumsum) and arrays elementwise agree bit for bit
+        zero = 0j if imag else 0.0
+        values = [complex(v, -v / 3) for v in values] if imag else values
+        total = zero
+        for v in values:
+            total = total + v
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(fold(values, zero)) == bits(total)
+            assert bits(fold(np.array(values, dtype=type(zero)), zero)) == bits(total)
+            rows = fold((np.array([v, -v]) for v in values), zero)
+        negated = fold((-v for v in values), zero)
+        assert [bits(x) for x in np.ravel(rows).tolist()] == (
+            [bits(total), bits(negated)] if values else [bits(zero)])
 
 
 # signed zeros, the subnormal and normal ends, the float ends and infinities

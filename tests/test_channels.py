@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomdyn import algebra, channels
-from atomdyn.atoms import cmul, inner, make_vector, norm, unit_atom
+from atomdyn.atoms import cmul, fold, inner, make_vector, norm, unit_atom
 from atomdyn.algebra import (
     ONE,
     AlgebraElement,
@@ -498,10 +498,11 @@ class TestChannelT:
         s = PureState(make_vector([(0.0, 2 ** -0.5), (1e-300, 2 ** -0.5)]))
         with pytest.raises(ValueError, match="merges atoms"):
             channel_T(1.0, s)
-        # a Rademacher law shifts the base by -1.0, which merges them too
+        # a Rademacher law shifts the base by -1.0, which merges them too: the split
+        # has no state for that piece, while the witness weighs the base's atoms
         avg = averaged_T(Rademacher(), s)
-        with pytest.raises(ValueError, match="merges atoms"):
-            normality_witness(avg, [[-1.0, 1.0]])
+        mass = fold([abs(2 ** -0.5) ** 2] * 2)
+        assert normality_witness(avg, [[-1.0, 1.0]]) == fold([0.5 * mass, 0.5 * mass])
         with pytest.raises(ValueError, match="merges atoms"):
             yosida_hewitt_split([(1.0, avg)])
         assert channel_T(1e-300, s).vector.frequencies == (-1e-300, 0.0)
@@ -1440,6 +1441,18 @@ class TestYosidaHewitt:
         assert abs(normality_witness(mix, [cover]) - p) <= 1e-15
         assert abs(p - (1.0 - c)) <= 1e-15
 
+    def test_witness_of_atoms_a_shift_merges(self):
+        # T_{-1} lands both atoms on 1.0 and T_{+1} both on -1.0; the state is valid
+        # (1 on the identity), and each piece's mass is its base's, folded in atom order
+        s = averaged_T(Rademacher(), PureState(make_vector([(0.0, 0.6), (1e-300, 0.8)])))
+        assert evaluate(s, IDENTITY) == 1.0
+        mass = fold([0.6 ** 2, 0.8 ** 2])
+        assert normality_witness(s, [[1.0]]) == fold([0.5 * mass, 0.5 * 0.0])
+        assert normality_witness(s, [[1.0, -1.0]]) == fold([0.5 * mass, 0.5 * mass])
+        assert normality_witness(s, [[0.0, 1e-300]]) == 0.0
+        with pytest.raises(ValueError, match="^shift -1.0 merges atoms of the state"):
+            yosida_hewitt_split([(1.0, s)])
+
     def test_several_averaged_states_keep_the_tuple(self):
         # the split stays the tuple (p, normal_part, singular_part), and a
         # singular part of several averaged states is their MixedState
@@ -2199,12 +2212,13 @@ class TestChannelOutputs:
         s = NormalState((0.0, 1e-300), np.eye(2) / 2.0)
         with pytest.raises(ValueError, match=r"shift 1\.0 .*must be distinct"):
             channel_T(1.0, s)
-        # a Rademacher average shifts by -1.0 first, onto 1.0 from both atoms
+        # a Rademacher average shifts by -1.0 first, onto 1.0 from both atoms: that piece
+        # has no state, so the split raises, while the witness weighs the base's diagonal
         avg = averaged_T(Rademacher(), s)
-        for call in (lambda: normality_witness(avg, [[-1.0, 1.0]]),
-                     lambda: yosida_hewitt_split([(1.0, avg)])):
-            with pytest.raises(ValueError, match=r"shift -1\.0 .*must be distinct"):
-                call()
+        with pytest.raises(ValueError, match=r"shift -1\.0 .*must be distinct"):
+            yosida_hewitt_split([(1.0, avg)])
+        assert normality_witness(avg, [[-1.0, 1.0]]) == 1.0
+        assert normality_witness(avg, [[1.0]]) == 0.5
 
 
 class TestMixtureLaws:

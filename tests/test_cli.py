@@ -47,6 +47,19 @@ class TestVerify:
         data = json.loads((tmp_path / "v.json").read_text())
         assert all(row["passed"] for row in data["rows"])
 
+    def test_test_densities_are_hermitian_bit_for_bit(self):
+        # folded cmul outer products; BLAS's a @ a* rounds by the kernel the host picks
+        from atomdyn import cli
+        from atomdyn.rand import SeededRng
+        gen, twin = SeededRng(7).stream(3), SeededRng(7).stream(3)
+        for m in range(1, 7):
+            rho = cli._random_density(gen, m).matrix
+            a = twin.normal(size=(m, m)) + 1j * twin.normal(size=(m, m))
+            twin.uniform(-5.0, 5.0, m)  # the support
+            want = a @ a.conj().T
+            assert np.array_equal(rho, rho.conj().T)
+            assert np.abs(rho - want / np.trace(want).real).max() <= 1e-15
+
 
 class TestChernoff:
     def test_row_per_n(self, tmp_path):

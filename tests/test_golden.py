@@ -4,11 +4,17 @@ The files under ``tests/golden/`` pin this toolchain (numpy 2.4.6): a
 change of numpy can move the last digit of a float, so a toolchain change
 regenerates them on purpose, with a note in ``CHANGES.md``.  Regenerate
 the named cases with ``PYTHONPATH=src python tests/test_golden.py [name ...]``,
-and every case when no name is given.
+and every case when no name is given.  Each case is rendered a second
+time in a child process under OpenBLAS's Prescott kernels, so no report byte
+depends on the BLAS kernel that the host selects.
 """
 
 import json
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -64,13 +70,20 @@ CASES = {
 }
 
 
-def _report(tmp, name, fmt, workers):
+def _report(tmp, name, fmt, workers, env=None):
+    """The report's bytes, from ``main`` in process, or from a child with the environment env."""
     command, seed, cfg = CASES[name]
     cfg_path = tmp / f"{name}.config.json"
     cfg_path.write_text(json.dumps(dict(cfg, workers=workers)))
     out = tmp / f"{name}.{fmt}"
-    main([command, "--seed", str(seed), "--config", str(cfg_path),
-          "--out", str(out), "--format", fmt])
+    args = [command, "--seed", str(seed), "--config", str(cfg_path),
+            "--out", str(out), "--format", fmt]
+    if env is None:
+        main(args)
+    else:
+        child = subprocess.run([sys.executable, "-m", "atomdyn.cli", *args], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
     return out.read_bytes()
 
 
@@ -79,6 +92,19 @@ def _report(tmp, name, fmt, workers):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(tmp_path, name, fmt, workers):
     assert _report(tmp_path, name, fmt, workers) == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+# OpenBLAS reads OPENBLAS_CORETYPE when numpy loads it; Prescott's SSE3 kernels run on any
+# host that runs this numpy build, whose baseline is X86_V2
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="OpenBLAS core types of x86-64")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_independent_of_the_blas_kernel(tmp_path, name, fmt, workers):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    assert _report(tmp_path, name, fmt, workers, env) == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 if __name__ == "__main__":

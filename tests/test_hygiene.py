@@ -8,7 +8,8 @@ takes an eigen-decomposition, and only ``atoms.match`` clamps a
 once.  Only ``NormalState._channel_output`` and ``algebra._normal_form``
 build an instance without its constructor, and in ``channels`` only
 ``expect_function``, ``projector_value`` and ``_lebesgue`` take a law's
-``lebesgue_split``.  Only the law base and the mixture
+``lebesgue_split``.  No module calls the builtin ``sum``, whose rounding
+changes with the Python version.  Only the law base and the mixture
 define ``to_json``, only the law base defines ``sample`` and ``draw``, and
 no module imports a private name from another.  Importing the package or
 the CLI loads no library module, each command loads only the modules it
@@ -491,7 +492,7 @@ def split_calls(source: str):
 
     A law's atoms meet a state where its split is taken: ``expect_function``
     sums f over them, ``projector_value`` takes the profile at them, and
-    ``_lebesgue`` shifts the base by them for both the Yosida--Hewitt split
+    ``_lebesgue`` pairs the base with each as a shift, for both the Yosida--Hewitt split
     and the normality witness.  A fourth call site would walk the atoms again.
     """
     return call_sites(source, "lebesgue_split")
@@ -514,6 +515,41 @@ def test_scan_flags_split_calls():
 def test_a_law_meets_a_state_in_three_places():
     assert [owner for _, owner in split_calls((SRC / "channels.py").read_text())] == [
         "expect_function", "projector_value", "_lebesgue"]
+
+
+def builtin_sums(source: str):
+    """(line, owner) of each call of the bare name ``sum``, owner as in ``call_sites``.
+
+    Builtin ``sum`` compensates from Python 3.12, so one list of floats adds to
+    other bits there; ``atoms.fold``, the running sum, is the package's one
+    summation rule.  ``np.sum`` and ``x.sum()`` are attributes and do not count.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        found += [(node.lineno, owner) for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_scan_flags_builtin_sums():
+    source = (
+        "import numpy as np\n"
+        "total = sum(ws)\n"
+        "def mass(s):\n"
+        "    return sum((w for w in s), 0.0) + np.sum(s) + s.sum()\n"
+        "class Law:\n"
+        "    def mean(self):\n"
+        "        return fold(w * d.mean for w, d in self.parts)\n"
+        "    def cdf(self, x):\n"
+        "        return sum(w * d.cdf(x) for w, d in self.parts)\n"
+    )
+    assert builtin_sums(source) == [(2, None), (4, "mass"), (9, "Law")]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_builtin_sum(path):
+    assert builtin_sums(path.read_text()) == []
 
 
 def second_samplers(source: str):

@@ -10,11 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomdyn.algebra import (ONE, AlgebraElement, adjoint, apply_element, apply_shift, compose,
-                             generator_apply, indicator, shift_overlaps, wave, weyl_residual)
+                             constant, generator_apply, indicator, shift_overlaps, wave,
+                             weyl_residual)
 from atomdyn.atoms import AtomicVector, add, apply_mod, inner, make_vector, norm, scale, unit_atom
 from atomdyn.channels import (AveragedState, MixedState, NormalState, PureState, QuadratureError,
                               averaged_Phi, averaged_T, channel_T, dephasing_kernel, evaluate,
-                              normality_witness, projector_value, yosida_hewitt_split)
+                              expect_function, normality_witness, projector_value,
+                              yosida_hewitt_split)
 from atomdyn.rand import (Cauchy, FiniteMixture, Gaussian, PointMass, Rademacher, SeededRng,
                           Uniform, chernoff_error, expected_walk_apply, random_walk_apply)
 from atomdyn.trig import cesaro_inner
@@ -282,9 +284,19 @@ def edge_states(support):
     return pure, normal, MixedState(((0.5, pure), (0.5, normal)))
 
 
+# windowed waves, indicators and constants, the multipliers a law's expectation meets; their
+# weights stay below 1e75, so that a term's weight times its constant stays below 1e151:
+# past sqrt(max float) a Monte Carlo stderr overflows (test_mc_stderr_of_large_values)
+moderate = st.sampled_from([1e75, -1e75, 5e-324, -0.0, 0.0, 1.0]) | st.floats(-1e75, 1e75)
+weights = st.builds(complex, moderate, moderate)
+law_multipliers = multipliers | weights.map(constant) | st.tuples(
+    weights, reals, reals).map(lambda e: constant(e[0]) * indicator(min(e[1:]), max(e[1:])))
+
+
 class TestStateFunctions:
-    """The edge rule over the channels, the projector, the witness and the split, and the
-    walks: finite values, or a ValueError or QuadratureError with a message."""
+    """The edge rule over the channels, the projector, the witness and the split, the
+    walks, the expectations and averaged evaluation: finite values, or a ValueError or
+    QuadratureError with a message."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_laws, edge_laws, supports, reals)
@@ -330,3 +342,45 @@ class TestStateFunctions:
         finite_or_value_error(lambda: chernoff_error(d, t, n, [0.5, 1e154, -1e308, 5e-324]))
         finite_or_value_error(lambda: random_walk_apply(d, t, n, SeededRng(6).stream(0), u))
         finite_or_value_error(lambda: cesaro_inner(u, v, window))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_laws, law_multipliers, reals, st.lists(reals, min_size=1, max_size=3))
+    @example(Cauchy(1e-300), wave(1e308) * indicator(-1.0, 1e308), 1e308, [-1e308, 5e-324])
+    @example(Gaussian(1e300), indicator(-0.0, 5e-324), -0.0, [1e308, -0.0])
+    @example(Gaussian(0.7), constant(1e75 + 1e75j) * indicator(5e-324, 1e308), 5e-324, [1e308])
+    def test_expect_function(self, d, f, x, xs):
+        for method in ("analytic", "mc"):
+            finite_or_value_error(
+                lambda: expect_function(d, f, x, method, 64, SeededRng(7).stream(0)))
+        finite_or_value_error(lambda: expect_function(d, f, np.array(xs)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_laws, edge_laws, supports,
+           st.lists(st.tuples(weights, law_multipliers, reals), min_size=1, max_size=4))
+    @example(Cauchy(1e300), Gaussian(1e-300), [1e308, -1e308, 5e-324],
+             [(1.0, wave(1e308) * indicator(-1.0, 1.0), 5e-324)])
+    @example(Gaussian(0.7), Gaussian(0.7), [1e308],
+             [(1e75 + 1e75j, wave(1e308), 1e308), (1e75 + 1e75j, constant(1e75 + 1e75j), 1e200)])
+    def test_averaged_evaluate(self, d, e, support, rows):
+        A = element(rows)
+        pure, normal, mixed = edge_states(support)
+        for s in (pure, normal, mixed):
+            avg = averaged_T(d, s)
+            mix = MixedState(((0.25, avg), (0.0, averaged_T(e, s)), (0.75, averaged_T(e, pure))))
+            for state in (avg, mix, MixedState(((0.5, avg), (0.5, s)))):
+                for method in ("analytic", "mc"):
+                    finite_or_value_error(
+                        lambda: evaluate(state, A, method, 64, SeededRng(8).stream(0)))
+
+    @pytest.mark.xfail(strict=True, reason="McEstimate.of squares the deviations from the "
+                       "mean, which overflow past 1.34e154 where the stderr is finite")
+    @pytest.mark.parametrize("call", [
+        lambda gen: expect_function(Gaussian(0.7), constant(1e200) * indicator(0.0, 1e308),
+                                    0.0, "mc", 64, gen),
+        lambda gen: evaluate(averaged_T(Gaussian(0.7), PureState(unit_atom(1.0))),
+                             AlgebraElement.of([(1e200, wave(1e200), 0.0)]), "mc", 64, gen)],
+        ids=["expect_function", "evaluate"])
+    def test_mc_stderr_of_large_values(self, call):
+        # values of modulus near 1e200 have a stderr near 1e200 / sqrt(64), far inside the range
+        est = call(SeededRng(9).stream(0))
+        assert math.isfinite(abs(est.value)) and math.isfinite(est.stderr), est
